@@ -3,7 +3,7 @@
 File formats:
 
 - dataset: UTF-8 JSON-lines, one object per line with exactly the fields
-  ``user`` (string), ``item`` (string), ``rating`` (positive number),
+  ``user`` (string), ``item`` (string), ``rating`` (positive finite number),
   ``features`` (array of strings), ``explanation`` (string);
 - cluster-label sidecar: lines ``user<TAB>cluster_index`` — evaluation-only
   ground truth for synthetic corpora, never part of the training stream.
@@ -17,6 +17,7 @@ known answer at desk scale.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -71,8 +72,9 @@ def _validate_record(obj: dict, line_no: int) -> InteractionRecord:
     if not isinstance(obj["user"], str) or not isinstance(obj["item"], str):
         raise DataError(f"line {line_no}: user and item must be strings")
     rating = obj["rating"]
-    if not isinstance(rating, (int, float)) or isinstance(rating, bool) or rating <= 0:
-        raise DataError(f"line {line_no}: rating must be a positive number")
+    if (not isinstance(rating, (int, float)) or isinstance(rating, bool)
+            or not 0 < rating <= sys.float_info.max):
+        raise DataError(f"line {line_no}: rating must be a positive finite number")
     feats = obj["features"]
     if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
         raise DataError(f"line {line_no}: features must be an array of strings")

@@ -272,7 +272,6 @@ def evaluate_model(
     buckets: bool = False,
     generate_fn: Optional[Callable[[InteractionRecord], str]] = None,
     corpus_level: bool = True,
-    threads: int = 1,
 ) -> tuple:
     """Generate an explanation for every test record and score the lot.
 
@@ -284,12 +283,7 @@ def evaluate_model(
     if not test_records:
         raise MetricError("no test records to evaluate")
     produce = generate_fn or bundle.generate_explanation
-    if threads > 1 and generate_fn is None:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            generated = list(pool.map(produce, test_records))
-    else:
-        generated = [produce(rec) for rec in test_records]
+    generated = [produce(rec) for rec in test_records]
 
     prompt_of = getattr(bundle, "prompt_text", lambda rec: "")
     rows = []

@@ -311,12 +311,23 @@ class TransformerBlock:
         self.bank = ExpertBank(m, config.moe, rng)
         self.router = GateRouter(m, config.moe, rng)
 
-    def _attend_sequence(self, x: Tensor) -> Tensor:
+    def _attend_sequence(self, x: Tensor, past: list = None, seq: int = 0) -> Tensor:
+        """Causal attention for one sequence's rows. With `past` (this
+        block's per-sequence cache entries), the rows follow the cached
+        positions: their keys and values are appended to entry `seq` and
+        they attend over every cached key as well as their own."""
         length, m = x.shape
         heads = self.config.heads
         dh = m // heads
         q, k, v = x @ self.wq, x @ self.wk, x @ self.wv
-        mask = np.triu(np.full((length, length), -1e9), k=1)
+        offset = 0
+        if past is not None:
+            if past[seq] is not None:
+                offset = past[seq][0].shape[0]
+                k = T.concat([past[seq][0], k], axis=0)
+                v = T.concat([past[seq][1], v], axis=0)
+            past[seq] = (k, v)
+        mask = np.triu(np.full((length, offset + length), -1e9), k=offset + 1)
         outs = []
         for h in range(heads):
             cols = slice(h * dh, (h + 1) * dh)
@@ -325,10 +336,13 @@ class TransformerBlock:
         return T.concat(outs, axis=1) @ self.wo
 
     def forward(self, rows: Tensor, batch: int, length: int,
-                gates: np.ndarray) -> Tensor:
+                gates: np.ndarray, cache: list = None) -> Tensor:
+        """One block over `batch` sequences of `length` rows each. `cache`
+        is this block's entry of a :class:`KVCache`; only the given rows
+        run through the norms, the router and the experts."""
         normed = _rms_norm(rows, self.norm1_g)
         attended = T.concat(
-            [self._attend_sequence(normed[b * length:(b + 1) * length])
+            [self._attend_sequence(normed[b * length:(b + 1) * length], cache, b)
              for b in range(batch)], axis=0)
         h = rows + attended
         normed2 = _rms_norm(h, self.norm2_g)
@@ -346,6 +360,21 @@ class TransformerBlock:
                 term = T.scatter_rows(part, idx, n)
                 mixed = term if mixed is None else mixed + term
         return h + mixed
+
+
+class KVCache:
+    """Keys and values of the positions already fed, per block and sequence.
+
+    Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
+    incremental: the new tokens sit at positions offset by `length` and
+    attend over every cached key, while the prefix is not recomputed. The
+    first call on a fresh cache is the prefill.
+    """
+
+    def __init__(self, blocks: int, batch: int = 1):
+        self.length = 0
+        self.batch = batch
+        self.blocks = [[None] * batch for _ in range(blocks)]
 
 
 class LanguageModel:
@@ -388,25 +417,37 @@ class LanguageModel:
     def expert_evaluations(self) -> int:
         return sum(blk.bank.eval_count for blk in self.blocks)
 
-    def forward_rows(self, tokens: np.ndarray, gates: np.ndarray) -> Tensor:
+    def forward_rows(self, tokens: np.ndarray, gates: np.ndarray,
+                     cache: KVCache = None) -> Tensor:
         """Logits for a (batch, length) token matrix; one gate per sequence.
 
         Returns a (batch*length, vocab) tensor, rows in sequence-major
         order. Strictly causal: position t sees tokens at positions <= t.
+        With a `cache`, the tokens continue the cached sequences and the
+        cache grows by `length` positions.
         """
         tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
         batch, length = tokens.shape
-        if length > self.config.context:
+        offset = 0 if cache is None else cache.length
+        if cache is not None and (cache.batch != batch
+                                  or len(cache.blocks) != len(self.blocks)):
+            raise ShapeError(
+                f"cache holds {cache.batch} sequences over {len(cache.blocks)} "
+                f"blocks; have {batch} sequences over {len(self.blocks)}")
+        if offset + length > self.config.context:
             raise ContextLimitError(
-                f"sequence length {length} exceeds context {self.config.context}")
+                f"sequence length {offset + length} exceeds context {self.config.context}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
             raise ShapeError("token id outside the vocabulary")
         gates = np.asarray(gates, dtype=np.int64).reshape(batch)
         flat = tokens.reshape(-1)
-        pos_ids = np.tile(np.arange(length), batch)
+        pos_ids = np.tile(np.arange(offset, offset + length), batch)
         x = T.take_rows(self.embed, flat) + T.take_rows(self.pos, pos_ids)
-        for blk in self.blocks:
-            x = blk.forward(x, batch, length, gates)
+        for b, blk in enumerate(self.blocks):
+            x = blk.forward(x, batch, length, gates,
+                            None if cache is None else cache.blocks[b])
+        if cache is not None:
+            cache.length += length
         x = _rms_norm(x, self.norm_f_g)
         return x @ self.head
 
@@ -418,7 +459,11 @@ class LanguageModel:
                  mode: str = "greedy", temperature: float = 1.0,
                  seed: int = 0) -> List[int]:
         """Autoregressive continuation after the prompt, until <eos> or
-        max_len; greedy mode is deterministic, sampling is seeded."""
+        max_len; greedy mode is deterministic, sampling is seeded.
+
+        The prompt is prefilled once into a :class:`KVCache`; each later
+        step feeds only the token just emitted.
+        """
         if mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown generation mode {mode!r}")
         if len(prompt) >= self.config.context:
@@ -426,10 +471,12 @@ class LanguageModel:
                 f"prompt of {len(prompt)} tokens fills context "
                 f"{self.config.context}; nothing can be generated")
         rng = Rng(seed)
-        seq = list(prompt)
+        cache = KVCache(len(self.blocks))
+        new = list(prompt)
         out: List[int] = []
-        while len(out) < max_len and len(seq) < self.config.context:
-            logits = self.forward_lm(seq, gate).data[-1]
+        while len(out) < max_len and cache.length + len(new) < self.config.context:
+            logits = self.forward_rows(np.asarray(new)[None, :], np.array([gate]),
+                                       cache).data[-1]
             if mode == "greedy":
                 nxt = int(np.argmax(logits))
             else:
@@ -441,7 +488,7 @@ class LanguageModel:
             if nxt == EOS:
                 break
             out.append(nxt)
-            seq.append(nxt)
+            new = [nxt]
         return out
 
     def explanation_nll(self, prompt: Sequence[int], reference: Sequence[int],

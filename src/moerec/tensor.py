@@ -23,6 +23,7 @@ Rules of the house:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,7 +47,14 @@ def default_dtype() -> np.dtype:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    """Raise NumericError when `arr` holds a NaN or an infinity.
+
+    A finite sum proves every element finite, so the full scan runs only
+    when the sum is not finite. A finite array whose sum overflows (say
+    ``[1e308, 1e308]``) takes the scan and passes; numpy may emit an
+    overflow RuntimeWarning for that sum.
+    """
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {op}")
 
 

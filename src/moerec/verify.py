@@ -26,6 +26,9 @@ from .metrics import (
 from .moe import (
     ExpertBank,
     GateRouter,
+    KVCache,
+    LanguageModel,
+    LmConfig,
     decompose_experts,
     expert_weight_count,
     moe_forward,
@@ -316,7 +319,33 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     logits = Rng(9).normal(12)
     shift_ok = np.array_equal(top_k_select(logits, 4), top_k_select(logits + 1e6, 4))
     results.append(CheckResult("moe.topk_shift_invariance", shift_ok, "shift 1e6"))
+
+    gap = max(_kv_cache_gap(gates, renormalize, seed + gates)
+              for gates in (1, 2, 3) for renormalize in (False, True))
+    results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
+                               f"max logit gap {gap:.1e} over every decode step"))
     return results
+
+
+def _kv_cache_gap(gates: int, renormalize: bool, seed: int) -> float:
+    """Largest logit gap between decoding from a KV cache and recomputing
+    the whole prefix, over a greedy decode that fills the context."""
+    moe = decompose_experts(2, 8, 2, active=2, gates=gates)
+    lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=2,
+                                context=16, moe=moe, renormalize_topk=renormalize),
+                       Rng(seed))
+    gap = 0.0
+    for gate in range(gates):
+        cache = KVCache(lm.config.blocks)
+        seq = [1, 4 + gate, 9, 13]
+        new = seq
+        while len(seq) < lm.config.context:
+            cached = lm.forward_rows(np.array([new]), np.array([gate]), cache).data[-1]
+            full = lm.forward_lm(seq, gate).data[-1]
+            gap = max(gap, float(np.max(np.abs(cached - full))))
+            new = [int(np.argmax(full))]
+            seq = seq + new
+    return gap
 
 
 SUITES = {

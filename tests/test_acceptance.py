@@ -21,7 +21,7 @@ from moerec.data import (
     split_records,
 )
 from moerec.metrics import adjusted_rand_index, evaluate_model
-from moerec.moe import tokenize
+from moerec.moe import build_prompt, tokenize
 from moerec.rng import Rng
 from moerec import moe as moe_mod
 from moerec import tensor as T
@@ -44,6 +44,7 @@ from moerec.vae import (
     reparameterize,
 )
 from moerec.verify import verify_kl, verify_metrics, verify_moe
+from tests.test_moe import reference_generate
 
 
 def report(line: str) -> None:
@@ -398,6 +399,18 @@ def test_criterion_7_explanation_fidelity(planted, stage2_bundle):
     report(f"criterion 7 PASS: BLEU-1 {bleu1:.3f}, ROUGE-1 {rouge1:.3f}, "
            f"signature hit rate {hit_rate:.3f} on {len(split.test)} held-out "
            f"records (stage 2 in {elapsed:.0f}s)")
+
+
+def test_cached_generation_matches_full_recompute_on_trained_model(planted,
+                                                                   stage2_bundle):
+    split, _ = planted
+    bundle, _, _ = stage2_bundle
+    for rec in split.test[:12]:
+        gate, _ = bundle.gate_for(rec)
+        prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
+                              rec.features, bundle.r_max)
+        expected, _ = reference_generate(bundle.lm, prompt, gate)
+        assert bundle.lm.generate(prompt, gate) == expected
 
 
 # --- criterion 8: sparsity protocol analog -----------------------------------

@@ -47,6 +47,17 @@ def test_load_rejects_zero_rating_with_line_number(tmp_path):
     assert "line 2" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_load_rejects_non_finite_rating_with_line_number(tmp_path, value):
+    path = tmp_path / "data.jsonl"
+    bad = record_line().replace('"rating": 4.0', f'"rating": {value}')
+    write_lines(path, [record_line(), bad])
+    with pytest.raises(DataError) as err:
+        load_records(path)
+    assert "line 2" in str(err.value)
+    assert "finite" in str(err.value)
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "data.jsonl"
     bad = json.dumps({"user": "u", "item": "i", "rating": 3.0, "features": []})

@@ -221,13 +221,11 @@ def test_evaluate_rows_carry_prompt_when_available():
     assert rows[0]["prompt"].startswith("asking about")
 
 
-def test_evaluate_generate_fn_hook_and_threads():
+def test_evaluate_generate_fn_hook():
     records = records_fixture(6)
-    report_a, _ = evaluate_model(EchoBundle(), records,
-                                 generate_fn=lambda r: "constant words")
-    assert report_a.values["bleu1"] < 0.5
-    report_b, _ = evaluate_model(EchoBundle(), records, threads=3)
-    assert report_b.values["bleu1"] == pytest.approx(1.0)
+    report, _ = evaluate_model(EchoBundle(), records,
+                               generate_fn=lambda r: "constant words")
+    assert report.values["bleu1"] < 0.5
 
 
 def test_evaluate_empty_test_set_errors():

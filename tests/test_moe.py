@@ -17,6 +17,7 @@ from moerec.moe import (
     UNK,
     ExpertBank,
     GateRouter,
+    KVCache,
     LanguageModel,
     LmConfig,
     MoeLayerConfig,
@@ -388,6 +389,144 @@ def test_generate_stops_at_eos():
     lm.head.data[...] = 0.0
     lm.head.data[:, EOS] = 10.0
     assert lm.generate([BOS, 5], gate=0, max_len=8) == []
+
+
+# --- cached decoding oracle ---
+
+def reference_generate(lm: LanguageModel, prompt, gate, max_len=16, mode="greedy",
+                       temperature=1.0, seed=0):
+    """The slow path: re-run forward_lm over the whole prefix at every step.
+
+    Returns the generated tokens and the next-token logits of each step.
+    """
+    rng = Rng(seed)
+    seq = list(prompt)
+    out, step_logits = [], []
+    while len(out) < max_len and len(seq) < lm.config.context:
+        logits = lm.forward_lm(seq, gate).data[-1]
+        step_logits.append(logits)
+        if mode == "greedy":
+            nxt = int(np.argmax(logits))
+        else:
+            z = (logits - logits.max()) / max(temperature, 1e-8)
+            p = np.exp(z)
+            p /= p.sum()
+            nxt = int(np.searchsorted(np.cumsum(p), rng.uniform(1)[0], side="right"))
+            nxt = min(nxt, len(p) - 1)
+        if nxt == EOS:
+            break
+        out.append(nxt)
+        seq.append(nxt)
+    return out, step_logits
+
+
+def record_forward_rows(lm: LanguageModel) -> list:
+    """Shadow lm.forward_rows so every call's tokens and logits are kept."""
+    calls = []
+    original = lm.forward_rows
+
+    def recording(tokens, gates, cache=None):
+        logits = original(tokens, gates, cache)
+        calls.append((np.atleast_2d(tokens), logits.data))
+        return logits
+
+    lm.forward_rows = recording
+    return calls
+
+
+def suppress_eos(lm: LanguageModel) -> None:
+    """Greedy decoding never picks <eos>: its logit is pinned at 0 while one
+    of two opposite head columns always scores at least 0."""
+    lm.head.data[:, EOS] = 0.0
+    lm.head.data[:, -1] = -lm.head.data[:, -2]
+
+
+CACHE_VARIANTS = [
+    dict(seed=21, gates=1, active=1),
+    dict(seed=22, gates=2, active=2),
+    dict(seed=23, gates=3, active=2, renormalize_topk=True),
+    dict(seed=24, gates=2, active=4, heads=4),
+    dict(seed=25, gates=2, active=3, heads=1, renormalize_topk=True),
+]
+PROMPTS = [[BOS, 4], [BOS, 4, 6, 9, 11], [BOS, 17, 3, 12, 5, 8, 13, 2, 14]]
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_cached_logits_match_full_recompute_every_step(variant):
+    lm = tiny_lm(**variant)
+    suppress_eos(lm)  # long generations, up to the context limit
+    for gate in range(variant["gates"]):
+        for prompt in PROMPTS:
+            calls = record_forward_rows(lm)
+            cached = lm.generate(prompt, gate, max_len=16)
+            del lm.forward_rows
+            ref, ref_logits = reference_generate(lm, prompt, gate, max_len=16)
+            assert cached == ref
+            assert len(cached) == lm.config.context - len(prompt)
+            assert len(calls) == len(ref_logits)
+            for (_, logits), expected in zip(calls, ref_logits):
+                assert np.max(np.abs(logits[-1] - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_cached_sampling_reproduces_reference(variant):
+    lm = tiny_lm(**variant)
+    for seed in range(4):
+        for prompt in PROMPTS:
+            got = lm.generate(prompt, 0, max_len=10, mode="sample",
+                              temperature=1.5, seed=seed)
+            want, _ = reference_generate(lm, prompt, 0, max_len=10, mode="sample",
+                                         temperature=1.5, seed=seed)
+            assert got == want
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_cached_generation_evaluates_each_position_once(variant):
+    lm = tiny_lm(**variant)
+    per_position = lm.config.blocks * lm.config.moe.active
+    for prompt, max_len in ((PROMPTS[1], 6), (PROMPTS[2], 16), ([BOS] * 15, 4)):
+        lm.reset_eval_counters()
+        calls = record_forward_rows(lm)
+        out = lm.generate(prompt, 0, max_len=max_len)
+        del lm.forward_rows
+        fed = sum(tokens.size for tokens, _ in calls)
+        assert calls[0][0].size == len(prompt)
+        assert all(tokens.size == 1 for tokens, _ in calls[1:])
+        assert fed == len(prompt) + len(calls) - 1
+        assert lm.expert_evaluations() == fed * per_position
+
+
+def test_cache_overflow_raises_context_limit():
+    lm = tiny_lm(seed=27)
+    cache = KVCache(lm.config.blocks)
+    lm.forward_rows(np.array([[BOS] + [4] * 9]), np.array([0]), cache)
+    with pytest.raises(ContextLimitError):
+        lm.forward_rows(np.array([[5] * 7]), np.array([0]), cache)
+    assert cache.length == 10
+    lm.forward_rows(np.array([[5] * 6]), np.array([0]), cache)
+    assert cache.length == lm.config.context
+    with pytest.raises(ContextLimitError):
+        lm.forward_rows(np.array([[5]]), np.array([0]), cache)
+
+
+def test_cache_rejects_mismatched_batch():
+    lm = tiny_lm(seed=28)
+    cache = KVCache(lm.config.blocks)
+    with pytest.raises(ShapeError):
+        lm.forward_rows(np.array([[BOS, 4], [BOS, 5]]), np.array([0, 1]), cache)
+
+
+def test_batched_cache_matches_per_sequence_forward():
+    lm = tiny_lm(seed=29, gates=2)
+    a = np.array([1, 4, 6, 8, 10, 12])
+    b = np.array([2, 5, 7, 9, 11, 13])
+    cache = KVCache(lm.config.blocks, batch=2)
+    gates = np.array([0, 1])
+    head = lm.forward_rows(np.stack([a[:4], b[:4]]), gates, cache).data
+    tail = lm.forward_rows(np.stack([a[4:], b[4:]]), gates, cache).data
+    for rows, seq, gate in ((np.vstack([head[:4], tail[:2]]), a, 0),
+                            (np.vstack([head[4:], tail[2:]]), b, 1)):
+        assert np.max(np.abs(rows - lm.forward_lm(seq, gate).data)) <= 1e-10
 
 
 # --- explanation NLL ---

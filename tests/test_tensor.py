@@ -183,6 +183,25 @@ def test_nonfinite_raises():
         T.exp(Tensor([1000.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_element_raises_wherever_it_sits(bad):
+    for shape, where in (((16, 64), (7, 33)), ((1,), (0,)), ((3, 4), (2, 3))):
+        arr = np.ones(shape)
+        arr[where] = bad
+        with pytest.raises(NumericError):
+            Tensor(arr)
+        with pytest.raises(NumericError):
+            T.neg(Tensor(np.ones(shape))) * Tensor(arr)
+
+
+def test_finite_array_with_overflowing_sum_passes():
+    # the sum is inf, so the check falls back to the full scan, which passes
+    big = np.array([1e308, 1e308])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(Tensor(big).data, big)
+        assert np.array_equal((Tensor(big) * 1.0).data, big)
+
+
 def test_composite_backward_matches_grad_check():
     w = Tensor(Rng(5).normal(12).reshape(4, 3))
 
