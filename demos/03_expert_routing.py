@@ -1,13 +1,14 @@
 """Fine-grained experts and cluster gates, from the inside.
 
 Shows the parameter-count identity behind expert splitting, how a gate
-scores and selects experts, and that only the selected experts ever run.
+scores and selects experts, that only the selected experts ever run, and
+how the rows of a mixed-gate batch are grouped by expert.
 """
 
 import numpy as np
 
-from moerec import Rng, Tensor, decompose_experts, moe_forward, route, top_k_select
-from moerec.moe import ExpertBank, GateRouter, expert_weight_count
+from moerec import Rng, Tensor, decompose_experts, top_k_select
+from moerec.moe import ExpertBank, GateRouter, _moe_rows, expert_weight_count
 
 # Splitting 6 experts of width 4096 by a factor of 2 yields 12 experts of
 # width 2048 with the exact same number of weight parameters.
@@ -19,31 +20,40 @@ for model_dim in (64, 4096):
     after = expert_weight_count(model_dim, 12, 2048)
     print(f"  model_dim {model_dim}: {before} == {after}: {before == after}")
 
-# A desk-sized bank: each gate owns a routing matrix over the shared bank.
+# A desk-sized bank: the experts are stacked tensors, and the gates' routing
+# matrices one (gates, model_dim, experts) tensor over the shared bank.
 cfg = decompose_experts(3, 16, 2, active=2, gates=3)
 bank = ExpertBank(8, cfg, Rng(0))
 router = GateRouter(8, cfg, Rng(1))
-x = Tensor(Rng(2).normal(8))
+print(f"stacked experts w1 {bank.w1.shape}, w2 {bank.w2.shape};",
+      f"routing matrices {router.weights.shape}")
+x = Tensor(Rng(2).normal(8).reshape(1, 8))
 
 for gate in range(3):
-    scores = route(router, gate, x)
-    picked = top_k_select(scores.data, 2)
-    print(f"gate {gate}: scores {scores.data.round(3)} -> experts {picked}")
+    scores = router.scores(gate, x).data[0]
+    picked = top_k_select(scores, 2)
+    print(f"gate {gate}: scores {scores.round(3)} -> experts {picked}")
 
-# Only the top-k experts are evaluated; the counter proves it.
+# Only the top-k experts are evaluated; the counter proves it. A batch of
+# rows under mixed gates runs through the bank in one call, its (row,
+# expert) pairs sorted by expert.
+rows = Tensor(Rng(3).normal(5 * 8).reshape(5, 8))
+row_gates = np.array([0, 2, 1, 0, 2])
 bank.eval_count = 0
-y = moe_forward(bank, router, 0, x, k=2)
-print(f"expert evaluations for one call with k=2: {bank.eval_count}")
+_moe_rows(bank, router, row_gates, rows, k=2)
+print(f"expert evaluations for 5 rows with k=2: {bank.eval_count}")
+selected = top_k_select(router.scores(row_gates, rows).data, 2).reshape(-1)
+print("experts of the pairs, grouped:", np.sort(selected, kind="stable"))
 
 # Raw softmax scores weight the selected outputs (no renormalization), so
 # with identical experts the output factorizes through the score mass.
-for e in bank.experts[1:]:
-    for part in ("w1", "b1", "w2", "b2"):
-        e[part].data[...] = bank.experts[0][part].data
-scores = route(router, 0, x).data
+for part in ("w1", "b1", "w2", "b2"):
+    stack = getattr(bank, part).data
+    stack[1:] = stack[0]
+scores = router.scores(0, x).data[0]
 picked = top_k_select(scores, 2)
-single = bank.run(0, x.reshape(1, -1)).data[0]
-combined = moe_forward(bank, router, 0, x, k=2).data
+single = bank.run(np.array([0]), x).data[0]
+combined = _moe_rows(bank, router, 0, x, k=2).data[0]
 print("factorization holds:",
       np.allclose(combined, scores[picked].sum() * single))
 

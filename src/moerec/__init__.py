@@ -52,14 +52,13 @@ from .vae import (
 from .moe import (
     ExpertBank,
     GateRouter,
+    KVCache,
     LanguageModel,
     LmConfig,
     MoeLayerConfig,
     Vocab,
     build_prompt,
     decompose_experts,
-    moe_forward,
-    route,
     tokenize,
     top_k_select,
 )

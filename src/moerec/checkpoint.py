@@ -1,10 +1,14 @@
-"""Binary checkpoint format "GVMC-1".
+"""Binary checkpoint format "GVMC-2".
 
 Layout: an 8-byte little-endian unsigned length, then that many bytes of
 UTF-8 JSON manifest, then the raw tensor payload. The manifest records the
 format version, the creating config, the root seed, a stage tag, optional
 extra metadata (id maps), and a named-tensor directory mapping each name to
-its shape, dtype, and byte offset into the payload.
+its shape, dtype, and byte offset into the payload. The tensors tile the
+payload in offset order, with no gap and no overlap. Version 2 stores each
+block's experts and gates as stacked tensors (``lm.block{b}.moe.w1`` …,
+``lm.block{b}.router``); a file of another version fails with ConfigError,
+and a damaged one with DataError.
 
 Payloads are little-endian float32 by default (a documented lossy downcast
 from float64 training values); `f64=True` keeps full precision so that
@@ -14,6 +18,8 @@ bit-exact round-trips and determinism comparisons are possible.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from typing import Dict, Optional
 
@@ -22,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tensor import Tensor, default_dtype
 
-FORMAT_VERSION = "GVMC-1"
+FORMAT_VERSION = "GVMC-2"
 _DTYPE_BYTES = {"f32": 4, "f64": 8}
 _DTYPE_NP = {"f32": "<f4", "f64": "<f8"}
 
@@ -60,38 +66,63 @@ def save_checkpoint(path, tensors: Dict[str, Tensor], *, config: dict,
             fh.write(blob)
 
 
-def read_manifest(path) -> dict:
-    with open(path, "rb") as fh:
-        (length,) = struct.unpack("<Q", fh.read(8))
+def _read_manifest(fh) -> dict:
+    """The manifest at the start of an open checkpoint, checked for its
+    version; leaves `fh` at the payload."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(8)
+    if len(head) < 8:
+        raise DataError(f"checkpoint header is {len(head)} bytes, need 8")
+    (length,) = struct.unpack("<Q", head)
+    if length > size - 8:
+        raise DataError(f"checkpoint manifest of {length} bytes overruns the "
+                        f"{size}-byte file")
+    try:
         manifest = json.loads(fh.read(length).decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as err:
+        raise DataError(f"checkpoint manifest is not UTF-8 JSON: {err}") from None
+    if not isinstance(manifest, dict):
+        raise DataError("checkpoint manifest is not a JSON object")
     if manifest.get("format") != FORMAT_VERSION:
         raise ConfigError(
             f"checkpoint format {manifest.get('format')!r} is not {FORMAT_VERSION}")
     return manifest
 
 
+def read_manifest(path) -> dict:
+    with open(path, "rb") as fh:
+        return _read_manifest(fh)
+
+
 def load_checkpoint(path) -> tuple:
     """Returns (manifest, {name: ndarray}); arrays carry the stored dtype
-    widened to the current default tensor dtype."""
-    manifest = read_manifest(path)
+    widened to the current default tensor dtype. The file is read once."""
     with open(path, "rb") as fh:
-        (length,) = struct.unpack("<Q", fh.read(8))
-        fh.seek(8 + length)
+        manifest = _read_manifest(fh)
         payload = fh.read()
-    expected = sum(
-        _DTYPE_BYTES[spec["dtype"]] * int(np.prod(spec["shape"], dtype=np.int64))
-        if spec["shape"] else _DTYPE_BYTES[spec["dtype"]]
-        for spec in manifest["tensors"].values())
-    if len(payload) != expected or expected != manifest["payload_bytes"]:
-        raise DataError(
-            f"checkpoint payload is {len(payload)} bytes, manifest says {expected}")
-    arrays = {}
-    for name, spec in manifest["tensors"].items():
-        count = int(np.prod(spec["shape"], dtype=np.int64)) if spec["shape"] else 1
-        start = spec["offset"]
-        nbytes = count * _DTYPE_BYTES[spec["dtype"]]
-        flat = np.frombuffer(payload[start:start + nbytes], dtype=_DTYPE_NP[spec["dtype"]])
-        arrays[name] = flat.reshape(spec["shape"]).astype(default_dtype())
+    try:
+        layout, end = [], 0
+        for name, spec in sorted(manifest["tensors"].items(),
+                                 key=lambda item: item[1]["offset"]):
+            dtype, shape = spec["dtype"], spec["shape"]
+            if dtype not in _DTYPE_NP:
+                raise DataError(f"tensor {name}: unknown dtype {dtype!r}")
+            if not all(type(dim) is int and dim >= 0 for dim in shape):
+                raise DataError(f"tensor {name}: bad shape {shape!r}")
+            if spec["offset"] != end:
+                raise DataError(f"tensor {name} starts at byte {spec['offset']}; "
+                                f"the tensors before it end at byte {end}")
+            layout.append((name, dtype, shape, end))
+            end += math.prod(shape) * _DTYPE_BYTES[dtype]
+        if len(payload) != end or end != manifest["payload_bytes"]:
+            raise DataError(
+                f"checkpoint payload is {len(payload)} bytes, manifest says {end}")
+        arrays = {name: np.frombuffer(payload, dtype=_DTYPE_NP[dtype],
+                                      count=math.prod(shape), offset=offset)
+                  .reshape(shape).astype(default_dtype())
+                  for name, dtype, shape, offset in layout}
+    except (KeyError, TypeError, AttributeError, ValueError) as err:
+        raise DataError(f"checkpoint tensor directory is malformed: {err!r}") from None
     return manifest, arrays
 
 

@@ -170,53 +170,50 @@ def decompose_experts(base_experts: int, base_hidden: int, factor: int,
 
 
 class ExpertBank:
-    """Shared two-layer experts; `eval_count` tallies (position, expert)
-    evaluations so routing sparsity is observable."""
+    """Shared two-layer experts stored as stacked tensors: `w1` (E, m, h),
+    `b1` (E, h), `w2` (E, h, m), `b2` (E, m). `eval_count` tallies
+    (position, expert) evaluations so routing sparsity is observable."""
 
     def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Rng):
         self.cfg = cfg
-        self.experts = []
-        h = cfg.expert_hidden
-        for _ in range(cfg.expert_count):
-            self.experts.append({
-                "w1": Tensor(rng.normal(model_dim * h).reshape(model_dim, h)
-                             / math.sqrt(model_dim), requires_grad=True),
-                "b1": Tensor(np.zeros(h), requires_grad=True),
-                "w2": Tensor(rng.normal(h * model_dim).reshape(h, model_dim)
-                             / math.sqrt(h), requires_grad=True),
-                "b2": Tensor(np.zeros(model_dim), requires_grad=True),
-            })
+        m, h, count = model_dim, cfg.expert_hidden, cfg.expert_count
+        w1, w2 = np.empty((count, m, h)), np.empty((count, h, m))
+        for e in range(count):
+            w1[e] = rng.normal(m * h).reshape(m, h) / math.sqrt(m)
+            w2[e] = rng.normal(h * m).reshape(h, m) / math.sqrt(h)
+        self.w1 = Tensor(w1, requires_grad=True)
+        self.b1 = Tensor(np.zeros((count, h)), requires_grad=True)
+        self.w2 = Tensor(w2, requires_grad=True)
+        self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 
-    def run(self, index: int, rows: Tensor) -> Tensor:
-        e = self.experts[index]
+    def run(self, experts: np.ndarray, rows: Tensor) -> Tensor:
+        """Row i through expert `experts[i]`; rows sorted by expert run as
+        one grouped matmul per layer."""
         self.eval_count += rows.shape[0]
-        return T.tanh(rows @ e["w1"] + e["b1"]) @ e["w2"] + e["b2"]
+        hidden = T.tanh(T.grouped_matmul(rows, self.w1, experts)
+                        + T.take_rows(self.b1, experts))
+        return T.grouped_matmul(hidden, self.w2, experts) + T.take_rows(self.b2, experts)
 
 
 class GateRouter:
-    """One routing matrix per gate; scores are a softmax over all experts."""
+    """One routing matrix per gate, stacked as `weights` (G, m, E); scores
+    are a softmax over all experts."""
 
     def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Rng):
         self.cfg = cfg
-        self.weights = [
-            Tensor(rng.normal(model_dim * cfg.expert_count)
-                   .reshape(model_dim, cfg.expert_count) / math.sqrt(model_dim),
-                   requires_grad=True)
-            for _ in range(cfg.gates)
-        ]
+        self.weights = Tensor(np.stack([
+            rng.normal(model_dim * cfg.expert_count)
+            .reshape(model_dim, cfg.expert_count) / math.sqrt(model_dim)
+            for _ in range(cfg.gates)]), requires_grad=True)
 
-    def scores(self, gate: int, x: Tensor) -> Tensor:
-        if not 0 <= gate < self.cfg.gates:
-            raise ConfigError(f"gate index {gate} outside [0, {self.cfg.gates})")
-        rows = x.reshape(1, -1) if x.data.ndim == 1 else x
-        out = T.softmax(rows @ self.weights[gate], axis=-1)
-        return out.reshape(-1) if x.data.ndim == 1 else out
-
-
-def route(router: GateRouter, gate: int, x: Tensor) -> Tensor:
-    """Expert-selection scores for one input under the given gate."""
-    return router.scores(gate, x)
+    def scores(self, gates, rows: Tensor) -> Tensor:
+        """(n, E) scores for (n, m) rows, row i under gate `gates[i]`; one
+        int routes every row through the same gate."""
+        gates = np.broadcast_to(np.asarray(gates, dtype=np.int64), rows.shape[:1])
+        if gates.size and (gates.min() < 0 or gates.max() >= self.cfg.gates):
+            raise ConfigError(f"gate index outside [0, {self.cfg.gates})")
+        return T.softmax(T.grouped_matmul(rows, self.weights, gates), axis=-1)
 
 
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
@@ -228,46 +225,31 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[..., :k], axis=-1)
 
 
-def moe_forward(bank: ExpertBank, router: GateRouter, gate: int, x: Tensor,
-                k: int, renormalize: bool = False) -> Tensor:
-    """Top-k expert mixture for a single model_dim vector.
-
-    Only the selected experts are evaluated; their outputs are combined
-    with the raw softmax scores (no renormalization over the selection
-    unless asked). Gradients reach the selected experts and, through the
-    full softmax, every routing logit.
-    """
-    out = _moe_rows(bank, router, gate, x.reshape(1, -1), k, renormalize)
-    return out.reshape(-1)
-
-
-def _moe_rows(bank: ExpertBank, router: GateRouter, gate: int, rows: Tensor,
+def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
               k: int, renormalize: bool = False) -> Tensor:
-    scores = router.scores(gate, rows)                      # (n, E)
-    selected = top_k_select(scores.data, k)                 # (n, k)
+    """Top-k expert mixture of (n, m) rows, each routed by its own gate.
+
+    Dropless grouping (MegaBlocks, Gale et al. 2023): the n*k (row, expert)
+    pairs are stable-sorted by expert, run through the bank in one call, and
+    added back to their rows in one weighted scatter. Outputs are weighted
+    by the raw softmax scores unless `renormalize` rescales each row's k
+    scores to sum to one. Gradients reach the selected experts and, through
+    the full softmax, every routing logit of the row's gate.
+    """
+    scores = router.scores(gates, rows)                     # (n, E)
+    selected = top_k_select(scores.data, k).reshape(-1)     # (n*k,)
     n = rows.shape[0]
+    pair_rows = np.repeat(np.arange(n), k)
+    order = np.argsort(selected, kind="stable")
+    by_row, by_expert = pair_rows[order], selected[order]
     if renormalize:
-        picked = T.gather_pairs(scores, np.repeat(np.arange(n), k),
-                                selected.reshape(-1)).reshape(n, k)
-        denom = picked.sum(axis=1, keepdims=True)
-        scale_rows = picked / denom
-    row_ids = np.arange(n)
-    out = None
-    for e in range(bank.cfg.expert_count):
-        hits = selected == e                                # (n, k)
-        mask = hits.any(axis=1)
-        if not mask.any():
-            continue
-        idx = row_ids[mask]
-        if renormalize:
-            kpos = hits[mask].argmax(axis=1)
-            weight = T.gather_pairs(scale_rows, idx, kpos).reshape(-1, 1)
-        else:
-            weight = T.gather_pairs(scores, idx, np.full(idx.shape, e)).reshape(-1, 1)
-        expert_out = bank.run(e, rows[idx]) * weight
-        term = T.scatter_rows(expert_out, idx, n)
-        out = term if out is None else out + term
-    return out
+        picked = T.gather_pairs(scores, pair_rows, selected).reshape(n, k)
+        weight = T.take_rows((picked / picked.sum(axis=1, keepdims=True)).reshape(-1),
+                             order)
+    else:
+        weight = T.gather_pairs(scores, by_row, by_expert)
+    out = bank.run(by_expert, rows[by_row]) * weight.reshape(-1, 1)
+    return T.scatter_rows(out, by_row, n)
 
 
 # --- transformer ---
@@ -311,59 +293,48 @@ class TransformerBlock:
         self.bank = ExpertBank(m, config.moe, rng)
         self.router = GateRouter(m, config.moe, rng)
 
-    def _attend_sequence(self, x: Tensor, past: list = None, seq: int = 0) -> Tensor:
-        """Causal attention for one sequence's rows. With `past` (this
-        block's per-sequence cache entries), the rows follow the cached
-        positions: their keys and values are appended to entry `seq` and
-        they attend over every cached key as well as their own."""
-        length, m = x.shape
+    def _attend(self, x: Tensor, batch: int, length: int, cache: list = None) -> Tensor:
+        """Causal multi-head attention as one (batch, heads, length, keys)
+        computation. With `cache` ([keys, values] of this block, each
+        (batch, heads, cached, dh)), the rows follow the cached positions:
+        their keys and values are appended and they attend over every
+        cached key as well as their own."""
+        m = x.shape[1]
         heads = self.config.heads
         dh = m // heads
-        q, k, v = x @ self.wq, x @ self.wk, x @ self.wv
+
+        def split(t: Tensor) -> Tensor:
+            return T.permute(t.reshape(batch, length, heads, dh), (0, 2, 1, 3))
+
+        q, k, v = split(x @ self.wq), split(x @ self.wk), split(x @ self.wv)
         offset = 0
-        if past is not None:
-            if past[seq] is not None:
-                offset = past[seq][0].shape[0]
-                k = T.concat([past[seq][0], k], axis=0)
-                v = T.concat([past[seq][1], v], axis=0)
-            past[seq] = (k, v)
+        if cache is not None:
+            if cache[0] is not None:
+                offset = cache[0].shape[2]
+                k = T.concat([cache[0], k], axis=2)
+                v = T.concat([cache[1], v], axis=2)
+            cache[:] = [k, v]
         mask = np.triu(np.full((length, offset + length), -1e9), k=offset + 1)
-        outs = []
-        for h in range(heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            scores = (q[:, cols] @ k[:, cols].T) * (1.0 / math.sqrt(dh)) + Tensor(mask)
-            outs.append(T.softmax(scores, axis=-1) @ v[:, cols])
-        return T.concat(outs, axis=1) @ self.wo
+        scores = T.bmm(q, T.permute(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh)) + Tensor(mask)
+        mixed = T.bmm(T.softmax(scores, axis=-1), v)
+        return T.permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m) @ self.wo
 
     def forward(self, rows: Tensor, batch: int, length: int,
                 gates: np.ndarray, cache: list = None) -> Tensor:
-        """One block over `batch` sequences of `length` rows each. `cache`
-        is this block's entry of a :class:`KVCache`; only the given rows
-        run through the norms, the router and the experts."""
-        normed = _rms_norm(rows, self.norm1_g)
-        attended = T.concat(
-            [self._attend_sequence(normed[b * length:(b + 1) * length], cache, b)
-             for b in range(batch)], axis=0)
-        h = rows + attended
-        normed2 = _rms_norm(h, self.norm2_g)
-        n = normed2.shape[0]
-        if batch == 1 or len(set(gates.tolist())) == 1:
-            mixed = _moe_rows(self.bank, self.router, int(gates[0]), normed2,
-                              self.config.moe.active, self.config.renormalize_topk)
-        else:
-            row_gates = np.repeat(gates, length)
-            mixed = None
-            for g in sorted(set(gates.tolist())):
-                idx = np.nonzero(row_gates == g)[0]
-                part = _moe_rows(self.bank, self.router, int(g), normed2[idx],
-                                 self.config.moe.active, self.config.renormalize_topk)
-                term = T.scatter_rows(part, idx, n)
-                mixed = term if mixed is None else mixed + term
+        """One block over `batch` sequences of `length` rows each, sequence
+        `b` routed by `gates[b]`. `cache` is this block's entry of a
+        :class:`KVCache`; only the given rows run through the norms, the
+        router and the experts."""
+        h = rows + self._attend(_rms_norm(rows, self.norm1_g), batch, length, cache)
+        mixed = _moe_rows(self.bank, self.router, np.repeat(gates, length),
+                          _rms_norm(h, self.norm2_g), self.config.moe.active,
+                          self.config.renormalize_topk)
         return h + mixed
 
 
 class KVCache:
-    """Keys and values of the positions already fed, per block and sequence.
+    """Keys and values of the positions already fed: per block, one
+    (batch, heads, length, dh) pair.
 
     Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
     incremental: the new tokens sit at positions offset by `length` and
@@ -374,7 +345,7 @@ class KVCache:
     def __init__(self, blocks: int, batch: int = 1):
         self.length = 0
         self.batch = batch
-        self.blocks = [[None] * batch for _ in range(blocks)]
+        self.blocks = [[None, None] for _ in range(blocks)]
 
 
 class LanguageModel:
@@ -403,11 +374,9 @@ class LanguageModel:
             out[f"lm.block{b}.attn.wv"] = blk.wv
             out[f"lm.block{b}.attn.wo"] = blk.wo
             out[f"lm.block{b}.norm2.g"] = blk.norm2_g
-            for e, exp in enumerate(blk.bank.experts):
-                for part in ("w1", "b1", "w2", "b2"):
-                    out[f"lm.block{b}.moe.expert{e}.{part}"] = exp[part]
-            for c, w in enumerate(blk.router.weights):
-                out[f"lm.block{b}.router.gate{c}"] = w
+            for part in ("w1", "b1", "w2", "b2"):
+                out[f"lm.block{b}.moe.{part}"] = getattr(blk.bank, part)
+            out[f"lm.block{b}.router"] = blk.router.weights
         return out
 
     def reset_eval_counters(self) -> None:
@@ -490,18 +459,6 @@ class LanguageModel:
             out.append(nxt)
             new = [nxt]
         return out
-
-    def explanation_nll(self, prompt: Sequence[int], reference: Sequence[int],
-                        gate: int) -> Tensor:
-        """Mean cross-entropy of the reference continuation (plus <eos>)
-        under teacher forcing."""
-        if len(reference) == 0:
-            raise ShapeError("reference continuation must be non-empty")
-        seq = np.array(list(prompt) + list(reference) + [EOS])
-        logits = self.forward_lm(seq[:-1], gate)
-        logp = T.log_softmax(logits, axis=-1)
-        positions = np.arange(len(prompt) - 1, len(seq) - 1)
-        return -T.gather_pairs(logp, positions, seq[positions + 1]).mean()
 
     def batched_nll(self, sequences: List[np.ndarray], prompt_lens: List[int],
                     gates: np.ndarray) -> Tensor:

@@ -334,6 +334,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ b.data.T, a.data.T @ g))
 
 
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matmul: ``a[i] @ b[i]`` over equal leading dimensions."""
+    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
+    return _make(a.data @ b.data, "bmm", (a, b),
+                 lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes (``np.transpose``); the result is contiguous."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"permute axes {axes} do not match shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _make(np.ascontiguousarray(a.data.transpose(axes)), "permute", (a,),
+                 lambda g: (g.transpose(inverse),))
+
+
+def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
+    """Row i of the result is ``x[i] @ w[groups[i]]`` for a (G, p, q) stack
+    `w`. The rows of each group run as one matmul; groups may be empty and
+    rows may come in any order, though rows sorted by group are sliced
+    rather than gathered."""
+    groups = np.asarray(groups, dtype=np.int64)
+    if (x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]
+            or groups.shape != x.shape[:1]):
+        raise ShapeError(f"grouped_matmul shapes incompatible: {x.shape} @ {w.shape} "
+                         f"with {groups.shape} group ids")
+    if groups.size and (groups.min() < 0 or groups.max() >= w.shape[0]):
+        raise ShapeError(f"group id outside [0, {w.shape[0]})")
+    counts = np.bincount(groups, minlength=w.shape[0])
+    ends = np.cumsum(counts)
+    ordered = bool(np.all(groups[1:] >= groups[:-1]))
+    order = None if ordered else np.argsort(groups, kind="stable")
+    parts = [(g, slice(e - c, e) if ordered else order[e - c:e])
+             for g, (c, e) in enumerate(zip(counts, ends)) if c]
+    out = np.empty((x.shape[0], w.shape[2]), dtype=np.result_type(x.data, w.data))
+    for g, rows in parts:
+        out[rows] = x.data[rows] @ w.data[g]
+
+    def back(grad):
+        gx = np.empty_like(x.data)
+        gw = np.zeros_like(w.data)
+        for g, rows in parts:
+            gx[rows] = grad[rows] @ w.data[g].T
+            gw[g] = x.data[rows].T @ grad[rows]
+        return gx, gw
+
+    return _make(out, "grouped_matmul", (x, w), back)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, have shape {a.shape}")
@@ -437,25 +489,14 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"row index out of range for shape {a.shape}")
     out = a.data[idx]
-
-    def back(g):
-        gx = np.zeros_like(a.data)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _make(out, "take_rows", (a,), back)
+    return _make(out, "take_rows", (a,), lambda g: (_index_add(a.shape, idx, g),))
 
 
 def scatter_rows(rows: Tensor, idx: np.ndarray, n: int) -> Tensor:
     """Inverse of take_rows: add `rows` into a fresh (n, …) zero tensor."""
     idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros((n,) + rows.shape[1:], dtype=rows.data.dtype)
-    np.add.at(out, idx, rows.data)
-
-    def back(g):
-        return (g[idx],)
-
-    return _make(out, "scatter_rows", (rows,), back)
+    out = _index_add((n,) + rows.shape[1:], idx, rows.data)
+    return _make(out, "scatter_rows", (rows,), lambda g: (g[idx],))
 
 
 def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
@@ -463,10 +504,28 @@ def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     out = a.data[rows, cols]
+    return _make(out, "gather_pairs", (a,),
+                 lambda g: (_index_add(a.shape, (rows, cols), g),))
 
-    def back(g):
-        gx = np.zeros_like(a.data)
-        np.add.at(gx, (rows, cols), g)
-        return (gx,)
 
-    return _make(out, "gather_pairs", (a,), back)
+def _index_add(shape: tuple, idx, values: np.ndarray) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, values)`` in one ``np.bincount``.
+
+    `idx` indexes axis 0, or the leading axes when it is a tuple of index
+    arrays. bincount adds the weights in input order into float64
+    accumulators, so float64 results equal ``np.add.at`` bit for bit.
+    Narrower dtypes keep ``np.add.at``: accumulating them in float64 would
+    round differently.
+    """
+    values = np.asarray(values)
+    if values.dtype != np.float64:
+        out = np.zeros(shape, dtype=values.dtype)
+        np.add.at(out, idx, values)
+        return out
+    lead = len(idx) if isinstance(idx, tuple) else 1
+    flat = np.ravel_multi_index(idx, shape[:lead]) if isinstance(idx, tuple) else idx
+    inner = math.prod(shape[lead:])
+    if inner != 1:
+        flat = (flat[:, None] * inner + np.arange(inner)).reshape(-1)
+    return np.bincount(flat, weights=values.reshape(-1),
+                       minlength=math.prod(shape)).reshape(shape)

@@ -39,7 +39,7 @@ from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_ex
 from .optim import AdamW
 from .rng import Rng
 from .tensor import Tape, Tensor
-from .vae import VaeConfig, VaeGmm, elbo_loss, init_gmm_prior
+from .vae import GmmPrior, VaeConfig, VaeGmm, elbo_loss, init_gmm_prior
 
 
 def normalized_ratings(records, r_max: float) -> np.ndarray:
@@ -349,25 +349,53 @@ def save_stage1(path, vae: VaeGmm, run: RunConfig, manifest: dict,
                     f64=f64)
 
 
+class _ZeroRng(Rng):
+    """A stream of zeros, for building models whose every weight a
+    checkpoint then overwrites: no random draws are made."""
+
+    def __init__(self):
+        super().__init__(0)
+
+    def substream(self, label: str) -> "Rng":
+        return self
+
+    def normal(self, n: int) -> np.ndarray:
+        return np.zeros(n)
+
+
+def _load(path, stage: str) -> tuple:
+    """(ExplainerBundle, run config, manifest) rebuilt from a `stage`
+    checkpoint; a stage-1 bundle has no language model and no vocabulary."""
+    manifest, arrays = load_checkpoint(path)
+    if manifest["stage"] != stage:
+        raise TrainingError(f"expected a {stage} checkpoint, found {manifest['stage']!r}")
+    run = RunConfig(**manifest["config"]).validate()
+    extra = manifest["extra"]
+    vae = VaeGmm(VaeConfig(n_users=len(extra["users"]), n_items=len(extra["items"]),
+                           d_emb=run.d_emb, latent_dim=run.latent_dim,
+                           hidden=run.enc_hidden, clusters=run.clusters,
+                           r_max=run.r_max, encoder_attention=run.encoder_attention),
+                 _ZeroRng())
+    vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
+    params = vae.params()
+    lm = vocab = None
+    if stage == "stage2":
+        vocab = Vocab.load(os.path.join(os.path.dirname(str(path)) or ".",
+                                        extra["vocab_file"]))
+        lm = LanguageModel(lm_config_from(run, len(vocab)), _ZeroRng())
+        params |= lm.params()
+    restore_params(params, arrays)
+    bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
+                             user_index={u: i for i, u in enumerate(extra["users"])},
+                             item_index={it: i for i, it in enumerate(extra["items"])},
+                             r_max=run.r_max)
+    return bundle, run, manifest
+
+
 def load_stage1(path) -> tuple:
     """Returns (vae, run config, manifest, user_index, item_index)."""
-    manifest, arrays = load_checkpoint(path)
-    if manifest["stage"] != "stage1":
-        raise TrainingError(f"expected a stage1 checkpoint, found {manifest['stage']!r}")
-    run = RunConfig(**manifest["config"]).validate()
-    users = manifest["extra"]["users"]
-    items = manifest["extra"]["items"]
-    cfg = VaeConfig(n_users=len(users), n_items=len(items),
-                    d_emb=run.d_emb, latent_dim=run.latent_dim,
-                    hidden=run.enc_hidden, clusters=run.clusters,
-                    r_max=run.r_max, encoder_attention=run.encoder_attention)
-    vae = VaeGmm(cfg, Rng(0))
-    from .vae import GmmPrior
-    vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
-    restore_params(vae.params(), arrays)
-    user_index = {u: i for i, u in enumerate(users)}
-    item_index = {it: i for i, it in enumerate(items)}
-    return vae, run, manifest, user_index, item_index
+    bundle, run, manifest = _load(path, "stage1")
+    return bundle.vae, run, manifest, bundle.user_index, bundle.item_index
 
 
 def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
@@ -384,25 +412,5 @@ def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
 
 
 def load_bundle(path) -> tuple:
-    manifest, arrays = load_checkpoint(path)
-    if manifest["stage"] != "stage2":
-        raise TrainingError(f"expected a stage2 checkpoint, found {manifest['stage']!r}")
-    run = RunConfig(**manifest["config"]).validate()
-    users = manifest["extra"]["users"]
-    items = manifest["extra"]["items"]
-    vocab = Vocab.load(os.path.join(os.path.dirname(str(path)) or ".",
-                                    manifest["extra"]["vocab_file"]))
-    cfg = VaeConfig(n_users=len(users), n_items=len(items), d_emb=run.d_emb,
-                    latent_dim=run.latent_dim, hidden=run.enc_hidden,
-                    clusters=run.clusters, r_max=run.r_max,
-                    encoder_attention=run.encoder_attention)
-    vae = VaeGmm(cfg, Rng(0))
-    from .vae import GmmPrior
-    vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
-    lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(0))
-    bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
-                             user_index={u: i for i, u in enumerate(users)},
-                             item_index={it: i for i, it in enumerate(items)},
-                             r_max=run.r_max)
-    restore_params(bundle.params(), arrays)
-    return bundle, run, manifest
+    """Returns (ExplainerBundle, run config, manifest)."""
+    return _load(path, "stage2")

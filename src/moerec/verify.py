@@ -29,9 +29,9 @@ from .moe import (
     KVCache,
     LanguageModel,
     LmConfig,
+    _moe_rows,
     decompose_experts,
     expert_weight_count,
-    moe_forward,
     top_k_select,
 )
 from .rng import Rng
@@ -270,16 +270,37 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
     results.append(CheckResult("grads.op_sweep", worst <= 1e-4,
                                f"max relative error {worst:.2e} over {seeds} seeds"))
 
-    moe_cfg = decompose_experts(2, 4, 2, active=2, gates=1)
+    rng = Rng(3100)
+    c6, c32, c22 = (Tensor(rng.normal(n)) for n in (6, 6, 4))
+    shaped = {
+        "bmm": lambda x: (T.bmm(x.reshape(1, 2, 3), c32.reshape(1, 3, 2))
+                          * c22.reshape(1, 2, 2)).sum(),
+        "permute": lambda x: (T.permute(x.reshape(3, 1, 2), (2, 0, 1)).reshape(2, 3)
+                              * c6.reshape(2, 3)).sum(),
+        # group 1 of three gets no rows, so its stack slice gets no gradient
+        "grouped_matmul": lambda x: (T.grouped_matmul(
+            x.reshape(3, 2), Tensor(np.arange(12.0).reshape(3, 2, 2) / 7.0),
+            np.array([2, 0, 2])) * c32.reshape(3, 2)).sum(),
+        "grouped_matmul.stack": lambda x: (T.grouped_matmul(
+            c6.reshape(3, 2), x.reshape(3, 2, 1), np.array([2, 0, 2]))
+            * c22[:3].reshape(3, 1)).sum(),
+    }
+    for name, f in shaped.items():
+        err = max(grad_check(f, Tensor(Rng(seed).normal(6) * 0.7)) for seed in range(seeds))
+        results.append(CheckResult(f"grads.{name}", err <= 1e-4,
+                                   f"max relative error {err:.2e} over {seeds} seeds"))
+
+    moe_cfg = decompose_experts(2, 4, 2, active=2, gates=2)
     bank = ExpertBank(4, moe_cfg, Rng(11))
     router = GateRouter(4, moe_cfg, Rng(12))
-    weights = Tensor(Rng(13).normal(4))
+    weights = Tensor(Rng(13).normal(12).reshape(3, 4))
 
     def moe_loss(x):
-        return (moe_forward(bank, router, 0, x, k=2) * weights).sum()
+        return (_moe_rows(bank, router, np.array([1, 0, 1]), x.reshape(3, 4), k=2)
+                * weights).sum()
 
-    err = grad_check(moe_loss, Tensor(Rng(14).normal(4)))
-    results.append(CheckResult("grads.moe_forward", err <= 1e-4,
+    err = grad_check(moe_loss, Tensor(Rng(14).normal(12)))
+    results.append(CheckResult("grads.grouped_moe", err <= 1e-4,
                                f"relative error {err:.2e}"))
     return results
 
@@ -306,15 +327,24 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
         details.append(f"({n},{d},{r})")
     results.append(CheckResult("moe.identity.random", all_ok, " ".join(details)))
 
-    # exactly-k evaluation counter
-    mcfg = decompose_experts(3, 8, 2, active=2, gates=1)
-    bank = ExpertBank(5, mcfg, Rng(1))
-    router = GateRouter(5, mcfg, Rng(2))
-    bank.eval_count = 0
-    for case in range(10):
-        moe_forward(bank, router, 0, Tensor(Rng(case).normal(5)), k=2)
-    results.append(CheckResult("moe.exactly_k_evaluations", bank.eval_count == 20,
-                               f"{bank.eval_count} evaluations over 10 calls, k=2"))
+    # exactly-k evaluation counter and the grouped mixture against the loop
+    gap, evals_ok = 0.0, True
+    for case, (gates, k, renormalize) in enumerate(
+            [(1, 1, False), (2, 2, False), (3, 2, True), (3, 4, False), (2, 6, True)]):
+        mcfg = decompose_experts(3, 8, 2, active=k, gates=gates)
+        bank = ExpertBank(5, mcfg, Rng(1 + case))
+        router = GateRouter(5, mcfg, Rng(20 + case))
+        rows = Rng(40 + case).normal(9 * 5).reshape(9, 5)
+        row_gates = np.arange(9) % gates
+        bank.eval_count = 0
+        grouped = _moe_rows(bank, router, row_gates, Tensor(rows), k, renormalize).data
+        evals_ok &= bank.eval_count == 9 * k
+        gap = max(gap, float(np.max(np.abs(
+            grouped - loop_moe_rows(bank, router, row_gates, rows, k, renormalize)))))
+    results.append(CheckResult("moe.exactly_k_evaluations", evals_ok,
+                               "n*k expert evaluations over 5 layouts, k 1 to 6"))
+    results.append(CheckResult("moe.grouped_matches_loop", gap <= 1e-12,
+                               f"max gap {gap:.1e} over 5 layouts, mixed gates"))
 
     logits = Rng(9).normal(12)
     shift_ok = np.array_equal(top_k_select(logits, 4), top_k_select(logits + 1e6, 4))
@@ -325,6 +355,26 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
                                f"max logit gap {gap:.1e} over every decode step"))
     return results
+
+
+def loop_moe_rows(bank: ExpertBank, router: GateRouter, gates: np.ndarray,
+                  rows: np.ndarray, k: int, renormalize: bool) -> np.ndarray:
+    """The mixture one gate and one expert at a time, in plain numpy."""
+    out = np.zeros_like(rows)
+    for gate in sorted(set(gates.tolist())):
+        members = np.nonzero(gates == gate)[0]
+        logits = rows[members] @ router.weights.data[gate]
+        scores = np.exp(logits - logits.max(axis=1, keepdims=True))
+        scores /= scores.sum(axis=1, keepdims=True)
+        picked = top_k_select(scores, k)
+        mass = (np.take_along_axis(scores, picked, axis=1).sum(axis=1) if renormalize
+                else np.ones(len(members)))
+        for e in range(bank.cfg.expert_count):
+            hit = (picked == e).any(axis=1)
+            hidden = np.tanh(rows[members[hit]] @ bank.w1.data[e] + bank.b1.data[e])
+            expert_out = hidden @ bank.w2.data[e] + bank.b2.data[e]
+            out[members[hit]] += (scores[hit, e] / mass[hit])[:, None] * expert_out
+    return out
 
 
 def _kv_cache_gap(gates: int, renormalize: bool, seed: int) -> float:

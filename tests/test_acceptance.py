@@ -124,24 +124,13 @@ def swap_in(bundle, name, replacement):
     owners = [bundle.vae.tables, bundle.vae.encoder, bundle.vae.decoder,
               bundle.vae.prior, bundle.lm]
     for blk in bundle.lm.blocks:
-        owners += [blk, blk.router]
+        owners += [blk, blk.bank, blk.router]
     current = bundle.params()[name]
     for owner in owners:
         for attr, value in vars(owner).items():
             if value is current:
                 setattr(owner, attr, replacement)
                 return
-            if isinstance(value, list):
-                for i, entry in enumerate(value):
-                    if entry is current:
-                        value[i] = replacement
-                        return
-    for blk in bundle.lm.blocks:
-        for expert in blk.bank.experts:
-            for part, tensor in expert.items():
-                if tensor is current:
-                    expert[part] = replacement
-                    return
     raise KeyError(name)
 
 

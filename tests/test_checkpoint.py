@@ -1,5 +1,6 @@
 """Checkpoint format: round-trips, version gating, payload validation."""
 
+import json
 import struct
 
 import numpy as np
@@ -111,3 +112,70 @@ def test_manifest_records_offsets_in_name_order(tmp_path):
     offsets = [manifest["tensors"][n]["offset"] for n in names]
     assert offsets == sorted(offsets)
     assert offsets[0] == 0
+
+
+def rewrite_manifest(blob: bytes, edit) -> bytes:
+    """The same payload under a manifest changed by `edit`."""
+    (length,) = struct.unpack("<Q", blob[:8])
+    manifest = json.loads(blob[8:8 + length])
+    edit(manifest)
+    encoded = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<Q", len(encoded)) + encoded + blob[8 + length:]
+
+
+def _shift(name, by):
+    def edit(manifest):
+        manifest["tensors"][name]["offset"] += by
+    return edit
+
+
+def _length(blob):
+    return struct.unpack("<Q", blob[:8])[0]
+
+
+def _fill_manifest(blob, byte):
+    """The manifest bytes all replaced by `byte`, lengths kept."""
+    return blob[:8] + byte * _length(blob) + blob[8 + _length(blob):]
+
+
+CORRUPTIONS = {
+    "empty file": lambda blob: b"",
+    "truncated header": lambda blob: blob[:5],
+    "manifest overruns the file": lambda blob: struct.pack("<Q", len(blob)) + blob[8:],
+    "truncated manifest": lambda blob: blob[:8 + _length(blob) // 2],
+    "manifest not utf-8": lambda blob: _fill_manifest(blob, b"\xff"),
+    "manifest not json": lambda blob: _fill_manifest(blob, b"{"),
+    "manifest not an object": lambda blob: struct.pack("<Q", 2) + b"[]" + blob[8 + _length(blob):],
+    "unknown dtype": lambda blob: rewrite_manifest(
+        blob, lambda m: m["tensors"]["a.bias"].update(dtype="f16")),
+    "missing offset": lambda blob: rewrite_manifest(
+        blob, lambda m: m["tensors"]["a.bias"].pop("offset")),
+    "negative dimension": lambda blob: rewrite_manifest(
+        blob, lambda m: m["tensors"]["a.bias"].update(shape=[-4])),
+    "gapped offsets": lambda blob: rewrite_manifest(blob, _shift("b.scalarish", 4)),
+    "overlapping offsets": lambda blob: rewrite_manifest(blob, _shift("b.scalarish", -4)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_raises_data_error(tmp_path, kind, capsys):
+    from moerec.cli import main
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, sample_tensors(), config={}, seed=0, stage="stage2")
+    path.write_bytes(CORRUPTIONS[kind](path.read_bytes()))
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+    code = main(["generate", "--checkpoint", str(path), "--user", "u0",
+                 "--item", "i0", "--rating", "4"])
+    assert code == DataError.exit_code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_other_format_version_is_a_config_error(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, sample_tensors(), config={}, seed=0, stage="stage1")
+    path.write_bytes(rewrite_manifest(path.read_bytes(),
+                                      lambda m: m.update(format="GVMC-1")))
+    assert FORMAT_VERSION == "GVMC-2"
+    with pytest.raises(ConfigError):
+        load_checkpoint(path)

@@ -23,11 +23,10 @@ from moerec.moe import (
     MoeLayerConfig,
     Vocab,
     build_prompt,
+    _moe_rows,
     decompose_experts,
     expert_weight_count,
-    moe_forward,
     rating_bucket,
-    route,
     tokenize,
     top_k_select,
 )
@@ -82,10 +81,15 @@ def test_decompose_random_configs_identity():
 
 # --- routing ---
 
+def route(router, gate, x):
+    """Scores of one vector under one gate."""
+    return router.scores(gate, x.reshape(1, -1)).reshape(-1)
+
+
 def test_route_uniform_for_zero_weights():
     cfg = decompose_experts(2, 8, 2, active=2, gates=2)
     router = GateRouter(4, cfg, Rng(0))
-    router.weights[0].data[...] = 0.0
+    router.weights.data[0] = 0.0
     scores = route(router, 0, Tensor(Rng(1).normal(4)))
     assert np.allclose(scores.data, np.full(4, 0.25), atol=1e-15)
 
@@ -110,6 +114,19 @@ def test_route_rejects_bad_gate():
     router = GateRouter(4, cfg, Rng(0))
     with pytest.raises(ConfigError):
         route(router, 2, Tensor(np.zeros(4)))
+    with pytest.raises(ConfigError):
+        router.scores(np.array([0, -1]), Tensor(np.zeros((2, 4))))
+
+
+def test_router_scores_each_row_under_its_own_gate():
+    cfg = decompose_experts(2, 8, 2, active=2, gates=3)
+    router = GateRouter(5, cfg, Rng(5))
+    rows = Tensor(Rng(6).normal(6 * 5).reshape(6, 5))
+    gates = np.array([2, 0, 1, 2, 2, 0])
+    mixed = router.scores(gates, rows).data
+    for i, gate in enumerate(gates):
+        alone = route(router, int(gate), rows[i:i + 1]).data
+        assert np.max(np.abs(mixed[i] - alone)) <= 1e-15
 
 
 def test_top_k_select_cases():
@@ -128,14 +145,19 @@ def test_top_k_shift_invariance():
     assert np.array_equal(base, shifted)
 
 
-# --- moe_forward ---
+# --- the grouped mixture on single rows ---
+
+def moe_forward(bank, router, gate, x, k, renormalize=False):
+    """The mixture of one vector under one gate."""
+    return _moe_rows(bank, router, gate, x.reshape(1, -1), k, renormalize).reshape(-1)
+
 
 def rigged_router(scores_row, model_dim):
     cfg = decompose_experts(len(scores_row), 2, 1, active=2, gates=1)
     router = GateRouter(model_dim, cfg, Rng(0))
     w = np.zeros((model_dim, len(scores_row)))
     w[0, :] = np.log(scores_row)
-    router.weights[0].data[...] = w
+    router.weights.data[0] = w
     return router
 
 
@@ -145,7 +167,7 @@ def test_moe_forward_scalar_experts_oracle():
     router = rigged_router(scores, 2)
     cfg = router.cfg
     bank = ExpertBank(2, cfg, Rng(0))
-    bank.run = lambda index, rows: rows * float(index + 1)
+    bank.run = lambda experts, rows: rows * Tensor((experts + 1.0)[:, None])
 
     x = np.array([1.0, 0.0])  # picks out the log-score row of W
     out = moe_forward(bank, router, 0, Tensor(x), k=2)
@@ -164,15 +186,15 @@ def test_moe_forward_scalar_experts_oracle():
 def test_moe_forward_identical_experts_factorize():
     cfg = decompose_experts(2, 4, 2, active=3, gates=1)
     bank = ExpertBank(3, cfg, Rng(5))
-    for e in bank.experts[1:]:
-        for part in ("w1", "b1", "w2", "b2"):
-            e[part].data[...] = bank.experts[0][part].data
+    for part in ("w1", "b1", "w2", "b2"):
+        stack = getattr(bank, part).data
+        stack[1:] = stack[0]
     router = GateRouter(3, cfg, Rng(6))
     x = Tensor(Rng(7).normal(3))
     out = moe_forward(bank, router, 0, x, k=3)
     scores = route(router, 0, x).data
     sel = top_k_select(scores, 3)
-    single = bank.run(0, x.reshape(1, -1)).data[0]
+    single = bank.run(np.array([0]), x.reshape(1, -1)).data[0]
     assert np.allclose(out.data, scores[sel].sum() * single, atol=1e-12)
 
 
@@ -183,30 +205,34 @@ def test_moe_forward_full_k_equals_dense_mixture():
     x = Tensor(Rng(10).normal(6))
     out = moe_forward(bank, router, 0, x, k=4)
     scores = route(router, 0, x).data
-    dense = sum(scores[e] * bank.run(e, x.reshape(1, -1)).data[0] for e in range(4))
+    dense = sum(scores[e] * bank.run(np.array([e]), x.reshape(1, -1)).data[0]
+                for e in range(4))
     assert np.allclose(out.data, dense, atol=1e-12)
 
 
 def test_moe_forward_evaluates_exactly_k_experts():
-    cfg = decompose_experts(3, 8, 2, active=2, gates=1)
+    cfg = decompose_experts(3, 8, 2, active=2, gates=2)
     bank = ExpertBank(5, cfg, Rng(11))
     router = GateRouter(5, cfg, Rng(12))
     bank.eval_count = 0
     moe_forward(bank, router, 0, Tensor(Rng(13).normal(5)), k=2)
     assert bank.eval_count == 2
-    # batched: exactly k per row
-    from moerec.moe import _moe_rows
+    # batched, mixed gates: exactly k per row, in one bank call
+    calls = []
+    run = bank.run
+    bank.run = lambda experts, rows: calls.append(experts) or run(experts, rows)
     bank.eval_count = 0
     rows = Tensor(Rng(14).normal(7 * 5).reshape(7, 5))
-    _moe_rows(bank, router, 0, rows, 2)
+    _moe_rows(bank, router, np.array([0, 1, 1, 0, 1, 0, 0]), rows, 2)
     assert bank.eval_count == 2 * 7
+    assert len(calls) == 1 and np.all(np.diff(calls[0]) >= 0)
 
 
 def test_moe_forward_renormalized_scores_sum_to_one():
     cfg = decompose_experts(3, 8, 2, active=2, gates=1)
     bank = ExpertBank(4, cfg, Rng(20))
     router = GateRouter(4, cfg, Rng(21))
-    bank.run = lambda index, rows: rows * 0.0 + 1.0  # constant-ones experts
+    bank.run = lambda experts, rows: rows * 0.0 + 1.0  # constant-ones experts
     out = moe_forward(bank, router, 0, Tensor(Rng(22).normal(4)), k=2,
                       renormalize=True)
     assert np.allclose(out.data, np.ones(4), atol=1e-12)
@@ -224,13 +250,13 @@ def test_moe_forward_gradients():
     assert grad_check(f, Tensor(Rng(32).normal(4))) <= 1e-4
 
     def f_router(w):
-        router.weights[0] = w
+        router.weights = w
         x = Tensor(np.array([0.3, -0.8, 1.1, 0.2]))
         return (moe_forward(bank, router, 0, x, k=2) * 2.0).sum()
 
-    original = router.weights[0]
+    original = router.weights
     assert grad_check(f_router, Tensor(original.data.copy())) <= 1e-4
-    router.weights[0] = original
+    router.weights = original
 
 
 # --- prompt and vocab ---
@@ -531,10 +557,16 @@ def test_batched_cache_matches_per_sequence_forward():
 
 # --- explanation NLL ---
 
+def explanation_nll(lm, prompt, reference, gate):
+    """Mean continuation NLL of one record (reference plus <eos>)."""
+    seq = np.array(list(prompt) + list(reference) + [EOS])
+    return lm.batched_nll([seq], [len(prompt)], np.array([gate]))
+
+
 def test_nll_uniform_logits_is_log_vocab():
     lm = tiny_lm(seed=12)
     lm.head.data[...] = 0.0  # uniform next-token distribution everywhere
-    nll = lm.explanation_nll([BOS, 4, 5], [6, 7, 8], gate=0)
+    nll = explanation_nll(lm, [BOS, 4, 5], [6, 7, 8], gate=0)
     assert nll.item() == pytest.approx(math.log(20), abs=1e-12)
 
 
@@ -547,7 +579,7 @@ def test_nll_confident_model_is_zero():
     seq = prompt + reference + [EOS]
     for pos in range(len(seq) - 1):
         lm.head.data[pos, seq[pos + 1]] = 200.0
-    nll = lm.explanation_nll(prompt, reference, gate=0)
+    nll = explanation_nll(lm, prompt, reference, gate=0)
     assert nll.item() == pytest.approx(0.0, abs=1e-9)
 
 
@@ -555,7 +587,7 @@ def test_nll_matches_hand_rolled_log_softmax():
     lm = tiny_lm(seed=14)
     prompt = [BOS, 4, 5, 9]
     reference = [6, 7, 8, 10, 11, 6, 7, 8, 10, 11]
-    nll = lm.explanation_nll(prompt, reference, gate=1).item()
+    nll = explanation_nll(lm, prompt, reference, gate=1).item()
 
     seq = prompt + reference + [EOS]
     logits = lm.forward_lm(np.array(seq[:-1]), gate=1).data
@@ -570,9 +602,12 @@ def test_nll_matches_hand_rolled_log_softmax():
 
 
 def test_nll_rejects_empty_reference():
-    lm = tiny_lm()
-    with pytest.raises(ShapeError):
-        lm.explanation_nll([BOS], [], gate=0)
+    from moerec.data import InteractionRecord
+    from moerec.errors import DataError
+    from moerec.training import prepare_sequence
+    vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
+    with pytest.raises(DataError):
+        prepare_sequence(vocab, InteractionRecord("3", "7", 4.0, ["thai"], " "), 5.0, 32)
 
 
 def test_batched_nll_matches_single_records():
@@ -583,7 +618,7 @@ def test_batched_nll_matches_single_records():
     batched = lm.batched_nll(seqs, prompt_lens, gates).item()
     singles = []
     for seq, plen, gate in zip(seqs, prompt_lens, gates):
-        singles.append(lm.explanation_nll(seq[:plen], seq[plen:-1], int(gate)).item())
+        singles.append(explanation_nll(lm, seq[:plen], seq[plen:-1], int(gate)).item())
     assert batched == pytest.approx(np.mean(singles), abs=1e-10)
 
 
@@ -616,14 +651,15 @@ def dense_reference_forward(lm: LanguageModel, tokens, gate):
         x = x + np.concatenate(outs, axis=1) @ blk.wo.data
 
         n2 = rms(x, blk.norm2_g.data)
-        logits = n2 @ blk.router.weights[gate].data
+        logits = n2 @ blk.router.weights.data[gate]
         logits -= logits.max(axis=-1, keepdims=True)
         gsc = np.exp(logits)
         gsc /= gsc.sum(axis=-1, keepdims=True)
         mix = np.zeros_like(n2)
-        for e, exp in enumerate(blk.bank.experts):
-            h = np.tanh(n2 @ exp["w1"].data + exp["b1"].data)
-            mix += gsc[:, e:e + 1] * (h @ exp["w2"].data + exp["b2"].data)
+        bank = blk.bank
+        for e in range(bank.cfg.expert_count):
+            h = np.tanh(n2 @ bank.w1.data[e] + bank.b1.data[e])
+            mix += gsc[:, e:e + 1] * (h @ bank.w2.data[e] + bank.b2.data[e])
         x = x + mix
     return rms(x, lm.norm_f_g.data) @ lm.head.data
 
@@ -643,5 +679,102 @@ def test_param_names_cover_contract():
     names = set(lm.params())
     assert "lm.embed" in names and "lm.head" in names
     assert "lm.block0.attn.wq" in names
-    assert "lm.block1.moe.expert3.w2" in names
-    assert "lm.block0.router.gate2" in names
+    assert "lm.block1.moe.w2" in names and "lm.block0.router" in names
+    assert not any(".expert" in name or ".gate" in name for name in names)
+    blk = lm.blocks[1]
+    assert names == {"lm.embed", "lm.pos", "lm.norm_f.g", "lm.head"} | {
+        f"lm.block{b}.{part}" for b in range(2)
+        for part in ("norm1.g", "attn.wq", "attn.wk", "attn.wv", "attn.wo", "norm2.g",
+                     "moe.w1", "moe.b1", "moe.w2", "moe.b2", "router")}
+    assert lm.params()["lm.block1.moe.w1"].shape == (4, 8, 4)
+    assert lm.params()["lm.block1.moe.b2"].shape == (4, 8)
+    assert lm.params()["lm.block1.router"].shape == (3, 8, 4) == blk.router.weights.shape
+
+
+# --- batched block against the per-sequence, per-head, per-expert loops ---
+
+def reference_block_forward(blk, x, batch, length, gates):
+    """One block the slow way, in numpy: attention one sequence and one head
+    at a time, then the mixture one gate and one expert at a time."""
+    from moerec.verify import loop_moe_rows
+    cfg = blk.config
+    dh = cfg.model_dim // cfg.heads
+
+    def rms(v, g):
+        return v / np.sqrt((v * v).mean(axis=-1, keepdims=True) + 1e-6) * g
+
+    n1 = rms(x, blk.norm1_g.data)
+    attended = np.zeros_like(x)
+    for b in range(batch):
+        rows = slice(b * length, (b + 1) * length)
+        q, k, v = n1[rows] @ blk.wq.data, n1[rows] @ blk.wk.data, n1[rows] @ blk.wv.data
+        outs = []
+        for hh in range(cfg.heads):
+            cols = slice(hh * dh, (hh + 1) * dh)
+            scores = q[:, cols] @ k[:, cols].T / math.sqrt(dh)
+            scores += np.triu(np.full((length, length), -1e9), k=1)
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            outs.append(w / w.sum(axis=-1, keepdims=True) @ v[:, cols])
+        attended[rows] = np.concatenate(outs, axis=1) @ blk.wo.data
+    h = x + attended
+    return h + loop_moe_rows(blk.bank, blk.router, np.repeat(gates, length),
+                             rms(h, blk.norm2_g.data), cfg.moe.active,
+                             cfg.renormalize_topk)
+
+
+BLOCK_VARIANTS = [dict(gates=gates, active=k, heads=heads, renormalize_topk=renorm)
+                  for gates, heads in ((1, 2), (3, 4), (2, 1))
+                  for k in (1, 2, 3, 4) for renorm in (False, True)]
+
+
+def padded_batch(lm, lengths, seed):
+    """Right-padded token matrix with random real tokens."""
+    tokens = np.full((len(lengths), max(lengths)), PAD, dtype=np.int64)
+    rng = Rng(seed)
+    for i, n in enumerate(lengths):
+        tokens[i, :n] = rng.integers(n, lm.config.vocab_size - 4) + 4
+    return tokens
+
+
+@pytest.mark.parametrize("variant", BLOCK_VARIANTS)
+def test_batched_block_matches_loops_on_padded_mixed_gate_batch(variant):
+    lm = tiny_lm(seed=31, gates=variant["gates"], active=variant["active"],
+                 heads=variant["heads"], renormalize_topk=variant["renormalize_topk"])
+    tokens = padded_batch(lm, [7, 3, 5, 1], seed=32)
+    batch, length = tokens.shape
+    gates = np.arange(batch) % variant["gates"]
+    x = T.take_rows(lm.embed, tokens.reshape(-1)) + T.take_rows(
+        lm.pos, np.tile(np.arange(length), batch))
+    for blk in lm.blocks:
+        blk.bank.eval_count = 0
+        out = blk.forward(x, batch, length, gates)
+        ref = reference_block_forward(blk, x.data, batch, length, gates)
+        assert np.max(np.abs(out.data - ref)) <= 1e-12
+        assert blk.bank.eval_count == batch * length * variant["active"]
+        x = out
+    # the real positions of each row equal that sequence run alone
+    logits = lm.forward_rows(tokens, gates).data.reshape(batch, length, -1)
+    for i, n in enumerate([7, 3, 5, 1]):
+        alone = lm.forward_lm(tokens[i, :n], int(gates[i])).data
+        assert np.max(np.abs(logits[i, :n] - alone)) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", BLOCK_VARIANTS[::3])
+def test_batched_block_with_cache_matches_loops(variant):
+    lm = tiny_lm(seed=33, gates=variant["gates"], active=variant["active"],
+                 heads=variant["heads"], renormalize_topk=variant["renormalize_topk"])
+    tokens = padded_batch(lm, [8, 8], seed=34)
+    gates = np.array([0, variant["gates"] - 1])
+    x = Tensor(lm.embed.data[tokens] + lm.pos.data[:8])          # (2, 8, m)
+    blk = lm.blocks[0]
+    ref = reference_block_forward(blk, x.data.reshape(16, -1), 2, 8, gates).reshape(2, 8, -1)
+    cache = [None, None]
+    start = 0
+    for size in (3, 1, 2, 1, 1):
+        chunk = Tensor(x.data[:, start:start + size].reshape(2 * size, -1))
+        blk.bank.eval_count = 0
+        out = blk.forward(chunk, 2, size, gates, cache).data.reshape(2, size, -1)
+        assert np.max(np.abs(out - ref[:, start:start + size])) <= 1e-12
+        assert blk.bank.eval_count == 2 * size * variant["active"]
+        start += size
+        assert cache[0].shape == (2, variant["heads"], start, 8 // variant["heads"])

@@ -250,6 +250,17 @@ def test_grad_check_sweep_all_ops(seed):
         "gather_pairs": lambda x: T.gather_pairs(x.reshape(2, 3),
                                                  np.array([0, 1, 1]),
                                                  np.array([2, 0, 0])).sum(),
+        "bmm": lambda x: (T.bmm(x.reshape(2, 1, 3), c32.reshape(2, 3, 1))
+                          * c2.reshape(2, 1, 1)).sum(),
+        "bmm_right": lambda x: (T.bmm(c6.reshape(2, 1, 3), x.reshape(2, 3, 1))
+                                * c2.reshape(2, 1, 1)).sum(),
+        "permute": lambda x: (T.permute(x.reshape(1, 2, 3), (2, 0, 1))
+                              * c32.reshape(3, 1, 2)).sum(),
+        # three groups, the middle one empty
+        "grouped_matmul": lambda x: (T.grouped_matmul(
+            x.reshape(3, 2), c6.reshape(3, 2, 1), np.array([2, 0, 2])) * c32[:, :1]).sum(),
+        "grouped_matmul_stack": lambda x: (T.grouped_matmul(
+            c32, x.reshape(3, 2, 1), np.array([2, 0, 2])) * c32[:, 1:]).sum(),
     }
     for name, f in cases.items():
         x = Tensor(Rng(seed).normal(6) * 0.7)
@@ -307,3 +318,64 @@ def test_float32_mode_roundtrip():
     finally:
         T.set_default_dtype("float64")
     assert Tensor([1.0]).data.dtype == np.float64
+
+
+def test_bmm_matches_per_matrix_matmul_and_checks_shapes():
+    a = Rng(40).normal(2 * 3 * 4 * 5).reshape(2, 3, 4, 5)
+    b = Rng(41).normal(2 * 3 * 5 * 2).reshape(2, 3, 5, 2)
+    out = T.bmm(Tensor(a), Tensor(b)).data
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], a[i, j] @ b[i, j])
+    with pytest.raises(ShapeError):
+        T.bmm(Tensor(a), Tensor(b[:1]))
+    with pytest.raises(ShapeError):
+        T.bmm(Tensor(a[0, 0]), Tensor(b[0, 0]))
+
+
+def test_permute_is_contiguous_transpose():
+    a = Rng(42).normal(24).reshape(2, 3, 4)
+    out = T.permute(Tensor(a), (1, 2, 0)).data
+    assert np.array_equal(out, a.transpose(1, 2, 0)) and out.flags.c_contiguous
+    with pytest.raises(ShapeError):
+        T.permute(Tensor(a), (0, 0, 1))
+
+
+def test_grouped_matmul_matches_row_loop_in_any_order():
+    x = Rng(43).normal(7 * 3).reshape(7, 3)
+    w = Rng(44).normal(4 * 3 * 2).reshape(4, 3, 2)
+    for groups in (np.array([0, 0, 1, 3, 3, 3, 3]), np.array([3, 0, 3, 1, 0, 3, 3])):
+        out = T.grouped_matmul(Tensor(x), Tensor(w), groups).data
+        expected = np.stack([x[i] @ w[g] for i, g in enumerate(groups)])
+        assert np.max(np.abs(out - expected)) <= 1e-15
+    empty = T.grouped_matmul(Tensor(np.zeros((0, 3))), Tensor(w), np.zeros(0, dtype=np.int64))
+    assert empty.shape == (0, 2)
+    with pytest.raises(ShapeError):
+        T.grouped_matmul(Tensor(x), Tensor(w), np.full(7, 4))
+    with pytest.raises(ShapeError):
+        T.grouped_matmul(Tensor(x), Tensor(w), np.zeros(6, dtype=np.int64))
+
+
+def test_grouped_matmul_empty_group_gets_zero_gradient():
+    w = Tensor(Rng(45).normal(3 * 2 * 2).reshape(3, 2, 2), requires_grad=True)
+    x = Tensor(Rng(46).normal(8).reshape(4, 2), requires_grad=True)
+    with Tape() as tape:
+        tape.backward(T.grouped_matmul(x, w, np.array([0, 2, 2, 0])).sum())
+    assert np.all(w.grad[1] == 0.0) and np.all(w.grad[0] != 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_index_add_equals_add_at_with_duplicates(dtype):
+    rng = Rng(47)
+    values = (rng.normal(300 * 4) * 10.0 ** (rng.integers(300 * 4, 12) - 6)).astype(dtype)
+    rows = rng.integers(300, 9)
+    expected = np.zeros((9, 4), dtype=dtype)
+    np.add.at(expected, rows, values.reshape(300, 4))
+    got = T._index_add((9, 4), rows, values.reshape(300, 4))
+    assert got.dtype == dtype and np.array_equal(got, expected)
+
+    cols = rng.integers(300, 4)
+    expected = np.zeros((9, 4), dtype=dtype)
+    np.add.at(expected, (rows, cols), values[:300])
+    got = T._index_add((9, 4), (rows, cols), values[:300])
+    assert got.dtype == dtype and np.array_equal(got, expected)

@@ -261,6 +261,45 @@ def test_save_load_roundtrip_bundle(tmp_path):
     assert loaded.generate_explanation(rec) == bundle.generate_explanation(rec)
 
 
+def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
+                                                                     monkeypatch):
+    split, _, run, bundle, manifest = trained_pair()
+    s1, s2 = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt"
+    save_stage1(s1, bundle.vae, run, manifest, split.user_index, split.item_index)
+    save_bundle(s2, bundle, run, manifest, f64=True)
+
+    def no_draws(self, n):
+        raise AssertionError("loading drew random weights")
+
+    monkeypatch.setattr(Rng, "normal", no_draws)
+    load_stage1(s1)
+    loaded, _, _ = load_bundle(s2)
+    monkeypatch.undo()
+    for rec in split.test[:6]:
+        for mode, seed in (("greedy", 0), ("sample", 3)):
+            assert (loaded.generate_explanation(rec, mode=mode, seed=seed)
+                    == bundle.generate_explanation(rec, mode=mode, seed=seed))
+
+
+def test_loaders_reject_name_and_shape_mismatches(tmp_path):
+    from moerec.checkpoint import read_manifest, save_checkpoint
+    from moerec.tensor import Tensor
+    _, _, run, bundle, manifest = trained_pair()
+    path = tmp_path / "s2.ckpt"
+    save_bundle(path, bundle, run, manifest)
+    extra = read_manifest(path)["extra"]
+    params = bundle.params()
+    renamed = dict(params)
+    renamed["lm.block0.moe.w9"] = renamed.pop("lm.block0.moe.w1")
+    reshaped = dict(params, **{"lm.block0.router":
+                               Tensor(params["lm.block0.router"].data[:1])})
+    for tensors in (renamed, reshaped):
+        save_checkpoint(path, tensors, config=run.to_dict(), seed=run.seed,
+                        stage="stage2", extra=extra)
+        with pytest.raises(DataError):
+            load_bundle(path)
+
+
 def test_unknown_user_routes_through_fallback_row():
     split, _, run, bundle, _ = trained_pair()
     from moerec.data import InteractionRecord
@@ -302,8 +341,8 @@ def test_checkpoint_tensor_name_contract():
         "lm.embed", "lm.head",
         "lm.block0.attn.wq", "lm.block0.attn.wk", "lm.block0.attn.wv",
         "lm.block0.attn.wo",
-        "lm.block0.moe.expert0.w1", "lm.block0.moe.expert3.w2",
-        "lm.block0.router.gate0", "lm.block0.router.gate1",
+        "lm.block0.moe.w1", "lm.block0.moe.b1", "lm.block0.moe.w2",
+        "lm.block0.moe.b2", "lm.block0.router",
     }
     assert required <= names
 
