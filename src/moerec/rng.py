@@ -17,7 +17,17 @@ language. The full recipe, for porting:
   normals consumes exactly ``2 * ceil(n / 2)`` uniform words (an odd ``n``
   discards the trailing sine draw), so splitting one request into chunks of
   even length reproduces the unsplit stream bit-exactly; odd-length chunks
-  do not.
+  do not;
+- ``integers(n, bound)`` scales uniforms: ``min(floor(u * bound), bound - 1)``;
+- a shuffle of ``n`` items is Fisher-Yates from the back and consumes exactly
+  ``n - 1`` words (none for ``n <= 1``): word ``k`` of the call
+  (``k = 0 .. n-2``) swaps position ``i = n - 1 - k`` with
+  ``j = min(floor(u_k * (n - k)), n - 1 - k)``.
+
+Uniforms are computed in blocks of at least ``_BLOCK`` (256) words and
+buffered per stream, and a shuffle draws all its words in one call. ``counter`` still counts the
+words handed out, and buffering never changes which word it points at, so
+every stream is the same as one drawn a word at a time.
 
 Named substreams derive a child seed as ``mix64(seed XOR fnv1a64(label))``,
 which keeps every consumer of the root seed independent and reorderable.
@@ -36,6 +46,8 @@ _MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
+
+_BLOCK = 256  # fewest words a refill of the uniform buffer computes
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
@@ -63,6 +75,9 @@ class Rng:
     def __init__(self, seed: int):
         self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self.counter = 0
+        # uniforms for words [_block_start, _block_start + len(_block))
+        self._block = np.empty(0, dtype=np.float64)
+        self._block_start = 0
 
     def substream(self, label: str) -> "Rng":
         """Independent child stream for `label`; does not advance this one."""
@@ -80,7 +95,15 @@ class Rng:
 
     def uniform(self, n: int) -> np.ndarray:
         """`n` doubles uniform on [0, 1), 53-bit resolution."""
-        return (self._words(n) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        offset = self.counter - self._block_start
+        if not 0 <= offset <= len(self._block) - n:
+            start = self.counter
+            words = self._words(max(n, _BLOCK))
+            self._block = (words >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+            self._block_start, self.counter, offset = start, start, 0
+        self.counter += n
+        # a view into the buffer; the words it covers are never handed out again
+        return self._block[offset:offset + n]
 
     def normal(self, n: int) -> np.ndarray:
         """`n` i.i.d. standard normal doubles via Box-Muller.
@@ -110,8 +133,12 @@ class Rng:
     def shuffle(self, items: list) -> list:
         """Fisher-Yates shuffle; returns a new list, input untouched."""
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = int(self.integers(1, i + 1)[0])
+        n = len(out)
+        if n < 2:
+            return out
+        bounds = np.arange(n, 1, -1, dtype=np.int64)
+        picks = np.minimum((self.uniform(n - 1) * bounds).astype(np.int64), bounds - 1)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             out[i], out[j] = out[j], out[i]
         return out
 

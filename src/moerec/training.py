@@ -32,9 +32,9 @@ from typing import Dict, List
 import numpy as np
 
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
-from .config import RunConfig, StageConfig
+from .config import RunConfig, StageConfig, load_config
 from .data import DatasetSplit, InteractionRecord
-from .errors import ContextLimitError, DataError, TrainingError
+from .errors import ConfigError, ContextLimitError, DataError, TrainingError
 from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_experts, tokenize
 from .optim import AdamW
 from .rng import Rng
@@ -367,11 +367,18 @@ def _load(path, stage: str) -> tuple:
     """(ExplainerBundle, run config, manifest) rebuilt from a `stage`
     checkpoint; a stage-1 bundle has no language model and no vocabulary."""
     manifest, arrays = load_checkpoint(path)
-    if manifest["stage"] != stage:
-        raise TrainingError(f"expected a {stage} checkpoint, found {manifest['stage']!r}")
-    run = RunConfig(**manifest["config"]).validate()
-    extra = manifest["extra"]
-    vae = VaeGmm(VaeConfig(n_users=len(extra["users"]), n_items=len(extra["items"]),
+    try:
+        if manifest["stage"] != stage:
+            raise TrainingError(f"expected a {stage} checkpoint, found {manifest['stage']!r}")
+        config, extra = manifest["config"], manifest["extra"]
+        users, items = extra["users"], extra["items"]
+        vocab_file = extra["vocab_file"] if stage == "stage2" else None
+    except (KeyError, TypeError) as err:
+        raise DataError(f"checkpoint manifest is malformed: {err!r}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"checkpoint config is not an object: {config!r}")
+    run = load_config(overrides=config)
+    vae = VaeGmm(VaeConfig(n_users=len(users), n_items=len(items),
                            d_emb=run.d_emb, latent_dim=run.latent_dim,
                            hidden=run.enc_hidden, clusters=run.clusters,
                            r_max=run.r_max, encoder_attention=run.encoder_attention),
@@ -380,14 +387,17 @@ def _load(path, stage: str) -> tuple:
     params = vae.params()
     lm = vocab = None
     if stage == "stage2":
-        vocab = Vocab.load(os.path.join(os.path.dirname(str(path)) or ".",
-                                        extra["vocab_file"]))
+        vocab_path = os.path.join(os.path.dirname(str(path)) or ".", vocab_file)
+        try:
+            vocab = Vocab.load(vocab_path)
+        except (OSError, UnicodeDecodeError) as err:
+            raise DataError(f"cannot read vocabulary sidecar {vocab_path}: {err}") from None
         lm = LanguageModel(lm_config_from(run, len(vocab)), _ZeroRng())
         params |= lm.params()
     restore_params(params, arrays)
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
-                             user_index={u: i for i, u in enumerate(extra["users"])},
-                             item_index={it: i for i, it in enumerate(extra["items"])},
+                             user_index={u: i for i, u in enumerate(users)},
+                             item_index={it: i for i, it in enumerate(items)},
                              r_max=run.r_max)
     return bundle, run, manifest
 

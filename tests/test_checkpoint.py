@@ -179,3 +179,66 @@ def test_other_format_version_is_a_config_error(tmp_path):
     assert FORMAT_VERSION == "GVMC-2"
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+
+
+def untrained_bundle_checkpoint(path):
+    """A tiny, well-formed stage-2 checkpoint of an untrained model."""
+    from moerec.config import RunConfig
+    from moerec.moe import LanguageModel, Vocab
+    from moerec.training import ExplainerBundle, lm_config_from, save_bundle
+    from moerec.vae import VaeConfig, VaeGmm
+    run = RunConfig(d_emb=4, latent_dim=2, clusters=1, enc_hidden=4, model_dim=8,
+                    blocks=1, heads=1, base_experts=2, base_hidden=8,
+                    active_experts=1).validate()
+    vocab = Vocab.build([], ["u0"], ["i0"])
+    vae = VaeGmm(VaeConfig(n_users=1, n_items=1, d_emb=run.d_emb,
+                           latent_dim=run.latent_dim, hidden=run.enc_hidden,
+                           clusters=run.clusters), Rng(0))
+    lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(1))
+    bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index={"u0": 0},
+                             item_index={"i0": 0})
+    save_bundle(path, bundle, run, {})
+
+
+def _drop(*keys):
+    def edit(manifest):
+        node = manifest
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+    return edit
+
+
+# (manifest edit or None for a deleted vocab sidecar, error, text in the message)
+BAD_BUNDLE_CONTENT = {
+    "unknown config key": (lambda m: m["config"].update(depth=3), ConfigError, "depth"),
+    "ill-typed config value": (lambda m: m["config"].update(d_emb="four"), ConfigError,
+                               "d_emb"),
+    "config not an object": (lambda m: m.update(config=[]), ConfigError, "config"),
+    "missing vocab sidecar": (None, DataError, "vocabulary"),
+    "no stage": (_drop("stage"), DataError, "'stage'"),
+    "no config": (_drop("config"), DataError, "'config'"),
+    "no extra": (_drop("extra"), DataError, "'extra'"),
+    "no users": (_drop("extra", "users"), DataError, "'users'"),
+    "no items": (_drop("extra", "items"), DataError, "'items'"),
+    "no vocab_file": (_drop("extra", "vocab_file"), DataError, "'vocab_file'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_BUNDLE_CONTENT))
+def test_bad_bundle_content_fails_with_its_exit_code(tmp_path, kind, capsys):
+    from moerec.cli import main
+    path = tmp_path / "model.ckpt"
+    untrained_bundle_checkpoint(path)
+    args = ["generate", "--checkpoint", str(path), "--user", "u0", "--item", "i0",
+            "--rating", "4", "--max-len", "3"]
+    assert main(args) == 0
+    capsys.readouterr()
+    edit, error, fragment = BAD_BUNDLE_CONTENT[kind]
+    if edit is None:
+        (tmp_path / "model.ckpt.vocab.txt").unlink()
+    else:
+        path.write_bytes(rewrite_manifest(path.read_bytes(), edit))
+    assert main(args) == error.exit_code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err

@@ -6,12 +6,14 @@ import pytest
 from moerec.config import RunConfig, StageConfig, reference_scale_config
 from moerec.data import SynthSpec, generate_synthetic, split_records
 from moerec.errors import ConfigError, DataError
-from moerec.moe import EOS
+from moerec.moe import EOS, LanguageModel
 from moerec.rng import Rng
 from moerec.tensor import Tape
 from moerec.training import (
     ExplainerBundle,
     _stage2_loss,
+    _ZeroRng,
+    lm_config_from,
     load_bundle,
     load_stage1,
     normalized_ratings,
@@ -279,6 +281,19 @@ def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
         for mode, seed in (("greedy", 0), ("sample", 3)):
             assert (loaded.generate_explanation(rec, mode=mode, seed=seed)
                     == bundle.generate_explanation(rec, mode=mode, seed=seed))
+
+
+def test_zero_rng_builds_models_without_drawing(monkeypatch):
+    def no_words(self, n):
+        raise AssertionError("drew random words")
+
+    split, _ = small_corpus()
+    run = small_run()
+    monkeypatch.setattr(Rng, "_words", no_words)
+    zeros = _ZeroRng()
+    VaeGmm(vae_config_from(run, split), zeros)
+    LanguageModel(lm_config_from(run, 40), zeros)
+    assert zeros.counter == 0
 
 
 def test_loaders_reject_name_and_shape_mismatches(tmp_path):
