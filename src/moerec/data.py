@@ -281,11 +281,11 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
                     feats.append(pool[int(rng.integers(1, len(pool))[0])])
                 else:
                     feats.append(tok)
-            rating = float(np.clip(
+            rating = min(max(
                 CLUSTER_RATING_BIAS[cluster] + item_effect[item]
-                + float(rng.normal(1)[0]) * spec.rating_noise, 1.0, 5.0))
+                + float(rng.normal(1)[0]) * spec.rating_noise, 1.0), 5.0)
             rating = round(rating, 2)
-            bucket = int(np.clip(round(rating), 1, 5))
+            bucket = min(max(round(rating), 1), 5)
             records.append(InteractionRecord(
                 user=user, item=item, rating=rating, features=feats,
                 explanation=render_explanation(cluster, bucket, feats[0], feats[1])))

@@ -44,7 +44,7 @@ def tokenize(text: str) -> List[str]:
 
 
 def rating_bucket(rating: float, r_max: float = 5.0) -> int:
-    return int(np.clip(round(rating), 1, int(math.ceil(r_max))))
+    return min(max(int(round(rating)), 1), int(math.ceil(r_max)))
 
 
 class Vocab:
@@ -188,12 +188,11 @@ class ExpertBank:
         self.eval_count = 0
 
     def run(self, experts: np.ndarray, rows: Tensor) -> Tensor:
-        """Row i through expert `experts[i]`; rows sorted by expert run as
-        one grouped matmul per layer."""
+        """Row i through expert `experts[i]`, in one fused
+        :func:`~moerec.tensor.expert_ffn`; rows sorted by expert are sliced
+        rather than gathered."""
         self.eval_count += rows.shape[0]
-        hidden = T.tanh(T.grouped_matmul(rows, self.w1, experts)
-                        + T.take_rows(self.b1, experts))
-        return T.grouped_matmul(hidden, self.w2, experts) + T.take_rows(self.b2, experts)
+        return T.expert_ffn(rows, self.w1, self.b1, self.w2, self.b2, experts)
 
 
 class GateRouter:
@@ -272,11 +271,6 @@ class LmConfig:
                 f"heads {self.heads} must divide model_dim {self.model_dim}")
 
 
-def _rms_norm(x: Tensor, gain: Tensor) -> Tensor:
-    scale = T.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-6)
-    return x / scale * gain
-
-
 class TransformerBlock:
     """Pre-norm causal attention followed by a pre-norm MoE feed-forward."""
 
@@ -294,30 +288,23 @@ class TransformerBlock:
         self.router = GateRouter(m, config.moe, rng)
 
     def _attend(self, x: Tensor, batch: int, length: int, cache: list = None) -> Tensor:
-        """Causal multi-head attention as one (batch, heads, length, keys)
-        computation. With `cache` ([keys, values] of this block, each
-        (batch, heads, cached, dh)), the rows follow the cached positions:
-        their keys and values are appended and they attend over every
-        cached key as well as their own."""
+        """Causal multi-head attention over `batch` sequences of `length`
+        rows: the `wq`/`wk`/`wv` projections, one fused
+        :func:`~moerec.tensor.attention` (head split, scaled and masked
+        scores, softmax, mix, head merge), then `wo`. With `cache`
+        ([keys, values] of this block, each (batch, cached, m)), the rows
+        follow the cached positions: their keys and values are appended and
+        they attend over every cached key as well as their own."""
         m = x.shape[1]
-        heads = self.config.heads
-        dh = m // heads
-
-        def split(t: Tensor) -> Tensor:
-            return T.permute(t.reshape(batch, length, heads, dh), (0, 2, 1, 3))
-
-        q, k, v = split(x @ self.wq), split(x @ self.wk), split(x @ self.wv)
+        q, k, v = ((x @ w).reshape(batch, length, m) for w in (self.wq, self.wk, self.wv))
         offset = 0
         if cache is not None:
             if cache[0] is not None:
-                offset = cache[0].shape[2]
-                k = T.concat([cache[0], k], axis=2)
-                v = T.concat([cache[1], v], axis=2)
+                offset = cache[0].shape[1]
+                k = T.concat([cache[0], k], axis=1)
+                v = T.concat([cache[1], v], axis=1)
             cache[:] = [k, v]
-        mask = np.triu(np.full((length, offset + length), -1e9), k=offset + 1)
-        scores = T.bmm(q, T.permute(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh)) + Tensor(mask)
-        mixed = T.bmm(T.softmax(scores, axis=-1), v)
-        return T.permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m) @ self.wo
+        return T.attention(q, k, v, self.config.heads, offset) @ self.wo
 
     def forward(self, rows: Tensor, batch: int, length: int,
                 gates: np.ndarray, cache: list = None) -> Tensor:
@@ -325,16 +312,17 @@ class TransformerBlock:
         `b` routed by `gates[b]`. `cache` is this block's entry of a
         :class:`KVCache`; only the given rows run through the norms, the
         router and the experts."""
-        h = rows + self._attend(_rms_norm(rows, self.norm1_g), batch, length, cache)
+        h = rows + self._attend(T.rms_norm(rows, self.norm1_g), batch, length, cache)
         mixed = _moe_rows(self.bank, self.router, np.repeat(gates, length),
-                          _rms_norm(h, self.norm2_g), self.config.moe.active,
+                          T.rms_norm(h, self.norm2_g), self.config.moe.active,
                           self.config.renormalize_topk)
         return h + mixed
 
 
 class KVCache:
     """Keys and values of the positions already fed: per block, one
-    (batch, heads, length, dh) pair.
+    (batch, length, model_dim) pair of row tensors, split into heads only
+    inside :func:`~moerec.tensor.attention`.
 
     Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
     incremental: the new tokens sit at positions offset by `length` and
@@ -417,7 +405,7 @@ class LanguageModel:
                             None if cache is None else cache.blocks[b])
         if cache is not None:
             cache.length += length
-        x = _rms_norm(x, self.norm_f_g)
+        x = T.rms_norm(x, self.norm_f_g)
         return x @ self.head
 
     def forward_lm(self, tokens: Sequence[int], gate: int) -> Tensor:

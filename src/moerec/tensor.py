@@ -12,6 +12,11 @@ Rules of the house:
   may switch to ``float32`` through :func:`set_default_dtype`.
 - Every operation checks its output for NaN/Inf and raises
   :class:`~moerec.errors.NumericError` rather than letting poison propagate.
+- The transformer's hot chains run as fused ops, one record each:
+  :func:`rms_norm`, :func:`attention` (head split, scaled causal scores,
+  softmax, mix and head merge) and :func:`expert_ffn` (a grouped two-layer
+  expert). Their forwards and gradients equal the chains' bit for bit, and
+  they also check the intermediates that their output would hide.
 - Gradient accumulation never clears anything implicitly: call
   :func:`zero_grad` (or ``Tensor.zero_grad``) between optimization steps.
 - Operations executed with no active tape compute values only, so frozen
@@ -363,27 +368,147 @@ def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
             or groups.shape != x.shape[:1]):
         raise ShapeError(f"grouped_matmul shapes incompatible: {x.shape} @ {w.shape} "
                          f"with {groups.shape} group ids")
-    if groups.size and (groups.min() < 0 or groups.max() >= w.shape[0]):
-        raise ShapeError(f"group id outside [0, {w.shape[0]})")
-    counts = np.bincount(groups, minlength=w.shape[0])
+    parts = _group_parts(groups, w.shape[0])
+    out = _grouped_forward(x.data, w.data, parts)
+    return _make(out, "grouped_matmul", (x, w),
+                 lambda grad: _grouped_backward(grad, x.data, w.data, parts))
+
+
+def _group_parts(groups: np.ndarray, count: int) -> list:
+    """(group, rows) for each nonempty group of `count`; `rows` is a slice
+    when `groups` is sorted, else the group's row indices in input order."""
+    if groups.size and (groups.min() < 0 or groups.max() >= count):
+        raise ShapeError(f"group id outside [0, {count})")
+    counts = np.bincount(groups, minlength=count)
     ends = np.cumsum(counts)
     ordered = bool(np.all(groups[1:] >= groups[:-1]))
     order = None if ordered else np.argsort(groups, kind="stable")
-    parts = [(g, slice(e - c, e) if ordered else order[e - c:e])
-             for g, (c, e) in enumerate(zip(counts, ends)) if c]
-    out = np.empty((x.shape[0], w.shape[2]), dtype=np.result_type(x.data, w.data))
+    return [(g, slice(e - c, e) if ordered else order[e - c:e])
+            for g, (c, e) in enumerate(zip(counts, ends)) if c]
+
+
+def _grouped_forward(x: np.ndarray, w: np.ndarray, parts: list) -> np.ndarray:
+    out = np.empty((x.shape[0], w.shape[2]), dtype=np.result_type(x, w))
     for g, rows in parts:
-        out[rows] = x.data[rows] @ w.data[g]
+        out[rows] = x[rows] @ w[g]
+    return out
 
-    def back(grad):
-        gx = np.empty_like(x.data)
-        gw = np.zeros_like(w.data)
-        for g, rows in parts:
-            gx[rows] = grad[rows] @ w.data[g].T
-            gw[g] = x.data[rows].T @ grad[rows]
-        return gx, gw
 
-    return _make(out, "grouped_matmul", (x, w), back)
+def _grouped_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray,
+                      parts: list) -> tuple:
+    gx = np.empty_like(x)
+    gw = np.zeros_like(w)
+    for g, rows in parts:
+        gx[rows] = grad[rows] @ w[g].T
+        gw[g] = x[rows].T @ grad[rows]
+    return gx, gw
+
+
+# --- fused transformer ops ---
+#
+# Each replaces a chain of the ops above with one record and an analytic
+# backward rule. The forward runs the chain's numpy expressions in the
+# chain's order, so results are bit-identical to it, and checks the
+# intermediates whose overflow the output would hide (a mean-square, the
+# attention scores, an expert pre-activation), so a fused op raises
+# NumericError wherever the chain did. The chains themselves are kept as
+# oracles in moerec.verify (reference_rms_norm and friends).
+
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """``x / sqrt(mean(x*x, axis=-1) + 1e-6) * gain``.
+
+    The backward rule is the chain's, step by step. `x` enters the chain
+    three times (the division and both factors of the square), so the
+    record lists it three times: its gradient then accumulates in the
+    chain's order, and gradients stay bit-identical to it.
+    """
+    mean_sq = (x.data * x.data).mean(axis=-1, keepdims=True)
+    _check_finite(mean_sq, "rms_norm")
+    scale = np.sqrt(mean_sq + 1e-6)
+    normed = x.data / scale
+    out = normed * gain.data
+
+    def back(g):
+        g_normed = g * gain.data
+        g_scale = _unbroadcast(-g_normed * x.data / (scale * scale), scale.shape)
+        g_square = np.broadcast_to(g_scale * 0.5 / scale / x.shape[-1], x.shape) * x.data
+        return (_unbroadcast(g * normed, gain.shape), g_normed / scale,
+                g_square, g_square)
+
+    return _make(out, "rms_norm", (gain, x, x, x), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
+    """Causal multi-head attention of (B, L, m) queries over (B, S, m) keys
+    and values; returns (B*L, m) rows, sequence-major.
+
+    Query i sits at position ``offset + i`` and sees keys 0 to
+    ``offset + i``. Heads split the model width into `heads` slices of
+    ``dh = m // heads``; scores are scaled by ``1/sqrt(dh)`` and masked
+    with -1e9 before the softmax.
+    """
+    if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]
+            or q.shape[2] % heads or offset + q.shape[1] > k.shape[1]):
+        raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, {heads} heads, offset {offset}")
+    batch, length, m = q.shape
+    keys = k.shape[1]
+    dh = m // heads
+    qh = np.ascontiguousarray(q.data.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k.data.reshape(batch, keys, heads, dh).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v.data.reshape(batch, keys, heads, dh).transpose(0, 2, 1, 3))
+    scale = 1.0 / math.sqrt(dh)
+    mask = np.triu(np.full((length, keys), -1e9, dtype=qh.dtype), k=offset + 1)
+    scores = (qh @ kt) * scale + mask
+    _check_finite(scores, "attention scores")
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    probs = e / e.sum(axis=-1, keepdims=True)
+    mixed = probs @ vh
+    out = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(batch * length, m)
+
+    def back(g):
+        gm = g.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
+        gp = gm @ vh.swapaxes(-1, -2)
+        gs = (gp - (gp * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        gq = gs @ kt.swapaxes(-1, -2)
+        gk = (qh.swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2)
+        gv = probs.swapaxes(-1, -2) @ gm
+        return tuple(t.transpose(0, 2, 1, 3).reshape(batch, -1, m) for t in (gq, gk, gv))
+
+    return _make(out, "attention", (q, k, v), back)
+
+
+def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+               experts: np.ndarray) -> Tensor:
+    """Row i through expert ``e = experts[i]`` of stacked two-layer experts:
+    ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
+    (E, h), `w2` (E, h, m) and `b2` (E, m). Rows of one expert run as one
+    matmul per layer, grouped as in :func:`grouped_matmul`."""
+    experts = np.asarray(experts, dtype=np.int64)
+    count = w1.shape[0]
+    if (rows.data.ndim != 2 or w1.data.ndim != 3 or w2.data.ndim != 3
+            or experts.shape != rows.shape[:1] or rows.shape[1] != w1.shape[1]
+            or b1.shape != (count, w1.shape[2]) or w2.shape[:2] != b1.shape
+            or b2.shape != (count, w2.shape[2])):
+        raise ShapeError(f"expert_ffn shapes incompatible: rows {rows.shape}, w1 {w1.shape}, "
+                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
+                         f"{experts.shape} expert ids")
+    parts = _group_parts(experts, count)
+    pre = _grouped_forward(rows.data, w1.data, parts) + b1.data[experts]
+    _check_finite(pre, "expert_ffn hidden layer")
+    hidden = np.tanh(pre)
+    out = _grouped_forward(hidden, w2.data, parts) + b2.data[experts]
+
+    def back(g):
+        gh, gw2 = _grouped_backward(g, hidden, w2.data, parts)
+        gpre = gh * (1.0 - hidden * hidden)
+        gx, gw1 = _grouped_backward(gpre, rows.data, w1.data, parts)
+        return (gx, gw1, _index_add(b1.shape, experts, gpre), gw2,
+                _index_add(b2.shape, experts, g))
+
+    return _make(out, "expert_ffn", (rows, w1, b1, w2, b2), back)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -375,6 +375,12 @@ def _load(path, stage: str) -> tuple:
         vocab_file = extra["vocab_file"] if stage == "stage2" else None
     except (KeyError, TypeError) as err:
         raise DataError(f"checkpoint manifest is malformed: {err!r}") from None
+    for field, value in (("users", users), ("items", items)):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise DataError(f"checkpoint manifest field extra.{field} must be a list "
+                            f"of strings")
+    if stage == "stage2" and not isinstance(vocab_file, str):
+        raise DataError("checkpoint manifest field extra.vocab_file must be a string")
     if not isinstance(config, dict):
         raise ConfigError(f"checkpoint config is not an object: {config!r}")
     run = load_config(overrides=config)

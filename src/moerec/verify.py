@@ -165,6 +165,95 @@ def ari_pair_enumeration(pred, truth) -> float:
     return (a - expected) / (maximum - expected)
 
 
+# --- the op chains that the fused tensor ops replace ---
+
+def reference_rms_norm(x: Tensor, gain: Tensor) -> Tensor:
+    """:func:`moerec.tensor.rms_norm` as a chain of elementwise ops."""
+    scale = T.sqrt((x * x).mean(axis=-1, keepdims=True) + 1e-6)
+    return x / scale * gain
+
+
+def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+                        offset: int) -> Tensor:
+    """:func:`moerec.tensor.attention` as reshapes, permutes, two batched
+    matmuls and a softmax over a (batch, heads, queries, keys) score tensor."""
+    batch, length, m = q.shape
+    keys = k.shape[1]
+    dh = m // heads
+
+    def split(t: Tensor, rows: int) -> Tensor:
+        return T.permute(t.reshape(batch, rows, heads, dh), (0, 2, 1, 3))
+
+    mask = np.triu(np.full((length, keys), -1e9), k=offset + 1)
+    scores = (T.bmm(split(q, length), T.permute(split(k, keys), (0, 1, 3, 2)))
+              * (1.0 / math.sqrt(dh)) + Tensor(mask))
+    mixed = T.bmm(T.softmax(scores, axis=-1), split(v, keys))
+    return T.permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m)
+
+
+def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                         b2: Tensor, experts: np.ndarray) -> Tensor:
+    """:func:`moerec.tensor.expert_ffn` as two grouped matmuls, two bias
+    gathers and a tanh."""
+    hidden = T.tanh(T.grouped_matmul(rows, w1, experts) + T.take_rows(b1, experts))
+    return T.grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
+
+
+def fused_cases(seed: int) -> dict:
+    """name -> (fused op, its reference chain, input arrays). The layouts
+    cover several rows; two sequences of three queries, after no cached
+    keys and after two, under 1, 2 and 4 heads; and expert groups in no
+    order, one of the four experts getting no rows."""
+    rng = Rng(seed)
+
+    def normal(*shape) -> np.ndarray:
+        return rng.normal(math.prod(shape)).reshape(shape)
+
+    cases = {"rms_norm": (T.rms_norm, reference_rms_norm, [normal(5, 8) * 3.0, normal(8)])}
+    for heads in (1, 2, 4):
+        for offset in (0, 2):
+            cases[f"attention.h{heads}.o{offset}"] = (
+                lambda q, k, v, h=heads, o=offset: T.attention(q, k, v, h, o),
+                lambda q, k, v, h=heads, o=offset: reference_attention(q, k, v, h, o),
+                [normal(2, 3, 8), normal(2, offset + 3, 8), normal(2, offset + 3, 8)])
+    experts = np.array([2, 0, 2, 3, 0, 3])
+    cases["expert_ffn"] = (
+        lambda *stacks: T.expert_ffn(*stacks, experts),
+        lambda *stacks: reference_expert_ffn(*stacks, experts),
+        [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
+    return cases
+
+
+def fused_gap(fused, reference, inputs: list, seed: int = 0) -> tuple:
+    """(forwards equal bit for bit, largest gradient gap over every input)
+    between a fused op and its reference chain, under one random linear
+    loss."""
+    outs, grads = [], []
+    for fn in (fused, reference):
+        leaves = [Tensor(a, requires_grad=True) for a in inputs]
+        with T.Tape() as tape:
+            out = fn(*leaves)
+            weight = Rng(seed).normal(out.size).reshape(out.shape)
+            tape.backward((out * Tensor(weight)).sum())
+        outs.append(out.data)
+        grads.append([leaf.grad for leaf in leaves])
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(*grads))
+    return bool(np.array_equal(*outs)), gap
+
+
+def fused_grad_error(fused, inputs: list, wrt: int, seed: int = 0) -> float:
+    """grad_check of a fused op with respect to input `wrt`, the other
+    inputs held constant, under one random linear loss."""
+    args = [Tensor(a) for a in inputs]
+    shape = fused(*args).shape
+    weight = Tensor(Rng(seed).normal(math.prod(shape)).reshape(shape))
+
+    def loss(x: Tensor) -> Tensor:
+        return (fused(*args[:wrt], x, *args[wrt + 1:]) * weight).sum()
+
+    return grad_check(loss, Tensor(np.array(inputs[wrt])))
+
+
 # --- suites ---
 
 def _random_tokens(rng: Rng, min_len=0, max_len=12, alphabet=6) -> List[str]:
@@ -290,6 +379,15 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
         results.append(CheckResult(f"grads.{name}", err <= 1e-4,
                                    f"max relative error {err:.2e} over {seeds} seeds"))
 
+    for op in ("rms_norm", "attention", "expert_ffn"):
+        cases = [case for name, case in fused_cases(3200).items()
+                 if name.split(".")[0] == op]
+        err = max(fused_grad_error(fused, inputs, wrt)
+                  for fused, _, inputs in cases for wrt in range(len(inputs)))
+        results.append(CheckResult(f"grads.{op}", err <= 1e-4,
+                                   f"max relative error {err:.2e} over every input, "
+                                   f"{len(cases)} layout(s)"))
+
     moe_cfg = decompose_experts(2, 4, 2, active=2, gates=2)
     bank = ExpertBank(4, moe_cfg, Rng(11))
     router = GateRouter(4, moe_cfg, Rng(12))
@@ -345,6 +443,16 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
                                "n*k expert evaluations over 5 layouts, k 1 to 6"))
     results.append(CheckResult("moe.grouped_matches_loop", gap <= 1e-12,
                                f"max gap {gap:.1e} over 5 layouts, mixed gates"))
+
+    exact, gap = True, 0.0
+    for case_seed in (seed, seed + 1):
+        for fused, reference, inputs in fused_cases(case_seed).values():
+            same, case_gap = fused_gap(fused, reference, inputs, case_seed)
+            exact &= same
+            gap = max(gap, case_gap)
+    results.append(CheckResult("moe.fused_ops_match_reference", exact and gap <= 1e-12,
+                               f"forwards {'equal' if exact else 'differ'}, "
+                               f"max gradient gap {gap:.1e}"))
 
     logits = Rng(9).normal(12)
     shift_ok = np.array_equal(top_k_select(logits, 4), top_k_select(logits + 1e6, 4))

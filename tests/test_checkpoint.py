@@ -222,6 +222,10 @@ BAD_BUNDLE_CONTENT = {
     "no users": (_drop("extra", "users"), DataError, "'users'"),
     "no items": (_drop("extra", "items"), DataError, "'items'"),
     "no vocab_file": (_drop("extra", "vocab_file"), DataError, "'vocab_file'"),
+    "users not a list": (lambda m: m["extra"].update(users=3), DataError, "extra.users"),
+    "items not strings": (lambda m: m["extra"].update(items=[0]), DataError, "extra.items"),
+    "vocab_file not a string": (lambda m: m["extra"].update(vocab_file=["v.txt"]), DataError,
+                                "extra.vocab_file"),
 }
 
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moerec import Tensor, grad_check
+from moerec import Tape, Tensor, grad_check
 from moerec.errors import ConfigError, ContextLimitError, ShapeError
 from moerec.rng import Rng
 from moerec import tensor as T
@@ -555,6 +555,28 @@ def test_batched_cache_matches_per_sequence_forward():
         assert np.max(np.abs(rows - lm.forward_lm(seq, gate).data)) <= 1e-10
 
 
+def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
+    # the fused RMSNorm, attention and expert ops halve the op count of a
+    # two-block model: 106 ops per decode step and 107 tape records per
+    # batch of 16 with the op chains they replace
+    lm = tiny_lm(seed=30)
+    calls = []
+    make = T._make
+    monkeypatch.setattr(T, "_make", lambda *args: calls.append(args[1]) or make(*args))
+    cache = KVCache(lm.config.blocks)
+    lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([0]), cache)
+    calls.clear()
+    lm.forward_rows(np.array([[7]]), np.array([0]), cache)
+    assert len(calls) <= 55, calls
+    monkeypatch.undo()
+    rng = Rng(31)
+    sequences = [np.concatenate([[BOS], rng.integers(5 + i % 4, 15) + 4, [EOS]])
+                 for i in range(16)]
+    with Tape() as tape:
+        lm.batched_nll(sequences, [3] * 16, np.arange(16) % 2)
+    assert len(tape.records) <= 55
+
+
 # --- explanation NLL ---
 
 def explanation_nll(lm, prompt, reference, gate):
@@ -777,4 +799,4 @@ def test_batched_block_with_cache_matches_loops(variant):
         assert np.max(np.abs(out - ref[:, start:start + size])) <= 1e-12
         assert blk.bank.eval_count == 2 * size * variant["active"]
         start += size
-        assert cache[0].shape == (2, variant["heads"], start, 8 // variant["heads"])
+        assert cache[0].shape == (2, start, 8)

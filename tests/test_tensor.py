@@ -7,6 +7,14 @@ from moerec import Tape, Tensor, grad_check
 from moerec.errors import NumericError, ShapeError, TapeError
 from moerec.rng import Rng
 from moerec import tensor as T
+from moerec.verify import (
+    fused_cases,
+    fused_gap,
+    fused_grad_error,
+    reference_attention,
+    reference_expert_ffn,
+    reference_rms_norm,
+)
 
 
 def test_matmul_identity():
@@ -379,3 +387,98 @@ def test_index_add_equals_add_at_with_duplicates(dtype):
     np.add.at(expected, (rows, cols), values[:300])
     got = T._index_add((9, 4), (rows, cols), values[:300])
     assert got.dtype == dtype and np.array_equal(got, expected)
+
+
+# --- fused transformer ops against the chains they replace ---
+
+FUSED = fused_cases(5)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_matches_its_reference_chain(name, dtype):
+    fused, reference, inputs = FUSED[name]
+    T.set_default_dtype(dtype)
+    try:
+        same, gap = fused_gap(fused, reference, [a.astype(dtype) for a in inputs], seed=6)
+    finally:
+        T.set_default_dtype("float64")
+    assert same, f"{name}: forward differs from the chain"
+    assert gap <= 1e-12, f"{name}: gradient gap {gap}"
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_grad_check_every_input(name):
+    fused, _, inputs = FUSED[name]
+    for wrt in range(len(inputs)):
+        err = fused_grad_error(fused, inputs, wrt, seed=7)
+        assert err <= 1e-4, f"{name}, input {wrt}: grad error {err}"
+
+
+def test_expert_ffn_empty_group_gets_zero_gradient():
+    fused, _, inputs = FUSED["expert_ffn"]          # expert 1 gets no rows
+    stacks = [Tensor(a, requires_grad=True) for a in inputs]
+    with Tape() as tape:
+        tape.backward(fused(*stacks).sum())
+    for stack in stacks[1:]:
+        assert np.all(stack.grad[1] == 0.0) and np.all(stack.grad[[0, 2, 3]] != 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_fused_op_raises_on_a_nan_input_like_its_chain(name):
+    fused, reference, inputs = FUSED[name]
+    for wrt in range(len(inputs)):
+        for fn in (fused, reference):
+            args = [Tensor(a) for a in inputs]
+            args[wrt].data = np.array(inputs[wrt])
+            args[wrt].data.flat[0] = np.nan
+            with pytest.raises(NumericError):
+                fn(*args)
+
+
+def test_rms_norm_raises_where_the_squares_overflow():
+    # x / sqrt(inf) is a finite 0, so only the mean-square shows the overflow
+    x, gain = Tensor(np.full((2, 4), 1e200)), Tensor(np.ones(4))
+    for fn in (T.rms_norm, reference_rms_norm):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            fn(x, gain)
+
+
+def test_attention_raises_where_the_scores_overflow():
+    # the first key scores -inf, which the softmax turns into a zero weight
+    q = Tensor(np.full((1, 2, 4), 1e200))
+    k = Tensor(np.array([[[-1e200] * 4, [0.0] * 4]]))
+    v = Tensor(np.ones((1, 2, 4)))
+    for fn in (T.attention, reference_attention):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            fn(q, k, v, 2, 0)
+
+
+def test_expert_ffn_raises_where_the_hidden_layer_overflows():
+    # tanh maps an infinite pre-activation to a finite 1
+    _, _, inputs = FUSED["expert_ffn"]
+    args = ([Tensor(np.full(inputs[0].shape, 1e200)), Tensor(np.full(inputs[1].shape, 1e200))]
+            + [Tensor(a) for a in inputs[2:]])
+    experts = np.array([2, 0, 2, 3, 0, 3])
+    for fn in (T.expert_ffn, reference_expert_ffn):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            fn(*args, experts)
+
+
+def test_fused_ops_check_shapes():
+    q, kv = Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros((2, 4, 8)))
+    with pytest.raises(ShapeError):
+        T.attention(q, kv, kv, 3, 1)                # 3 heads do not divide 8
+    with pytest.raises(ShapeError):
+        T.attention(q, kv, kv, 2, 2)                # 2 + 3 queries over 4 keys
+    with pytest.raises(ShapeError):
+        T.attention(q, kv, Tensor(np.zeros((2, 5, 8))), 2, 1)
+    _, _, inputs = FUSED["expert_ffn"]
+    stacks = [Tensor(a) for a in inputs]
+    with pytest.raises(ShapeError):
+        T.expert_ffn(*stacks, np.array([0, 1, 2, 3, 4, 0]))
+    with pytest.raises(ShapeError):
+        T.expert_ffn(*stacks, np.zeros(5, dtype=np.int64))
+    with pytest.raises(ShapeError):
+        T.expert_ffn(stacks[0], stacks[1], stacks[2], stacks[3], stacks[2],
+                     np.zeros(6, dtype=np.int64))
