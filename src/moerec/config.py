@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -50,6 +51,13 @@ class StageConfig:
             raise ConfigError("epochs, batch size and accumulation must be positive")
 
 
+# RunConfig field types as annotated, and the fields that count something
+_FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_AT_LEAST_ONE = ("d_emb", "latent_dim", "clusters", "enc_hidden", "model_dim", "blocks",
+                 "heads", "context", "base_experts", "base_hidden", "factor",
+                 "active_experts", "s1_batch", "s1_grad_accum", "s2_batch", "s2_grad_accum")
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs: model shape, both stages, and the root seed."""
@@ -62,7 +70,7 @@ class RunConfig:
     clusters: int = 3
     gates: int = -1              # -1 means: same as clusters
     enc_hidden: int = 64
-    encoder_attention: bool = False
+    encoder_attention: bool = False  # retired; kept so stored configs load, must be false
     model_dim: int = 64
     blocks: int = 2
     heads: int = 2
@@ -97,22 +105,49 @@ class RunConfig:
     patience: int = 3
 
     def validate(self) -> "RunConfig":
+        """Check every field's type and range, raising ConfigError (exit 1)
+        that names the field; ``gates = -1`` becomes the cluster count."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) != (f.type == "bool")
+                    or not isinstance(value, _FIELD_TYPES[f.type])):
+                raise ConfigError(f"field {f.name!r} expects {f.type}, got {value!r}")
         if self.gates == -1:
             self.gates = self.clusters
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("s1_epochs", "s1_warmup_epochs", "s2_epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("r_max", "s1_lr", "s2_lr", "s1_clip", "s2_clip"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, "
+                                  f"got {getattr(self, name)}")
+        if self.s1_joint_lr != -1 and not 0.0 < self.s1_joint_lr < math.inf:
+            raise ConfigError(f"s1_joint_lr must be -1 (same as s1_lr) or positive and "
+                              f"finite, got {self.s1_joint_lr}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be nonnegative and finite, "
+                              f"got {self.weight_decay}")
+        for name in ("alpha", "beta", "s1_warmup_beta"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.gates != self.clusters:
             raise ConfigError(
                 f"gates ({self.gates}) must equal clusters ({self.clusters})")
-        if self.clusters < 1:
-            raise ConfigError("clusters must be at least 1")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
+        if self.model_dim % self.heads != 0:
+            raise ConfigError(f"heads {self.heads} must divide model_dim {self.model_dim}")
         if self.base_hidden % self.factor != 0:
             raise ConfigError(
                 f"factor {self.factor} does not divide base hidden width {self.base_hidden}")
-        if not 0.0 <= self.alpha <= 1.0 or not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("alpha and beta must lie in [0, 1]")
-        if self.r_max <= 0:
-            raise ConfigError("r_max must be positive")
+        if self.active_experts > self.base_experts * self.factor:
+            raise ConfigError(f"active_experts {self.active_experts} exceeds the "
+                              f"{self.base_experts * self.factor} experts")
+        if self.encoder_attention:
+            raise ConfigError("encoder_attention is no longer supported; set it to false")
         return self
 
     def stage1(self) -> StageConfig:

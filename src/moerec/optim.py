@@ -19,7 +19,7 @@ def clip_grad_norm(grads: List[np.ndarray], max_norm: float) -> float:
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if total <= max_norm or total == 0.0:
         return 1.0
     scale = max_norm / total
@@ -34,6 +34,10 @@ class AdamW:
     Update per parameter p with gradient g:
         m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
         p <- p*(1 - lr*weight_decay) - lr * m_hat / (sqrt(v_hat) + eps)
+
+    The update runs in place: every temporary lives in one scratch buffer
+    of twice the largest parameter's size, viewed per parameter and made
+    once per step, so that it holds no memory between steps.
     """
 
     def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
@@ -47,6 +51,10 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self._names = sorted(self.params)
+        arrays = [p.data for p in self.params.values()]
+        self._scratch_shape = (2, max((a.size for a in arrays), default=0))
+        self._scratch_dtype = np.result_type(*arrays) if arrays else np.float64
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -55,7 +63,8 @@ class AdamW:
     def gradients(self) -> List[np.ndarray]:
         """Grad buffers in parameter order; missing grads count as zeros."""
         out = []
-        for name, p in sorted(self.params.items()):
+        for name in self._names:
+            p = self.params[name]
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
             out.append(p.grad)
@@ -63,8 +72,10 @@ class AdamW:
 
     def step(self, clip_norm: float | None = None) -> float:
         """One update over all parameters; returns the clip scale applied."""
-        for name, p in self.params.items():
-            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+        for name in self._names:
+            g = self.params[name].grad
+            # a finite sum proves every element finite (see tensor._check_finite)
+            if g is not None and not math.isfinite(g.sum()) and not np.isfinite(g).all():
                 raise TrainingError(f"non-finite gradient on parameter {name!r}")
         scale = 1.0
         if clip_norm is not None:
@@ -72,16 +83,27 @@ class AdamW:
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count
-        for name, p in sorted(self.params.items()):
+        lr, b1, b2 = self.lr, self.b1, self.b2
+        scratch = np.empty(self._scratch_shape, dtype=self._scratch_dtype)
+        for name in self._names:
+            p = self.params[name]
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.b1
-            m += (1.0 - self.b1) * g
-            v *= self.b2
-            v += (1.0 - self.b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m, v = self.m[name], self.v[name]
+            a = scratch[0, :m.size].reshape(m.shape)
+            b = scratch[1, :m.size].reshape(m.shape)
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, a)
+            v *= b2
+            np.multiply(g, 1.0 - b2, a)
+            a *= g
+            v += a
+            # a = (m / c1) / (sqrt(v / c2) + eps), the update
+            np.divide(m, c1, a)
+            np.sqrt(np.divide(v, c2, b), b)
+            b += self.eps
+            a /= b
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * update
+                p.data -= np.multiply(p.data, lr * self.weight_decay, b)
+            a *= lr
+            p.data -= a
         return scale

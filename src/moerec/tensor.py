@@ -12,11 +12,16 @@ Rules of the house:
   may switch to ``float32`` through :func:`set_default_dtype`.
 - Every operation checks its output for NaN/Inf and raises
   :class:`~moerec.errors.NumericError` rather than letting poison propagate.
-- The transformer's hot chains run as fused ops, one record each:
+- The hot chains run as fused ops, one record each. For the transformer:
   :func:`rms_norm`, :func:`attention` (head split, scaled causal scores,
   softmax, mix and head merge) and :func:`expert_ffn` (a grouped two-layer
-  expert). Their forwards and gradients equal the chains' bit for bit, and
-  they also check the intermediates that their output would hide.
+  expert). For the variational preference model: :func:`concat_rows` (the
+  embedding-pair gather), :func:`mlp` (the two-layer tanh network, which
+  shares its body with :func:`expert_ffn`), :func:`gaussian_sample` (the
+  reparameterized draw), :func:`bce_with_logits` (the reconstruction loss)
+  and :func:`mixture_kl` (the closed-form KL to a Gaussian mixture). Their
+  forwards and gradients equal the chains' bit for bit, and they also
+  check the intermediates that their output would hide.
 - Gradient accumulation never clears anything implicitly: call
   :func:`zero_grad` (or ``Tensor.zero_grad``) between optimization steps.
 - Operations executed with no active tape compute values only, so frozen
@@ -191,22 +196,21 @@ class Tape:
         backward(self, loss)
 
 
-def _active_tape() -> Optional[Tape]:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _make(out_data: np.ndarray, op: str, inputs: tuple, backward_fn: Callable) -> Tensor:
     """Wrap an op result; record it when a tape is active and grads flow."""
     _check_finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
     out.grad = None
-    tape = _active_tape()
-    tracked = tape is not None and any(t.requires_grad for t in inputs)
-    out.requires_grad = tracked
-    if tracked:
-        tape.records.append(_Record(inputs, out, backward_fn))
-        tape._output_ids.add(id(out))
+    out.requires_grad = False
+    if _TAPE_STACK:
+        for t in inputs:
+            if t.requires_grad:
+                tape = _TAPE_STACK[-1]
+                tape.records.append(_Record(inputs, out, backward_fn))
+                tape._output_ids.add(id(out))
+                out.requires_grad = True
+                break
     return out
 
 
@@ -319,13 +323,18 @@ def sigmoid(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow."""
     out = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-np.clip(a.data, -500, 500)))
+    sig = 1.0 / (1.0 + np.exp(-_clamp(a.data, -500, 500)))
     return _make(out, "softplus", (a,), lambda g: (g * sig,))
+
+
+def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """``np.clip(x, lo, hi)``, NaN included, without its Python-level wrapper."""
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values to [lo, hi]; gradient passes only strictly inside."""
-    out = np.clip(a.data, lo, hi)
+    out = _clamp(a.data, lo, hi)
     inside = (a.data > lo) & (a.data < hi)
     return _make(out, "clip", (a,), lambda g: (g * inside,))
 
@@ -376,15 +385,24 @@ def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
 
 def _group_parts(groups: np.ndarray, count: int) -> list:
     """(group, rows) for each nonempty group of `count`; `rows` is a slice
-    when `groups` is sorted, else the group's row indices in input order."""
-    if groups.size and (groups.min() < 0 or groups.max() >= count):
+    when `groups` is sorted, else the group's row indices in input order.
+    Decoding calls this for one or two rows at a time, so it makes few
+    numpy calls and walks the nonempty groups as Python ints."""
+    try:
+        counts = np.bincount(groups, minlength=count)
+    except ValueError:                           # a negative group id
+        counts = None
+    if counts is None or counts.size > count:
         raise ShapeError(f"group id outside [0, {count})")
-    counts = np.bincount(groups, minlength=count)
-    ends = np.cumsum(counts)
-    ordered = bool(np.all(groups[1:] >= groups[:-1]))
-    order = None if ordered else np.argsort(groups, kind="stable")
-    return [(g, slice(e - c, e) if ordered else order[e - c:e])
-            for g, (c, e) in enumerate(zip(counts, ends)) if c]
+    nonempty = np.flatnonzero(counts)
+    bounds, end = [], 0
+    for g, size in zip(nonempty.tolist(), counts[nonempty].tolist()):
+        bounds.append((g, end, end + size))
+        end += size
+    if (groups[1:] >= groups[:-1]).all():
+        return [(g, slice(start, stop)) for g, start, stop in bounds]
+    order = np.argsort(groups, kind="stable")
+    return [(g, order[start:stop]) for g, start, stop in bounds]
 
 
 def _grouped_forward(x: np.ndarray, w: np.ndarray, parts: list) -> np.ndarray:
@@ -406,13 +424,14 @@ def _grouped_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 # --- fused transformer ops ---
 #
-# Each replaces a chain of the ops above with one record and an analytic
-# backward rule. The forward runs the chain's numpy expressions in the
-# chain's order, so results are bit-identical to it, and checks the
-# intermediates whose overflow the output would hide (a mean-square, the
-# attention scores, an expert pre-activation), so a fused op raises
-# NumericError wherever the chain did. The chains themselves are kept as
-# oracles in moerec.verify (reference_rms_norm and friends).
+# Each fused op replaces a chain of the ops above with one record and an
+# analytic backward rule. The forward runs the chain's numpy expressions in
+# the chain's order, and the backward adds up each input's gradient terms in
+# the order of the chain's reverse sweep, so results are bit-identical to
+# it. Each also checks the intermediates whose overflow the output would
+# hide (a mean-square, the attention scores, a hidden pre-activation), so a
+# fused op raises NumericError wherever the chain did. The chains themselves
+# are kept as oracles in moerec.verify (reference_rms_norm and friends).
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """``x / sqrt(mean(x*x, axis=-1) + 1e-6) * gain``.
@@ -496,19 +515,168 @@ def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
                          f"{experts.shape} expert ids")
     parts = _group_parts(experts, count)
-    pre = _grouped_forward(rows.data, w1.data, parts) + b1.data[experts]
-    _check_finite(pre, "expert_ffn hidden layer")
-    hidden = np.tanh(pre)
-    out = _grouped_forward(hidden, w2.data, parts) + b2.data[experts]
+    return _tanh_mlp("expert_ffn", (rows, w1, b1, w2, b2),
+                     lambda x, w: _grouped_forward(x, w, parts),
+                     lambda g, x, w: _grouped_backward(g, x, w, parts),
+                     lambda b: b[experts],
+                     lambda shape, g: _index_add(shape, experts, g))
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``tanh(x @ w1 + b1) @ w2 + b2`` over the rows of `x`: the two-layer
+    network of :func:`expert_ffn` with a single expert, whose biases
+    broadcast over the rows and take the row sums as their gradients."""
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
+            or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(f"mlp shapes incompatible: x {x.shape}, w1 {w1.shape}, "
+                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
+    return _tanh_mlp("mlp", (x, w1, b1, w2, b2), np.matmul,
+                     lambda g, a, w: (g @ w.T, a.T @ g),
+                     lambda b: b,
+                     lambda shape, g: g.sum(axis=0))
+
+
+def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
+              bias: Callable, bias_back: Callable) -> Tensor:
+    """The record of :func:`mlp` and :func:`expert_ffn`. ``layer(x, w)``
+    multiplies rows by a weight and ``layer_back(g, x, w)`` returns its
+    (x, w) gradients; ``bias(b)`` is the bias added to the rows and
+    ``bias_back(shape, g)`` reduces a row gradient to it."""
+    x, w1, b1, w2, b2 = inputs
+    pre = layer(x.data, w1.data)
+    pre += bias(b1.data)
+    _check_finite(pre, f"{op} hidden layer")
+    hidden = np.tanh(pre, out=pre)
+    out = layer(hidden, w2.data)
+    out += bias(b2.data)
 
     def back(g):
-        gh, gw2 = _grouped_backward(g, hidden, w2.data, parts)
+        gh, gw2 = layer_back(g, hidden, w2.data)
         gpre = gh * (1.0 - hidden * hidden)
-        gx, gw1 = _grouped_backward(gpre, rows.data, w1.data, parts)
-        return (gx, gw1, _index_add(b1.shape, experts, gpre), gw2,
-                _index_add(b2.shape, experts, g))
+        gx, gw1 = layer_back(gpre, x.data, w1.data)
+        return gx, gw1, bias_back(b1.shape, gpre), gw2, bias_back(b2.shape, g)
 
-    return _make(out, "expert_ffn", (rows, w1, b1, w2, b2), back)
+    return _make(out, op, inputs, back)
+
+
+# --- fused ops of the variational preference model ---
+
+def concat_rows(a: Tensor, rows_a: np.ndarray, b: Tensor, rows_b: np.ndarray) -> Tensor:
+    """``concat([a[rows_a], b[rows_b]], axis=1)``: rows gathered from two
+    tables and joined side by side; indices may repeat."""
+    rows_a = np.asarray(rows_a, dtype=np.int64)
+    rows_b = np.asarray(rows_b, dtype=np.int64)
+    if a.data.ndim != 2 or b.data.ndim != 2 or rows_a.ndim != 1 or rows_a.shape != rows_b.shape:
+        raise ShapeError(f"concat_rows shapes incompatible: {a.shape} rows {rows_a.shape}, "
+                         f"{b.shape} rows {rows_b.shape}")
+    for table, idx in ((a, rows_a), (b, rows_b)):
+        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+            raise ShapeError(f"row index out of range for shape {table.shape}")
+    out = np.concatenate([a.data[rows_a], b.data[rows_b]], axis=1)
+    width = a.shape[1]
+    return _make(out, "concat_rows", (a, b),
+                 lambda g: (_index_add(a.shape, rows_a, g[:, :width]),
+                            _index_add(b.shape, rows_b, g[:, width:])))
+
+
+def gaussian_sample(mu: Tensor, log_var: Tensor, eps: np.ndarray,
+                    lo: float, hi: float) -> Tensor:
+    """``mu + eps * exp(clip(log_var, lo, hi) * 0.5)`` for constant noise
+    `eps`; the clamp passes gradient only strictly inside (lo, hi)."""
+    noise = np.asarray(eps, dtype=_default_dtype)
+    if mu.shape != log_var.shape or noise.shape != mu.shape:
+        raise ShapeError(f"gaussian_sample shapes incompatible: mu {mu.shape}, "
+                         f"log_var {log_var.shape}, eps {noise.shape}")
+    inside = (log_var.data > lo) & (log_var.data < hi)
+    with np.errstate(over="ignore"):
+        sigma = np.exp(_clamp(log_var.data, lo, hi) * 0.5)
+    out = mu.data + noise * sigma
+    return _make(out, "gaussian_sample", (mu, log_var),
+                 lambda g: (g, g * noise * sigma * 0.5 * inside))
+
+
+def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy ``softplus(x) - x * t`` of logits `x`
+    against constant targets `t`; a (B, 1) column of logits reads as (B,)."""
+    t = np.asarray(targets, dtype=_default_dtype)
+    if logits.size != t.size or t.ndim != 1:
+        raise ShapeError(f"bce_with_logits shapes incompatible: logits {logits.shape}, "
+                         f"targets {t.shape}")
+    x = logits.data.reshape(t.shape)
+    sig = 1.0 / (1.0 + np.exp(-_clamp(x, -500, 500)))
+    with np.errstate(invalid="ignore"):                 # a NaN logit raises below
+        out = np.asarray((np.logaddexp(0.0, x) - x * t).mean())
+
+    def back(g):
+        gm = np.full(t.shape, g / t.size)
+        return (((-gm) * t + gm * sig).reshape(logits.shape),)
+
+    return _make(out, "bce_with_logits", (logits,), back)
+
+
+def mixture_kl(mu: Tensor, log_var: Tensor, gamma: np.ndarray, pi_logits: Tensor,
+               means: Tensor, log_vars: Tensor, lo: float, hi: float) -> Tensor:
+    """Per-row closed-form KL from ``N(mu, diag exp(log_var))`` with
+    constant cluster responsibilities `gamma` (B, K) to a diagonal Gaussian
+    mixture with weights ``softmax(pi_logits)``, component `means` (K, D)
+    and component log-variances ``clip(log_vars, lo, hi)``; see
+    :func:`moerec.vae.kl_closed_form_batch` for the formula.
+
+    The forward runs the expressions of the op chain it replaces, in its
+    order, and the backward rule adds up each input's gradient terms in
+    the order in which the chain's reverse sweep reached them.
+    """
+    rows, dims = mu.shape if mu.data.ndim == 2 else (-1, -1)
+    clusters = pi_logits.shape[0] if pi_logits.data.ndim == 1 else -1
+    if (rows < 0 or clusters < 0 or log_var.shape != mu.shape
+            or means.shape != (clusters, dims) or log_vars.shape != means.shape
+            or np.shape(gamma) != (rows, clusters)):
+        raise ShapeError(f"mixture_kl shapes incompatible: mu {mu.shape}, log_var "
+                         f"{log_var.shape}, gamma {np.shape(gamma)}, pi_logits "
+                         f"{pi_logits.shape}, means {means.shape}, log_vars {log_vars.shape}")
+    weights = np.asarray(gamma, dtype=_default_dtype)
+    pmu, m = means.data, mu.data
+    inside = (log_vars.data > lo) & (log_vars.data < hi)
+    prior_log_var = _clamp(log_vars.data, lo, hi)
+    with np.errstate(over="ignore"):
+        inv_var = np.exp(-prior_log_var)
+        var = np.exp(log_var.data)
+    inv_var_t = inv_var.T.copy()
+    m_iv = pmu * inv_var
+    m_iv_t = m_iv.T.copy()
+    mu_sq = m * m
+    maha = ((mu_sq @ inv_var_t - (m @ m_iv_t) * 2.0) + (pmu * m_iv).sum(axis=1))
+    comp = (weights * ((var @ inv_var_t + maha) + prior_log_var.sum(axis=1))).sum(axis=1) * 0.5
+
+    shifted = pi_logits.data - pi_logits.data.max()
+    log_pi = shifted - np.log(np.exp(shifted).sum(keepdims=True))
+    gamma = np.asarray(gamma)
+    g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
+    cat = (np.asarray(g_log_g.sum(axis=1), dtype=_default_dtype)
+           - (weights @ log_pi.reshape(-1, 1))[:, 0])
+    out = ((comp + cat) + log_var.data.sum(axis=1) * -0.5) - 0.5 * dims
+
+    def back(g):
+        # gradients of the chain's intermediates: g_s of the (B, K) bracket
+        # ratio + maha + sum log vbar; g_q of the (K,) sums over components,
+        # broadcast over D; g_cross of mu @ m_iv.T; g_sq of both var and
+        # mu * mu, whose products with inv_var.T share it
+        g_s = (g * 0.5)[:, None] * weights
+        g_q = g_s.sum(axis=0)[:, None]
+        g_cross = (-g_s) * 2.0
+        g_sq = g_s @ inv_var_t.T
+        g_mu = g_cross @ m_iv_t.T + g_sq * m + g_sq * m
+        g_log_var = (g * -0.5)[:, None] + g_sq * var
+        g_log_pi = (weights.T @ (-g)[:, None]).reshape(clusters)
+        g_pi = g_log_pi - np.exp(log_pi) * g_log_pi.sum(keepdims=True)
+        g_m_iv = g_q * pmu + (m.T @ g_cross).T
+        g_means = g_q * m_iv + g_m_iv * inv_var
+        g_inv_var = ((mu_sq.T @ g_s).T + g_m_iv * pmu) + (var.T @ g_s).T
+        g_log_vars = (g_q - g_inv_var * inv_var) * inside
+        return g_mu, g_log_var, g_pi, g_means, g_log_vars
+
+    return _make(out, "mixture_kl", (mu, log_var, pi_logits, means, log_vars), back)
 
 
 def transpose(a: Tensor) -> Tensor:

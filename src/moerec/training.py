@@ -64,7 +64,7 @@ def vae_config_from(run: RunConfig, split: DatasetSplit) -> VaeConfig:
     return VaeConfig(n_users=split.n_users, n_items=split.n_items,
                      d_emb=run.d_emb, latent_dim=run.latent_dim,
                      hidden=run.enc_hidden, clusters=run.clusters,
-                     r_max=run.r_max, encoder_attention=run.encoder_attention)
+                     r_max=run.r_max)
 
 
 def lm_config_from(run: RunConfig, vocab_size: int) -> LmConfig:
@@ -387,7 +387,7 @@ def _load(path, stage: str) -> tuple:
     vae = VaeGmm(VaeConfig(n_users=len(users), n_items=len(items),
                            d_emb=run.d_emb, latent_dim=run.latent_dim,
                            hidden=run.enc_hidden, clusters=run.clusters,
-                           r_max=run.r_max, encoder_attention=run.encoder_attention),
+                           r_max=run.r_max),
                  _ZeroRng())
     vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
     params = vae.params()

@@ -18,6 +18,14 @@ Conventions fixed here and relied on by the rest of the package:
 - responsibilities used inside the closed-form KL are evaluated at the
   current latent sample and treated as constants: no gradient flows
   through them, only through mu, log-variance, and the prior parameters.
+
+The training step runs on fused tensor ops, one tape record each: the
+embedding-pair gather (:func:`~moerec.tensor.concat_rows`), the encoder
+and decoder networks (:func:`~moerec.tensor.mlp`), the reparameterized
+draw (:func:`~moerec.tensor.gaussian_sample`), the reconstruction loss
+(:func:`~moerec.tensor.bce_with_logits`) and the closed-form KL
+(:func:`~moerec.tensor.mixture_kl`). The op chains they replace are kept
+as oracles in :mod:`moerec.verify`.
 """
 
 from __future__ import annotations
@@ -47,7 +55,6 @@ class VaeConfig:
     hidden: int = 64
     clusters: int = 3
     r_max: float = 5.0
-    encoder_attention: bool = False
 
 
 class EmbeddingTables:
@@ -71,7 +78,8 @@ class EmbeddingTables:
     def unk_item(self) -> int:
         return self.n_items
 
-    def lookup(self, users: np.ndarray, items: np.ndarray) -> tuple:
+    def lookup(self, users: np.ndarray, items: np.ndarray) -> Tensor:
+        """The (B, 2 * d_emb) rows ``[user embedding | item embedding]``."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if users.size and (users.min() < 0 or users.max() > self.n_users):
@@ -80,52 +88,23 @@ class EmbeddingTables:
         if items.size and (items.min() < 0 or items.max() > self.n_items):
             raise TableLookupError(
                 f"item index out of range [0, {self.n_items}]: {items.min()}..{items.max()}")
-        return T.take_rows(self.user, users), T.take_rows(self.item, items)
+        return T.concat_rows(self.user, users, self.item, items)
 
 
 class Encoder:
-    """Two-layer map from the concatenated pair embedding to (mu, log-var).
-
-    With ``encoder_attention`` enabled, the user and item embeddings first
-    exchange information through one two-token self-attention round before
-    the feed-forward layers.
-    """
+    """Two-layer map from the concatenated pair embedding to (mu, log-var)."""
 
     def __init__(self, config: VaeConfig, rng: Rng):
         d, h, out = 2 * config.d_emb, config.hidden, 2 * config.latent_dim
         self.latent_dim = config.latent_dim
-        self.attention = config.encoder_attention
-        de = config.d_emb
-        if self.attention:
-            s = 1.0 / math.sqrt(de)
-            self.wq = Tensor(rng.normal(de * de).reshape(de, de) * s, requires_grad=True)
-            self.wk = Tensor(rng.normal(de * de).reshape(de, de) * s, requires_grad=True)
-            self.wv = Tensor(rng.normal(de * de).reshape(de, de) * s, requires_grad=True)
         self.w1 = Tensor(rng.normal(d * h).reshape(d, h) / math.sqrt(d), requires_grad=True)
         self.b1 = Tensor(np.zeros(h), requires_grad=True)
         self.w2 = Tensor(rng.normal(h * out).reshape(h, out) / math.sqrt(h), requires_grad=True)
         self.b2 = Tensor(np.zeros(out), requires_grad=True)
 
-    def _attend(self, u_emb: Tensor, i_emb: Tensor) -> tuple:
-        scale = 1.0 / math.sqrt(u_emb.shape[1])
-        qu, qi = u_emb @ self.wq, i_emb @ self.wq
-        ku, ki = u_emb @ self.wk, i_emb @ self.wk
-        vu, vi = u_emb @ self.wv, i_emb @ self.wv
-
-        def mix(q, a_self, a_other, v_self, v_other):
-            s_self = (q * a_self).sum(axis=1, keepdims=True) * scale
-            s_other = (q * a_other).sum(axis=1, keepdims=True) * scale
-            w = T.softmax(T.concat([s_self, s_other], axis=1), axis=1)
-            return v_self * w[:, 0:1] + v_other * w[:, 1:2]
-
-        return u_emb + mix(qu, ku, ki, vu, vi), i_emb + mix(qi, ki, ku, vi, vu)
-
-    def forward(self, u_emb: Tensor, i_emb: Tensor) -> tuple:
-        if self.attention:
-            u_emb, i_emb = self._attend(u_emb, i_emb)
-        x = T.concat([u_emb, i_emb], axis=1)
-        h = T.tanh(x @ self.w1 + self.b1)
-        out = h @ self.w2 + self.b2
+    def forward(self, pairs: Tensor) -> tuple:
+        """(mu, log_var) for (B, 2 * d_emb) pair rows."""
+        out = T.mlp(pairs, self.w1, self.b1, self.w2, self.b2)
         return out[:, : self.latent_dim], out[:, self.latent_dim:]
 
 
@@ -140,9 +119,12 @@ class Decoder:
         self.w2 = Tensor(rng.normal(h).reshape(h, 1) / math.sqrt(h), requires_grad=True)
         self.b2 = Tensor(np.zeros(1), requires_grad=True)
 
+    def forward(self, z: Tensor) -> Tensor:
+        """The (B, 1) column of rating logits."""
+        return T.mlp(z, self.w1, self.b1, self.w2, self.b2)
+
     def logit(self, z: Tensor) -> Tensor:
-        h = T.tanh(z @ self.w1 + self.b1)
-        return (h @ self.w2 + self.b2)[:, 0]
+        return self.forward(z)[:, 0]
 
 
 class GmmPrior:
@@ -181,12 +163,6 @@ class GmmPrior:
     def var(self) -> np.ndarray:
         """Component variances with the documented floor applied."""
         return np.exp(np.clip(self.log_var.data, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX))
-
-    def log_pi_tensor(self) -> Tensor:
-        return T.log_softmax(self.pi_logits, axis=-1)
-
-    def clamped_log_var_tensor(self) -> Tensor:
-        return T.clip(self.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
 
 
 @dataclass
@@ -257,14 +233,14 @@ def reparameterize(mu: Tensor, log_var: Tensor, rng: Rng,
     through mu and log_var only, never through eps. `eps_override` is a
     test hook for deterministic paths (e.g. eps = 0 pins z to the mean).
     """
-    clamped = T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
     if eps_override is None:
-        eps = rng.normal(int(np.prod(mu.shape))).reshape(mu.shape)
+        eps = rng.normal(mu.size).reshape(mu.shape)
     else:
         eps = np.broadcast_to(np.asarray(eps_override, dtype=np.float64), mu.shape).copy()
-    sigma = T.exp(clamped * 0.5)
-    z = mu + Tensor(eps) * sigma
-    return LatentSample(mu=mu, log_var=clamped, eps=eps, z=z)
+    z = T.gaussian_sample(mu, log_var, eps, LOG_VAR_MIN, LOG_VAR_MAX)
+    # the draw clamps inside its op; the KL term takes the clamped tensor
+    return LatentSample(mu=mu, log_var=T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX),
+                        eps=eps, z=z)
 
 
 def kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
@@ -280,30 +256,12 @@ def kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
     gamma enters as a constant (already normalized); zero entries follow
     the 0 * log(pi/0) = 0 convention. Differentiable in mu, log_var and
     all prior parameters. Returns a (B,) tensor of per-row KL values,
-    each nonnegative up to sampling of gamma.
+    each nonnegative up to sampling of gamma. The component log-variances
+    are clamped to [log 1e-4, 10] first. Runs as one fused op,
+    :func:`moerec.tensor.mixture_kl`.
     """
-    gamma = np.atleast_2d(gamma)
-    dims = mu.shape[1]
-    gamma_t = Tensor(gamma)
-
-    prior_log_var = prior.clamped_log_var_tensor()
-    inv_var = T.exp(-prior_log_var)
-    var = T.exp(log_var)
-
-    sum_log_vbar = prior_log_var.sum(axis=1)                     # (K,)
-    ratio = var @ inv_var.T                                      # (B,K)
-    m_iv = prior.mu * inv_var
-    maha = ((mu * mu) @ inv_var.T
-            - (mu @ m_iv.T) * 2.0
-            + (prior.mu * m_iv).sum(axis=1))                     # (B,K)
-    comp = (gamma_t * (ratio + maha + sum_log_vbar)).sum(axis=1) * 0.5
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
-    cat = Tensor(g_log_g.sum(axis=1)) - (gamma_t @ prior.log_pi_tensor().reshape(-1, 1))[:, 0]
-
-    entropy = log_var.sum(axis=1) * -0.5
-    return comp + cat + entropy - 0.5 * dims
+    return T.mixture_kl(mu, log_var, np.atleast_2d(gamma), prior.pi_logits, prior.mu,
+                        prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
 
 
 def kl_closed_form(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
@@ -359,7 +317,7 @@ class VaeGmm:
         self.prior = GmmPrior.standard_normal(1, config.latent_dim)
 
     def params(self) -> dict:
-        out = {
+        return {
             "vae.embeddings.user": self.tables.user,
             "vae.embeddings.item": self.tables.item,
             "vae.encoder.w1": self.encoder.w1,
@@ -374,19 +332,13 @@ class VaeGmm:
             "vae.gmm.mu": self.prior.mu,
             "vae.gmm.log_var": self.prior.log_var,
         }
-        if self.encoder.attention:
-            out["vae.encoder.wq"] = self.encoder.wq
-            out["vae.encoder.wk"] = self.encoder.wk
-            out["vae.encoder.wv"] = self.encoder.wv
-        return out
 
     def encode(self, users, items) -> tuple:
         """(mu, log_var) for a batch of index arrays, or single indices."""
         single = np.isscalar(users) or (np.ndim(users) == 0)
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        u_emb, i_emb = self.tables.lookup(users, items)
-        mu, log_var = self.encoder.forward(u_emb, i_emb)
+        mu, log_var = self.encoder.forward(self.tables.lookup(users, items))
         if single:
             return mu.reshape(-1), log_var.reshape(-1)
         return mu, log_var
@@ -431,8 +383,7 @@ def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
 
     mu, log_var = model.encode(np.atleast_1d(users), np.atleast_1d(items))
     sample = reparameterize(mu, log_var, rng, eps_override=eps_override)
-    logit = model.decoder.logit(sample.z)
-    bce = (T.softplus(logit) - logit * Tensor(ratings_norm)).mean()
+    bce = T.bce_with_logits(model.decoder.forward(sample.z), ratings_norm)
     if beta == 0.0:
         return bce
     gamma = (gamma_override if gamma_override is not None

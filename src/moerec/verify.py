@@ -37,7 +37,18 @@ from .moe import (
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
-from .vae import GmmPrior, gmm_posterior_batch, kl_closed_form, mc_kl_estimate
+from .vae import (
+    LOG_VAR_MAX,
+    LOG_VAR_MIN,
+    PRIOR_VAR_FLOOR,
+    GmmPrior,
+    VaeConfig,
+    VaeGmm,
+    elbo_loss,
+    gmm_posterior_batch,
+    kl_closed_form,
+    mc_kl_estimate,
+)
 
 
 @dataclass
@@ -199,11 +210,98 @@ def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     return T.grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
 
 
+def reference_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """:func:`moerec.tensor.mlp` as two matmuls, two bias adds and a tanh."""
+    return T.tanh(x @ w1 + b1) @ w2 + b2
+
+
+def reference_concat_rows(a: Tensor, rows_a: np.ndarray, b: Tensor,
+                          rows_b: np.ndarray) -> Tensor:
+    """:func:`moerec.tensor.concat_rows` as two row gathers and a concat."""
+    return T.concat([T.take_rows(a, rows_a), T.take_rows(b, rows_b)], axis=1)
+
+
+def reference_gaussian_sample(mu: Tensor, log_var: Tensor, eps: np.ndarray,
+                              lo: float, hi: float) -> Tensor:
+    """:func:`moerec.tensor.gaussian_sample` as a clip, a scale, an exp, a
+    product with the noise and a sum."""
+    return mu + Tensor(eps) * T.exp(T.clip(log_var, lo, hi) * 0.5)
+
+
+def reference_bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """:func:`moerec.tensor.bce_with_logits` as a column slice, a softplus,
+    a product, a difference and a mean."""
+    x = logits[:, 0]
+    return (T.softplus(x) - x * Tensor(targets)).mean()
+
+
+def reference_kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
+                                   prior: GmmPrior) -> Tensor:
+    """:func:`moerec.vae.kl_closed_form_batch` as the chain of elementwise
+    ops, matmuls and reductions that :func:`moerec.tensor.mixture_kl`
+    replaces."""
+    gamma = np.atleast_2d(gamma)
+    dims = mu.shape[1]
+    gamma_t = Tensor(gamma)
+
+    prior_log_var = T.clip(prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
+    inv_var = T.exp(-prior_log_var)
+    var = T.exp(log_var)
+
+    sum_log_vbar = prior_log_var.sum(axis=1)                     # (K,)
+    ratio = var @ inv_var.T                                      # (B,K)
+    m_iv = prior.mu * inv_var
+    maha = ((mu * mu) @ inv_var.T
+            - (mu @ m_iv.T) * 2.0
+            + (prior.mu * m_iv).sum(axis=1))                     # (B,K)
+    comp = (gamma_t * (ratio + maha + sum_log_vbar)).sum(axis=1) * 0.5
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
+    log_pi = T.log_softmax(prior.pi_logits, axis=-1)
+    cat = Tensor(g_log_g.sum(axis=1)) - (gamma_t @ log_pi.reshape(-1, 1))[:, 0]
+
+    entropy = log_var.sum(axis=1) * -0.5
+    return comp + cat + entropy - 0.5 * dims
+
+
+def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
+                        eps_override=None, gamma_override=None) -> Tensor:
+    """:func:`moerec.vae.elbo_loss` as the op chains above, drawing the same
+    noise from `rng`; the clamped log-variance feeds both the sample and
+    the KL term, as it did before the draw became one op."""
+    u_emb = T.take_rows(model.tables.user, np.atleast_1d(users))
+    i_emb = T.take_rows(model.tables.item, np.atleast_1d(items))
+    enc, dec = model.encoder, model.decoder
+    out = reference_mlp(T.concat([u_emb, i_emb], axis=1), enc.w1, enc.b1, enc.w2, enc.b2)
+    mu, log_var = out[:, :enc.latent_dim], out[:, enc.latent_dim:]
+    clamped = T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
+    if eps_override is None:
+        eps = rng.normal(mu.size).reshape(mu.shape)
+    else:
+        eps = np.broadcast_to(np.asarray(eps_override, dtype=np.float64), mu.shape).copy()
+    z = mu + Tensor(eps) * T.exp(clamped * 0.5)
+    bce = reference_bce_with_logits(reference_mlp(z, dec.w1, dec.b1, dec.w2, dec.b2),
+                                    np.asarray(ratings_norm, dtype=np.float64))
+    if beta == 0.0:
+        return bce
+    gamma = (gamma_override if gamma_override is not None
+             else gmm_posterior_batch(model.prior, z.data))
+    return bce + beta * reference_kl_closed_form_batch(mu, clamped, gamma, model.prior).mean()
+
+
+# the fused ops of each model, by the names fused_cases gives them
+FUSED_OPS = {"moe": ("rms_norm", "attention", "expert_ffn"),
+             "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl")}
+
+
 def fused_cases(seed: int) -> dict:
     """name -> (fused op, its reference chain, input arrays). The layouts
     cover several rows; two sequences of three queries, after no cached
-    keys and after two, under 1, 2 and 4 heads; and expert groups in no
-    order, one of the four experts getting no rows."""
+    keys and after two, under 1, 2 and 4 heads; expert groups in no order,
+    one of the four experts getting no rows; repeated table rows; and
+    log-variances on both sides of their clamps, with a zero
+    responsibility."""
     rng = Rng(seed)
 
     def normal(*shape) -> np.ndarray:
@@ -221,6 +319,36 @@ def fused_cases(seed: int) -> dict:
         lambda *stacks: T.expert_ffn(*stacks, experts),
         lambda *stacks: reference_expert_ffn(*stacks, experts),
         [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
+
+    cases["mlp"] = (T.mlp, reference_mlp,
+                    [normal(5, 4), normal(4, 6), normal(6), normal(6, 3), normal(3)])
+    rows_a, rows_b = np.array([0, 2, 0, 3, 2]), np.array([1, 0, 1, 2, 0])
+    cases["concat_rows"] = (
+        lambda a, b: T.concat_rows(a, rows_a, b, rows_b),
+        lambda a, b: reference_concat_rows(a, rows_a, b, rows_b),
+        [normal(4, 3), normal(3, 2)])
+    eps = normal(5, 3)
+    cases["gaussian_sample"] = (
+        lambda mu, log_var: T.gaussian_sample(mu, log_var, eps, -1.0, 1.0),
+        lambda mu, log_var: reference_gaussian_sample(mu, log_var, eps, -1.0, 1.0),
+        [normal(5, 3), normal(5, 3) * 1.5])
+    targets = rng.uniform(6)
+    cases["bce_with_logits"] = (
+        lambda logits: T.bce_with_logits(logits, targets),
+        lambda logits: reference_bce_with_logits(logits, targets),
+        [normal(6, 1) * 2.0])
+    scores = np.exp(normal(4, 3))
+    scores[1, 2] = 0.0
+    gamma = scores / scores.sum(axis=1, keepdims=True)
+    floor = math.log(PRIOR_VAR_FLOOR)
+    log_vars = normal(3, 3) * 0.3
+    log_vars[2, 1] = floor - 0.5
+
+    cases["mixture_kl"] = (
+        lambda mu, log_var, *mix: T.mixture_kl(mu, log_var, gamma, *mix, floor, LOG_VAR_MAX),
+        lambda mu, log_var, *mix: reference_kl_closed_form_batch(mu, log_var, gamma,
+                                                                 GmmPrior(*mix)),
+        [normal(4, 3) * 0.8, normal(4, 3) * 0.4, normal(3), normal(3, 3), log_vars])
     return cases
 
 
@@ -379,7 +507,7 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
         results.append(CheckResult(f"grads.{name}", err <= 1e-4,
                                    f"max relative error {err:.2e} over {seeds} seeds"))
 
-    for op in ("rms_norm", "attention", "expert_ffn"):
+    for op in FUSED_OPS["moe"] + FUSED_OPS["vae"]:
         cases = [case for name, case in fused_cases(3200).items()
                  if name.split(".")[0] == op]
         err = max(fused_grad_error(fused, inputs, wrt)
@@ -444,15 +572,7 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     results.append(CheckResult("moe.grouped_matches_loop", gap <= 1e-12,
                                f"max gap {gap:.1e} over 5 layouts, mixed gates"))
 
-    exact, gap = True, 0.0
-    for case_seed in (seed, seed + 1):
-        for fused, reference, inputs in fused_cases(case_seed).values():
-            same, case_gap = fused_gap(fused, reference, inputs, case_seed)
-            exact &= same
-            gap = max(gap, case_gap)
-    results.append(CheckResult("moe.fused_ops_match_reference", exact and gap <= 1e-12,
-                               f"forwards {'equal' if exact else 'differ'}, "
-                               f"max gradient gap {gap:.1e}"))
+    results.append(_fused_ops_check("moe", seed))
 
     logits = Rng(9).normal(12)
     shift_ok = np.array_equal(top_k_select(logits, 4), top_k_select(logits + 1e6, 4))
@@ -462,6 +582,61 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
               for gates in (1, 2, 3) for renormalize in (False, True))
     results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
                                f"max logit gap {gap:.1e} over every decode step"))
+    return results
+
+
+def _fused_ops_check(model: str, seed: int) -> CheckResult:
+    """Each fused op of `model` against its reference chain, on two seeds."""
+    exact, gap = True, 0.0
+    for case_seed in (seed, seed + 1):
+        for name, (fused, reference, inputs) in fused_cases(case_seed).items():
+            if name.split(".")[0] in FUSED_OPS[model]:
+                same, case_gap = fused_gap(fused, reference, inputs, case_seed)
+                exact &= same
+                gap = max(gap, case_gap)
+    return CheckResult(f"{model}.fused_ops_match_reference", exact and gap <= 1e-12,
+                       f"forwards {'equal' if exact else 'differ'}, max gradient gap {gap:.1e}")
+
+
+def fused_elbo_gap(seed: int, beta: float) -> tuple:
+    """(losses equal bit for bit, largest gradient gap over every parameter)
+    between :func:`moerec.vae.elbo_loss` and :func:`reference_elbo_loss` on
+    one batch of a small model with a three-component prior; one
+    posterior log-variance is pushed past its clamp."""
+    rng = Rng(seed)
+    model = VaeGmm(VaeConfig(n_users=7, n_items=5, d_emb=4, latent_dim=3, hidden=6,
+                             clusters=3), rng.substream("init"))
+    model.prior = GmmPrior(rng.normal(3), rng.normal(9).reshape(3, 3),
+                           rng.normal(9).reshape(3, 3) * 0.3)
+    model.encoder.b2.data[4] = 20.0          # log-variance column 1 sits above 10
+    users, items = np.array([0, 3, 6, 3, 1, 7]), np.array([4, 0, 2, 2, 5, 1])
+    ratings = rng.uniform(6)
+    losses, grads = [], []
+    for fn in (elbo_loss, reference_elbo_loss):
+        for p in model.params().values():
+            p.grad = None
+        with T.Tape() as tape:
+            loss = fn(model, users, items, ratings, beta, Rng(seed + 1))
+            tape.backward(loss)
+        losses.append(loss.data)
+        # with beta = 0 the prior gets no gradient; -1 marks that, on both sides
+        grads.append([np.full_like(p.data, -1.0) if p.grad is None else p.grad
+                      for p in model.params().values()])
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(*grads))
+    return bool(np.array_equal(*losses)), gap
+
+
+def verify_vae(seed: int = 71) -> List[CheckResult]:
+    results = [_fused_ops_check("vae", seed)]
+    exact, gap = True, 0.0
+    for case_seed in (seed, seed + 1):
+        for beta in (0.0, 0.1, 1.0):
+            same, case_gap = fused_elbo_gap(case_seed, beta)
+            exact &= same
+            gap = max(gap, case_gap)
+    results.append(CheckResult("vae.fused_elbo_matches_reference", exact and gap <= 1e-12,
+                               f"losses {'equal' if exact else 'differ'}, max gradient gap "
+                               f"{gap:.1e} over every parameter, beta 0, 0.1 and 1"))
     return results
 
 
@@ -511,6 +686,7 @@ SUITES = {
     "kl": verify_kl,
     "moe": verify_moe,
     "metrics": verify_metrics,
+    "vae": verify_vae,
 }
 
 

@@ -215,6 +215,8 @@ BAD_BUNDLE_CONTENT = {
     "ill-typed config value": (lambda m: m["config"].update(d_emb="four"), ConfigError,
                                "d_emb"),
     "config not an object": (lambda m: m.update(config=[]), ConfigError, "config"),
+    "encoder attention on": (lambda m: m["config"].update(encoder_attention=True),
+                             ConfigError, "encoder_attention"),
     "missing vocab sidecar": (None, DataError, "vocabulary"),
     "no stage": (_drop("stage"), DataError, "'stage'"),
     "no config": (_drop("config"), DataError, "'config'"),

@@ -103,6 +103,21 @@ def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace,
     assert "clusters" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("d_emb", "0"), ("model_dim", "0"), ("heads", "0"), ("factor", "0"),
+    ("s1_clip", "0"), ("s2_clip", "0"), ("latent_dim", "0"), ("enc_hidden", "0"),
+    ("s1_lr", "-1"), ("encoder_attention", "true"),
+])
+def test_train_rejects_out_of_range_config(workspace, tmp_path, capsys, field, value):
+    code = run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
+                   "--config", str(workspace["cfg"]),
+                   "--out", str(tmp_path / "x.ckpt"), f"--{field}", value)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
 def test_train_rejects_malformed_data(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"user": "u", "item": "i", "rating": -1, "features": [], '

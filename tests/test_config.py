@@ -79,3 +79,34 @@ def test_bad_numeric_rejected():
         load_config(None, {"s1_lr": "fast"})
     with pytest.raises(ConfigError):
         load_config(None, {"blocks": "two"})
+
+
+def test_every_field_is_range_checked():
+    for field, value in [("blocks", "0"), ("context", "0"), ("base_experts", "0"),
+                         ("active_experts", "0"), ("active_experts", "13"),
+                         ("s1_batch", "0"), ("s2_grad_accum", "0"), ("s1_epochs", "-1"),
+                         ("patience", "-1"), ("s2_lr", "0"), ("s1_lr", "NaN"),
+                         ("r_max", "Infinity"), ("s1_joint_lr", "0"), ("weight_decay", "-0.1"),
+                         ("beta", "2"), ("s1_warmup_beta", "-0.5"), ("model_dim", "63")]:
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {field: value})
+        assert field in str(err.value), field
+
+
+def test_direct_construction_checks_types():
+    from moerec.config import RunConfig
+    with pytest.raises(ConfigError):
+        RunConfig(d_emb=8.5).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(early_stop=1).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(clusters=True).validate()
+    assert RunConfig(s1_lr=1).validate().s1_lr == 1
+
+
+def test_encoder_attention_must_stay_off():
+    # the field is kept only so that stored configs and checkpoints load
+    assert load_config(None, {"encoder_attention": "false"}).encoder_attention is False
+    with pytest.raises(ConfigError) as err:
+        load_config(None, {"encoder_attention": "true"})
+    assert "encoder_attention" in str(err.value)

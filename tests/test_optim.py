@@ -86,3 +86,70 @@ def test_adamw_step_counter_and_moment_shapes():
     opt.step()
     opt.step()
     assert opt.step_count == 2
+
+
+class ReferenceAdamW:
+    """The update as written before it ran in place: fresh temporaries for
+    every product, quotient and square root."""
+
+    def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params = dict(params)
+        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
+        self.b1, self.b2 = betas
+        self.step_count = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def step(self, clip_norm):
+        grads = []
+        for name, p in sorted(self.params.items()):
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+            grads.append(p.grad)
+        scale = clip_grad_norm(grads, clip_norm)
+        self.step_count += 1
+        c1 = 1.0 - self.b1 ** self.step_count
+        c2 = 1.0 - self.b2 ** self.step_count
+        for name, p in sorted(self.params.items()):
+            g = p.grad
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.b1
+            m += (1.0 - self.b1) * g
+            v *= self.b2
+            v += (1.0 - self.b2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            if self.weight_decay:
+                p.data -= self.lr * self.weight_decay * p.data
+            p.data -= self.lr * update
+        return scale
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_in_place_adamw_matches_the_reference_update(dtype, weight_decay):
+    from moerec import tensor as T
+    shapes = {"w": (7, 5), "b": (5,), "c": (1,), "stack": (3, 4, 2)}
+    T.set_default_dtype(dtype)
+    try:
+        init = {k: Rng(1).normal(int(np.prod(s))).reshape(s) for k, s in shapes.items()}
+        ours = {k: Tensor(a, requires_grad=True) for k, a in init.items()}
+        theirs = {k: Tensor(a, requires_grad=True) for k, a in init.items()}
+        opt = AdamW(ours, lr=0.05, weight_decay=weight_decay)
+        ref = ReferenceAdamW(theirs, lr=0.05, weight_decay=weight_decay)
+        for step in range(40):
+            for k, s in shapes.items():
+                if (step + len(k)) % 5 == 0:
+                    continue                       # this parameter gets no gradient
+                g = Rng(100 + step).normal(int(np.prod(s))).reshape(s).astype(dtype)
+                ours[k].grad, theirs[k].grad = g.copy(), g.copy()
+            scales = opt.step(clip_norm=0.5), ref.step(clip_norm=0.5)
+            assert scales[0] == scales[1] < 1.0    # clipping is active on every step
+            opt.zero_grad()
+            for p in theirs.values():
+                p.grad = None
+    finally:
+        T.set_default_dtype("float64")
+    for k in shapes:
+        assert ours[k].data.dtype == np.dtype(dtype)
+        assert np.array_equal(ours[k].data, theirs[k].data), k

@@ -13,8 +13,11 @@ from moerec.verify import (
     fused_grad_error,
     reference_attention,
     reference_expert_ffn,
+    reference_kl_closed_form_batch,
+    reference_mlp,
     reference_rms_norm,
 )
+from moerec.vae import GmmPrior
 
 
 def test_matmul_identity():
@@ -389,7 +392,7 @@ def test_index_add_equals_add_at_with_duplicates(dtype):
     assert got.dtype == dtype and np.array_equal(got, expected)
 
 
-# --- fused transformer ops against the chains they replace ---
+# --- fused ops against the chains they replace ---
 
 FUSED = fused_cases(5)
 
@@ -482,3 +485,68 @@ def test_fused_ops_check_shapes():
     with pytest.raises(ShapeError):
         T.expert_ffn(stacks[0], stacks[1], stacks[2], stacks[3], stacks[2],
                      np.zeros(6, dtype=np.int64))
+
+
+def test_mlp_raises_where_the_hidden_layer_overflows():
+    # tanh maps an infinite pre-activation to a finite 1
+    _, _, inputs = FUSED["mlp"]
+    args = ([Tensor(np.full(inputs[0].shape, 1e200)), Tensor(np.full(inputs[1].shape, 1e200))]
+            + [Tensor(a) for a in inputs[2:]])
+    for fn in (T.mlp, reference_mlp):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            fn(*args)
+
+
+@pytest.mark.parametrize("wrt,value", [(0, 1e200), (1, 1000.0)])
+def test_mixture_kl_raises_where_its_terms_overflow(wrt, value):
+    # mu * mu and exp(log_var) overflow; the chain stops at that op
+    fused, reference, inputs = FUSED["mixture_kl"]
+    args = [Tensor(a) for a in inputs]
+    args[wrt] = Tensor(np.full(inputs[wrt].shape, value))
+    for fn in (fused, reference):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            fn(*args)
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_group_ids_outside_the_range_raise(bad):
+    _, _, inputs = FUSED["expert_ffn"]                  # four experts
+    ids = np.array([0, 1, 2, 3, bad, 0])
+    with pytest.raises(ShapeError):
+        T.expert_ffn(*[Tensor(a) for a in inputs], ids)
+    with pytest.raises(ShapeError):
+        T.grouped_matmul(Tensor(inputs[0]), Tensor(inputs[1]), ids)
+
+
+def test_mixture_kl_raises_where_the_mixture_log_weights_overflow():
+    # a log-weight of -inf meets only zero responsibilities: 0 * -inf is NaN
+    fused, reference, inputs = FUSED["mixture_kl"]
+    args = [Tensor(a) for a in inputs]
+    args[2] = Tensor(np.array([1e308, -1e308, 0.0]))
+    gamma = np.array([[0.4, 0.0, 0.6], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
+    prior = GmmPrior(*args[2:])
+    for fn in (lambda: T.mixture_kl(*args[:2], gamma, *args[2:], -9.0, 10.0),
+               lambda: reference_kl_closed_form_batch(*args[:2], gamma, prior)):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            fn()
+
+
+def test_vae_fused_ops_check_shapes():
+    a, b = Tensor(np.zeros((4, 3))), Tensor(np.zeros((3, 2)))
+    with pytest.raises(ShapeError):
+        T.concat_rows(a, np.array([0, 4]), b, np.array([0, 1]))     # row 4 of 4
+    with pytest.raises(ShapeError):
+        T.concat_rows(a, np.array([0, -1]), b, np.array([0, 1]))
+    with pytest.raises(ShapeError):
+        T.concat_rows(a, np.array([0, 1]), b, np.array([0]))
+    with pytest.raises(ShapeError):
+        T.mlp(a, Tensor(np.zeros((3, 5))), Tensor(np.zeros(4)), Tensor(np.zeros((5, 2))),
+              Tensor(np.zeros(2)))
+    with pytest.raises(ShapeError):
+        T.gaussian_sample(a, Tensor(np.zeros((4, 2))), np.zeros((4, 3)), -1.0, 1.0)
+    with pytest.raises(ShapeError):
+        T.bce_with_logits(Tensor(np.zeros((4, 1))), np.zeros(3))
+    _, _, inputs = FUSED["mixture_kl"]
+    args = [Tensor(x) for x in inputs]
+    with pytest.raises(ShapeError):
+        T.mixture_kl(args[0], args[1], np.full((4, 2), 0.5), *args[2:], -9.0, 10.0)

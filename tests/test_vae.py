@@ -70,15 +70,6 @@ def test_encode_out_of_range_id():
         model.encode(99, 0)
 
 
-def test_encoder_attention_variant_runs_and_differs():
-    plain = tiny_model(seed=4)
-    attn = tiny_model(seed=4, encoder_attention=True)
-    mu_a, _ = attn.encode(1, 2)
-    assert mu_a.shape == (8,)
-    assert not np.allclose(mu_a.data, plain.encode(1, 2)[0].data)
-    assert "vae.encoder.wq" in attn.params()
-
-
 def test_decode_zero_weights_is_half():
     model = tiny_model()
     for t in (model.decoder.w1, model.decoder.b1, model.decoder.w2, model.decoder.b2):
@@ -398,6 +389,27 @@ def test_elbo_gradients_all_parameter_groups():
         finally:
             swap_param(model, name, param)
         assert err <= 1e-4, f"{name}: {err}"
+
+
+def test_stage1_step_tape_records():
+    # a joint-phase step as train_stage1 records it: the ELBO with the KL
+    # term, then the gradient-accumulation scale (61 records as op chains)
+    model = tiny_model(seed=13)
+    model.prior = random_prior(5, 3, 8)
+    with Tape() as tape:
+        loss = elbo_loss(model, [0, 1, 2, 3], [1, 2, 3, 4], [0.2, 0.4, 0.6, 0.9],
+                         beta=0.1, rng=Rng(31))
+        tape.backward(loss * 1.0)
+    assert len(tape.records) <= 15
+    assert all(p.grad is not None for p in model.params().values())
+
+
+def test_fused_elbo_matches_its_reference_chain():
+    from moerec.verify import fused_elbo_gap, verify_vae
+    for beta in (0.0, 0.1):
+        same, gap = fused_elbo_gap(4, beta)
+        assert same and gap == 0.0, (beta, gap)
+    assert all(check.passed for check in verify_vae())
 
 
 # --- prior initialization ---
