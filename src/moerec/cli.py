@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .checkpoint import read_manifest
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, read_fields
 from .data import (
     SynthSpec,
     corpus_stats,
@@ -127,27 +127,9 @@ def build_parser() -> _Parser:
 
 # --- subcommand bodies ---
 
-def _load_synth_spec(path, seed_override) -> SynthSpec:
-    values = {}
-    if path is not None:
-        known = {f.name for f in dataclasses.fields(SynthSpec)}
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                key, eq, raw = stripped.partition("=")
-                key = key.strip()
-                if not eq or key not in known:
-                    raise ConfigError(f"spec line {line_no}: unknown field {key!r}")
-                values[key] = json.loads(raw.strip())
-    if seed_override is not None:
-        values["seed"] = int(seed_override)
-    return SynthSpec(**values)
-
-
 def cmd_synth(args) -> int:
-    spec = _load_synth_spec(args.spec, args.seed)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    spec = SynthSpec(**read_fields(SynthSpec, args.spec, seed, kind="spec"))
     records, labels = generate_synthetic(spec)
     save_records(records, args.out)
     labels_path = args.labels or f"{args.out}.labels.tsv"

@@ -210,31 +210,42 @@ def _coerce(name: str, value, target_type) -> object:
     return str(value)
 
 
-def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Config from an optional file plus overrides; unknown keys fail."""
-    known = {f.name: (f.type if isinstance(f.type, str) else f.type.__name__)
-             for f in fields(RunConfig)}
+def read_fields(cls, path=None, overrides: dict | None = None,
+                kind: str = "config") -> dict:
+    """Field values of the dataclass `cls` from an optional ``key = value``
+    file plus overrides, each coerced to its field's type. Unreadable files,
+    unknown keys and values of the wrong type raise ConfigError."""
     types = {"int": int, "float": float, "bool": bool, "str": str}
+    known = {f.name: types.get(f.type if isinstance(f.type, str) else f.type.__name__, str)
+             for f in fields(cls)}
     values: dict = {}
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise ConfigError(f"config line {line_no}: expected key = value")
-                key, _, raw = stripped.partition("=")
-                key = key.strip()
-                if key not in known:
-                    raise ConfigError(f"config line {line_no}: unknown field {key!r}")
-                values[key] = _parse_value(raw.strip())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as err:
+            raise ConfigError(f"cannot read {kind} file {path}: {err}") from None
+        for line_no, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{kind} line {line_no}: expected key = value")
+            key, _, raw = stripped.partition("=")
+            key = key.strip()
+            if key not in known:
+                raise ConfigError(f"{kind} line {line_no}: unknown field {key!r}")
+            values[key] = _parse_value(raw.strip())
     for key, value in (overrides or {}).items():
         if key not in known:
-            raise ConfigError(f"unknown config field {key!r}")
+            raise ConfigError(f"unknown {kind} field {key!r}")
         values[key] = _parse_value(value) if isinstance(value, str) else value
-    coerced = {k: _coerce(k, v, types.get(known[k], str)) for k, v in values.items()}
-    return RunConfig(**coerced).validate()
+    return {k: _coerce(k, v, known[k]) for k, v in values.items()}
+
+
+def load_config(path=None, overrides: dict | None = None) -> RunConfig:
+    """Config from an optional file plus overrides; unknown keys fail."""
+    return RunConfig(**read_fields(RunConfig, path, overrides)).validate()
 
 
 def save_config(config: RunConfig, path) -> None:

@@ -223,6 +223,9 @@ class SynthSpec:
                 f"planted_clusters must be in [1, {len(CLUSTER_LEXICONS)}]")
         if not 0.0 <= self.noise_rate < 1.0:
             raise DataError("noise_rate must be in [0, 1)")
+        for name in ("n_users", "n_items", "records_per_user"):
+            if getattr(self, name) < 1:
+                raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
 
 
 def cluster_signature(cluster: int) -> List[str]:

@@ -157,6 +157,8 @@ def decompose_experts(base_experts: int, base_hidden: int, factor: int,
     """
     if factor < 1:
         raise ConfigError(f"decomposition factor must be >= 1, got {factor}")
+    if gates < 1:
+        raise ConfigError(f"gate count must be >= 1, got {gates}")
     if base_hidden % factor != 0:
         raise ConfigError(
             f"decomposition factor {factor} does not divide hidden width {base_hidden}")
@@ -407,10 +409,6 @@ class LanguageModel:
             cache.length += length
         x = T.rms_norm(x, self.norm_f_g)
         return x @ self.head
-
-    def forward_lm(self, tokens: Sequence[int], gate: int) -> Tensor:
-        """Next-token logits for one sequence: (length, vocab)."""
-        return self.forward_rows(np.asarray(tokens)[None, :], np.array([gate]))
 
     def generate(self, prompt: Sequence[int], gate: int, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,

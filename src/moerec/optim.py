@@ -15,7 +15,9 @@ def clip_grad_norm(grads: List[np.ndarray], max_norm: float) -> float:
     """Scale all grads in place so the global L2 norm is at most `max_norm`.
 
     Returns the scale that was applied (1.0 when no clipping was needed,
-    including the all-zero case).
+    including the all-zero case). Grads may be views of one buffer (the
+    backward of ``a + b`` hands both inputs the same one): every element
+    is scaled once.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
@@ -23,8 +25,17 @@ def clip_grad_norm(grads: List[np.ndarray], max_norm: float) -> float:
     if total <= max_norm or total == 0.0:
         return 1.0
     scale = max_norm / total
+    by_buffer: Dict[int, List[np.ndarray]] = {}
     for g in grads:
-        g *= scale
+        root = g
+        while isinstance(root.base, np.ndarray):
+            root = root.base
+        by_buffer.setdefault(id(root), []).append(g)
+    for group in by_buffer.values():
+        # views of one buffer are all read before any of them is written
+        sources = [g.copy() for g in group] if len(group) > 1 else group
+        for g, source in zip(group, sources):
+            np.multiply(source, scale, out=g)
     return scale
 
 

@@ -15,11 +15,22 @@ training because the ELBO term remains in the objective. The degenerate
 mixing values are honored exactly: alpha=1 never touches the language
 model, alpha=0 never touches the rating decoder.
 
-Batch losses are means over records; with gradient accumulation each
-micro-batch loss is divided by the accumulation count, so accumulating n
-equal micro-batches is numerically the same step as one concatenated
-batch. Every source of randomness derives from the stage seed through
-labeled substreams, which makes whole runs bit-reproducible.
+The warm-up, the joint phase and stage 2 run through one loop, `_fit`,
+which owns the optimisation policy. Each epoch shuffles the training
+records with its own labeled substream and cuts them into micro-batches.
+Each micro-batch runs on a fresh tape and backpropagates its loss divided
+by the accumulation count. AdamW takes one clipped step per
+`grad_accum_steps` micro-batches, plus one step for a shorter remainder
+group at the end of the epoch. Every epoch adds a manifest row with the
+mean micro-batch loss and the cluster occupancy of the training pairs.
+With early stopping and a validation split, the row also carries the
+validation loss, and training stops once it has failed to improve for
+more than `patience` epochs.
+
+Batch losses are means over records, so accumulating n equal micro-batches
+is numerically the same step as one concatenated batch. Every source of
+randomness derives from the stage seed through labeled substreams, which
+makes whole runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -27,7 +38,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List
+from functools import partial
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -55,11 +67,6 @@ def _epoch_batches(n: int, batch_size: int, rng: Rng) -> List[np.ndarray]:
     return [order[start:start + batch_size] for start in range(0, n, batch_size)]
 
 
-def _occupancy(model: VaeGmm, users: np.ndarray, items: np.ndarray) -> List[int]:
-    gates = model.gates(users, items)
-    return np.bincount(gates, minlength=model.prior.clusters).tolist()
-
-
 def vae_config_from(run: RunConfig, split: DatasetSplit) -> VaeConfig:
     return VaeConfig(n_users=split.n_users, n_items=split.n_items,
                      d_emb=run.d_emb, latent_dim=run.latent_dim,
@@ -75,6 +82,69 @@ def lm_config_from(run: RunConfig, vocab_size: int) -> LmConfig:
                     moe=moe, renormalize_topk=run.renormalize_topk)
 
 
+def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
+         vae: VaeGmm, batches: Callable, eps_rng: Rng,
+         shuffle: Callable[[int], Rng], valid_label: str = None,
+         phase: str = None) -> List[dict]:
+    """Train for up to `epochs` epochs; returns one manifest row per epoch.
+
+    `batches(records, rng)` returns `batch(idx)`, which does the work that
+    must stay off the tape and returns the closure computing the loss of
+    the records at `idx`. `shuffle(epoch)` is the epoch's order stream.
+    With `valid_label`, early stopping and a validation split, each epoch
+    scores the whole validation split on the stream `valid_label.<epoch>`
+    of the stage seed.
+    """
+    users, items = split.user_ids(split.train), split.item_ids(split.train)
+    batch = batches(split.train, eps_rng)
+    validate = valid_label is not None and cfg.early_stop and bool(split.valid)
+    rows: List[dict] = []
+    best_valid, stale = np.inf, 0
+    for epoch in range(epochs):
+        order = _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch))
+        losses = []
+        opt.zero_grad()
+        for micro, idx in enumerate(order, start=1):
+            compute = batch(idx)
+            with Tape() as tape:
+                loss = compute()
+                tape.backward(loss * (1.0 / cfg.grad_accum_steps))
+            losses.append(loss.item())
+            if micro % cfg.grad_accum_steps == 0 or micro == len(order):
+                opt.step(clip_norm=cfg.clip_norm)
+                opt.zero_grad()
+        row = {"phase": phase} if phase else {}
+        row.update(epoch=epoch, loss=float(np.mean(losses)),
+                   occupancy=np.bincount(vae.gates(users, items),
+                                         minlength=vae.prior.clusters).tolist())
+        rows.append(row)
+        if not validate:
+            continue
+        valid = batches(split.valid, Rng(cfg.seed).substream(f"{valid_label}.{epoch}"))
+        row["valid_loss"] = valid(np.arange(len(split.valid)))().item()
+        if row["valid_loss"] < best_valid - 1e-9:
+            best_valid, stale = row["valid_loss"], 0
+        else:
+            stale += 1
+        if stale > cfg.patience:
+            break
+    return rows
+
+
+def _manifest(stage: str, cfg: StageConfig, config: dict, rows: List[dict],
+              started: float) -> dict:
+    return {"stage": stage, "seed": cfg.seed, "config": vars(cfg) | config,
+            "epochs": rows, "wall_seconds": round(time.time() - started, 3)}
+
+
+def _elbo_batches(model: VaeGmm, beta: float, split: DatasetSplit, records,
+                  rng: Rng) -> Callable:
+    users, items = split.user_ids(records), split.item_ids(records)
+    ratings = normalized_ratings(records, model.config.r_max)
+    return lambda idx: partial(elbo_loss, model, users[idx], items[idx],
+                               ratings[idx], beta, rng)
+
+
 def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
                  cfg: StageConfig) -> tuple:
     """Returns (trained VaeGmm, run manifest dict)."""
@@ -82,31 +152,8 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
         raise DataError("stage 1 needs a non-empty training split")
     root = Rng(cfg.seed)
     model = VaeGmm(vae_config, root.substream("init.vae"))
-    users = split.user_ids(split.train)
-    items = split.item_ids(split.train)
-    ratings = normalized_ratings(split.train, vae_config.r_max)
     eps_rng = root.substream("stage1.eps")
     started = time.time()
-    epochs: List[dict] = []
-
-    def run_epoch(opt, epoch_rng, beta) -> float:
-        losses = []
-        micro = 0
-        opt.zero_grad()
-        for idx in _epoch_batches(len(split.train), cfg.batch_size, epoch_rng):
-            with Tape() as tape:
-                loss = elbo_loss(model, users[idx], items[idx], ratings[idx],
-                                 beta, eps_rng)
-                tape.backward(loss * (1.0 / cfg.grad_accum_steps))
-            losses.append(loss.item())
-            micro += 1
-            if micro % cfg.grad_accum_steps == 0:
-                opt.step(clip_norm=cfg.clip_norm)
-                opt.zero_grad()
-        if micro % cfg.grad_accum_steps:
-            opt.step(clip_norm=cfg.clip_norm)
-            opt.zero_grad()
-        return float(np.mean(losses))
 
     # warm-up: single standard-normal component, prior frozen. The KL weight
     # here is usually zero (pure reconstruction): it lets the posterior
@@ -114,54 +161,28 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
     # fitted, which is what makes the fit informative at this scale.
     warm_params = {k: v for k, v in model.params().items()
                    if not k.startswith("vae.gmm.")}
-    opt = AdamW(warm_params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    for epoch in range(cfg.warmup_epochs):
-        loss = run_epoch(opt, root.substream(f"stage1.shuffle.warm{epoch}"),
-                         cfg.warmup_beta)
-        epochs.append({"phase": "warmup", "epoch": epoch, "loss": loss,
-                       "occupancy": _occupancy(model, users, items)})
+    rows = _fit(AdamW(warm_params, lr=cfg.lr, weight_decay=cfg.weight_decay),
+                cfg, cfg.warmup_epochs, split, model,
+                partial(_elbo_batches, model, cfg.warmup_beta, split), eps_rng,
+                lambda epoch: root.substream(f"stage1.shuffle.warm{epoch}"),
+                phase="warmup")
 
-    mu_all, log_var_all = model.encode(users, items)
+    mu_all, log_var_all = model.encode(split.user_ids(split.train),
+                                       split.item_ids(split.train))
     point_vars = np.exp(np.clip(log_var_all.data, -10.0, 10.0))
     model.prior = init_gmm_prior(mu_all.data, vae_config.clusters,
                                  root.substream("init.gmm"),
                                  point_vars=point_vars)
 
-    opt = AdamW(model.params(), lr=cfg.effective_joint_lr(),
-                weight_decay=cfg.weight_decay)
-    best_valid, stale = np.inf, 0
-    for epoch in range(cfg.epochs):
-        loss = run_epoch(opt, root.substream(f"stage1.shuffle.{epoch}"), cfg.beta)
-        row = {"phase": "joint", "epoch": epoch, "loss": loss,
-               "occupancy": _occupancy(model, users, items)}
-        if cfg.early_stop and split.valid:
-            row["valid_loss"] = _stage1_valid_loss(model, split, cfg, epoch)
-            if row["valid_loss"] < best_valid - 1e-9:
-                best_valid, stale = row["valid_loss"], 0
-            else:
-                stale += 1
-        epochs.append(row)
-        if cfg.early_stop and stale > cfg.patience:
-            break
-
-    manifest = {
-        "stage": "stage1",
-        "seed": cfg.seed,
-        "config": vars(cfg) | {"latent_dim": vae_config.latent_dim,
-                               "clusters": vae_config.clusters},
-        "epochs": epochs,
-        "wall_seconds": round(time.time() - started, 3),
-    }
-    return model, manifest
-
-
-def _stage1_valid_loss(model, split, cfg, epoch) -> float:
-    users = split.user_ids(split.valid)
-    items = split.item_ids(split.valid)
-    ratings = normalized_ratings(split.valid, model.config.r_max)
-    loss = elbo_loss(model, users, items, ratings, cfg.beta,
-                     Rng(cfg.seed).substream(f"stage1.valid.{epoch}"))
-    return loss.item()
+    rows += _fit(AdamW(model.params(), lr=cfg.effective_joint_lr(),
+                       weight_decay=cfg.weight_decay),
+                 cfg, cfg.epochs, split, model,
+                 partial(_elbo_batches, model, cfg.beta, split), eps_rng,
+                 lambda epoch: root.substream(f"stage1.shuffle.{epoch}"),
+                 valid_label="stage1.valid", phase="joint")
+    return model, _manifest("stage1", cfg, {"latent_dim": vae_config.latent_dim,
+                                            "clusters": vae_config.clusters},
+                            rows, started)
 
 
 def prepare_sequence(vocab: Vocab, record: InteractionRecord, r_max: float,
@@ -240,6 +261,7 @@ class ExplainerBundle:
 def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
                  cfg: StageConfig) -> tuple:
     """Returns (ExplainerBundle, run manifest dict)."""
+    run.validate()
     if not split.train:
         raise DataError("stage 2 needs a non-empty training split")
     root = Rng(cfg.seed).substream("stage2")
@@ -249,61 +271,32 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
                              user_index=split.user_index,
                              item_index=split.item_index, r_max=run.r_max)
-
-    users = split.user_ids(split.train)
-    items = split.item_ids(split.train)
-    ratings = normalized_ratings(split.train, run.r_max)
-    prepared = [prepare_sequence(vocab, rec, run.r_max, run.context)
-                for rec in split.train]
-
     params = bundle.params()
     if cfg.freeze_gmm:
         params = {k: v for k, v in params.items() if not k.startswith("vae.gmm.")}
     opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    eps_rng = root.substream("eps")
     started = time.time()
-    epochs: List[dict] = []
-    best_valid, stale = np.inf, 0
+    rows = _fit(opt, cfg, cfg.epochs, split, vae,
+                partial(_explainer_batches, bundle, run, cfg, split),
+                root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"),
+                valid_label="stage2.valid")
+    return bundle, _manifest("stage2", cfg, {"clusters": run.clusters, "gates": run.gates},
+                             rows, started)
 
-    for epoch in range(cfg.epochs):
-        losses = []
-        micro = 0
-        opt.zero_grad()
-        for idx in _epoch_batches(len(split.train), cfg.batch_size,
-                                  root.substream(f"shuffle.{epoch}")):
-            gates = vae.gates(users[idx], items[idx])
-            with Tape() as tape:
-                loss = _stage2_loss(bundle, users[idx], items[idx], ratings[idx],
-                                    [prepared[i] for i in idx], gates, cfg, eps_rng)
-                tape.backward(loss * (1.0 / cfg.grad_accum_steps))
-            losses.append(loss.item())
-            micro += 1
-            if micro % cfg.grad_accum_steps == 0:
-                opt.step(clip_norm=cfg.clip_norm)
-                opt.zero_grad()
-        if micro % cfg.grad_accum_steps:
-            opt.step(clip_norm=cfg.clip_norm)
-            opt.zero_grad()
-        row = {"epoch": epoch, "loss": float(np.mean(losses)),
-               "occupancy": _occupancy(vae, users, items)}
-        if cfg.early_stop and split.valid:
-            row["valid_loss"] = _stage2_valid_loss(bundle, split, run, cfg, epoch)
-            if row["valid_loss"] < best_valid - 1e-9:
-                best_valid, stale = row["valid_loss"], 0
-            else:
-                stale += 1
-        epochs.append(row)
-        if cfg.early_stop and stale > cfg.patience:
-            break
 
-    manifest = {
-        "stage": "stage2",
-        "seed": cfg.seed,
-        "config": vars(cfg) | {"clusters": run.clusters, "gates": run.gates},
-        "epochs": epochs,
-        "wall_seconds": round(time.time() - started, 3),
-    }
-    return bundle, manifest
+def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig,
+                       split: DatasetSplit, records, rng: Rng) -> Callable:
+    users, items = split.user_ids(records), split.item_ids(records)
+    ratings = normalized_ratings(records, run.r_max)
+    prepared = [prepare_sequence(bundle.vocab, rec, run.r_max, run.context)
+                for rec in records]
+
+    def batch(idx):
+        # the gates come from the encoder, which must not record on the tape
+        gates = bundle.vae.gates(users[idx], items[idx])
+        return partial(_stage2_loss, bundle, users[idx], items[idx], ratings[idx],
+                       [prepared[i] for i in idx], gates, cfg, rng)
+    return batch
 
 
 def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
@@ -320,18 +313,6 @@ def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
     elbo = elbo_loss(bundle.vae, users, items, ratings, cfg.beta, eps_rng,
                      eps_override=eps_override, gamma_override=gamma_override)
     return elbo * cfg.alpha + nll * (1.0 - cfg.alpha)
-
-
-def _stage2_valid_loss(bundle, split, run, cfg, epoch) -> float:
-    users = split.user_ids(split.valid)
-    items = split.item_ids(split.valid)
-    ratings = normalized_ratings(split.valid, run.r_max)
-    prepared = [prepare_sequence(bundle.vocab, rec, run.r_max, run.context)
-                for rec in split.valid]
-    gates = bundle.vae.gates(users, items)
-    loss = _stage2_loss(bundle, users, items, ratings, prepared, gates, cfg,
-                        Rng(cfg.seed).substream(f"stage2.valid.{epoch}"))
-    return loss.item()
 
 
 # --- persistence glue ---

@@ -674,7 +674,7 @@ def _kv_cache_gap(gates: int, renormalize: bool, seed: int) -> float:
         new = seq
         while len(seq) < lm.config.context:
             cached = lm.forward_rows(np.array([new]), np.array([gate]), cache).data[-1]
-            full = lm.forward_lm(seq, gate).data[-1]
+            full = lm.forward_rows(np.array([seq]), np.array([gate])).data[-1]
             gap = max(gap, float(np.max(np.abs(cached - full))))
             new = [int(np.argmax(full))]
             seq = seq + new

@@ -290,14 +290,14 @@ def test_criterion_4_decomposition_and_dense_equivalence():
     identity = [r for r in results if r.name.startswith("moe.identity")]
     assert all(r.passed for r in identity), identity
 
-    from tests.test_moe import dense_reference_forward
+    from tests.test_moe import dense_reference_forward, forward_lm
     from moerec.moe import LanguageModel, LmConfig, decompose_experts
     moe = decompose_experts(3, 8, 2, active=6, gates=1)
     cfg = LmConfig(vocab_size=18, model_dim=8, blocks=2, heads=2, context=16,
                    moe=moe)
     lm = LanguageModel(cfg, Rng(44))
     tokens = [1, 4, 7, 9, 12, 15]
-    gap = np.max(np.abs(lm.forward_lm(tokens, gate=0).data
+    gap = np.max(np.abs(forward_lm(lm, tokens, gate=0).data
                         - dense_reference_forward(lm, tokens, gate=0)))
     assert gap <= 1e-9
     report(f"criterion 4 PASS: weight-count identity exact; dense equivalence "

@@ -1,6 +1,7 @@
 """End-to-end CLI: every subcommand plus exit-code contracts."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,37 @@ def test_synth_malformed_spec_field(tmp_path, capsys):
     code = run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "x.jsonl"))
     assert code == 1
     assert "bogus_field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec_text,extra,code,needle", [
+    ("n_users = abc\n", (), 1, "n_users"),
+    ("n_users = [1, 2]\n", (), 1, "n_users"),
+    ("noise_rate = high\n", (), 1, "noise_rate"),
+    ("n_users\n", (), 1, "spec line 1"),
+    (None, ("--seed", "abc"), 1, "seed"),
+    ("n_users = -3\n", (), 2, "n_users"),
+    ("n_items = 0\n", (), 2, "n_items"),
+    ("records_per_user = 0\n", (), 2, "records_per_user"),
+])
+def test_synth_rejects_malformed_spec_values(tmp_path, capsys, spec_text, extra,
+                                             code, needle):
+    spec = tmp_path / "bad.cfg"
+    spec.write_text(spec_text or "", encoding="utf-8")
+    out = tmp_path / "x.jsonl"
+    assert run_cli("synth", "--spec", str(spec), "--out", str(out), *extra) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err
+    assert not out.exists()
+
+
+def test_synth_spec_values_read_like_run_config_values(tmp_path, capsys):
+    spec = tmp_path / "quoted.cfg"
+    spec.write_text('n_users = "12"\nn_items = 8\nrecords_per_user = 3\n', encoding="utf-8")
+    assert run_cli("synth", "--spec", str(spec), "--out", str(tmp_path / "x.jsonl")) == 0
+    assert re.search(r"^users\s+12$", capsys.readouterr().out, re.M)
+    assert run_cli("synth", "--spec", str(tmp_path / "missing.cfg"),
+                   "--out", str(tmp_path / "y.jsonl")) == 1
+    assert "cannot read spec file" in capsys.readouterr().err
 
 
 def test_train_writes_checkpoint_and_manifest(workspace):

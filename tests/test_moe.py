@@ -41,6 +41,11 @@ def tiny_lm(seed=0, vocab_size=20, gates=2, active=2, **overrides) -> LanguageMo
     return LanguageModel(cfg, Rng(seed))
 
 
+def forward_lm(lm: LanguageModel, tokens, gate: int) -> Tensor:
+    """Next-token logits for one sequence: (length, vocab)."""
+    return lm.forward_rows(np.asarray(tokens)[None, :], np.array([gate]))
+
+
 # --- decomposition ---
 
 def test_decompose_reference_instance():
@@ -65,6 +70,12 @@ def test_decompose_three_by_ten():
 def test_decompose_rejects_nondivisor():
     with pytest.raises(ConfigError):
         decompose_experts(3, 10, 3)
+
+
+@pytest.mark.parametrize("gates", [0, -1])
+def test_decompose_rejects_gate_count_below_one(gates):
+    with pytest.raises(ConfigError, match="gate count"):
+        decompose_experts(2, 8, 2, gates=gates)
 
 
 def test_decompose_random_configs_identity():
@@ -326,17 +337,17 @@ def test_rating_bucket_bounds():
 
 def test_forward_lm_single_token_shape():
     lm = tiny_lm()
-    out = lm.forward_lm([BOS], gate=0)
+    out = forward_lm(lm, [BOS], gate=0)
     assert out.shape == (1, 20)
 
 
 def test_forward_lm_causality():
     lm = tiny_lm(seed=3)
     tokens = [1, 5, 7, 9, 11, 13]
-    base = lm.forward_lm(tokens, gate=0).data
+    base = forward_lm(lm, tokens, gate=0).data
     permuted = list(tokens)
     permuted[4], permuted[5] = permuted[5], permuted[4]
-    after = lm.forward_lm(permuted, gate=0).data
+    after = forward_lm(lm, permuted, gate=0).data
     assert np.allclose(base[:4], after[:4], atol=1e-12)
     assert not np.allclose(base[4:], after[4:], atol=1e-9)
 
@@ -344,15 +355,15 @@ def test_forward_lm_causality():
 def test_forward_lm_gates_differ():
     lm = tiny_lm(seed=4, gates=3)
     tokens = [1, 4, 6, 8]
-    out0 = lm.forward_lm(tokens, gate=0).data
-    out1 = lm.forward_lm(tokens, gate=1).data
+    out0 = forward_lm(lm, tokens, gate=0).data
+    out1 = forward_lm(lm, tokens, gate=1).data
     assert not np.allclose(out0, out1)
 
 
 def test_forward_lm_context_limit():
     lm = tiny_lm()
     with pytest.raises(ContextLimitError):
-        lm.forward_lm([1] * 17, gate=0)
+        forward_lm(lm, [1] * 17, gate=0)
 
 
 def test_generate_rejects_full_context_prompt():
@@ -366,8 +377,8 @@ def test_forward_rows_matches_per_sequence():
     a = np.array([1, 4, 6, 8])
     b = np.array([2, 5, 7, 9])
     batch = lm.forward_rows(np.stack([a, b]), np.array([0, 1])).data
-    alone_a = lm.forward_lm(a, gate=0).data
-    alone_b = lm.forward_lm(b, gate=1).data
+    alone_a = forward_lm(lm, a, gate=0).data
+    alone_b = forward_lm(lm, b, gate=1).data
     assert np.allclose(batch[:4], alone_a, atol=1e-9)
     assert np.allclose(batch[4:], alone_b, atol=1e-9)
 
@@ -429,7 +440,7 @@ def reference_generate(lm: LanguageModel, prompt, gate, max_len=16, mode="greedy
     seq = list(prompt)
     out, step_logits = [], []
     while len(out) < max_len and len(seq) < lm.config.context:
-        logits = lm.forward_lm(seq, gate).data[-1]
+        logits = forward_lm(lm, seq, gate).data[-1]
         step_logits.append(logits)
         if mode == "greedy":
             nxt = int(np.argmax(logits))
@@ -552,7 +563,7 @@ def test_batched_cache_matches_per_sequence_forward():
     tail = lm.forward_rows(np.stack([a[4:], b[4:]]), gates, cache).data
     for rows, seq, gate in ((np.vstack([head[:4], tail[:2]]), a, 0),
                             (np.vstack([head[4:], tail[2:]]), b, 1)):
-        assert np.max(np.abs(rows - lm.forward_lm(seq, gate).data)) <= 1e-10
+        assert np.max(np.abs(rows - forward_lm(lm, seq, gate).data)) <= 1e-10
 
 
 def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
@@ -612,7 +623,7 @@ def test_nll_matches_hand_rolled_log_softmax():
     nll = explanation_nll(lm, prompt, reference, gate=1).item()
 
     seq = prompt + reference + [EOS]
-    logits = lm.forward_lm(np.array(seq[:-1]), gate=1).data
+    logits = forward_lm(lm, np.array(seq[:-1]), gate=1).data
     total = 0.0
     for pos in range(len(prompt) - 1, len(seq) - 1):
         row = logits[pos]
@@ -691,7 +702,7 @@ def test_dense_equivalence_single_gate_full_k():
     cfg = LmConfig(vocab_size=18, model_dim=8, blocks=2, heads=2, context=16, moe=moe)
     lm = LanguageModel(cfg, Rng(44))
     tokens = [1, 4, 7, 9, 12, 15]
-    ours = lm.forward_lm(tokens, gate=0).data
+    ours = forward_lm(lm, tokens, gate=0).data
     ref = dense_reference_forward(lm, tokens, gate=0)
     assert np.max(np.abs(ours - ref)) <= 1e-9
 
@@ -777,7 +788,7 @@ def test_batched_block_matches_loops_on_padded_mixed_gate_batch(variant):
     # the real positions of each row equal that sequence run alone
     logits = lm.forward_rows(tokens, gates).data.reshape(batch, length, -1)
     for i, n in enumerate([7, 3, 5, 1]):
-        alone = lm.forward_lm(tokens[i, :n], int(gates[i])).data
+        alone = forward_lm(lm, tokens[i, :n], int(gates[i])).data
         assert np.max(np.abs(logits[i, :n] - alone)) <= 1e-12
 
 

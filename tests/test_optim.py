@@ -37,6 +37,25 @@ def test_clip_never_increases_norm():
         assert after <= 0.25 + 1e-12
 
 
+def test_clip_scales_aliased_gradients_once():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.ones(2), requires_grad=True)
+    with Tape() as tape:
+        tape.backward((a + b).sum())
+    assert np.shares_memory(a.grad, b.grad)      # the backward of + aliases them
+    assert clip_grad_norm([a.grad, b.grad], 1.0) == pytest.approx(0.5)
+    assert np.allclose(a.grad, [0.5, 0.5]) and np.allclose(b.grad, [0.5, 0.5])
+
+
+def test_clip_scales_overlapping_views_once():
+    buf = np.arange(1.0, 7.0)
+    grads = [buf[:3], buf.reshape(2, 3)[1], buf.reshape(3, 2), buf[::2]]
+    expected = [g.copy() for g in grads]
+    scale = clip_grad_norm(grads, 1.0)
+    for g, before in zip(grads, expected):
+        assert np.array_equal(g, before * scale)
+
+
 def test_adamw_decay_only_path():
     p = Tensor(np.array([2.0, -1.0]), requires_grad=True)
     opt = AdamW({"p": p}, lr=0.1, weight_decay=0.5)

@@ -1,12 +1,16 @@
 """Two-stage training: accumulation equivalence, decoupling, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
 from moerec.config import RunConfig, StageConfig, reference_scale_config
 from moerec.data import SynthSpec, generate_synthetic, split_records
+from moerec import tensor, training
 from moerec.errors import ConfigError, DataError
 from moerec.moe import EOS, LanguageModel
+from moerec.optim import AdamW
 from moerec.rng import Rng
 from moerec.tensor import Tape
 from moerec.training import (
@@ -230,6 +234,18 @@ def test_stage2_determinism_bit_identical():
         assert np.array_equal(pa.data, b.params()[name].data), name
 
 
+def test_stage2_validates_its_run_config():
+    split, _ = small_corpus()
+    run = small_run()
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    unvalidated = RunConfig(**(run.to_dict() | {"gates": -1}))
+    _, manifest = train_stage2(split, vae, unvalidated, unvalidated.stage2())
+    assert manifest["config"]["gates"] == run.clusters
+    bad = RunConfig(**(run.to_dict() | {"heads": 3}))
+    with pytest.raises(ConfigError, match="heads"):
+        train_stage2(split, vae, bad, bad.stage2())
+
+
 def test_stage2_early_stopping_runs():
     split, _ = small_corpus()
     run = small_run(early_stop=True, patience=0, s2_epochs=4)
@@ -237,6 +253,86 @@ def test_stage2_early_stopping_runs():
     bundle, manifest = train_stage2(split, vae, run, run.stage2())
     assert all("valid_loss" in row for row in manifest["epochs"])
     assert len(manifest["epochs"]) <= 4
+
+
+@pytest.mark.parametrize("patience", [0, 1])
+@pytest.mark.parametrize("accum", [1, 2, 3])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_training_loop_policy(monkeypatch, stage, accum, patience):
+    """Per epoch, one clipped step per accumulation group plus one for a
+    short remainder group, each micro-batch loss backpropagated divided by
+    the group size; early stop after more than `patience` epochs without a
+    better validation loss; the warm-up never moves the prior."""
+    split, _ = small_corpus()
+    batches = math.ceil(len(split.train) / 17)
+    assert len(split.train) % 17 and batches == 7     # a short last batch and group
+    run = small_run(s1_batch=17, s2_batch=17, s1_grad_accum=accum, s2_grad_accum=accum,
+                    s1_warmup_beta=0.1, early_stop=True, patience=patience,
+                    s1_epochs=8, s2_epochs=8, s1_lr=0.05, s2_lr=0.3)
+    events, warmup_checks, models = [], [], []
+    real_step, real_backward = AdamW.step, tensor.backward
+    real_batches, real_fit_prior = training._epoch_batches, training.init_gmm_prior
+
+    def counting_step(opt, *args, **kwargs):
+        events.append("step")
+        return real_step(opt, *args, **kwargs)
+
+    def recording_backward(tape, loss):
+        events.append(float(loss.data))
+        return real_backward(tape, loss)
+
+    def epoch_batches(*args):
+        events.append("epoch")
+        return real_batches(*args)
+
+    class Recording(VaeGmm):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.initial_prior = {k: p.data.copy() for k, p in self.params().items()
+                                  if k.startswith("vae.gmm.")}
+            models.append(self)
+
+    def fit_prior(*args, **kwargs):
+        model = models[-1]
+        for name, data in model.initial_prior.items():
+            warmup_checks.append(np.array_equal(model.params()[name].data, data))
+        return real_fit_prior(*args, **kwargs)
+
+    monkeypatch.setattr(AdamW, "step", counting_step)
+    monkeypatch.setattr(tensor, "backward", recording_backward)
+    monkeypatch.setattr(training, "_epoch_batches", epoch_batches)
+    monkeypatch.setattr(training, "VaeGmm", Recording)
+    monkeypatch.setattr(training, "init_gmm_prior", fit_prior)
+    vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
+    assert warmup_checks == [True, True, True]
+    if stage == 2:
+        events.clear()
+        _, manifest = train_stage2(split, vae, run, run.stage2())
+    rows = manifest["epochs"]
+    epochs = []                                       # (steps, backpropagated losses)
+    for event in events:
+        if event == "epoch":
+            epochs.append([0, []])
+        elif event == "step":
+            epochs[-1][0] += 1
+        else:
+            epochs[-1][1].append(event)
+    assert len(epochs) == len(rows)
+    for (steps, losses), row in zip(epochs, rows):
+        assert steps == math.ceil(batches / accum)
+        assert len(losses) == batches
+        assert np.mean(losses) * accum == pytest.approx(row["loss"], rel=1e-12)
+
+    validated = [row["valid_loss"] for row in rows if "valid_loss" in row]
+    assert len(validated) == len(rows) - (run.s1_warmup_epochs if stage == 1 else 0)
+    best, stale, expected = np.inf, 0, 8
+    for epoch, loss in enumerate(validated):
+        best, stale = (loss, 0) if loss < best - 1e-9 else (best, stale + 1)
+        if stale > patience:
+            expected = epoch + 1
+            break
+    assert len(validated) == expected
+    assert patience or expected < 8      # the stop is exercised, not just the budget
 
 
 def test_save_load_roundtrip_stage1(tmp_path):
