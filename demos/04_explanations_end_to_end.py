@@ -26,9 +26,8 @@ for row in manifest2["epochs"]:
     print(f"  epoch {row['epoch']}  loss {row['loss']:.4f}")
 
 print("\nheld-out generations (greedy):")
-for rec in split.test[:5]:
-    gate, gamma = bundle.gate_for(rec)
-    text = bundle.generate_explanation(rec)
+texts, gates, gammas = bundle.explain(split.test[:5])
+for rec, text, gate, gamma in zip(split.test[:5], texts, gates, gammas):
     print(f"  user {rec.user} (planted cluster {labels[rec.user]}, gate {gate},"
           f" responsibilities {gamma.round(2)})")
     print(f"    prompt:    {bundle.prompt_text(rec)}")

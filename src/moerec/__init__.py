@@ -23,7 +23,7 @@ from .errors import (
 from .gradcheck import grad_check
 from .rng import Rng
 from .tensor import Tape, Tensor, backward, set_default_dtype, zero_grad
-from .config import RunConfig, StageConfig, load_config, reference_scale_config
+from .config import RunConfig, StageConfig, load_config
 from .data import (
     DatasetSplit,
     InteractionRecord,
@@ -35,14 +35,11 @@ from .data import (
     split_records,
 )
 from .vae import (
-    ClusterPosterior,
     GmmPrior,
     LatentSample,
     VaeConfig,
     VaeGmm,
-    assign_cluster,
     elbo_loss,
-    gmm_posterior,
     init_gmm_prior,
     kl_closed_form,
     log_normal_diag,

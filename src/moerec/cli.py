@@ -23,9 +23,11 @@ import numpy as np
 from .checkpoint import read_manifest
 from .config import RunConfig, load_config, read_fields
 from .data import (
+    InteractionRecord,
     SynthSpec,
     corpus_stats,
     generate_synthetic,
+    index_ids,
     load_labels,
     load_records,
     save_labels,
@@ -36,7 +38,6 @@ from .errors import ConfigError, DataError, MoerecError, TrainingError, Verifica
 from .metrics import adjusted_rand_index, cluster_purity, evaluate_model
 from . import tensor as tensor_mod
 from .training import (
-    ExplainerBundle,
     load_bundle,
     load_stage1,
     save_bundle,
@@ -175,7 +176,6 @@ def cmd_train(args) -> int:
 def cmd_generate(args) -> int:
     bundle, run, _ = load_bundle(args.checkpoint)
     features = [f for f in args.features.split(",") if f]
-    from .data import InteractionRecord
     record = InteractionRecord(args.user, args.item, args.rating, features, "")
     if args.user not in bundle.user_index:
         print(f"warning: unknown user {args.user!r}; routing via the fallback "
@@ -183,14 +183,11 @@ def cmd_generate(args) -> int:
     if args.item not in bundle.item_index:
         print(f"warning: unknown item {args.item!r}; routing via the fallback "
               "embedding row", file=sys.stderr)
-    gate, gamma = bundle.gate_for(record)
-    text = bundle.generate_explanation(record, max_len=args.max_len,
-                                       mode=args.mode,
-                                       temperature=args.temperature,
-                                       seed=args.seed)
-    print(f"gate: {gate}")
-    print("responsibilities: " + " ".join(f"{g:.4f}" for g in gamma))
-    print(f"explanation: {text}")
+    texts, gates, gamma = bundle.explain([record], max_len=args.max_len, mode=args.mode,
+                                         temperature=args.temperature, seed=args.seed)
+    print(f"gate: {gates[0]}")
+    print("responsibilities: " + " ".join(f"{g:.4f}" for g in gamma[0]))
+    print(f"explanation: {texts[0]}")
     return 0
 
 
@@ -210,9 +207,8 @@ def cmd_evaluate(args) -> int:
         fh.write(table + "\n")
     if args.dump:
         with open(f"{args.out}.records.jsonl", "w", encoding="utf-8") as fh:
-            for rec, row in zip(split.test, rows):
-                gate, _ = bundle.gate_for(rec)
-                fh.write(json.dumps(row | {"gate": gate}) + "\n")
+            for row in rows:
+                fh.write(json.dumps(row) + "\n")
     print(table)
     return 0
 
@@ -225,9 +221,8 @@ def cmd_inspect_clusters(args) -> int:
     else:
         vae, run, _, user_index, item_index = load_stage1(args.checkpoint)
     records = load_records(args.data)
-    unk_u, unk_i = len(user_index), len(item_index)
-    users = np.array([user_index.get(r.user, unk_u) for r in records])
-    items = np.array([item_index.get(r.item, unk_i) for r in records])
+    users = index_ids(user_index, [r.user for r in records])
+    items = index_ids(item_index, [r.item for r in records])
     latents = vae.latent_mu(users, items)
     gamma = vae.posteriors(users, items)
     hard = np.argmax(gamma, axis=1)

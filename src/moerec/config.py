@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -43,19 +44,51 @@ class StageConfig:
     def __post_init__(self):
         if self.stage not in (1, 2):
             raise ConfigError(f"stage must be 1 or 2, got {self.stage}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta must be in [0, 1], got {self.beta}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.grad_accum_steps < 1 or self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("epochs, batch size and accumulation must be positive")
+        _check_fields(self, _STAGE_RANGES)
 
 
-# RunConfig field types as annotated, and the fields that count something
+# Range rules shared by RunConfig and StageConfig: a test, and what its error says.
+_RANGES = {
+    "count": (lambda v: v >= 1, "be at least 1"),
+    "size": (lambda v: v >= 0, "be nonnegative"),
+    "rate": (lambda v: 0.0 < v < math.inf, "be positive and finite"),
+    "decay": (lambda v: 0.0 <= v < math.inf, "be nonnegative and finite"),
+    "weight": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "rate_or_default": (lambda v: v == -1 or 0.0 < v < math.inf,
+                        "be -1 (the default) or positive and finite"),
+}
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
-_AT_LEAST_ONE = ("d_emb", "latent_dim", "clusters", "enc_hidden", "model_dim", "blocks",
-                 "heads", "context", "base_experts", "base_hidden", "factor",
-                 "active_experts", "s1_batch", "s1_grad_accum", "s2_batch", "s2_grad_accum")
+
+_STAGE_RANGES = {
+    "epochs": "size", "batch_size": "count", "lr": "rate", "beta": "weight",
+    "alpha": "weight", "grad_accum_steps": "count", "clip_norm": "rate",
+    "warmup_epochs": "size", "warmup_beta": "weight", "joint_lr": "rate_or_default",
+    "weight_decay": "decay", "patience": "size",
+}
+_RUN_RANGES = {
+    **dict.fromkeys(("d_emb", "latent_dim", "clusters", "enc_hidden", "model_dim", "blocks",
+                     "heads", "context", "base_experts", "base_hidden", "factor",
+                     "active_experts", "s1_batch", "s1_grad_accum", "s2_batch",
+                     "s2_grad_accum"), "count"),
+    **dict.fromkeys(("s1_epochs", "s1_warmup_epochs", "s2_epochs", "patience"), "size"),
+    **dict.fromkeys(("r_max", "s1_lr", "s2_lr", "s1_clip", "s2_clip"), "rate"),
+    **dict.fromkeys(("alpha", "beta", "s1_warmup_beta"), "weight"),
+    "s1_joint_lr": "rate_or_default", "weight_decay": "decay",
+}
+
+
+def _check_fields(config, ranges: dict) -> None:
+    """Check each field's annotated type, then the range `ranges` names for
+    it; a violation is a ConfigError (exit 1) that names the field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if (isinstance(value, bool) != (f.type == "bool")
+                or not isinstance(value, _FIELD_TYPES[f.type])):
+            raise ConfigError(f"field {f.name!r} expects {f.type}, got {value!r}")
+    for name, rule in ranges.items():
+        ok, must = _RANGES[rule]
+        if not ok(getattr(config, name)):
+            raise ConfigError(f"{name} must {must}, got {getattr(config, name)}")
 
 
 @dataclass
@@ -107,32 +140,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         """Check every field's type and range, raising ConfigError (exit 1)
         that names the field; ``gates = -1`` becomes the cluster count."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if (isinstance(value, bool) != (f.type == "bool")
-                    or not isinstance(value, _FIELD_TYPES[f.type])):
-                raise ConfigError(f"field {f.name!r} expects {f.type}, got {value!r}")
+        _check_fields(self, _RUN_RANGES)
         if self.gates == -1:
             self.gates = self.clusters
-        for name in _AT_LEAST_ONE:
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("s1_epochs", "s1_warmup_epochs", "s2_epochs", "patience"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        for name in ("r_max", "s1_lr", "s2_lr", "s1_clip", "s2_clip"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be positive and finite, "
-                                  f"got {getattr(self, name)}")
-        if self.s1_joint_lr != -1 and not 0.0 < self.s1_joint_lr < math.inf:
-            raise ConfigError(f"s1_joint_lr must be -1 (same as s1_lr) or positive and "
-                              f"finite, got {self.s1_joint_lr}")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be nonnegative and finite, "
-                              f"got {self.weight_decay}")
-        for name in ("alpha", "beta", "s1_warmup_beta"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
         if self.gates != self.clusters:
             raise ConfigError(
                 f"gates ({self.gates}) must equal clusters ({self.clusters})")
@@ -171,43 +181,34 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def reference_scale_config() -> RunConfig:
-    """The full-scale settings recorded in run manifests for provenance;
-    far beyond desk-scale training budgets."""
-    return RunConfig(
-        d_emb=768, latent_dim=128, model_dim=4096, blocks=32,
-        base_experts=6, base_hidden=4096, factor=2, active_experts=2,
-        s1_epochs=30, s1_batch=4096, s1_lr=1e-5, s1_joint_lr=-1.0, beta=0.1,
-        s2_epochs=3, s2_batch=1, s2_lr=3e-5, alpha=0.1,
-        s2_grad_accum=8, s2_clip=0.3, s1_clip=0.3,
-    )
-
-
 def _parse_value(raw: str):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer of too many digits
         return raw
 
 
 def _coerce(name: str, value, target_type) -> object:
-    if target_type is bool:
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
-            return value.lower() == "true"
-        raise ConfigError(f"field {name!r} expects true/false, got {value!r}")
-    try:
-        if target_type is int:
-            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-                raise ValueError
-            return int(value)
-        if target_type is float:
-            return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"field {name!r} expects {target_type.__name__}, got {value!r}") from None
-    return str(value)
+    """`value` as `target_type`, unchanged. Besides values of the type
+    itself, a bool field takes "true" or "false" in any case, an int field
+    an integral float, a float field an int that a float holds exactly, and
+    a number field a string that holds such a number. Anything else is a
+    ConfigError that names the field."""
+    if isinstance(value, str) and target_type in (int, float):
+        value = _parse_value(value)
+    if target_type is bool and isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    if isinstance(value, bool) != (target_type is bool):
+        ok = False
+    elif target_type is int and isinstance(value, float):
+        ok = value.is_integer()
+    elif target_type is float and isinstance(value, int):
+        ok = abs(value) <= sys.float_info.max and float(value) == value
+    else:
+        ok = isinstance(value, target_type)
+    if not ok:
+        raise ConfigError(f"field {name!r} expects {target_type.__name__}, got {value!r}")
+    return target_type(value)
 
 
 def read_fields(cls, path=None, overrides: dict | None = None,

@@ -55,14 +55,34 @@ class DatasetSplit:
         return len(self.item_index)
 
     def user_ids(self, records: Sequence[InteractionRecord]) -> np.ndarray:
-        unk = len(self.user_index)
-        return np.array([self.user_index.get(r.user, unk) for r in records],
-                        dtype=np.int64)
+        return index_ids(self.user_index, [r.user for r in records])
 
     def item_ids(self, records: Sequence[InteractionRecord]) -> np.ndarray:
-        unk = len(self.item_index)
-        return np.array([self.item_index.get(r.item, unk) for r in records],
-                        dtype=np.int64)
+        return index_ids(self.item_index, [r.item for r in records])
+
+
+def index_ids(index: Dict[str, int], keys: Sequence[str]) -> np.ndarray:
+    """Embedding-table rows of `keys`; a key missing from `index` maps to
+    the shared fallback row, one past the map."""
+    unk = len(index)
+    return np.array([index.get(k, unk) for k in keys], dtype=np.int64)
+
+
+def check_rating(rating, where: str) -> float:
+    """`rating` as a float; DataError unless it is a positive finite number."""
+    if (not isinstance(rating, (int, float)) or isinstance(rating, bool)
+            or not 0 < rating <= sys.float_info.max):
+        raise DataError(f"{where}: rating must be a positive finite number, got {rating!r}")
+    return float(rating)
+
+
+def normalized_ratings(records: Sequence[InteractionRecord], r_max: float) -> np.ndarray:
+    """Ratings divided by `r_max`; DataError if one exceeds it."""
+    ratings = np.array([rec.rating for rec in records], dtype=np.float64)
+    if ratings.size and ratings.max() > r_max:
+        raise DataError(
+            f"rating {ratings.max()} exceeds r_max={r_max}; fix the dataset metadata")
+    return ratings / r_max
 
 
 def _validate_record(obj: dict, line_no: int) -> InteractionRecord:
@@ -71,16 +91,13 @@ def _validate_record(obj: dict, line_no: int) -> InteractionRecord:
         raise DataError(f"line {line_no}: record fields wrong (missing/extra: {missing})")
     if not isinstance(obj["user"], str) or not isinstance(obj["item"], str):
         raise DataError(f"line {line_no}: user and item must be strings")
-    rating = obj["rating"]
-    if (not isinstance(rating, (int, float)) or isinstance(rating, bool)
-            or not 0 < rating <= sys.float_info.max):
-        raise DataError(f"line {line_no}: rating must be a positive finite number")
+    rating = check_rating(obj["rating"], f"line {line_no}")
     feats = obj["features"]
     if not isinstance(feats, list) or not all(isinstance(f, str) for f in feats):
         raise DataError(f"line {line_no}: features must be an array of strings")
     if not isinstance(obj["explanation"], str):
         raise DataError(f"line {line_no}: explanation must be a string")
-    return InteractionRecord(obj["user"], obj["item"], float(rating),
+    return InteractionRecord(obj["user"], obj["item"], rating,
                              list(feats), obj["explanation"])
 
 
@@ -223,6 +240,11 @@ class SynthSpec:
                 f"planted_clusters must be in [1, {len(CLUSTER_LEXICONS)}]")
         if not 0.0 <= self.noise_rate < 1.0:
             raise DataError("noise_rate must be in [0, 1)")
+        if not 0.0 <= self.rating_noise <= sys.float_info.max:
+            raise DataError("rating_noise must be nonnegative and finite")
+        if self.favorites_per_user < 2:
+            raise DataError("favorites_per_user must be at least 2: each record "
+                            "draws two distinct favorites")
         for name in ("n_users", "n_items", "records_per_user"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")

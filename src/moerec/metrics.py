@@ -2,10 +2,10 @@
 
 All metrics operate on token sequences (see ``moerec.moe.tokenize`` for the
 canonical lowercase/whitespace/punctuation rule) and return raw values in
-[0, 1]; the human-readable report multiplies by 100. BLEU and Distinct are
-corpus-level by default: BLEU micro-averages clipped n-gram counts over all
-pairs, Distinct pools n-grams across the whole corpus. BERTScore is out of
-scope and reported as absent.
+[0, 1]; the human-readable report multiplies by 100. BLEU is corpus-level
+by default and micro-averages clipped n-gram counts over all pairs;
+Distinct pools n-grams across the whole corpus. BERTScore is out of scope
+and reported as absent.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import MetricError
-from .data import InteractionRecord, sparsity_buckets
+from .data import InteractionRecord, normalized_ratings, sparsity_buckets
 from .moe import tokenize
 
 BLEU_EPSILON = 1e-9
@@ -117,19 +117,10 @@ def rouge_scores(candidate: Sequence[str], reference: Sequence[str]) -> tuple:
     return rouge1, rouge_l
 
 
-def distinct_n(texts: Sequence[Sequence[str]], n: int,
-               per_sentence: bool = False) -> float:
-    """Unique n-grams over total n-grams. Pools across the corpus by
-    default; `per_sentence` averages the per-text ratio instead."""
+def distinct_n(texts: Sequence[Sequence[str]], n: int) -> float:
+    """Unique n-grams over total n-grams, pooled across the corpus."""
     if n not in (1, 2):
         raise MetricError(f"distinct order must be 1 or 2, got {n}")
-    if per_sentence:
-        ratios = []
-        for text in texts:
-            grams = _ngrams(text, n)
-            total = sum(grams.values())
-            ratios.append(len(grams) / total if total else 0.0)
-        return float(np.mean(ratios)) if ratios else 0.0
     pooled: Counter = Counter()
     for text in texts:
         pooled.update(_ngrams(text, n))
@@ -270,37 +261,35 @@ def evaluate_model(
     test_records: Sequence[InteractionRecord],
     train_records: Optional[Sequence[InteractionRecord]] = None,
     buckets: bool = False,
-    generate_fn: Optional[Callable[[InteractionRecord], str]] = None,
     corpus_level: bool = True,
 ) -> tuple:
     """Generate an explanation for every test record and score the lot.
 
-    `bundle` must expose generate_explanation(record) -> str,
-    predict_norm_rating(record) -> float, and (optionally) clusters/gates
-    provenance. `generate_fn` overrides generation (test hook). Returns
-    (MetricReport, per-record rows).
+    `bundle` hands over the whole batch in two calls:
+    ``explain(records) -> (texts, gates, responsibilities)`` and
+    ``predict_norm_ratings(records) -> (B,) array``. It may also expose
+    ``prompt_text(record)``, ``r_max`` and the clusters/gates_count
+    provenance. Returns (MetricReport, per-record rows); the last key of
+    each row is the record's gate.
     """
     if not test_records:
         raise MetricError("no test records to evaluate")
-    produce = generate_fn or bundle.generate_explanation
-    generated = [produce(rec) for rec in test_records]
+    generated, gates, _ = bundle.explain(test_records)
 
     prompt_of = getattr(bundle, "prompt_text", lambda rec: "")
     rows = []
     pairs = []
-    for rec, text in zip(test_records, generated):
+    for rec, text, gate in zip(test_records, generated, gates):
         cand = tokenize(text)
         ref = tokenize(rec.explanation)
         pairs.append((cand, ref))
         rows.append({"user": rec.user, "item": rec.item,
-                     "prompt": prompt_of(rec),
-                     "generated": text, "reference": rec.explanation})
+                     "prompt": prompt_of(rec), "generated": text,
+                     "reference": rec.explanation, "gate": int(gate)})
 
     values: Dict[str, Optional[float]] = dict(_text_metrics(pairs, corpus_level))
-    r_max = getattr(bundle, "r_max", 5.0)
-    predicted = [bundle.predict_norm_rating(rec) for rec in test_records]
-    truth = [rec.rating / r_max for rec in test_records]
-    values["rmse"] = rmse(predicted, truth)
+    truth = normalized_ratings(test_records, getattr(bundle, "r_max", 5.0))
+    values["rmse"] = rmse(bundle.predict_norm_ratings(test_records), truth)
     values["bertscore"] = None
 
     bucket_rows = None

@@ -35,31 +35,24 @@ makes whole runs bit-reproducible.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, StageConfig, load_config
-from .data import DatasetSplit, InteractionRecord
+from .data import DatasetSplit, InteractionRecord, check_rating, index_ids, normalized_ratings
 from .errors import ConfigError, ContextLimitError, DataError, TrainingError
 from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_experts, tokenize
 from .optim import AdamW
 from .rng import Rng
 from .tensor import Tape, Tensor
 from .vae import GmmPrior, VaeConfig, VaeGmm, elbo_loss, init_gmm_prior
-
-
-def normalized_ratings(records, r_max: float) -> np.ndarray:
-    ratings = np.array([rec.rating for rec in records], dtype=np.float64)
-    if ratings.size and ratings.max() > r_max:
-        raise DataError(
-            f"rating {ratings.max()} exceeds r_max={r_max}; fix the dataset metadata")
-    return ratings / r_max
 
 
 def _epoch_batches(n: int, batch_size: int, rng: Rng) -> List[np.ndarray]:
@@ -223,36 +216,45 @@ class ExplainerBundle:
     def gates_count(self) -> int:
         return self.lm.config.moe.gates
 
-    def ids_for(self, record: InteractionRecord) -> tuple:
-        unk_u = len(self.user_index)
-        unk_i = len(self.item_index)
-        return (self.user_index.get(record.user, unk_u),
-                self.item_index.get(record.item, unk_i))
-
-    def gate_for(self, record: InteractionRecord) -> tuple:
-        """(gate index, responsibilities) on the deterministic mean path."""
-        u, i = self.ids_for(record)
-        gamma = self.vae.posteriors(np.array([u]), np.array([i]))[0]
-        return int(np.argmax(gamma)), gamma
-
     def prompt_text(self, record: InteractionRecord) -> str:
         return self.vocab.decode(build_prompt(
             self.vocab, record.user, record.item, record.rating,
             record.features, self.r_max))
 
+    def _rows(self, records: Sequence[InteractionRecord]) -> tuple:
+        return (index_ids(self.user_index, [r.user for r in records]),
+                index_ids(self.item_index, [r.item for r in records]))
+
+    def explain(self, records: Sequence[InteractionRecord], max_len: int = 16,
+                mode: str = "greedy", temperature: float = 1.0, seed: int = 0) -> tuple:
+        """(texts, gates, responsibilities) for a batch of records.
+
+        One encoder pass gates the whole batch: each record's gate is the
+        largest of its (B, K) responsibilities along the deterministic mean
+        path, ties to the lowest index. Each record then decodes alone
+        after its prompt, sampled records on the stream of `seed`.
+        """
+        if mode == "sample" and not 0.0 <= temperature < math.inf:
+            raise ConfigError(f"sampling temperature must be nonnegative and finite, "
+                              f"got {temperature}")
+        prompts = [build_prompt(self.vocab, r.user, r.item,
+                                check_rating(r.rating, f"record {r.user}/{r.item}"),
+                                r.features, self.r_max) for r in records]
+        gamma = self.vae.posteriors(*self._rows(records))
+        gates = np.argmax(gamma, axis=1)
+        texts = [self.vocab.decode(self.lm.generate(prompt, gate, max_len=max_len, mode=mode,
+                                                    temperature=temperature, seed=seed))
+                 for prompt, gate in zip(prompts, gates)]
+        return texts, gates, gamma
+
     def generate_explanation(self, record: InteractionRecord, max_len: int = 16,
                              mode: str = "greedy", temperature: float = 1.0,
                              seed: int = 0) -> str:
-        gate, _ = self.gate_for(record)
-        prompt = build_prompt(self.vocab, record.user, record.item,
-                              record.rating, record.features, self.r_max)
-        ids = self.lm.generate(prompt, gate, max_len=max_len, mode=mode,
-                               temperature=temperature, seed=seed)
-        return self.vocab.decode(ids)
+        return self.explain([record], max_len, mode, temperature, seed)[0][0]
 
-    def predict_norm_rating(self, record: InteractionRecord) -> float:
-        u, i = self.ids_for(record)
-        return float(self.vae.predict_rating(np.array([u]), np.array([i]))[0])
+    def predict_norm_ratings(self, records: Sequence[InteractionRecord]) -> np.ndarray:
+        """Normalized rating predictions along the mean path, one per record."""
+        return self.vae.predict_rating(*self._rows(records))
 
     def params(self) -> dict:
         return {**self.vae.params(), **self.lm.params()}

@@ -70,14 +70,6 @@ class EmbeddingTables:
         self.item = Tensor(rng.normal((config.n_items + 1) * d).reshape(-1, d) * 0.1,
                            requires_grad=True)
 
-    @property
-    def unk_user(self) -> int:
-        return self.n_users
-
-    @property
-    def unk_item(self) -> int:
-        return self.n_items
-
     def lookup(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         """The (B, 2 * d_emb) rows ``[user embedding | item embedding]``."""
         users = np.asarray(users, dtype=np.int64)
@@ -175,13 +167,6 @@ class LatentSample:
     z: Tensor
 
 
-@dataclass
-class ClusterPosterior:
-    """Soft cluster memberships; nonnegative, summing to one."""
-
-    gamma: np.ndarray
-
-
 def log_normal_diag(z: Tensor, mu: Tensor, var: Tensor) -> Tensor:
     """Log-density of z under a diagonal Gaussian; differentiable."""
     if np.any(var.data <= 0):
@@ -211,17 +196,6 @@ def gmm_posterior_batch(prior: GmmPrior, z: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def gmm_posterior(prior: GmmPrior, z: np.ndarray) -> ClusterPosterior:
-    if np.asarray(z).ndim != 1:
-        raise ShapeError("gmm_posterior expects a single latent vector")
-    return ClusterPosterior(gamma=gmm_posterior_batch(prior, z)[0])
-
-
-def assign_cluster(posterior: ClusterPosterior) -> int:
-    """Index of the largest responsibility; ties resolve to the lowest index."""
-    return int(np.argmax(posterior.gamma))
 
 
 def reparameterize(mu: Tensor, log_var: Tensor, rng: Rng,

@@ -18,6 +18,7 @@ from moerec.data import (
     SynthSpec,
     cluster_signature,
     generate_synthetic,
+    normalized_ratings,
     split_records,
 )
 from moerec.metrics import adjusted_rand_index, evaluate_model
@@ -28,7 +29,6 @@ from moerec import tensor as T
 from moerec.training import (
     _stage2_loss,
     lm_config_from,
-    normalized_ratings,
     prepare_sequence,
     train_stage1,
     train_stage2,
@@ -394,12 +394,13 @@ def test_cached_generation_matches_full_recompute_on_trained_model(planted,
                                                                    stage2_bundle):
     split, _ = planted
     bundle, _, _ = stage2_bundle
-    for rec in split.test[:12]:
-        gate, _ = bundle.gate_for(rec)
+    texts, gates, _ = bundle.explain(split.test[:12])
+    for rec, text, gate in zip(split.test[:12], texts, gates.tolist()):
         prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
                               rec.features, bundle.r_max)
         expected, _ = reference_generate(bundle.lm, prompt, gate)
         assert bundle.lm.generate(prompt, gate) == expected
+        assert text == bundle.vocab.decode(expected)
 
 
 # --- criterion 8: sparsity protocol analog -----------------------------------

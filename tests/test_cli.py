@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from moerec.cli import main
+from moerec.data import InteractionRecord, index_ids, load_records, split_records
+from moerec.metrics import evaluate_model
+from moerec.training import load_bundle
+from moerec.vae import VaeGmm
 
 
 def run_cli(*argv):
@@ -79,6 +83,10 @@ def test_synth_malformed_spec_field(tmp_path, capsys):
     ("n_users = -3\n", (), 2, "n_users"),
     ("n_items = 0\n", (), 2, "n_items"),
     ("records_per_user = 0\n", (), 2, "records_per_user"),
+    ("rating_noise = NaN\n", (), 2, "rating_noise"),
+    ("favorites_per_user = 1\n", (), 2, "favorites_per_user"),
+    (None, ("--seed", "Infinity"), 1, "seed"),
+    ("n_users = 12.9\n", (), 1, "n_users"),
 ])
 def test_synth_rejects_malformed_spec_values(tmp_path, capsys, spec_text, extra,
                                              code, needle):
@@ -138,7 +146,8 @@ def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace,
 @pytest.mark.parametrize("field,value", [
     ("d_emb", "0"), ("model_dim", "0"), ("heads", "0"), ("factor", "0"),
     ("s1_clip", "0"), ("s2_clip", "0"), ("latent_dim", "0"), ("enc_hidden", "0"),
-    ("s1_lr", "-1"), ("encoder_attention", "true"),
+    ("s1_lr", "-1"), ("encoder_attention", "true"), ("s1_epochs", "2.7"),
+    ("s1_epochs", "1e400"),
 ])
 def test_train_rejects_out_of_range_config(workspace, tmp_path, capsys, field, value):
     code = run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
@@ -187,6 +196,74 @@ def test_generate_unknown_user_warns_but_succeeds(workspace, capsys):
     assert "explanation:" in captured.out
 
 
+@pytest.mark.parametrize("extra,code,needle", [
+    (("--rating", "nan"), 2, "rating"),
+    (("--rating", "inf"), 2, "rating"),
+    (("--rating", "-2.5"), 2, "rating"),
+    (("--rating", "0"), 2, "rating"),
+    (("--rating", "3", "--mode", "sample", "--temperature", "nan"), 1, "temperature"),
+    (("--rating", "3", "--mode", "sample", "--temperature", "inf"), 1, "temperature"),
+    (("--rating", "3", "--mode", "sample", "--temperature", "-0.5"), 1, "temperature"),
+    (("--rating", "3", "--temperature", "nan"), 0, ""),
+    (("--rating", "3", "--mode", "sample", "--temperature", "0"), 0, ""),
+])
+def test_generate_rejects_a_bad_rating_or_sampling_temperature(workspace, capsys, extra,
+                                                               code, needle):
+    assert run_cli("generate", "--checkpoint", str(workspace["s2"]), "--user", "u0001",
+                   "--item", "i0002", *extra) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error: ") and needle in captured.err
+        assert captured.out == ""
+    else:
+        assert "<pad>" not in captured.out and "explanation:" in captured.out
+
+
+def _count_posteriors(monkeypatch) -> list:
+    calls = []
+    original = VaeGmm.posteriors
+
+    def counted(self, users, items):
+        calls.append(len(users))
+        return original(self, users, items)
+
+    monkeypatch.setattr(VaeGmm, "posteriors", counted)
+    return calls
+
+
+def test_generate_gates_and_explains_in_one_encoder_pass(workspace, capsys, monkeypatch):
+    calls = _count_posteriors(monkeypatch)
+    assert run_cli("generate", "--checkpoint", str(workspace["s2"]), "--user", "u0003",
+                   "--item", "i0004", "--rating", "4.0", "--features", "curry") == 0
+    assert calls == [1]
+    out = capsys.readouterr().out.splitlines()
+    bundle, _, _ = load_bundle(workspace["s2"])
+    texts, gates, gamma = bundle.explain(
+        [InteractionRecord("u0003", "i0004", 4.0, ["curry"], "")])
+    assert out == [f"gate: {gates[0]}",
+                   "responsibilities: " + " ".join(f"{g:.4f}" for g in gamma[0]),
+                   f"explanation: {texts[0]}"]
+
+
+def test_evaluate_dump_gates_are_the_vae_gates(workspace, tmp_path, monkeypatch):
+    calls = _count_posteriors(monkeypatch)
+    assert run_cli("evaluate", "--checkpoint", str(workspace["s2"]), "--data",
+                   str(workspace["data"]), "--out", str(tmp_path / "r"), "--dump") == 0
+    bundle, run, _ = load_bundle(workspace["s2"])
+    test = split_records(load_records(workspace["data"]), run.seed).test
+    assert calls == [len(test)]
+    rows = [json.loads(line)
+            for line in (tmp_path / "r.records.jsonl").read_text().splitlines()]
+    assert all(list(row) == ["user", "item", "prompt", "generated", "reference", "gate"]
+               for row in rows)
+    gates = bundle.vae.gates(index_ids(bundle.user_index, [r.user for r in test]),
+                             index_ids(bundle.item_index, [r.item for r in test]))
+    assert [row["gate"] for row in rows] == gates.tolist()
+    calls.clear()
+    evaluate_model(bundle, test[:5])
+    assert calls == [5]
+
+
 def test_evaluate_writes_reports(workspace, tmp_path, capsys):
     prefix = tmp_path / "report"
     code = run_cli("evaluate", "--checkpoint", str(workspace["s2"]),
@@ -215,6 +292,20 @@ def test_inspect_clusters_stage1_and_labels(workspace, tmp_path, capsys):
     assert "inter-centroid" in out
     header = pca.read_text().splitlines()[0]
     assert header == "user,item,cluster,pc1,pc2"
+
+
+def test_inspect_clusters_stage2_checkpoint(workspace, capsys):
+    code = run_cli("inspect-clusters", "--checkpoint", str(workspace["s2"]),
+                   "--data", str(workspace["data"]), "--labels", str(workspace["labels"]))
+    assert code == 0
+    out = capsys.readouterr().out
+    bundle, _, _ = load_bundle(workspace["s2"])
+    assert "clusters: 2\n" in out
+    assert "pi: " + " ".join(f"{p:.4f}" for p in bundle.vae.prior.pi()) in out
+    occupancy = [int(n) for n in re.findall(r"occupancy (\d+)", out)]
+    assert len(occupancy) == 2
+    assert sum(occupancy) == len(workspace["data"].read_text().splitlines())
+    assert "ari:" in out and "purity:" in out
 
 
 def test_inspect_distance_matrix_symmetric(workspace, capsys):

@@ -1,8 +1,13 @@
 """Config file parsing, overrides, and invariant enforcement."""
 
-import pytest
+import json
+from dataclasses import fields
 
-from moerec.config import load_config, save_config
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from moerec.config import RunConfig, load_config, read_fields, save_config
+from moerec.data import SynthSpec
 from moerec.errors import ConfigError
 
 
@@ -110,3 +115,61 @@ def test_encoder_attention_must_stay_off():
     with pytest.raises(ConfigError) as err:
         load_config(None, {"encoder_attention": "true"})
     assert "encoder_attention" in str(err.value)
+
+
+_TYPES = {"int": int, "float": float, "bool": bool, "str": str}
+_FIELDS = [(cls, f.name, _TYPES[f.type]) for cls in (RunConfig, SynthSpec)
+           for f in fields(cls)]
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=12))
+
+
+def _read_as(parsed, ftype):
+    """What a field of `ftype` holds after reading `parsed`: a string is
+    read as the number it holds, or as true/false for a bool field."""
+    if isinstance(parsed, str) and ftype in (int, float):
+        try:
+            return json.loads(parsed)
+        except ValueError:
+            return parsed
+    if isinstance(parsed, str) and ftype is bool:
+        return {"true": True, "false": False}.get(parsed.lower(), parsed)
+    return parsed
+
+
+def _same(a, b) -> bool:
+    return a == b or (a != a and b != b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(field=st.sampled_from(_FIELDS),
+       text=st.one_of(_SCALARS.map(json.dumps), st.text(max_size=12)))
+@example(field=(RunConfig, "s1_epochs", int), text="2.7")
+@example(field=(RunConfig, "s1_epochs", int), text="Infinity")
+@example(field=(RunConfig, "s1_epochs", int), text="1e400")
+@example(field=(RunConfig, "clusters", int), text="3.9")
+@example(field=(SynthSpec, "seed", int), text="Infinity")
+@example(field=(SynthSpec, "n_users", int), text="12.9")
+@example(field=(SynthSpec, "seed", int), text="1" * 5000)
+@example(field=(RunConfig, "s1_lr", float), text=str(2 ** 53 + 1))
+@example(field=(RunConfig, "s2_lr", float), text="1" + "0" * 400)
+def test_every_field_reads_a_json_scalar_unchanged_or_raises_config_error(field, text):
+    cls, name, ftype = field
+    try:
+        parsed = json.loads(text)
+    except ValueError:
+        parsed = text
+    try:
+        value = read_fields(cls, overrides={name: text})[name]
+    except ConfigError:
+        value = None
+    else:
+        assert type(value) is ftype
+        assert _same(value, _read_as(parsed, ftype)), (value, parsed)
+    if cls is RunConfig:
+        try:
+            run = load_config(overrides={name: text})
+        except ConfigError:
+            return
+        assert value is not None
+        assert _same(getattr(run, name), value) or (name == "gates" and value == -1)

@@ -2,10 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from moerec.data import InteractionRecord
-from moerec.errors import MetricError
+from moerec.errors import DataError, MetricError
 from moerec.metrics import (
     MetricReport,
     adjusted_rand_index,
@@ -103,11 +104,6 @@ def test_distinct_zero_ngrams_defined_as_zero():
     assert distinct_n([[]], 2) == 0.0
 
 
-def test_distinct_per_sentence_mode():
-    texts = ["a a".split(), "b c".split()]
-    assert distinct_n(texts, 1, per_sentence=True) == pytest.approx(0.75)
-
-
 # --- rmse / ARI ---
 
 def test_rmse_basics():
@@ -160,15 +156,27 @@ def test_naive_references_disagree_with_wrong_values():
 # --- evaluate_model ---
 
 class EchoBundle:
+    """Echoes each reference, gates record i to i % 3 and predicts the
+    normalized rating exactly; counts the batch calls it receives."""
+
     clusters = 3
     gates_count = 3
     r_max = 5.0
 
-    def generate_explanation(self, record):
+    def __init__(self):
+        self.calls = {"explain": 0, "predict_norm_ratings": 0}
+
+    def text(self, record):
         return record.explanation
 
-    def predict_norm_rating(self, record):
-        return record.rating / 5.0
+    def explain(self, records):
+        self.calls["explain"] += 1
+        gates = np.arange(len(records)) % 3
+        return [self.text(r) for r in records], gates, np.eye(3)[gates]
+
+    def predict_norm_ratings(self, records):
+        self.calls["predict_norm_ratings"] += 1
+        return np.array([r.rating / 5.0 for r in records])
 
 
 def records_fixture(n=9):
@@ -221,11 +229,28 @@ def test_evaluate_rows_carry_prompt_when_available():
     assert rows[0]["prompt"].startswith("asking about")
 
 
-def test_evaluate_generate_fn_hook():
-    records = records_fixture(6)
-    report, _ = evaluate_model(EchoBundle(), records,
-                               generate_fn=lambda r: "constant words")
+def test_evaluate_scores_the_bundle_texts():
+    class ConstantBundle(EchoBundle):
+        def text(self, record):
+            return "constant words"
+
+    report, _ = evaluate_model(ConstantBundle(), records_fixture(6))
     assert report.values["bleu1"] < 0.5
+
+
+def test_evaluate_hands_the_batch_to_the_bundle_once():
+    bundle = EchoBundle()
+    _, rows = evaluate_model(bundle, records_fixture(7))
+    assert bundle.calls == {"explain": 1, "predict_norm_ratings": 1}
+    assert [row["gate"] for row in rows] == [0, 1, 2, 0, 1, 2, 0]
+    assert all(type(row["gate"]) is int and list(row)[-1] == "gate" for row in rows)
+
+
+def test_evaluate_rejects_a_rating_above_r_max():
+    records = records_fixture(3)
+    records[1].rating = 5.5
+    with pytest.raises(DataError, match="r_max"):
+        evaluate_model(EchoBundle(), records)
 
 
 def test_evaluate_empty_test_set_errors():

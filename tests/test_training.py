@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from moerec.config import RunConfig, StageConfig, reference_scale_config
-from moerec.data import SynthSpec, generate_synthetic, split_records
+from moerec.config import RunConfig, StageConfig
+from moerec.data import (
+    InteractionRecord,
+    SynthSpec,
+    generate_synthetic,
+    normalized_ratings,
+    split_records,
+)
 from moerec import tensor, training
 from moerec.errors import ConfigError, DataError
 from moerec.moe import EOS, LanguageModel
@@ -20,7 +26,6 @@ from moerec.training import (
     lm_config_from,
     load_bundle,
     load_stage1,
-    normalized_ratings,
     prepare_sequence,
     save_bundle,
     save_stage1,
@@ -413,25 +418,40 @@ def test_loaders_reject_name_and_shape_mismatches(tmp_path):
 
 def test_unknown_user_routes_through_fallback_row():
     split, _, run, bundle, _ = trained_pair()
-    from moerec.data import InteractionRecord
     ghost = InteractionRecord("nobody", "nothing", 4.0, ["wifi"], "")
-    gate, gamma = bundle.gate_for(ghost)
-    assert 0 <= gate < run.clusters
-    assert abs(gamma.sum() - 1.0) <= 1e-9
-    text = bundle.generate_explanation(ghost)
-    assert isinstance(text, str)
+    texts, gates, gamma = bundle.explain([ghost])
+    assert 0 <= gates[0] < run.clusters
+    assert abs(gamma[0].sum() - 1.0) <= 1e-9
+    fallback = bundle.vae.gates(np.array([len(bundle.user_index)]),
+                                np.array([len(bundle.item_index)]))
+    assert gates.tolist() == fallback.tolist()
+    assert texts == [bundle.generate_explanation(ghost)]
 
 
-def test_reference_scale_settings_recorded():
-    run = reference_scale_config().validate()
-    s1 = run.stage1()
-    assert (s1.batch_size, s1.lr, s1.beta, s1.epochs) == (4096, 1e-5, 0.1, 30)
-    s2 = run.stage2()
-    assert (s2.alpha, s2.batch_size, s2.lr) == (0.1, 1, 3e-5)
-    assert (s2.grad_accum_steps, s2.clip_norm, s2.epochs) == (8, 0.3, 3)
-    assert (run.base_experts, run.base_hidden, run.factor) == (6, 4096, 2)
-    assert run.active_experts == 2 and run.blocks == 32
-    assert run.d_emb == 768 and run.latent_dim == 128
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_explain_on_a_batch_equals_explaining_each_record(mode):
+    split, _, _, bundle, _ = trained_pair()
+    records = split.test[:8] + [
+        InteractionRecord("nobody", split.test[0].item, 3.0, ["wifi"], ""),
+        InteractionRecord(split.test[1].user, "nothing", 1.5, [], ""),
+        InteractionRecord("nobody", "nothing", 4.5, ["curry", "staff"], "")]
+    options = dict(max_len=12, mode=mode, temperature=0.9, seed=4)
+    texts, gates, gamma = bundle.explain(records, **options)
+    assert gamma.shape == (len(records), bundle.clusters)
+    assert gates.tolist() == np.argmax(gamma, axis=1).tolist()
+    for rec, text, gate, row in zip(records, texts, gates, gamma):
+        one_texts, one_gates, one_gamma = bundle.explain([rec], **options)
+        assert one_texts == [text] == [bundle.generate_explanation(rec, **options)]
+        assert one_gates.tolist() == [gate]
+        assert np.allclose(one_gamma[0], row, rtol=0, atol=1e-12)
+
+
+def test_predict_norm_ratings_is_the_vae_rating_of_each_record():
+    split, _, _, bundle, _ = trained_pair()
+    predicted = bundle.predict_norm_ratings(split.test)
+    expected = bundle.vae.predict_rating(split.user_ids(split.test), split.item_ids(split.test))
+    assert predicted.shape == (len(split.test),)
+    assert np.array_equal(predicted, expected)
 
 
 def test_stage_config_validation():
@@ -439,6 +459,21 @@ def test_stage_config_validation():
         StageConfig(stage=3, epochs=1, batch_size=1, lr=0.1)
     with pytest.raises(ConfigError):
         StageConfig(stage=1, epochs=1, batch_size=1, lr=0.1, beta=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("clip_norm", 0.0), ("clip_norm", math.nan), ("warmup_beta", 3.0), ("patience", -2),
+    ("weight_decay", math.inf), ("joint_lr", math.inf), ("joint_lr", 0.0), ("joint_lr", -2.0),
+    ("lr", 0.0), ("epochs", -1), ("warmup_epochs", -1), ("batch_size", 0),
+    ("grad_accum_steps", 0), ("alpha", -0.1), ("epochs", 2.5), ("seed", True),
+    ("early_stop", 1), ("freeze_gmm", "yes"),
+])
+def test_stage_config_checks_every_field(field, value):
+    with pytest.raises(ConfigError, match=field):
+        StageConfig(**{"stage": 1, "epochs": 1, "batch_size": 1, "lr": 0.1, field: value})
+    # the edges of each range pass
+    StageConfig(stage=2, epochs=0, batch_size=1, lr=0.1, joint_lr=-1.0, clip_norm=1e-9,
+                weight_decay=0.0, patience=0, warmup_beta=1.0)
 
 
 def test_checkpoint_tensor_name_contract():

@@ -10,13 +10,10 @@ from moerec.errors import DataError, NumericError, TableLookupError
 from moerec.rng import Rng
 from moerec import tensor as T
 from moerec.vae import (
-    ClusterPosterior,
     GmmPrior,
     VaeConfig,
     VaeGmm,
-    assign_cluster,
     elbo_loss,
-    gmm_posterior,
     gmm_posterior_batch,
     init_gmm_prior,
     kl_closed_form,
@@ -189,25 +186,25 @@ def test_posterior_symmetric_midpoint():
     prior = GmmPrior(np.log([0.5, 0.5]),
                      np.array([[-1.0], [1.0]]),
                      np.zeros((2, 1)))
-    post = gmm_posterior(prior, np.array([0.0]))
-    assert np.allclose(post.gamma, [0.5, 0.5], atol=1e-12)
-    assert assign_cluster(post) == 0  # tie resolves low
+    gamma = gmm_posterior_batch(prior, np.array([[0.0]]))[0]
+    assert np.allclose(gamma, [0.5, 0.5], atol=1e-12)
+    assert int(np.argmax(gamma)) == 0  # tie resolves low
 
 
 def test_posterior_dominant_component():
     prior = GmmPrior(np.log([1 / 3, 1 / 3, 1 / 3]),
                      np.array([[-5.0], [0.0], [5.0]]),
                      np.full((3, 1), math.log(1e-6)))
-    post = gmm_posterior(prior, np.array([0.0]))
-    assert post.gamma[1] > 0.999
-    assert assign_cluster(post) == 1
+    gamma = gmm_posterior_batch(prior, np.array([[0.0]]))[0]
+    assert gamma[1] > 0.999
+    assert int(np.argmax(gamma)) == 1
 
 
 def test_posterior_hand_computed_equal_densities():
     # pi=[0.3, 0.7], means 0 and 2, var 1, z=1: densities equal, gamma = pi
     prior = GmmPrior(np.log([0.3, 0.7]), np.array([[0.0], [2.0]]), np.zeros((2, 1)))
-    post = gmm_posterior(prior, np.array([1.0]))
-    assert np.allclose(post.gamma, [0.3, 0.7], atol=1e-12)
+    gamma = gmm_posterior_batch(prior, np.array([[1.0]]))[0]
+    assert np.allclose(gamma, [0.3, 0.7], atol=1e-12)
 
 
 def test_posterior_sums_to_one_and_shift_invariant():
@@ -231,9 +228,21 @@ def test_posterior_extreme_latents_stay_finite():
     assert np.all(np.isfinite(gam)) and abs(gam.sum() - 1.0) <= 1e-9
 
 
-def test_assign_cluster_basics():
-    assert assign_cluster(ClusterPosterior(np.array([0.2, 0.7, 0.1]))) == 1
-    assert assign_cluster(ClusterPosterior(np.array([0.5, 0.5]))) == 0
+def test_gates_tie_goes_to_the_lowest_index():
+    # zero encoder weights put every latent mean at 0, the fallback row's
+    # (user 6) too: components at -1 and +1 tie and the gate is 0; of
+    # components at +2 and +0.5, the nearer one, 1, wins
+    model = tiny_model()
+    for t in (model.encoder.w1, model.encoder.b1, model.encoder.w2, model.encoder.b2):
+        t.data[...] = 0.0
+    users, items = np.array([0, 3, 6]), np.array([1, 4, 5])
+    model.prior = GmmPrior(np.log([0.5, 0.5]), np.stack([np.full(8, -1.0), np.full(8, 1.0)]),
+                           np.zeros((2, 8)))
+    assert np.allclose(model.posteriors(users, items), 0.5, atol=1e-12)
+    assert model.gates(users, items).tolist() == [0, 0, 0]
+    model.prior = GmmPrior(np.log([0.5, 0.5]), np.stack([np.full(8, 2.0), np.full(8, 0.5)]),
+                           np.zeros((2, 8)))
+    assert model.gates(users, items).tolist() == [1, 1, 1]
 
 
 # --- closed-form KL against analytics and Monte Carlo ---
