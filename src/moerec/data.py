@@ -101,21 +101,29 @@ def _validate_record(obj: dict, line_no: int) -> InteractionRecord:
                              list(feats), obj["explanation"])
 
 
+def _read_lines(path, kind: str) -> list:
+    """(line number, line) for each nonblank line of a UTF-8 text file; a
+    file that cannot be read raises DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read {kind} file {path}: {err}") from None
+    return [(line_no, line) for line_no, line in enumerate(lines, start=1) if line.strip()]
+
+
 def load_records(path) -> List[InteractionRecord]:
     """Parse a JSON-lines dataset; reports every malformed line by number."""
     records = []
     problems = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(_validate_record(obj, line_no))
-            except json.JSONDecodeError:
-                problems.append(f"line {line_no}: not valid JSON")
-            except DataError as err:
-                problems.append(str(err))
+    for line_no, line in _read_lines(path, "data"):
+        try:
+            obj = json.loads(line)
+            records.append(_validate_record(obj, line_no))
+        except json.JSONDecodeError:
+            problems.append(f"line {line_no}: not valid JSON")
+        except DataError as err:
+            problems.append(str(err))
     if problems:
         raise DataError("; ".join(problems))
     return records
@@ -135,14 +143,15 @@ def save_records(records: Sequence[InteractionRecord], path) -> None:
 
 def load_labels(path) -> Dict[str, int]:
     labels = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2:
-                raise DataError(f"line {line_no}: expected user<TAB>cluster")
+    for line_no, line in _read_lines(path, "label"):
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path} line {line_no}: expected user<TAB>cluster")
+        try:
             labels[parts[0]] = int(parts[1])
+        except ValueError:
+            raise DataError(f"{path} line {line_no}: cluster {parts[1]!r} "
+                            f"is not an integer") from None
     return labels
 
 

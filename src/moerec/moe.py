@@ -377,13 +377,16 @@ class LanguageModel:
         return sum(blk.bank.eval_count for blk in self.blocks)
 
     def forward_rows(self, tokens: np.ndarray, gates: np.ndarray,
-                     cache: KVCache = None) -> Tensor:
+                     cache: KVCache = None, rows: np.ndarray = None) -> Tensor:
         """Logits for a (batch, length) token matrix; one gate per sequence.
 
         Returns a (batch*length, vocab) tensor, rows in sequence-major
         order. Strictly causal: position t sees tokens at positions <= t.
         With a `cache`, the tokens continue the cached sequences and the
-        cache grows by `length` positions.
+        cache grows by `length` positions. With `rows`, indices into those
+        batch*length rows, only the selected rows of the last block's
+        output go through the final norm and the head, and the result has
+        one row per index.
         """
         tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
         batch, length = tokens.shape
@@ -407,8 +410,9 @@ class LanguageModel:
                             None if cache is None else cache.blocks[b])
         if cache is not None:
             cache.length += length
-        x = T.rms_norm(x, self.norm_f_g)
-        return x @ self.head
+        if rows is not None:
+            x = T.take_rows(x, rows)
+        return T.rms_norm(x, self.norm_f_g) @ self.head
 
     def generate(self, prompt: Sequence[int], gate: int, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,
@@ -451,20 +455,21 @@ class LanguageModel:
         """Mean over records of each record's mean continuation NLL.
 
         Sequences already include the trailing <eos>; they are right-padded
-        to a common length and pad positions never contribute to the loss.
+        to a common length. Only the loss rows, the positions from the last
+        prompt token to the one before <eos>, go through the head, and one
+        fused :func:`~moerec.tensor.weighted_nll` scores them; the logits of
+        the other prompt positions and of the padding are never made.
         """
         batch = len(sequences)
         width = max(len(s) for s in sequences)
         tokens = np.full((batch, width), PAD, dtype=np.int64)
         for i, s in enumerate(sequences):
             tokens[i, : len(s)] = s
-        logits = self.forward_rows(tokens[:, :-1], gates)
-        logp = T.log_softmax(logits, axis=-1)
         rows, targets, weights = [], [], []
         for i, s in enumerate(sequences):
             span = np.arange(prompt_lens[i] - 1, len(s) - 1)
             rows.append(i * (width - 1) + span)
             targets.append(np.asarray(s)[span + 1])
             weights.append(np.full(span.shape, 1.0 / (span.size * batch)))
-        picked = T.gather_pairs(logp, np.concatenate(rows), np.concatenate(targets))
-        return -(picked * Tensor(np.concatenate(weights))).sum()
+        logits = self.forward_rows(tokens[:, :-1], gates, rows=np.concatenate(rows))
+        return T.weighted_nll(logits, np.concatenate(targets), np.concatenate(weights))

@@ -14,8 +14,10 @@ Rules of the house:
   :class:`~moerec.errors.NumericError` rather than letting poison propagate.
 - The hot chains run as fused ops, one record each. For the transformer:
   :func:`rms_norm`, :func:`attention` (head split, scaled causal scores,
-  softmax, mix and head merge) and :func:`expert_ffn` (a grouped two-layer
-  expert). For the variational preference model: :func:`concat_rows` (the
+  softmax, mix and head merge), :func:`expert_ffn` (a grouped two-layer
+  expert) and :func:`weighted_nll` (the log-softmax, target pick and
+  weighted sum of the language-model loss). For the variational
+  preference model: :func:`concat_rows` (the
   embedding-pair gather), :func:`mlp` (the two-layer tanh network, which
   shares its body with :func:`expert_ffn`), :func:`gaussian_sample` (the
   reparameterized draw), :func:`bce_with_logits` (the reconstruction loss)
@@ -558,6 +560,37 @@ def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
         return gx, gw1, bias_back(b1.shape, gpre), gw2, bias_back(b2.shape, g)
 
     return _make(out, op, inputs, back)
+
+
+def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """``-sum_i w_i * log_softmax(logits)[i, t_i]``: the weighted negative
+    log-likelihood of target ``t_i`` under row i of (n, V) logits, for
+    constant weights, which take the logits' dtype. It replaces
+    :func:`log_softmax`, :func:`gather_pairs`, the weight product, the sum
+    and the negation; its backward rule is
+    ``g * w_i * (softmax_i - onehot(t_i))``."""
+    targets = np.asarray(targets, dtype=np.int64)
+    w = np.asarray(weights, dtype=logits.data.dtype)
+    if (logits.data.ndim != 2 or logits.data.size == 0
+            or targets.shape != logits.shape[:1] or w.shape != targets.shape):
+        raise ShapeError(f"weighted_nll shapes incompatible: logits {logits.shape}, "
+                         f"targets {targets.shape}, weights {w.shape}")
+    if targets.min() < 0 or targets.max() >= logits.shape[1]:
+        raise ShapeError(f"target id outside [0, {logits.shape[1]})")
+    x = logits.data
+    shifted = x - x.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    _check_finite(logp, "weighted_nll log_softmax")
+    rows = np.arange(targets.size)
+    out = np.asarray(-(logp[rows, targets] * w).sum())
+
+    def back(g):
+        picked = (-g) * w                    # gradient of each picked log-probability
+        grad = -(np.exp(logp) * picked[:, None])
+        grad[rows, targets] += picked
+        return (grad,)
+
+    return _make(out, "weighted_nll", (logits,), back)
 
 
 # --- fused ops of the variational preference model ---

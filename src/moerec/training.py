@@ -234,6 +234,8 @@ class ExplainerBundle:
         path, ties to the lowest index. Each record then decodes alone
         after its prompt, sampled records on the stream of `seed`.
         """
+        if max_len < 1:
+            raise ConfigError(f"max_len must be at least 1, got {max_len}")
         if mode == "sample" and not 0.0 <= temperature < math.inf:
             raise ConfigError(f"sampling temperature must be nonnegative and finite, "
                               f"got {temperature}")

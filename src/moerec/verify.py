@@ -24,6 +24,9 @@ from .metrics import (
     rouge_scores,
 )
 from .moe import (
+    BOS,
+    EOS,
+    PAD,
     ExpertBank,
     GateRouter,
     KVCache,
@@ -210,6 +213,35 @@ def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
     return T.grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
 
 
+def reference_weighted_nll(logits: Tensor, targets: np.ndarray,
+                           weights: np.ndarray) -> Tensor:
+    """:func:`moerec.tensor.weighted_nll` as a log-softmax, a pick of one
+    target per row, a product with the weights, a sum and a negation."""
+    picked = T.gather_pairs(T.log_softmax(logits, axis=-1), np.arange(len(targets)), targets)
+    return -(picked * Tensor(weights)).sum()
+
+
+def reference_batched_nll(lm: LanguageModel, sequences: List[np.ndarray],
+                          prompt_lens: List[int], gates: np.ndarray) -> Tensor:
+    """:meth:`moerec.moe.LanguageModel.batched_nll` through the full head:
+    logits for every padded position, a log-softmax over all of them, then
+    a pick of the loss rows' targets and their weighted sum."""
+    batch = len(sequences)
+    width = max(len(s) for s in sequences)
+    tokens = np.full((batch, width), PAD, dtype=np.int64)
+    for i, s in enumerate(sequences):
+        tokens[i, : len(s)] = s
+    logp = T.log_softmax(lm.forward_rows(tokens[:, :-1], gates), axis=-1)
+    rows, targets, weights = [], [], []
+    for i, s in enumerate(sequences):
+        span = np.arange(prompt_lens[i] - 1, len(s) - 1)
+        rows.append(i * (width - 1) + span)
+        targets.append(np.asarray(s)[span + 1])
+        weights.append(np.full(span.shape, 1.0 / (span.size * batch)))
+    picked = T.gather_pairs(logp, np.concatenate(rows), np.concatenate(targets))
+    return -(picked * Tensor(np.concatenate(weights))).sum()
+
+
 def reference_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """:func:`moerec.tensor.mlp` as two matmuls, two bias adds and a tanh."""
     return T.tanh(x @ w1 + b1) @ w2 + b2
@@ -291,7 +323,7 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
 
 
 # the fused ops of each model, by the names fused_cases gives them
-FUSED_OPS = {"moe": ("rms_norm", "attention", "expert_ffn"),
+FUSED_OPS = {"moe": ("rms_norm", "attention", "expert_ffn", "weighted_nll"),
              "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl")}
 
 
@@ -319,6 +351,12 @@ def fused_cases(seed: int) -> dict:
         lambda *stacks: T.expert_ffn(*stacks, experts),
         lambda *stacks: reference_expert_ffn(*stacks, experts),
         [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
+    # rows 0 and 3 share a target; row 4 weighs nothing
+    picks, weights = np.array([3, 0, 5, 3, 1]), np.array([0.5, 0.25, 1.5, 0.125, 0.0])
+    cases["weighted_nll"] = (
+        lambda logits: T.weighted_nll(logits, picks, weights),
+        lambda logits: reference_weighted_nll(logits, picks, weights),
+        [normal(5, 6) * 2.0])
 
     cases["mlp"] = (T.mlp, reference_mlp,
                     [normal(5, 4), normal(4, 6), normal(6), normal(6, 3), normal(3)])
@@ -582,7 +620,42 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
               for gates in (1, 2, 3) for renormalize in (False, True))
     results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
                                f"max logit gap {gap:.1e} over every decode step"))
+
+    gaps = [loss_rows_gap(seed + case) for case in range(4)]
+    loss_gap, grad_gap = (max(g[i] for g in gaps) for i in (0, 1))
+    results.append(CheckResult("moe.loss_rows_match_full_head",
+                               loss_gap <= 1e-12 and grad_gap <= 1e-10,
+                               f"loss gap {loss_gap:.1e}, max gradient gap {grad_gap:.1e} "
+                               f"over every parameter, 4 padded batches"))
     return results
+
+
+def loss_rows_gap(seed: int) -> tuple:
+    """(loss gap, largest gradient gap over every parameter) between
+    :meth:`~moerec.moe.LanguageModel.batched_nll` and
+    :func:`reference_batched_nll` on one batch of a small three-gate model.
+    The seven records mix prompt lengths from 1 token up and sequence
+    lengths from 3 tokens to the context, so most are padded; the model
+    follows the default dtype."""
+    rng = Rng(seed)
+    moe = decompose_experts(2, 8, 2, active=2, gates=3)
+    lm = LanguageModel(LmConfig(vocab_size=64, model_dim=16, blocks=2, heads=2,
+                                context=16, moe=moe), rng.substream("init"))
+    sequences, prompt_lens = [], []
+    for length in (3, 17, 9, 5, 12, 4, 16):
+        sequences.append(np.concatenate([[BOS], rng.integers(length - 2, 60) + 4, [EOS]]))
+        prompt_lens.append(int(rng.integers(1, length - 1)[0]) + 1)
+    gates = rng.integers(len(sequences), 3)
+    losses, grads = [], []
+    for fn in (LanguageModel.batched_nll, reference_batched_nll):
+        T.zero_grad(lm.params().values())
+        with T.Tape() as tape:
+            loss = fn(lm, sequences, prompt_lens, gates)
+            tape.backward(loss)
+        losses.append(loss.item())
+        grads.append([p.grad for p in lm.params().values()])
+    gap = max(float(np.max(np.abs(a - b))) for a, b in zip(*grads))
+    return abs(losses[0] - losses[1]), gap
 
 
 def _fused_ops_check(model: str, seed: int) -> CheckResult:

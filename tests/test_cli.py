@@ -219,6 +219,53 @@ def test_generate_rejects_a_bad_rating_or_sampling_temperature(workspace, capsys
         assert "<pad>" not in captured.out and "explanation:" in captured.out
 
 
+@pytest.mark.parametrize("max_len", ["0", "-3"])
+def test_generate_refuses_a_max_len_below_one(workspace, capsys, max_len):
+    assert run_cli("generate", "--checkpoint", str(workspace["s2"]), "--user", "u0001",
+                   "--item", "i0002", "--rating", "3", "--max-len", max_len) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "max_len" in captured.err
+    assert captured.out == ""
+
+
+def _unreadable_data(tmp_path):
+    missing = tmp_path / "missing.jsonl"
+    folder = tmp_path / "folder.jsonl"
+    folder.mkdir()
+    latin = tmp_path / "latin1.jsonl"
+    latin.write_bytes('{"user": "caf\xe9"}\n'.encode("latin-1"))
+    return missing, folder, latin
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("command", ["train", "evaluate", "inspect-clusters"])
+def test_commands_report_an_unreadable_data_file(workspace, tmp_path, capsys, which,
+                                                 command):
+    path = _unreadable_data(tmp_path)[which]
+    args = {"train": ("--stage", "1", "--config", str(workspace["cfg"]),
+                      "--out", str(tmp_path / "x.ckpt")),
+            "evaluate": ("--checkpoint", str(workspace["s2"]), "--out", str(tmp_path / "r")),
+            "inspect-clusters": ("--checkpoint", str(workspace["s1"]))}[command]
+    assert run_cli(command, "--data", str(path), *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read data file") and str(path) in err
+
+
+@pytest.mark.parametrize("text,needle", [
+    (None, "cannot read label file"),
+    ("u0001\tabc\n", "line 1: cluster 'abc' is not an integer"),
+    ("u0001\t0\nu0002\n", "line 2: expected user<TAB>cluster"),
+])
+def test_inspect_clusters_reports_a_bad_label_file(workspace, tmp_path, capsys, text, needle):
+    labels = tmp_path / "labels.tsv"
+    if text is not None:
+        labels.write_text(text, encoding="utf-8")
+    assert run_cli("inspect-clusters", "--checkpoint", str(workspace["s1"]),
+                   "--data", str(workspace["data"]), "--labels", str(labels)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err and str(labels) in err
+
+
 def _count_posteriors(monkeypatch) -> list:
     calls = []
     original = VaeGmm.posteriors

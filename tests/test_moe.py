@@ -9,6 +9,7 @@ from moerec import Tape, Tensor, grad_check
 from moerec.errors import ConfigError, ContextLimitError, ShapeError
 from moerec.rng import Rng
 from moerec import tensor as T
+from moerec.verify import loss_rows_gap
 from moerec.moe import (
     BOS,
     EOS,
@@ -569,7 +570,8 @@ def test_batched_cache_matches_per_sequence_forward():
 def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     # the fused RMSNorm, attention and expert ops halve the op count of a
     # two-block model: 106 ops per decode step and 107 tape records per
-    # batch of 16 with the op chains they replace
+    # batch of 16 with the op chains they replace; the fused loss takes a
+    # batch from 50 records to 47
     lm = tiny_lm(seed=30)
     calls = []
     make = T._make
@@ -585,7 +587,32 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
                  for i in range(16)]
     with Tape() as tape:
         lm.batched_nll(sequences, [3] * 16, np.arange(16) % 2)
-    assert len(tape.records) <= 55
+    assert len(tape.records) <= 47
+    head = tape.records[-2]                  # the head matmul, before the loss
+    assert head.inputs[1] is lm.head
+    assert head.out.shape == (sum(len(s) - 3 for s in sequences), lm.config.vocab_size)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_loss_rows_match_the_full_head_in_float32(seed):
+    # the float64 case is moe.loss_rows_match_full_head of `moerec verify`
+    T.set_default_dtype("float32")
+    try:
+        loss_gap, grad_gap = loss_rows_gap(seed)
+    finally:
+        T.set_default_dtype("float64")
+    assert loss_gap <= 1e-6 and grad_gap <= 1e-5, (loss_gap, grad_gap)
+
+
+def test_forward_rows_selects_rows_of_the_full_forward():
+    lm = tiny_lm(seed=32, gates=2)
+    tokens = np.array([[BOS, 4, 5, 6, 7], [BOS, 8, 9, PAD, PAD]])
+    gates = np.array([1, 0])
+    full = lm.forward_rows(tokens, gates).data
+    rows = np.array([7, 1, 2, 2])
+    picked = lm.forward_rows(tokens, gates, rows=rows).data
+    assert picked.shape == (4, lm.config.vocab_size)
+    assert np.max(np.abs(picked - full[rows])) <= 1e-12
 
 
 # --- explanation NLL ---

@@ -16,6 +16,7 @@ from moerec.verify import (
     reference_kl_closed_form_batch,
     reference_mlp,
     reference_rms_norm,
+    reference_weighted_nll,
 )
 from moerec.vae import GmmPrior
 
@@ -506,6 +507,54 @@ def test_mixture_kl_raises_where_its_terms_overflow(wrt, value):
     for fn in (fused, reference):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             fn(*args)
+
+
+def test_weighted_nll_gradient_is_weighted_softmax_minus_onehot():
+    # rows 0 and 2 share target 1; row 3 weighs nothing and gets no gradient
+    logits = Tensor(Rng(48).normal(4 * 5).reshape(4, 5) * 2.0, requires_grad=True)
+    targets, weights = np.array([1, 4, 1, 0]), np.array([0.5, 0.25, 2.0, 0.0])
+    with Tape() as tape:
+        loss = T.weighted_nll(logits, targets, weights) * 3.0
+        tape.backward(loss)
+    p = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    expected = 3.0 * weights[:, None] * (p - np.eye(5)[targets])
+    assert np.max(np.abs(logits.grad - expected)) <= 1e-14
+    assert np.all(logits.grad[3] == 0.0)
+    assert loss.item() == pytest.approx(
+        -3.0 * np.sum(weights * np.log(p[np.arange(4), targets])), abs=1e-12)
+
+
+def test_weighted_nll_raises_where_the_log_softmax_overflows():
+    # finite logits whose shifted value is -inf: the chain's log_softmax
+    # output holds it even though the picked targets stay finite
+    logits = Tensor(np.array([[1e308, -1e308, 0.0], [0.5, 0.25, 0.0]]))
+    targets, weights = np.array([0, 2]), np.array([0.5, 0.5])
+    for fn in (T.weighted_nll, reference_weighted_nll):
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            fn(logits, targets, weights)
+
+
+def test_weighted_nll_checks_shapes_and_targets():
+    logits = Tensor(np.zeros((3, 4)))
+    for targets, weights in ((np.array([0, 1]), np.ones(3)), (np.array([0, 1, 2]), np.ones(2)),
+                             (np.array([0, 4, 1]), np.ones(3)), (np.array([0, -1, 1]), np.ones(3))):
+        with pytest.raises(ShapeError):
+            T.weighted_nll(logits, targets, weights)
+    with pytest.raises(ShapeError):
+        T.weighted_nll(Tensor(np.zeros((0, 4))), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+def test_weighted_nll_weights_take_the_logits_dtype():
+    T.set_default_dtype("float32")
+    try:
+        logits = Tensor(np.zeros((2, 3)), requires_grad=True)
+    finally:
+        T.set_default_dtype("float64")
+    with Tape() as tape:
+        loss = T.weighted_nll(logits, np.array([0, 2]), np.array([0.5, 0.5]))
+        tape.backward(loss)
+    assert loss.data.dtype == np.float32 and logits.grad.dtype == np.float32
 
 
 @pytest.mark.parametrize("bad", [-1, 4])

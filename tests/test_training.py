@@ -446,6 +446,15 @@ def test_explain_on_a_batch_equals_explaining_each_record(mode):
         assert np.allclose(one_gamma[0], row, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("max_len", [0, -3])
+def test_explain_refuses_a_max_len_below_one(max_len):
+    split, _, _, bundle, _ = trained_pair()
+    with pytest.raises(ConfigError, match="max_len"):
+        bundle.explain(split.test[:2], max_len=max_len)
+    with pytest.raises(ConfigError, match="max_len"):
+        bundle.generate_explanation(split.test[0], max_len=max_len)
+
+
 def test_predict_norm_ratings_is_the_vae_rating_of_each_record():
     split, _, _, bundle, _ = trained_pair()
     predicted = bundle.predict_norm_ratings(split.test)
