@@ -1,14 +1,14 @@
-"""Binary checkpoint format "GVMC-2".
+"""Binary checkpoint format "GVMC-3": one self-contained file.
 
 Layout: an 8-byte little-endian unsigned length, then that many bytes of
 UTF-8 JSON manifest, then the raw tensor payload. The manifest records the
-format version, the creating config, the root seed, a stage tag, optional
-extra metadata (id maps), and a named-tensor directory mapping each name to
-its shape, dtype, and byte offset into the payload. The tensors tile the
-payload in offset order, with no gap and no overlap. Version 2 stores each
-block's experts and gates as stacked tensors (``lm.block{b}.moe.w1`` …,
-``lm.block{b}.router``); a file of another version fails with ConfigError,
-and a damaged one with DataError.
+format version, the creating config, the root seed, a stage tag, extra
+metadata (sorted user and item ids; a stage-2 model's token list, in id
+order, as ``extra.vocab``), and a named-tensor directory mapping each name
+to its shape, dtype, and byte offset into the payload. The tensors tile the
+payload in offset order, with no gap and no overlap. A file of another
+version (a GVMC-2 file with its vocabulary sidecar, say) fails with
+ConfigError, and a damaged one with DataError.
 
 Payloads are little-endian float32 by default (a documented lossy downcast
 from float64 training values); `f64=True` keeps full precision so that
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .tensor import Tensor, default_dtype
 
-FORMAT_VERSION = "GVMC-2"
+FORMAT_VERSION = "GVMC-3"
 _DTYPE_BYTES = {"f32": 4, "f64": 8}
 _DTYPE_NP = {"f32": "<f4", "f64": "<f8"}
 

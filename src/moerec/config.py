@@ -100,10 +100,8 @@ class RunConfig:
     # model shape
     d_emb: int = 32
     latent_dim: int = 8
-    clusters: int = 3
-    gates: int = -1              # -1 means: same as clusters
+    clusters: int = 3            # also the gate count: one gate per cluster
     enc_hidden: int = 64
-    encoder_attention: bool = False  # retired; kept so stored configs load, must be false
     model_dim: int = 64
     blocks: int = 2
     heads: int = 2
@@ -139,13 +137,8 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         """Check every field's type and range, raising ConfigError (exit 1)
-        that names the field; ``gates = -1`` becomes the cluster count."""
+        that names the field."""
         _check_fields(self, _RUN_RANGES)
-        if self.gates == -1:
-            self.gates = self.clusters
-        if self.gates != self.clusters:
-            raise ConfigError(
-                f"gates ({self.gates}) must equal clusters ({self.clusters})")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.model_dim % self.heads != 0:
@@ -156,8 +149,6 @@ class RunConfig:
         if self.active_experts > self.base_experts * self.factor:
             raise ConfigError(f"active_experts {self.active_experts} exceeds the "
                               f"{self.base_experts * self.factor} experts")
-        if self.encoder_attention:
-            raise ConfigError("encoder_attention is no longer supported; set it to false")
         return self
 
     def stage1(self) -> StageConfig:

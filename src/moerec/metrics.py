@@ -177,7 +177,7 @@ def cluster_purity(pred: Sequence[int], truth: Sequence[int]) -> float:
 class MetricReport:
     """Scalar metrics in [0, 1], optional per-bucket rows, and provenance."""
 
-    values: Dict[str, Optional[float]]
+    values: Dict[str, float]
     count: int
     buckets: Optional[Dict[str, Dict[str, float]]] = None
     clusters: Optional[int] = None
@@ -191,8 +191,7 @@ class MetricReport:
             "count": self.count,
             "values": self.values,
             "values_percent": {
-                k: (None if v is None else round(v * 100.0, 4))
-                for k, v in self.values.items() if k != "rmse"
+                k: round(v * 100.0, 4) for k, v in self.values.items() if k != "rmse"
             },
             "buckets": self.buckets,
             "clusters": self.clusters,
@@ -201,9 +200,7 @@ class MetricReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @staticmethod
-    def _fmt(value: Optional[float], percent: bool) -> str:
-        if value is None:
-            return "n/a"
+    def _fmt(value: float, percent: bool) -> str:
         return f"{value * 100.0:.3f}" if percent else f"{value:.4f}"
 
     def to_table(self) -> str:
@@ -214,7 +211,6 @@ class MetricReport:
         for name in self.METRIC_ORDER:
             if name in self.values:
                 lines.append(f"{name:<12}{self._fmt(self.values[name], name != 'rmse'):>10}")
-        lines.append(f"{'bertscore':<12}{'n/a':>10}")
         if self.clusters is not None:
             lines.append(f"{'clusters':<12}{self.clusters:>10}")
         if self.gates is not None:
@@ -287,10 +283,9 @@ def evaluate_model(
                      "prompt": prompt_of(rec), "generated": text,
                      "reference": rec.explanation, "gate": int(gate)})
 
-    values: Dict[str, Optional[float]] = dict(_text_metrics(pairs, corpus_level))
+    values = _text_metrics(pairs, corpus_level)
     truth = normalized_ratings(test_records, getattr(bundle, "r_max", 5.0))
     values["rmse"] = rmse(bundle.predict_norm_ratings(test_records), truth)
-    values["bertscore"] = None
 
     bucket_rows = None
     if buckets:

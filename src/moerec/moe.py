@@ -96,16 +96,6 @@ class Vocab:
     def decode(self, ids: Sequence[int]) -> str:
         return " ".join(self.tokens[i] for i in ids)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for tok in self.tokens:
-                fh.write(tok + "\n")
-
-    @classmethod
-    def load(cls, path) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
-            return cls([line.rstrip("\n") for line in fh if line != "\n"])
-
 
 def build_prompt(vocab: Vocab, user: str, item: str, rating: float,
                  features: Sequence[str], r_max: float = 5.0) -> List[int]:

@@ -36,7 +36,6 @@ makes whole runs bit-reproducible.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -69,7 +68,7 @@ def vae_config_from(run: RunConfig, split: DatasetSplit) -> VaeConfig:
 
 def lm_config_from(run: RunConfig, vocab_size: int) -> LmConfig:
     moe = decompose_experts(run.base_experts, run.base_hidden, run.factor,
-                            active=run.active_experts, gates=run.gates)
+                            active=run.active_experts, gates=run.clusters)
     return LmConfig(vocab_size=vocab_size, model_dim=run.model_dim,
                     blocks=run.blocks, heads=run.heads, context=run.context,
                     moe=moe, renormalize_topk=run.renormalize_topk)
@@ -284,8 +283,7 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
                 partial(_explainer_batches, bundle, run, cfg, split),
                 root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"),
                 valid_label="stage2.valid")
-    return bundle, _manifest("stage2", cfg, {"clusters": run.clusters, "gates": run.gates},
-                             rows, started)
+    return bundle, _manifest("stage2", cfg, {"clusters": run.clusters}, rows, started)
 
 
 def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig,
@@ -356,16 +354,18 @@ def _load(path, stage: str) -> tuple:
         if manifest["stage"] != stage:
             raise TrainingError(f"expected a {stage} checkpoint, found {manifest['stage']!r}")
         config, extra = manifest["config"], manifest["extra"]
-        users, items = extra["users"], extra["items"]
-        vocab_file = extra["vocab_file"] if stage == "stage2" else None
+        names = ("users", "items", "vocab") if stage == "stage2" else ("users", "items")
+        lists = {field: extra[field] for field in names}
     except (KeyError, TypeError) as err:
         raise DataError(f"checkpoint manifest is malformed: {err!r}") from None
-    for field, value in (("users", users), ("items", items)):
+    for field, value in lists.items():
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise DataError(f"checkpoint manifest field extra.{field} must be a list "
                             f"of strings")
-    if stage == "stage2" and not isinstance(vocab_file, str):
-        raise DataError("checkpoint manifest field extra.vocab_file must be a string")
+        if field != "vocab" and any(a >= b for a, b in zip(value, value[1:])):
+            raise DataError(f"checkpoint manifest field extra.{field} must be strictly "
+                            f"increasing")
+    users, items = lists["users"], lists["items"]
     if not isinstance(config, dict):
         raise ConfigError(f"checkpoint config is not an object: {config!r}")
     run = load_config(overrides=config)
@@ -378,11 +378,10 @@ def _load(path, stage: str) -> tuple:
     params = vae.params()
     lm = vocab = None
     if stage == "stage2":
-        vocab_path = os.path.join(os.path.dirname(str(path)) or ".", vocab_file)
         try:
-            vocab = Vocab.load(vocab_path)
-        except (OSError, UnicodeDecodeError) as err:
-            raise DataError(f"cannot read vocabulary sidecar {vocab_path}: {err}") from None
+            vocab = Vocab(lists["vocab"])
+        except ConfigError as err:
+            raise DataError(f"checkpoint manifest field extra.vocab: {err}") from None
         lm = LanguageModel(lm_config_from(run, len(vocab)), _ZeroRng())
         params |= lm.params()
     restore_params(params, arrays)
@@ -401,14 +400,12 @@ def load_stage1(path) -> tuple:
 
 def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
                 f64: bool = False) -> None:
-    bundle.vocab.save(str(path) + ".vocab.txt")
-    # the vocab sidecar is recorded by basename and resolved relative to the
-    # checkpoint, so checkpoint bytes do not depend on the directory
+    # the vocabulary rides in the manifest, so the one file is the whole model
     save_checkpoint(path, bundle.params(), config=run.to_dict(), seed=run.seed,
                     stage="stage2",
                     extra={"users": sorted(bundle.user_index),
                            "items": sorted(bundle.item_index),
-                           "vocab_file": os.path.basename(str(path)) + ".vocab.txt"},
+                           "vocab": bundle.vocab.tokens},
                     f64=f64)
 
 

@@ -360,7 +360,7 @@ def test_criterion_6_cluster_recovery(planted, stage1_model):
                                        np.array([0]))[0])
     assert len(set(gate_of.values())) == len(gate_of)
 
-    single = RunConfig(clusters=1, gates=-1).validate()
+    single = RunConfig(clusters=1).validate()
     vae1, _ = train_stage1(split, vae_config_from(single, split), single.stage1())
     ari1 = user_level_ari(split, vae1, labels)
     assert ari1 <= 0.05

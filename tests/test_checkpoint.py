@@ -171,14 +171,18 @@ def test_corrupt_checkpoint_raises_data_error(tmp_path, kind, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_other_format_version_is_a_config_error(tmp_path):
+def test_other_format_version_is_a_config_error(tmp_path, capsys):
+    from moerec.cli import main
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, sample_tensors(), config={}, seed=0, stage="stage1")
     path.write_bytes(rewrite_manifest(path.read_bytes(),
-                                      lambda m: m.update(format="GVMC-1")))
-    assert FORMAT_VERSION == "GVMC-2"
+                                      lambda m: m.update(format="GVMC-2")))
+    assert FORMAT_VERSION == "GVMC-3"
     with pytest.raises(ConfigError):
         load_checkpoint(path)
+    assert main(["generate", "--checkpoint", str(path), "--user", "u0",
+                 "--item", "i0", "--rating", "4"]) == ConfigError.exit_code == 1
+    assert capsys.readouterr().err == "error: checkpoint format 'GVMC-2' is not GVMC-3\n"
 
 
 def untrained_bundle_checkpoint(path):
@@ -209,7 +213,15 @@ def _drop(*keys):
     return edit
 
 
-# (manifest edit or None for a deleted vocab sidecar, error, text in the message)
+def _set(field, value):
+    return lambda m: m["extra"].update({field: value})
+
+
+def _edit_vocab(change):
+    return lambda m: change(m["extra"]["vocab"])
+
+
+# (manifest edit, error, text in the message)
 BAD_BUNDLE_CONTENT = {
     "unknown config key": (lambda m: m["config"].update(depth=3), ConfigError, "depth"),
     "ill-typed config value": (lambda m: m["config"].update(d_emb="four"), ConfigError,
@@ -217,17 +229,24 @@ BAD_BUNDLE_CONTENT = {
     "config not an object": (lambda m: m.update(config=[]), ConfigError, "config"),
     "encoder attention on": (lambda m: m["config"].update(encoder_attention=True),
                              ConfigError, "encoder_attention"),
-    "missing vocab sidecar": (None, DataError, "vocabulary"),
     "no stage": (_drop("stage"), DataError, "'stage'"),
     "no config": (_drop("config"), DataError, "'config'"),
     "no extra": (_drop("extra"), DataError, "'extra'"),
     "no users": (_drop("extra", "users"), DataError, "'users'"),
     "no items": (_drop("extra", "items"), DataError, "'items'"),
-    "no vocab_file": (_drop("extra", "vocab_file"), DataError, "'vocab_file'"),
-    "users not a list": (lambda m: m["extra"].update(users=3), DataError, "extra.users"),
-    "items not strings": (lambda m: m["extra"].update(items=[0]), DataError, "extra.items"),
-    "vocab_file not a string": (lambda m: m["extra"].update(vocab_file=["v.txt"]), DataError,
-                                "extra.vocab_file"),
+    "no vocab": (_drop("extra", "vocab"), DataError, "'vocab'"),
+    "users not a list": (_set("users", 3), DataError, "extra.users"),
+    "items not strings": (_set("items", [0]), DataError, "extra.items"),
+    "duplicate user": (_set("users", ["u0", "u0"]), DataError, "extra.users"),
+    "unsorted items": (_set("items", ["i1", "i0"]), DataError, "extra.items"),
+    "vocab not a list": (_set("vocab", "<pad>"), DataError, "extra.vocab"),
+    "vocab not strings": (_edit_vocab(lambda v: v.append(7)), DataError, "extra.vocab"),
+    "vocab without reserved prefix": (_edit_vocab(lambda v: v.pop(0)), DataError,
+                                      "extra.vocab"),
+    "duplicate vocab token": (_edit_vocab(lambda v: v.__setitem__(-1, v[0])), DataError,
+                              "extra.vocab"),
+    "vocab longer than the embedding": (_edit_vocab(lambda v: v.append("extra")),
+                                        DataError, "lm.embed"),
 }
 
 
@@ -241,10 +260,7 @@ def test_bad_bundle_content_fails_with_its_exit_code(tmp_path, kind, capsys):
     assert main(args) == 0
     capsys.readouterr()
     edit, error, fragment = BAD_BUNDLE_CONTENT[kind]
-    if edit is None:
-        (tmp_path / "model.ckpt.vocab.txt").unlink()
-    else:
-        path.write_bytes(rewrite_manifest(path.read_bytes(), edit))
+    path.write_bytes(rewrite_manifest(path.read_bytes(), edit))
     assert main(args) == error.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err

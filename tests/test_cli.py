@@ -124,12 +124,42 @@ def test_train_stage2_requires_stage1(workspace, tmp_path, capsys):
     assert "stage1" in capsys.readouterr().err.lower()
 
 
+def test_stage2_checkpoint_is_one_self_contained_file(workspace, tmp_path, capsys):
+    out = tmp_path / "train" / "model.ckpt"
+    out.parent.mkdir()
+    assert run_cli("train", "--stage", "2", "--data", str(workspace["data"]),
+                   "--config", str(workspace["cfg"]), "--out", str(out),
+                   "--stage1-checkpoint", str(workspace["s1"])) == 0
+    assert sorted(p.name for p in out.parent.iterdir()) == ["model.ckpt",
+                                                            "model.ckpt.manifest.json"]
+    moved = tmp_path / "elsewhere" / "copy.ckpt"
+    moved.parent.mkdir()
+    moved.write_bytes(out.read_bytes())
+    query = ["--user", "u0001", "--item", "i0002", "--rating", "4", "--max-len", "6"]
+    capsys.readouterr()
+    assert run_cli("generate", "--checkpoint", str(out), *query) == 0
+    here = capsys.readouterr().out
+    assert run_cli("generate", "--checkpoint", str(moved), *query) == 0
+    assert capsys.readouterr().out == here and "explanation: " in here
+    assert sorted(p.name for p in moved.parent.iterdir()) == ["copy.ckpt"]
+
+
 def test_train_rejects_gate_cluster_mismatch(workspace, tmp_path, capsys):
     code = run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
                    "--config", str(workspace["cfg"]),
                    "--out", str(tmp_path / "x.ckpt"), "--gates", "5")
     assert code == 1
     assert "gates" in capsys.readouterr().err
+
+
+def test_train_refuses_the_retired_encoder_attention_flag(workspace, tmp_path, capsys):
+    code = run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
+                   "--config", str(workspace["cfg"]),
+                   "--out", str(tmp_path / "x.ckpt"), "--encoder_attention", "false")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: unrecognized arguments: --encoder_attention" in err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace,
@@ -146,7 +176,7 @@ def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace,
 @pytest.mark.parametrize("field,value", [
     ("d_emb", "0"), ("model_dim", "0"), ("heads", "0"), ("factor", "0"),
     ("s1_clip", "0"), ("s2_clip", "0"), ("latent_dim", "0"), ("enc_hidden", "0"),
-    ("s1_lr", "-1"), ("encoder_attention", "true"), ("s1_epochs", "2.7"),
+    ("s1_lr", "-1"), ("s1_epochs", "2.7"),
     ("s1_epochs", "1e400"),
 ])
 def test_train_rejects_out_of_range_config(workspace, tmp_path, capsys, field, value):

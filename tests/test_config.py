@@ -13,7 +13,7 @@ from moerec.errors import ConfigError
 
 def test_defaults_validate():
     run = load_config()
-    assert run.clusters == 3 and run.gates == 3
+    assert run.clusters == 3
     assert run.active_experts == 2
     assert run.beta == 0.1 and run.alpha == 0.1
     assert run.s1_clip == 0.3 and run.s2_clip == 0.3
@@ -29,7 +29,7 @@ def test_file_parsing_and_comments(tmp_path):
         "precision = \"float64\"\n",
         encoding="utf-8")
     run = load_config(path)
-    assert run.clusters == 2 and run.gates == 2
+    assert run.clusters == 2
     assert run.s1_lr == 0.001
     assert run.freeze_gmm is True
 
@@ -38,7 +38,7 @@ def test_overrides_win_over_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("clusters = 2\n", encoding="utf-8")
     run = load_config(path, {"clusters": "4"})
-    assert run.clusters == 4 and run.gates == 4
+    assert run.clusters == 4
 
 
 def test_unknown_field_rejected(tmp_path):
@@ -51,9 +51,13 @@ def test_unknown_field_rejected(tmp_path):
 
 
 def test_gate_cluster_invariant():
-    with pytest.raises(ConfigError) as err:
-        load_config(None, {"clusters": "3", "gates": "2"})
-    assert "gates" in str(err.value)
+    # one gate per cluster: the gate count is no field of its own
+    from moerec.training import lm_config_from
+    assert lm_config_from(load_config(None, {"clusters": "4"}), 20).moe.gates == 4
+    for gates in ("2", "3", "-1"):
+        with pytest.raises(ConfigError) as err:
+            load_config(None, {"clusters": "3", "gates": gates})
+        assert "gates" in str(err.value)
 
 
 def test_factor_divisibility_checked():
@@ -109,12 +113,16 @@ def test_direct_construction_checks_types():
     assert RunConfig(s1_lr=1).validate().s1_lr == 1
 
 
-def test_encoder_attention_must_stay_off():
-    # the field is kept only so that stored configs and checkpoints load
-    assert load_config(None, {"encoder_attention": "false"}).encoder_attention is False
-    with pytest.raises(ConfigError) as err:
-        load_config(None, {"encoder_attention": "true"})
-    assert "encoder_attention" in str(err.value)
+def test_encoder_attention_must_stay_off(tmp_path):
+    # the retired encoder variant is no field at all: any value, in a file or
+    # an override, is an unknown field
+    path = tmp_path / "run.cfg"
+    path.write_text("encoder_attention = false\n", encoding="utf-8")
+    for source in ((path, None), (None, {"encoder_attention": "false"}),
+                   (None, {"encoder_attention": "true"})):
+        with pytest.raises(ConfigError) as err:
+            load_config(*source)
+        assert "encoder_attention" in str(err.value)
 
 
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}
@@ -172,4 +180,4 @@ def test_every_field_reads_a_json_scalar_unchanged_or_raises_config_error(field,
         except ConfigError:
             return
         assert value is not None
-        assert _same(getattr(run, name), value) or (name == "gates" and value == -1)
+        assert _same(getattr(run, name), value)

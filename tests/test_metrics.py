@@ -193,7 +193,8 @@ def test_evaluate_echo_model_perfect_scores():
     assert report.values["bleu1"] == pytest.approx(1.0)
     assert report.values["rouge1"] == pytest.approx(1.0)
     assert report.values["rmse"] == pytest.approx(0.0)
-    assert report.values["bertscore"] is None
+    assert set(report.values) == {"bleu1", "bleu4", "rouge1", "rougeL",
+                                  "distinct1", "distinct2", "rmse"}
     assert len(rows) == 9
 
 
@@ -209,11 +210,10 @@ def test_evaluate_bucket_mode_rows():
 
 
 def test_report_percent_formatting():
-    report = MetricReport(values={"bleu1": 0.21370, "rmse": 0.5,
-                                  "bertscore": None}, count=3)
+    report = MetricReport(values={"bleu1": 0.21370, "rmse": 0.5}, count=3)
     table = report.to_table()
-    assert "21.370" in table
-    assert "n/a" in table
+    assert "21.370" in table and "0.5000" in table
+    assert "n/a" not in table
     payload = report.to_json()
     assert "21.37" in payload
     perfect = MetricReport(values={"bleu1": 1.0}, count=1)

@@ -294,14 +294,6 @@ def test_vocab_reserved_layout_and_bijection():
         assert vocab.tokens[idx] == tok
 
 
-def test_vocab_save_load_roundtrip(tmp_path):
-    vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
-    path = tmp_path / "vocab.txt"
-    vocab.save(path)
-    again = Vocab.load(path)
-    assert again.tokens == vocab.tokens
-
-
 def test_build_prompt_structure():
     vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
     ids = build_prompt(vocab, "3", "7", 4.0, ["thai", "cozy"])

@@ -44,7 +44,7 @@ def small_corpus(seed=0, users=24, items=12, per_user=6):
 
 
 def small_run(**overrides) -> RunConfig:
-    run = RunConfig(d_emb=8, latent_dim=4, clusters=2, gates=-1, enc_hidden=12,
+    run = RunConfig(d_emb=8, latent_dim=4, clusters=2, enc_hidden=12,
                     model_dim=16, blocks=1, heads=2, context=32,
                     base_experts=2, base_hidden=16, factor=2, active_experts=2,
                     s1_epochs=3, s1_warmup_epochs=2, s1_batch=32,
@@ -243,9 +243,9 @@ def test_stage2_validates_its_run_config():
     split, _ = small_corpus()
     run = small_run()
     vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
-    unvalidated = RunConfig(**(run.to_dict() | {"gates": -1}))
-    _, manifest = train_stage2(split, vae, unvalidated, unvalidated.stage2())
-    assert manifest["config"]["gates"] == run.clusters
+    _, manifest = train_stage2(split, vae, run, run.stage2())
+    assert manifest["config"]["clusters"] == run.clusters
+    assert "gates" not in manifest["config"]
     bad = RunConfig(**(run.to_dict() | {"heads": 3}))
     with pytest.raises(ConfigError, match="heads"):
         train_stage2(split, vae, bad, bad.stage2())
