@@ -57,6 +57,11 @@ class Vocab:
         self.index = {tok: i for i, tok in enumerate(self.tokens)}
         if len(self.index) != len(self.tokens):
             raise ConfigError("vocabulary contains duplicate tokens")
+        # ids only a prompt holds: the reserved tokens but <eos>, and the id tokens
+        self.prompt_only = np.array(
+            [i for i, tok in enumerate(self.tokens)
+             if (i < len(RESERVED) and i != EOS) or tok.startswith(("u:", "i:", "r:"))],
+            dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -406,9 +411,10 @@ class LanguageModel:
 
     def generate(self, prompt: Sequence[int], gate: int, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,
-                 seed: int = 0) -> List[int]:
+                 seed: int = 0, banned: np.ndarray = None) -> List[int]:
         """Autoregressive continuation after the prompt, until <eos> or
-        max_len; greedy mode is deterministic, sampling is seeded.
+        max_len; greedy mode is deterministic, sampling is seeded. The
+        `banned` token ids get no probability in either mode.
 
         The prompt is prefilled once into a :class:`KVCache`; each later
         step feeds only the token just emitted.
@@ -426,6 +432,8 @@ class LanguageModel:
         while len(out) < max_len and cache.length + len(new) < self.config.context:
             logits = self.forward_rows(np.asarray(new)[None, :], np.array([gate]),
                                        cache).data[-1]
+            if banned is not None:
+                logits[banned] = -np.inf
             if mode == "greedy":
                 nxt = int(np.argmax(logits))
             else:

@@ -1,23 +1,27 @@
-"""AdamW with decoupled weight decay, plus global-norm gradient clipping."""
+"""AdamW over a flat parameter store, plus global-norm gradient clipping."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from .errors import TrainingError
 from .tensor import Tensor
 
+CHUNK = 32768   # values per pass of the update: six such arrays fit in L2
 
-def clip_grad_norm(grads: List[np.ndarray], max_norm: float) -> float:
+
+def clip_grad_norm(grads: List[np.ndarray], max_norm: float,
+                   buffers: Sequence[np.ndarray] = None) -> float:
     """Scale all grads in place so the global L2 norm is at most `max_norm`.
 
     Returns the scale that was applied (1.0 when no clipping was needed,
     including the all-zero case). Grads may be views of one buffer (the
     backward of ``a + b`` hands both inputs the same one): every element
-    is scaled once.
+    is scaled once. Given `buffers`, disjoint arrays holding exactly the
+    elements of `grads` (a store's rows), those are scaled instead.
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
@@ -26,7 +30,7 @@ def clip_grad_norm(grads: List[np.ndarray], max_norm: float) -> float:
         return 1.0
     scale = max_norm / total
     by_buffer: Dict[int, List[np.ndarray]] = {}
-    for g in grads:
+    for g in grads if buffers is None else buffers:
         root = g
         while isinstance(root.base, np.ndarray):
             root = root.base
@@ -46,75 +50,87 @@ class AdamW:
         m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
         p <- p*(1 - lr*weight_decay) - lr * m_hat / (sqrt(v_hat) + eps)
 
-    The update runs in place: every temporary lives in one scratch buffer
-    of twice the largest parameter's size, viewed per parameter and made
-    once per step, so that it holds no memory between steps.
+    Per dtype, one (4, n) store holds the values, grads and moments, and
+    each ``data``, ``grad``, ``m`` and ``v`` is a view into a row of it (the
+    multi-tensor layout of NVIDIA Apex and PyTorch). A step copies in any
+    ``data`` or ``grad`` replaced from outside (``None`` is zeros), then
+    updates the rows in place, `CHUNK` values at a time, with two rows of
+    scratch made once per step.
     """
 
     def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
                  betas: tuple = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = dict(params)
-        self.lr = lr
+        self.lr, self.eps, self.weight_decay = lr, eps, weight_decay
         self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self._names = sorted(self.params)
-        arrays = [p.data for p in self.params.values()]
-        self._scratch_shape = (2, max((a.size for a in arrays), default=0))
-        self._scratch_dtype = np.result_type(*arrays) if arrays else np.float64
+        self.m, self.v, views, self._stores = {}, {}, {}, []    # one store per dtype
+        for dtype in {p.data.dtype for p in self.params.values()}:
+            names = [n for n in self._names if self.params[n].data.dtype == dtype]
+            bounds = np.cumsum([0] + [self.params[n].data.size for n in names]).tolist()
+            store = np.zeros((4, bounds[-1]), dtype)
+            for name, start, stop in zip(names, bounds, bounds[1:]):
+                p = self.params[name]
+                data, grad, self.m[name], self.v[name] = \
+                    store[:, start:stop].reshape((4,) + p.data.shape)
+                views[name] = (p, data, grad)
+            self._stores.append(store)
+        self._views = [views[n] for n in self._names]
+        self._grads = [grad for _, _, grad in self._views]
+        self._adopt()
+
+    def _adopt(self) -> None:
+        """Point each data and grad at its view, copying in a replacement."""
+        for p, data, grad in self._views:
+            if p.data is not data:
+                data[...] = p.data
+                p.data = data
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+                p.grad = p.store_grad = grad
 
     def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def gradients(self) -> List[np.ndarray]:
-        """Grad buffers in parameter order; missing grads count as zeros."""
-        out = []
-        for name in self._names:
-            p = self.params[name]
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            out.append(p.grad)
-        return out
+        for store in self._stores:
+            store[1].fill(0.0)
+        for p, _, grad in self._views:
+            p.grad = p.store_grad = grad
 
     def step(self, clip_norm: float | None = None) -> float:
         """One update over all parameters; returns the clip scale applied."""
-        for name in self._names:
-            g = self.params[name].grad
-            # a finite sum proves every element finite (see tensor._check_finite)
-            if g is not None and not math.isfinite(g.sum()) and not np.isfinite(g).all():
-                raise TrainingError(f"non-finite gradient on parameter {name!r}")
+        self._adopt()
+        # a finite sum proves every element finite (see tensor._check_finite)
+        if any(not math.isfinite(store[1].sum()) for store in self._stores):
+            bad = [n for n, g in zip(self._names, self._grads) if not np.isfinite(g).all()]
+            if bad:
+                raise TrainingError(f"non-finite gradient on parameter {bad[0]!r}")
         scale = 1.0
         if clip_norm is not None:
-            scale = clip_grad_norm(self.gradients(), clip_norm)
+            scale = clip_grad_norm(self._grads, clip_norm, [s[1] for s in self._stores])
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count
-        lr, b1, b2 = self.lr, self.b1, self.b2
-        scratch = np.empty(self._scratch_shape, dtype=self._scratch_dtype)
-        for name in self._names:
-            p = self.params[name]
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m, v = self.m[name], self.v[name]
-            a = scratch[0, :m.size].reshape(m.shape)
-            b = scratch[1, :m.size].reshape(m.shape)
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, a)
-            v *= b2
-            np.multiply(g, 1.0 - b2, a)
-            a *= g
-            v += a
-            # a = (m / c1) / (sqrt(v / c2) + eps), the update
-            np.divide(m, c1, a)
-            np.sqrt(np.divide(v, c2, b), b)
-            b += self.eps
-            a /= b
-            if self.weight_decay:
-                p.data -= np.multiply(p.data, lr * self.weight_decay, b)
-            a *= lr
-            p.data -= a
+        lr, b1, b2, decay = self.lr, self.b1, self.b2, self.lr * self.weight_decay
+        for store in self._stores:
+            # made per step, so it holds no memory through the backward sweep
+            scratch = np.empty((2, min(CHUNK, store.shape[1])), store.dtype)
+            for start in range(0, store.shape[1], CHUNK):
+                p, g, m, v = store[:, start:start + CHUNK]
+                a, b = scratch[:, :p.size]
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, a)
+                v *= b2
+                np.multiply(g, 1.0 - b2, a)
+                a *= g
+                v += a
+                # a = (m / c1) / (sqrt(v / c2) + eps), the update
+                np.divide(m, c1, a)
+                np.sqrt(np.divide(v, c2, b), b)
+                b += self.eps
+                a /= b
+                if decay:
+                    p -= np.multiply(p, decay, b)
+                a *= lr
+                p -= a
         return scale

@@ -25,7 +25,10 @@ Rules of the house:
   forwards and gradients equal the chains' bit for bit, and they also
   check the intermediates that their output would hide.
 - Gradient accumulation never clears anything implicitly: call
-  :func:`zero_grad` (or ``Tensor.zero_grad``) between optimization steps.
+  :func:`zero_grad` (or ``Tensor.zero_grad``, or an optimizer's
+  ``zero_grad``) between optimization steps. An optimizer's parameters
+  take their gradients in place, in the views of its flat store
+  (:mod:`moerec.optim`).
 - Operations executed with no active tape compute values only, so frozen
   models run without graph bookkeeping.
 - Broadcasting follows numpy; backward rules reduce gradients back to each
@@ -73,7 +76,9 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 class Tensor:
     """N-dimensional array of reals, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    # store_grad: the gradient view of the optimizer store that holds this
+    # tensor (see moerec.optim), which backward may add into in place
+    __slots__ = ("data", "grad", "requires_grad", "store_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=_default_dtype)
@@ -81,6 +86,7 @@ class Tensor:
         self.data = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
+        self.store_grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple:
@@ -102,7 +108,7 @@ class Tensor:
         """Untracked view of the same values (no copy)."""
         out = Tensor.__new__(Tensor)
         out.data = self.data
-        out.grad = None
+        out.grad = out.store_grad = None
         out.requires_grad = False
         return out
 
@@ -203,7 +209,7 @@ def _make(out_data: np.ndarray, op: str, inputs: tuple, backward_fn: Callable) -
     _check_finite(out_data, op)
     out = Tensor.__new__(Tensor)
     out.data = out_data
-    out.grad = None
+    out.grad = out.store_grad = None
     out.requires_grad = False
     if _TAPE_STACK:
         for t in inputs:
@@ -221,6 +227,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Leaf gradients accumulate additively (across fan-out and across tapes);
     intermediate buffers are released afterwards. A tape can be swept once.
+    A gradient that an optimizer store owns (``grad is store_grad``) takes
+    each addition in place; any other is replaced by a fresh sum, since the
+    sweep may have handed the same array to several inputs (the backward
+    of ``a + b``).
     """
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, have shape {loss.shape}")
@@ -237,7 +247,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for tensor, gin in zip(rec.inputs, rec.backward(g)):
             if gin is None or not tensor.requires_grad:
                 continue
-            tensor.grad = gin if tensor.grad is None else tensor.grad + gin
+            if tensor.grad is None:
+                tensor.grad = gin
+            elif tensor.grad is tensor.store_grad:
+                np.add(tensor.grad, gin, out=tensor.grad)
+            else:
+                tensor.grad = tensor.grad + gin
     for rec in tape.records:
         rec.out.grad = None
 
@@ -407,6 +422,20 @@ def _group_parts(groups: np.ndarray, count: int) -> list:
     return [(g, order[start:stop]) for g, start, stop in bounds]
 
 
+def _group_sums(shape: tuple, g: np.ndarray, parts: list, groups: np.ndarray) -> np.ndarray:
+    """Row sums of `g` per group into a zero (count, width) array, equal to
+    ``_index_add(shape, groups, g)`` bit for bit: an axis-0 sum of rows at
+    least two wide adds them in order. A one-wide column would be summed
+    pairwise, so it keeps the scatter."""
+    if shape[1] == 1:
+        return _index_add(shape, groups, g)
+    g = np.ascontiguousarray(g)
+    out = np.zeros(shape, dtype=g.dtype)
+    for group, rows in parts:
+        out[group] = g[rows].sum(axis=0)
+    return out
+
+
 def _grouped_forward(x: np.ndarray, w: np.ndarray, parts: list) -> np.ndarray:
     out = np.empty((x.shape[0], w.shape[2]), dtype=np.result_type(x, w))
     for g, rows in parts:
@@ -521,7 +550,7 @@ def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                      lambda x, w: _grouped_forward(x, w, parts),
                      lambda g, x, w: _grouped_backward(g, x, w, parts),
                      lambda b: b[experts],
-                     lambda shape, g: _index_add(shape, experts, g))
+                     lambda shape, g: _group_sums(shape, g, parts, experts))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -231,7 +231,8 @@ class ExplainerBundle:
         One encoder pass gates the whole batch: each record's gate is the
         largest of its (B, K) responsibilities along the deterministic mean
         path, ties to the lowest index. Each record then decodes alone
-        after its prompt, sampled records on the stream of `seed`.
+        after its prompt, sampled records on the stream of `seed`. Neither
+        mode emits a token that only prompts hold (`Vocab.prompt_only`).
         """
         if max_len < 1:
             raise ConfigError(f"max_len must be at least 1, got {max_len}")
@@ -244,7 +245,8 @@ class ExplainerBundle:
         gamma = self.vae.posteriors(*self._rows(records))
         gates = np.argmax(gamma, axis=1)
         texts = [self.vocab.decode(self.lm.generate(prompt, gate, max_len=max_len, mode=mode,
-                                                    temperature=temperature, seed=seed))
+                                                    temperature=temperature, seed=seed,
+                                                    banned=self.vocab.prompt_only))
                  for prompt, gate in zip(prompts, gates)]
         return texts, gates, gamma
 

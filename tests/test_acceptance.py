@@ -403,6 +403,18 @@ def test_cached_generation_matches_full_recompute_on_trained_model(planted,
         assert text == bundle.vocab.decode(expected)
 
 
+def test_greedy_explanations_equal_the_unmasked_decode(planted, stage2_bundle):
+    """Masking prompt-only tokens leaves greedy output as it was."""
+    split, _ = planted
+    bundle, _, _ = stage2_bundle
+    records = split.test[:60]
+    texts, gates, _ = bundle.explain(records)
+    for rec, text, gate in zip(records, texts, gates.tolist()):
+        prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
+                              rec.features, bundle.r_max)
+        assert text == bundle.vocab.decode(bundle.lm.generate(prompt, gate))
+
+
 # --- criterion 8: sparsity protocol analog -----------------------------------
 
 def test_criterion_8_sparsity_buckets(planted, stage2_bundle):

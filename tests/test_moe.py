@@ -294,6 +294,28 @@ def test_vocab_reserved_layout_and_bijection():
         assert vocab.tokens[idx] == tok
 
 
+def test_vocab_prompt_only_ids_are_the_reserved_and_id_tokens():
+    vocab = Vocab.build(sample_records(), ["3", "9"], ["7"], r_max=5.0)
+    got = [vocab.tokens[i] for i in vocab.prompt_only]
+    assert got == [t for t in RESERVED if t != "<eos>"] + [
+        "u:3", "u:9", "i:7", "r:1", "r:2", "r:3", "r:4", "r:5"]
+    words = [t for i, t in enumerate(vocab.tokens) if i not in set(vocab.prompt_only)]
+    assert words[0] == "<eos>" and "thai" in words and ":" not in "".join(words[1:])
+
+
+def test_generate_never_emits_a_banned_token():
+    lm = tiny_lm(seed=12)
+    banned = np.array([0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11])
+    free = [lm.generate([BOS, 4], gate=0, max_len=12, mode="sample",
+                        temperature=2.0, seed=seed) for seed in range(12)]
+    assert set(banned) & {t for out in free for t in out}    # untrained: all appear
+    for seed in range(12):
+        for mode in ("greedy", "sample"):
+            out = lm.generate([BOS, 4], gate=0, max_len=12, mode=mode,
+                              temperature=2.0, seed=seed, banned=banned)
+            assert not set(banned) & set(out)
+
+
 def test_build_prompt_structure():
     vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
     ids = build_prompt(vocab, "3", "7", 4.0, ["thai", "cozy"])

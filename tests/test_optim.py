@@ -108,8 +108,9 @@ def test_adamw_step_counter_and_moment_shapes():
 
 
 class ReferenceAdamW:
-    """The update as written before it ran in place: fresh temporaries for
-    every product, quotient and square root."""
+    """The per-tensor update, written before the flat store and the in-place
+    update: fresh temporaries for every product, quotient and square root,
+    and the grads that backward leaves on each tensor."""
 
     def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
         self.params = dict(params)
@@ -118,6 +119,10 @@ class ReferenceAdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.grad = None
 
     def step(self, clip_norm):
         grads = []
@@ -172,3 +177,160 @@ def test_in_place_adamw_matches_the_reference_update(dtype, weight_decay):
     for k in shapes:
         assert ours[k].data.dtype == np.dtype(dtype)
         assert np.array_equal(ours[k].data, theirs[k].data), k
+
+
+# --- the flat parameter store ------------------------------------------------
+
+def assert_in_store(opt):
+    """Each parameter's data and grad, and its two moments, are views of
+    rows 0-3 of one (4, n) store, which they tile without overlap."""
+    tensors = list(opt.params.values())
+    store = tensors[0].data.base
+    assert store.shape == (4, sum(p.data.size for p in tensors))
+    covered = np.zeros(store.shape, dtype=int)
+    for name, p in opt.params.items():
+        assert p.grad is p.store_grad
+        for row, view in enumerate((p.data, p.grad, opt.m[name], opt.v[name])):
+            assert view.base is store and view.flags.c_contiguous
+            offset = view.__array_interface__["data"][0] - store.__array_interface__["data"][0]
+            start = offset // store.itemsize - row * store.shape[1]
+            assert 0 <= start <= store.shape[1] - view.size
+            covered[row, start:start + view.size] += 1
+    assert np.all(covered == 1)
+
+
+class StageStopped(Exception):
+    pass
+
+
+def recording_adamw(monkeypatch, cls=AdamW, stop_after=None):
+    """Patch training's optimizer with `cls`, recording every instance and
+    checking the store right after each is built; with `stop_after`, the
+    stage ends by StageStopped after that many steps of one optimizer."""
+    from moerec import training
+    built = []
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if cls is AdamW:
+                assert_in_store(self)
+            built.append(self)
+
+        def step(self, *args, **kwargs):
+            scale = super().step(*args, **kwargs)
+            if stop_after is not None and self.step_count >= stop_after:
+                raise StageStopped
+            return scale
+
+    monkeypatch.setattr(training, "AdamW", Recording)
+    return built
+
+
+def test_stage1_parameters_live_in_the_store_of_the_last_optimizer(monkeypatch):
+    from tests.test_training import small_corpus, small_run
+    from moerec.training import train_stage1, vae_config_from
+    split, _ = small_corpus()
+    run = small_run()
+    built = recording_adamw(monkeypatch)
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    warm, joint = built
+    shared = set(warm.params) & set(joint.params)
+    assert shared and shared == set(warm.params)    # the warm-up tensors are shared
+    assert all(warm.params[k] is joint.params[k] for k in shared)
+    assert_in_store(joint)
+    assert joint.params == vae.params()
+
+
+def test_stage2_repacks_the_stage1_tensors_into_its_store(monkeypatch):
+    from tests.test_training import small_corpus, small_run
+    from moerec.training import train_stage1, train_stage2, vae_config_from
+    split, _ = small_corpus()
+    run = small_run()
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    before = {k: p.data.copy() for k, p in vae.params().items()}
+    built = recording_adamw(monkeypatch, stop_after=1)
+    with pytest.raises(StageStopped):
+        train_stage2(split, vae, run, run.stage2())
+    (opt,) = built
+    assert all(opt.params[k] is p for k, p in vae.params().items())
+    assert_in_store(opt)
+    assert any(not np.array_equal(before[k], p.data) for k, p in vae.params().items())
+
+
+def test_store_add_never_writes_through_an_aliased_grad():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    q = Tensor(np.ones(3), requires_grad=True)
+    opt = AdamW({"p": p}, lr=0.1)
+    with Tape() as tape:
+        tape.backward((p + q).sum())              # hands p and q one array
+    assert p.grad is p.store_grad and not np.shares_memory(p.grad, q.grad)
+    with Tape() as tape:
+        tape.backward((q + p).sum())
+    assert np.array_equal(p.grad, [2.0] * 3) and np.array_equal(q.grad, [2.0] * 3)
+    # a grad reset from outside is no longer the store's: p and q alias again
+    p.zero_grad()
+    q.zero_grad()
+    with Tape() as tape:
+        tape.backward((p + q).sum())
+    assert np.shares_memory(p.grad, q.grad)
+    with Tape() as tape:
+        tape.backward((p * 3.0).sum())
+    assert np.array_equal(q.grad, [1.0] * 3) and np.array_equal(p.grad, [4.0] * 3)
+    opt.step()
+    assert p.grad is p.store_grad and np.array_equal(p.grad, [4.0] * 3)
+    assert np.array_equal(q.grad, [1.0] * 3)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_grads_replaced_from_outside_match_the_reference(dtype):
+    from moerec import tensor as T
+    shapes = {"w": (3, 4), "b": (3,), "u": (2, 3)}
+    T.set_default_dtype(dtype)
+    try:
+        init = {k: Rng(2).normal(int(np.prod(s))).reshape(s) for k, s in shapes.items()}
+        ours = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        theirs = {k: Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        x = Tensor(Rng(3).normal(10).reshape(5, 2))
+        opt = AdamW(ours, lr=0.05, weight_decay=0.01)
+        ref = ReferenceAdamW(theirs, lr=0.05, weight_decay=0.01)
+        for step in range(24):
+            for i, (params, optimizer) in enumerate(((ours, opt), (theirs, ref))):
+                optimizer.zero_grad()
+                how = step % 4
+                if i == 0 and how == 1:
+                    params["w"].zero_grad()               # None: backward assigns
+                elif i == 0 and how == 2:
+                    params["b"].grad = np.zeros(3, dtype)  # a fresh array to add to
+                for _ in range(2):                         # two micro-batches
+                    with Tape() as tape:
+                        h = (x @ params["u"] + params["b"]) @ params["w"]
+                        tape.backward((h * h).mean() * 0.5)
+                if how == 3:
+                    params["u"].grad = None                # no gradient this step
+                optimizer.step(clip_norm=0.5)
+            for k in shapes:
+                assert np.array_equal(ours[k].data, theirs[k].data), (step, k)
+    finally:
+        T.set_default_dtype("float64")
+
+
+def test_smoke_training_with_the_store_equals_the_reference_optimizer(monkeypatch):
+    from tests.test_training import small_corpus, small_run
+    from moerec.training import train_stage1, train_stage2, vae_config_from
+    split, _ = small_corpus()
+    run = small_run(s1_grad_accum=2, s2_epochs=2)
+    finals = []
+    for cls in (AdamW, ReferenceAdamW):
+        with monkeypatch.context() as patch:
+            recording_adamw(patch, cls)
+            vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+            built = recording_adamw(patch, cls, stop_after=20)
+            with pytest.raises(StageStopped):
+                train_stage2(split, vae, run, run.stage2())
+        (opt,) = built
+        assert opt.step_count == 20
+        finals.append({k: p.data.tobytes() for k, p in opt.params.items()})
+    assert finals[0].keys() == finals[1].keys()
+    for k in finals[0]:
+        assert finals[0][k] == finals[1][k], k

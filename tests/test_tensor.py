@@ -428,6 +428,25 @@ def test_expert_ffn_empty_group_gets_zero_gradient():
         assert np.all(stack.grad[1] == 0.0) and np.all(stack.grad[[0, 2, 3]] != 0.0)
 
 
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("groups", [
+    [0, 0, 1, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4],          # sorted, 2 is empty
+    [3, 0, 4, 3, 1, 3, 3, 0, 3, 3, 1, 3, 3, 3, 1, 3],          # unsorted, 2 is empty
+    [1] * 40 + [0] * 3,                                         # long unsorted run
+], ids=["sorted", "unsorted", "long"])
+@pytest.mark.parametrize("width", [1, 2, 7, 33])
+def test_expert_bias_group_sums_equal_the_index_scatter(dtype, groups, width):
+    groups = np.array(groups)
+    g = Rng(len(groups) + width).normal(len(groups) * width)
+    g = g.reshape(len(groups), width).astype(dtype)
+    shape = (5, width)
+    got = T._group_sums(shape, g, T._group_parts(groups, 5), groups)
+    want = T._index_add(shape, groups, g)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert np.array_equal(got, want)
+    assert np.all(got[2] == 0.0)
+
+
 @pytest.mark.parametrize("name", sorted(FUSED))
 def test_fused_op_raises_on_a_nan_input_like_its_chain(name):
     fused, reference, inputs = FUSED[name]

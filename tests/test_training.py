@@ -15,7 +15,7 @@ from moerec.data import (
 )
 from moerec import tensor, training
 from moerec.errors import ConfigError, DataError
-from moerec.moe import EOS, LanguageModel
+from moerec.moe import EOS, LanguageModel, build_prompt
 from moerec.optim import AdamW
 from moerec.rng import Rng
 from moerec.tensor import Tape
@@ -444,6 +444,27 @@ def test_explain_on_a_batch_equals_explaining_each_record(mode):
         assert one_texts == [text] == [bundle.generate_explanation(rec, **options)]
         assert one_gates.tolist() == [gate]
         assert np.allclose(one_gamma[0], row, rtol=0, atol=1e-12)
+
+
+def test_sampled_explanations_hold_only_word_tokens():
+    """The demo-scale model of the benchmark's explain workloads: unmasked,
+    its seeded samples pick up id tokens and markers; `explain` never does."""
+    records, _ = generate_synthetic(SynthSpec(n_users=90, n_items=40,
+                                              records_per_user=12, seed=7))
+    run = RunConfig(seed=7, s2_epochs=2).validate()
+    split = split_records(records, run.seed)
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    bundle, _ = train_stage2(split, vae, run, run.stage2())
+    banned = set(bundle.vocab.prompt_only.tolist())
+    texts, gates, _ = bundle.explain(split.test, mode="sample", seed=3)
+    for text in texts:
+        ids = [bundle.vocab.index[tok] for tok in text.split()]
+        assert not banned & set(ids), text
+    prompts = [build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features, run.r_max)
+               for r in split.test]
+    unmasked = [bundle.lm.generate(prompt, gate, mode="sample", seed=3)
+                for prompt, gate in zip(prompts, gates.tolist())]
+    assert any(banned & set(out) for out in unmasked)
 
 
 @pytest.mark.parametrize("max_len", [0, -3])
