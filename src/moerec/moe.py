@@ -184,12 +184,19 @@ class ExpertBank:
         self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 
-    def run(self, experts: np.ndarray, rows: Tensor) -> Tensor:
+    def run(self, experts: np.ndarray, rows: Tensor, scores: Tensor = None,
+            order: np.ndarray = None, residual: Tensor = None,
+            renormalize: bool = False) -> Tensor:
         """Row i through expert `experts[i]`, in one fused
         :func:`~moerec.tensor.expert_ffn`; rows sorted by expert are sliced
-        rather than gathered."""
+        rather than gathered. Given the router's `scores`, one fused
+        :func:`~moerec.tensor.routed_experts` also mixes the pairs into
+        `residual`."""
         self.eval_count += rows.shape[0]
-        return T.expert_ffn(rows, self.w1, self.b1, self.w2, self.b2, experts)
+        if scores is None:
+            return T.expert_ffn(rows, self.w1, self.b1, self.w2, self.b2, experts)
+        return T.routed_experts(residual, rows, self.w1, self.b1, self.w2, self.b2,
+                                experts, scores, order, renormalize)
 
 
 class GateRouter:
@@ -206,7 +213,7 @@ class GateRouter:
     def scores(self, gates, rows: Tensor) -> Tensor:
         """(n, E) scores for (n, m) rows, row i under gate `gates[i]`; one
         int routes every row through the same gate."""
-        gates = np.broadcast_to(np.asarray(gates, dtype=np.int64), rows.shape[:1])
+        gates = np.zeros(rows.shape[:1], dtype=np.int64) + gates
         if gates.size and (gates.min() < 0 or gates.max() >= self.cfg.gates):
             raise ConfigError(f"gate index outside [0, {self.cfg.gates})")
         return T.softmax(T.grouped_matmul(rows, self.weights, gates), axis=-1)
@@ -222,8 +229,9 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
-              k: int, renormalize: bool = False) -> Tensor:
-    """Top-k expert mixture of (n, m) rows, each routed by its own gate.
+              k: int, renormalize: bool = False, residual: Tensor = None) -> Tensor:
+    """Top-k expert mixture of (n, m) rows, each routed by its own gate,
+    added to `residual` (zeros by default).
 
     Dropless grouping (MegaBlocks, Gale et al. 2023): the n*k (row, expert)
     pairs are stable-sorted by expert, run through the bank in one call, and
@@ -233,19 +241,10 @@ def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
     the full softmax, every routing logit of the row's gate.
     """
     scores = router.scores(gates, rows)                     # (n, E)
-    selected = top_k_select(scores.data, k).reshape(-1)     # (n*k,)
-    n = rows.shape[0]
-    pair_rows = np.repeat(np.arange(n), k)
+    selected = top_k_select(scores.data, k).reshape(-1)     # (n*k,), row-major
     order = np.argsort(selected, kind="stable")
-    by_row, by_expert = pair_rows[order], selected[order]
-    if renormalize:
-        picked = T.gather_pairs(scores, pair_rows, selected).reshape(n, k)
-        weight = T.take_rows((picked / picked.sum(axis=1, keepdims=True)).reshape(-1),
-                             order)
-    else:
-        weight = T.gather_pairs(scores, by_row, by_expert)
-    out = bank.run(by_expert, rows[by_row]) * weight.reshape(-1, 1)
-    return T.scatter_rows(out, by_row, n)
+    residual = Tensor(np.zeros_like(rows.data)) if residual is None else residual
+    return bank.run(selected[order], rows[order // k], scores, order, residual, renormalize)
 
 
 # --- transformer ---
@@ -284,47 +283,33 @@ class TransformerBlock:
         self.bank = ExpertBank(m, config.moe, rng)
         self.router = GateRouter(m, config.moe, rng)
 
-    def _attend(self, x: Tensor, batch: int, length: int, cache: list = None) -> Tensor:
-        """Causal multi-head attention over `batch` sequences of `length`
-        rows: the `wq`/`wk`/`wv` projections, one fused
-        :func:`~moerec.tensor.attention` (head split, scaled and masked
-        scores, softmax, mix, head merge), then `wo`. With `cache`
-        ([keys, values] of this block, each (batch, cached, m)), the rows
-        follow the cached positions: their keys and values are appended and
-        they attend over every cached key as well as their own."""
-        m = x.shape[1]
-        q, k, v = ((x @ w).reshape(batch, length, m) for w in (self.wq, self.wk, self.wv))
-        offset = 0
-        if cache is not None:
-            if cache[0] is not None:
-                offset = cache[0].shape[1]
-                k = T.concat([cache[0], k], axis=1)
-                v = T.concat([cache[1], v], axis=1)
-            cache[:] = [k, v]
-        return T.attention(q, k, v, self.config.heads, offset) @ self.wo
-
     def forward(self, rows: Tensor, batch: int, length: int,
-                gates: np.ndarray, cache: list = None) -> Tensor:
+                gates: np.ndarray, cache: list = None, offset: int = 0) -> Tensor:
         """One block over `batch` sequences of `length` rows each, sequence
-        `b` routed by `gates[b]`. `cache` is this block's entry of a
-        :class:`KVCache`; only the given rows run through the norms, the
-        router and the experts."""
-        h = rows + self._attend(T.rms_norm(rows, self.norm1_g), batch, length, cache)
-        mixed = _moe_rows(self.bank, self.router, np.repeat(gates, length),
-                          T.rms_norm(h, self.norm2_g), self.config.moe.active,
-                          self.config.renormalize_topk)
-        return h + mixed
+        `b` routed by `gates[b]`: the fused attention sublayer, then the
+        norm, the router and the fused routed experts. `cache` is this
+        block's entry of a :class:`KVCache` holding `offset` positions."""
+        if cache is not None and cache[0] is None:
+            shape = (batch, self.config.context, rows.shape[1])
+            cache[:] = [np.empty(shape, rows.data.dtype) for _ in range(2)]
+        h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
+                                 self.config.heads, batch, cache, offset)
+        return _moe_rows(self.bank, self.router, np.repeat(gates, length),
+                         T.rms_norm(h, self.norm2_g), self.config.moe.active,
+                         self.config.renormalize_topk, residual=h)
 
 
 class KVCache:
-    """Keys and values of the positions already fed: per block, one
-    (batch, length, model_dim) pair of row tensors, split into heads only
-    inside :func:`~moerec.tensor.attention`.
+    """Keys and values of the positions already fed: per block, a
+    [keys, values] pair of (batch, context, model_dim) buffers, made on the
+    first forward and written in place, whose first `length` positions are
+    filled; heads are split only inside :func:`~moerec.tensor.attention_sublayer`.
 
     Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
     incremental: the new tokens sit at positions offset by `length` and
     attend over every cached key, while the prefix is not recomputed. The
-    first call on a fresh cache is the prefill.
+    first call on a fresh cache is the prefill. Cached forwards are for
+    inference only; under a recording tape they raise TapeError.
     """
 
     def __init__(self, blocks: int, batch: int = 1):
@@ -394,6 +379,8 @@ class LanguageModel:
         if offset + length > self.config.context:
             raise ContextLimitError(
                 f"sequence length {offset + length} exceeds context {self.config.context}")
+        if tokens.size == 0:
+            raise ShapeError(f"no tokens to run: token matrix of shape {tokens.shape}")
         if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
             raise ShapeError("token id outside the vocabulary")
         gates = np.asarray(gates, dtype=np.int64).reshape(batch)
@@ -402,7 +389,7 @@ class LanguageModel:
         x = T.take_rows(self.embed, flat) + T.take_rows(self.pos, pos_ids)
         for b, blk in enumerate(self.blocks):
             x = blk.forward(x, batch, length, gates,
-                            None if cache is None else cache.blocks[b])
+                            None if cache is None else cache.blocks[b], offset)
         if cache is not None:
             cache.length += length
         if rows is not None:
@@ -413,14 +400,18 @@ class LanguageModel:
                  mode: str = "greedy", temperature: float = 1.0,
                  seed: int = 0, banned: np.ndarray = None) -> List[int]:
         """Autoregressive continuation after the prompt, until <eos> or
-        max_len; greedy mode is deterministic, sampling is seeded. The
-        `banned` token ids get no probability in either mode.
+        max_len; greedy mode is deterministic, sampling is seeded at a
+        nonnegative finite `temperature`. The `banned` token ids get no
+        probability in either mode.
 
         The prompt is prefilled once into a :class:`KVCache`; each later
         step feeds only the token just emitted.
         """
         if mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown generation mode {mode!r}")
+        if mode == "sample" and not 0.0 <= temperature < math.inf:
+            raise ConfigError(f"sampling temperature must be nonnegative and finite, "
+                              f"got {temperature}")
         if len(prompt) >= self.config.context:
             raise ContextLimitError(
                 f"prompt of {len(prompt)} tokens fills context "

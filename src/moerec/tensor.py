@@ -15,9 +15,10 @@ Rules of the house:
 - The hot chains run as fused ops, one record each. For the transformer:
   :func:`rms_norm`, :func:`attention` (head split, scaled causal scores,
   softmax, mix and head merge), :func:`expert_ffn` (a grouped two-layer
-  expert) and :func:`weighted_nll` (the log-softmax, target pick and
-  weighted sum of the language-model loss). For the variational
-  preference model: :func:`concat_rows` (the
+  expert), the block sublayers :func:`attention_sublayer` and
+  :func:`routed_experts` built on them, and :func:`weighted_nll` (the
+  log-softmax, target pick and weighted sum of the language-model loss).
+  For the variational preference model: :func:`concat_rows` (the
   embedding-pair gather), :func:`mlp` (the two-layer tanh network, which
   shares its body with :func:`expert_ffn`), :func:`gaussian_sample` (the
   reparameterized draw), :func:`bce_with_logits` (the reconstruction loss)
@@ -69,7 +70,7 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
     ``[1e308, 1e308]``) takes the scan and passes; numpy may emit an
     overflow RuntimeWarning for that sum.
     """
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {op}")
 
 
@@ -403,8 +404,13 @@ def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
 def _group_parts(groups: np.ndarray, count: int) -> list:
     """(group, rows) for each nonempty group of `count`; `rows` is a slice
     when `groups` is sorted, else the group's row indices in input order.
-    Decoding calls this for one or two rows at a time, so it makes few
-    numpy calls and walks the nonempty groups as Python ints."""
+    Decoding calls this for one or two rows at a time, so a few sorted ids
+    are grouped in plain Python; otherwise it makes few numpy calls."""
+    if groups.size <= 8:
+        ids = groups.tolist()
+        if ids and ids == sorted(ids) and 0 <= ids[0] and ids[-1] < count:
+            starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
+            return [(ids[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(ids)])]
     try:
         counts = np.bincount(groups, minlength=count)
     except ValueError:                           # a negative group id
@@ -472,20 +478,25 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     record lists it three times: its gradient then accumulates in the
     chain's order, and gradients stay bit-identical to it.
     """
-    mean_sq = (x.data * x.data).mean(axis=-1, keepdims=True)
+    out, back = _rms_parts(x.data, gain.data)
+    return _make(out, "rms_norm", (gain, x, x, x), back)
+
+
+def _rms_parts(x: np.ndarray, gain: np.ndarray) -> tuple:
+    """:func:`rms_norm` on arrays: its output and its backward rule."""
+    # ndarray.mean's sum and division, without its Python-level wrapper
+    mean_sq = np.add.reduce(x * x, axis=-1, keepdims=True) / x.shape[-1]
     _check_finite(mean_sq, "rms_norm")
     scale = np.sqrt(mean_sq + 1e-6)
-    normed = x.data / scale
-    out = normed * gain.data
+    normed = x / scale
 
     def back(g):
-        g_normed = g * gain.data
-        g_scale = _unbroadcast(-g_normed * x.data / (scale * scale), scale.shape)
-        g_square = np.broadcast_to(g_scale * 0.5 / scale / x.shape[-1], x.shape) * x.data
-        return (_unbroadcast(g * normed, gain.shape), g_normed / scale,
-                g_square, g_square)
+        g_normed = g * gain
+        g_scale = _unbroadcast(-g_normed * x / (scale * scale), scale.shape)
+        g_square = np.broadcast_to(g_scale * 0.5 / scale / x.shape[-1], x.shape) * x
+        return _unbroadcast(g * normed, gain.shape), g_normed / scale, g_square, g_square
 
-    return _make(out, "rms_norm", (gain, x, x, x), back)
+    return normed * gain, back
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
@@ -502,15 +513,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tenso
             or q.shape[2] % heads or offset + q.shape[1] > k.shape[1]):
         raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}, {heads} heads, offset {offset}")
+    out, back = _attention_parts(q.data, k.data, v.data, heads, offset)
+    return _make(out, "attention", (q, k, v), back)
+
+
+def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+                     offset: int) -> tuple:
+    """:func:`attention` on arrays: (output, backward rule)."""
     batch, length, m = q.shape
     keys = k.shape[1]
     dh = m // heads
-    qh = np.ascontiguousarray(q.data.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3))
-    kt = np.ascontiguousarray(k.data.reshape(batch, keys, heads, dh).transpose(0, 2, 3, 1))
-    vh = np.ascontiguousarray(v.data.reshape(batch, keys, heads, dh).transpose(0, 2, 1, 3))
+    qh = np.ascontiguousarray(q.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3))
+    kt = np.ascontiguousarray(k.reshape(batch, keys, heads, dh).transpose(0, 2, 3, 1))
+    vh = np.ascontiguousarray(v.reshape(batch, keys, heads, dh).transpose(0, 2, 1, 3))
     scale = 1.0 / math.sqrt(dh)
-    mask = np.triu(np.full((length, keys), -1e9, dtype=qh.dtype), k=offset + 1)
-    scores = (qh @ kt) * scale + mask
+    scores = (qh @ kt) * scale
+    if keys > offset + 1:                # else every query sees every key
+        scores = scores + np.triu(np.full((length, keys), -1e9, dtype=qh.dtype), k=offset + 1)
     _check_finite(scores, "attention scores")
     shifted = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -527,7 +546,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tenso
         gv = probs.swapaxes(-1, -2) @ gm
         return tuple(t.transpose(0, 2, 1, 3).reshape(batch, -1, m) for t in (gq, gk, gv))
 
-    return _make(out, "attention", (q, k, v), back)
+    return out, back
 
 
 def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
@@ -536,21 +555,27 @@ def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
     (E, h), `w2` (E, h, m) and `b2` (E, m). Rows of one expert run as one
     matmul per layer, grouped as in :func:`grouped_matmul`."""
+    inputs = (rows, w1, b1, w2, b2)
+    return _tanh_mlp("expert_ffn", inputs, *_expert_layers("expert_ffn", inputs, experts))
+
+
+def _expert_layers(op: str, inputs: tuple, experts: np.ndarray) -> tuple:
+    """The :func:`_tanh_mlp` rules of stacked experts, shapes checked."""
+    rows, w1, b1, w2, b2 = inputs
     experts = np.asarray(experts, dtype=np.int64)
     count = w1.shape[0]
     if (rows.data.ndim != 2 or w1.data.ndim != 3 or w2.data.ndim != 3
             or experts.shape != rows.shape[:1] or rows.shape[1] != w1.shape[1]
             or b1.shape != (count, w1.shape[2]) or w2.shape[:2] != b1.shape
             or b2.shape != (count, w2.shape[2])):
-        raise ShapeError(f"expert_ffn shapes incompatible: rows {rows.shape}, w1 {w1.shape}, "
+        raise ShapeError(f"{op} shapes incompatible: rows {rows.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
                          f"{experts.shape} expert ids")
     parts = _group_parts(experts, count)
-    return _tanh_mlp("expert_ffn", (rows, w1, b1, w2, b2),
-                     lambda x, w: _grouped_forward(x, w, parts),
-                     lambda g, x, w: _grouped_backward(g, x, w, parts),
-                     lambda b: b[experts],
-                     lambda shape, g: _group_sums(shape, g, parts, experts))
+    return (lambda x, w: _grouped_forward(x, w, parts),
+            lambda g, x, w: _grouped_backward(g, x, w, parts),
+            lambda b: b[experts],
+            lambda shape, g: _group_sums(shape, g, parts, experts))
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
@@ -569,11 +594,12 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
-              bias: Callable, bias_back: Callable) -> Tensor:
-    """The record of :func:`mlp` and :func:`expert_ffn`. ``layer(x, w)``
-    multiplies rows by a weight and ``layer_back(g, x, w)`` returns its
-    (x, w) gradients; ``bias(b)`` is the bias added to the rows and
-    ``bias_back(shape, g)`` reduces a row gradient to it."""
+              bias: Callable, bias_back: Callable, record: bool = True):
+    """The record of :func:`mlp` and :func:`expert_ffn`, or its (output,
+    backward rule) when not `record`. ``layer(x, w)`` multiplies rows by a
+    weight and ``layer_back(g, x, w)`` returns its (x, w) gradients;
+    ``bias(b)`` is the bias added to the rows and ``bias_back(shape, g)``
+    reduces a row gradient to it."""
     x, w1, b1, w2, b2 = inputs
     pre = layer(x.data, w1.data)
     pre += bias(b1.data)
@@ -588,7 +614,92 @@ def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
         gx, gw1 = layer_back(gpre, x.data, w1.data)
         return gx, gw1, bias_back(b1.shape, gpre), gw2, bias_back(b2.shape, g)
 
-    return _make(out, op, inputs, back)
+    return _make(out, op, inputs, back) if record else (out, back)
+
+
+# --- fused transformer sublayers, built on the fused ops above ---
+
+def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
+                       wo: Tensor, heads: int, batch: int, kv: list = None,
+                       offset: int = 0) -> Tensor:
+    """``x + attention(q, k, v, heads, offset) @ wo`` over the (batch*L, m)
+    rows `x` of `batch` sequences, ``q = rms_norm(x, gain) @ wq`` and k, v
+    alike. With `kv`, (batch, context, m) [keys, values] buffers holding
+    `offset` positions, the new keys and values are written in after them;
+    that path is inference-only: it raises TapeError under a recording tape."""
+    inputs = (x, wo, wv, wk, wq, gain, x, x, x)
+    n, m = x.shape if x.data.ndim == 2 else (-1, -1)
+    length = n // batch if batch > 0 and n % batch == 0 else -1
+    if (length < 1 or m % heads or gain.shape != (m,)
+            or any(w.shape != (m, m) for w in (wq, wk, wv, wo)) or kv is not None
+            and (kv[0].shape[::2] != (batch, m) or offset + length > kv[0].shape[1])):
+        raise ShapeError(f"attention_sublayer shapes incompatible: x {x.shape} of {batch} "
+                         f"sequences, {heads} heads, weights {wq.shape}, offset {offset}")
+    if kv is not None and _TAPE_STACK and any(t.requires_grad for t in inputs):
+        raise TapeError("cached attention is inference-only: it writes keys and values "
+                        "in place, which a tape cannot differentiate")
+    normed, norm_back = _rms_parts(x.data, gain.data)
+    q, k, v = (normed @ w.data for w in (wq, wk, wv))
+    keys, values = k.reshape(batch, length, m), v.reshape(batch, length, m)
+    if kv is not None:
+        kv[0][:, offset:offset + length], kv[1][:, offset:offset + length] = keys, values
+        keys, values = kv[0][:, :offset + length], kv[1][:, :offset + length]
+    mixed, attention_back = _attention_parts(q.reshape(batch, length, m), keys, values,
+                                             heads, offset)
+    _check_finite(mixed, "attention")
+
+    def back(g):
+        gq, gk, gv = (t.reshape(n, m) for t in attention_back(g @ wo.data.T))
+        g_normed = (gv @ wv.data.T + gk @ wk.data.T) + gq @ wq.data.T
+        return (g, mixed.T @ g, normed.T @ gv, normed.T @ gk, normed.T @ gq,
+                *norm_back(g_normed))
+
+    return _make(x.data + mixed @ wo.data, "attention_sublayer", inputs, back)
+
+
+def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                   experts: np.ndarray, scores: Tensor, order: np.ndarray,
+                   renormalize: bool = False) -> Tensor:
+    """``x + scatter_rows(expert_ffn(rows, w1, b1, w2, b2, experts) * w, ...)``:
+    the top-k mixture of the n rows of router `scores` (n, E) plus the
+    residual `x`. Row i of `rows` is pair ``order[i]`` of the row-major
+    (n, k) selection: row ``order[i] // k`` through expert ``experts[i]``,
+    weighted by its score, divided by the sum of the row's k scores when
+    `renormalize`, and added back into its row."""
+    order = np.asarray(order, dtype=np.int64)
+    n = x.shape[0] if x.data.ndim == 2 else 0
+    k = order.size // n if n else 0
+    if (k < 1 or order.shape != rows.shape[:1] or order.size != n * k
+            or scores.shape != (n, w1.shape[0]) or x.shape[1] != w2.shape[2]):
+        raise ShapeError(f"routed_experts shapes incompatible: x {x.shape}, scores "
+                         f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids")
+    inputs = (rows, w1, b1, w2, b2)
+    ffn, ffn_back = _tanh_mlp("routed_experts", inputs,
+                              *_expert_layers("routed_experts", inputs, experts), record=False)
+    row_of = order // k
+    weight = scores.data[row_of, experts]
+    if renormalize:                      # the row-major picks, as the chain takes them
+        picked = np.empty_like(weight)
+        picked[order] = weight
+        picked = picked.reshape(n, k)
+        total = picked.sum(axis=1, keepdims=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weight = (picked / total).reshape(-1)[order]
+    weight = weight.reshape(-1, 1)
+
+    def back(g):
+        g_pairs = g[row_of]
+        g_weight = _unbroadcast(g_pairs * ffn, weight.shape).reshape(-1)
+        if renormalize:
+            g_ratio = _index_add((n * k,), order, g_weight).reshape(n, k)
+            g_total = _unbroadcast(-g_ratio * picked / (total * total), total.shape)
+            g_weight = (_unbroadcast(g_ratio / total, picked.shape)
+                        + np.broadcast_to(g_total, picked.shape).copy()).reshape(-1)[order]
+        return (g, *ffn_back(_unbroadcast(g_pairs * weight, ffn.shape)),
+                _index_add(scores.shape, (row_of, experts), g_weight))
+
+    out = x.data + _index_add(x.shape, row_of, ffn * weight)
+    return _make(out, "routed_experts", (x,) + inputs + (scores,), back)
 
 
 def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -35,7 +35,6 @@ makes whole runs bit-reproducible.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -236,9 +235,6 @@ class ExplainerBundle:
         """
         if max_len < 1:
             raise ConfigError(f"max_len must be at least 1, got {max_len}")
-        if mode == "sample" and not 0.0 <= temperature < math.inf:
-            raise ConfigError(f"sampling temperature must be nonnegative and finite, "
-                              f"got {temperature}")
         prompts = [build_prompt(self.vocab, r.user, r.item,
                                 check_rating(r.rating, f"record {r.user}/{r.item}"),
                                 r.features, self.r_max) for r in records]

@@ -32,6 +32,7 @@ from .moe import (
     KVCache,
     LanguageModel,
     LmConfig,
+    TransformerBlock,
     _moe_rows,
     decompose_experts,
     expert_weight_count,
@@ -205,6 +206,87 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     return T.permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m)
 
 
+def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor,
+                                 wv: Tensor, wo: Tensor, heads: int, batch: int) -> Tensor:
+    """:func:`moerec.tensor.attention_sublayer` without a cache, as the chain
+    it replaces: an RMSNorm, three projections split into (batch, L, m), the
+    fused attention, `wo` and the residual add."""
+    n, m = x.shape
+    normed = T.rms_norm(x, gain)
+    q, k, v = ((normed @ w).reshape(batch, n // batch, m) for w in (wq, wk, wv))
+    return x + T.attention(q, k, v, heads, 0) @ wo
+
+
+def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                             b2: Tensor, experts: np.ndarray, scores: Tensor,
+                             order: np.ndarray, renormalize: bool = False) -> Tensor:
+    """:func:`moerec.tensor.routed_experts` as the chain it replaces: a pick
+    of each pair's score (renormalized by a row-major pick, a sum, a
+    division and a reorder), the fused expert FFN, a product, a scatter of
+    the pairs into their rows and the residual add."""
+    n = scores.shape[0]
+    k = len(order) // n
+    pair_rows = np.repeat(np.arange(n), k)
+    by_row = pair_rows[order]
+    if renormalize:
+        selected = np.empty_like(experts)
+        selected[order] = experts
+        picked = T.gather_pairs(scores, pair_rows, selected).reshape(n, k)
+        weight = T.take_rows((picked / picked.sum(axis=1, keepdims=True)).reshape(-1), order)
+    else:
+        weight = T.gather_pairs(scores, by_row, experts)
+    out = T.expert_ffn(rows, w1, b1, w2, b2, experts) * weight.reshape(-1, 1)
+    mixed = T.scatter_rows(out, by_row, n)
+    return mixed if x is None else x + mixed
+
+
+def reference_block(blk: TransformerBlock, rows: Tensor, batch: int, length: int,
+                    gates: np.ndarray) -> Tensor:
+    """:meth:`moerec.moe.TransformerBlock.forward`, without a cache, with its
+    fused sublayers replaced by the chains above."""
+    cfg = blk.config
+    h = reference_attention_sublayer(rows, blk.norm1_g, blk.wq, blk.wk, blk.wv, blk.wo,
+                                     cfg.heads, batch)
+    normed = T.rms_norm(h, blk.norm2_g)
+    scores = blk.router.scores(np.repeat(gates, length), normed)
+    k = cfg.moe.active
+    selected = top_k_select(scores.data, k).reshape(-1)
+    order = np.argsort(selected, kind="stable")
+    bank = blk.bank
+    return reference_routed_experts(h, normed[order // k], bank.w1, bank.b1, bank.w2,
+                                    bank.b2, selected[order], scores, order,
+                                    cfg.renormalize_topk)
+
+
+def fused_block_mismatches(lm: LanguageModel, tokens: np.ndarray, gates: np.ndarray,
+                           seed: int = 0) -> List[str]:
+    """Names of what differs, bit for bit, between each block of `lm` and
+    :func:`reference_block`: the output, the input's gradient or a
+    parameter's, under one random linear loss. The blocks run in turn on
+    the embedded (batch, length) `tokens`, one gate per sequence; an empty
+    list means every array is equal."""
+    batch, length = tokens.shape
+    x = lm.embed.data[tokens.reshape(-1)] + lm.pos.data[np.tile(np.arange(length), batch)]
+    bad = []
+    for b, blk in enumerate(lm.blocks):
+        params = [p for name, p in lm.params().items() if name.startswith(f"lm.block{b}.")]
+        results = []
+        for forward in (TransformerBlock.forward, reference_block):
+            T.zero_grad(params)
+            rows = Tensor(x, requires_grad=True)
+            with T.Tape() as tape:
+                out = forward(blk, rows, batch, length, gates)
+                weight = Tensor(Rng(seed + b).normal(out.size).reshape(out.shape))
+                tape.backward((out * weight).sum())
+            results.append([out.data, rows.grad] + [p.grad for p in params])
+        names = ["output", "input grad"] + [
+            f"{name} grad" for name in lm.params() if name.startswith(f"lm.block{b}.")]
+        bad += [f"block {b} {name}" for name, fused, chain in zip(names, *results)
+                if not np.array_equal(fused, chain)]
+        x = results[0][0]
+    return bad
+
+
 def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                          b2: Tensor, experts: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.expert_ffn` as two grouped matmuls, two bias
@@ -323,7 +405,8 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
 
 
 # the fused ops of each model, by the names fused_cases gives them
-FUSED_OPS = {"moe": ("rms_norm", "attention", "expert_ffn", "weighted_nll"),
+FUSED_OPS = {"moe": ("rms_norm", "attention", "expert_ffn", "weighted_nll",
+                     "attention_sublayer", "routed_experts"),
              "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl")}
 
 
@@ -351,6 +434,22 @@ def fused_cases(seed: int) -> dict:
         lambda *stacks: T.expert_ffn(*stacks, experts),
         lambda *stacks: reference_expert_ffn(*stacks, experts),
         [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
+    for heads in (1, 2):
+        cases[f"attention_sublayer.h{heads}"] = (
+            lambda x, gain, *w, h=heads: T.attention_sublayer(x, gain, *w, h, 2),
+            lambda x, gain, *w, h=heads: reference_attention_sublayer(x, gain, *w, h, 2),
+            [normal(6, 4), normal(4)] + [normal(4, 4) * 0.6 for _ in range(4)])
+    # three rows pick two of four experts each, expert 1 none; row 0 holds expert 0
+    selected = np.array([[0, 3], [2, 3], [0, 2]]).reshape(-1)
+    order = np.argsort(selected, kind="stable")
+    for renormalize in (False, True):
+        cases[f"routed_experts.r{int(renormalize)}"] = (
+            lambda x, rows, *rest, r=renormalize: T.routed_experts(
+                x, rows, *rest[:4], selected[order], rest[4], order, r),
+            lambda x, rows, *rest, r=renormalize: reference_routed_experts(
+                x, rows, *rest[:4], selected[order], rest[4], order, r),
+            [normal(3, 4), normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
+             normal(4, 4), np.exp(normal(3, 4))])
     # rows 0 and 3 share a target; row 4 weighs nothing
     picks, weights = np.array([3, 0, 5, 3, 1]), np.array([0.5, 0.25, 1.5, 0.125, 0.0])
     cases["weighted_nll"] = (
@@ -611,6 +710,20 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
                                f"max gap {gap:.1e} over 5 layouts, mixed gates"))
 
     results.append(_fused_ops_check("moe", seed))
+
+    bad = []
+    for case, (gates, k, heads, renormalize) in enumerate(
+            [(1, 1, 2, False), (2, 2, 2, False), (3, 2, 4, True), (2, 4, 1, True)]):
+        moe = decompose_experts(2, 8, 2, active=k, gates=gates)
+        lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=heads,
+                                    context=16, moe=moe, renormalize_topk=renormalize),
+                           Rng(seed + case))
+        tokens = Rng(seed + 10 + case).integers(3 * 6, 20).reshape(3, 6) + 4
+        bad += fused_block_mismatches(lm, tokens, np.arange(3) % gates, seed + case)
+    results.append(CheckResult("moe.fused_sublayers_match_chain", not bad,
+                               "outputs and every gradient equal bit for bit over 4 "
+                               "two-block layouts, 3 sequences, mixed gates"
+                               if not bad else "differ: " + ", ".join(bad[:4])))
 
     logits = Rng(9).normal(12)
     shift_ok = np.array_equal(top_k_select(logits, 4), top_k_select(logits + 1e6, 4))

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from moerec import Tape, Tensor, grad_check
-from moerec.errors import ConfigError, ContextLimitError, ShapeError
+from moerec.errors import ConfigError, ContextLimitError, ShapeError, TapeError
 from moerec.rng import Rng
 from moerec import tensor as T
-from moerec.verify import loss_rows_gap
+from moerec.verify import fused_block_mismatches, loss_rows_gap
 from moerec.moe import (
     BOS,
     EOS,
@@ -179,9 +179,10 @@ def test_moe_forward_scalar_experts_oracle():
     router = rigged_router(scores, 2)
     cfg = router.cfg
     bank = ExpertBank(2, cfg, Rng(0))
-    bank.run = lambda experts, rows: rows * Tensor((experts + 1.0)[:, None])
-
     x = np.array([1.0, 0.0])  # picks out the log-score row of W
+    bank.w2.data[...] = 0.0   # expert e outputs its bias, (e + 1) * x
+    bank.b2.data[...] = (np.arange(3) + 1.0)[:, None] * x
+
     out = moe_forward(bank, router, 0, Tensor(x), k=2)
 
     # enumerate-all-subsets oracle: best-2 subset by score, then weighted sum
@@ -232,7 +233,7 @@ def test_moe_forward_evaluates_exactly_k_experts():
     # batched, mixed gates: exactly k per row, in one bank call
     calls = []
     run = bank.run
-    bank.run = lambda experts, rows: calls.append(experts) or run(experts, rows)
+    bank.run = lambda experts, rows, *mix: calls.append(experts) or run(experts, rows, *mix)
     bank.eval_count = 0
     rows = Tensor(Rng(14).normal(7 * 5).reshape(7, 5))
     _moe_rows(bank, router, np.array([0, 1, 1, 0, 1, 0, 0]), rows, 2)
@@ -244,7 +245,8 @@ def test_moe_forward_renormalized_scores_sum_to_one():
     cfg = decompose_experts(3, 8, 2, active=2, gates=1)
     bank = ExpertBank(4, cfg, Rng(20))
     router = GateRouter(4, cfg, Rng(21))
-    bank.run = lambda experts, rows: rows * 0.0 + 1.0  # constant-ones experts
+    bank.w2.data[...] = 0.0  # constant-ones experts
+    bank.b2.data[...] = 1.0
     out = moe_forward(bank, router, 0, Tensor(Rng(22).normal(4)), k=2,
                       renormalize=True)
     assert np.allclose(out.data, np.ones(4), atol=1e-12)
@@ -314,6 +316,33 @@ def test_generate_never_emits_a_banned_token():
             out = lm.generate([BOS, 4], gate=0, max_len=12, mode=mode,
                               temperature=2.0, seed=seed, banned=banned)
             assert not set(banned) & set(out)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1e-3, 1.0, 50.0])
+def test_sampling_never_emits_a_banned_token_at_any_temperature(temperature):
+    lm = tiny_lm(seed=13)
+    banned = np.array([0, 1, 3, 4, 5, 6, 7, 8, 19])
+    for seed in range(8):
+        out = lm.generate([BOS, 4], gate=seed % 2, max_len=12, mode="sample",
+                          temperature=temperature, seed=seed, banned=banned)
+        assert not set(banned.tolist()) & set(out), (seed, out)
+
+
+@pytest.mark.parametrize("temperature", [math.nan, math.inf, -0.5])
+def test_generate_rejects_a_bad_sampling_temperature(temperature):
+    lm = tiny_lm(seed=13)
+    with pytest.raises(ConfigError, match="temperature"):
+        lm.generate([BOS, 4], gate=0, mode="sample", temperature=temperature)
+    assert len(lm.generate([BOS, 4], gate=0, max_len=3, temperature=temperature)) <= 3
+
+
+def test_empty_prompt_or_token_matrix_raises_shape_error():
+    lm = tiny_lm(seed=13)
+    with pytest.raises(ShapeError, match="no tokens"):
+        lm.generate([], gate=0)
+    for tokens in (np.zeros((1, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
+        with pytest.raises(ShapeError, match="no tokens"):
+            lm.forward_rows(tokens, np.zeros(tokens.shape[0], dtype=np.int64))
 
 
 def test_build_prompt_structure():
@@ -581,11 +610,46 @@ def test_batched_cache_matches_per_sequence_forward():
         assert np.max(np.abs(rows - forward_lm(lm, seq, gate).data)) <= 1e-10
 
 
+def test_cached_forward_under_a_recording_tape_raises_tape_error():
+    lm = tiny_lm(seed=30)
+    cache = KVCache(lm.config.blocks)
+    with Tape():
+        with pytest.raises(TapeError, match="inference-only"):
+            lm.forward_rows(np.array([[BOS, 4]]), np.array([0]), cache)
+        with pytest.raises(TapeError):
+            lm.generate([BOS, 4], gate=0)
+    assert cache.length == 0
+    # frozen parameters record nothing, so the cache may run under a tape
+    for p in lm.params().values():
+        p.requires_grad = False
+    with Tape() as tape:
+        out = lm.generate([BOS, 4], gate=0, max_len=4)
+    assert tape.records == [] and out == tiny_lm(seed=30).generate([BOS, 4], 0, max_len=4)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_fused_sublayers_equal_their_chains_bit_for_bit(variant, dtype):
+    # a padded batch of three sequences under mixed gates; every block's
+    # output and every gradient, the block input's included, must be equal
+    T.set_default_dtype(dtype)
+    try:
+        lm = tiny_lm(**variant)
+        tokens = padded_batch(lm, [6, 2, 5], seed=variant["seed"])
+        bad = fused_block_mismatches(lm, tokens, np.arange(3) % variant["gates"],
+                                     seed=variant["seed"])
+    finally:
+        T.set_default_dtype("float64")
+    assert not bad, bad
+
+
 def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
-    # the fused RMSNorm, attention and expert ops halve the op count of a
-    # two-block model: 106 ops per decode step and 107 tape records per
-    # batch of 16 with the op chains they replace; the fused loss takes a
-    # batch from 50 records to 47
+    # a two-block model: the fused RMSNorm, attention and expert ops took a
+    # decode step from 106 ops to 49 and a batch of 16 from 107 tape
+    # records to 50, the fused loss to 47; the fused attention and
+    # routed-experts sublayers take them to 17 and 19 (per block: the
+    # attention sublayer, a norm, the router's two ops, the pair gather and
+    # the routed experts)
     lm = tiny_lm(seed=30)
     calls = []
     make = T._make
@@ -594,14 +658,14 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([0]), cache)
     calls.clear()
     lm.forward_rows(np.array([[7]]), np.array([0]), cache)
-    assert len(calls) <= 55, calls
+    assert len(calls) <= 17, calls
     monkeypatch.undo()
     rng = Rng(31)
     sequences = [np.concatenate([[BOS], rng.integers(5 + i % 4, 15) + 4, [EOS]])
                  for i in range(16)]
     with Tape() as tape:
         lm.batched_nll(sequences, [3] * 16, np.arange(16) % 2)
-    assert len(tape.records) <= 47
+    assert len(tape.records) <= 19
     head = tape.records[-2]                  # the head matmul, before the loss
     assert head.inputs[1] is lm.head
     assert head.out.shape == (sum(len(s) - 3 for s in sequences), lm.config.vocab_size)
@@ -847,8 +911,11 @@ def test_batched_block_with_cache_matches_loops(variant):
     for size in (3, 1, 2, 1, 1):
         chunk = Tensor(x.data[:, start:start + size].reshape(2 * size, -1))
         blk.bank.eval_count = 0
-        out = blk.forward(chunk, 2, size, gates, cache).data.reshape(2, size, -1)
+        out = blk.forward(chunk, 2, size, gates, cache, start).data.reshape(2, size, -1)
         assert np.max(np.abs(out - ref[:, start:start + size])) <= 1e-12
         assert blk.bank.eval_count == 2 * size * variant["active"]
         start += size
-        assert cache[0].shape == (2, start, 8)
+        # one preallocated buffer per side, filled in place up to `start`
+        assert cache[0].shape == cache[1].shape == (2, lm.config.context, 8)
+    keys = T.rms_norm(x.reshape(16, 8), blk.norm1_g).data @ blk.wk.data
+    assert np.max(np.abs(cache[0][:, :start] - keys.reshape(2, 8, 8))) <= 1e-12
