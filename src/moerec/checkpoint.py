@@ -95,39 +95,58 @@ def read_manifest(path) -> dict:
 
 
 def load_checkpoint(path) -> tuple:
-    """Returns (manifest, {name: ndarray}); arrays carry the stored dtype
-    widened to the current default tensor dtype. The file is read once."""
+    """Returns (manifest, {name: ndarray}). The payload is read once and
+    widened into one flat buffer of the default tensor dtype, of which each
+    array is a view of its own slice. A NaN or an infinity in the payload
+    fails with DataError naming the first tensor holding one."""
     with open(path, "rb") as fh:
         manifest = _read_manifest(fh)
-        payload = fh.read()
-    try:
-        layout, end = [], 0
-        for name, spec in sorted(manifest["tensors"].items(),
-                                 key=lambda item: item[1]["offset"]):
-            dtype, shape = spec["dtype"], spec["shape"]
-            if dtype not in _DTYPE_NP:
-                raise DataError(f"tensor {name}: unknown dtype {dtype!r}")
-            if not all(type(dim) is int and dim >= 0 for dim in shape):
-                raise DataError(f"tensor {name}: bad shape {shape!r}")
-            if spec["offset"] != end:
-                raise DataError(f"tensor {name} starts at byte {spec['offset']}; "
-                                f"the tensors before it end at byte {end}")
-            layout.append((name, dtype, shape, end))
-            end += math.prod(shape) * _DTYPE_BYTES[dtype]
-        if len(payload) != end or end != manifest["payload_bytes"]:
-            raise DataError(
-                f"checkpoint payload is {len(payload)} bytes, manifest says {end}")
-        arrays = {name: np.frombuffer(payload, dtype=_DTYPE_NP[dtype],
-                                      count=math.prod(shape), offset=offset)
-                  .reshape(shape).astype(default_dtype())
-                  for name, dtype, shape, offset in layout}
-    except (KeyError, TypeError, AttributeError, ValueError) as err:
-        raise DataError(f"checkpoint tensor directory is malformed: {err!r}") from None
+        try:
+            layout, end = [], 0
+            for name, spec in sorted(manifest["tensors"].items(),
+                                     key=lambda item: item[1]["offset"]):
+                dtype, shape = spec["dtype"], spec["shape"]
+                if dtype not in _DTYPE_NP:
+                    raise DataError(f"tensor {name}: unknown dtype {dtype!r}")
+                if not all(type(dim) is int and dim >= 0 for dim in shape):
+                    raise DataError(f"tensor {name}: bad shape {shape!r}")
+                if spec["offset"] != end:
+                    raise DataError(f"tensor {name} starts at byte {spec['offset']}; "
+                                    f"the tensors before it end at byte {end}")
+                count = math.prod(shape)
+                layout.append((name, dtype, shape, count))
+                end += count * _DTYPE_BYTES[dtype]
+            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            if size != end or end != manifest["payload_bytes"]:
+                raise DataError(f"checkpoint payload is {size} bytes, manifest says {end}")
+        except (KeyError, TypeError, AttributeError, ValueError) as err:
+            raise DataError(f"checkpoint tensor directory is malformed: {err!r}") from None
+        # one tensor at a time through a scratch buffer, so that no copy of
+        # the whole payload sits next to the flat buffer
+        flat = np.empty(sum(count for *_, count in layout), default_dtype())
+        scratch = np.empty(max((count * _DTYPE_BYTES[dtype] for _, dtype, _, count in layout),
+                               default=0), np.uint8)
+        arrays, start = {}, 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, dtype, shape, count in layout:
+                nbytes = count * _DTYPE_BYTES[dtype]
+                if fh.readinto(scratch[:nbytes]) != nbytes:
+                    raise DataError(f"checkpoint payload ends inside tensor {name}")
+                view = flat[start:start + count]
+                view[...] = scratch[:nbytes].view(_DTYPE_NP[dtype])
+                arrays[name] = view.reshape(shape)
+                start += count
+            finite = math.isfinite(np.add.reduce(flat))
+    if not finite:  # a finite sum proves every value finite
+        for name, array in arrays.items():
+            if not np.isfinite(array).all():
+                raise DataError(f"checkpoint tensor {name} holds a NaN or an infinity")
     return manifest, arrays
 
 
 def restore_params(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray]) -> None:
-    """Copy loaded arrays into live parameter tensors, name by name."""
+    """Make each loaded array the `data` of its parameter: adopted, not
+    copied, unless its dtype differs from the parameter's, which casts it."""
     missing = sorted(set(params) - set(arrays))
     surplus = sorted(set(arrays) - set(params))
     if missing or surplus:
@@ -139,4 +158,4 @@ def restore_params(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray]) -> 
             raise DataError(
                 f"tensor {name}: shape {list(arrays[name].shape)} does not match "
                 f"model shape {list(tensor.data.shape)}")
-        tensor.data[...] = arrays[name]
+        tensor.data = arrays[name].astype(tensor.data.dtype, copy=False)

@@ -215,7 +215,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_inspect_clusters(args) -> int:
     manifest = read_manifest(args.checkpoint)
-    if manifest["stage"] == "stage2":
+    if manifest.get("stage") == "stage2":
         bundle, run, _ = load_bundle(args.checkpoint)
         vae, user_index, item_index = bundle.vae, bundle.user_index, bundle.item_index
     else:

@@ -174,13 +174,13 @@ class ExpertBank:
     def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Rng):
         self.cfg = cfg
         m, h, count = model_dim, cfg.expert_hidden, cfg.expert_count
-        w1, w2 = np.empty((count, m, h)), np.empty((count, h, m))
-        for e in range(count):
-            w1[e] = rng.normal(m * h).reshape(m, h) / math.sqrt(m)
-            w2[e] = rng.normal(h * m).reshape(h, m) / math.sqrt(h)
-        self.w1 = Tensor(w1, requires_grad=True)
+        # expert e draws w1[e] then w2[e]; normal() rounds each request up to
+        # an even count, so one draw of the padded rows is the same stream
+        size = m * h
+        draws = rng.normal(2 * count * (size + size % 2)).reshape(count, 2, -1)[..., :size]
+        self.w1 = Tensor(draws[:, 0].reshape(count, m, h) / math.sqrt(m), requires_grad=True)
         self.b1 = Tensor(np.zeros((count, h)), requires_grad=True)
-        self.w2 = Tensor(w2, requires_grad=True)
+        self.w2 = Tensor(draws[:, 1].reshape(count, h, m) / math.sqrt(h), requires_grad=True)
         self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 

@@ -49,7 +49,7 @@ from .errors import ConfigError, ContextLimitError, DataError, TrainingError
 from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_experts, tokenize
 from .optim import AdamW
 from .rng import Rng
-from .tensor import Tape, Tensor
+from .tensor import Tape, Tensor, default_dtype
 from .vae import GmmPrior, VaeConfig, VaeGmm, elbo_loss, init_gmm_prior
 
 
@@ -330,9 +330,20 @@ def save_stage1(path, vae: VaeGmm, run: RunConfig, manifest: dict,
                     f64=f64)
 
 
+class _Unset(np.ndarray):
+    """Zeros that take no memory: a read-only array whose strides are all 0.
+    Any ufunc over one (a weight scaled at initialisation) gives another."""
+
+    def __new__(cls, shape):
+        return super().__new__(cls, shape, default_dtype(), bytes(8), strides=(0,) * len(shape))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return _Unset(np.broadcast_shapes(*map(np.shape, inputs)))
+
+
 class _ZeroRng(Rng):
-    """A stream of zeros, for building models whose every weight a
-    checkpoint then overwrites: no random draws are made."""
+    """Draws zeros that take no memory, for building models whose every
+    weight a checkpoint then replaces: no draws, no weight allocations."""
 
     def __init__(self):
         super().__init__(0)
@@ -341,7 +352,7 @@ class _ZeroRng(Rng):
         return self
 
     def normal(self, n: int) -> np.ndarray:
-        return np.zeros(n)
+        return _Unset((n,))
 
 
 def _load(path, stage: str) -> tuple:

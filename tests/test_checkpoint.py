@@ -1,11 +1,14 @@
 """Checkpoint format: round-trips, version gating, payload validation."""
 
+import contextlib
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
 
+from moerec import tensor as T
 from moerec.checkpoint import (
     FORMAT_VERSION,
     load_checkpoint,
@@ -15,7 +18,7 @@ from moerec.checkpoint import (
 )
 from moerec.errors import ConfigError, DataError
 from moerec.rng import Rng
-from moerec.tensor import Tensor
+from moerec.tensor import Tensor, default_dtype
 
 
 def sample_tensors(seed=0):
@@ -92,6 +95,101 @@ def test_restore_params_copies_values(tmp_path):
     restore_params(fresh, arrays)
     for name in tensors:
         assert np.array_equal(fresh[name].data, tensors[name].data)
+
+
+def reference_decode(path) -> dict:
+    """The loader's oracle: the whole file read as bytes, and each tensor
+    decoded on its own and widened to the default dtype."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<Q", blob[:8])
+    manifest = json.loads(blob[8:8 + length])
+    payload = blob[8 + length:]
+    return {name: np.frombuffer(payload, dtype={"f32": "<f4", "f64": "<f8"}[spec["dtype"]],
+                                count=math.prod(spec["shape"]), offset=spec["offset"])
+            .reshape(spec["shape"]).astype(default_dtype())
+            for name, spec in manifest["tensors"].items()}
+
+
+@contextlib.contextmanager
+def working_dtype(name):
+    T.set_default_dtype(name)
+    try:
+        yield
+    finally:
+        T.set_default_dtype("float64")
+
+
+def varied_tensors():
+    """Tensors of several ranks, one empty, with values float32 rounds,
+    subnormals included."""
+    rng = Rng(11)
+    return {
+        "a.stack": Tensor(rng.normal(60).reshape(3, 4, 5) * 1e3),
+        "b.empty": Tensor(np.zeros((0, 4))),
+        "c.row": Tensor(rng.normal(7) * 1e-30),
+        "d.one": Tensor(np.array([math.pi])),
+        "e.edge": Tensor(np.array([3e38, -3e38, 1e-45, -2.5e-40, -0.0])),
+    }
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("f64", [False, True], ids=["f32-payload", "f64-payload"])
+def test_loader_equals_the_reference_decode(tmp_path, f64, dtype):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, varied_tensors(), config={}, seed=0, stage="stage1", f64=f64)
+    with working_dtype(dtype):
+        expected = reference_decode(path)
+        _, arrays = load_checkpoint(path)
+    assert sorted(arrays) == sorted(expected)
+    for name, want in expected.items():
+        got = arrays[name]
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_f64_payload_beyond_float32_is_refused_under_float32(tmp_path):
+    path = tmp_path / "model.ckpt"
+    tensors = dict(varied_tensors(), **{"f.huge": Tensor(np.array([1.0, 1e300]))})
+    save_checkpoint(path, tensors, config={}, seed=0, stage="stage1", f64=True)
+    with working_dtype("float32"), pytest.raises(DataError, match="f.huge"):
+        load_checkpoint(path)
+
+
+def test_loaded_arrays_are_disjoint_views_of_one_buffer(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, varied_tensors(), config={}, seed=0, stage="stage1")
+    _, arrays = load_checkpoint(path)
+    flat = arrays["a.stack"].base
+    assert flat.ndim == 1 and flat.dtype == default_dtype()
+    assert all(array.base is flat for array in arrays.values())
+    assert flat.size == sum(array.size for array in arrays.values())
+    spans = sorted((array.__array_interface__["data"][0], array.nbytes)
+                   for array in arrays.values())
+    assert all(start + size <= following
+               for (start, size), (following, _) in zip(spans, spans[1:]))
+
+
+def test_restore_params_adopts_the_loaded_arrays(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, sample_tensors(seed=1), config={}, seed=0, stage="stage1")
+    _, arrays = load_checkpoint(path)
+    fresh = sample_tensors(seed=2)
+    restore_params(fresh, arrays)
+    for name, tensor in fresh.items():
+        assert tensor.data is arrays[name], name
+
+
+def test_restore_params_casts_only_on_a_dtype_mismatch(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, sample_tensors(seed=1), config={}, seed=0, stage="stage1",
+                    f64=True)
+    _, arrays = load_checkpoint(path)
+    with working_dtype("float32"):
+        fresh = sample_tensors(seed=2)
+    restore_params(fresh, arrays)
+    for name, tensor in fresh.items():
+        assert tensor.data.dtype == np.float32 and tensor.data is not arrays[name]
+        assert np.array_equal(tensor.data, arrays[name].astype(np.float32)), name
 
 
 def test_restore_params_name_mismatch(tmp_path):
@@ -185,7 +283,7 @@ def test_other_format_version_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: checkpoint format 'GVMC-2' is not GVMC-3\n"
 
 
-def untrained_bundle_checkpoint(path):
+def untrained_bundle_checkpoint(path, f64=False):
     """A tiny, well-formed stage-2 checkpoint of an untrained model."""
     from moerec.config import RunConfig
     from moerec.moe import LanguageModel, Vocab
@@ -201,7 +299,7 @@ def untrained_bundle_checkpoint(path):
     lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(1))
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index={"u0": 0},
                              item_index={"i0": 0})
-    save_bundle(path, bundle, run, {})
+    save_bundle(path, bundle, run, {}, f64=f64)
 
 
 def _drop(*keys):
@@ -264,3 +362,88 @@ def test_bad_bundle_content_fails_with_its_exit_code(tmp_path, kind, capsys):
     assert main(args) == error.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+def test_inspect_clusters_refuses_a_manifest_without_a_stage(tmp_path, capsys):
+    from moerec.cli import main
+    from moerec.data import InteractionRecord, save_records
+    path, data = tmp_path / "model.ckpt", tmp_path / "data.jsonl"
+    untrained_bundle_checkpoint(path)
+    save_records([InteractionRecord("u0", "i0", 4.0, [], "fine")], data)
+    path.write_bytes(rewrite_manifest(path.read_bytes(), _drop("stage")))
+    assert main(["inspect-clusters", "--checkpoint", str(path), "--data", str(data)]) == 2
+    assert "'stage'" in capsys.readouterr().err
+
+
+def _write_value(path, name, index, value):
+    """Overwrite value `index` of tensor `name` in a checkpoint's payload."""
+    blob = bytearray(path.read_bytes())
+    spec = read_manifest(path)["tensors"][name]
+    fmt = {"f32": "<f", "f64": "<d"}[spec["dtype"]]
+    at = 8 + _length(blob) + spec["offset"] + index * struct.calcsize(fmt)
+    blob[at:at + struct.calcsize(fmt)] = struct.pack(fmt, value)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("command", ["generate", "inspect-clusters"])
+@pytest.mark.parametrize("name", ["vae.gmm.pi_logits", "lm.head", "lm.block0.moe.w1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("f64", [False, True], ids=["f32-payload", "f64-payload"])
+def test_a_non_finite_payload_fails_at_load(tmp_path, capsys, command, name, value, f64):
+    from moerec.cli import main
+    from moerec.data import InteractionRecord, save_records
+    path, data = tmp_path / "model.ckpt", tmp_path / "data.jsonl"
+    untrained_bundle_checkpoint(path, f64=f64)
+    save_records([InteractionRecord("u0", "i0", 4.0, [], "fine")], data)
+    _write_value(path, name, 0, value)
+    args = {"generate": ["generate", "--checkpoint", str(path), "--user", "u0",
+                         "--item", "i0", "--rating", "4", "--max-len", "3"],
+            "inspect-clusters": ["inspect-clusters", "--checkpoint", str(path),
+                                 "--data", str(data)]}[command]
+    assert main(args) == DataError.exit_code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: checkpoint tensor {name} holds a NaN or an infinity\n"
+
+
+def _cuts(blob):
+    """Lengths to cut a checkpoint to: around the header, the manifest's end
+    and every tensor boundary, one byte either side included."""
+    start = 8 + _length(blob)
+    specs = json.loads(blob[8:start])["tensors"].values()
+    marks = {0, 8, start, len(blob)} | {start + spec["offset"] for spec in specs}
+    return sorted({mark + step for mark in marks for step in (-1, 0, 1)}
+                  & set(range(len(blob))))
+
+
+def test_a_damaged_checkpoint_exits_1_or_2_without_a_traceback(tmp_path, capsys):
+    from moerec.cli import main
+    path = tmp_path / "model.ckpt"
+    untrained_bundle_checkpoint(path)
+    blob = path.read_bytes()
+    middle = sorted(json.loads(blob[8:8 + _length(blob)])["tensors"])[5]
+    damaged = [blob[:cut] for cut in _cuts(blob)] + [
+        blob + b"\0",
+        rewrite_manifest(blob, lambda m: m.update(payload_bytes=m["payload_bytes"] ^ 1)),
+        rewrite_manifest(blob, lambda m: m["tensors"][middle].update(
+            offset=m["tensors"][middle]["offset"] ^ 4)),
+    ]
+    args = ["generate", "--checkpoint", str(path), "--user", "u0", "--item", "i0",
+            "--rating", "4", "--max-len", "3"]
+    for bad in damaged:
+        path.write_bytes(bad)
+        assert main(args) in (1, 2), len(bad)
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_two_loads_of_one_file_are_independent(tmp_path):
+    from moerec.training import load_bundle
+    path = tmp_path / "model.ckpt"
+    untrained_bundle_checkpoint(path)
+    first, _, _ = load_bundle(path)
+    second, _, _ = load_bundle(path)
+    before = {name: t.data.copy() for name, t in second.params().items()}
+    for tensor in first.params().values():
+        tensor.data += 1.0
+    for name, tensor in second.params().items():
+        assert np.array_equal(tensor.data, before[name]), name

@@ -116,6 +116,24 @@ def test_train_writes_checkpoint_and_manifest(workspace):
     assert manifest["epochs"]
 
 
+def test_stage2_from_a_loaded_stage1_trains_as_from_owned_arrays(workspace, tmp_path):
+    """The CLI's stage 2 trains a stage-1 model whose parameters are views
+    of one loaded buffer; with each parameter owning a copy instead, the
+    same training writes the same bytes."""
+    from moerec.config import load_config
+    from moerec.training import load_stage1, save_bundle, train_stage2
+    run = load_config(workspace["cfg"])
+    vae, _, _, user_index, item_index = load_stage1(workspace["s1"])
+    for tensor in vae.params().values():
+        tensor.data = tensor.data.copy()
+    split = split_records(load_records(workspace["data"]), run.seed)
+    split.user_index, split.item_index = user_index, item_index
+    bundle, manifest = train_stage2(split, vae, run, run.stage2())
+    path = tmp_path / "owned.ckpt"
+    save_bundle(path, bundle, run, manifest)
+    assert path.read_bytes() == workspace["s2"].read_bytes()
+
+
 def test_train_stage2_requires_stage1(workspace, tmp_path, capsys):
     code = run_cli("train", "--stage", "2", "--data", str(workspace["data"]),
                    "--config", str(workspace["cfg"]),

@@ -173,6 +173,24 @@ def rigged_router(scores_row, model_dim):
     return router
 
 
+@pytest.mark.parametrize("model_dim, base_hidden", [(4, 8), (5, 6)])
+def test_expert_bank_draws_each_expert_in_turn(model_dim, base_hidden):
+    """One padded draw gives every expert's w1 then w2 as drawn in turn,
+    for an odd m*h too, and leaves the stream where those draws end."""
+    cfg = decompose_experts(3, base_hidden, 2, active=2, gates=1)
+    m, h = model_dim, cfg.expert_hidden
+    rng, reference = Rng(21), Rng(21)
+    rng.normal(3)
+    reference.normal(3)
+    bank = ExpertBank(m, cfg, rng)
+    for e in range(cfg.expert_count):
+        w1 = reference.normal(m * h).reshape(m, h) / math.sqrt(m)
+        w2 = reference.normal(h * m).reshape(h, m) / math.sqrt(h)
+        assert bank.w1.data[e].tobytes() == w1.tobytes()
+        assert bank.w2.data[e].tobytes() == w2.tobytes()
+    assert rng.counter == reference.counter
+
+
 def test_moe_forward_scalar_experts_oracle():
     # experts act as x*1, x*2, x*3; softmax scores pinned to [0.2, 0.5, 0.3]
     scores = [0.2, 0.5, 0.3]

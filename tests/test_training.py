@@ -397,6 +397,21 @@ def test_zero_rng_builds_models_without_drawing(monkeypatch):
     assert zeros.counter == 0
 
 
+def test_zero_rng_models_hold_no_weight_memory():
+    """Weights built from the zero stream are stand-ins with every stride 0
+    until a checkpoint's arrays replace them; only norms, biases and the
+    stacked router own memory, far less than the weights."""
+    run = small_run()
+    lm = LanguageModel(lm_config_from(run, 40), _ZeroRng())
+    params = lm.params()
+    for name in ("lm.embed", "lm.pos", "lm.head", "lm.block0.attn.wq",
+                 "lm.block0.moe.w1", "lm.block0.moe.w2"):
+        data = params[name].data
+        assert not any(data.strides) and not data.any() and data.dtype == np.float64, name
+    owned = sum(t.data.nbytes for t in params.values() if any(t.data.strides))
+    assert owned < 0.1 * sum(t.data.nbytes for t in params.values())
+
+
 def test_loaders_reject_name_and_shape_mismatches(tmp_path):
     from moerec.checkpoint import read_manifest, save_checkpoint
     from moerec.tensor import Tensor
