@@ -13,11 +13,10 @@ from moerec import (
     Tensor,
     adjusted_rand_index,
     generate_synthetic,
-    kl_closed_form,
-    mc_kl_estimate,
     split_records,
 )
 from moerec.vae import gmm_posterior_batch
+from moerec.verify import kl_closed_form, mc_kl_estimate
 from moerec.training import train_stage1, vae_config_from
 
 # A corpus with three planted user clusters: disjoint feature vocabularies,

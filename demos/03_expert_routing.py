@@ -8,6 +8,7 @@ how the rows of a mixed-gate batch are grouped by expert.
 import numpy as np
 
 from moerec import Rng, Tensor, decompose_experts, top_k_select
+from moerec import tensor as T
 from moerec.moe import ExpertBank, GateRouter, _moe_rows, expert_weight_count
 
 # Splitting 6 experts of width 4096 by a factor of 2 yields 12 experts of
@@ -52,7 +53,7 @@ for part in ("w1", "b1", "w2", "b2"):
     stack[1:] = stack[0]
 scores = router.scores(0, x).data[0]
 picked = top_k_select(scores, 2)
-single = bank.run(np.array([0]), x).data[0]
+single = T.expert_ffn(x, bank.w1, bank.b1, bank.w2, bank.b2, np.array([0])).data[0]
 combined = _moe_rows(bank, router, 0, x, k=2).data[0]
 print("factorization holds:",
       np.allclose(combined, scores[picked].sum() * single))

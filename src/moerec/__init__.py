@@ -41,9 +41,7 @@ from .vae import (
     VaeGmm,
     elbo_loss,
     init_gmm_prior,
-    kl_closed_form,
     log_normal_diag,
-    mc_kl_estimate,
     reparameterize,
 )
 from .moe import (

@@ -221,6 +221,8 @@ def cmd_inspect_clusters(args) -> int:
     else:
         vae, run, _, user_index, item_index = load_stage1(args.checkpoint)
     records = load_records(args.data)
+    if not records:
+        raise DataError(f"{args.data} holds no records")
     users = index_ids(user_index, [r.user for r in records])
     items = index_ids(item_index, [r.item for r in records])
     latents = vae.latent_mu(users, items)
@@ -299,6 +301,8 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # a command's --precision holds for that command only
+    dtype = tensor_mod.default_dtype().name
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -308,6 +312,8 @@ def main(argv=None) -> int:
     except MoerecError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code
+    finally:
+        tensor_mod.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ canonical lowercase/whitespace/punctuation rule) and return raw values in
 [0, 1]; the human-readable report multiplies by 100. BLEU is corpus-level
 by default and micro-averages clipped n-gram counts over all pairs;
 Distinct pools n-grams across the whole corpus. BERTScore is out of scope
-and reported as absent.
+and not reported.
 """
 
 from __future__ import annotations
@@ -34,41 +34,20 @@ def _clipped_counts(candidate: Sequence[str], reference: Sequence[str],
     cand = _ngrams(candidate, n)
     ref = _ngrams(reference, n)
     clipped = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return clipped, max(sum(cand.values()), 0)
-
-
-def _bleu_from_counts(clipped: List[int], totals: List[int],
-                      cand_len: int, ref_len: int, n: int) -> float:
-    if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for order in range(n):
-        num = clipped[order] if clipped[order] > 0 else BLEU_EPSILON
-        den = max(totals[order], 1)
-        log_sum += math.log(num / den)
-    geo = math.exp(log_sum / n)
-    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    return brevity * geo
+    return clipped, sum(cand.values())
 
 
 def bleu_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> float:
-    """Sentence BLEU-n: clipped precision per order 1..n, geometric mean,
-    brevity penalty, epsilon smoothing for zero counts."""
-    if not 1 <= n <= 4:
-        raise MetricError(f"BLEU order must be in 1..4, got {n}")
-    if len(reference) == 0:
-        raise MetricError("BLEU needs a non-empty reference")
-    clipped, totals = [], []
-    for order in range(1, n + 1):
-        c, t = _clipped_counts(candidate, reference, order)
-        clipped.append(c)
-        totals.append(t)
-    return _bleu_from_counts(clipped, totals, len(candidate), len(reference), n)
+    """Sentence BLEU-n: the corpus BLEU-n of the one pair."""
+    return corpus_bleu([(candidate, reference)], n)
 
 
 def corpus_bleu(pairs: Sequence[tuple], n: int) -> float:
-    """Corpus BLEU-n: micro-average of clipped counts across all pairs,
-    with the brevity penalty on total lengths."""
+    """Corpus BLEU-n: clipped n-gram counts of orders 1..n summed over all
+    pairs, the geometric mean of their precisions with epsilon smoothing of
+    zero counts, and the brevity penalty on total lengths."""
+    if not 1 <= n <= 4:
+        raise MetricError(f"BLEU order must be in 1..4, got {n}")
     if not pairs:
         raise MetricError("corpus BLEU needs at least one pair")
     clipped = [0] * n
@@ -76,14 +55,22 @@ def corpus_bleu(pairs: Sequence[tuple], n: int) -> float:
     cand_len = ref_len = 0
     for candidate, reference in pairs:
         if len(reference) == 0:
-            raise MetricError("BLEU needs non-empty references")
+            raise MetricError("BLEU needs a non-empty reference")
         cand_len += len(candidate)
         ref_len += len(reference)
         for order in range(1, n + 1):
             c, t = _clipped_counts(candidate, reference, order)
             clipped[order - 1] += c
             totals[order - 1] += t
-    return _bleu_from_counts(clipped, totals, cand_len, ref_len, n)
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for order in range(n):
+        num = clipped[order] if clipped[order] > 0 else BLEU_EPSILON
+        log_sum += math.log(num / max(totals[order], 1))
+    geo = math.exp(log_sum / n)
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * geo
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:

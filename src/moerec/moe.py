@@ -184,17 +184,13 @@ class ExpertBank:
         self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 
-    def run(self, experts: np.ndarray, rows: Tensor, scores: Tensor = None,
-            order: np.ndarray = None, residual: Tensor = None,
-            renormalize: bool = False) -> Tensor:
-        """Row i through expert `experts[i]`, in one fused
-        :func:`~moerec.tensor.expert_ffn`; rows sorted by expert are sliced
-        rather than gathered. Given the router's `scores`, one fused
-        :func:`~moerec.tensor.routed_experts` also mixes the pairs into
-        `residual`."""
+    def run(self, experts: np.ndarray, rows: Tensor, scores: Tensor,
+            order: np.ndarray, residual: Tensor, renormalize: bool = False) -> Tensor:
+        """Row i through expert `experts[i]`, weighted by the router's
+        `scores` and mixed into `residual`, in one fused
+        :func:`~moerec.tensor.routed_experts`; rows sorted by expert are
+        sliced rather than gathered."""
         self.eval_count += rows.shape[0]
-        if scores is None:
-            return T.expert_ffn(rows, self.w1, self.b1, self.w2, self.b2, experts)
         return T.routed_experts(residual, rows, self.w1, self.b1, self.w2, self.b2,
                                 experts, scores, order, renormalize)
 

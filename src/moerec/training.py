@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -200,8 +200,8 @@ class ExplainerBundle:
     vocabulary, and the id maps that bind records to table rows."""
 
     vae: VaeGmm
-    lm: LanguageModel
-    vocab: Vocab
+    lm: Optional[LanguageModel]
+    vocab: Optional[Vocab]
     user_index: Dict[str, int]
     item_index: Dict[str, int]
     r_max: float = 5.0
@@ -256,7 +256,7 @@ class ExplainerBundle:
         return self.vae.predict_rating(*self._rows(records))
 
     def params(self) -> dict:
-        return {**self.vae.params(), **self.lm.params()}
+        return {**self.vae.params(), **(self.lm.params() if self.lm is not None else {})}
 
 
 def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
@@ -317,17 +317,25 @@ def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
 
 # --- persistence glue ---
 
-def save_stage1(path, vae: VaeGmm, run: RunConfig, manifest: dict,
-                user_index: Dict[str, int], item_index: Dict[str, int],
+def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
                 f64: bool = False) -> None:
+    """Write `bundle` as one checkpoint: a stage-2 one whose manifest holds
+    the vocabulary, or a stage-1 one when the bundle has no language model."""
     # run manifests (which carry wall-clock times) live in the sidecar
     # manifest file, never in the checkpoint: checkpoint bytes must be a
     # pure function of config, seed, and data
-    save_checkpoint(path, vae.params(), config=run.to_dict(), seed=run.seed,
-                    stage="stage1",
-                    extra={"users": sorted(user_index),
-                           "items": sorted(item_index)},
-                    f64=f64)
+    extra = {"users": sorted(bundle.user_index), "items": sorted(bundle.item_index)}
+    if bundle.lm is not None:
+        extra["vocab"] = bundle.vocab.tokens
+    save_checkpoint(path, bundle.params(), config=run.to_dict(), seed=run.seed,
+                    stage="stage1" if bundle.lm is None else "stage2", extra=extra, f64=f64)
+
+
+def save_stage1(path, vae: VaeGmm, run: RunConfig, manifest: dict,
+                user_index: Dict[str, int], item_index: Dict[str, int],
+                f64: bool = False) -> None:
+    save_bundle(path, ExplainerBundle(vae, None, None, user_index, item_index, run.r_max),
+                run, manifest, f64)
 
 
 class _Unset(np.ndarray):
@@ -374,14 +382,12 @@ def _load(path, stage: str) -> tuple:
         if field != "vocab" and any(a >= b for a, b in zip(value, value[1:])):
             raise DataError(f"checkpoint manifest field extra.{field} must be strictly "
                             f"increasing")
-    users, items = lists["users"], lists["items"]
     if not isinstance(config, dict):
         raise ConfigError(f"checkpoint config is not an object: {config!r}")
     run = load_config(overrides=config)
-    vae = VaeGmm(VaeConfig(n_users=len(users), n_items=len(items),
-                           d_emb=run.d_emb, latent_dim=run.latent_dim,
-                           hidden=run.enc_hidden, clusters=run.clusters,
-                           r_max=run.r_max),
+    user_index, item_index = ({key: i for i, key in enumerate(lists[field])}
+                              for field in ("users", "items"))
+    vae = VaeGmm(vae_config_from(run, DatasetSplit([], [], [], user_index, item_index)),
                  _ZeroRng())
     vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
     params = vae.params()
@@ -394,10 +400,8 @@ def _load(path, stage: str) -> tuple:
         lm = LanguageModel(lm_config_from(run, len(vocab)), _ZeroRng())
         params |= lm.params()
     restore_params(params, arrays)
-    bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
-                             user_index={u: i for i, u in enumerate(users)},
-                             item_index={it: i for i, it in enumerate(items)},
-                             r_max=run.r_max)
+    bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index=user_index,
+                             item_index=item_index, r_max=run.r_max)
     return bundle, run, manifest
 
 
@@ -405,17 +409,6 @@ def load_stage1(path) -> tuple:
     """Returns (vae, run config, manifest, user_index, item_index)."""
     bundle, run, manifest = _load(path, "stage1")
     return bundle.vae, run, manifest, bundle.user_index, bundle.item_index
-
-
-def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
-                f64: bool = False) -> None:
-    # the vocabulary rides in the manifest, so the one file is the whole model
-    save_checkpoint(path, bundle.params(), config=run.to_dict(), seed=run.seed,
-                    stage="stage2",
-                    extra={"users": sorted(bundle.user_index),
-                           "items": sorted(bundle.item_index),
-                           "vocab": bundle.vocab.tokens},
-                    f64=f64)
 
 
 def load_bundle(path) -> tuple:

@@ -83,40 +83,21 @@ class EmbeddingTables:
         return T.concat_rows(self.user, users, self.item, items)
 
 
-class Encoder:
-    """Two-layer map from the concatenated pair embedding to (mu, log-var)."""
+class TwoLayerNet:
+    """The tanh network (d_in -> hidden -> d_out) of both VAE halves, run as
+    one fused :func:`~moerec.tensor.mlp`: the encoder maps a pair embedding
+    to ``[mu | log-var]``, the decoder a latent code to a rating logit."""
 
-    def __init__(self, config: VaeConfig, rng: Rng):
-        d, h, out = 2 * config.d_emb, config.hidden, 2 * config.latent_dim
-        self.latent_dim = config.latent_dim
-        self.w1 = Tensor(rng.normal(d * h).reshape(d, h) / math.sqrt(d), requires_grad=True)
-        self.b1 = Tensor(np.zeros(h), requires_grad=True)
-        self.w2 = Tensor(rng.normal(h * out).reshape(h, out) / math.sqrt(h), requires_grad=True)
-        self.b2 = Tensor(np.zeros(out), requires_grad=True)
+    def __init__(self, d_in: int, hidden: int, d_out: int, rng: Rng):
+        self.w1 = Tensor(rng.normal(d_in * hidden).reshape(d_in, hidden) / math.sqrt(d_in),
+                         requires_grad=True)
+        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
+        self.w2 = Tensor(rng.normal(hidden * d_out).reshape(hidden, d_out) / math.sqrt(hidden),
+                         requires_grad=True)
+        self.b2 = Tensor(np.zeros(d_out), requires_grad=True)
 
-    def forward(self, pairs: Tensor) -> tuple:
-        """(mu, log_var) for (B, 2 * d_emb) pair rows."""
-        out = T.mlp(pairs, self.w1, self.b1, self.w2, self.b2)
-        return out[:, : self.latent_dim], out[:, self.latent_dim:]
-
-
-class Decoder:
-    """Two-layer map from a latent code to a rating logit; the public
-    rating is sigmoid(logit), always inside (0, 1)."""
-
-    def __init__(self, config: VaeConfig, rng: Rng):
-        d, h = config.latent_dim, config.hidden
-        self.w1 = Tensor(rng.normal(d * h).reshape(d, h) / math.sqrt(d), requires_grad=True)
-        self.b1 = Tensor(np.zeros(h), requires_grad=True)
-        self.w2 = Tensor(rng.normal(h).reshape(h, 1) / math.sqrt(h), requires_grad=True)
-        self.b2 = Tensor(np.zeros(1), requires_grad=True)
-
-    def forward(self, z: Tensor) -> Tensor:
-        """The (B, 1) column of rating logits."""
-        return T.mlp(z, self.w1, self.b1, self.w2, self.b2)
-
-    def logit(self, z: Tensor) -> Tensor:
-        return self.forward(z)[:, 0]
+    def forward(self, x: Tensor) -> Tensor:
+        return T.mlp(x, self.w1, self.b1, self.w2, self.b2)
 
 
 class GmmPrior:
@@ -238,55 +219,15 @@ def kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
                         prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
 
 
-def kl_closed_form(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
-                   prior: GmmPrior) -> Tensor:
-    """Single-sample closed-form KL (scalar tensor); see the batch variant."""
-    return kl_closed_form_batch(mu.reshape(1, -1), log_var.reshape(1, -1),
-                                np.atleast_2d(gamma), prior).sum()
-
-
-def mc_kl_estimate(mu: np.ndarray, log_var: np.ndarray, prior: GmmPrior,
-                   rng: Rng, n_samples: int,
-                   gamma: Optional[np.ndarray] = None) -> tuple:
-    """Monte Carlo estimate of the same KL, with standard error.
-
-    Samples z from N(mu, diag var) and averages
-        log q(z) + sum_c gamma_c [log gamma_c - log pi_c - log N(z | c)].
-    When `gamma` is omitted it is evaluated at the posterior of the mean,
-    which is also what callers comparing against the closed form should
-    pass there. Returns (estimate, standard_error).
-    """
-    if n_samples < 1000:
-        raise ValueError("use at least 1e3 samples for a usable standard error")
-    mu = np.asarray(mu, dtype=np.float64)
-    log_var = np.clip(np.asarray(log_var, dtype=np.float64), LOG_VAR_MIN, LOG_VAR_MAX)
-    var = np.exp(log_var)
-    if gamma is None:
-        gamma = gmm_posterior_batch(prior, mu[None, :])[0]
-    dims = mu.shape[0]
-
-    eps = rng.normal(n_samples * dims).reshape(n_samples, dims)
-    z = mu[None, :] + eps * np.sqrt(var)[None, :]
-
-    log_q = -0.5 * (LOG_2PI * dims + log_var.sum() + (eps * eps).sum(axis=1))
-    log_pz = _log_normal_diag_np(z, prior.mu.data, prior.var())     # (n, K)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
-    const = g_log_g.sum() - float(gamma @ prior.log_pi())
-    ratios = log_q + const - log_pz @ gamma
-    estimate = float(ratios.mean())
-    stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples))
-    return estimate, stderr
-
-
 class VaeGmm:
     """Embeddings + encoder + decoder + mixture prior, as one unit."""
 
     def __init__(self, config: VaeConfig, rng: Rng):
         self.config = config
         self.tables = EmbeddingTables(config, rng.substream("embeddings"))
-        self.encoder = Encoder(config, rng.substream("encoder"))
-        self.decoder = Decoder(config, rng.substream("decoder"))
+        self.encoder = TwoLayerNet(2 * config.d_emb, config.hidden, 2 * config.latent_dim,
+                                   rng.substream("encoder"))
+        self.decoder = TwoLayerNet(config.latent_dim, config.hidden, 1, rng.substream("decoder"))
         # starts as a single standard component; replaced after warm-up
         self.prior = GmmPrior.standard_normal(1, config.latent_dim)
 
@@ -294,14 +235,8 @@ class VaeGmm:
         return {
             "vae.embeddings.user": self.tables.user,
             "vae.embeddings.item": self.tables.item,
-            "vae.encoder.w1": self.encoder.w1,
-            "vae.encoder.b1": self.encoder.b1,
-            "vae.encoder.w2": self.encoder.w2,
-            "vae.encoder.b2": self.encoder.b2,
-            "vae.decoder.w1": self.decoder.w1,
-            "vae.decoder.b1": self.decoder.b1,
-            "vae.decoder.w2": self.decoder.w2,
-            "vae.decoder.b2": self.decoder.b2,
+            **{f"vae.{net}.{name}": getattr(getattr(self, net), name)
+               for net in ("encoder", "decoder") for name in ("w1", "b1", "w2", "b2")},
             "vae.gmm.pi_logits": self.prior.pi_logits,
             "vae.gmm.mu": self.prior.mu,
             "vae.gmm.log_var": self.prior.log_var,
@@ -312,7 +247,8 @@ class VaeGmm:
         single = np.isscalar(users) or (np.ndim(users) == 0)
         users = np.atleast_1d(np.asarray(users, dtype=np.int64))
         items = np.atleast_1d(np.asarray(items, dtype=np.int64))
-        mu, log_var = self.encoder.forward(self.tables.lookup(users, items))
+        out = self.encoder.forward(self.tables.lookup(users, items))
+        mu, log_var = out[:, :self.config.latent_dim], out[:, self.config.latent_dim:]
         if single:
             return mu.reshape(-1), log_var.reshape(-1)
         return mu, log_var
@@ -324,8 +260,8 @@ class VaeGmm:
     def decode(self, z: Tensor) -> Tensor:
         """Predicted normalized rating in (0, 1)."""
         if z.data.ndim == 1:
-            return T.sigmoid(self.decoder.logit(z.reshape(1, -1))).sum()
-        return T.sigmoid(self.decoder.logit(z))
+            return T.sigmoid(self.decoder.forward(z.reshape(1, -1))[:, 0]).sum()
+        return T.sigmoid(self.decoder.forward(z)[:, 0])
 
     def predict_rating(self, users, items) -> np.ndarray:
         """Deterministic normalized rating prediction along the mean path."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,16 +42,17 @@ from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
 from .vae import (
+    LOG_2PI,
     LOG_VAR_MAX,
     LOG_VAR_MIN,
     PRIOR_VAR_FLOOR,
     GmmPrior,
     VaeConfig,
     VaeGmm,
+    _log_normal_diag_np,
     elbo_loss,
     gmm_posterior_batch,
-    kl_closed_form,
-    mc_kl_estimate,
+    kl_closed_form_batch,
 )
 
 
@@ -180,6 +181,48 @@ def ari_pair_enumeration(pred, truth) -> float:
     return (a - expected) / (maximum - expected)
 
 
+def kl_closed_form(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
+                   prior: GmmPrior) -> Tensor:
+    """Single-sample :func:`moerec.vae.kl_closed_form_batch` (a scalar tensor)."""
+    return kl_closed_form_batch(mu.reshape(1, -1), log_var.reshape(1, -1),
+                                np.atleast_2d(gamma), prior).sum()
+
+
+def mc_kl_estimate(mu: np.ndarray, log_var: np.ndarray, prior: GmmPrior,
+                   rng: Rng, n_samples: int,
+                   gamma: Optional[np.ndarray] = None) -> tuple:
+    """Monte Carlo estimate of the KL of :func:`kl_closed_form`, with its
+    standard error.
+
+    Samples z from N(mu, diag var) and averages
+        log q(z) + sum_c gamma_c [log gamma_c - log pi_c - log N(z | c)].
+    When `gamma` is omitted it is evaluated at the posterior of the mean,
+    which is also what callers comparing against the closed form should
+    pass there. Returns (estimate, standard_error).
+    """
+    if n_samples < 1000:
+        raise ValueError("use at least 1e3 samples for a usable standard error")
+    mu = np.asarray(mu, dtype=np.float64)
+    log_var = np.clip(np.asarray(log_var, dtype=np.float64), LOG_VAR_MIN, LOG_VAR_MAX)
+    var = np.exp(log_var)
+    if gamma is None:
+        gamma = gmm_posterior_batch(prior, mu[None, :])[0]
+    dims = mu.shape[0]
+
+    eps = rng.normal(n_samples * dims).reshape(n_samples, dims)
+    z = mu[None, :] + eps * np.sqrt(var)[None, :]
+
+    log_q = -0.5 * (LOG_2PI * dims + log_var.sum() + (eps * eps).sum(axis=1))
+    log_pz = _log_normal_diag_np(z, prior.mu.data, prior.var())     # (n, K)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
+    const = g_log_g.sum() - float(gamma @ prior.log_pi())
+    ratios = log_q + const - log_pz @ gamma
+    estimate = float(ratios.mean())
+    stderr = float(ratios.std(ddof=1) / math.sqrt(n_samples))
+    return estimate, stderr
+
+
 # --- the op chains that the fused tensor ops replace ---
 
 def reference_rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -272,13 +315,10 @@ def fused_block_mismatches(lm: LanguageModel, tokens: np.ndarray, gates: np.ndar
         params = [p for name, p in lm.params().items() if name.startswith(f"lm.block{b}.")]
         results = []
         for forward in (TransformerBlock.forward, reference_block):
-            T.zero_grad(params)
             rows = Tensor(x, requires_grad=True)
-            with T.Tape() as tape:
-                out = forward(blk, rows, batch, length, gates)
-                weight = Tensor(Rng(seed + b).normal(out.size).reshape(out.shape))
-                tape.backward((out * weight).sum())
-            results.append([out.data, rows.grad] + [p.grad for p in params])
+            out, grads = taped_run(lambda: forward(blk, rows, batch, length, gates),
+                                   [rows] + params, seed + b)
+            results.append([out] + grads)
         names = ["output", "input grad"] + [
             f"{name} grad" for name in lm.params() if name.startswith(f"lm.block{b}.")]
         bad += [f"block {b} {name}" for name, fused, chain in zip(names, *results)
@@ -386,9 +426,9 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
     the KL term, as it did before the draw became one op."""
     u_emb = T.take_rows(model.tables.user, np.atleast_1d(users))
     i_emb = T.take_rows(model.tables.item, np.atleast_1d(items))
-    enc, dec = model.encoder, model.decoder
+    enc, dec, latent = model.encoder, model.decoder, model.config.latent_dim
     out = reference_mlp(T.concat([u_emb, i_emb], axis=1), enc.w1, enc.b1, enc.w2, enc.b2)
-    mu, log_var = out[:, :enc.latent_dim], out[:, enc.latent_dim:]
+    mu, log_var = out[:, :latent], out[:, latent:]
     clamped = T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
     if eps_override is None:
         eps = rng.normal(mu.size).reshape(mu.shape)
@@ -489,6 +529,23 @@ def fused_cases(seed: int) -> dict:
     return cases
 
 
+def taped_run(fn, leaves: List[Tensor], weight_seed: Optional[int] = None) -> tuple:
+    """(output array, gradient of each of `leaves`) of one call of `fn` on a
+    fresh tape, the leaves' gradients cleared first. The loss is the output
+    itself or, given `weight_seed`, its sum weighted by normal draws of that
+    seed. A leaf the loss does not reach reads -1 everywhere."""
+    T.zero_grad(leaves)
+    with T.Tape() as tape:
+        out = fn()
+        if weight_seed is not None:
+            weight = Tensor(Rng(weight_seed).normal(out.size).reshape(out.shape))
+            tape.backward((out * weight).sum())
+        else:
+            tape.backward(out)
+    return out.data, [np.full_like(p.data, -1.0) if p.grad is None else p.grad
+                      for p in leaves]
+
+
 def fused_gap(fused, reference, inputs: list, seed: int = 0) -> tuple:
     """(forwards equal bit for bit, largest gradient gap over every input)
     between a fused op and its reference chain, under one random linear
@@ -496,12 +553,9 @@ def fused_gap(fused, reference, inputs: list, seed: int = 0) -> tuple:
     outs, grads = [], []
     for fn in (fused, reference):
         leaves = [Tensor(a, requires_grad=True) for a in inputs]
-        with T.Tape() as tape:
-            out = fn(*leaves)
-            weight = Rng(seed).normal(out.size).reshape(out.shape)
-            tape.backward((out * Tensor(weight)).sum())
-        outs.append(out.data)
-        grads.append([leaf.grad for leaf in leaves])
+        out, leaf_grads = taped_run(lambda: fn(*leaves), leaves, seed)
+        outs.append(out)
+        grads.append(leaf_grads)
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(*grads))
     return bool(np.array_equal(*outs)), gap
 
@@ -761,12 +815,10 @@ def loss_rows_gap(seed: int) -> tuple:
     gates = rng.integers(len(sequences), 3)
     losses, grads = [], []
     for fn in (LanguageModel.batched_nll, reference_batched_nll):
-        T.zero_grad(lm.params().values())
-        with T.Tape() as tape:
-            loss = fn(lm, sequences, prompt_lens, gates)
-            tape.backward(loss)
+        loss, param_grads = taped_run(lambda: fn(lm, sequences, prompt_lens, gates),
+                                      list(lm.params().values()))
         losses.append(loss.item())
-        grads.append([p.grad for p in lm.params().values()])
+        grads.append(param_grads)
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(*grads))
     return abs(losses[0] - losses[1]), gap
 
@@ -799,15 +851,12 @@ def fused_elbo_gap(seed: int, beta: float) -> tuple:
     ratings = rng.uniform(6)
     losses, grads = [], []
     for fn in (elbo_loss, reference_elbo_loss):
-        for p in model.params().values():
-            p.grad = None
-        with T.Tape() as tape:
-            loss = fn(model, users, items, ratings, beta, Rng(seed + 1))
-            tape.backward(loss)
-        losses.append(loss.data)
-        # with beta = 0 the prior gets no gradient; -1 marks that, on both sides
-        grads.append([np.full_like(p.data, -1.0) if p.grad is None else p.grad
-                      for p in model.params().values()])
+        # with beta = 0 the prior gets no gradient, which reads -1 on both sides
+        loss, param_grads = taped_run(lambda: fn(model, users, items, ratings, beta,
+                                                 Rng(seed + 1)),
+                                      list(model.params().values()))
+        losses.append(loss)
+        grads.append(param_grads)
     gap = max(float(np.max(np.abs(a - b))) for a, b in zip(*grads))
     return bool(np.array_equal(*losses)), gap
 

@@ -39,11 +39,10 @@ from moerec.vae import (
     VaeGmm,
     elbo_loss,
     gmm_posterior_batch,
-    kl_closed_form,
     log_normal_diag,
     reparameterize,
 )
-from moerec.verify import verify_kl, verify_metrics, verify_moe
+from moerec.verify import kl_closed_form, verify_kl, verify_metrics, verify_moe
 from tests.test_moe import reference_generate
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from moerec import tensor as T
 from moerec.cli import main
 from moerec.data import InteractionRecord, index_ids, load_records, split_records
 from moerec.metrics import evaluate_model
@@ -425,6 +426,32 @@ def test_inspect_single_cluster_occupancy(workspace, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "pi: 1.0000" in out
     assert "(100.0%)" in out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_inspect_clusters_refuses_an_empty_data_file(workspace, tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    assert run_cli("inspect-clusters", "--checkpoint", str(workspace["s1"]),
+                   "--data", str(empty)) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and str(empty) in captured.err
+    assert "occupancy" not in captured.out
+
+
+def test_train_precision_holds_for_that_command_only(workspace, tmp_path, monkeypatch):
+    monkeypatch.setattr(T, "_default_dtype", T._default_dtype)   # restored at teardown
+    assert T.default_dtype() == np.float64
+    common = ("--data", str(workspace["data"]), "--config", str(workspace["cfg"]),
+              "--precision", "float32")
+    assert run_cli("train", "--stage", "1", "--out", str(tmp_path / "f32.ckpt"),
+                   "--s1_epochs", "1", "--s1_warmup_epochs", "1", *common) == 0
+    assert T.default_dtype() == np.float64
+    bundle, _, _ = load_bundle(workspace["s2"])
+    assert bundle.vae.encoder.w1.data.dtype == np.float64
+    # stage 2 without a stage-1 checkpoint fails after the precision is set
+    assert run_cli("train", "--stage", "2", "--out", str(tmp_path / "x.ckpt"), *common) == 3
+    assert T.default_dtype() == np.float64
 
 
 def test_verify_moe_suite_passes(capsys):

@@ -225,7 +225,8 @@ def test_moe_forward_identical_experts_factorize():
     out = moe_forward(bank, router, 0, x, k=3)
     scores = route(router, 0, x).data
     sel = top_k_select(scores, 3)
-    single = bank.run(np.array([0]), x.reshape(1, -1)).data[0]
+    single = T.expert_ffn(x.reshape(1, -1), bank.w1, bank.b1, bank.w2, bank.b2,
+                          np.array([0])).data[0]
     assert np.allclose(out.data, scores[sel].sum() * single, atol=1e-12)
 
 
@@ -236,7 +237,8 @@ def test_moe_forward_full_k_equals_dense_mixture():
     x = Tensor(Rng(10).normal(6))
     out = moe_forward(bank, router, 0, x, k=4)
     scores = route(router, 0, x).data
-    dense = sum(scores[e] * bank.run(np.array([e]), x.reshape(1, -1)).data[0]
+    dense = sum(scores[e] * T.expert_ffn(x.reshape(1, -1), bank.w1, bank.b1, bank.w2,
+                                         bank.b2, np.array([e])).data[0]
                 for e in range(4))
     assert np.allclose(out.data, dense, atol=1e-12)
 
