@@ -19,7 +19,7 @@ print("w =\n", w.data)
 # Operations executed inside a Tape are recorded in execution order; the
 # backward sweep walks that record once, in reverse.
 with Tape() as tape:
-    h = T.tanh(x @ w)            # (2, 3)
+    h = T.sigmoid(x @ w)         # (2, 3)
     probs = T.softmax(h, axis=-1)
     loss = -(T.log(probs) * Tensor([[1, 0, 0], [0, 1, 0.0]])).sum()
     tape.backward(loss)

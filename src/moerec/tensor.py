@@ -13,18 +13,16 @@ Rules of the house:
 - Every operation checks its output for NaN/Inf and raises
   :class:`~moerec.errors.NumericError` rather than letting poison propagate.
 - The hot chains run as fused ops, one record each. For the transformer:
-  :func:`rms_norm`, :func:`attention` (head split, scaled causal scores,
-  softmax, mix and head merge), :func:`expert_ffn` (a grouped two-layer
-  expert), the block sublayers :func:`attention_sublayer` and
-  :func:`routed_experts` built on them, and :func:`weighted_nll` (the
-  log-softmax, target pick and weighted sum of the language-model loss).
-  For the variational preference model: :func:`concat_rows` (the
+  :func:`rms_norm`, the block sublayers :func:`attention_sublayer` and
+  :func:`routed_experts`, and :func:`weighted_nll` (the language-model
+  loss). For the variational preference model: :func:`concat_rows` (the
   embedding-pair gather), :func:`mlp` (the two-layer tanh network, which
-  shares its body with :func:`expert_ffn`), :func:`gaussian_sample` (the
+  shares its body with the routed experts), :func:`gaussian_sample` (the
   reparameterized draw), :func:`bce_with_logits` (the reconstruction loss)
   and :func:`mixture_kl` (the closed-form KL to a Gaussian mixture). Their
-  forwards and gradients equal the chains' bit for bit, and they also
-  check the intermediates that their output would hide.
+  forwards and gradients equal those of the op chains they replace, bit for
+  bit, and they also check the intermediates that their output would hide.
+  The chains, and the structural ops only they use, are in moerec.verify.
 - Gradient accumulation never clears anything implicitly: call
   :func:`zero_grad` (or ``Tensor.zero_grad``, or an optimizer's
   ``zero_grad``) between optimization steps. An optimizer's parameters
@@ -40,7 +38,7 @@ Rules of the house:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -153,7 +151,7 @@ class Tensor:
 
     def __getitem__(self, key):
         if isinstance(key, (list, np.ndarray)):
-            return take_rows(self, np.asarray(key, dtype=np.int64))
+            return take_rows(self, key)
         return slice_view(self, key)
 
     def sum(self, axis=None, keepdims=False):
@@ -326,23 +324,11 @@ def sqrt(a: Tensor) -> Tensor:
     return _make(out, "sqrt", (a,), lambda g: (g * 0.5 / out,))
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     x = a.data
     out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
     return _make(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def softplus(a: Tensor) -> Tensor:
-    """log(1 + e^x), computed without overflow."""
-    out = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-_clamp(a.data, -500, 500)))
-    return _make(out, "softplus", (a,), lambda g: (g * sig,))
 
 
 def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -364,25 +350,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     return _make(a.data @ b.data, "matmul", (a, b),
                  lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul: ``a[i] @ b[i]`` over equal leading dimensions."""
-    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
-        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
-    return _make(a.data @ b.data, "bmm", (a, b),
-                 lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    """Reorder the axes (``np.transpose``); the result is contiguous."""
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.data.ndim)):
-        raise ShapeError(f"permute axes {axes} do not match shape {a.shape}")
-    inverse = tuple(np.argsort(axes))
-    return _make(np.ascontiguousarray(a.data.transpose(axes)), "permute", (a,),
-                 lambda g: (g.transpose(inverse),))
 
 
 def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
@@ -461,7 +428,7 @@ def _grouped_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 # --- fused transformer ops ---
 #
-# Each fused op replaces a chain of the ops above with one record and an
+# Each fused op replaces a chain of tape ops with one record and an
 # analytic backward rule. The forward runs the chain's numpy expressions in
 # the chain's order, and the backward adds up each input's gradient terms in
 # the order of the chain's reverse sweep, so results are bit-identical to
@@ -499,27 +466,11 @@ def _rms_parts(x: np.ndarray, gain: np.ndarray) -> tuple:
     return normed * gain, back
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
-    """Causal multi-head attention of (B, L, m) queries over (B, S, m) keys
-    and values; returns (B*L, m) rows, sequence-major.
-
-    Query i sits at position ``offset + i`` and sees keys 0 to
-    ``offset + i``. Heads split the model width into `heads` slices of
-    ``dh = m // heads``; scores are scaled by ``1/sqrt(dh)`` and masked
-    with -1e9 before the softmax.
-    """
-    if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape
-            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]
-            or q.shape[2] % heads or offset + q.shape[1] > k.shape[1]):
-        raise ShapeError(f"attention shapes incompatible: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}, {heads} heads, offset {offset}")
-    out, back = _attention_parts(q.data, k.data, v.data, heads, offset)
-    return _make(out, "attention", (q, k, v), back)
-
-
 def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                      offset: int) -> tuple:
-    """:func:`attention` on arrays: (output, backward rule)."""
+    """(output, backward rule) of causal attention of (B, L, m) queries over
+    (B, S, m) keys and values into (B*L, m) rows. Query i sees keys 0 to
+    ``offset + i``; scores per head are scaled by ``1/sqrt(m // heads)``."""
     batch, length, m = q.shape
     keys = k.shape[1]
     dh = m // heads
@@ -549,16 +500,6 @@ def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     return out, back
 
 
-def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-               experts: np.ndarray) -> Tensor:
-    """Row i through expert ``e = experts[i]`` of stacked two-layer experts:
-    ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
-    (E, h), `w2` (E, h, m) and `b2` (E, m). Rows of one expert run as one
-    matmul per layer, grouped as in :func:`grouped_matmul`."""
-    inputs = (rows, w1, b1, w2, b2)
-    return _tanh_mlp("expert_ffn", inputs, *_expert_layers("expert_ffn", inputs, experts))
-
-
 def _expert_layers(op: str, inputs: tuple, experts: np.ndarray) -> tuple:
     """The :func:`_tanh_mlp` rules of stacked experts, shapes checked."""
     rows, w1, b1, w2, b2 = inputs
@@ -580,26 +521,26 @@ def _expert_layers(op: str, inputs: tuple, experts: np.ndarray) -> tuple:
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``tanh(x @ w1 + b1) @ w2 + b2`` over the rows of `x`: the two-layer
-    network of :func:`expert_ffn` with a single expert, whose biases
+    network of :func:`routed_experts` with a single expert, whose biases
     broadcast over the rows and take the row sums as their gradients."""
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
             or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
         raise ShapeError(f"mlp shapes incompatible: x {x.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
-    return _tanh_mlp("mlp", (x, w1, b1, w2, b2), np.matmul,
-                     lambda g, a, w: (g @ w.T, a.T @ g),
-                     lambda b: b,
-                     lambda shape, g: g.sum(axis=0))
+    inputs = (x, w1, b1, w2, b2)
+    out, back = _tanh_mlp("mlp", inputs, np.matmul, lambda g, a, w: (g @ w.T, a.T @ g),
+                          lambda b: b, lambda shape, g: g.sum(axis=0))
+    return _make(out, "mlp", inputs, back)
 
 
 def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
-              bias: Callable, bias_back: Callable, record: bool = True):
-    """The record of :func:`mlp` and :func:`expert_ffn`, or its (output,
-    backward rule) when not `record`. ``layer(x, w)`` multiplies rows by a
-    weight and ``layer_back(g, x, w)`` returns its (x, w) gradients;
-    ``bias(b)`` is the bias added to the rows and ``bias_back(shape, g)``
-    reduces a row gradient to it."""
+              bias: Callable, bias_back: Callable) -> tuple:
+    """(output, backward rule) of :func:`mlp` and of the experts of
+    :func:`routed_experts`. ``layer(x, w)`` multiplies rows by a weight and
+    ``layer_back(g, x, w)`` returns its (x, w) gradients; ``bias(b)`` is the
+    bias added to the rows and ``bias_back(shape, g)`` reduces a row
+    gradient to it."""
     x, w1, b1, w2, b2 = inputs
     pre = layer(x.data, w1.data)
     pre += bias(b1.data)
@@ -614,19 +555,20 @@ def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
         gx, gw1 = layer_back(gpre, x.data, w1.data)
         return gx, gw1, bias_back(b1.shape, gpre), gw2, bias_back(b2.shape, g)
 
-    return _make(out, op, inputs, back) if record else (out, back)
+    return out, back
 
 
-# --- fused transformer sublayers, built on the fused ops above ---
+# --- fused transformer sublayers, built on the bodies above ---
 
 def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                        wo: Tensor, heads: int, batch: int, kv: list = None,
                        offset: int = 0) -> Tensor:
-    """``x + attention(q, k, v, heads, offset) @ wo`` over the (batch*L, m)
-    rows `x` of `batch` sequences, ``q = rms_norm(x, gain) @ wq`` and k, v
-    alike. With `kv`, (batch, context, m) [keys, values] buffers holding
-    `offset` positions, the new keys and values are written in after them;
-    that path is inference-only: it raises TapeError under a recording tape."""
+    """``x + attention(q, k, v) @ wo`` over the (batch*L, m) rows `x` of
+    `batch` sequences, ``q = rms_norm(x, gain) @ wq`` and k, v alike, with
+    the causal multi-head attention of :func:`_attention_parts`. With `kv`,
+    (batch, context, m) [keys, values] buffers holding `offset` positions,
+    the new keys and values are written in after them; that path is
+    inference-only: it raises TapeError under a recording tape."""
     inputs = (x, wo, wv, wk, wq, gain, x, x, x)
     n, m = x.shape if x.data.ndim == 2 else (-1, -1)
     length = n // batch if batch > 0 and n % batch == 0 else -1
@@ -660,12 +602,15 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
 def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                    experts: np.ndarray, scores: Tensor, order: np.ndarray,
                    renormalize: bool = False) -> Tensor:
-    """``x + scatter_rows(expert_ffn(rows, w1, b1, w2, b2, experts) * w, ...)``:
-    the top-k mixture of the n rows of router `scores` (n, E) plus the
-    residual `x`. Row i of `rows` is pair ``order[i]`` of the row-major
-    (n, k) selection: row ``order[i] // k`` through expert ``experts[i]``,
-    weighted by its score, divided by the sum of the row's k scores when
-    `renormalize`, and added back into its row."""
+    """The top-k mixture of the n rows of router `scores` (n, E) plus the
+    residual `x`, through stacked two-layer experts
+    ``tanh(r @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
+    (E, h), `w2` (E, h, m) and `b2` (E, m). Row i of `rows` is pair
+    ``order[i]`` of the row-major (n, k) selection: row ``order[i] // k``
+    through expert ``experts[i]``, weighted by its score, divided by the
+    sum of the row's k scores when `renormalize`, and added back into its
+    row. The rows of one expert run as one matmul per layer, grouped as in
+    :func:`grouped_matmul`."""
     order = np.asarray(order, dtype=np.int64)
     n = x.shape[0] if x.data.ndim == 2 else 0
     k = order.size // n if n else 0
@@ -675,7 +620,7 @@ def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
                          f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids")
     inputs = (rows, w1, b1, w2, b2)
     ffn, ffn_back = _tanh_mlp("routed_experts", inputs,
-                              *_expert_layers("routed_experts", inputs, experts), record=False)
+                              *_expert_layers("routed_experts", inputs, experts))
     row_of = order // k
     weight = scores.data[row_of, experts]
     if renormalize:                      # the row-major picks, as the chain takes them
@@ -705,8 +650,8 @@ def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
 def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
     """``-sum_i w_i * log_softmax(logits)[i, t_i]``: the weighted negative
     log-likelihood of target ``t_i`` under row i of (n, V) logits, for
-    constant weights, which take the logits' dtype. It replaces
-    :func:`log_softmax`, :func:`gather_pairs`, the weight product, the sum
+    constant weights, which take the logits' dtype. It replaces a
+    log-softmax, a pick of one target per row, the weight product, the sum
     and the negation; its backward rule is
     ``g * w_i * (softmax_i - onehot(t_i))``."""
     targets = np.asarray(targets, dtype=np.int64)
@@ -738,8 +683,7 @@ def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Te
 def concat_rows(a: Tensor, rows_a: np.ndarray, b: Tensor, rows_b: np.ndarray) -> Tensor:
     """``concat([a[rows_a], b[rows_b]], axis=1)``: rows gathered from two
     tables and joined side by side; indices may repeat."""
-    rows_a = np.asarray(rows_a, dtype=np.int64)
-    rows_b = np.asarray(rows_b, dtype=np.int64)
+    rows_a, rows_b = _row_ids(rows_a), _row_ids(rows_b)
     if a.data.ndim != 2 or b.data.ndim != 2 or rows_a.ndim != 1 or rows_a.shape != rows_b.shape:
         raise ShapeError(f"concat_rows shapes incompatible: {a.shape} rows {rows_a.shape}, "
                          f"{b.shape} rows {rows_b.shape}")
@@ -906,39 +850,14 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, "softmax", (a,), back)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    if a.data.size == 0:
-        raise ShapeError("log_softmax of an empty tensor")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-    def back(g):
-        return (g - np.exp(out) * g.sum(axis=axis, keepdims=True),)
-
-    return _make(out, "log_softmax", (a,), back)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, "concat", tuple(tensors), back)
-
-
 def slice_view(a: Tensor, key) -> Tensor:
     """Basic indexing only (ints and slices); the backward rule assigns into
     a zero buffer, which is only correct when the key selects each element
-    at most once. Use take_rows / gather_pairs for array indexing."""
+    at most once. Use take_rows for array indexing."""
     parts = key if isinstance(key, tuple) else (key,)
     if not all(isinstance(p, (int, np.integer, slice)) or p is Ellipsis
                for p in parts):
-        raise ShapeError("advanced indexing is not supported here; "
-                         "use take_rows or gather_pairs")
+        raise ShapeError("advanced indexing is not supported here; use take_rows")
     out = a.data[key]
 
     def back(g):
@@ -951,27 +870,20 @@ def slice_view(a: Tensor, key) -> Tensor:
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows (axis 0) by integer index; duplicates allowed."""
-    idx = np.asarray(idx, dtype=np.int64)
+    idx = _row_ids(idx)
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"row index out of range for shape {a.shape}")
     out = a.data[idx]
     return _make(out, "take_rows", (a,), lambda g: (_index_add(a.shape, idx, g),))
 
 
-def scatter_rows(rows: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Inverse of take_rows: add `rows` into a fresh (n, …) zero tensor."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = _index_add((n,) + rows.shape[1:], idx, rows.data)
-    return _make(out, "scatter_rows", (rows,), lambda g: (g[idx],))
-
-
-def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Pick a[rows[i], cols[i]] for each i; returns a vector."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = a.data[rows, cols]
-    return _make(out, "gather_pairs", (a,),
-                 lambda g: (_index_add(a.shape, (rows, cols), g),))
+def _row_ids(idx) -> np.ndarray:
+    """`idx` as int64; a nonempty index that is not integer (a boolean mask,
+    a float) raises ShapeError rather than gathering the wrong rows."""
+    idx = np.asarray(idx)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ShapeError(f"row indices must be integers, have dtype {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
 
 
 def _index_add(shape: tuple, idx, values: np.ndarray) -> np.ndarray:

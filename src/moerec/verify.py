@@ -4,17 +4,19 @@ Each suite returns a list of named check results; the CLI `verify`
 subcommand exits nonzero if any check fails. The reference implementations
 here are deliberately naive (brute-force counting, exhaustive subsequence
 search, quadratic pair enumeration, Monte Carlo integration) so they share
-no code path with the implementations they check.
+no code path with the implementations they check. The op chains that the
+fused tensor ops replace live here too, with the tape ops only they use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .errors import ShapeError
 from .gradcheck import grad_check
 from .metrics import (
     adjusted_rand_index,
@@ -223,6 +225,87 @@ def mc_kl_estimate(mu: np.ndarray, log_var: np.ndarray, prior: GmmPrior,
     return estimate, stderr
 
 
+# --- the structural tape ops that only the reference chains use ---
+
+def tanh(a: Tensor) -> Tensor:
+    out = np.tanh(a.data)
+    return T._make(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
+
+
+def softplus(a: Tensor) -> Tensor:
+    """log(1 + e^x), computed without overflow."""
+    out = np.logaddexp(0.0, a.data)
+    sig = 1.0 / (1.0 + np.exp(-T._clamp(a.data, -500, 500)))
+    return T._make(out, "softplus", (a,), lambda g: (g * sig,))
+
+
+def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
+    if a.data.size == 0:
+        raise ShapeError("log_softmax of an empty tensor")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    return T._make(out, "log_softmax", (a,),
+                   lambda g: (g - np.exp(out) * g.sum(axis=axis, keepdims=True),))
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matmul: ``a[i] @ b[i]`` over equal leading dimensions."""
+    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
+    return T._make(a.data @ b.data, "bmm", (a, b),
+                   lambda g: (g @ b.data.swapaxes(-1, -2), a.data.swapaxes(-1, -2) @ g))
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes (``np.transpose``); the result is contiguous."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ShapeError(f"permute axes {axes} do not match shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return T._make(np.ascontiguousarray(a.data.transpose(axes)), "permute", (a,),
+                   lambda g: (g.transpose(inverse),))
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    out = np.concatenate([t.data for t in tensors], axis=axis)
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+    return T._make(out, "concat", tuple(tensors),
+                   lambda g: tuple(np.split(g, splits, axis=axis)))
+
+
+def scatter_rows(rows: Tensor, idx: np.ndarray, n: int) -> Tensor:
+    """Inverse of take_rows: add `rows` into a fresh (n, …) zero tensor."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = T._index_add((n,) + rows.shape[1:], idx, rows.data)
+    return T._make(out, "scatter_rows", (rows,), lambda g: (g[idx],))
+
+
+def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
+    """Pick a[rows[i], cols[i]] for each i; returns a vector."""
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    return T._make(a.data[rows, cols], "gather_pairs", (a,),
+                   lambda g: (T._index_add(a.shape, (rows, cols), g),))
+
+
+# The two bodies inside the sublayer ops, each recorded as one op, so that
+# the chains built on them stay bit-identical to the sublayers.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
+    """The attention inside :func:`moerec.tensor.attention_sublayer`."""
+    out, back = T._attention_parts(q.data, k.data, v.data, heads, offset)
+    return T._make(out, "attention", (q, k, v), back)
+
+
+def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+               experts: np.ndarray) -> Tensor:
+    """The experts of :func:`moerec.tensor.routed_experts`: row i through
+    expert ``e = experts[i]``, ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]``."""
+    inputs = (rows, w1, b1, w2, b2)
+    out, back = T._tanh_mlp("expert_ffn", inputs, *T._expert_layers("expert_ffn", inputs, experts))
+    return T._make(out, "expert_ffn", inputs, back)
+
+
 # --- the op chains that the fused tensor ops replace ---
 
 def reference_rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -233,20 +316,20 @@ def reference_rms_norm(x: Tensor, gain: Tensor) -> Tensor:
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                         offset: int) -> Tensor:
-    """:func:`moerec.tensor.attention` as reshapes, permutes, two batched
-    matmuls and a softmax over a (batch, heads, queries, keys) score tensor."""
+    """:func:`attention` as reshapes, permutes, two batched matmuls and a
+    softmax over a (batch, heads, queries, keys) score tensor."""
     batch, length, m = q.shape
     keys = k.shape[1]
     dh = m // heads
 
     def split(t: Tensor, rows: int) -> Tensor:
-        return T.permute(t.reshape(batch, rows, heads, dh), (0, 2, 1, 3))
+        return permute(t.reshape(batch, rows, heads, dh), (0, 2, 1, 3))
 
     mask = np.triu(np.full((length, keys), -1e9), k=offset + 1)
-    scores = (T.bmm(split(q, length), T.permute(split(k, keys), (0, 1, 3, 2)))
+    scores = (bmm(split(q, length), permute(split(k, keys), (0, 1, 3, 2)))
               * (1.0 / math.sqrt(dh)) + Tensor(mask))
-    mixed = T.bmm(T.softmax(scores, axis=-1), split(v, keys))
-    return T.permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m)
+    mixed = bmm(T.softmax(scores, axis=-1), split(v, keys))
+    return permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m)
 
 
 def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor,
@@ -257,7 +340,7 @@ def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor
     n, m = x.shape
     normed = T.rms_norm(x, gain)
     q, k, v = ((normed @ w).reshape(batch, n // batch, m) for w in (wq, wk, wv))
-    return x + T.attention(q, k, v, heads, 0) @ wo
+    return x + attention(q, k, v, heads, 0) @ wo
 
 
 def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
@@ -274,12 +357,12 @@ def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     if renormalize:
         selected = np.empty_like(experts)
         selected[order] = experts
-        picked = T.gather_pairs(scores, pair_rows, selected).reshape(n, k)
+        picked = gather_pairs(scores, pair_rows, selected).reshape(n, k)
         weight = T.take_rows((picked / picked.sum(axis=1, keepdims=True)).reshape(-1), order)
     else:
-        weight = T.gather_pairs(scores, by_row, experts)
-    out = T.expert_ffn(rows, w1, b1, w2, b2, experts) * weight.reshape(-1, 1)
-    mixed = T.scatter_rows(out, by_row, n)
+        weight = gather_pairs(scores, by_row, experts)
+    out = expert_ffn(rows, w1, b1, w2, b2, experts) * weight.reshape(-1, 1)
+    mixed = scatter_rows(out, by_row, n)
     return mixed if x is None else x + mixed
 
 
@@ -329,9 +412,9 @@ def fused_block_mismatches(lm: LanguageModel, tokens: np.ndarray, gates: np.ndar
 
 def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                          b2: Tensor, experts: np.ndarray) -> Tensor:
-    """:func:`moerec.tensor.expert_ffn` as two grouped matmuls, two bias
-    gathers and a tanh."""
-    hidden = T.tanh(T.grouped_matmul(rows, w1, experts) + T.take_rows(b1, experts))
+    """:func:`expert_ffn` as two grouped matmuls, two bias gathers and a
+    tanh."""
+    hidden = tanh(T.grouped_matmul(rows, w1, experts) + T.take_rows(b1, experts))
     return T.grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
 
 
@@ -339,7 +422,7 @@ def reference_weighted_nll(logits: Tensor, targets: np.ndarray,
                            weights: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.weighted_nll` as a log-softmax, a pick of one
     target per row, a product with the weights, a sum and a negation."""
-    picked = T.gather_pairs(T.log_softmax(logits, axis=-1), np.arange(len(targets)), targets)
+    picked = gather_pairs(log_softmax(logits, axis=-1), np.arange(len(targets)), targets)
     return -(picked * Tensor(weights)).sum()
 
 
@@ -353,26 +436,26 @@ def reference_batched_nll(lm: LanguageModel, sequences: List[np.ndarray],
     tokens = np.full((batch, width), PAD, dtype=np.int64)
     for i, s in enumerate(sequences):
         tokens[i, : len(s)] = s
-    logp = T.log_softmax(lm.forward_rows(tokens[:, :-1], gates), axis=-1)
+    logp = log_softmax(lm.forward_rows(tokens[:, :-1], gates), axis=-1)
     rows, targets, weights = [], [], []
     for i, s in enumerate(sequences):
         span = np.arange(prompt_lens[i] - 1, len(s) - 1)
         rows.append(i * (width - 1) + span)
         targets.append(np.asarray(s)[span + 1])
         weights.append(np.full(span.shape, 1.0 / (span.size * batch)))
-    picked = T.gather_pairs(logp, np.concatenate(rows), np.concatenate(targets))
+    picked = gather_pairs(logp, np.concatenate(rows), np.concatenate(targets))
     return -(picked * Tensor(np.concatenate(weights))).sum()
 
 
 def reference_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """:func:`moerec.tensor.mlp` as two matmuls, two bias adds and a tanh."""
-    return T.tanh(x @ w1 + b1) @ w2 + b2
+    return tanh(x @ w1 + b1) @ w2 + b2
 
 
 def reference_concat_rows(a: Tensor, rows_a: np.ndarray, b: Tensor,
                           rows_b: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.concat_rows` as two row gathers and a concat."""
-    return T.concat([T.take_rows(a, rows_a), T.take_rows(b, rows_b)], axis=1)
+    return concat([T.take_rows(a, rows_a), T.take_rows(b, rows_b)], axis=1)
 
 
 def reference_gaussian_sample(mu: Tensor, log_var: Tensor, eps: np.ndarray,
@@ -386,7 +469,7 @@ def reference_bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.bce_with_logits` as a column slice, a softplus,
     a product, a difference and a mean."""
     x = logits[:, 0]
-    return (T.softplus(x) - x * Tensor(targets)).mean()
+    return (softplus(x) - x * Tensor(targets)).mean()
 
 
 def reference_kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
@@ -412,7 +495,7 @@ def reference_kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarra
 
     with np.errstate(divide="ignore", invalid="ignore"):
         g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
-    log_pi = T.log_softmax(prior.pi_logits, axis=-1)
+    log_pi = log_softmax(prior.pi_logits, axis=-1)
     cat = Tensor(g_log_g.sum(axis=1)) - (gamma_t @ log_pi.reshape(-1, 1))[:, 0]
 
     entropy = log_var.sum(axis=1) * -0.5
@@ -427,7 +510,7 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
     u_emb = T.take_rows(model.tables.user, np.atleast_1d(users))
     i_emb = T.take_rows(model.tables.item, np.atleast_1d(items))
     enc, dec, latent = model.encoder, model.decoder, model.config.latent_dim
-    out = reference_mlp(T.concat([u_emb, i_emb], axis=1), enc.w1, enc.b1, enc.w2, enc.b2)
+    out = reference_mlp(concat([u_emb, i_emb], axis=1), enc.w1, enc.b1, enc.w2, enc.b2)
     mu, log_var = out[:, :latent], out[:, latent:]
     clamped = T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
     if eps_override is None:
@@ -466,12 +549,12 @@ def fused_cases(seed: int) -> dict:
     for heads in (1, 2, 4):
         for offset in (0, 2):
             cases[f"attention.h{heads}.o{offset}"] = (
-                lambda q, k, v, h=heads, o=offset: T.attention(q, k, v, h, o),
+                lambda q, k, v, h=heads, o=offset: attention(q, k, v, h, o),
                 lambda q, k, v, h=heads, o=offset: reference_attention(q, k, v, h, o),
                 [normal(2, 3, 8), normal(2, offset + 3, 8), normal(2, offset + 3, 8)])
     experts = np.array([2, 0, 2, 3, 0, 3])
     cases["expert_ffn"] = (
-        lambda *stacks: T.expert_ffn(*stacks, experts),
+        lambda *stacks: expert_ffn(*stacks, experts),
         lambda *stacks: reference_expert_ffn(*stacks, experts),
         [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
     for heads in (1, 2):
@@ -663,13 +746,13 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
         c32 = Tensor(rng.normal(6).reshape(3, 2))
         cases = {
             "softmax": lambda x: (T.softmax(x) * c6).sum(),
-            "log_softmax": lambda x: (T.log_softmax(x) * c6).sum(),
+            "log_softmax": lambda x: (log_softmax(x) * c6).sum(),
             "matmul": lambda x: (x.reshape(2, 3) @ c32).sum(),
             "exp_log": lambda x: T.log(T.exp(x) + 1.0).sum(),
-            "tanh": lambda x: T.tanh(x).sum(),
+            "tanh": lambda x: tanh(x).sum(),
             "sigmoid": lambda x: T.sigmoid(x).mean(),
-            "softplus": lambda x: T.softplus(x).sum(),
-            "composite": lambda x: -(T.log_softmax(x.reshape(2, 3) @ c32, axis=-1)
+            "softplus": lambda x: softplus(x).sum(),
+            "composite": lambda x: -(log_softmax(x.reshape(2, 3) @ c32, axis=-1)
                                      * Tensor(np.array([[1, 0], [0, 1.0]]))).sum(),
         }
         for name, f in cases.items():
@@ -681,9 +764,9 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
     rng = Rng(3100)
     c6, c32, c22 = (Tensor(rng.normal(n)) for n in (6, 6, 4))
     shaped = {
-        "bmm": lambda x: (T.bmm(x.reshape(1, 2, 3), c32.reshape(1, 3, 2))
+        "bmm": lambda x: (bmm(x.reshape(1, 2, 3), c32.reshape(1, 3, 2))
                           * c22.reshape(1, 2, 2)).sum(),
-        "permute": lambda x: (T.permute(x.reshape(3, 1, 2), (2, 0, 1)).reshape(2, 3)
+        "permute": lambda x: (permute(x.reshape(3, 1, 2), (2, 0, 1)).reshape(2, 3)
                               * c6.reshape(2, 3)).sum(),
         # group 1 of three gets no rows, so its stack slice gets no gradient
         "grouped_matmul": lambda x: (T.grouped_matmul(

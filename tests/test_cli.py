@@ -1,7 +1,10 @@
 """End-to-end CLI: every subcommand plus exit-code contracts."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -461,12 +464,24 @@ def test_verify_moe_suite_passes(capsys):
 
 
 def test_verify_failure_exits_four(monkeypatch, capsys):
-    from moerec.verify import CheckResult
-    import moerec.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "run_suites",
-                        lambda names: [CheckResult("synthetic.fail", False, "rigged")])
+    import moerec.verify as verify_mod
+    monkeypatch.setattr(verify_mod, "run_suites", lambda names: [
+        verify_mod.CheckResult("synthetic.fail", False, "rigged")])
     assert run_cli("verify", "--suite", "moe") == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_unknown_suite_is_a_usage_error(capsys):
+    assert run_cli("verify", "--suite", "bogus") == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and all(name in err for name in ("grads", "kl", "moe", "vae"))
+
+
+def test_only_verify_imports_the_oracles():
+    code = "import sys, moerec.cli; print('moerec.verify' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"
 
 
 def test_usage_error_exit_code(capsys):

@@ -8,15 +8,23 @@ from moerec.errors import NumericError, ShapeError, TapeError
 from moerec.rng import Rng
 from moerec import tensor as T
 from moerec.verify import (
+    bmm,
+    concat,
     fused_cases,
     fused_gap,
     fused_grad_error,
-    reference_attention,
-    reference_expert_ffn,
+    gather_pairs,
+    log_softmax,
+    permute,
+    reference_attention_sublayer,
     reference_kl_closed_form_batch,
     reference_mlp,
     reference_rms_norm,
+    reference_routed_experts,
     reference_weighted_nll,
+    scatter_rows,
+    softplus,
+    tanh,
 )
 from moerec.vae import GmmPrior
 
@@ -186,6 +194,22 @@ def test_slice_rejects_advanced_tuple_indexing():
         T.slice_view(x, (np.array([0, 0]), np.array([1, 1])))
 
 
+def test_row_indices_must_be_integers():
+    # a cast to int64 would read the mask as rows 1, 0, 1 and 1.9 as row 1
+    x = Tensor(np.arange(6.0).reshape(3, 2))
+    for bad in (np.array([True, False, True]), [1.9], np.array([0.0, 2.0])):
+        with pytest.raises(ShapeError):
+            x[bad]
+        with pytest.raises(ShapeError):
+            T.take_rows(x, bad)
+    for rows_a, rows_b in ((np.array([2.7]), np.array([0.2])), ([2], [0.0])):
+        with pytest.raises(ShapeError):
+            T.concat_rows(x, rows_a, x, rows_b)
+    assert np.array_equal(x[[2, 0]].data, x.data[[2, 0]])
+    assert np.array_equal(x[np.array([1], dtype=np.uint8)].data, x.data[[1]])
+    assert x[[]].shape == (0, 2) and T.concat_rows(x, [], x, []).shape == (0, 4)
+
+
 def test_nonfinite_raises():
     with pytest.raises(NumericError):
         T.log(Tensor([0.0]))
@@ -243,30 +267,30 @@ def test_grad_check_sweep_all_ops(seed):
         "exp": lambda x: T.exp(x).sum(),
         "log": lambda x: T.log(x * x + 1.0).sum(),
         "sqrt": lambda x: T.sqrt(x * x + 0.5).sum(),
-        "tanh": lambda x: T.tanh(x).sum(),
+        "tanh": lambda x: tanh(x).sum(),
         "sigmoid": lambda x: T.sigmoid(x).mean(),
-        "softplus": lambda x: T.softplus(x).sum(),
+        "softplus": lambda x: softplus(x).sum(),
         "pow": lambda x: ((x * x + 1.0) ** 1.5).sum(),
         "softmax": lambda x: (T.softmax(x) * c6).sum(),
-        "log_softmax": lambda x: (T.log_softmax(x) * c6).sum(),
+        "log_softmax": lambda x: (log_softmax(x) * c6).sum(),
         "matmul": lambda x: (x.reshape(2, 3) @ c32).sum(),
         "transpose": lambda x: (x.reshape(2, 3).T * c32).sum(),
         "mean_axis": lambda x: (x.reshape(2, 3).mean(axis=1) * c2).sum(),
         "sum_keepdims": lambda x: (x.reshape(2, 3).sum(axis=0, keepdims=True) * c13).sum(),
         "slice": lambda x: (x.reshape(2, 3)[:, 1:] * c22).sum(),
         "take_rows": lambda x: (x.reshape(3, 2)[np.array([0, 2, 2])] * c32).sum(),
-        "concat": lambda x: T.concat([x.reshape(2, 3), x.reshape(2, 3) * 2.0], axis=0).sum(),
+        "concat": lambda x: concat([x.reshape(2, 3), x.reshape(2, 3) * 2.0], axis=0).sum(),
         "clip": lambda x: T.clip(x * 3.0, -1.0, 1.0).sum(),
-        "scatter_rows": lambda x: (T.scatter_rows(x.reshape(3, 2), np.array([1, 0, 1]), 4)
+        "scatter_rows": lambda x: (scatter_rows(x.reshape(3, 2), np.array([1, 0, 1]), 4)
                                    * c42).sum(),
-        "gather_pairs": lambda x: T.gather_pairs(x.reshape(2, 3),
+        "gather_pairs": lambda x: gather_pairs(x.reshape(2, 3),
                                                  np.array([0, 1, 1]),
                                                  np.array([2, 0, 0])).sum(),
-        "bmm": lambda x: (T.bmm(x.reshape(2, 1, 3), c32.reshape(2, 3, 1))
+        "bmm": lambda x: (bmm(x.reshape(2, 1, 3), c32.reshape(2, 3, 1))
                           * c2.reshape(2, 1, 1)).sum(),
-        "bmm_right": lambda x: (T.bmm(c6.reshape(2, 1, 3), x.reshape(2, 3, 1))
+        "bmm_right": lambda x: (bmm(c6.reshape(2, 1, 3), x.reshape(2, 3, 1))
                                 * c2.reshape(2, 1, 1)).sum(),
-        "permute": lambda x: (T.permute(x.reshape(1, 2, 3), (2, 0, 1))
+        "permute": lambda x: (permute(x.reshape(1, 2, 3), (2, 0, 1))
                               * c32.reshape(3, 1, 2)).sum(),
         # three groups, the middle one empty
         "grouped_matmul": lambda x: (T.grouped_matmul(
@@ -335,22 +359,22 @@ def test_float32_mode_roundtrip():
 def test_bmm_matches_per_matrix_matmul_and_checks_shapes():
     a = Rng(40).normal(2 * 3 * 4 * 5).reshape(2, 3, 4, 5)
     b = Rng(41).normal(2 * 3 * 5 * 2).reshape(2, 3, 5, 2)
-    out = T.bmm(Tensor(a), Tensor(b)).data
+    out = bmm(Tensor(a), Tensor(b)).data
     for i in range(2):
         for j in range(3):
             assert np.array_equal(out[i, j], a[i, j] @ b[i, j])
     with pytest.raises(ShapeError):
-        T.bmm(Tensor(a), Tensor(b[:1]))
+        bmm(Tensor(a), Tensor(b[:1]))
     with pytest.raises(ShapeError):
-        T.bmm(Tensor(a[0, 0]), Tensor(b[0, 0]))
+        bmm(Tensor(a[0, 0]), Tensor(b[0, 0]))
 
 
 def test_permute_is_contiguous_transpose():
     a = Rng(42).normal(24).reshape(2, 3, 4)
-    out = T.permute(Tensor(a), (1, 2, 0)).data
+    out = permute(Tensor(a), (1, 2, 0)).data
     assert np.array_equal(out, a.transpose(1, 2, 0)) and out.flags.c_contiguous
     with pytest.raises(ShapeError):
-        T.permute(Tensor(a), (0, 0, 1))
+        permute(Tensor(a), (0, 0, 1))
 
 
 def test_grouped_matmul_matches_row_loop_in_any_order():
@@ -419,13 +443,14 @@ def test_fused_op_grad_check_every_input(name):
         assert err <= 1e-4, f"{name}, input {wrt}: grad error {err}"
 
 
-def test_expert_ffn_empty_group_gets_zero_gradient():
-    fused, _, inputs = FUSED["expert_ffn"]          # expert 1 gets no rows
-    stacks = [Tensor(a, requires_grad=True) for a in inputs]
+def test_routed_experts_empty_expert_gets_zero_gradient():
+    fused, _, inputs = FUSED["routed_experts.r0"]   # expert 1 gets no rows
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
     with Tape() as tape:
-        tape.backward(fused(*stacks).sum())
-    for stack in stacks[1:]:
+        tape.backward(fused(*leaves).sum())
+    for stack in leaves[2:6]:
         assert np.all(stack.grad[1] == 0.0) and np.all(stack.grad[[0, 2, 3]] != 0.0)
+    assert np.all(leaves[6].grad[:, 1] == 0.0)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -468,43 +493,49 @@ def test_rms_norm_raises_where_the_squares_overflow():
 
 
 def test_attention_raises_where_the_scores_overflow():
-    # the first key scores -inf, which the softmax turns into a zero weight
-    q = Tensor(np.full((1, 2, 4), 1e200))
-    k = Tensor(np.array([[[-1e200] * 4, [0.0] * 4]]))
-    v = Tensor(np.ones((1, 2, 4)))
-    for fn in (T.attention, reference_attention):
+    # the first key scores -inf for both queries, which the softmax (and
+    # the causal mask, for query 0) turns into a zero weight
+    x, gain, w = Tensor(np.eye(2, 4)), Tensor(np.ones(4)), Tensor(np.eye(4))
+    wq = Tensor(np.full((4, 4), 1e200))
+    wk = Tensor(np.vstack([np.full((1, 4), -1e200), np.zeros((3, 4))]))
+    for fn in (T.attention_sublayer, reference_attention_sublayer):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
-            fn(q, k, v, 2, 0)
+            fn(x, gain, wq, wk, w, w, 2, 1)
 
 
-def test_expert_ffn_raises_where_the_hidden_layer_overflows():
+def routed_case():
+    """The tensors, expert ids and pair order of FUSED["routed_experts.r0"]:
+    three rows pick two of four experts each, expert 1 none."""
+    selected = np.array([0, 3, 2, 3, 0, 2])
+    order = np.argsort(selected, kind="stable")
+    return [Tensor(a) for a in FUSED["routed_experts.r0"][2]], selected[order], order
+
+
+def test_routed_experts_raises_where_the_hidden_layer_overflows():
     # tanh maps an infinite pre-activation to a finite 1
-    _, _, inputs = FUSED["expert_ffn"]
-    args = ([Tensor(np.full(inputs[0].shape, 1e200)), Tensor(np.full(inputs[1].shape, 1e200))]
-            + [Tensor(a) for a in inputs[2:]])
-    experts = np.array([2, 0, 2, 3, 0, 3])
-    for fn in (T.expert_ffn, reference_expert_ffn):
+    args, experts, order = routed_case()
+    args[1], args[2] = (Tensor(np.full(a.shape, 1e200)) for a in args[1:3])
+    for fn in (T.routed_experts, reference_routed_experts):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            fn(*args, experts)
+            fn(*args[:6], experts, args[6], order)
 
 
 def test_fused_ops_check_shapes():
-    q, kv = Tensor(np.zeros((2, 3, 8))), Tensor(np.zeros((2, 4, 8)))
-    with pytest.raises(ShapeError):
-        T.attention(q, kv, kv, 3, 1)                # 3 heads do not divide 8
-    with pytest.raises(ShapeError):
-        T.attention(q, kv, kv, 2, 2)                # 2 + 3 queries over 4 keys
-    with pytest.raises(ShapeError):
-        T.attention(q, kv, Tensor(np.zeros((2, 5, 8))), 2, 1)
-    _, _, inputs = FUSED["expert_ffn"]
-    stacks = [Tensor(a) for a in inputs]
-    with pytest.raises(ShapeError):
-        T.expert_ffn(*stacks, np.array([0, 1, 2, 3, 4, 0]))
-    with pytest.raises(ShapeError):
-        T.expert_ffn(*stacks, np.zeros(5, dtype=np.int64))
-    with pytest.raises(ShapeError):
-        T.expert_ffn(stacks[0], stacks[1], stacks[2], stacks[3], stacks[2],
-                     np.zeros(6, dtype=np.int64))
+    x, gain, w = Tensor(np.zeros((6, 8))), Tensor(np.ones(8)), Tensor(np.zeros((8, 8)))
+    kv = [np.zeros((2, 5, 8)), np.zeros((2, 5, 8))]
+    for heads, batch, cache, offset in ((3, 2, None, 0),      # 3 heads do not divide 8
+                                        (2, 4, None, 0),      # 6 rows are not 4 sequences
+                                        (2, 2, kv, 3),        # 3 + 3 positions over 5
+                                        (2, 3, kv, 0)):       # the buffers hold 2 sequences
+        with pytest.raises(ShapeError):
+            T.attention_sublayer(x, gain, w, w, w, w, heads, batch, cache, offset)
+    (x, rows, w1, b1, w2, b2, scores), experts, order = routed_case()
+    for bad in ((x, rows, w1, b1, w2, b2, experts, Tensor(np.ones((3, 5))), order),
+                (x, rows, w1, b1, w2, b2, experts, scores, order[:5]),
+                (x, rows, w1, b1, w2, b2, experts[:5], scores, order),
+                (x, rows, w1, b1, w2, b1, experts, scores, order)):
+        with pytest.raises(ShapeError):
+            T.routed_experts(*bad)
 
 
 def test_mlp_raises_where_the_hidden_layer_overflows():
@@ -578,12 +609,12 @@ def test_weighted_nll_weights_take_the_logits_dtype():
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_group_ids_outside_the_range_raise(bad):
-    _, _, inputs = FUSED["expert_ffn"]                  # four experts
+    (x, rows, w1, b1, w2, b2, scores), _, _ = routed_case()      # four experts
     ids = np.array([0, 1, 2, 3, bad, 0])
     with pytest.raises(ShapeError):
-        T.expert_ffn(*[Tensor(a) for a in inputs], ids)
+        T.routed_experts(x, rows, w1, b1, w2, b2, ids, scores, np.arange(6))
     with pytest.raises(ShapeError):
-        T.grouped_matmul(Tensor(inputs[0]), Tensor(inputs[1]), ids)
+        T.grouped_matmul(rows, w1, ids)
 
 
 def test_mixture_kl_raises_where_the_mixture_log_weights_overflow():
