@@ -89,8 +89,16 @@ def _read_manifest(fh) -> dict:
     return manifest
 
 
+def _open(path):
+    """`path` open for reading; failing that, DataError naming the file."""
+    try:
+        return open(path, "rb")
+    except OSError as err:
+        raise DataError(f"cannot read checkpoint file {path}: {err}") from None
+
+
 def read_manifest(path) -> dict:
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         return _read_manifest(fh)
 
 
@@ -99,7 +107,7 @@ def load_checkpoint(path) -> tuple:
     widened into one flat buffer of the default tensor dtype, of which each
     array is a view of its own slice. A NaN or an infinity in the payload
     fails with DataError naming the first tensor holding one."""
-    with open(path, "rb") as fh:
+    with _open(path) as fh:
         manifest = _read_manifest(fh)
         try:
             layout, end = [], 0

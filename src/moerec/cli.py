@@ -7,8 +7,8 @@
     moerec inspect-clusters report the learned latent cluster structure
     moerec verify           run the oracle/property verification suites
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 training or
-numeric error, 4 verification failure.
+Exit codes: 0 success, 1 usage or config error or an unwritable output, 2
+data error, 3 training or numeric error, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -253,6 +253,7 @@ def cmd_inspect_clusters(args) -> int:
         cov = centered.T @ centered / max(len(centered) - 1, 1)
         eigvals, eigvecs = np.linalg.eigh(cov)
         proj = centered @ eigvecs[:, -2:][:, ::-1]
+        proj = np.pad(proj, ((0, 0), (0, 2 - proj.shape[1])))    # pc2 = 0 in one dimension
         with open(args.pca_out, "w", encoding="utf-8") as fh:
             fh.write("user,item,cluster,pc1,pc2\n")
             for rec, c, xy in zip(records, hard, proj):
@@ -311,9 +312,9 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         return COMMANDS[args.command](args)
-    except MoerecError as err:
+    except (MoerecError, OSError) as err:   # an OSError here is an unwritable output
         print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
+        return getattr(err, "exit_code", 1)
     finally:
         tensor_mod.set_default_dtype(dtype)
 

@@ -209,7 +209,7 @@ class GateRouter:
     def scores(self, gates, rows: Tensor) -> Tensor:
         """(n, E) scores for (n, m) rows, row i under gate `gates[i]`; one
         int routes every row through the same gate."""
-        gates = np.zeros(rows.shape[:1], dtype=np.int64) + gates
+        gates = np.zeros(rows.shape[:1], dtype=np.int64) + T._row_ids(gates)
         if gates.size and (gates.min() < 0 or gates.max() >= self.cfg.gates):
             raise ConfigError(f"gate index outside [0, {self.cfg.gates})")
         return T.softmax(T.grouped_matmul(rows, self.weights, gates), axis=-1)
@@ -364,7 +364,7 @@ class LanguageModel:
         output go through the final norm and the head, and the result has
         one row per index.
         """
-        tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
+        tokens = np.atleast_2d(T._row_ids(tokens, self.config.vocab_size))
         batch, length = tokens.shape
         offset = 0 if cache is None else cache.length
         if cache is not None and (cache.batch != batch
@@ -377,9 +377,7 @@ class LanguageModel:
                 f"sequence length {offset + length} exceeds context {self.config.context}")
         if tokens.size == 0:
             raise ShapeError(f"no tokens to run: token matrix of shape {tokens.shape}")
-        if tokens.min() < 0 or tokens.max() >= self.config.vocab_size:
-            raise ShapeError("token id outside the vocabulary")
-        gates = np.asarray(gates, dtype=np.int64).reshape(batch)
+        gates = T._row_ids(gates).reshape(batch)
         flat = tokens.reshape(-1)
         pos_ids = np.tile(np.arange(offset, offset + length), batch)
         x = T.take_rows(self.embed, flat) + T.take_rows(self.pos, pos_ids)
@@ -446,6 +444,7 @@ class LanguageModel:
         the other prompt positions and of the padding are never made.
         """
         batch = len(sequences)
+        sequences = [T._row_ids(s) for s in sequences]
         width = max(len(s) for s in sequences)
         tokens = np.full((batch, width), PAD, dtype=np.int64)
         for i, s in enumerate(sequences):
@@ -454,7 +453,7 @@ class LanguageModel:
         for i, s in enumerate(sequences):
             span = np.arange(prompt_lens[i] - 1, len(s) - 1)
             rows.append(i * (width - 1) + span)
-            targets.append(np.asarray(s)[span + 1])
+            targets.append(s[span + 1])
             weights.append(np.full(span.shape, 1.0 / (span.size * batch)))
         logits = self.forward_rows(tokens[:, :-1], gates, rows=np.concatenate(rows))
         return T.weighted_nll(logits, np.concatenate(targets), np.concatenate(weights))

@@ -30,6 +30,10 @@ Rules of the house:
   (:mod:`moerec.optim`).
 - Operations executed with no active tape compute values only, so frozen
   models run without graph bookkeeping.
+- Ids (rows, tokens, gates, experts, targets) are integer arrays, and
+  ``_row_ids`` alone turns them into int64, here and in the models: a
+  boolean mask or a float id raises ShapeError rather than selecting the
+  wrong rows. ``VaeGmm.encode`` takes 1-d id arrays, never a scalar id.
 - Broadcasting follows numpy; backward rules reduce gradients back to each
   input's shape. Only the patterns the model needs (bias rows, per-row
   scales, scalars) are exercised by tests.
@@ -357,7 +361,7 @@ def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
     `w`. The rows of each group run as one matmul; groups may be empty and
     rows may come in any order, though rows sorted by group are sliced
     rather than gathered."""
-    groups = np.asarray(groups, dtype=np.int64)
+    groups = _row_ids(groups)
     if (x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]
             or groups.shape != x.shape[:1]):
         raise ShapeError(f"grouped_matmul shapes incompatible: {x.shape} @ {w.shape} "
@@ -503,7 +507,7 @@ def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
 def _expert_layers(op: str, inputs: tuple, experts: np.ndarray) -> tuple:
     """The :func:`_tanh_mlp` rules of stacked experts, shapes checked."""
     rows, w1, b1, w2, b2 = inputs
-    experts = np.asarray(experts, dtype=np.int64)
+    experts = _row_ids(experts)
     count = w1.shape[0]
     if (rows.data.ndim != 2 or w1.data.ndim != 3 or w2.data.ndim != 3
             or experts.shape != rows.shape[:1] or rows.shape[1] != w1.shape[1]
@@ -611,7 +615,7 @@ def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
     sum of the row's k scores when `renormalize`, and added back into its
     row. The rows of one expert run as one matmul per layer, grouped as in
     :func:`grouped_matmul`."""
-    order = np.asarray(order, dtype=np.int64)
+    order = _row_ids(order, np.size(order))
     n = x.shape[0] if x.data.ndim == 2 else 0
     k = order.size // n if n else 0
     if (k < 1 or order.shape != rows.shape[:1] or order.size != n * k
@@ -654,14 +658,12 @@ def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Te
     log-softmax, a pick of one target per row, the weight product, the sum
     and the negation; its backward rule is
     ``g * w_i * (softmax_i - onehot(t_i))``."""
-    targets = np.asarray(targets, dtype=np.int64)
+    targets = _row_ids(targets, logits.shape[1] if logits.data.ndim == 2 else None)
     w = np.asarray(weights, dtype=logits.data.dtype)
     if (logits.data.ndim != 2 or logits.data.size == 0
             or targets.shape != logits.shape[:1] or w.shape != targets.shape):
         raise ShapeError(f"weighted_nll shapes incompatible: logits {logits.shape}, "
                          f"targets {targets.shape}, weights {w.shape}")
-    if targets.min() < 0 or targets.max() >= logits.shape[1]:
-        raise ShapeError(f"target id outside [0, {logits.shape[1]})")
     x = logits.data
     shifted = x - x.max(axis=-1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
@@ -683,13 +685,11 @@ def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Te
 def concat_rows(a: Tensor, rows_a: np.ndarray, b: Tensor, rows_b: np.ndarray) -> Tensor:
     """``concat([a[rows_a], b[rows_b]], axis=1)``: rows gathered from two
     tables and joined side by side; indices may repeat."""
-    rows_a, rows_b = _row_ids(rows_a), _row_ids(rows_b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or rows_a.ndim != 1 or rows_a.shape != rows_b.shape:
-        raise ShapeError(f"concat_rows shapes incompatible: {a.shape} rows {rows_a.shape}, "
-                         f"{b.shape} rows {rows_b.shape}")
-    for table, idx in ((a, rows_a), (b, rows_b)):
-        if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-            raise ShapeError(f"row index out of range for shape {table.shape}")
+    if (a.data.ndim != 2 or b.data.ndim != 2 or np.ndim(rows_a) != 1
+            or np.shape(rows_a) != np.shape(rows_b)):
+        raise ShapeError(f"concat_rows shapes incompatible: {a.shape} rows {np.shape(rows_a)}, "
+                         f"{b.shape} rows {np.shape(rows_b)}")
+    rows_a, rows_b = _row_ids(rows_a, a.shape[0]), _row_ids(rows_b, b.shape[0])
     out = np.concatenate([a.data[rows_a], b.data[rows_b]], axis=1)
     width = a.shape[1]
     return _make(out, "concat_rows", (a, b),
@@ -870,20 +870,22 @@ def slice_view(a: Tensor, key) -> Tensor:
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     """Gather rows (axis 0) by integer index; duplicates allowed."""
-    idx = _row_ids(idx)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"row index out of range for shape {a.shape}")
+    idx = _row_ids(idx, a.shape[0])
     out = a.data[idx]
     return _make(out, "take_rows", (a,), lambda g: (_index_add(a.shape, idx, g),))
 
 
-def _row_ids(idx) -> np.ndarray:
-    """`idx` as int64; a nonempty index that is not integer (a boolean mask,
-    a float) raises ShapeError rather than gathering the wrong rows."""
+def _row_ids(idx, bound: int = None) -> np.ndarray:
+    """`idx` as int64, the one conversion of caller-supplied ids. A nonempty
+    index that is not integer (a boolean mask, a float) raises ShapeError
+    rather than selecting the wrong rows, as does an id outside [0, bound)."""
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
-        raise ShapeError(f"row indices must be integers, have dtype {idx.dtype}")
-    return idx.astype(np.int64, copy=False)
+        raise ShapeError(f"ids must be integers, have dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
+    if bound is not None and idx.size and (idx.min() < 0 or idx.max() >= bound):
+        raise ShapeError(f"id outside [0, {bound}): {idx.min()}..{idx.max()}")
+    return idx
 
 
 def _index_add(shape: tuple, idx, values: np.ndarray) -> np.ndarray:

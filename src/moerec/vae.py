@@ -72,14 +72,11 @@ class EmbeddingTables:
 
     def lookup(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         """The (B, 2 * d_emb) rows ``[user embedding | item embedding]``."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        if users.size and (users.min() < 0 or users.max() > self.n_users):
-            raise TableLookupError(
-                f"user index out of range [0, {self.n_users}]: {users.min()}..{users.max()}")
-        if items.size and (items.min() < 0 or items.max() > self.n_items):
-            raise TableLookupError(
-                f"item index out of range [0, {self.n_items}]: {items.min()}..{items.max()}")
+        users, items = T._row_ids(users), T._row_ids(items)
+        for kind, ids, last in (("user", users, self.n_users), ("item", items, self.n_items)):
+            if ids.size and (ids.min() < 0 or ids.max() > last):
+                raise TableLookupError(
+                    f"{kind} index out of range [0, {last}]: {ids.min()}..{ids.max()}")
         return T.concat_rows(self.user, users, self.item, items)
 
 
@@ -243,19 +240,12 @@ class VaeGmm:
         }
 
     def encode(self, users, items) -> tuple:
-        """(mu, log_var) for a batch of index arrays, or single indices."""
-        single = np.isscalar(users) or (np.ndim(users) == 0)
-        users = np.atleast_1d(np.asarray(users, dtype=np.int64))
-        items = np.atleast_1d(np.asarray(items, dtype=np.int64))
+        """(mu, log_var), each (B, latent_dim), for 1-d arrays of B ids each."""
         out = self.encoder.forward(self.tables.lookup(users, items))
-        mu, log_var = out[:, :self.config.latent_dim], out[:, self.config.latent_dim:]
-        if single:
-            return mu.reshape(-1), log_var.reshape(-1)
-        return mu, log_var
+        return out[:, :self.config.latent_dim], out[:, self.config.latent_dim:]
 
     def latent_mu(self, users, items) -> np.ndarray:
-        mu, _ = self.encode(np.atleast_1d(users), np.atleast_1d(items))
-        return mu.data
+        return self.encode(users, items)[0].data
 
     def decode(self, z: Tensor) -> Tensor:
         """Predicted normalized rating in (0, 1)."""
@@ -265,8 +255,7 @@ class VaeGmm:
 
     def predict_rating(self, users, items) -> np.ndarray:
         """Deterministic normalized rating prediction along the mean path."""
-        mu, _ = self.encode(np.atleast_1d(users), np.atleast_1d(items))
-        return self.decode(mu).data
+        return self.decode(self.encode(users, items)[0]).data
 
     def posteriors(self, users, items) -> np.ndarray:
         """Responsibilities (B, K) along the deterministic mean path."""
@@ -291,7 +280,7 @@ def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
     if beta < 0:
         raise ValueError("beta must be nonnegative")
 
-    mu, log_var = model.encode(np.atleast_1d(users), np.atleast_1d(items))
+    mu, log_var = model.encode(users, items)
     sample = reparameterize(mu, log_var, rng, eps_override=eps_override)
     bce = T.bce_with_logits(model.decoder.forward(sample.z), ratings_norm)
     if beta == 0.0:

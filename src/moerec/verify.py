@@ -507,8 +507,8 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
     """:func:`moerec.vae.elbo_loss` as the op chains above, drawing the same
     noise from `rng`; the clamped log-variance feeds both the sample and
     the KL term, as it did before the draw became one op."""
-    u_emb = T.take_rows(model.tables.user, np.atleast_1d(users))
-    i_emb = T.take_rows(model.tables.item, np.atleast_1d(items))
+    u_emb = T.take_rows(model.tables.user, users)
+    i_emb = T.take_rows(model.tables.item, items)
     enc, dec, latent = model.encoder, model.decoder, model.config.latent_dim
     out = reference_mlp(concat([u_emb, i_emb], axis=1), enc.w1, enc.b1, enc.w2, enc.b2)
     mu, log_var = out[:, :latent], out[:, latent:]

@@ -303,6 +303,52 @@ def test_commands_report_an_unreadable_data_file(workspace, tmp_path, capsys, wh
     assert err.startswith("error: cannot read data file") and str(path) in err
 
 
+@pytest.mark.parametrize("folder", [False, True])
+@pytest.mark.parametrize("command", ["generate", "evaluate", "inspect-clusters", "train"])
+def test_commands_report_an_unreadable_checkpoint(workspace, tmp_path, capsys, folder,
+                                                  command):
+    path = tmp_path / "missing.ckpt"
+    if folder:
+        path.mkdir()
+    data = ("--data", str(workspace["data"]))
+    args = {"generate": ("--user", "u0", "--item", "i0", "--rating", "4"),
+            "evaluate": data + ("--out", str(tmp_path / "r")),
+            "inspect-clusters": data,
+            "train": data + ("--stage", "2", "--config", str(workspace["cfg"]),
+                             "--out", str(tmp_path / "x.ckpt"))}[command]
+    flag = "--stage1-checkpoint" if command == "train" else "--checkpoint"
+    assert run_cli(command, flag, str(path), *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read checkpoint file") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "evaluate", "inspect-clusters"])
+def test_commands_report_an_unwritable_output(workspace, tmp_path, capsys, command):
+    out = tmp_path / "no-such-dir" / "out"
+    data = ("--data", str(workspace["data"]))
+    args = {"synth": ("--spec", str(workspace["root"] / "synth.cfg"), "--out", str(out)),
+            "train": data + ("--stage", "1", "--config", str(workspace["cfg"]),
+                             "--out", str(out)),
+            "evaluate": data + ("--checkpoint", str(workspace["s2"]), "--out", str(out)),
+            "inspect-clusters": data + ("--checkpoint", str(workspace["s1"]),
+                                        "--pca-out", str(out))}[command]
+    assert run_cli(command, *args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
+def test_inspect_clusters_projects_one_latent_dimension(workspace, tmp_path, capsys):
+    s1, pca = tmp_path / "d1.ckpt", tmp_path / "proj.csv"
+    assert run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
+                   "--config", str(workspace["cfg"]), "--out", str(s1),
+                   "--latent_dim", "1") == 0
+    assert run_cli("inspect-clusters", "--checkpoint", str(s1),
+                   "--data", str(workspace["data"]), "--pca-out", str(pca)) == 0
+    rows = pca.read_text().splitlines()[1:]
+    assert len(rows) == len(load_records(workspace["data"]))
+    assert all(row.endswith(",0.000000") for row in rows)
+
+
 @pytest.mark.parametrize("text,needle", [
     (None, "cannot read label file"),
     ("u0001\tabc\n", "line 1: cluster 'abc' is not an integer"),

@@ -210,6 +210,87 @@ def test_row_indices_must_be_integers():
     assert x[[]].shape == (0, 2) and T.concat_rows(x, [], x, []).shape == (0, 4)
 
 
+def _id_entry_points() -> dict:
+    """name -> (call with one id array, valid ids, out-of-range ids, the
+    class those raise) for each op and model entry point that takes ids."""
+    from moerec.errors import ConfigError, TableLookupError
+    from moerec.moe import BOS, EOS, GateRouter, LanguageModel, LmConfig, decompose_experts
+    from moerec.vae import VaeConfig, VaeGmm, elbo_loss
+
+    rng = Rng(3)
+    x, w = Tensor(rng.normal(6).reshape(3, 2)), Tensor(rng.normal(12).reshape(2, 2, 3))
+    bank = [Tensor(rng.normal(n).reshape(shape)) for n, shape in
+            ((18, (3, 2, 3)), (9, (3, 3)), (18, (3, 3, 2)), (6, (3, 2)))]
+    pairs, scores = Tensor(rng.normal(8).reshape(4, 2)), Tensor(np.full((2, 3), 1 / 3))
+    experts, order = np.array([0, 1, 1, 2]), np.arange(4)
+    router = GateRouter(2, decompose_experts(2, 4, 1, active=1, gates=2), Rng(0))
+    moe = decompose_experts(2, 8, 2, active=2, gates=2)
+    lm = LanguageModel(LmConfig(vocab_size=20, model_dim=8, blocks=1, heads=2, context=16,
+                                moe=moe), Rng(0))
+    vae = VaeGmm(VaeConfig(n_users=6, n_items=5, d_emb=4, latent_dim=3, hidden=6,
+                           clusters=2), Rng(0))
+    pair = np.array([0, 1, 2])
+    return {
+        "grouped_matmul": (lambda ids: T.grouped_matmul(x, w, ids),
+                           np.array([1, 0, 1]), np.array([1, 2, 0]), ShapeError),
+        "routed_experts.experts": (
+            lambda ids: T.routed_experts(x[[0, 1]], pairs, *bank, ids, scores, order),
+            experts, np.array([0, 1, 1, 3]), ShapeError),
+        "routed_experts.order": (
+            lambda ids: T.routed_experts(x[[0, 1]], pairs, *bank, experts, scores, ids),
+            order, np.array([0, 1, 2, 4]), ShapeError),
+        "weighted_nll": (lambda ids: T.weighted_nll(x, ids, np.ones(3)),
+                         np.array([0, 1, 1]), np.array([0, 2, 1]), ShapeError),
+        "GateRouter.scores": (lambda ids: router.scores(ids, x),
+                              np.array([1, 0, 1]), np.array([1, 2, 0]), ConfigError),
+        "forward_rows.tokens": (lambda ids: lm.forward_rows(ids, np.array([1])),
+                                np.array([[4, 5, 6]]), np.array([[4, 5, 20]]), ShapeError),
+        "forward_rows.gates": (lambda ids: lm.forward_rows(np.array([[4, 5], [6, 7]]), ids),
+                               np.array([1, 0]), np.array([1, 2]), ConfigError),
+        "generate.gate": (lambda ids: lm.generate([BOS, 4, 5], ids, max_len=2),
+                          np.int64(1), np.int64(2), ConfigError),
+        "batched_nll": (lambda ids: lm.batched_nll([ids], [3], np.array([1])),
+                        np.array([BOS, 4, 5, 6, EOS]), np.array([BOS, 4, 20, 6, EOS]),
+                        ShapeError),
+        "VaeGmm.encode": (lambda ids: vae.encode(ids, pair),
+                          np.array([0, 6, 2]), np.array([0, 7, 2]), TableLookupError),
+        "VaeGmm.gates": (lambda ids: vae.gates(pair, ids),
+                         np.array([4, 0, 5]), np.array([4, 0, 6]), TableLookupError),
+        "elbo_loss": (lambda ids: elbo_loss(vae, ids, pair, np.array([0.2, 0.5, 0.9]), 0.1,
+                                            Rng(0)),
+                      np.array([0, 1, 2]), np.array([-1, 1, 2]), TableLookupError),
+    }
+
+
+@pytest.mark.parametrize("kind", ["mask", "float"])
+@pytest.mark.parametrize("entry", sorted(_id_entry_points()))
+def test_ids_must_be_integers_at_every_entry_point(entry, kind):
+    # a cast to int64 would read a mask as ids 0 and 1 and truncate a float id
+    call, valid, _, _ = _id_entry_points()[entry]
+    call(valid)
+    bad = valid % 2 == 0 if kind == "mask" else valid.astype(np.float64)
+    with pytest.raises(ShapeError, match="must be integers"):
+        call(bad)
+
+
+@pytest.mark.parametrize("entry", sorted(_id_entry_points()))
+def test_out_of_range_ids_raise_the_documented_class(entry):
+    call, _, out_of_range, error = _id_entry_points()[entry]
+    with pytest.raises(error):
+        call(out_of_range)
+
+
+def test_empty_id_arrays_stay_valid():
+    from moerec.vae import VaeConfig, VaeGmm
+
+    w = Tensor(np.ones((2, 2, 3)))
+    assert T.grouped_matmul(Tensor(np.zeros((0, 2))), w, []).shape == (0, 3)
+    vae = VaeGmm(VaeConfig(n_users=6, n_items=5, d_emb=4, latent_dim=3, hidden=6,
+                           clusters=2), Rng(0))
+    mu, log_var = vae.encode(np.array([], dtype=np.int64), [])
+    assert mu.shape == log_var.shape == (0, 3)
+
+
 def test_nonfinite_raises():
     with pytest.raises(NumericError):
         T.log(Tensor([0.0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moerec import Tape, Tensor, grad_check
-from moerec.errors import DataError, NumericError, TableLookupError
+from moerec.errors import DataError, NumericError, ShapeError, TableLookupError
 from moerec.rng import Rng
 from moerec import tensor as T
 from moerec.vae import (
@@ -41,29 +41,34 @@ def random_prior(seed, clusters, dim) -> GmmPrior:
 
 def test_encode_shapes_single_pair():
     model = tiny_model()
-    mu, log_var = model.encode(2, 3)
-    assert mu.shape == (8,) and log_var.shape == (8,)
+    mu, log_var = model.encode(np.array([2]), np.array([3]))
+    assert mu.shape == (1, 8) and log_var.shape == (1, 8)
 
 
 def test_encode_zero_weights_gives_zero_outputs():
     model = tiny_model()
     for t in (model.encoder.w1, model.encoder.b1, model.encoder.w2, model.encoder.b2):
         t.data[...] = 0.0
-    mu, log_var = model.encode(1, 1)
-    assert np.array_equal(mu.data, np.zeros(8))
-    assert np.array_equal(log_var.data, np.zeros(8))
+    mu, log_var = model.encode(np.array([1]), np.array([1]))
+    assert np.array_equal(mu.data, np.zeros((1, 8)))
+    assert np.array_equal(log_var.data, np.zeros((1, 8)))
 
 
 def test_encode_paper_scale_dim():
     model = tiny_model(d_emb=16, latent_dim=128, hidden=8)
-    mu, _ = model.encode(0, 0)
-    assert mu.shape == (128,)
+    mu, _ = model.encode(np.array([0]), np.array([0]))
+    assert mu.shape == (1, 128)
 
 
 def test_encode_out_of_range_id():
     model = tiny_model()
     with pytest.raises(TableLookupError):
-        model.encode(99, 0)
+        model.encode(np.array([99]), np.array([0]))
+
+
+def test_encode_takes_id_arrays_not_scalars():
+    with pytest.raises(ShapeError):
+        tiny_model().encode(2, 3)
 
 
 def test_decode_zero_weights_is_half():
