@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -124,6 +127,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+# main's parser, built on first use and then kept for the process; calls share
+# no state, since each parse_args returns a fresh namespace
+_parser = functools.cache(build_parser)
+
+
+def _check_writable(path: str) -> None:
+    """Raise the OSError that opening `path` for writing would raise when
+    its directory is missing or read-only, before any work is done."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(folder, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+
 # --- subcommand bodies ---
 
 def cmd_synth(args) -> int:
@@ -143,6 +161,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run = _run_config(args)
+    _check_writable(args.out)
     records = load_records(args.data)
     split = split_records(records, run.seed)
     if args.stage == 1:
@@ -303,7 +322,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     # a command's --precision holds for that command only
     dtype = tensor_mod.default_dtype().name
     try:

@@ -377,7 +377,10 @@ class LanguageModel:
                 f"sequence length {offset + length} exceeds context {self.config.context}")
         if tokens.size == 0:
             raise ShapeError(f"no tokens to run: token matrix of shape {tokens.shape}")
-        gates = T._row_ids(gates).reshape(batch)
+        gates = T._row_ids(gates)
+        if gates.size != batch:
+            raise ShapeError(f"{gates.size} gates for {batch} sequences")
+        gates = gates.reshape(batch)
         flat = tokens.reshape(-1)
         pos_ids = np.tile(np.arange(offset, offset + length), batch)
         x = T.take_rows(self.embed, flat) + T.take_rows(self.pos, pos_ids)
@@ -410,6 +413,8 @@ class LanguageModel:
             raise ContextLimitError(
                 f"prompt of {len(prompt)} tokens fills context "
                 f"{self.config.context}; nothing can be generated")
+        if banned is not None:
+            banned = T._row_ids(banned, self.config.vocab_size)
         rng = Rng(seed)
         cache = KVCache(len(self.blocks))
         new = list(prompt)

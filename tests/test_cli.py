@@ -9,8 +9,8 @@ import sys
 import numpy as np
 import pytest
 
-from moerec import tensor as T
-from moerec.cli import main
+from moerec import cli, tensor as T
+from moerec.cli import build_parser, main
 from moerec.data import InteractionRecord, index_ids, load_records, split_records
 from moerec.metrics import evaluate_model
 from moerec.training import load_bundle
@@ -337,6 +337,16 @@ def test_commands_report_an_unwritable_output(workspace, tmp_path, capsys, comma
     assert err.startswith("error: ") and str(out) in err
 
 
+def test_train_checks_its_output_before_reading_data(workspace, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(cli, "load_records", lambda path: pytest.fail("data was read"))
+    out = tmp_path / "no-such-dir" / "s1.ckpt"
+    assert run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr().err == (f"error: [Errno 2] No such file or directory: "
+                                       f"'{out}'\n")
+
+
 def test_inspect_clusters_projects_one_latent_dimension(workspace, tmp_path, capsys):
     s1, pca = tmp_path / "d1.ckpt", tmp_path / "proj.csv"
     assert run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
@@ -537,3 +547,67 @@ def test_usage_error_exit_code(capsys):
 def test_no_command_prints_help(capsys):
     assert run_cli() == 1
     assert "subcommand" in capsys.readouterr().out.lower() or True
+
+
+def test_main_builds_its_parser_once_per_process():
+    # counts argparse parsers in a fresh process: none at import, one set on first use
+    code = (
+        "import argparse, json\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from moerec import cli\n"
+        "counts = [len(built)]\n"
+        "for argv in (['train', '--stage', '7'], [], ['verify', '--suite', 'bogus']):\n"
+        "    cli.main(argv)\n"
+        "    counts.append(len(built))\n"
+        "cli.build_parser()\n"
+        "print(json.dumps([counts, len(built) - counts[-1]]))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    counts, one_build = json.loads(out.stdout.splitlines()[-1])
+    assert one_build > 1 and counts == [0, one_build, one_build, one_build]
+
+
+def test_calls_in_sequence_share_no_parsed_state(monkeypatch):
+    seen = []
+    for name in ("train", "generate"):
+        monkeypatch.setitem(cli.COMMANDS, name, lambda args: seen.append(args) or 0)
+    train = ["train", "--stage", "1", "--data", "d.jsonl", "--out", "o.ckpt"]
+    gen = ["generate", "--checkpoint", "c.ckpt", "--user", "u0", "--item", "i0",
+           "--rating", "4"]
+    calls = (train + ["--s1_lr", "0.5"], gen, train)
+    assert [main(argv) for argv in calls] == [0, 0, 0]
+    assert [vars(args) for args in seen] == [vars(build_parser().parse_args(argv))
+                                             for argv in calls]
+    assert cli._overrides_from(seen[0]) == {"s1_lr": "0.5"}
+    assert not hasattr(seen[1], "s1_lr") and cli._overrides_from(seen[2]) == {}
+
+
+def test_a_usage_error_does_not_change_the_next_requests(workspace, capsys):
+    gen = ("generate", "--checkpoint", str(workspace["s2"]), "--user", "u0001",
+           "--item", "i0002", "--rating", "4")
+    codes, outs = [], []
+    for argv in (gen + ("--mode", "beam"), gen, gen):
+        codes.append(run_cli(*argv))
+        outs.append(capsys.readouterr().out)
+    assert codes == [1, 0, 0]
+    assert outs[1] == outs[2] and outs[1].startswith("gate: ")
+
+
+@pytest.mark.parametrize("argv", [(), ("--help",), ("generate", "--help")])
+def test_help_is_the_same_on_every_call(capsys, argv):
+    printed = []
+    for _ in range(3):
+        try:
+            code = run_cli(*argv)
+        except SystemExit as stop:      # --help exits from inside the parse
+            code = stop.code
+        printed.append((code, capsys.readouterr().out))
+    assert printed[0] == printed[1] == printed[2]
+    assert printed[0][1].startswith("usage: moerec")
+    if len(argv) < 2:
+        assert printed[0][1] == build_parser().format_help()

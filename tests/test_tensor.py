@@ -249,6 +249,8 @@ def _id_entry_points() -> dict:
                                np.array([1, 0]), np.array([1, 2]), ConfigError),
         "generate.gate": (lambda ids: lm.generate([BOS, 4, 5], ids, max_len=2),
                           np.int64(1), np.int64(2), ConfigError),
+        "generate.banned": (lambda ids: lm.generate([BOS, 4, 5], 1, max_len=2, banned=ids),
+                            np.array([1, 2, 6]), np.array([1, 20, 6]), ShapeError),
         "batched_nll": (lambda ids: lm.batched_nll([ids], [3], np.array([1])),
                         np.array([BOS, 4, 5, 6, EOS]), np.array([BOS, 4, 20, 6, EOS]),
                         ShapeError),
@@ -278,6 +280,16 @@ def test_out_of_range_ids_raise_the_documented_class(entry):
     call, _, out_of_range, error = _id_entry_points()[entry]
     with pytest.raises(error):
         call(out_of_range)
+
+
+@pytest.mark.parametrize("gates", [[1], [1, 0, 1]])
+def test_forward_rows_takes_one_gate_per_sequence(gates):
+    from moerec.moe import LanguageModel, LmConfig, decompose_experts
+
+    lm = LanguageModel(LmConfig(vocab_size=20, model_dim=8, blocks=1, heads=2, context=16,
+                                moe=decompose_experts(2, 8, 2, active=2, gates=2)), Rng(0))
+    with pytest.raises(ShapeError, match="gates for 2 sequences"):
+        lm.forward_rows(np.array([[4, 5], [6, 7]]), np.array(gates))
 
 
 def test_empty_id_arrays_stay_valid():
