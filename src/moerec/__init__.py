@@ -61,9 +61,7 @@ from .optim import AdamW, clip_grad_norm
 from .training import (
     ExplainerBundle,
     load_bundle,
-    load_stage1,
     save_bundle,
-    save_stage1,
     train_stage1,
     train_stage2,
 )

@@ -23,7 +23,6 @@ import sys
 
 import numpy as np
 
-from .checkpoint import read_manifest
 from .config import RunConfig, load_config, read_fields
 from .data import (
     InteractionRecord,
@@ -40,15 +39,9 @@ from .data import (
 from .errors import ConfigError, DataError, MoerecError, TrainingError, VerificationError
 from .metrics import adjusted_rand_index, cluster_purity, evaluate_model
 from . import tensor as tensor_mod
-from .training import (
-    load_bundle,
-    load_stage1,
-    save_bundle,
-    save_stage1,
-    train_stage1,
-    train_stage2,
-    vae_config_from,
-)
+from .training import (ExplainerBundle, load_bundle, save_bundle, train_stage1, train_stage2,
+                       vae_config_from)
+from .vae import gmm_posterior_batch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,22 +159,20 @@ def cmd_train(args) -> int:
     split = split_records(records, run.seed)
     if args.stage == 1:
         vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
-        save_stage1(args.out, vae, run, manifest, split.user_index,
-                    split.item_index, f64=args.f64_checkpoint)
+        bundle = ExplainerBundle(vae, None, None, split.user_index, split.item_index, run.r_max)
     else:
         if not args.stage1_checkpoint:
             raise TrainingError("stage 2 requires --stage1-checkpoint")
-        vae, run1, _, user_index, item_index = load_stage1(args.stage1_checkpoint)
+        stage1, run1, _ = load_bundle(args.stage1_checkpoint, "stage1")
         if run.clusters != run1.clusters:
             raise ConfigError(
                 f"stage-2 clusters ({run.clusters}) must match the stage-1 "
                 f"checkpoint ({run1.clusters})")
-        if set(user_index) != set(split.user_index) or set(item_index) != set(split.item_index):
+        # both are rank maps of sorted ids: equal exactly when the id sets are
+        if stage1.user_index != split.user_index or stage1.item_index != split.item_index:
             raise DataError("dataset entities differ from the stage-1 checkpoint")
-        split.user_index = user_index
-        split.item_index = item_index
-        bundle, manifest = train_stage2(split, vae, run, run.stage2())
-        save_bundle(args.out, bundle, run, manifest, f64=args.f64_checkpoint)
+        bundle, manifest = train_stage2(split, stage1.vae, run, run.stage2())
+    save_bundle(args.out, bundle, run, manifest, f64=args.f64_checkpoint)
     with open(f"{args.out}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     final = manifest["epochs"][-1]["loss"] if manifest["epochs"] else float("nan")
@@ -210,6 +201,7 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     bundle, run, _ = load_bundle(args.checkpoint)
+    _check_writable(f"{args.out}.json")
     records = load_records(args.data)
     split = split_records(records, run.seed)
     if not split.test:
@@ -231,19 +223,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_inspect_clusters(args) -> int:
-    manifest = read_manifest(args.checkpoint)
-    if manifest.get("stage") == "stage2":
-        bundle, run, _ = load_bundle(args.checkpoint)
-        vae, user_index, item_index = bundle.vae, bundle.user_index, bundle.item_index
-    else:
-        vae, run, _, user_index, item_index = load_stage1(args.checkpoint)
+    bundle, _, _ = load_bundle(args.checkpoint, None)
+    if args.pca_out:
+        _check_writable(args.pca_out)
     records = load_records(args.data)
     if not records:
         raise DataError(f"{args.data} holds no records")
-    users = index_ids(user_index, [r.user for r in records])
-    items = index_ids(item_index, [r.item for r in records])
-    latents = vae.latent_mu(users, items)
-    gamma = vae.posteriors(users, items)
+    vae = bundle.vae
+    latents = vae.latent_mu(index_ids(bundle.user_index, [r.user for r in records]),
+                            index_ids(bundle.item_index, [r.item for r in records]))
+    gamma = gmm_posterior_batch(vae.prior, latents)
     hard = np.argmax(gamma, axis=1)
     clusters = vae.prior.clusters
 
@@ -334,6 +323,8 @@ def main(argv=None) -> int:
     except (MoerecError, OSError) as err:   # an OSError here is an unwritable output
         print(f"error: {err}", file=sys.stderr)
         return getattr(err, "exit_code", 1)
+    except SystemExit as stop:      # --help exits from inside the parse, once printed
+        return stop.code
     finally:
         tensor_mod.set_default_dtype(dtype)
 

@@ -331,13 +331,6 @@ def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
                     stage="stage1" if bundle.lm is None else "stage2", extra=extra, f64=f64)
 
 
-def save_stage1(path, vae: VaeGmm, run: RunConfig, manifest: dict,
-                user_index: Dict[str, int], item_index: Dict[str, int],
-                f64: bool = False) -> None:
-    save_bundle(path, ExplainerBundle(vae, None, None, user_index, item_index, run.r_max),
-                run, manifest, f64)
-
-
 class _Unset(np.ndarray):
     """Zeros that take no memory: a read-only array whose strides are all 0.
     Any ufunc over one (a weight scaled at initialisation) gives another."""
@@ -363,15 +356,18 @@ class _ZeroRng(Rng):
         return _Unset((n,))
 
 
-def _load(path, stage: str) -> tuple:
-    """(ExplainerBundle, run config, manifest) rebuilt from a `stage`
-    checkpoint; a stage-1 bundle has no language model and no vocabulary."""
+def load_bundle(path, stage: Optional[str] = "stage2") -> tuple:
+    """(ExplainerBundle, run config, manifest) rebuilt from a checkpoint of
+    `stage`, or of either stage when `stage` is None. The file's own tag
+    decides what is read: a stage-1 bundle has no language model and no
+    vocabulary."""
     manifest, arrays = load_checkpoint(path)
     try:
-        if manifest["stage"] != stage:
-            raise TrainingError(f"expected a {stage} checkpoint, found {manifest['stage']!r}")
+        found = manifest["stage"]
+        if found not in ("stage1", "stage2") or stage not in (None, found):
+            raise TrainingError(f"expected a {stage or 'stage1'} checkpoint, found {found!r}")
         config, extra = manifest["config"], manifest["extra"]
-        names = ("users", "items", "vocab") if stage == "stage2" else ("users", "items")
+        names = ("users", "items", "vocab") if found == "stage2" else ("users", "items")
         lists = {field: extra[field] for field in names}
     except (KeyError, TypeError) as err:
         raise DataError(f"checkpoint manifest is malformed: {err!r}") from None
@@ -392,7 +388,7 @@ def _load(path, stage: str) -> tuple:
     vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
     params = vae.params()
     lm = vocab = None
-    if stage == "stage2":
+    if found == "stage2":
         try:
             vocab = Vocab(lists["vocab"])
         except ConfigError as err:
@@ -403,14 +399,3 @@ def _load(path, stage: str) -> tuple:
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index=user_index,
                              item_index=item_index, r_max=run.r_max)
     return bundle, run, manifest
-
-
-def load_stage1(path) -> tuple:
-    """Returns (vae, run config, manifest, user_index, item_index)."""
-    bundle, run, manifest = _load(path, "stage1")
-    return bundle.vae, run, manifest, bundle.user_index, bundle.item_index
-
-
-def load_bundle(path) -> tuple:
-    """Returns (ExplainerBundle, run config, manifest)."""
-    return _load(path, "stage2")

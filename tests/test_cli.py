@@ -125,14 +125,13 @@ def test_stage2_from_a_loaded_stage1_trains_as_from_owned_arrays(workspace, tmp_
     of one loaded buffer; with each parameter owning a copy instead, the
     same training writes the same bytes."""
     from moerec.config import load_config
-    from moerec.training import load_stage1, save_bundle, train_stage2
+    from moerec.training import save_bundle, train_stage2
     run = load_config(workspace["cfg"])
-    vae, _, _, user_index, item_index = load_stage1(workspace["s1"])
-    for tensor in vae.params().values():
+    stage1, _, _ = load_bundle(workspace["s1"], "stage1")
+    for tensor in stage1.vae.params().values():
         tensor.data = tensor.data.copy()
     split = split_records(load_records(workspace["data"]), run.seed)
-    split.user_index, split.item_index = user_index, item_index
-    bundle, manifest = train_stage2(split, vae, run, run.stage2())
+    bundle, manifest = train_stage2(split, stage1.vae, run, run.stage2())
     path = tmp_path / "owned.ckpt"
     save_bundle(path, bundle, run, manifest)
     assert path.read_bytes() == workspace["s2"].read_bytes()
@@ -323,7 +322,9 @@ def test_commands_report_an_unreadable_checkpoint(workspace, tmp_path, capsys, f
 
 
 @pytest.mark.parametrize("command", ["synth", "train", "evaluate", "inspect-clusters"])
-def test_commands_report_an_unwritable_output(workspace, tmp_path, capsys, command):
+def test_commands_report_an_unwritable_output(workspace, tmp_path, capsys, monkeypatch,
+                                              command):
+    monkeypatch.setattr(cli, "load_records", lambda path: pytest.fail("data was read"))
     out = tmp_path / "no-such-dir" / "out"
     data = ("--data", str(workspace["data"]))
     args = {"synth": ("--spec", str(workspace["root"] / "synth.cfg"), "--out", str(out)),
@@ -333,8 +334,9 @@ def test_commands_report_an_unwritable_output(workspace, tmp_path, capsys, comma
             "inspect-clusters": data + ("--checkpoint", str(workspace["s1"]),
                                         "--pca-out", str(out))}[command]
     assert run_cli(command, *args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err
+    named = f"{out}.json" if command == "evaluate" else out
+    assert capsys.readouterr().err == (f"error: [Errno 2] No such file or directory: "
+                                       f"'{named}'\n")
 
 
 def test_train_checks_its_output_before_reading_data(workspace, tmp_path, capsys,
@@ -461,6 +463,27 @@ def test_inspect_clusters_stage2_checkpoint(workspace, capsys):
     assert len(occupancy) == 2
     assert sum(occupancy) == len(workspace["data"].read_text().splitlines())
     assert "ari:" in out and "purity:" in out
+
+
+def test_inspect_clusters_reads_and_encodes_once(workspace, capsys, monkeypatch):
+    from moerec import checkpoint, training
+    calls = {"load": 0, "encode": 0}
+    load, encode = checkpoint.load_checkpoint, VaeGmm.encode
+
+    def counted_load(path):
+        calls["load"] += 1
+        return load(path)
+
+    def counted_encode(self, users, items):
+        calls["encode"] += 1
+        return encode(self, users, items)
+
+    monkeypatch.setattr(training, "load_checkpoint", counted_load)
+    monkeypatch.setattr(VaeGmm, "encode", counted_encode)
+    monkeypatch.setattr(checkpoint, "read_manifest", lambda path: pytest.fail("read twice"))
+    assert run_cli("inspect-clusters", "--checkpoint", str(workspace["s2"]),
+                   "--data", str(workspace["data"]), "--labels", str(workspace["labels"])) == 0
+    assert calls == {"load": 1, "encode": 1} and not hasattr(cli, "read_manifest")
 
 
 def test_inspect_distance_matrix_symmetric(workspace, capsys):
@@ -602,12 +625,15 @@ def test_a_usage_error_does_not_change_the_next_requests(workspace, capsys):
 def test_help_is_the_same_on_every_call(capsys, argv):
     printed = []
     for _ in range(3):
-        try:
-            code = run_cli(*argv)
-        except SystemExit as stop:      # --help exits from inside the parse
-            code = stop.code
-        printed.append((code, capsys.readouterr().out))
+        printed.append((run_cli(*argv), capsys.readouterr().out))
     assert printed[0] == printed[1] == printed[2]
+    assert printed[0][0] == (0 if argv else 1)
     assert printed[0][1].startswith("usage: moerec")
     if len(argv) < 2:
         assert printed[0][1] == build_parser().format_help()
+
+
+def test_help_exits_zero_from_a_fresh_process():
+    out = subprocess.run([sys.executable, "-m", "moerec.cli", "--help"], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.returncode == 0 and out.stdout.startswith("usage: moerec") and not out.stderr

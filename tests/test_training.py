@@ -14,7 +14,7 @@ from moerec.data import (
     split_records,
 )
 from moerec import tensor, training
-from moerec.errors import ConfigError, DataError
+from moerec.errors import ConfigError, DataError, TrainingError
 from moerec.moe import EOS, LanguageModel, build_prompt
 from moerec.optim import AdamW
 from moerec.rng import Rng
@@ -25,10 +25,8 @@ from moerec.training import (
     _ZeroRng,
     lm_config_from,
     load_bundle,
-    load_stage1,
     prepare_sequence,
     save_bundle,
-    save_stage1,
     train_stage1,
     train_stage2,
     vae_config_from,
@@ -345,10 +343,11 @@ def test_save_load_roundtrip_stage1(tmp_path):
     run = small_run()
     vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
     path = tmp_path / "s1.ckpt"
-    save_stage1(path, vae, run, manifest, split.user_index, split.item_index,
-                f64=True)
-    loaded, run2, _, user_index, item_index = load_stage1(path)
-    assert user_index == split.user_index
+    save_bundle(path, ExplainerBundle(vae, None, None, split.user_index, split.item_index,
+                                      run.r_max), run, manifest, f64=True)
+    loaded, _, _ = load_bundle(path, None)
+    assert loaded.lm is None and loaded.vocab is None
+    assert loaded.user_index == split.user_index and loaded.item_index == split.item_index
     for name, p in vae.params().items():
         assert np.array_equal(p.data, loaded.params()[name].data), name
 
@@ -357,7 +356,8 @@ def test_save_load_roundtrip_bundle(tmp_path):
     split, _, run, bundle, manifest = trained_pair()
     path = tmp_path / "s2.ckpt"
     save_bundle(path, bundle, run, manifest, f64=True)
-    loaded, _, _ = load_bundle(path)
+    loaded, _, _ = load_bundle(path, None)
+    assert loaded.vocab.tokens == bundle.vocab.tokens
     for name, p in bundle.params().items():
         assert np.array_equal(p.data, loaded.params()[name].data), name
     rec = split.test[0]
@@ -368,14 +368,15 @@ def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
                                                                      monkeypatch):
     split, _, run, bundle, manifest = trained_pair()
     s1, s2 = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt"
-    save_stage1(s1, bundle.vae, run, manifest, split.user_index, split.item_index)
+    save_bundle(s1, ExplainerBundle(bundle.vae, None, None, split.user_index,
+                                    split.item_index, run.r_max), run, manifest)
     save_bundle(s2, bundle, run, manifest, f64=True)
 
     def no_draws(self, n):
         raise AssertionError("loading drew random weights")
 
     monkeypatch.setattr(Rng, "normal", no_draws)
-    load_stage1(s1)
+    load_bundle(s1, "stage1")
     loaded, _, _ = load_bundle(s2)
     monkeypatch.undo()
     for rec in split.test[:6]:
@@ -429,6 +430,30 @@ def test_loaders_reject_name_and_shape_mismatches(tmp_path):
                         stage="stage2", extra=extra)
         with pytest.raises(DataError):
             load_bundle(path)
+
+
+def test_the_loader_accepts_only_the_asked_for_stage(tmp_path):
+    from moerec.checkpoint import read_manifest, save_checkpoint
+    split, _, run, bundle, manifest = trained_pair()
+    s1, s2, s3 = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt", tmp_path / "s3.ckpt"
+    save_bundle(s1, ExplainerBundle(bundle.vae, None, None, split.user_index,
+                                    split.item_index, run.r_max), run, manifest)
+    save_bundle(s2, bundle, run, manifest)
+    save_checkpoint(s3, bundle.params(), config=run.to_dict(), seed=run.seed,
+                    stage="stage3", extra=read_manifest(s2)["extra"])
+    assert load_bundle(s1, "stage1")[0].lm is None
+    assert load_bundle(s2, None)[0].lm is not None
+    for path, stage, message in (
+            (s1, "stage2", "expected a stage2 checkpoint, found 'stage1'"),
+            (s2, "stage1", "expected a stage1 checkpoint, found 'stage2'"),
+            (s3, None, "expected a stage1 checkpoint, found 'stage3'"),
+            (s3, "stage1", "expected a stage1 checkpoint, found 'stage3'"),
+            (s3, "stage2", "expected a stage2 checkpoint, found 'stage3'")):
+        with pytest.raises(TrainingError) as err:
+            load_bundle(path, stage)
+        assert str(err.value) == message and err.value.exit_code == 3
+    with pytest.raises(TrainingError, match="found 'stage1'"):
+        load_bundle(s1)
 
 
 def test_unknown_user_routes_through_fallback_row():
