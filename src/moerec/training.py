@@ -35,6 +35,7 @@ makes whole runs bit-reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -73,6 +74,18 @@ def lm_config_from(run: RunConfig, vocab_size: int) -> LmConfig:
                     moe=moe, renormalize_topk=run.renormalize_topk)
 
 
+try:                                                 # mallopt(3) is glibc's
+    _MALLOPT = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    _MALLOPT = None
+
+
+def _top_pad(nbytes: int) -> None:
+    """Set the free memory glibc's heap keeps at its top when it trims (M_TOP_PAD)."""
+    if _MALLOPT is not None:
+        _MALLOPT(-2, nbytes)
+
+
 def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
          vae: VaeGmm, batches: Callable, eps_rng: Rng,
          shuffle: Callable[[int], Rng], valid_label: str = None,
@@ -91,34 +104,39 @@ def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
     validate = valid_label is not None and cfg.early_stop and bool(split.valid)
     rows: List[dict] = []
     best_valid, stale = np.inf, 0
-    for epoch in range(epochs):
-        order = _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch))
-        losses = []
-        opt.zero_grad()
-        for micro, idx in enumerate(order, start=1):
-            compute = batch(idx)
-            with Tape() as tape:
-                loss = compute()
-                tape.backward(loss * (1.0 / cfg.grad_accum_steps))
-            losses.append(loss.item())
-            if micro % cfg.grad_accum_steps == 0 or micro == len(order):
-                opt.step(clip_norm=cfg.clip_norm)
-                opt.zero_grad()
-        row = {"phase": phase} if phase else {}
-        row.update(epoch=epoch, loss=float(np.mean(losses)),
-                   occupancy=np.bincount(vae.gates(users, items),
-                                         minlength=vae.prior.clusters).tolist())
-        rows.append(row)
-        if not validate:
-            continue
-        valid = batches(split.valid, Rng(cfg.seed).substream(f"{valid_label}.{epoch}"))
-        row["valid_loss"] = valid(np.arange(len(split.valid)))().item()
-        if row["valid_loss"] < best_valid - 1e-9:
-            best_valid, stale = row["valid_loss"], 0
-        else:
-            stale += 1
-        if stale > cfg.patience:
-            break
+    # what a step frees stays mapped for the next step, not faulted in again
+    _top_pad(64 << 20)
+    try:
+        for epoch in range(epochs):
+            order = _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch))
+            losses = []
+            opt.zero_grad()
+            for micro, idx in enumerate(order, start=1):
+                compute = batch(idx)
+                with Tape() as tape:
+                    loss = compute()
+                    tape.backward(loss * (1.0 / cfg.grad_accum_steps))
+                losses.append(loss.item())
+                if micro % cfg.grad_accum_steps == 0 or micro == len(order):
+                    opt.step(clip_norm=cfg.clip_norm)
+                    opt.zero_grad()
+            row = {"phase": phase} if phase else {}
+            row.update(epoch=epoch, loss=float(np.mean(losses)),
+                       occupancy=np.bincount(vae.gates(users, items),
+                                             minlength=vae.prior.clusters).tolist())
+            rows.append(row)
+            if not validate:
+                continue
+            valid = batches(split.valid, Rng(cfg.seed).substream(f"{valid_label}.{epoch}"))
+            row["valid_loss"] = valid(np.arange(len(split.valid)))().item()
+            if row["valid_loss"] < best_valid - 1e-9:
+                best_valid, stale = row["valid_loss"], 0
+            else:
+                stale += 1
+            if stale > cfg.patience:
+                break
+    finally:
+        _top_pad(128 << 10)                          # mallopt(3)'s default
     return rows
 
 

@@ -569,7 +569,7 @@ def test_usage_error_exit_code(capsys):
 
 def test_no_command_prints_help(capsys):
     assert run_cli() == 1
-    assert "subcommand" in capsys.readouterr().out.lower() or True
+    assert capsys.readouterr().out == build_parser().format_help()
 
 
 def test_main_builds_its_parser_once_per_process():

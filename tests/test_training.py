@@ -1,6 +1,11 @@
 """Two-stage training: accumulation equivalence, decoupling, determinism."""
 
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -336,6 +341,106 @@ def test_training_loop_policy(monkeypatch, stage, accum, patience):
             break
     assert len(validated) == expected
     assert patience or expected < 8      # the stop is exercised, not just the budget
+
+
+def _train_both_stages(tmp_path, name):
+    split, _ = small_corpus(seed=2)
+    run = small_run()
+    vae, m1 = train_stage1(split, vae_config_from(run, split), run.stage1())
+    save_bundle(tmp_path / f"{name}.s1", ExplainerBundle(vae, None, None, split.user_index,
+                                                         split.item_index, run.r_max), run, m1)
+    bundle, m2 = train_stage2(split, vae, run, run.stage2())
+    save_bundle(tmp_path / f"{name}.s2", bundle, run, m2)
+    return ([(tmp_path / f"{name}.{s}").read_bytes() for s in ("s1", "s2")],
+            [m["epochs"] for m in (m1, m2)])
+
+
+def test_resident_heap_leaves_checkpoints_and_losses_unchanged(tmp_path, monkeypatch):
+    resident = _train_both_stages(tmp_path, "resident")
+    monkeypatch.setattr(training, "_MALLOPT", None)
+    assert _train_both_stages(tmp_path, "plain") == resident
+
+
+class _Foreign(Exception):
+    """Stands for an exception from outside moerec that ends training, as a
+    benchmark's step budget does."""
+
+
+@pytest.mark.parametrize("failure", [None, TrainingError("non-finite gradient"), _Foreign()])
+def test_fit_raises_the_heap_pad_once_and_always_restores_it(monkeypatch, failure):
+    split, _ = small_corpus()
+    run = small_run()
+    vae = VaeGmm(vae_config_from(run, split), Rng(0))
+    events = []
+    real_step = AdamW.step
+
+    def step(opt, *args, **kwargs):
+        events.append("step")
+        result = real_step(opt, *args, **kwargs)
+        if failure is not None and events.count("step") == 3:
+            raise failure
+        return result
+
+    monkeypatch.setattr(AdamW, "step", step)
+    monkeypatch.setattr(training, "_MALLOPT", lambda param, value: events.append((param, value)))
+    if failure is None:
+        train_stage2(split, vae, run, run.stage2())
+    else:
+        with pytest.raises(type(failure)):
+            train_stage2(split, vae, run, run.stage2())
+    steps = events.count("step")
+    assert steps == 3 if failure is not None else steps > 3
+    assert events == [(-2, 64 << 20)] + ["step"] * steps + [(-2, 128 << 10)]
+
+
+_FAULTS_PER_STEP = """
+import json, resource, sys
+from moerec import optim, training
+from moerec.config import RunConfig
+from moerec.data import SynthSpec, generate_synthetic, split_records
+from moerec.rng import Rng
+from moerec.vae import VaeGmm
+
+if sys.argv[1] == "plain":
+    training._MALLOPT = None
+run = RunConfig().validate()
+split = split_records(generate_synthetic(SynthSpec(n_users=40, seed=1))[0], run.seed)
+vae = VaeGmm(training.vae_config_from(run, split), Rng(run.seed))
+faults, real_step = [], optim.AdamW.step
+
+class Stop(Exception):
+    pass
+
+def step(opt, *args, **kwargs):
+    result = real_step(opt, *args, **kwargs)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+    if len(faults) == 26:
+        raise Stop
+    return result
+
+optim.AdamW.step = step
+try:
+    training.train_stage2(split, vae, run, run.stage2())
+except Stop:
+    pass
+per_step = sorted(b - a for a, b in zip(faults[4:], faults[5:]))
+print(json.dumps(per_step[len(per_step) // 2]))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or training._MALLOPT is None,
+                    reason="the heap pad is a glibc setting")
+def test_resident_heap_cuts_the_page_faults_of_a_stage2_step():
+    """Median minor faults per default stage-2 step over steps 5-25 of the
+    first epoch, each mode in a fresh process, because earlier tests shape
+    this one's heap."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1"}
+    procs = {mode: subprocess.Popen([sys.executable, "-c", _FAULTS_PER_STEP, mode], env=env,
+                                    stdout=subprocess.PIPE, text=True)
+             for mode in ("resident", "plain")}
+    faults = {mode: json.loads(proc.communicate()[0]) for mode, proc in procs.items()}
+    assert all(proc.returncode == 0 for proc in procs.values())
+    assert faults["plain"] > 100 and faults["resident"] * 10 <= faults["plain"], faults
 
 
 def test_save_load_roundtrip_stage1(tmp_path):
