@@ -27,8 +27,8 @@ with Tape() as tape:
 print("loss =", loss.item())
 print("dloss/dw =\n", w.grad)
 
-# Gradients accumulate additively across tapes until cleared, which is what
-# gradient accumulation over micro-batches relies on.
+# Gradients accumulate additively across tapes until cleared, so a training
+# loop clears them after each optimizer step.
 first = w.grad.copy()
 with Tape() as tape:
     tape.backward((x @ w).sum())

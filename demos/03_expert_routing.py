@@ -46,8 +46,8 @@ print(f"expert evaluations for 5 rows with k=2: {bank.eval_count}")
 selected = top_k_select(router.scores(row_gates, rows).data, 2).reshape(-1)
 print("experts of the pairs, grouped:", np.sort(selected, kind="stable"))
 
-# Raw softmax scores weight the selected outputs (no renormalization), so
-# with identical experts the output factorizes through the score mass.
+# The raw softmax scores weight the selected outputs, so with identical
+# experts the output factorizes through the score mass of the k picks.
 for part in ("w1", "b1", "w2", "b2"):
     stack = getattr(bank, part).data
     stack[1:] = stack[0]

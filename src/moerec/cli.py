@@ -106,8 +106,6 @@ def build_parser() -> _Parser:
     p_eval.add_argument("--buckets", action="store_true")
     p_eval.add_argument("--dump", action="store_true",
                         help="write per-record generations")
-    p_eval.add_argument("--sentence-level", action="store_true",
-                        help="average per-sentence BLEU instead of corpus BLEU")
 
     p_ins = sub.add_parser("inspect-clusters", help="report latent clusters")
     p_ins.add_argument("--checkpoint", required=True)
@@ -207,8 +205,7 @@ def cmd_evaluate(args) -> int:
     if not split.test:
         raise DataError("test split is empty")
     report, rows = evaluate_model(
-        bundle, split.test, train_records=split.train, buckets=args.buckets,
-        corpus_level=not args.sentence_level)
+        bundle, split.test, train_records=split.train, buckets=args.buckets)
     with open(f"{args.out}.json", "w", encoding="utf-8") as fh:
         fh.write(report.to_json() + "\n")
     table = report.to_table()

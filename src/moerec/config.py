@@ -27,7 +27,6 @@ class StageConfig:
     lr: float
     beta: float = 0.1
     alpha: float = 0.1
-    grad_accum_steps: int = 1
     clip_norm: float = 0.3
     seed: int = 0
     freeze_gmm: bool = False
@@ -35,8 +34,6 @@ class StageConfig:
     warmup_beta: float = 0.0
     joint_lr: float = -1.0     # -1 means: same as lr
     weight_decay: float = 0.0
-    early_stop: bool = False
-    patience: int = 3
 
     def effective_joint_lr(self) -> float:
         return self.lr if self.joint_lr <= 0 else self.joint_lr
@@ -61,16 +58,14 @@ _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 _STAGE_RANGES = {
     "epochs": "size", "batch_size": "count", "lr": "rate", "beta": "weight",
-    "alpha": "weight", "grad_accum_steps": "count", "clip_norm": "rate",
-    "warmup_epochs": "size", "warmup_beta": "weight", "joint_lr": "rate_or_default",
-    "weight_decay": "decay", "patience": "size",
+    "alpha": "weight", "clip_norm": "rate", "warmup_epochs": "size",
+    "warmup_beta": "weight", "joint_lr": "rate_or_default", "weight_decay": "decay",
 }
 _RUN_RANGES = {
     **dict.fromkeys(("d_emb", "latent_dim", "clusters", "enc_hidden", "model_dim", "blocks",
                      "heads", "context", "base_experts", "base_hidden", "factor",
-                     "active_experts", "s1_batch", "s1_grad_accum", "s2_batch",
-                     "s2_grad_accum"), "count"),
-    **dict.fromkeys(("s1_epochs", "s1_warmup_epochs", "s2_epochs", "patience"), "size"),
+                     "active_experts", "s1_batch", "s2_batch"), "count"),
+    **dict.fromkeys(("s1_epochs", "s1_warmup_epochs", "s2_epochs"), "size"),
     **dict.fromkeys(("r_max", "s1_lr", "s2_lr", "s1_clip", "s2_clip"), "rate"),
     **dict.fromkeys(("alpha", "beta", "s1_warmup_beta"), "weight"),
     "s1_joint_lr": "rate_or_default", "weight_decay": "decay",
@@ -95,6 +90,13 @@ def _check_fields(config, ranges: dict) -> None:
 class RunConfig:
     """Everything a run needs: model shape, both stages, and the root seed."""
 
+    # Fields runs no longer have, each with the value it took by default.
+    # Checkpoint manifests and config files written before they went still
+    # name them: read_fields drops one at that value and refuses any other,
+    # since no run can honour it now.
+    RETIRED_FIELDS = {"renormalize_topk": False, "s1_grad_accum": 1, "s2_grad_accum": 1,
+                      "early_stop": False, "patience": 3}
+
     seed: int = 0
     precision: str = "float64"
     # model shape
@@ -110,7 +112,6 @@ class RunConfig:
     base_hidden: int = 128
     factor: int = 2
     active_experts: int = 2
-    renormalize_topk: bool = False
     r_max: float = 5.0
     # stage 1 (warmup lr is s1_lr; the joint phase runs slower so the
     # freshly fitted mixture structure is refined rather than eroded)
@@ -121,19 +122,15 @@ class RunConfig:
     s1_lr: float = 3e-3
     s1_joint_lr: float = 1e-3
     beta: float = 0.1
-    s1_grad_accum: int = 1
     s1_clip: float = 0.3
     # stage 2
     s2_epochs: int = 3
     s2_batch: int = 16
     s2_lr: float = 1.5e-3
     alpha: float = 0.1
-    s2_grad_accum: int = 1
     s2_clip: float = 0.3
     freeze_gmm: bool = False
     weight_decay: float = 0.0
-    early_stop: bool = False
-    patience: int = 3
 
     def validate(self) -> "RunConfig":
         """Check every field's type and range, raising ConfigError (exit 1)
@@ -154,19 +151,16 @@ class RunConfig:
     def stage1(self) -> StageConfig:
         return StageConfig(stage=1, epochs=self.s1_epochs, batch_size=self.s1_batch,
                            lr=self.s1_lr, beta=self.beta, alpha=self.alpha,
-                           grad_accum_steps=self.s1_grad_accum, clip_norm=self.s1_clip,
-                           seed=self.seed, warmup_epochs=self.s1_warmup_epochs,
+                           clip_norm=self.s1_clip, seed=self.seed,
+                           warmup_epochs=self.s1_warmup_epochs,
                            warmup_beta=self.s1_warmup_beta, joint_lr=self.s1_joint_lr,
-                           weight_decay=self.weight_decay, early_stop=self.early_stop,
-                           patience=self.patience)
+                           weight_decay=self.weight_decay)
 
     def stage2(self) -> StageConfig:
         return StageConfig(stage=2, epochs=self.s2_epochs, batch_size=self.s2_batch,
                            lr=self.s2_lr, beta=self.beta, alpha=self.alpha,
-                           grad_accum_steps=self.s2_grad_accum, clip_norm=self.s2_clip,
-                           seed=self.seed, freeze_gmm=self.freeze_gmm,
-                           weight_decay=self.weight_decay, early_stop=self.early_stop,
-                           patience=self.patience)
+                           clip_norm=self.s2_clip, seed=self.seed,
+                           freeze_gmm=self.freeze_gmm, weight_decay=self.weight_decay)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -206,11 +200,15 @@ def read_fields(cls, path=None, overrides: dict | None = None,
                 kind: str = "config") -> dict:
     """Field values of the dataclass `cls` from an optional ``key = value``
     file plus overrides, each coerced to its field's type. Unreadable files,
-    unknown keys and values of the wrong type raise ConfigError."""
+    unknown keys and values of the wrong type raise ConfigError. A key of
+    the class's ``RETIRED_FIELDS`` (name -> old default) is dropped at its
+    old default and refused at any other value."""
+    retired = getattr(cls, "RETIRED_FIELDS", {})
     types = {"int": int, "float": float, "bool": bool, "str": str}
     known = {f.name: types.get(f.type if isinstance(f.type, str) else f.type.__name__, str)
              for f in fields(cls)}
     values: dict = {}
+    where: dict = {}                     # key -> where its value came from
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -225,18 +223,25 @@ def read_fields(cls, path=None, overrides: dict | None = None,
                 raise ConfigError(f"{kind} line {line_no}: expected key = value")
             key, _, raw = stripped.partition("=")
             key = key.strip()
-            if key not in known:
-                raise ConfigError(f"{kind} line {line_no}: unknown field {key!r}")
-            values[key] = _parse_value(raw.strip())
+            values[key], where[key] = _parse_value(raw.strip()), f"{kind} line {line_no}: "
     for key, value in (overrides or {}).items():
-        if key not in known:
-            raise ConfigError(f"unknown {kind} field {key!r}")
         values[key] = _parse_value(value) if isinstance(value, str) else value
-    return {k: _coerce(k, v, known[k]) for k, v in values.items()}
+        where[key] = ""
+    read = {}
+    for key, value in values.items():
+        if key in known:
+            read[key] = _coerce(key, value, known[key])
+        elif key not in retired:
+            raise ConfigError(f"{where[key]}unknown {kind} field {key!r}")
+        elif _coerce(key, value, type(retired[key])) != retired[key]:
+            raise ConfigError(f"{where[key]}{kind} field {key!r} is retired and takes only "
+                              f"its old default {json.dumps(retired[key])}, got {value!r}")
+    return read
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Config from an optional file plus overrides; unknown keys fail."""
+    """Config from an optional file plus overrides; unknown keys fail, and
+    retired ones load only at their old defaults."""
     return RunConfig(**read_fields(RunConfig, path, overrides)).validate()
 
 

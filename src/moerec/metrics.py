@@ -2,10 +2,10 @@
 
 All metrics operate on token sequences (see ``moerec.moe.tokenize`` for the
 canonical lowercase/whitespace/punctuation rule) and return raw values in
-[0, 1]; the human-readable report multiplies by 100. BLEU is corpus-level
-by default and micro-averages clipped n-gram counts over all pairs;
-Distinct pools n-grams across the whole corpus. BERTScore is out of scope
-and not reported.
+[0, 1]; the human-readable report multiplies by 100. BLEU is corpus-level:
+it micro-averages clipped n-gram counts over all pairs. Distinct pools
+n-grams across the whole corpus. BERTScore is out of scope and not
+reported.
 """
 
 from __future__ import annotations
@@ -220,18 +220,12 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def _text_metrics(pairs: List[tuple], corpus_level: bool) -> Dict[str, float]:
+def _text_metrics(pairs: List[tuple]) -> Dict[str, float]:
     candidates = [c for c, _ in pairs]
-    if corpus_level:
-        bleu1 = corpus_bleu(pairs, 1)
-        bleu4 = corpus_bleu(pairs, 4)
-    else:
-        bleu1 = float(np.mean([bleu_n(c, r, 1) for c, r in pairs]))
-        bleu4 = float(np.mean([bleu_n(c, r, 4) for c, r in pairs]))
     rouge_pairs = [rouge_scores(c, r) for c, r in pairs]
     return {
-        "bleu1": bleu1,
-        "bleu4": bleu4,
+        "bleu1": corpus_bleu(pairs, 1),
+        "bleu4": corpus_bleu(pairs, 4),
         "rouge1": float(np.mean([r1 for r1, _ in rouge_pairs])),
         "rougeL": float(np.mean([rl for _, rl in rouge_pairs])),
         "distinct1": distinct_n(candidates, 1),
@@ -244,7 +238,6 @@ def evaluate_model(
     test_records: Sequence[InteractionRecord],
     train_records: Optional[Sequence[InteractionRecord]] = None,
     buckets: bool = False,
-    corpus_level: bool = True,
 ) -> tuple:
     """Generate an explanation for every test record and score the lot.
 
@@ -270,7 +263,7 @@ def evaluate_model(
                      "prompt": prompt_of(rec), "generated": text,
                      "reference": rec.explanation, "gate": int(gate)})
 
-    values = _text_metrics(pairs, corpus_level)
+    values = _text_metrics(pairs)
     truth = normalized_ratings(test_records, getattr(bundle, "r_max", 5.0))
     values["rmse"] = rmse(bundle.predict_norm_ratings(test_records), truth)
 
@@ -283,7 +276,7 @@ def evaluate_model(
         split = sparsity_buckets(test_records, train_records)
         for name, group in zip(("ds1", "ds2", "ds3"), split):
             group_pairs = [generated_by_id[id(rec)] for rec in group]
-            stats = _text_metrics(group_pairs, corpus_level)
+            stats = _text_metrics(group_pairs)
             stats["count"] = len(group)
             bucket_rows[name] = stats
         if bucket_rows["ds1"]["bleu4"] > 0:

@@ -185,14 +185,14 @@ class ExpertBank:
         self.eval_count = 0
 
     def run(self, experts: np.ndarray, rows: Tensor, scores: Tensor,
-            order: np.ndarray, residual: Tensor, renormalize: bool = False) -> Tensor:
+            order: np.ndarray, residual: Tensor) -> Tensor:
         """Row i through expert `experts[i]`, weighted by the router's
         `scores` and mixed into `residual`, in one fused
         :func:`~moerec.tensor.routed_experts`; rows sorted by expert are
         sliced rather than gathered."""
         self.eval_count += rows.shape[0]
         return T.routed_experts(residual, rows, self.w1, self.b1, self.w2, self.b2,
-                                experts, scores, order, renormalize)
+                                experts, scores, order)
 
 
 class GateRouter:
@@ -225,22 +225,21 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
-              k: int, renormalize: bool = False, residual: Tensor = None) -> Tensor:
+              k: int, residual: Tensor = None) -> Tensor:
     """Top-k expert mixture of (n, m) rows, each routed by its own gate,
     added to `residual` (zeros by default).
 
     Dropless grouping (MegaBlocks, Gale et al. 2023): the n*k (row, expert)
     pairs are stable-sorted by expert, run through the bank in one call, and
     added back to their rows in one weighted scatter. Outputs are weighted
-    by the raw softmax scores unless `renormalize` rescales each row's k
-    scores to sum to one. Gradients reach the selected experts and, through
-    the full softmax, every routing logit of the row's gate.
+    by the raw softmax scores. Gradients reach the selected experts and,
+    through the full softmax, every routing logit of the row's gate.
     """
     scores = router.scores(gates, rows)                     # (n, E)
     selected = top_k_select(scores.data, k).reshape(-1)     # (n*k,), row-major
     order = np.argsort(selected, kind="stable")
     residual = Tensor(np.zeros_like(rows.data)) if residual is None else residual
-    return bank.run(selected[order], rows[order // k], scores, order, residual, renormalize)
+    return bank.run(selected[order], rows[order // k], scores, order, residual)
 
 
 # --- transformer ---
@@ -253,7 +252,6 @@ class LmConfig:
     heads: int = 2
     context: int = 64
     moe: MoeLayerConfig = None
-    renormalize_topk: bool = False
 
     def __post_init__(self):
         if self.moe is None:
@@ -291,8 +289,7 @@ class TransformerBlock:
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
                                  self.config.heads, batch, cache, offset)
         return _moe_rows(self.bank, self.router, np.repeat(gates, length),
-                         T.rms_norm(h, self.norm2_g), self.config.moe.active,
-                         self.config.renormalize_topk, residual=h)
+                         T.rms_norm(h, self.norm2_g), self.config.moe.active, residual=h)
 
 
 class KVCache:

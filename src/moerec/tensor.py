@@ -604,17 +604,15 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
 
 
 def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                   experts: np.ndarray, scores: Tensor, order: np.ndarray,
-                   renormalize: bool = False) -> Tensor:
+                   experts: np.ndarray, scores: Tensor, order: np.ndarray) -> Tensor:
     """The top-k mixture of the n rows of router `scores` (n, E) plus the
     residual `x`, through stacked two-layer experts
     ``tanh(r @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
     (E, h), `w2` (E, h, m) and `b2` (E, m). Row i of `rows` is pair
     ``order[i]`` of the row-major (n, k) selection: row ``order[i] // k``
-    through expert ``experts[i]``, weighted by its score, divided by the
-    sum of the row's k scores when `renormalize`, and added back into its
-    row. The rows of one expert run as one matmul per layer, grouped as in
-    :func:`grouped_matmul`."""
+    through expert ``experts[i]``, weighted by its score, and added back
+    into its row. The rows of one expert run as one matmul per layer,
+    grouped as in :func:`grouped_matmul`."""
     order = _row_ids(order, np.size(order))
     n = x.shape[0] if x.data.ndim == 2 else 0
     k = order.size // n if n else 0
@@ -626,24 +624,11 @@ def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
     ffn, ffn_back = _tanh_mlp("routed_experts", inputs,
                               *_expert_layers("routed_experts", inputs, experts))
     row_of = order // k
-    weight = scores.data[row_of, experts]
-    if renormalize:                      # the row-major picks, as the chain takes them
-        picked = np.empty_like(weight)
-        picked[order] = weight
-        picked = picked.reshape(n, k)
-        total = picked.sum(axis=1, keepdims=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            weight = (picked / total).reshape(-1)[order]
-    weight = weight.reshape(-1, 1)
+    weight = scores.data[row_of, experts].reshape(-1, 1)
 
     def back(g):
         g_pairs = g[row_of]
         g_weight = _unbroadcast(g_pairs * ffn, weight.shape).reshape(-1)
-        if renormalize:
-            g_ratio = _index_add((n * k,), order, g_weight).reshape(n, k)
-            g_total = _unbroadcast(-g_ratio * picked / (total * total), total.shape)
-            g_weight = (_unbroadcast(g_ratio / total, picked.shape)
-                        + np.broadcast_to(g_total, picked.shape).copy()).reshape(-1)[order]
         return (g, *ffn_back(_unbroadcast(g_pairs * weight, ffn.shape)),
                 _index_add(scores.shape, (row_of, experts), g_weight))
 

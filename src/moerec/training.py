@@ -18,19 +18,11 @@ model, alpha=0 never touches the rating decoder.
 The warm-up, the joint phase and stage 2 run through one loop, `_fit`,
 which owns the optimisation policy. Each epoch shuffles the training
 records with its own labeled substream and cuts them into micro-batches.
-Each micro-batch runs on a fresh tape and backpropagates its loss divided
-by the accumulation count. AdamW takes one clipped step per
-`grad_accum_steps` micro-batches, plus one step for a shorter remainder
-group at the end of the epoch. Every epoch adds a manifest row with the
-mean micro-batch loss and the cluster occupancy of the training pairs.
-With early stopping and a validation split, the row also carries the
-validation loss, and training stops once it has failed to improve for
-more than `patience` epochs.
-
-Batch losses are means over records, so accumulating n equal micro-batches
-is numerically the same step as one concatenated batch. Every source of
-randomness derives from the stage seed through labeled substreams, which
-makes whole runs bit-reproducible.
+Each micro-batch runs on a fresh tape, backpropagates its loss and takes
+one clipped AdamW step. Every epoch adds a manifest row with the mean
+micro-batch loss and the cluster occupancy of the training pairs. Every
+source of randomness derives from the stage seed through labeled
+substreams, which makes whole runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -71,7 +63,7 @@ def lm_config_from(run: RunConfig, vocab_size: int) -> LmConfig:
                             active=run.active_experts, gates=run.clusters)
     return LmConfig(vocab_size=vocab_size, model_dim=run.model_dim,
                     blocks=run.blocks, heads=run.heads, context=run.context,
-                    moe=moe, renormalize_topk=run.renormalize_topk)
+                    moe=moe)
 
 
 try:                                                 # mallopt(3) is glibc's
@@ -88,53 +80,35 @@ def _top_pad(nbytes: int) -> None:
 
 def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
          vae: VaeGmm, batches: Callable, eps_rng: Rng,
-         shuffle: Callable[[int], Rng], valid_label: str = None,
-         phase: str = None) -> List[dict]:
-    """Train for up to `epochs` epochs; returns one manifest row per epoch.
+         shuffle: Callable[[int], Rng], phase: str = None) -> List[dict]:
+    """Train for `epochs` epochs; returns one manifest row per epoch.
 
     `batches(records, rng)` returns `batch(idx)`, which does the work that
     must stay off the tape and returns the closure computing the loss of
     the records at `idx`. `shuffle(epoch)` is the epoch's order stream.
-    With `valid_label`, early stopping and a validation split, each epoch
-    scores the whole validation split on the stream `valid_label.<epoch>`
-    of the stage seed.
     """
     users, items = split.user_ids(split.train), split.item_ids(split.train)
     batch = batches(split.train, eps_rng)
-    validate = valid_label is not None and cfg.early_stop and bool(split.valid)
     rows: List[dict] = []
-    best_valid, stale = np.inf, 0
     # what a step frees stays mapped for the next step, not faulted in again
     _top_pad(64 << 20)
+    opt.zero_grad()
     try:
         for epoch in range(epochs):
-            order = _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch))
             losses = []
-            opt.zero_grad()
-            for micro, idx in enumerate(order, start=1):
+            for idx in _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch)):
                 compute = batch(idx)
                 with Tape() as tape:
                     loss = compute()
-                    tape.backward(loss * (1.0 / cfg.grad_accum_steps))
+                    tape.backward(loss)
                 losses.append(loss.item())
-                if micro % cfg.grad_accum_steps == 0 or micro == len(order):
-                    opt.step(clip_norm=cfg.clip_norm)
-                    opt.zero_grad()
+                opt.step(clip_norm=cfg.clip_norm)
+                opt.zero_grad()
             row = {"phase": phase} if phase else {}
             row.update(epoch=epoch, loss=float(np.mean(losses)),
                        occupancy=np.bincount(vae.gates(users, items),
                                              minlength=vae.prior.clusters).tolist())
             rows.append(row)
-            if not validate:
-                continue
-            valid = batches(split.valid, Rng(cfg.seed).substream(f"{valid_label}.{epoch}"))
-            row["valid_loss"] = valid(np.arange(len(split.valid)))().item()
-            if row["valid_loss"] < best_valid - 1e-9:
-                best_valid, stale = row["valid_loss"], 0
-            else:
-                stale += 1
-            if stale > cfg.patience:
-                break
     finally:
         _top_pad(128 << 10)                          # mallopt(3)'s default
     return rows
@@ -187,8 +161,7 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
                        weight_decay=cfg.weight_decay),
                  cfg, cfg.epochs, split, model,
                  partial(_elbo_batches, model, cfg.beta, split), eps_rng,
-                 lambda epoch: root.substream(f"stage1.shuffle.{epoch}"),
-                 valid_label="stage1.valid", phase="joint")
+                 lambda epoch: root.substream(f"stage1.shuffle.{epoch}"), phase="joint")
     return model, _manifest("stage1", cfg, {"latent_dim": vae_config.latent_dim,
                                             "clusters": vae_config.clusters},
                             rows, started)
@@ -297,8 +270,7 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
     started = time.time()
     rows = _fit(opt, cfg, cfg.epochs, split, vae,
                 partial(_explainer_batches, bundle, run, cfg, split),
-                root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"),
-                valid_label="stage2.valid")
+                root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"))
     return bundle, _manifest("stage2", cfg, {"clusters": run.clusters}, rows, started)
 
 
@@ -383,7 +355,8 @@ def load_bundle(path, stage: Optional[str] = "stage2") -> tuple:
     try:
         found = manifest["stage"]
         if found not in ("stage1", "stage2") or stage not in (None, found):
-            raise TrainingError(f"expected a {stage or 'stage1'} checkpoint, found {found!r}")
+            raise TrainingError(f"expected a {stage or 'stage1 or stage2'} checkpoint, "
+                                f"found {found!r}")
         config, extra = manifest["config"], manifest["extra"]
         names = ("users", "items", "vocab") if found == "stage2" else ("users", "items")
         lists = {field: extra[field] for field in names}

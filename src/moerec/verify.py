@@ -345,22 +345,13 @@ def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor
 
 def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                              b2: Tensor, experts: np.ndarray, scores: Tensor,
-                             order: np.ndarray, renormalize: bool = False) -> Tensor:
+                             order: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.routed_experts` as the chain it replaces: a pick
-    of each pair's score (renormalized by a row-major pick, a sum, a
-    division and a reorder), the fused expert FFN, a product, a scatter of
-    the pairs into their rows and the residual add."""
+    of each pair's score, the fused expert FFN, a product, a scatter of the
+    pairs into their rows and the residual add."""
     n = scores.shape[0]
-    k = len(order) // n
-    pair_rows = np.repeat(np.arange(n), k)
-    by_row = pair_rows[order]
-    if renormalize:
-        selected = np.empty_like(experts)
-        selected[order] = experts
-        picked = gather_pairs(scores, pair_rows, selected).reshape(n, k)
-        weight = T.take_rows((picked / picked.sum(axis=1, keepdims=True)).reshape(-1), order)
-    else:
-        weight = gather_pairs(scores, by_row, experts)
+    by_row = np.repeat(np.arange(n), len(order) // n)[order]
+    weight = gather_pairs(scores, by_row, experts)
     out = expert_ffn(rows, w1, b1, w2, b2, experts) * weight.reshape(-1, 1)
     mixed = scatter_rows(out, by_row, n)
     return mixed if x is None else x + mixed
@@ -380,8 +371,7 @@ def reference_block(blk: TransformerBlock, rows: Tensor, batch: int, length: int
     order = np.argsort(selected, kind="stable")
     bank = blk.bank
     return reference_routed_experts(h, normed[order // k], bank.w1, bank.b1, bank.w2,
-                                    bank.b2, selected[order], scores, order,
-                                    cfg.renormalize_topk)
+                                    bank.b2, selected[order], scores, order)
 
 
 def fused_block_mismatches(lm: LanguageModel, tokens: np.ndarray, gates: np.ndarray,
@@ -565,14 +555,13 @@ def fused_cases(seed: int) -> dict:
     # three rows pick two of four experts each, expert 1 none; row 0 holds expert 0
     selected = np.array([[0, 3], [2, 3], [0, 2]]).reshape(-1)
     order = np.argsort(selected, kind="stable")
-    for renormalize in (False, True):
-        cases[f"routed_experts.r{int(renormalize)}"] = (
-            lambda x, rows, *rest, r=renormalize: T.routed_experts(
-                x, rows, *rest[:4], selected[order], rest[4], order, r),
-            lambda x, rows, *rest, r=renormalize: reference_routed_experts(
-                x, rows, *rest[:4], selected[order], rest[4], order, r),
-            [normal(3, 4), normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
-             normal(4, 4), np.exp(normal(3, 4))])
+    cases["routed_experts"] = (
+        lambda x, rows, *rest: T.routed_experts(x, rows, *rest[:4], selected[order], rest[4],
+                                                order),
+        lambda x, rows, *rest: reference_routed_experts(x, rows, *rest[:4], selected[order],
+                                                        rest[4], order),
+        [normal(3, 4), normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
+         normal(4, 4), np.exp(normal(3, 4))])
     # rows 0 and 3 share a target; row 4 weighs nothing
     picks, weights = np.array([3, 0, 5, 3, 1]), np.array([0.5, 0.25, 1.5, 0.125, 0.0])
     cases["weighted_nll"] = (
@@ -829,18 +818,17 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
 
     # exactly-k evaluation counter and the grouped mixture against the loop
     gap, evals_ok = 0.0, True
-    for case, (gates, k, renormalize) in enumerate(
-            [(1, 1, False), (2, 2, False), (3, 2, True), (3, 4, False), (2, 6, True)]):
+    for case, (gates, k) in enumerate([(1, 1), (2, 2), (3, 2), (3, 4), (2, 6)]):
         mcfg = decompose_experts(3, 8, 2, active=k, gates=gates)
         bank = ExpertBank(5, mcfg, Rng(1 + case))
         router = GateRouter(5, mcfg, Rng(20 + case))
         rows = Rng(40 + case).normal(9 * 5).reshape(9, 5)
         row_gates = np.arange(9) % gates
         bank.eval_count = 0
-        grouped = _moe_rows(bank, router, row_gates, Tensor(rows), k, renormalize).data
+        grouped = _moe_rows(bank, router, row_gates, Tensor(rows), k).data
         evals_ok &= bank.eval_count == 9 * k
         gap = max(gap, float(np.max(np.abs(
-            grouped - loop_moe_rows(bank, router, row_gates, rows, k, renormalize)))))
+            grouped - loop_moe_rows(bank, router, row_gates, rows, k)))))
     results.append(CheckResult("moe.exactly_k_evaluations", evals_ok,
                                "n*k expert evaluations over 5 layouts, k 1 to 6"))
     results.append(CheckResult("moe.grouped_matches_loop", gap <= 1e-12,
@@ -849,12 +837,10 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     results.append(_fused_ops_check("moe", seed))
 
     bad = []
-    for case, (gates, k, heads, renormalize) in enumerate(
-            [(1, 1, 2, False), (2, 2, 2, False), (3, 2, 4, True), (2, 4, 1, True)]):
+    for case, (gates, k, heads) in enumerate([(1, 1, 2), (2, 2, 2), (3, 2, 4), (2, 4, 1)]):
         moe = decompose_experts(2, 8, 2, active=k, gates=gates)
         lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=heads,
-                                    context=16, moe=moe, renormalize_topk=renormalize),
-                           Rng(seed + case))
+                                    context=16, moe=moe), Rng(seed + case))
         tokens = Rng(seed + 10 + case).integers(3 * 6, 20).reshape(3, 6) + 4
         bad += fused_block_mismatches(lm, tokens, np.arange(3) % gates, seed + case)
     results.append(CheckResult("moe.fused_sublayers_match_chain", not bad,
@@ -866,8 +852,7 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     shift_ok = np.array_equal(top_k_select(logits, 4), top_k_select(logits + 1e6, 4))
     results.append(CheckResult("moe.topk_shift_invariance", shift_ok, "shift 1e6"))
 
-    gap = max(_kv_cache_gap(gates, renormalize, seed + gates)
-              for gates in (1, 2, 3) for renormalize in (False, True))
+    gap = max(_kv_cache_gap(gates, seed + gates) for gates in (1, 2, 3))
     results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
                                f"max logit gap {gap:.1e} over every decode step"))
 
@@ -959,7 +944,7 @@ def verify_vae(seed: int = 71) -> List[CheckResult]:
 
 
 def loop_moe_rows(bank: ExpertBank, router: GateRouter, gates: np.ndarray,
-                  rows: np.ndarray, k: int, renormalize: bool) -> np.ndarray:
+                  rows: np.ndarray, k: int) -> np.ndarray:
     """The mixture one gate and one expert at a time, in plain numpy."""
     out = np.zeros_like(rows)
     for gate in sorted(set(gates.tolist())):
@@ -968,23 +953,20 @@ def loop_moe_rows(bank: ExpertBank, router: GateRouter, gates: np.ndarray,
         scores = np.exp(logits - logits.max(axis=1, keepdims=True))
         scores /= scores.sum(axis=1, keepdims=True)
         picked = top_k_select(scores, k)
-        mass = (np.take_along_axis(scores, picked, axis=1).sum(axis=1) if renormalize
-                else np.ones(len(members)))
         for e in range(bank.cfg.expert_count):
             hit = (picked == e).any(axis=1)
             hidden = np.tanh(rows[members[hit]] @ bank.w1.data[e] + bank.b1.data[e])
             expert_out = hidden @ bank.w2.data[e] + bank.b2.data[e]
-            out[members[hit]] += (scores[hit, e] / mass[hit])[:, None] * expert_out
+            out[members[hit]] += scores[hit, e][:, None] * expert_out
     return out
 
 
-def _kv_cache_gap(gates: int, renormalize: bool, seed: int) -> float:
+def _kv_cache_gap(gates: int, seed: int) -> float:
     """Largest logit gap between decoding from a KV cache and recomputing
     the whole prefix, over a greedy decode that fills the context."""
     moe = decompose_experts(2, 8, 2, active=2, gates=gates)
     lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=2,
-                                context=16, moe=moe, renormalize_topk=renormalize),
-                       Rng(seed))
+                                context=16, moe=moe), Rng(seed))
     gap = 0.0
     for gate in range(gates):
         cache = KVCache(lm.config.blocks)

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from moerec import cli, tensor as T
+from moerec.checkpoint import load_checkpoint, save_checkpoint
 from moerec.cli import build_parser, main
+from moerec.config import RunConfig
 from moerec.data import InteractionRecord, index_ids, load_records, split_records
+from moerec.errors import ConfigError
 from moerec.metrics import evaluate_model
 from moerec.training import load_bundle
 from moerec.vae import VaeGmm
@@ -181,6 +184,64 @@ def test_train_refuses_the_retired_encoder_attention_flag(workspace, tmp_path, c
     err = capsys.readouterr().err
     assert "error: unrecognized arguments: --encoder_attention" in err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize("command,retired", [
+    ("train", ("--renormalize_topk", "true")),
+    ("train", ("--early_stop", "false")),
+    ("evaluate", ("--sentence-level",)),
+])
+def test_retired_flags_are_usage_errors(workspace, tmp_path, capsys, command, retired):
+    argv = {"train": ("--stage", "1", "--out", str(tmp_path / "x.ckpt")),
+            "evaluate": ("--checkpoint", str(workspace["s2"]),
+                         "--out", str(tmp_path / "report"))}[command]
+    assert run_cli(command, "--data", str(workspace["data"]), *argv, *retired) == 1
+    assert "unrecognized arguments: " + " ".join(retired) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def rewrite_checkpoint(src, dest, config=None, stage=None):
+    """`src` written again with save_checkpoint, its manifest's config
+    extended by `config` and its stage tag replaced by `stage`."""
+    manifest, arrays = load_checkpoint(src)
+    save_checkpoint(dest, {name: T.Tensor(a) for name, a in arrays.items()},
+                    config=manifest["config"] | (config or {}), seed=manifest["seed"],
+                    stage=stage or manifest["stage"], extra=manifest["extra"])
+
+
+def test_checkpoints_holding_retired_fields_at_their_defaults_load(workspace, tmp_path):
+    old, retired = tmp_path / "old.ckpt", RunConfig.RETIRED_FIELDS.keys()
+    rewrite_checkpoint(workspace["s2"], old, RunConfig.RETIRED_FIELDS)
+    assert retired <= load_checkpoint(old)[0]["config"].keys()
+    assert not retired & load_checkpoint(workspace["s2"])[0]["config"].keys()
+    records = split_records(load_records(workspace["data"]), 5).test[:6]
+    (clean, clean_run, _), (again, old_run, _) = (load_bundle(p) for p in (workspace["s2"], old))
+    assert old_run == clean_run
+    assert again.explain(records)[0] == clean.explain(records)[0]
+
+
+@pytest.mark.parametrize("field,value", [
+    ("renormalize_topk", True), ("s1_grad_accum", 2), ("s2_grad_accum", 4),
+    ("early_stop", True), ("patience", 5),
+])
+def test_checkpoints_holding_a_retired_field_elsewhere_are_refused(workspace, tmp_path,
+                                                                   capsys, field, value):
+    old = tmp_path / "old.ckpt"
+    rewrite_checkpoint(workspace["s2"], old, RunConfig.RETIRED_FIELDS | {field: value})
+    with pytest.raises(ConfigError, match=field):
+        load_bundle(old)
+    assert run_cli("generate", "--checkpoint", str(old), "--user", "u0001",
+                   "--item", "i0002", "--rating", "4") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_inspect_clusters_names_both_stages_for_another_tag(workspace, tmp_path, capsys):
+    odd = tmp_path / "odd.ckpt"
+    rewrite_checkpoint(workspace["s2"], odd, stage="stage3")
+    assert run_cli("inspect-clusters", "--checkpoint", str(odd),
+                   "--data", str(workspace["data"])) == 3
+    assert "expected a stage1 or stage2 checkpoint, found 'stage3'" in capsys.readouterr().err
 
 
 def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace,

@@ -93,8 +93,8 @@ def test_bad_numeric_rejected():
 def test_every_field_is_range_checked():
     for field, value in [("blocks", "0"), ("context", "0"), ("base_experts", "0"),
                          ("active_experts", "0"), ("active_experts", "13"),
-                         ("s1_batch", "0"), ("s2_grad_accum", "0"), ("s1_epochs", "-1"),
-                         ("patience", "-1"), ("s2_lr", "0"), ("s1_lr", "NaN"),
+                         ("s1_batch", "0"), ("s2_batch", "0"), ("s1_epochs", "-1"),
+                         ("s2_epochs", "-1"), ("s2_lr", "0"), ("s1_lr", "NaN"),
                          ("r_max", "Infinity"), ("s1_joint_lr", "0"), ("weight_decay", "-0.1"),
                          ("beta", "2"), ("s1_warmup_beta", "-0.5"), ("model_dim", "63")]:
         with pytest.raises(ConfigError) as err:
@@ -107,7 +107,7 @@ def test_direct_construction_checks_types():
     with pytest.raises(ConfigError):
         RunConfig(d_emb=8.5).validate()
     with pytest.raises(ConfigError):
-        RunConfig(early_stop=1).validate()
+        RunConfig(freeze_gmm=1).validate()
     with pytest.raises(ConfigError):
         RunConfig(clusters=True).validate()
     assert RunConfig(s1_lr=1).validate().s1_lr == 1
@@ -123,6 +123,31 @@ def test_encoder_attention_must_stay_off(tmp_path):
         with pytest.raises(ConfigError) as err:
             load_config(*source)
         assert "encoder_attention" in str(err.value)
+
+
+def test_retired_fields_load_only_at_their_old_defaults(tmp_path):
+    # config files and checkpoint manifests written before these fields went
+    # still name them; at the old default they are dropped, at any other
+    # value refused with the field named
+    retired = {"renormalize_topk": False, "s1_grad_accum": 1, "s2_grad_accum": 1,
+               "early_stop": False, "patience": 3}
+    assert RunConfig.RETIRED_FIELDS == retired
+    path = tmp_path / "run.cfg"
+    path.write_text("clusters = 2\nearly_stop = false\npatience = 3\n", encoding="utf-8")
+    assert load_config(path) == load_config(None, {"clusters": "2"})
+    assert load_config(None, retired) == RunConfig().validate()
+    assert load_config(None, {key: json.dumps(v) for key, v in retired.items()}) == RunConfig()
+    path.write_text("clusters = 2\npatience = 5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="config line 2: config field 'patience' is retired"):
+        load_config(path)
+    for name, value in (("early_stop", True), ("s1_grad_accum", "2"),
+                        ("renormalize_topk", "maybe"), ("patience", 3.5)):
+        with pytest.raises(ConfigError, match=name):
+            load_config(None, {name: value})
+    for name in retired:
+        assert name not in RunConfig().to_dict()
+        with pytest.raises(ConfigError, match=name):
+            read_fields(SynthSpec, overrides={name: retired[name]}, kind="spec")
 
 
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}

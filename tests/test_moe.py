@@ -159,9 +159,9 @@ def test_top_k_shift_invariance():
 
 # --- the grouped mixture on single rows ---
 
-def moe_forward(bank, router, gate, x, k, renormalize=False):
+def moe_forward(bank, router, gate, x, k):
     """The mixture of one vector under one gate."""
-    return _moe_rows(bank, router, gate, x.reshape(1, -1), k, renormalize).reshape(-1)
+    return _moe_rows(bank, router, gate, x.reshape(1, -1), k).reshape(-1)
 
 
 def rigged_router(scores_row, model_dim):
@@ -259,17 +259,6 @@ def test_moe_forward_evaluates_exactly_k_experts():
     _moe_rows(bank, router, np.array([0, 1, 1, 0, 1, 0, 0]), rows, 2)
     assert bank.eval_count == 2 * 7
     assert len(calls) == 1 and np.all(np.diff(calls[0]) >= 0)
-
-
-def test_moe_forward_renormalized_scores_sum_to_one():
-    cfg = decompose_experts(3, 8, 2, active=2, gates=1)
-    bank = ExpertBank(4, cfg, Rng(20))
-    router = GateRouter(4, cfg, Rng(21))
-    bank.w2.data[...] = 0.0  # constant-ones experts
-    bank.b2.data[...] = 1.0
-    out = moe_forward(bank, router, 0, Tensor(Rng(22).normal(4)), k=2,
-                      renormalize=True)
-    assert np.allclose(out.data, np.ones(4), atol=1e-12)
 
 
 def test_moe_forward_gradients():
@@ -545,9 +534,9 @@ def suppress_eos(lm: LanguageModel) -> None:
 CACHE_VARIANTS = [
     dict(seed=21, gates=1, active=1),
     dict(seed=22, gates=2, active=2),
-    dict(seed=23, gates=3, active=2, renormalize_topk=True),
+    dict(seed=23, gates=3, active=2),
     dict(seed=24, gates=2, active=4, heads=4),
-    dict(seed=25, gates=2, active=3, heads=1, renormalize_topk=True),
+    dict(seed=25, gates=2, active=3, heads=1),
 ]
 PROMPTS = [[BOS, 4], [BOS, 4, 6, 9, 11], [BOS, 17, 3, 12, 5, 8, 13, 2, 14]]
 
@@ -876,13 +865,14 @@ def reference_block_forward(blk, x, batch, length, gates):
         attended[rows] = np.concatenate(outs, axis=1) @ blk.wo.data
     h = x + attended
     return h + loop_moe_rows(blk.bank, blk.router, np.repeat(gates, length),
-                             rms(h, blk.norm2_g.data), cfg.moe.active,
-                             cfg.renormalize_topk)
+                             rms(h, blk.norm2_g.data), cfg.moe.active)
 
 
-BLOCK_VARIANTS = [dict(gates=gates, active=k, heads=heads, renormalize_topk=renorm)
+# each layout on two padded batches: the longest row first, and two full
+# rows behind a short one
+BLOCK_VARIANTS = [dict(gates=gates, active=k, heads=heads, lengths=lengths)
                   for gates, heads in ((1, 2), (3, 4), (2, 1))
-                  for k in (1, 2, 3, 4) for renorm in (False, True)]
+                  for k in (1, 2, 3, 4) for lengths in ([7, 3, 5, 1], [2, 6, 6, 4])]
 
 
 def padded_batch(lm, lengths, seed):
@@ -897,8 +887,8 @@ def padded_batch(lm, lengths, seed):
 @pytest.mark.parametrize("variant", BLOCK_VARIANTS)
 def test_batched_block_matches_loops_on_padded_mixed_gate_batch(variant):
     lm = tiny_lm(seed=31, gates=variant["gates"], active=variant["active"],
-                 heads=variant["heads"], renormalize_topk=variant["renormalize_topk"])
-    tokens = padded_batch(lm, [7, 3, 5, 1], seed=32)
+                 heads=variant["heads"])
+    tokens = padded_batch(lm, variant["lengths"], seed=32)
     batch, length = tokens.shape
     gates = np.arange(batch) % variant["gates"]
     x = T.take_rows(lm.embed, tokens.reshape(-1)) + T.take_rows(
@@ -912,7 +902,7 @@ def test_batched_block_matches_loops_on_padded_mixed_gate_batch(variant):
         x = out
     # the real positions of each row equal that sequence run alone
     logits = lm.forward_rows(tokens, gates).data.reshape(batch, length, -1)
-    for i, n in enumerate([7, 3, 5, 1]):
+    for i, n in enumerate(variant["lengths"]):
         alone = forward_lm(lm, tokens[i, :n], int(gates[i])).data
         assert np.max(np.abs(logits[i, :n] - alone)) <= 1e-12
 
@@ -920,7 +910,7 @@ def test_batched_block_matches_loops_on_padded_mixed_gate_batch(variant):
 @pytest.mark.parametrize("variant", BLOCK_VARIANTS[::3])
 def test_batched_block_with_cache_matches_loops(variant):
     lm = tiny_lm(seed=33, gates=variant["gates"], active=variant["active"],
-                 heads=variant["heads"], renormalize_topk=variant["renormalize_topk"])
+                 heads=variant["heads"])
     tokens = padded_batch(lm, [8, 8], seed=34)
     gates = np.array([0, variant["gates"] - 1])
     x = Tensor(lm.embed.data[tokens] + lm.pos.data[:8])          # (2, 8, m)

@@ -319,7 +319,7 @@ def test_smoke_training_with_the_store_equals_the_reference_optimizer(monkeypatc
     from tests.test_training import small_corpus, small_run
     from moerec.training import train_stage1, train_stage2, vae_config_from
     split, _ = small_corpus()
-    run = small_run(s1_grad_accum=2, s2_epochs=2)
+    run = small_run(s2_epochs=2)
     finals = []
     for cls in (AdamW, ReferenceAdamW):
         with monkeypatch.context() as patch:

@@ -56,9 +56,8 @@ def test_runtime_calls_exactly_the_pinned_ops(tmp_path, monkeypatch):
     cfg.write_text(
         "precision = float32\nclusters = 2\nd_emb = 8\nlatent_dim = 4\nenc_hidden = 8\n"
         "model_dim = 8\nblocks = 1\nheads = 2\ncontext = 32\nbase_experts = 2\n"
-        "base_hidden = 8\nfactor = 2\nrenormalize_topk = true\ns1_epochs = 2\n"
-        "s1_warmup_epochs = 1\ns1_batch = 16\ns1_grad_accum = 2\ns2_epochs = 1\n"
-        "s2_batch = 8\nseed = 3\n", encoding="utf-8")
+        "base_hidden = 8\nfactor = 2\ns1_epochs = 2\ns1_warmup_epochs = 1\n"
+        "s1_batch = 16\ns2_epochs = 1\ns2_batch = 8\nseed = 3\n", encoding="utf-8")
     s1, s2 = tmp_path / "stage1.ckpt", tmp_path / "stage2.ckpt"
     assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     common = ["--data", str(data), "--config", str(cfg)]

@@ -537,7 +537,7 @@ def test_fused_op_grad_check_every_input(name):
 
 
 def test_routed_experts_empty_expert_gets_zero_gradient():
-    fused, _, inputs = FUSED["routed_experts.r0"]   # expert 1 gets no rows
+    fused, _, inputs = FUSED["routed_experts"]   # expert 1 gets no rows
     leaves = [Tensor(a, requires_grad=True) for a in inputs]
     with Tape() as tape:
         tape.backward(fused(*leaves).sum())
@@ -597,11 +597,11 @@ def test_attention_raises_where_the_scores_overflow():
 
 
 def routed_case():
-    """The tensors, expert ids and pair order of FUSED["routed_experts.r0"]:
+    """The tensors, expert ids and pair order of FUSED["routed_experts"]:
     three rows pick two of four experts each, expert 1 none."""
     selected = np.array([0, 3, 2, 3, 0, 2])
     order = np.argsort(selected, kind="stable")
-    return [Tensor(a) for a in FUSED["routed_experts.r0"][2]], selected[order], order
+    return [Tensor(a) for a in FUSED["routed_experts"][2]], selected[order], order
 
 
 def test_routed_experts_raises_where_the_hidden_layer_overflows():
