@@ -11,12 +11,24 @@ File formats:
 The synthetic generator plants user clusters with disjoint signature
 lexicons, cluster-dependent rating levels, and fully deterministic
 explanation templates, so cluster recovery and explanation fidelity have a
-known answer at desk scale.
+known answer at desk scale. Its words come from the ``"synth"`` substream of
+``Rng(seed)`` in this order, one uniform each; a pick among ``n`` scales one
+as ``min(floor(u * n), n - 1)``:
+
+- one per item, its rating effect ``u * 0.5 - 0.25``;
+- 7 per user, in user order: the Fisher-Yates shuffle of the cluster's
+  lexicon, whose first ``favorites_per_user`` tokens are the favorites;
+- per record, user by user, 5 words, or 7 plus one per noisy feature with
+  more than one cluster: the item, the first favorite, the second (of the
+  rest); with more than one cluster, each feature's noise flag
+  ``u < noise_rate``, followed when set by an other-cluster token; then a
+  Box-Muller pair whose cosine output scales ``rating_noise``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
@@ -251,9 +263,9 @@ class SynthSpec:
             raise DataError("noise_rate must be in [0, 1)")
         if not 0.0 <= self.rating_noise <= sys.float_info.max:
             raise DataError("rating_noise must be nonnegative and finite")
-        if self.favorites_per_user < 2:
-            raise DataError("favorites_per_user must be at least 2: each record "
-                            "draws two distinct favorites")
+        if not 2 <= self.favorites_per_user <= len(CLUSTER_LEXICONS[0]):
+            raise DataError(f"favorites_per_user must be in [2, {len(CLUSTER_LEXICONS[0])}]: "
+                            "each record draws two distinct favorites from one lexicon")
         for name in ("n_users", "n_items", "records_per_user"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -275,50 +287,58 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
     """Planted-cluster corpus plus the user -> cluster ground-truth labels.
 
     Users are assigned clusters round-robin. Each record draws two distinct
-    features from the user's three favorite signature tokens; each feature
-    flips to a random other-cluster token with probability `noise_rate`.
-    Ratings are the cluster's level plus Gaussian noise, clipped to [1, 5].
-    Explanations are a pure function of (cluster, rating bucket, features).
-    The labels never enter the record stream.
+    features from the user's `favorites_per_user` favorite signature tokens;
+    each feature flips to a random other-cluster token with probability
+    `noise_rate`. Ratings are the cluster's level plus Gaussian noise,
+    clipped to [1, 5]. Explanations are a pure function of (cluster, rating
+    bucket, features). The labels never enter the record stream.
     """
-    rng = Rng(spec.seed).substream("synth")
-    k = spec.planted_clusters
+    k, n_items, n_favs = spec.planted_clusters, spec.n_items, spec.favorites_per_user
     users = [f"u{idx:04d}" for idx in range(spec.n_users)]
-    items = [f"i{idx:04d}" for idx in range(spec.n_items)]
+    items = [f"i{idx:04d}" for idx in range(n_items)]
     labels = {user: idx % k for idx, user in enumerate(users)}
-
-    item_effect = {item: float(rng.uniform(1)[0] * 0.5 - 0.25) for item in items}
-    favorites = {}
-    for user in users:
-        lex = cluster_signature(labels[user])
-        favorites[user] = rng.shuffle(lex)[: spec.favorites_per_user]
-
-    other_tokens = {
-        c: [tok for cc in range(k) if cc != c for tok in CLUSTER_LEXICONS[cc]]
-        for c in range(k)
-    }
-
-    records = []
-    for user in users:
+    swaps = len(CLUSTER_LEXICONS[0]) - 1
+    span = spec.records_per_user * (9 if k > 1 else 5)   # most words one user's records take
+    rng = Rng(spec.seed).substream("synth")
+    item_effect = (rng.uniform(n_items) * 0.5 - 0.25).tolist()
+    bounds = np.arange(swaps + 1, 1, -1)
+    shuffles = rng.uniform(spec.n_users * swaps).reshape(-1, swaps)
+    picks = np.minimum((shuffles * bounds).astype(np.int64), bounds - 1).tolist()
+    other_tokens = [[tok for cc in range(k) if cc != c for tok in CLUSTER_LEXICONS[cc]]
+                    for c in range(k)]
+    records, block, start = [], np.empty(0), 0
+    for user, user_picks in zip(users, picks):
         cluster = labels[user]
+        favs = list(CLUSTER_LEXICONS[cluster])
+        for i, j in zip(range(swaps, 0, -1), user_picks):
+            favs[i], favs[j] = favs[j], favs[i]
+        pool = other_tokens[cluster]
+        if len(block) - start < span:
+            # 64 KiB: freeing a draw over 128 KiB raises glibc's mmap threshold, slowing training
+            block, start = np.concatenate([block[start:], rng.uniform(max(span, 8192))]), 0
+        user_block = block[start:start + span]
+        u = user_block.tolist()
+        at, drawn, pairs = 0, [], []
         for _ in range(spec.records_per_user):
-            item = items[int(rng.integers(1, spec.n_items)[0])]
-            favs = favorites[user]
-            first = int(rng.integers(1, len(favs))[0])
-            second = int(rng.integers(1, len(favs) - 1)[0])
-            picks = [favs[first], [f for i, f in enumerate(favs) if i != first][second]]
-            feats = []
-            for tok in picks:
-                noisy = k > 1 and float(rng.uniform(1)[0]) < spec.noise_rate
-                if noisy:
-                    pool = other_tokens[cluster]
-                    feats.append(pool[int(rng.integers(1, len(pool))[0])])
-                else:
-                    feats.append(tok)
-            rating = min(max(
-                CLUSTER_RATING_BIAS[cluster] + item_effect[item]
-                + float(rng.normal(1)[0]) * spec.rating_noise, 1.0), 5.0)
-            rating = round(rating, 2)
+            item = min(int(u[at] * n_items), n_items - 1)
+            first = min(int(u[at + 1] * n_favs), n_favs - 1)
+            second = min(int(u[at + 2] * (n_favs - 1)), n_favs - 2)
+            feats = [favs[first], favs[second + (second >= first)]]
+            at += 3
+            for slot in range(2 if k > 1 else 0):
+                at += 1
+                if u[at - 1] < spec.noise_rate:
+                    feats[slot] = pool[min(int(u[at] * len(pool)), len(pool) - 1)]
+                    at += 1
+            drawn.append((items[item], item_effect[item], feats))
+            pairs.append(at)
+            at += 2
+        start += at
+        u1, u2 = user_block[pairs], user_block[np.add(pairs, 1)]
+        normals = (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)).tolist()
+        for (item, effect, feats), z in zip(drawn, normals):
+            rating = round(min(max(CLUSTER_RATING_BIAS[cluster] + effect
+                                   + z * spec.rating_noise, 1.0), 5.0), 2)
             bucket = min(max(round(rating), 1), 5)
             records.append(InteractionRecord(
                 user=user, item=item, rating=rating, features=feats,

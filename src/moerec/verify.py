@@ -529,32 +529,39 @@ def fused_cases(seed: int) -> dict:
     keys and after two, under 1, 2 and 4 heads; expert groups in no order,
     one of the four experts getting no rows; repeated table rows; and
     log-variances on both sides of their clamps, with a zero
-    responsibility."""
-    rng = Rng(seed)
-
+    responsibility. Each case draws its inputs from its own substream of
+    `seed`, named after it, so adding or dropping a case leaves the others'
+    inputs as they are."""
     def normal(*shape) -> np.ndarray:
         return rng.normal(math.prod(shape)).reshape(shape)
 
+    rng = Rng(seed).substream("rms_norm")
     cases = {"rms_norm": (T.rms_norm, reference_rms_norm, [normal(5, 8) * 3.0, normal(8)])}
     for heads in (1, 2, 4):
         for offset in (0, 2):
-            cases[f"attention.h{heads}.o{offset}"] = (
+            name = f"attention.h{heads}.o{offset}"
+            rng = Rng(seed).substream(name)
+            cases[name] = (
                 lambda q, k, v, h=heads, o=offset: attention(q, k, v, h, o),
                 lambda q, k, v, h=heads, o=offset: reference_attention(q, k, v, h, o),
                 [normal(2, 3, 8), normal(2, offset + 3, 8), normal(2, offset + 3, 8)])
     experts = np.array([2, 0, 2, 3, 0, 3])
+    rng = Rng(seed).substream("expert_ffn")
     cases["expert_ffn"] = (
         lambda *stacks: expert_ffn(*stacks, experts),
         lambda *stacks: reference_expert_ffn(*stacks, experts),
         [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
     for heads in (1, 2):
-        cases[f"attention_sublayer.h{heads}"] = (
+        name = f"attention_sublayer.h{heads}"
+        rng = Rng(seed).substream(name)
+        cases[name] = (
             lambda x, gain, *w, h=heads: T.attention_sublayer(x, gain, *w, h, 2),
             lambda x, gain, *w, h=heads: reference_attention_sublayer(x, gain, *w, h, 2),
             [normal(6, 4), normal(4)] + [normal(4, 4) * 0.6 for _ in range(4)])
     # three rows pick two of four experts each, expert 1 none; row 0 holds expert 0
     selected = np.array([[0, 3], [2, 3], [0, 2]]).reshape(-1)
     order = np.argsort(selected, kind="stable")
+    rng = Rng(seed).substream("routed_experts")
     cases["routed_experts"] = (
         lambda x, rows, *rest: T.routed_experts(x, rows, *rest[:4], selected[order], rest[4],
                                                 order),
@@ -564,35 +571,39 @@ def fused_cases(seed: int) -> dict:
          normal(4, 4), np.exp(normal(3, 4))])
     # rows 0 and 3 share a target; row 4 weighs nothing
     picks, weights = np.array([3, 0, 5, 3, 1]), np.array([0.5, 0.25, 1.5, 0.125, 0.0])
+    rng = Rng(seed).substream("weighted_nll")
     cases["weighted_nll"] = (
         lambda logits: T.weighted_nll(logits, picks, weights),
         lambda logits: reference_weighted_nll(logits, picks, weights),
         [normal(5, 6) * 2.0])
-
+    rng = Rng(seed).substream("mlp")
     cases["mlp"] = (T.mlp, reference_mlp,
                     [normal(5, 4), normal(4, 6), normal(6), normal(6, 3), normal(3)])
     rows_a, rows_b = np.array([0, 2, 0, 3, 2]), np.array([1, 0, 1, 2, 0])
+    rng = Rng(seed).substream("concat_rows")
     cases["concat_rows"] = (
         lambda a, b: T.concat_rows(a, rows_a, b, rows_b),
         lambda a, b: reference_concat_rows(a, rows_a, b, rows_b),
         [normal(4, 3), normal(3, 2)])
+    rng = Rng(seed).substream("gaussian_sample")
     eps = normal(5, 3)
     cases["gaussian_sample"] = (
         lambda mu, log_var: T.gaussian_sample(mu, log_var, eps, -1.0, 1.0),
         lambda mu, log_var: reference_gaussian_sample(mu, log_var, eps, -1.0, 1.0),
         [normal(5, 3), normal(5, 3) * 1.5])
+    rng = Rng(seed).substream("bce_with_logits")
     targets = rng.uniform(6)
     cases["bce_with_logits"] = (
         lambda logits: T.bce_with_logits(logits, targets),
         lambda logits: reference_bce_with_logits(logits, targets),
         [normal(6, 1) * 2.0])
+    rng = Rng(seed).substream("mixture_kl")
     scores = np.exp(normal(4, 3))
     scores[1, 2] = 0.0
     gamma = scores / scores.sum(axis=1, keepdims=True)
     floor = math.log(PRIOR_VAR_FLOOR)
     log_vars = normal(3, 3) * 0.3
     log_vars[2, 1] = floor - 0.5
-
     cases["mixture_kl"] = (
         lambda mu, log_var, *mix: T.mixture_kl(mu, log_var, gamma, *mix, floor, LOG_VAR_MAX),
         lambda mu, log_var, *mix: reference_kl_closed_form_batch(mu, log_var, gamma,

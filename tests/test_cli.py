@@ -94,6 +94,7 @@ def test_synth_malformed_spec_field(tmp_path, capsys):
     ("favorites_per_user = 1\n", (), 2, "favorites_per_user"),
     (None, ("--seed", "Infinity"), 1, "seed"),
     ("n_users = 12.9\n", (), 1, "n_users"),
+    ("favorites_per_user = 9\n", (), 2, "favorites_per_user"),
 ])
 def test_synth_rejects_malformed_spec_values(tmp_path, capsys, spec_text, extra,
                                              code, needle):

@@ -5,20 +5,26 @@ import json
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from moerec.data import (
     CLUSTER_LEXICONS,
+    CLUSTER_RATING_BIAS,
     InteractionRecord,
     SynthSpec,
+    cluster_signature,
     corpus_stats,
     generate_synthetic,
     load_labels,
     load_records,
     save_labels,
     save_records,
+    render_explanation,
     sparsity_buckets,
     split_records,
 )
 from moerec.errors import DataError
+from moerec.rng import Rng
 
 
 def write_lines(path, lines):
@@ -251,3 +257,89 @@ def test_synthetic_explanations_are_deterministic_given_fields():
         bucket = int(np.clip(round(rec.rating), 1, 5))
         assert rec.explanation == render_explanation(
             labels[rec.user], bucket, rec.features[0], rec.features[1])
+
+
+# --- the block generator against the word-at-a-time one ---
+
+def reference_generate_synthetic(spec):
+    """The generator as it drew its stream one scalar Rng call at a time."""
+    rng = Rng(spec.seed).substream("synth")
+    k = spec.planted_clusters
+    users = [f"u{idx:04d}" for idx in range(spec.n_users)]
+    items = [f"i{idx:04d}" for idx in range(spec.n_items)]
+    labels = {user: idx % k for idx, user in enumerate(users)}
+
+    item_effect = {item: float(rng.uniform(1)[0] * 0.5 - 0.25) for item in items}
+    favorites = {}
+    for user in users:
+        lex = cluster_signature(labels[user])
+        favorites[user] = rng.shuffle(lex)[: spec.favorites_per_user]
+
+    other_tokens = {
+        c: [tok for cc in range(k) if cc != c for tok in CLUSTER_LEXICONS[cc]]
+        for c in range(k)
+    }
+
+    records = []
+    for user in users:
+        cluster = labels[user]
+        for _ in range(spec.records_per_user):
+            item = items[int(rng.integers(1, spec.n_items)[0])]
+            favs = favorites[user]
+            first = int(rng.integers(1, len(favs))[0])
+            second = int(rng.integers(1, len(favs) - 1)[0])
+            picks = [favs[first], [f for i, f in enumerate(favs) if i != first][second]]
+            feats = []
+            for tok in picks:
+                noisy = k > 1 and float(rng.uniform(1)[0]) < spec.noise_rate
+                if noisy:
+                    pool = other_tokens[cluster]
+                    feats.append(pool[int(rng.integers(1, len(pool))[0])])
+                else:
+                    feats.append(tok)
+            rating = min(max(
+                CLUSTER_RATING_BIAS[cluster] + item_effect[item]
+                + float(rng.normal(1)[0]) * spec.rating_noise, 1.0), 5.0)
+            rating = round(rating, 2)
+            bucket = min(max(round(rating), 1), 5)
+            records.append(InteractionRecord(
+                user=user, item=item, rating=rating, features=feats,
+                explanation=render_explanation(cluster, bucket, feats[0], feats[1])))
+    return records, labels
+
+
+ORACLE_SPECS = {
+    "default.seed0": SynthSpec(),
+    "default.seed1": SynthSpec(seed=1),
+    "demo": SynthSpec(n_users=90, n_items=40, records_per_user=12, seed=7),
+    "bench-smoke": SynthSpec(n_users=12, n_items=8, records_per_user=6, seed=7),
+    "ci-smoke": SynthSpec(planted_clusters=2, n_users=24, n_items=12, records_per_user=6,
+                          seed=5),
+    "one-cluster": SynthSpec(planted_clusters=1, n_users=60, seed=2),
+    "noiseless": SynthSpec(noise_rate=0.0, n_users=60, seed=3),
+    "half-noise": SynthSpec(noise_rate=0.5, n_users=60, seed=4),
+    "two-favorites": SynthSpec(favorites_per_user=2, n_users=60, seed=5),
+    "five-clusters-all-favorites": SynthSpec(planted_clusters=5, favorites_per_user=8,
+                                             n_users=60, seed=6),
+    "one-item": SynthSpec(n_items=1, n_users=30, seed=8),
+    "one-record": SynthSpec(n_users=1, records_per_user=1, seed=9),
+    "no-rating-noise": SynthSpec(rating_noise=0.0, n_users=30, seed=10),
+    "large-seed": SynthSpec(n_users=30, seed=2**64 - 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SPECS))
+def test_block_generator_equals_the_word_at_a_time_reference(name):
+    spec = ORACLE_SPECS[name]
+    assert generate_synthetic(spec) == reference_generate_synthetic(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.builds(
+    SynthSpec, planted_clusters=st.integers(1, len(CLUSTER_LEXICONS)),
+    n_users=st.integers(1, 9), n_items=st.integers(1, 9), records_per_user=st.integers(1, 6),
+    noise_rate=st.floats(0.0, 1.0, exclude_max=True), rating_noise=st.floats(0.0, 4.0),
+    favorites_per_user=st.integers(2, len(CLUSTER_LEXICONS[0])),
+    seed=st.integers(0, 2**64 - 1)))
+def test_block_generator_equals_the_reference_on_any_valid_spec(spec):
+    assert generate_synthetic(spec) == reference_generate_synthetic(spec)

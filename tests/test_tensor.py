@@ -536,6 +536,15 @@ def test_fused_op_grad_check_every_input(name):
         assert err <= 1e-4, f"{name}, input {wrt}: grad error {err}"
 
 
+def test_each_fused_case_draws_from_its_own_substream():
+    # a case's first input is the first draw of the substream named after it,
+    # whatever cases come before it
+    for name in ("rms_norm", "attention.h2.o2", "attention_sublayer.h1", "mlp"):
+        first = FUSED[name][2][0]
+        want = Rng(5).substream(name).normal(first.size).reshape(first.shape)
+        assert np.array_equal(first, want * (3.0 if name == "rms_norm" else 1.0)), name
+
+
 def test_routed_experts_empty_expert_gets_zero_gradient():
     fused, _, inputs = FUSED["routed_experts"]   # expert 1 gets no rows
     leaves = [Tensor(a, requires_grad=True) for a in inputs]
