@@ -38,7 +38,6 @@ from .data import (
 )
 from .errors import ConfigError, DataError, MoerecError, TrainingError, VerificationError
 from .metrics import adjusted_rand_index, cluster_purity, evaluate_model
-from . import tensor as tensor_mod
 from .training import (ExplainerBundle, load_bundle, save_bundle, train_stage1, train_stage2,
                        vae_config_from)
 from .vae import gmm_posterior_batch
@@ -50,21 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_config_overrides(parser: _Parser) -> None:
-    for f in dataclasses.fields(RunConfig):
-        parser.add_argument(f"--{f.name}", default=None, metavar="V")
-
-
 def _overrides_from(args) -> dict:
     return {f.name: getattr(args, f.name)
             for f in dataclasses.fields(RunConfig)
             if getattr(args, f.name) is not None}
-
-
-def _run_config(args) -> RunConfig:
-    run = load_config(args.config, _overrides_from(args))
-    tensor_mod.set_default_dtype(run.precision)
-    return run
 
 
 def build_parser() -> _Parser:
@@ -86,7 +74,8 @@ def build_parser() -> _Parser:
     p_train.add_argument("--config", default=None)
     p_train.add_argument("--stage1-checkpoint", default=None)
     p_train.add_argument("--f64-checkpoint", action="store_true")
-    _add_config_overrides(p_train)
+    for f in dataclasses.fields(RunConfig):
+        p_train.add_argument(f"--{f.name}", default=None, metavar="V")
 
     p_gen = sub.add_parser("generate", help="explain one user-item pair")
     p_gen.add_argument("--checkpoint", required=True)
@@ -151,7 +140,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    run = _run_config(args)
+    run = load_config(args.config, _overrides_from(args))
     _check_writable(args.out)
     records = load_records(args.data)
     split = split_records(records, run.seed)
@@ -309,8 +298,6 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _parser()
-    # a command's --precision holds for that command only
-    dtype = tensor_mod.default_dtype().name
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -322,8 +309,6 @@ def main(argv=None) -> int:
         return getattr(err, "exit_code", 1)
     except SystemExit as stop:      # --help exits from inside the parse, once printed
         return stop.code
-    finally:
-        tensor_mod.set_default_dtype(dtype)
 
 
 if __name__ == "__main__":

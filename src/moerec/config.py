@@ -34,6 +34,7 @@ class StageConfig:
     warmup_beta: float = 0.0
     joint_lr: float = -1.0     # -1 means: same as lr
     weight_decay: float = 0.0
+    precision: str = "float32"  # the dtype the stage trains in
 
     def effective_joint_lr(self) -> float:
         return self.lr if self.joint_lr <= 0 else self.joint_lr
@@ -53,6 +54,7 @@ _RANGES = {
     "weight": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
     "rate_or_default": (lambda v: v == -1 or 0.0 < v < math.inf,
                         "be -1 (the default) or positive and finite"),
+    "dtype": (lambda v: v in ("float64", "float32"), "be float64 or float32"),
 }
 _FIELD_TYPES = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
@@ -60,6 +62,7 @@ _STAGE_RANGES = {
     "epochs": "size", "batch_size": "count", "lr": "rate", "beta": "weight",
     "alpha": "weight", "clip_norm": "rate", "warmup_epochs": "size",
     "warmup_beta": "weight", "joint_lr": "rate_or_default", "weight_decay": "decay",
+    "precision": "dtype",
 }
 _RUN_RANGES = {
     **dict.fromkeys(("d_emb", "latent_dim", "clusters", "enc_hidden", "model_dim", "blocks",
@@ -68,7 +71,7 @@ _RUN_RANGES = {
     **dict.fromkeys(("s1_epochs", "s1_warmup_epochs", "s2_epochs"), "size"),
     **dict.fromkeys(("r_max", "s1_lr", "s2_lr", "s1_clip", "s2_clip"), "rate"),
     **dict.fromkeys(("alpha", "beta", "s1_warmup_beta"), "weight"),
-    "s1_joint_lr": "rate_or_default", "weight_decay": "decay",
+    "s1_joint_lr": "rate_or_default", "weight_decay": "decay", "precision": "dtype",
 }
 
 
@@ -98,7 +101,7 @@ class RunConfig:
                       "early_stop": False, "patience": 3}
 
     seed: int = 0
-    precision: str = "float64"
+    precision: str = "float32"   # training's dtype; inference keeps the process's
     # model shape
     d_emb: int = 32
     latent_dim: int = 8
@@ -136,8 +139,6 @@ class RunConfig:
         """Check every field's type and range, raising ConfigError (exit 1)
         that names the field."""
         _check_fields(self, _RUN_RANGES)
-        if self.precision not in ("float64", "float32"):
-            raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.model_dim % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide model_dim {self.model_dim}")
         if self.base_hidden % self.factor != 0:
@@ -154,13 +155,14 @@ class RunConfig:
                            clip_norm=self.s1_clip, seed=self.seed,
                            warmup_epochs=self.s1_warmup_epochs,
                            warmup_beta=self.s1_warmup_beta, joint_lr=self.s1_joint_lr,
-                           weight_decay=self.weight_decay)
+                           weight_decay=self.weight_decay, precision=self.precision)
 
     def stage2(self) -> StageConfig:
         return StageConfig(stage=2, epochs=self.s2_epochs, batch_size=self.s2_batch,
                            lr=self.s2_lr, beta=self.beta, alpha=self.alpha,
                            clip_norm=self.s2_clip, seed=self.seed,
-                           freeze_gmm=self.freeze_gmm, weight_decay=self.weight_decay)
+                           freeze_gmm=self.freeze_gmm, weight_decay=self.weight_decay,
+                           precision=self.precision)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -9,7 +9,8 @@ accumulates gradients additively into each leaf's ``grad`` buffer.
 Rules of the house:
 
 - ``float64`` is the default dtype; tests and oracles rely on it. Training
-  may switch to ``float32`` through :func:`set_default_dtype`.
+  runs in its stage's ``precision`` (``float32`` by default) and switches
+  the default through :func:`set_default_dtype` while it runs.
 - Every operation checks its output for NaN/Inf and raises
   :class:`~moerec.errors.NumericError` rather than letting poison propagate.
 - The hot chains run as fused ops, one record each. For the transformer:
@@ -402,12 +403,12 @@ def _group_parts(groups: np.ndarray, count: int) -> list:
 def _group_sums(shape: tuple, g: np.ndarray, parts: list, groups: np.ndarray) -> np.ndarray:
     """Row sums of `g` per group into a zero (count, width) array, equal to
     ``_index_add(shape, groups, g)`` bit for bit: an axis-0 sum of rows at
-    least two wide adds them in order. A one-wide column would be summed
-    pairwise, so it keeps the scatter."""
+    least two wide adds them in order, here in float64 like the scatter.
+    A one-wide column would be summed pairwise, so it keeps the scatter."""
     if shape[1] == 1:
         return _index_add(shape, groups, g)
-    g = np.ascontiguousarray(g)
     out = np.zeros(shape, dtype=g.dtype)
+    g = np.ascontiguousarray(g, dtype=np.float64)
     for group, rows in parts:
         out[group] = g[rows].sum(axis=0)
     return out
@@ -878,19 +879,15 @@ def _index_add(shape: tuple, idx, values: np.ndarray) -> np.ndarray:
 
     `idx` indexes axis 0, or the leading axes when it is a tuple of index
     arrays. bincount adds the weights in input order into float64
-    accumulators, so float64 results equal ``np.add.at`` bit for bit.
-    Narrower dtypes keep ``np.add.at``: accumulating them in float64 would
-    round differently.
+    accumulators, so float64 results equal ``np.add.at`` bit for bit. A
+    float32 result is that float64 sum rounded once: ``np.add.at`` on a
+    float64 copy, cast back.
     """
     values = np.asarray(values)
-    if values.dtype != np.float64:
-        out = np.zeros(shape, dtype=values.dtype)
-        np.add.at(out, idx, values)
-        return out
     lead = len(idx) if isinstance(idx, tuple) else 1
     flat = np.ravel_multi_index(idx, shape[:lead]) if isinstance(idx, tuple) else idx
     inner = math.prod(shape[lead:])
     if inner != 1:
         flat = (flat[:, None] * inner + np.arange(inner)).reshape(-1)
-    return np.bincount(flat, weights=values.reshape(-1),
-                       minlength=math.prod(shape)).reshape(shape)
+    return np.bincount(flat, weights=values.reshape(-1), minlength=math.prod(shape)
+                       ).reshape(shape).astype(values.dtype, copy=False)

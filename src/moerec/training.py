@@ -27,6 +27,7 @@ substreams, which makes whole runs bit-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import time
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from .errors import ConfigError, ContextLimitError, DataError, TrainingError
 from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_experts, tokenize
 from .optim import AdamW
 from .rng import Rng
-from .tensor import Tape, Tensor, default_dtype
+from .tensor import Tape, Tensor, default_dtype, set_default_dtype
 from .vae import GmmPrior, VaeConfig, VaeGmm, elbo_loss, init_gmm_prior
 
 
@@ -72,10 +73,20 @@ except (AttributeError, OSError, TypeError):
     _MALLOPT = None
 
 
-def _top_pad(nbytes: int) -> None:
-    """Set the free memory glibc's heap keeps at its top when it trims (M_TOP_PAD)."""
-    if _MALLOPT is not None:
-        _MALLOPT(-2, nbytes)
+@contextlib.contextmanager
+def _training(precision: str):
+    """Train in `precision`, with a heap that keeps what a step frees mapped for
+    the next step; the caller's dtype and heap pad are restored on exit."""
+    caller = default_dtype().name
+    set_default_dtype(precision)
+    if _MALLOPT is not None:       # M_TOP_PAD: the free memory kept at the heap's top
+        _MALLOPT(-2, 64 << 20)
+    try:
+        yield np.dtype(precision)
+    finally:
+        if _MALLOPT is not None:
+            _MALLOPT(-2, 128 << 10)                  # mallopt(3)'s default
+        set_default_dtype(caller)
 
 
 def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
@@ -90,27 +101,22 @@ def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
     users, items = split.user_ids(split.train), split.item_ids(split.train)
     batch = batches(split.train, eps_rng)
     rows: List[dict] = []
-    # what a step frees stays mapped for the next step, not faulted in again
-    _top_pad(64 << 20)
     opt.zero_grad()
-    try:
-        for epoch in range(epochs):
-            losses = []
-            for idx in _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch)):
-                compute = batch(idx)
-                with Tape() as tape:
-                    loss = compute()
-                    tape.backward(loss)
-                losses.append(loss.item())
-                opt.step(clip_norm=cfg.clip_norm)
-                opt.zero_grad()
-            row = {"phase": phase} if phase else {}
-            row.update(epoch=epoch, loss=float(np.mean(losses)),
-                       occupancy=np.bincount(vae.gates(users, items),
-                                             minlength=vae.prior.clusters).tolist())
-            rows.append(row)
-    finally:
-        _top_pad(128 << 10)                          # mallopt(3)'s default
+    for epoch in range(epochs):
+        losses = []
+        for idx in _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch)):
+            compute = batch(idx)
+            with Tape() as tape:
+                loss = compute()
+                tape.backward(loss)
+            losses.append(loss.item())
+            opt.step(clip_norm=cfg.clip_norm)
+            opt.zero_grad()
+        row = {"phase": phase} if phase else {}
+        row.update(epoch=epoch, loss=float(np.mean(losses)),
+                   occupancy=np.bincount(vae.gates(users, items),
+                                         minlength=vae.prior.clusters).tolist())
+        rows.append(row)
     return rows
 
 
@@ -130,38 +136,39 @@ def _elbo_batches(model: VaeGmm, beta: float, split: DatasetSplit, records,
 
 def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
                  cfg: StageConfig) -> tuple:
-    """Returns (trained VaeGmm, run manifest dict)."""
+    """Returns (VaeGmm trained in ``cfg.precision``, run manifest dict)."""
     if not split.train:
         raise DataError("stage 1 needs a non-empty training split")
-    root = Rng(cfg.seed)
-    model = VaeGmm(vae_config, root.substream("init.vae"))
-    eps_rng = root.substream("stage1.eps")
-    started = time.time()
+    with _training(cfg.precision):
+        root = Rng(cfg.seed)
+        model = VaeGmm(vae_config, root.substream("init.vae"))
+        eps_rng = root.substream("stage1.eps")
+        started = time.time()
 
-    # warm-up: single standard-normal component, prior frozen. The KL weight
-    # here is usually zero (pure reconstruction): it lets the posterior
-    # variances shrink below the cluster separation before the mixture is
-    # fitted, which is what makes the fit informative at this scale.
-    warm_params = {k: v for k, v in model.params().items()
-                   if not k.startswith("vae.gmm.")}
-    rows = _fit(AdamW(warm_params, lr=cfg.lr, weight_decay=cfg.weight_decay),
-                cfg, cfg.warmup_epochs, split, model,
-                partial(_elbo_batches, model, cfg.warmup_beta, split), eps_rng,
-                lambda epoch: root.substream(f"stage1.shuffle.warm{epoch}"),
-                phase="warmup")
+        # warm-up: single standard-normal component, prior frozen. The KL weight
+        # here is usually zero (pure reconstruction): it lets the posterior
+        # variances shrink below the cluster separation before the mixture is
+        # fitted, which is what makes the fit informative at this scale.
+        warm_params = {k: v for k, v in model.params().items()
+                       if not k.startswith("vae.gmm.")}
+        rows = _fit(AdamW(warm_params, lr=cfg.lr, weight_decay=cfg.weight_decay),
+                    cfg, cfg.warmup_epochs, split, model,
+                    partial(_elbo_batches, model, cfg.warmup_beta, split), eps_rng,
+                    lambda epoch: root.substream(f"stage1.shuffle.warm{epoch}"),
+                    phase="warmup")
 
-    mu_all, log_var_all = model.encode(split.user_ids(split.train),
-                                       split.item_ids(split.train))
-    point_vars = np.exp(np.clip(log_var_all.data, -10.0, 10.0))
-    model.prior = init_gmm_prior(mu_all.data, vae_config.clusters,
-                                 root.substream("init.gmm"),
-                                 point_vars=point_vars)
+        mu_all, log_var_all = model.encode(split.user_ids(split.train),
+                                           split.item_ids(split.train))
+        point_vars = np.exp(np.clip(log_var_all.data, -10.0, 10.0))
+        model.prior = init_gmm_prior(mu_all.data, vae_config.clusters,
+                                     root.substream("init.gmm"),
+                                     point_vars=point_vars)
 
-    rows += _fit(AdamW(model.params(), lr=cfg.effective_joint_lr(),
-                       weight_decay=cfg.weight_decay),
-                 cfg, cfg.epochs, split, model,
-                 partial(_elbo_batches, model, cfg.beta, split), eps_rng,
-                 lambda epoch: root.substream(f"stage1.shuffle.{epoch}"), phase="joint")
+        rows += _fit(AdamW(model.params(), lr=cfg.effective_joint_lr(),
+                           weight_decay=cfg.weight_decay),
+                     cfg, cfg.epochs, split, model,
+                     partial(_elbo_batches, model, cfg.beta, split), eps_rng,
+                     lambda epoch: root.substream(f"stage1.shuffle.{epoch}"), phase="joint")
     return model, _manifest("stage1", cfg, {"latent_dim": vae_config.latent_dim,
                                             "clusters": vae_config.clusters},
                             rows, started)
@@ -252,25 +259,33 @@ class ExplainerBundle:
 
 def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
                  cfg: StageConfig) -> tuple:
-    """Returns (ExplainerBundle, run manifest dict)."""
+    """Returns (ExplainerBundle trained in ``cfg.precision``, run manifest
+    dict). A stage-1 model of another dtype is cast to it in place first."""
     run.validate()
     if not split.train:
         raise DataError("stage 2 needs a non-empty training split")
-    root = Rng(cfg.seed).substream("stage2")
-    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index),
-                        r_max=run.r_max)
-    lm = LanguageModel(lm_config_from(run, len(vocab)), root.substream("init.lm"))
-    bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
-                             user_index=split.user_index,
-                             item_index=split.item_index, r_max=run.r_max)
-    params = bundle.params()
-    if cfg.freeze_gmm:
-        params = {k: v for k, v in params.items() if not k.startswith("vae.gmm.")}
-    opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    started = time.time()
-    rows = _fit(opt, cfg, cfg.epochs, split, vae,
-                partial(_explainer_batches, bundle, run, cfg, split),
-                root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"))
+    with _training(cfg.precision) as dtype:
+        try:
+            with np.errstate(over="raise"):
+                for tensor in vae.params().values():
+                    tensor.data = tensor.data.astype(dtype, copy=False)
+        except FloatingPointError:
+            raise DataError(f"the stage-1 model holds values beyond {dtype}'s range") from None
+        root = Rng(cfg.seed).substream("stage2")
+        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index),
+                            r_max=run.r_max)
+        lm = LanguageModel(lm_config_from(run, len(vocab)), root.substream("init.lm"))
+        bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
+                                 user_index=split.user_index,
+                                 item_index=split.item_index, r_max=run.r_max)
+        params = bundle.params()
+        if cfg.freeze_gmm:
+            params = {k: v for k, v in params.items() if not k.startswith("vae.gmm.")}
+        opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        started = time.time()
+        rows = _fit(opt, cfg, cfg.epochs, split, vae,
+                    partial(_explainer_batches, bundle, run, cfg, split),
+                    root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"))
     return bundle, _manifest("stage2", cfg, {"clusters": run.clusters}, rows, started)
 
 

@@ -464,8 +464,9 @@ def test_criterion_9_metric_oracles():
 
 # --- criterion 10: determinism & persistence ---------------------------------
 
-def run_pipeline(base, tag):
-    """synth -> stage1 -> stage2 -> evaluate, via the CLI entry point."""
+def run_pipeline(base, tag, precision):
+    """synth -> stage1 -> stage2 -> evaluate, via the CLI entry point, with
+    training in `precision`."""
     root = base / tag
     root.mkdir()
     data = root / "corpus.jsonl"
@@ -484,12 +485,11 @@ def run_pipeline(base, tag):
     assert cli_main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     s1 = root / "stage1.ckpt"
     s2 = root / "stage2.ckpt"
-    assert cli_main(["train", "--stage", "1", "--data", str(data),
-                     "--config", str(cfg), "--out", str(s1),
-                     "--f64-checkpoint"]) == 0
-    assert cli_main(["train", "--stage", "2", "--data", str(data),
-                     "--config", str(cfg), "--out", str(s2),
-                     "--stage1-checkpoint", str(s1), "--f64-checkpoint"]) == 0
+    train = ["--data", str(data), "--config", str(cfg), "--precision", precision,
+             "--f64-checkpoint"]
+    assert cli_main(["train", "--stage", "1", "--out", str(s1), *train]) == 0
+    assert cli_main(["train", "--stage", "2", "--out", str(s2),
+                     "--stage1-checkpoint", str(s1), *train]) == 0
     prefix = root / "report"
     assert cli_main(["evaluate", "--checkpoint", str(s2), "--data", str(data),
                      "--out", str(prefix)]) == 0
@@ -498,9 +498,10 @@ def run_pipeline(base, tag):
             "report": (root / "report.json").read_bytes(), "s2_path": s2}
 
 
-def test_criterion_10_determinism_and_persistence(tmp_path):
-    first = run_pipeline(tmp_path, "run1")
-    second = run_pipeline(tmp_path, "run2")
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_criterion_10_determinism_and_persistence(tmp_path, precision):
+    first = run_pipeline(tmp_path, "run1", precision)
+    second = run_pipeline(tmp_path, "run2", precision)
     assert first["data"] == second["data"]
     assert first["s1"] == second["s1"]
     assert first["s2"] == second["s2"]
@@ -514,8 +515,8 @@ def test_criterion_10_determinism_and_persistence(tmp_path):
     resaved = rt_dir / first["s2_path"].name  # same basename, fresh directory
     save_bundle(resaved, bundle, run, {}, f64=True)
     assert resaved.read_bytes() == first["s2"]
-    report("criterion 10 PASS: two full pipeline runs bit-identical "
-           "(f64 checkpoints, metric reports); round-trip byte-exact")
+    report(f"criterion 10 PASS ({precision} training): two full pipeline runs "
+           "bit-identical (f64 checkpoints, metric reports); round-trip byte-exact")
 
 
 # --- criterion 11: loss decoupling -------------------------------------------

@@ -141,6 +141,46 @@ def test_stage2_from_a_loaded_stage1_trains_as_from_owned_arrays(workspace, tmp_
     assert path.read_bytes() == workspace["s2"].read_bytes()
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path,
+                                                            monkeypatch, precision):
+    """At either precision, `moerec train` and the library's train functions
+    write the same bytes for one config. The library's stage 2 starts from the
+    stage-1 checkpoint loaded at the other dtype, which train_stage2 casts;
+    the checkpoint's f32 payload holds the same values at both dtypes."""
+    from moerec.config import load_config
+    from moerec.training import (ExplainerBundle, save_bundle, train_stage1, train_stage2,
+                                 vae_config_from)
+    common = ("--data", str(workspace["data"]), "--config", str(workspace["cfg"]),
+              "--precision", precision)
+    cli_s1, cli_s2 = tmp_path / "cli.s1", tmp_path / "cli.s2"
+    assert run_cli("train", "--stage", "1", "--out", str(cli_s1), *common) == 0
+    assert run_cli("train", "--stage", "2", "--out", str(cli_s2),
+                   "--stage1-checkpoint", str(cli_s1), *common) == 0
+
+    run = load_config(workspace["cfg"], {"precision": precision})
+    split = split_records(load_records(workspace["data"]), run.seed)
+    vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
+    assert vae.encoder.w1.data.dtype == np.dtype(precision)
+    save_bundle(tmp_path / "lib.s1", ExplainerBundle(vae, None, None, split.user_index,
+                                                     split.item_index, run.r_max),
+                run, manifest)
+    assert (tmp_path / "lib.s1").read_bytes() == cli_s1.read_bytes()
+
+    other = "float64" if precision == "float32" else "float32"
+    monkeypatch.setattr(T, "_default_dtype", T._default_dtype)   # restored at teardown
+    T.set_default_dtype(other)
+    stage1, _, _ = load_bundle(cli_s1, "stage1")
+    T.set_default_dtype("float64")
+    assert stage1.vae.encoder.w1.data.dtype == np.dtype(other)
+    bundle, manifest = train_stage2(split, stage1.vae, run, run.stage2())
+    assert bundle.lm.head.data.dtype == stage1.vae.encoder.w1.data.dtype == np.dtype(precision)
+    save_bundle(tmp_path / "lib.s2", bundle, run, manifest)
+    assert (tmp_path / "lib.s2").read_bytes() == cli_s2.read_bytes()
+    # the workspace trained at the default precision
+    assert (precision == "float32") == (cli_s2.read_bytes() == workspace["s2"].read_bytes())
+
+
 def test_train_stage2_requires_stage1(workspace, tmp_path, capsys):
     code = run_cli("train", "--stage", "2", "--data", str(workspace["data"]),
                    "--config", str(workspace["cfg"]),
@@ -593,7 +633,7 @@ def test_train_precision_holds_for_that_command_only(workspace, tmp_path, monkey
     assert T.default_dtype() == np.float64
     bundle, _, _ = load_bundle(workspace["s2"])
     assert bundle.vae.encoder.w1.data.dtype == np.float64
-    # stage 2 without a stage-1 checkpoint fails after the precision is set
+    # and when training fails
     assert run_cli("train", "--stage", "2", "--out", str(tmp_path / "x.ckpt"), *common) == 3
     assert T.default_dtype() == np.float64
 

@@ -493,21 +493,40 @@ def test_grouped_matmul_empty_group_gets_zero_gradient():
     assert np.all(w.grad[1] == 0.0) and np.all(w.grad[0] != 0.0)
 
 
+def add_at_in_float64(shape, idx, values):
+    """The scatter's reference: ``np.add.at`` into float64 zeros, on a float64
+    copy of `values`, rounded once to their dtype."""
+    out = np.zeros(shape)
+    np.add.at(out, idx, np.asarray(values, dtype=np.float64))
+    return out.astype(values.dtype)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_index_add_equals_add_at_with_duplicates(dtype):
     rng = Rng(47)
     values = (rng.normal(300 * 4) * 10.0 ** (rng.integers(300 * 4, 12) - 6)).astype(dtype)
     rows = rng.integers(300, 9)
-    expected = np.zeros((9, 4), dtype=dtype)
-    np.add.at(expected, rows, values.reshape(300, 4))
-    got = T._index_add((9, 4), rows, values.reshape(300, 4))
-    assert got.dtype == dtype and np.array_equal(got, expected)
-
     cols = rng.integers(300, 4)
-    expected = np.zeros((9, 4), dtype=dtype)
-    np.add.at(expected, (rows, cols), values[:300])
-    got = T._index_add((9, 4), (rows, cols), values[:300])
-    assert got.dtype == dtype and np.array_equal(got, expected)
+    for idx, part in ((rows, values.reshape(300, 4)), ((rows, cols), values[:300])):
+        expected = add_at_in_float64((9, 4), idx, part)
+        if dtype == np.float64:              # the reference is np.add.at itself
+            direct = np.zeros((9, 4))
+            np.add.at(direct, idx, part)
+            assert direct.tobytes() == expected.tobytes()
+        got = T._index_add((9, 4), idx, part)
+        assert got.dtype == dtype and got.tobytes() == expected.tobytes()
+
+
+def test_float32_index_add_rounds_once_not_per_addition():
+    # 1 + 2**-24 is a float32 tie, so each float32 addition of 2**-24 to
+    # 1.0 rounds back to 1.0; summed in float64 first, they survive
+    values = np.array([1.0] + [2.0 ** -24] * 4, dtype=np.float32)
+    rows = np.zeros(5, dtype=np.int64)
+    per_addition = np.zeros(1, dtype=np.float32)
+    np.add.at(per_addition, rows, values)
+    got = T._index_add((1,), rows, values)
+    assert per_addition[0] == 1.0
+    assert got.dtype == np.float32 and got[0] == np.float32(1.0 + 2.0 ** -22)
 
 
 # --- fused ops against the chains they replace ---
@@ -568,9 +587,9 @@ def test_expert_bias_group_sums_equal_the_index_scatter(dtype, groups, width):
     g = g.reshape(len(groups), width).astype(dtype)
     shape = (5, width)
     got = T._group_sums(shape, g, T._group_parts(groups, 5), groups)
-    want = T._index_add(shape, groups, g)
+    want = add_at_in_float64(shape, groups, g)
     assert got.dtype == want.dtype == np.dtype(dtype)
-    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes() == T._index_add(shape, groups, g).tobytes()
     assert np.all(got[2] == 0.0)
 
 

@@ -1,5 +1,6 @@
 """Two-stage training: accumulation equivalence, decoupling, determinism."""
 
+import contextlib
 import json
 import math
 import os
@@ -390,6 +391,46 @@ def test_fit_raises_the_heap_pad_once_and_always_restores_it(monkeypatch, failur
     assert events == [(-2, 64 << 20)] + ["step"] * steps + [(-2, 128 << 10)]
 
 
+@pytest.mark.parametrize("failure", [False, True], ids=["return", "exception"])
+@pytest.mark.parametrize("caller", ["float64", "float32"])
+def test_training_runs_in_its_precision_and_restores_the_callers_dtype(monkeypatch,
+                                                                      caller, failure):
+    split, _ = small_corpus()
+    run = small_run(precision="float32" if caller == "float64" else "float64")
+    monkeypatch.setattr(tensor, "_default_dtype", tensor._default_dtype)   # restored at teardown
+    tensor.set_default_dtype(caller)
+    seen, real_step = [], AdamW.step
+
+    def step(opt, *args, **kwargs):
+        seen.append(tensor.default_dtype().name)
+        if failure:
+            raise TrainingError("non-finite gradient")
+        return real_step(opt, *args, **kwargs)
+
+    monkeypatch.setattr(AdamW, "step", step)
+    with pytest.raises(TrainingError) if failure else contextlib.nullcontext():
+        vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+        assert vae.encoder.w1.data.dtype == np.dtype(run.precision)
+    assert tensor.default_dtype() == np.dtype(caller)
+    vae = VaeGmm(vae_config_from(run, split), Rng(0))         # in the caller's dtype
+    with pytest.raises(TrainingError) if failure else contextlib.nullcontext():
+        train_stage2(split, vae, run, run.stage2())
+    assert tensor.default_dtype() == np.dtype(caller)
+    # stage 2 cast the stage-1 model to its precision, in place
+    assert all(p.data.dtype == np.dtype(run.precision) for p in vae.params().values())
+    assert seen and set(seen) == {run.precision}
+
+
+def test_stage2_refuses_a_stage1_model_beyond_float32():
+    split, _ = small_corpus()
+    run = small_run(precision="float32")
+    vae = VaeGmm(vae_config_from(run, split), Rng(0))
+    vae.decoder.b2.data = vae.decoder.b2.data + 1e300
+    with pytest.raises(DataError, match="beyond float32"):
+        train_stage2(split, vae, run, run.stage2())
+    assert tensor.default_dtype() == np.float64
+
+
 _FAULTS_PER_STEP = """
 import json, resource, sys
 from moerec import optim, training
@@ -638,6 +679,7 @@ def test_stage_config_validation():
     ("weight_decay", math.inf), ("joint_lr", math.inf), ("joint_lr", 0.0), ("joint_lr", -2.0),
     ("lr", 0.0), ("epochs", -1), ("warmup_epochs", -1), ("batch_size", 0),
     ("alpha", -0.1), ("epochs", 2.5), ("seed", True), ("freeze_gmm", "yes"),
+    ("precision", "float16"), ("precision", 32),
 ])
 def test_stage_config_checks_every_field(field, value):
     with pytest.raises(ConfigError, match=field):
