@@ -41,7 +41,7 @@ from .rng import Rng
 DATASET_FIELDS = ("user", "item", "rating", "features", "explanation")
 
 
-@dataclass
+@dataclass(slots=True)
 class InteractionRecord:
     user: str
     item: str
@@ -307,6 +307,7 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
     other_tokens = [[tok for cc in range(k) if cc != c for tok in CLUSTER_LEXICONS[cc]]
                     for c in range(k)]
     records, block, start = [], np.empty(0), 0
+    texts = {}                  # one string per distinct explanation in the corpus
     for user, user_picks in zip(users, picks):
         cluster = labels[user]
         favs = list(CLUSTER_LEXICONS[cluster])
@@ -340,9 +341,12 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
             rating = round(min(max(CLUSTER_RATING_BIAS[cluster] + effect
                                    + z * spec.rating_noise, 1.0), 5.0), 2)
             bucket = min(max(round(rating), 1), 5)
+            key = (cluster, bucket, *feats)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = render_explanation(*key)
             records.append(InteractionRecord(
-                user=user, item=item, rating=rating, features=feats,
-                explanation=render_explanation(cluster, bucket, feats[0], feats[1])))
+                user=user, item=item, rating=rating, features=feats, explanation=text))
     return records, labels
 
 

@@ -184,13 +184,14 @@ class ExpertBank:
         self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 
-    def run(self, experts: np.ndarray, rows: Tensor, scores: Tensor,
-            order: np.ndarray, residual: Tensor) -> Tensor:
-        """Row i through expert `experts[i]`, weighted by the router's
-        `scores` and mixed into `residual`, in one fused
-        :func:`~moerec.tensor.routed_experts`; rows sorted by expert are
+    def run(self, experts: np.ndarray, order: np.ndarray, rows: Tensor, scores: Tensor,
+            residual: Tensor) -> Tensor:
+        """Pair ``order[i]`` of the (n, k) selection through expert
+        `experts[i]`: its row of `rows`, weighted by the router's `scores`
+        and mixed into `residual`, in one fused
+        :func:`~moerec.tensor.routed_experts`; pairs sorted by expert are
         sliced rather than gathered."""
-        self.eval_count += rows.shape[0]
+        self.eval_count += order.shape[0]
         return T.routed_experts(residual, rows, self.w1, self.b1, self.w2, self.b2,
                                 experts, scores, order)
 
@@ -231,7 +232,7 @@ def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
 
     Dropless grouping (MegaBlocks, Gale et al. 2023): the n*k (row, expert)
     pairs are stable-sorted by expert, run through the bank in one call, and
-    added back to their rows in one weighted scatter. Outputs are weighted
+    each row's k weighted outputs are summed back into it. Outputs are weighted
     by the raw softmax scores. Gradients reach the selected experts and,
     through the full softmax, every routing logit of the row's gate.
     """
@@ -239,7 +240,7 @@ def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
     selected = top_k_select(scores.data, k).reshape(-1)     # (n*k,), row-major
     order = np.argsort(selected, kind="stable")
     residual = Tensor(np.zeros_like(rows.data)) if residual is None else residual
-    return bank.run(selected[order], rows[order // k], scores, order, residual)
+    return bank.run(selected[order], order, rows, scores, residual)
 
 
 # --- transformer ---
@@ -277,26 +278,32 @@ class TransformerBlock:
         self.bank = ExpertBank(m, config.moe, rng)
         self.router = GateRouter(m, config.moe, rng)
 
-    def forward(self, rows: Tensor, batch: int, length: int,
-                gates: np.ndarray, cache: list = None, offset: int = 0) -> Tensor:
+    def forward(self, rows: Tensor, batch: int, length: int, gates: np.ndarray,
+                cache: list = None, offset: int = 0, start: int = 0) -> Tensor:
         """One block over `batch` sequences of `length` rows each, sequence
         `b` routed by `gates[b]`: the fused attention sublayer, then the
         norm, the router and the fused routed experts. `cache` is this
-        block's entry of a :class:`KVCache` holding `offset` positions."""
+        block's entry of a :class:`KVCache` holding `offset` positions; an
+        empty entry gets buffers of the whole context. With `start`, the
+        block returns only positions ``start..length-1`` of each sequence:
+        every position still gives its key and value, but the queries, the
+        router and the experts run only from `start` on."""
         if cache is not None and cache[0] is None:
             shape = (batch, self.config.context, rows.shape[1])
             cache[:] = [np.empty(shape, rows.data.dtype) for _ in range(2)]
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
-                                 self.config.heads, batch, cache, offset)
-        return _moe_rows(self.bank, self.router, np.repeat(gates, length),
+                                 self.config.heads, batch, cache, offset, start)
+        return _moe_rows(self.bank, self.router, np.repeat(gates, length - start),
                          T.rms_norm(h, self.norm2_g), self.config.moe.active, residual=h)
 
 
 class KVCache:
     """Keys and values of the positions already fed: per block, a
-    [keys, values] pair of (batch, context, model_dim) buffers, made on the
-    first forward and written in place, whose first `length` positions are
-    filled; heads are split only inside :func:`~moerec.tensor.attention_sublayer`.
+    [keys, values] pair of (batch, positions, model_dim) buffers, made on
+    the first forward and written in place, whose first `length` positions
+    are filled; heads are split only inside
+    :func:`~moerec.tensor.attention_sublayer`. `positions` defaults to the
+    model's context; a forward past it raises ContextLimitError.
 
     Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
     incremental: the new tokens sit at positions offset by `length` and
@@ -305,9 +312,10 @@ class KVCache:
     inference only; under a recording tape they raise TapeError.
     """
 
-    def __init__(self, blocks: int, batch: int = 1):
+    def __init__(self, blocks: int, batch: int = 1, positions: int = None):
         self.length = 0
         self.batch = batch
+        self.positions = positions
         self.blocks = [[None, None] for _ in range(blocks)]
 
 
@@ -357,9 +365,12 @@ class LanguageModel:
         order. Strictly causal: position t sees tokens at positions <= t.
         With a `cache`, the tokens continue the cached sequences and the
         cache grows by `length` positions. With `rows`, indices into those
-        batch*length rows, only the selected rows of the last block's
-        output go through the final norm and the head, and the result has
-        one row per index.
+        batch*length rows, the result has one row per index, and nothing
+        is computed that no selected row reads: the last block runs its
+        queries, router and experts only from the smallest selected
+        position `p0` on (keys and values still cover every position, and
+        enter the cache), and only the selected rows go through the final
+        norm and the head.
         """
         tokens = np.atleast_2d(T._row_ids(tokens, self.config.vocab_size))
         batch, length = tokens.shape
@@ -372,18 +383,33 @@ class LanguageModel:
         if offset + length > self.config.context:
             raise ContextLimitError(
                 f"sequence length {offset + length} exceeds context {self.config.context}")
+        if cache is not None and cache.positions is not None and offset + length > cache.positions:
+            raise ContextLimitError(f"sequence length {offset + length} exceeds the cache's "
+                                    f"{cache.positions} positions")
         if tokens.size == 0:
             raise ShapeError(f"no tokens to run: token matrix of shape {tokens.shape}")
         gates = T._row_ids(gates)
         if gates.size != batch:
             raise ShapeError(f"{gates.size} gates for {batch} sequences")
         gates = gates.reshape(batch)
+        start = 0
+        if rows is not None:
+            rows = T._row_ids(rows, batch * length)
+            if rows.size and self.blocks:
+                start = int((rows % length).min())
+                rows = rows // length * (length - start) + rows % length - start
         flat = tokens.reshape(-1)
         pos_ids = np.tile(np.arange(offset, offset + length), batch)
         x = T.take_rows(self.embed, flat) + T.take_rows(self.pos, pos_ids)
+        if cache is not None and cache.length == 0:
+            shape = (batch, cache.positions or self.config.context, x.shape[1])
+            for entry in cache.blocks:
+                entry[:] = [np.empty(shape, x.data.dtype) for _ in range(2)]
+        last = len(self.blocks) - 1
         for b, blk in enumerate(self.blocks):
             x = blk.forward(x, batch, length, gates,
-                            None if cache is None else cache.blocks[b], offset)
+                            None if cache is None else cache.blocks[b], offset,
+                            start if b == last else 0)
         if cache is not None:
             cache.length += length
         if rows is not None:
@@ -413,7 +439,9 @@ class LanguageModel:
         if banned is not None:
             banned = T._row_ids(banned, self.config.vocab_size)
         rng = Rng(seed)
-        cache = KVCache(len(self.blocks))
+        # the prompt and every emitted token but the last are fed, at most
+        cache = KVCache(len(self.blocks), positions=min(self.config.context,
+                                                        len(prompt) + max(max_len - 1, 0)))
         new = list(prompt)
         out: List[int] = []
         while len(out) < max_len and cache.length + len(new) < self.config.context:
@@ -443,7 +471,9 @@ class LanguageModel:
         to a common length. Only the loss rows, the positions from the last
         prompt token to the one before <eos>, go through the head, and one
         fused :func:`~moerec.tensor.weighted_nll` scores them; the logits of
-        the other prompt positions and of the padding are never made.
+        the other prompt positions and of the padding are never made, and
+        the last block's query side starts at the shortest prompt's last
+        token (see :meth:`forward_rows`).
         """
         batch = len(sequences)
         sequences = [T._row_ids(s) for s in sequences]

@@ -24,6 +24,11 @@ Rules of the house:
   forwards and gradients equal those of the op chains they replace, bit for
   bit, and they also check the intermediates that their output would hide.
   The chains, and the structural ops only they use, are in moerec.verify.
+- The transformer sublayers compute only what is read. attention_sublayer
+  can start its query side at a position, so that a loss over late rows
+  runs no queries, router or experts for the earlier ones, and
+  routed_experts gathers each pair's row itself and sums each row's k
+  pairs with a fixed fan-in (:func:`_fan_in_sums`) instead of a scatter.
 - Gradient accumulation never clears anything implicitly: call
   :func:`zero_grad` (or ``Tensor.zero_grad``, or an optimizer's
   ``zero_grad``) between optimization steps. An optimizer's parameters
@@ -505,12 +510,12 @@ def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     return out, back
 
 
-def _expert_layers(op: str, inputs: tuple, experts: np.ndarray) -> tuple:
+def _expert_layers(op: str, arrays: tuple, experts: np.ndarray) -> tuple:
     """The :func:`_tanh_mlp` rules of stacked experts, shapes checked."""
-    rows, w1, b1, w2, b2 = inputs
+    rows, w1, b1, w2, b2 = arrays
     experts = _row_ids(experts)
     count = w1.shape[0]
-    if (rows.data.ndim != 2 or w1.data.ndim != 3 or w2.data.ndim != 3
+    if (rows.ndim != 2 or w1.ndim != 3 or w2.ndim != 3
             or experts.shape != rows.shape[:1] or rows.shape[1] != w1.shape[1]
             or b1.shape != (count, w1.shape[2]) or w2.shape[:2] != b1.shape
             or b2.shape != (count, w2.shape[2])):
@@ -534,30 +539,31 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
         raise ShapeError(f"mlp shapes incompatible: x {x.shape}, w1 {w1.shape}, "
                          f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}")
     inputs = (x, w1, b1, w2, b2)
-    out, back = _tanh_mlp("mlp", inputs, np.matmul, lambda g, a, w: (g @ w.T, a.T @ g),
+    out, back = _tanh_mlp("mlp", tuple(t.data for t in inputs), np.matmul,
+                          lambda g, a, w: (g @ w.T, a.T @ g),
                           lambda b: b, lambda shape, g: g.sum(axis=0))
     return _make(out, "mlp", inputs, back)
 
 
-def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
+def _tanh_mlp(op: str, arrays: tuple, layer: Callable, layer_back: Callable,
               bias: Callable, bias_back: Callable) -> tuple:
     """(output, backward rule) of :func:`mlp` and of the experts of
-    :func:`routed_experts`. ``layer(x, w)`` multiplies rows by a weight and
-    ``layer_back(g, x, w)`` returns its (x, w) gradients; ``bias(b)`` is the
-    bias added to the rows and ``bias_back(shape, g)`` reduces a row
-    gradient to it."""
-    x, w1, b1, w2, b2 = inputs
-    pre = layer(x.data, w1.data)
-    pre += bias(b1.data)
+    :func:`routed_experts` on the arrays (x, w1, b1, w2, b2).
+    ``layer(x, w)`` multiplies rows by a weight and ``layer_back(g, x, w)``
+    returns its (x, w) gradients; ``bias(b)`` is the bias added to the rows
+    and ``bias_back(shape, g)`` reduces a row gradient to it."""
+    x, w1, b1, w2, b2 = arrays
+    pre = layer(x, w1)
+    pre += bias(b1)
     _check_finite(pre, f"{op} hidden layer")
     hidden = np.tanh(pre, out=pre)
-    out = layer(hidden, w2.data)
-    out += bias(b2.data)
+    out = layer(hidden, w2)
+    out += bias(b2)
 
     def back(g):
-        gh, gw2 = layer_back(g, hidden, w2.data)
+        gh, gw2 = layer_back(g, hidden, w2)
         gpre = gh * (1.0 - hidden * hidden)
-        gx, gw1 = layer_back(gpre, x.data, w1.data)
+        gx, gw1 = layer_back(gpre, x, w1)
         return gx, gw1, bias_back(b1.shape, gpre), gw2, bias_back(b2.shape, g)
 
     return out, back
@@ -567,74 +573,100 @@ def _tanh_mlp(op: str, inputs: tuple, layer: Callable, layer_back: Callable,
 
 def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
                        wo: Tensor, heads: int, batch: int, kv: list = None,
-                       offset: int = 0) -> Tensor:
+                       offset: int = 0, start: int = 0) -> Tensor:
     """``x + attention(q, k, v) @ wo`` over the (batch*L, m) rows `x` of
     `batch` sequences, ``q = rms_norm(x, gain) @ wq`` and k, v alike, with
     the causal multi-head attention of :func:`_attention_parts`. With `kv`,
-    (batch, context, m) [keys, values] buffers holding `offset` positions,
-    the new keys and values are written in after them; that path is
-    inference-only: it raises TapeError under a recording tape."""
+    (batch, P, m) [keys, values] buffers holding `offset` of their P
+    positions, the new keys and values are written in after them; that path is
+    inference-only: it raises TapeError under a recording tape.
+
+    With `start`, the query side runs only for positions ``start..L-1`` of
+    each sequence: the queries, the attention mix, `wo` and the residual.
+    The result holds those batch*(L-start) rows, and query i sees keys
+    ``0..offset+start+i``. Keys and values still cover all L positions, so
+    the rows below `start` get gradient only through them: no residual term
+    and no query term."""
     inputs = (x, wo, wv, wk, wq, gain, x, x, x)
     n, m = x.shape if x.data.ndim == 2 else (-1, -1)
     length = n // batch if batch > 0 and n % batch == 0 else -1
-    if (length < 1 or m % heads or gain.shape != (m,)
+    if (length < 1 or not 0 <= start < length or m % heads or gain.shape != (m,)
             or any(w.shape != (m, m) for w in (wq, wk, wv, wo)) or kv is not None
             and (kv[0].shape[::2] != (batch, m) or offset + length > kv[0].shape[1])):
         raise ShapeError(f"attention_sublayer shapes incompatible: x {x.shape} of {batch} "
-                         f"sequences, {heads} heads, weights {wq.shape}, offset {offset}")
+                         f"sequences, {heads} heads, weights {wq.shape}, offset {offset}, "
+                         f"start {start}")
     if kv is not None and _TAPE_STACK and any(t.requires_grad for t in inputs):
         raise TapeError("cached attention is inference-only: it writes keys and values "
                         "in place, which a tape cannot differentiate")
+
+    def tail(a: np.ndarray) -> np.ndarray:           # positions start.. of each sequence
+        return a.reshape(batch, length, -1)[:, start:]
+
     normed, norm_back = _rms_parts(x.data, gain.data)
-    q, k, v = (normed @ w.data for w in (wq, wk, wv))
+    k, v = (normed @ w.data for w in (wk, wv))
+    cut = tail(normed).reshape(-1, m) if start else normed
+    q = cut @ wq.data
     keys, values = k.reshape(batch, length, m), v.reshape(batch, length, m)
     if kv is not None:
         kv[0][:, offset:offset + length], kv[1][:, offset:offset + length] = keys, values
         keys, values = kv[0][:, :offset + length], kv[1][:, :offset + length]
-    mixed, attention_back = _attention_parts(q.reshape(batch, length, m), keys, values,
-                                             heads, offset)
+    mixed, attention_back = _attention_parts(q.reshape(batch, length - start, m), keys,
+                                             values, heads, offset + start)
     _check_finite(mixed, "attention")
 
     def back(g):
-        gq, gk, gv = (t.reshape(n, m) for t in attention_back(g @ wo.data.T))
-        g_normed = (gv @ wv.data.T + gk @ wk.data.T) + gq @ wq.data.T
-        return (g, mixed.T @ g, normed.T @ gv, normed.T @ gk, normed.T @ gq,
+        gq, gk, gv = (t.reshape(-1, m) for t in attention_back(g @ wo.data.T))
+        g_normed = gv @ wv.data.T + gk @ wk.data.T
+        tail(g_normed)[...] += (gq @ wq.data.T).reshape(batch, length - start, m)
+        g_residual = g
+        if start:
+            g_residual = np.zeros_like(x.data)
+            tail(g_residual)[...] = g.reshape(batch, length - start, m)
+        return (g_residual, mixed.T @ g, normed.T @ gv, normed.T @ gk, cut.T @ gq,
                 *norm_back(g_normed))
 
-    return _make(x.data + mixed @ wo.data, "attention_sublayer", inputs, back)
+    residual = tail(x.data).reshape(-1, m) if start else x.data
+    return _make(residual + mixed @ wo.data, "attention_sublayer", inputs, back)
 
 
 def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                    experts: np.ndarray, scores: Tensor, order: np.ndarray) -> Tensor:
-    """The top-k mixture of the n rows of router `scores` (n, E) plus the
-    residual `x`, through stacked two-layer experts
+    """The top-k mixture of the n `rows` under router `scores` (n, E), plus
+    the residual `x`, through stacked two-layer experts
     ``tanh(r @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
-    (E, h), `w2` (E, h, m) and `b2` (E, m). Row i of `rows` is pair
-    ``order[i]`` of the row-major (n, k) selection: row ``order[i] // k``
-    through expert ``experts[i]``, weighted by its score, and added back
-    into its row. The rows of one expert run as one matmul per layer,
-    grouped as in :func:`grouped_matmul`."""
+    (E, h), `w2` (E, h, m) and `b2` (E, m). Pair i is pair ``order[i]`` of
+    the row-major (n, k) selection: row ``order[i] // k`` of `rows` through
+    expert ``experts[i]``, weighted by its score, and added back into its
+    row. The pairs of one expert run as one matmul per layer, grouped as in
+    :func:`grouped_matmul`. Each row has k pairs, so the sum of a row's
+    pairs and the gradient of the row gather are :func:`_fan_in_sums`,
+    which equal the scatter ``_index_add`` bit for bit."""
     order = _row_ids(order, np.size(order))
     n = x.shape[0] if x.data.ndim == 2 else 0
     k = order.size // n if n else 0
-    if (k < 1 or order.shape != rows.shape[:1] or order.size != n * k
-            or scores.shape != (n, w1.shape[0]) or x.shape[1] != w2.shape[2]):
+    row_of = order // k if k else order
+    if (k < 1 or order.shape != (n * k,) or rows.data.ndim != 2 or rows.shape[0] != n
+            or scores.shape != (n, w1.shape[0]) or x.shape[1] != w2.shape[2]
+            or (np.bincount(row_of, minlength=n) != k).any()):
         raise ShapeError(f"routed_experts shapes incompatible: x {x.shape}, scores "
-                         f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids")
-    inputs = (rows, w1, b1, w2, b2)
-    ffn, ffn_back = _tanh_mlp("routed_experts", inputs,
-                              *_expert_layers("routed_experts", inputs, experts))
-    row_of = order // k
+                         f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids "
+                         f"that must give each row the same count")
+    slots = np.argsort(row_of, kind="stable").reshape(n, k)
+    arrays = (rows.data[row_of], w1.data, b1.data, w2.data, b2.data)
+    ffn, ffn_back = _tanh_mlp("routed_experts", arrays,
+                              *_expert_layers("routed_experts", arrays, experts))
     weight = scores.data[row_of, experts].reshape(-1, 1)
 
     def back(g):
         g_pairs = g[row_of]
         g_weight = _unbroadcast(g_pairs * ffn, weight.shape).reshape(-1)
-        return (g, *ffn_back(_unbroadcast(g_pairs * weight, ffn.shape)),
+        g_rows, *g_bank = ffn_back(_unbroadcast(g_pairs * weight, ffn.shape))
+        return (g, _fan_in_sums(g_rows, slots), *g_bank,
                 _index_add(scores.shape, (row_of, experts), g_weight))
 
-    out = x.data + _index_add(x.shape, row_of, ffn * weight)
-    return _make(out, "routed_experts", (x,) + inputs + (scores,), back)
+    out = x.data + _fan_in_sums(ffn * weight, slots)
+    return _make(out, "routed_experts", (x, rows, w1, b1, w2, b2, scores), back)
 
 
 def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -891,3 +923,17 @@ def _index_add(shape: tuple, idx, values: np.ndarray) -> np.ndarray:
         flat = (flat[:, None] * inner + np.arange(inner)).reshape(-1)
     return np.bincount(flat, weights=values.reshape(-1), minlength=math.prod(shape)
                        ).reshape(shape).astype(values.dtype, copy=False)
+
+
+def _fan_in_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """``_index_add((n,) + values.shape[1:], ids, values)`` for ids that name
+    each of the n rows k times, where row r of the (n, k) `slots` lists the
+    positions of r's ids in input order (a stable argsort of the ids). The k
+    values of each row are added in that order into float64 zeros and the
+    sum is rounded once, as bincount adds them; a row of ``-0.0`` values
+    sums to ``+0.0`` there too."""
+    picked = values[slots]
+    out = np.zeros(picked.shape[:1] + picked.shape[2:])
+    for j in range(slots.shape[1]):
+        out += picked[:, j]
+    return out.astype(values.dtype, copy=False)

@@ -302,7 +302,8 @@ def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     """The experts of :func:`moerec.tensor.routed_experts`: row i through
     expert ``e = experts[i]``, ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]``."""
     inputs = (rows, w1, b1, w2, b2)
-    out, back = T._tanh_mlp("expert_ffn", inputs, *T._expert_layers("expert_ffn", inputs, experts))
+    arrays = tuple(t.data for t in inputs)
+    out, back = T._tanh_mlp("expert_ffn", arrays, *T._expert_layers("expert_ffn", arrays, experts))
     return T._make(out, "expert_ffn", inputs, back)
 
 
@@ -333,63 +334,75 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 
 def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor,
-                                 wv: Tensor, wo: Tensor, heads: int, batch: int) -> Tensor:
+                                 wv: Tensor, wo: Tensor, heads: int, batch: int,
+                                 start: int = 0) -> Tensor:
     """:func:`moerec.tensor.attention_sublayer` without a cache, as the chain
     it replaces: an RMSNorm, three projections split into (batch, L, m), the
-    fused attention, `wo` and the residual add."""
+    fused attention, `wo` and the residual add. With `start`, slices of the
+    normed rows and of the residual keep positions ``start..L-1`` of each
+    sequence for the query side."""
     n, m = x.shape
+    length = n // batch
+
+    def tail(t: Tensor) -> Tensor:
+        return t.reshape(batch, length, m)[:, start:].reshape(-1, m) if start else t
+
     normed = T.rms_norm(x, gain)
-    q, k, v = ((normed @ w).reshape(batch, n // batch, m) for w in (wq, wk, wv))
-    return x + attention(q, k, v, heads, 0) @ wo
+    q = (tail(normed) @ wq).reshape(batch, length - start, m)
+    k, v = ((normed @ w).reshape(batch, length, m) for w in (wk, wv))
+    return tail(x) + attention(q, k, v, heads, start) @ wo
 
 
 def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                              b2: Tensor, experts: np.ndarray, scores: Tensor,
                              order: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.routed_experts` as the chain it replaces: a pick
-    of each pair's score, the fused expert FFN, a product, a scatter of the
-    pairs into their rows and the residual add."""
+    of each pair's score, a gather of each pair's row, the fused expert FFN,
+    a product, a scatter of the pairs into their rows and the residual add."""
     n = scores.shape[0]
     by_row = np.repeat(np.arange(n), len(order) // n)[order]
     weight = gather_pairs(scores, by_row, experts)
-    out = expert_ffn(rows, w1, b1, w2, b2, experts) * weight.reshape(-1, 1)
+    out = (expert_ffn(T.take_rows(rows, by_row), w1, b1, w2, b2, experts)
+           * weight.reshape(-1, 1))
     mixed = scatter_rows(out, by_row, n)
     return mixed if x is None else x + mixed
 
 
 def reference_block(blk: TransformerBlock, rows: Tensor, batch: int, length: int,
-                    gates: np.ndarray) -> Tensor:
+                    gates: np.ndarray, start: int = 0) -> Tensor:
     """:meth:`moerec.moe.TransformerBlock.forward`, without a cache, with its
     fused sublayers replaced by the chains above."""
     cfg = blk.config
     h = reference_attention_sublayer(rows, blk.norm1_g, blk.wq, blk.wk, blk.wv, blk.wo,
-                                     cfg.heads, batch)
+                                     cfg.heads, batch, start)
     normed = T.rms_norm(h, blk.norm2_g)
-    scores = blk.router.scores(np.repeat(gates, length), normed)
+    scores = blk.router.scores(np.repeat(gates, length - start), normed)
     k = cfg.moe.active
     selected = top_k_select(scores.data, k).reshape(-1)
     order = np.argsort(selected, kind="stable")
     bank = blk.bank
-    return reference_routed_experts(h, normed[order // k], bank.w1, bank.b1, bank.w2,
+    return reference_routed_experts(h, normed, bank.w1, bank.b1, bank.w2,
                                     bank.b2, selected[order], scores, order)
 
 
 def fused_block_mismatches(lm: LanguageModel, tokens: np.ndarray, gates: np.ndarray,
-                           seed: int = 0) -> List[str]:
+                           seed: int = 0, start: int = 0) -> List[str]:
     """Names of what differs, bit for bit, between each block of `lm` and
     :func:`reference_block`: the output, the input's gradient or a
     parameter's, under one random linear loss. The blocks run in turn on
-    the embedded (batch, length) `tokens`, one gate per sequence; an empty
-    list means every array is equal."""
+    the embedded (batch, length) `tokens`, one gate per sequence, the last
+    block from query position `start` on, as ``forward_rows`` cuts it; an
+    empty list means every array is equal."""
     batch, length = tokens.shape
     x = lm.embed.data[tokens.reshape(-1)] + lm.pos.data[np.tile(np.arange(length), batch)]
     bad = []
     for b, blk in enumerate(lm.blocks):
         params = [p for name, p in lm.params().items() if name.startswith(f"lm.block{b}.")]
+        cut = start if b == len(lm.blocks) - 1 else 0
         results = []
         for forward in (TransformerBlock.forward, reference_block):
             rows = Tensor(x, requires_grad=True)
-            out, grads = taped_run(lambda: forward(blk, rows, batch, length, gates),
+            out, grads = taped_run(lambda: forward(blk, rows, batch, length, gates, start=cut),
                                    [rows] + params, seed + b)
             results.append([out] + grads)
         names = ["output", "input grad"] + [
@@ -529,7 +542,8 @@ def fused_cases(seed: int) -> dict:
     keys and after two, under 1, 2 and 4 heads; expert groups in no order,
     one of the four experts getting no rows; repeated table rows; and
     log-variances on both sides of their clamps, with a zero
-    responsibility. Each case draws its inputs from its own substream of
+    responsibility. The attention sublayer also runs its query side from
+    position 2 of 3 on. Each case draws its inputs from its own substream of
     `seed`, named after it, so adding or dropping a case leaves the others'
     inputs as they are."""
     def normal(*shape) -> np.ndarray:
@@ -551,12 +565,14 @@ def fused_cases(seed: int) -> dict:
         lambda *stacks: expert_ffn(*stacks, experts),
         lambda *stacks: reference_expert_ffn(*stacks, experts),
         [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
-    for heads in (1, 2):
-        name = f"attention_sublayer.h{heads}"
+    for heads, start in ((1, 0), (2, 0), (2, 2)):
+        name = f"attention_sublayer.h{heads}" + (f".s{start}" if start else "")
         rng = Rng(seed).substream(name)
         cases[name] = (
-            lambda x, gain, *w, h=heads: T.attention_sublayer(x, gain, *w, h, 2),
-            lambda x, gain, *w, h=heads: reference_attention_sublayer(x, gain, *w, h, 2),
+            lambda x, gain, *w, h=heads, s=start:
+                T.attention_sublayer(x, gain, *w, h, 2, start=s),
+            lambda x, gain, *w, h=heads, s=start:
+                reference_attention_sublayer(x, gain, *w, h, 2, s),
             [normal(6, 4), normal(4)] + [normal(4, 4) * 0.6 for _ in range(4)])
     # three rows pick two of four experts each, expert 1 none; row 0 holds expert 0
     selected = np.array([[0, 3], [2, 3], [0, 2]]).reshape(-1)
@@ -567,7 +583,7 @@ def fused_cases(seed: int) -> dict:
                                                 order),
         lambda x, rows, *rest: reference_routed_experts(x, rows, *rest[:4], selected[order],
                                                         rest[4], order),
-        [normal(3, 4), normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
+        [normal(3, 4), normal(3, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
          normal(4, 4), np.exp(normal(3, 4))])
     # rows 0 and 3 share a target; row 4 weighs nothing
     picks, weights = np.array([3, 0, 5, 3, 1]), np.array([0.5, 0.25, 1.5, 0.125, 0.0])
@@ -853,10 +869,12 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
         lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=heads,
                                     context=16, moe=moe), Rng(seed + case))
         tokens = Rng(seed + 10 + case).integers(3 * 6, 20).reshape(3, 6) + 4
-        bad += fused_block_mismatches(lm, tokens, np.arange(3) % gates, seed + case)
+        for start in (0, 4):
+            bad += fused_block_mismatches(lm, tokens, np.arange(3) % gates, seed + case, start)
     results.append(CheckResult("moe.fused_sublayers_match_chain", not bad,
                                "outputs and every gradient equal bit for bit over 4 "
-                               "two-block layouts, 3 sequences, mixed gates"
+                               "two-block layouts, 3 sequences, mixed gates, the last "
+                               "block whole and from position 4 of 6"
                                if not bad else "differ: " + ", ".join(bad[:4])))
 
     logits = Rng(9).normal(12)
@@ -868,29 +886,37 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
                                f"max logit gap {gap:.1e} over every decode step"))
 
     gaps = [loss_rows_gap(seed + case) for case in range(4)]
+    gaps += [loss_rows_gap(seed + 4, blocks, prompt=10) for blocks in (2, 1)]
     loss_gap, grad_gap = (max(g[i] for g in gaps) for i in (0, 1))
     results.append(CheckResult("moe.loss_rows_match_full_head",
                                loss_gap <= 1e-12 and grad_gap <= 1e-10,
                                f"loss gap {loss_gap:.1e}, max gradient gap {grad_gap:.1e} "
-                               f"over every parameter, 4 padded batches"))
+                               f"over every parameter, 4 padded batches and a batch of "
+                               f"10-token prompts on two blocks and on one"))
     return results
 
 
-def loss_rows_gap(seed: int) -> tuple:
+def loss_rows_gap(seed: int, blocks: int = 2, prompt: int = None) -> tuple:
     """(loss gap, largest gradient gap over every parameter) between
     :meth:`~moerec.moe.LanguageModel.batched_nll` and
-    :func:`reference_batched_nll` on one batch of a small three-gate model.
-    The seven records mix prompt lengths from 1 token up and sequence
-    lengths from 3 tokens to the context, so most are padded; the model
-    follows the default dtype."""
+    :func:`reference_batched_nll` on one batch of a small three-gate model
+    of `blocks` blocks. The seven records mix prompt lengths from 1 token
+    up and sequence lengths from 3 tokens to the context, so most are
+    padded. With `prompt`, every prompt is that long and the sequences run
+    from two tokens longer to the context, so the last block's query side
+    starts at position ``prompt - 1``: at 10, it drops 9 of the 16
+    positions. The model follows the default dtype."""
     rng = Rng(seed)
     moe = decompose_experts(2, 8, 2, active=2, gates=3)
-    lm = LanguageModel(LmConfig(vocab_size=64, model_dim=16, blocks=2, heads=2,
+    lm = LanguageModel(LmConfig(vocab_size=64, model_dim=16, blocks=blocks, heads=2,
                                 context=16, moe=moe), rng.substream("init"))
     sequences, prompt_lens = [], []
-    for length in (3, 17, 9, 5, 12, 4, 16):
+    lengths = (3, 17, 9, 5, 12, 4, 16) if prompt is None else (
+        prompt + 2, 17, prompt + 4, prompt + 3, 16, prompt + 2, 14)
+    for length in lengths:
         sequences.append(np.concatenate([[BOS], rng.integers(length - 2, 60) + 4, [EOS]]))
-        prompt_lens.append(int(rng.integers(1, length - 1)[0]) + 1)
+        drawn = int(rng.integers(1, length - 1)[0]) + 1
+        prompt_lens.append(drawn if prompt is None else prompt)
     gates = rng.integers(len(sequences), 3)
     losses, grads = [], []
     for fn in (LanguageModel.batched_nll, reference_batched_nll):

@@ -216,6 +216,9 @@ def test_synthetic_default_arithmetic():
     assert stats["items"] <= 100
     assert len(labels) == 300
     assert set(labels.values()) == {0, 1, 2}
+    # slotted records that share one string per distinct explanation
+    assert not hasattr(records[0], "__dict__")
+    assert len({id(r.explanation) for r in records}) == len({r.explanation for r in records})
 
 
 def test_synthetic_noiseless_features_stay_in_lexicon():

@@ -8,6 +8,7 @@ import pytest
 from moerec import Tape, Tensor, grad_check
 from moerec.errors import ConfigError, ContextLimitError, ShapeError, TapeError
 from moerec.rng import Rng
+from moerec import moe as moe_module
 from moerec import tensor as T
 from moerec.verify import fused_block_mismatches, loss_rows_gap, reference_expert_ffn
 from moerec.moe import (
@@ -640,13 +641,14 @@ def test_cached_forward_under_a_recording_tape_raises_tape_error():
 @pytest.mark.parametrize("variant", CACHE_VARIANTS)
 def test_fused_sublayers_equal_their_chains_bit_for_bit(variant, dtype):
     # a padded batch of three sequences under mixed gates; every block's
-    # output and every gradient, the block input's included, must be equal
+    # output and every gradient, the block input's included, must be equal,
+    # also with the last block's query side cut to positions 3 and later
     T.set_default_dtype(dtype)
     try:
         lm = tiny_lm(**variant)
         tokens = padded_batch(lm, [6, 2, 5], seed=variant["seed"])
-        bad = fused_block_mismatches(lm, tokens, np.arange(3) % variant["gates"],
-                                     seed=variant["seed"])
+        bad = [name for start in (0, 3) for name in fused_block_mismatches(
+            lm, tokens, np.arange(3) % variant["gates"], seed=variant["seed"], start=start)]
     finally:
         T.set_default_dtype("float64")
     assert not bad, bad
@@ -656,9 +658,9 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     # a two-block model: the fused RMSNorm, attention and expert ops took a
     # decode step from 106 ops to 49 and a batch of 16 from 107 tape
     # records to 50, the fused loss to 47; the fused attention and
-    # routed-experts sublayers take them to 17 and 19 (per block: the
-    # attention sublayer, a norm, the router's two ops, the pair gather and
-    # the routed experts)
+    # routed-experts sublayers took them to 17 and 19, and the pair gather
+    # folded into the routed experts to 15 and 17 (per block: the attention
+    # sublayer, a norm, the router's two ops and the routed experts)
     lm = tiny_lm(seed=30)
     calls = []
     make = T._make
@@ -667,14 +669,14 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([0]), cache)
     calls.clear()
     lm.forward_rows(np.array([[7]]), np.array([0]), cache)
-    assert len(calls) <= 17, calls
+    assert len(calls) <= 15, calls
     monkeypatch.undo()
     rng = Rng(31)
     sequences = [np.concatenate([[BOS], rng.integers(5 + i % 4, 15) + 4, [EOS]])
                  for i in range(16)]
     with Tape() as tape:
         lm.batched_nll(sequences, [3] * 16, np.arange(16) % 2)
-    assert len(tape.records) <= 19
+    assert len(tape.records) <= 17
     head = tape.records[-2]                  # the head matmul, before the loss
     assert head.inputs[1] is lm.head
     assert head.out.shape == (sum(len(s) - 3 for s in sequences), lm.config.vocab_size)
@@ -682,24 +684,81 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_loss_rows_match_the_full_head_in_float32(seed):
-    # the float64 case is moe.loss_rows_match_full_head of `moerec verify`
+    # the float64 case is moe.loss_rows_match_full_head of `moerec verify`;
+    # behind 10-token prompts the last block keeps 7 of the 16 positions
     T.set_default_dtype("float32")
     try:
-        loss_gap, grad_gap = loss_rows_gap(seed)
+        gaps = [loss_rows_gap(seed)] + [loss_rows_gap(seed, blocks, prompt=10)
+                                        for blocks in (2, 1)]
     finally:
         T.set_default_dtype("float64")
-    assert loss_gap <= 1e-6 and grad_gap <= 1e-5, (loss_gap, grad_gap)
+    for loss_gap, grad_gap in gaps:
+        assert loss_gap <= 1e-6 and grad_gap <= 1e-5, (loss_gap, grad_gap)
 
 
 def test_forward_rows_selects_rows_of_the_full_forward():
-    lm = tiny_lm(seed=32, gates=2)
     tokens = np.array([[BOS, 4, 5, 6, 7], [BOS, 8, 9, PAD, PAD]])
     gates = np.array([1, 0])
-    full = lm.forward_rows(tokens, gates).data
-    rows = np.array([7, 1, 2, 2])
-    picked = lm.forward_rows(tokens, gates, rows=rows).data
-    assert picked.shape == (4, lm.config.vocab_size)
-    assert np.max(np.abs(picked - full[rows])) <= 1e-12
+    for blocks in (2, 1):
+        lm = tiny_lm(seed=32, gates=2, blocks=blocks)
+        full = lm.forward_rows(tokens, gates).data
+        last = lm.blocks[-1].bank
+        # early rows, then late rows only: the last block's query side starts
+        # at the smallest selected position, 3 of 5 for the late rows
+        for rows, start in ((np.array([7, 1, 2, 2]), 1), (np.array([9, 3, 8, 4, 9]), 3)):
+            last.eval_count = 0
+            picked = lm.forward_rows(tokens, gates, rows=rows).data
+            assert picked.shape == (rows.size, lm.config.vocab_size)
+            assert np.max(np.abs(picked - full[rows])) <= 1e-12
+            assert last.eval_count == 2 * (5 - start) * lm.config.moe.active
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS[:3])
+def test_cut_prefill_fills_the_cache_like_the_full_prefill(variant):
+    # a prefill that asks only for its last row cuts the last block to that
+    # position, but every block still caches every position's key and value
+    lm = tiny_lm(**variant)
+    prompt = np.array([[BOS, 4, 6, 9, 11, 5, 7]])
+    gate = np.array([variant["gates"] - 1])
+    caches, texts = [], []
+    for rows in (None, np.array([prompt.size - 1])):
+        cache = KVCache(lm.config.blocks)
+        logits = lm.forward_rows(prompt, gate, cache, rows=rows).data[-1]
+        out = []
+        while cache.length < lm.config.context:
+            out.append(int(np.argmax(logits)))
+            logits = lm.forward_rows(np.array([out[-1:]]), gate, cache).data[-1]
+        caches.append(cache)
+        texts.append(out)
+    assert texts[0] == texts[1] and len(texts[0]) == lm.config.context - prompt.size
+    for full, cut in zip(caches[0].blocks, caches[1].blocks):
+        for a, b in zip(full, cut):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_generate_sizes_its_cache_to_the_request(monkeypatch):
+    # the prompt and all but the last emitted token are fed, at most; a
+    # request that reaches the context still stops at it
+    lm = tiny_lm(seed=35)
+    suppress_eos(lm)
+    made = []
+    monkeypatch.setattr(moe_module, "KVCache",
+                        lambda *args, **kw: made.append(KVCache(*args, **kw)) or made[-1])
+    for prompt, max_len, want in (([BOS, 4, 6], 5, 7), ([BOS] * 9, 16, 16), ([BOS, 4], 1, 2)):
+        made.clear()
+        out = lm.generate(prompt, 0, max_len=max_len)
+        assert len(out) == min(max_len, lm.config.context - len(prompt))
+        assert made[0].positions == want
+        assert all(buf.shape == (1, want, lm.config.model_dim)
+                   for entry in made[0].blocks for buf in entry)
+    monkeypatch.undo()
+    with pytest.raises(ContextLimitError):
+        lm.generate([BOS] * lm.config.context, 0)
+    cache = KVCache(lm.config.blocks, positions=4)
+    lm.forward_rows(np.array([[BOS, 4, 5]]), np.array([0]), cache)
+    with pytest.raises(ContextLimitError, match="4 positions"):
+        lm.forward_rows(np.array([[6, 7]]), np.array([0]), cache)
+    assert cache.length == 3
 
 
 # --- explanation NLL ---

@@ -221,7 +221,7 @@ def _id_entry_points() -> dict:
     x, w = Tensor(rng.normal(6).reshape(3, 2)), Tensor(rng.normal(12).reshape(2, 2, 3))
     bank = [Tensor(rng.normal(n).reshape(shape)) for n, shape in
             ((18, (3, 2, 3)), (9, (3, 3)), (18, (3, 3, 2)), (6, (3, 2)))]
-    pairs, scores = Tensor(rng.normal(8).reshape(4, 2)), Tensor(np.full((2, 3), 1 / 3))
+    rows, scores = Tensor(rng.normal(4).reshape(2, 2)), Tensor(np.full((2, 3), 1 / 3))
     experts, order = np.array([0, 1, 1, 2]), np.arange(4)
     router = GateRouter(2, decompose_experts(2, 4, 1, active=1, gates=2), Rng(0))
     moe = decompose_experts(2, 8, 2, active=2, gates=2)
@@ -234,10 +234,10 @@ def _id_entry_points() -> dict:
         "grouped_matmul": (lambda ids: T.grouped_matmul(x, w, ids),
                            np.array([1, 0, 1]), np.array([1, 2, 0]), ShapeError),
         "routed_experts.experts": (
-            lambda ids: T.routed_experts(x[[0, 1]], pairs, *bank, ids, scores, order),
+            lambda ids: T.routed_experts(x[[0, 1]], rows, *bank, ids, scores, order),
             experts, np.array([0, 1, 1, 3]), ShapeError),
         "routed_experts.order": (
-            lambda ids: T.routed_experts(x[[0, 1]], pairs, *bank, experts, scores, ids),
+            lambda ids: T.routed_experts(x[[0, 1]], rows, *bank, experts, scores, ids),
             order, np.array([0, 1, 2, 4]), ShapeError),
         "weighted_nll": (lambda ids: T.weighted_nll(x, ids, np.ones(3)),
                          np.array([0, 1, 1]), np.array([0, 2, 1]), ShapeError),
@@ -517,6 +517,25 @@ def test_index_add_equals_add_at_with_duplicates(dtype):
         assert got.dtype == dtype and got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_fan_in_sums_equal_the_index_scatter(dtype, k):
+    # routed_experts sums each row's k pairs through a fixed fan-in; the ids
+    # come in a shuffled order, so a row's pairs are not adjacent
+    rng = Rng(49 + k)
+    n, width = 40, 5
+    ids = np.repeat(np.arange(n), k)[np.argsort(rng.uniform(n * k))]
+    values = (rng.normal(n * k * width) * 10.0 ** (rng.integers(n * k * width, 12) - 6))
+    values = values.reshape(n * k, width).astype(dtype)
+    values[ids == 3] = -0.0                 # bincount's zero start makes this +0.0
+    slots = np.argsort(ids, kind="stable").reshape(n, k)
+    got = T._fan_in_sums(values, slots)
+    want = add_at_in_float64((n, width), ids, values)
+    assert got.dtype == want.dtype == np.dtype(dtype)
+    assert got.tobytes() == want.tobytes() == T._index_add((n, width), ids, values).tobytes()
+    assert not np.signbit(got[3]).any()
+
+
 def test_float32_index_add_rounds_once_not_per_addition():
     # 1 + 2**-24 is a float32 tie, so each float32 addition of 2**-24 to
     # 1.0 rounds back to 1.0; summed in float64 first, they survive
@@ -735,7 +754,7 @@ def test_group_ids_outside_the_range_raise(bad):
     with pytest.raises(ShapeError):
         T.routed_experts(x, rows, w1, b1, w2, b2, ids, scores, np.arange(6))
     with pytest.raises(ShapeError):
-        T.grouped_matmul(rows, w1, ids)
+        T.grouped_matmul(Tensor(np.repeat(rows.data, 2, axis=0)), w1, ids)
 
 
 def test_mixture_kl_raises_where_the_mixture_log_weights_overflow():
