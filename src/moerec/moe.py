@@ -445,8 +445,10 @@ class LanguageModel:
         new = list(prompt)
         out: List[int] = []
         while len(out) < max_len and cache.length + len(new) < self.config.context:
-            logits = self.forward_rows(np.asarray(new)[None, :], np.array([gate]),
-                                       cache).data[-1]
+            # the prefill reads only its last position's logits
+            logits = self.forward_rows(np.asarray(new)[None, :], np.array([gate]), cache,
+                                       rows=None if cache.length else np.array([len(new) - 1])
+                                       ).data[-1]
             if banned is not None:
                 logits[banned] = -np.inf
             if mode == "greedy":

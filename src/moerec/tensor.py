@@ -4,7 +4,8 @@ The engine is a Wengert list: while a :class:`Tape` is active, every
 operation appends a record holding its inputs, its output, and a backward
 rule. Records are appended in execution order, which makes the list
 topological by construction; :func:`backward` walks it once in reverse and
-accumulates gradients additively into each leaf's ``grad`` buffer.
+accumulates gradients additively into each leaf's ``grad`` buffer, emptying
+each record as it passes; the emptied records stay, so the count holds.
 
 Rules of the house:
 
@@ -234,26 +235,31 @@ def _make(out_data: np.ndarray, op: str, inputs: tuple, backward_fn: Callable) -
 def backward(tape: Tape, loss: Tensor) -> None:
     """Reverse sweep: fills ``grad`` on every requires_grad leaf under `loss`.
 
-    Leaf gradients accumulate additively (across fan-out and across tapes);
-    intermediate buffers are released afterwards. A tape can be swept once.
-    A gradient that an optimizer store owns (``grad is store_grad``) takes
-    each addition in place; any other is replaced by a fresh sum, since the
-    sweep may have handed the same array to several inputs (the backward
-    of ``a + b``).
+    Leaf gradients accumulate additively (across fan-out and across tapes).
+    The sweep empties each record as it passes: it takes the output's
+    gradient and drops the record's inputs, output and rule, so every
+    activation and intermediate gradient is freed once its producer's rule
+    has run. The emptied records stay, so ``len(tape.records)`` keeps its
+    count, and a tape can be swept once. A gradient that an optimizer store
+    owns (``grad is store_grad``) takes each addition in place; any other is
+    replaced by a fresh sum, since the sweep may have handed the same array
+    to several inputs (the backward of ``a + b``).
     """
+    if tape._spent:
+        raise TapeError("tape already swept; build a fresh tape per backward")
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, have shape {loss.shape}")
     if id(loss) not in tape._output_ids:
         raise TapeError("loss is not an output recorded on this tape")
-    if tape._spent:
-        raise TapeError("tape already swept; build a fresh tape per backward")
     tape._spent = True
     loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape.records):
-        g = rec.out.grad
+        g, rec.out.grad = rec.out.grad, None
+        inputs, rule = rec.inputs, rec.backward
+        rec.inputs = rec.out = rec.backward = None
         if g is None:
             continue
-        for tensor, gin in zip(rec.inputs, rec.backward(g)):
+        for tensor, gin in zip(inputs, rule(g)):
             if gin is None or not tensor.requires_grad:
                 continue
             if tensor.grad is None:
@@ -262,8 +268,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
                 np.add(tensor.grad, gin, out=tensor.grad)
             else:
                 tensor.grad = tensor.grad + gin
-    for rec in tape.records:
-        rec.out.grad = None
 
 
 def zero_grad(params: Iterable[Tensor]) -> None:

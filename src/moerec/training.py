@@ -293,14 +293,18 @@ def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig
                        split: DatasetSplit, records, rng: Rng) -> Callable:
     users, items = split.user_ids(records), split.item_ids(records)
     ratings = normalized_ratings(records, run.r_max)
-    prepared = [prepare_sequence(bundle.vocab, rec, run.r_max, run.context)
-                for rec in records]
+    sequences, prompt_lens = zip(*(prepare_sequence(bundle.vocab, rec, run.r_max, run.context)
+                                   for rec in records))
+    # one packed int32 token buffer, record i at tokens[bounds[i]:bounds[i + 1]]
+    tokens = np.concatenate(sequences).astype(np.int32)
+    bounds = np.cumsum([0, *map(len, sequences)])
 
     def batch(idx):
         # the gates come from the encoder, which must not record on the tape
         gates = bundle.vae.gates(users[idx], items[idx])
         return partial(_stage2_loss, bundle, users[idx], items[idx], ratings[idx],
-                       [prepared[i] for i in idx], gates, cfg, rng)
+                       [(tokens[bounds[i]:bounds[i + 1]], prompt_lens[i]) for i in idx],
+                       gates, cfg, rng)
     return batch
 
 

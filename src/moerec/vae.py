@@ -26,13 +26,17 @@ draw (:func:`~moerec.tensor.gaussian_sample`), the reconstruction loss
 (:func:`~moerec.tensor.bce_with_logits`) and the closed-form KL
 (:func:`~moerec.tensor.mixture_kl`). The op chains they replace are kept
 as oracles in :mod:`moerec.verify`.
+
+The untaped mean-path passes (``latent_mu``, ``posteriors``, ``gates``) run
+over chunks of at most ``INFERENCE_ROWS`` pairs and equal one pass over all
+rows bit for bit; the taped ``encode`` runs whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,6 +48,8 @@ from .tensor import Tensor
 LOG_2PI = math.log(2.0 * math.pi)
 LOG_VAR_MIN, LOG_VAR_MAX = -10.0, 10.0
 PRIOR_VAR_FLOOR = 1e-4
+# pairs per chunk of the untaped mean-path passes (latent_mu, posteriors, gates)
+INFERENCE_ROWS = 512
 
 
 @dataclass
@@ -216,6 +222,20 @@ def kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
                         prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
 
 
+def _in_chunks(fn: Callable, users, items) -> np.ndarray:
+    """``fn(users, items)`` over consecutive near-equal chunks of at most
+    INFERENCE_ROWS pairs, stacked. Each row depends on its own pair only, and
+    no chunk is a single row: BLAS multiplies a lone row by another path,
+    whose sums round differently."""
+    n = np.size(users)
+    if n <= INFERENCE_ROWS:
+        return fn(users, items)
+    users, items = np.asarray(users), np.asarray(items)
+    parts = -(-n // INFERENCE_ROWS)
+    edges = [n * j // parts for j in range(parts + 1)]
+    return np.concatenate([fn(users[a:b], items[a:b]) for a, b in zip(edges, edges[1:])])
+
+
 class VaeGmm:
     """Embeddings + encoder + decoder + mixture prior, as one unit."""
 
@@ -245,7 +265,7 @@ class VaeGmm:
         return out[:, :self.config.latent_dim], out[:, self.config.latent_dim:]
 
     def latent_mu(self, users, items) -> np.ndarray:
-        return self.encode(users, items)[0].data
+        return _in_chunks(lambda u, i: self.encode(u, i)[0].data, users, items)
 
     def decode(self, z: Tensor) -> Tensor:
         """Predicted normalized rating in (0, 1)."""
@@ -259,7 +279,8 @@ class VaeGmm:
 
     def posteriors(self, users, items) -> np.ndarray:
         """Responsibilities (B, K) along the deterministic mean path."""
-        return gmm_posterior_batch(self.prior, self.latent_mu(users, items))
+        return _in_chunks(lambda u, i: gmm_posterior_batch(self.prior, self.latent_mu(u, i)),
+                          users, items)
 
     def gates(self, users, items) -> np.ndarray:
         """Hard cluster / gate index per pair (ties to the lowest index)."""

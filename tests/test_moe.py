@@ -516,8 +516,8 @@ def record_forward_rows(lm: LanguageModel) -> list:
     calls = []
     original = lm.forward_rows
 
-    def recording(tokens, gates, cache=None):
-        logits = original(tokens, gates, cache)
+    def recording(tokens, gates, cache=None, rows=None):
+        logits = original(tokens, gates, cache, rows)
         calls.append((np.atleast_2d(tokens), logits.data))
         return logits
 
@@ -584,7 +584,9 @@ def test_cached_generation_evaluates_each_position_once(variant):
         assert calls[0][0].size == len(prompt)
         assert all(tokens.size == 1 for tokens, _ in calls[1:])
         assert fed == len(prompt) + len(calls) - 1
-        assert lm.expert_evaluations() == fed * per_position
+        # the prefill reads one row, so the last block routes only that one
+        skipped = (len(prompt) - 1) * lm.config.moe.active
+        assert lm.expert_evaluations() == fed * per_position - skipped
 
 
 def test_cache_overflow_raises_context_limit():

@@ -1,12 +1,26 @@
 """Tape mechanics, op semantics, and backward rules for the tensor engine."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from moerec import Tape, Tensor, grad_check
+from moerec.config import RunConfig
+from moerec.data import SynthSpec, generate_synthetic, normalized_ratings, split_records
 from moerec.errors import NumericError, ShapeError, TapeError
+from moerec.moe import LanguageModel, Vocab
+from moerec.optim import AdamW
 from moerec.rng import Rng
 from moerec import tensor as T
+from moerec.training import (
+    ExplainerBundle,
+    _stage2_loss,
+    lm_config_from,
+    prepare_sequence,
+    vae_config_from,
+)
 from moerec.verify import (
     bmm,
     concat,
@@ -26,7 +40,7 @@ from moerec.verify import (
     softplus,
     tanh,
 )
-from moerec.vae import GmmPrior
+from moerec.vae import GmmPrior, VaeGmm, elbo_loss
 
 
 def test_matmul_identity():
@@ -789,3 +803,113 @@ def test_vae_fused_ops_check_shapes():
     args = [Tensor(x) for x in inputs]
     with pytest.raises(ShapeError):
         T.mixture_kl(args[0], args[1], np.full((4, 2), 0.5), *args[2:], -9.0, 10.0)
+
+
+# --- the reverse sweep empties each record as it passes ---
+
+def reference_sweep(tape: Tape, loss: Tensor) -> None:
+    """The reverse sweep that keeps every record whole to the end and drops
+    the intermediate gradients only after the whole sweep."""
+    loss.grad = np.ones_like(loss.data)
+    for rec in reversed(tape.records):
+        g = rec.out.grad
+        if g is None:
+            continue
+        for tensor, gin in zip(rec.inputs, rec.backward(g)):
+            if gin is None or not tensor.requires_grad:
+                continue
+            if tensor.grad is None:
+                tensor.grad = gin
+            elif tensor.grad is tensor.store_grad:
+                np.add(tensor.grad, gin, out=tensor.grad)
+            else:
+                tensor.grad = tensor.grad + gin
+    for rec in tape.records:
+        rec.out.grad = None
+
+
+def default_losses(precision: str) -> tuple:
+    """(params, {"stage1": loss, "stage2": loss}) of an untrained default-size
+    model with a 3-component prior, built in `precision`; each loss is a
+    closure over one default-size batch of the default corpus."""
+    caller = T.default_dtype().name
+    T.set_default_dtype(precision)
+    try:
+        run = RunConfig()
+        split = split_records(generate_synthetic(SynthSpec(seed=1))[0], seed=1)
+        vae = VaeGmm(vae_config_from(run, split), Rng(3))
+        rng, k, d = Rng(4), run.clusters, run.latent_dim
+        vae.prior = GmmPrior(rng.normal(k), rng.normal(k * d).reshape(k, d),
+                             rng.normal(k * d).reshape(k, d) * 0.3)
+        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index),
+                            run.r_max)
+        lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(5))
+    finally:
+        T.set_default_dtype(caller)
+    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index, run.r_max)
+
+    def batch(size):
+        records = split.train[:size]
+        return (split.user_ids(records), split.item_ids(records),
+                normalized_ratings(records, run.r_max), records)
+
+    users, items, ratings, _ = batch(run.s1_batch)
+    stage1 = lambda: elbo_loss(vae, users, items, ratings, run.beta, Rng(9))  # noqa: E731
+    users2, items2, ratings2, records = batch(run.s2_batch)
+    prepared = [prepare_sequence(vocab, r, run.r_max, run.context) for r in records]
+    gates = vae.gates(users2, items2)
+    stage2 = lambda: _stage2_loss(bundle, users2, items2, ratings2, prepared,  # noqa: E731
+                                  gates, run.stage2(), Rng(9))
+    return bundle.params(), {"stage1": stage1, "stage2": stage2}
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_the_emptying_sweep_gives_the_reference_gradients(precision):
+    params, losses = default_losses(precision)
+    opt = AdamW(params)             # the grads land in the store, as in training
+    for name, loss_fn in losses.items():
+        grads = []
+        for sweep in (T.backward, reference_sweep):
+            opt.zero_grad()
+            with Tape() as tape:
+                loss = loss_fn()
+            sweep(tape, loss)
+            grads.append({n: p.grad.copy() for n, p in params.items()})
+        for n, got in grads[0].items():
+            want = grads[1][n]
+            assert got.dtype == want.dtype == np.dtype(precision), (name, n)
+            assert got.tobytes() == want.tobytes(), (name, n)
+
+
+def test_the_sweep_frees_each_intermediate_while_the_tape_lives():
+    params, losses = default_losses("float32")
+    with Tape() as tape:
+        loss = losses["stage2"]()
+    count = len(tape.records)
+    produced = [weakref.ref(rec.out.data) for rec in tape.records[:-1]
+                if isinstance(rec.out.data, np.ndarray)]     # numpy scalars take none
+    assert len(produced) > count // 2
+    assert all(ref() is not None for ref in produced)
+    tape.backward(loss)
+    assert [i for i, ref in enumerate(produced) if ref() is not None] == []
+    assert len(tape.records) == count
+    assert all(p.grad is not None for p in params.values())
+    with pytest.raises(TapeError):
+        tape.backward(loss)
+
+
+def test_a_stage2_backward_stays_within_1mb_of_the_forward_live_size():
+    params, losses = default_losses("float32")
+    opt = AdamW(params)
+    opt.zero_grad()
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss = losses["stage2"]()
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - live < 1 << 20, (live, peak)

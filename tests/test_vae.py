@@ -1,15 +1,29 @@
 """Encoder/decoder contracts, mixture responsibilities, and the KL oracle."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 from moerec import Tape, Tensor, grad_check
+from moerec.config import RunConfig
+from moerec.data import SynthSpec, generate_synthetic, split_records
 from moerec.errors import DataError, NumericError, ShapeError, TableLookupError
 from moerec.rng import Rng
 from moerec import tensor as T
+from moerec import vae as vae_module
+from moerec.moe import LanguageModel, Vocab
+from moerec.training import (
+    ExplainerBundle,
+    lm_config_from,
+    train_stage1,
+    train_stage2,
+    vae_config_from,
+)
 from moerec.vae import (
+    INFERENCE_ROWS,
     GmmPrior,
     VaeConfig,
     VaeGmm,
@@ -247,6 +261,121 @@ def test_gates_tie_goes_to_the_lowest_index():
     model.prior = GmmPrior(np.log([0.5, 0.5]), np.stack([np.full(8, 2.0), np.full(8, 0.5)]),
                            np.zeros((2, 8)))
     assert model.gates(users, items).tolist() == [1, 1, 1]
+
+
+# --- the mean-path passes run in chunks ---
+
+def chunk_model(precision: str) -> VaeGmm:
+    """A default-width model over 300 users and 200 items with a random
+    3-component prior, built in `precision`."""
+    caller = T.default_dtype().name
+    T.set_default_dtype(precision)
+    try:
+        model = VaeGmm(VaeConfig(n_users=300, n_items=200), Rng(3))
+        model.prior = random_prior(4, 3, model.config.latent_dim)
+    finally:
+        T.set_default_dtype(caller)
+    return model
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_chunked_mean_path_passes_equal_one_pass_over_all_rows(precision):
+    model, rng, c = chunk_model(precision), Rng(5), INFERENCE_ROWS
+    for n in (0, 1, c - 1, c, c + 1, 4800):
+        users, items = rng.integers(n, 301), rng.integers(n, 201)
+        mu = model.encode(users, items)[0].data
+        gamma = gmm_posterior_batch(model.prior, mu)
+        got_mu, got_gamma = model.latent_mu(users, items), model.posteriors(users, items)
+        assert got_mu.shape == mu.shape and got_mu.dtype == mu.dtype == np.dtype(precision)
+        assert got_mu.tobytes() == mu.tobytes(), n
+        assert got_gamma.shape == gamma.shape and got_gamma.tobytes() == gamma.tobytes(), n
+        assert np.array_equal(model.gates(users, items), np.argmax(gamma, axis=1)), n
+
+
+def test_the_mean_path_runs_no_chunk_above_the_bound_nor_a_lone_row(monkeypatch):
+    model, rng = chunk_model("float64"), Rng(6)
+    sizes = []
+    encode = model.encode
+    monkeypatch.setattr(model, "encode", lambda u, i: sizes.append(len(u)) or encode(u, i))
+    for n in (INFERENCE_ROWS + 1, 4800):
+        sizes.clear()
+        model.gates(rng.integers(n, 301), rng.integers(n, 201))
+        assert sum(sizes) == n and max(sizes) <= INFERENCE_ROWS and min(sizes) > 1, sizes
+    with pytest.raises(ShapeError):               # a length mismatch still raises
+        model.latent_mu(np.zeros(INFERENCE_ROWS + 8, np.int64), np.zeros(INFERENCE_ROWS, np.int64))
+
+
+def test_explain_of_no_records_returns_empty_results():
+    run = RunConfig(d_emb=8, latent_dim=4, clusters=2, enc_hidden=12, model_dim=16, blocks=1,
+                    heads=2, context=32, base_experts=2, base_hidden=16, factor=2,
+                    active_experts=2).validate()
+    split = split_records(generate_synthetic(SynthSpec(n_users=12, n_items=8,
+                                                       records_per_user=6))[0], seed=0)
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index), 5.0)
+    bundle = ExplainerBundle(VaeGmm(vae_config_from(run, split), Rng(1)),
+                             LanguageModel(lm_config_from(run, len(vocab)), Rng(2)), vocab,
+                             split.user_index, split.item_index, 5.0)
+    bundle.vae.prior = GmmPrior.standard_normal(2, 4)
+    texts, gates, gamma = bundle.explain([])
+    assert texts == [] and gates.shape == (0,) and gamma.shape == (0, 2)
+
+
+def small_run_manifests(precision: str) -> tuple:
+    """(stage-1, stage-2) manifests, minus wall_seconds, of a small two-stage
+    run whose 616 training pairs take two chunks in the occupancy pass."""
+    records, _ = generate_synthetic(SynthSpec(planted_clusters=2, n_users=96, n_items=24,
+                                              records_per_user=8, seed=3))
+    split = split_records(records, seed=3)
+    run = RunConfig(d_emb=16, latent_dim=4, clusters=2, enc_hidden=16, model_dim=16, blocks=1,
+                    heads=2, context=32, base_experts=2, base_hidden=16, factor=2,
+                    active_experts=2, s1_epochs=8, s1_warmup_epochs=5, s1_batch=32,
+                    s2_epochs=1, s2_batch=32, precision=precision).validate()
+    vae, stage1 = train_stage1(split, vae_config_from(run, split), run.stage1())
+    _, stage2 = train_stage2(split, vae, run, run.stage2())
+    return tuple({key: value for key, value in manifest.items() if key != "wall_seconds"}
+                 for manifest in (stage1, stage2))
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_chunked_occupancy_writes_the_manifests_of_one_pass(precision, monkeypatch):
+    chunked = small_run_manifests(precision)
+    assert chunked[1]["epochs"][0]["occupancy"] == [299, 317]
+    monkeypatch.setattr(vae_module, "INFERENCE_ROWS", 10**9)
+    assert small_run_manifests(precision) == chunked
+
+
+def arithmetic_fingerprint() -> str:
+    """sha256 of BLAS products and numpy transcendentals on fixed inputs in
+    both precisions; platforms that round them alike give the same one."""
+    digest = hashlib.sha256()
+    x = Rng(0).normal(33 * 17).reshape(33, 17)
+    for dtype in (np.float64, np.float32):
+        a = x.astype(dtype)
+        for value in (a @ a.T, a[:1] @ a.T, a.T @ a[:, :3], np.tanh(a), np.exp(a), np.log(a * a)):
+            digest.update(value.tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of the small run's manifests as the whole-split occupancy pass and
+# the keep-everything reverse sweep wrote them, on a platform (OpenBLAS on
+# x86-64 with AVX-512) whose arithmetic has the fingerprint below
+PINNED_FINGERPRINT = "65e072757f01a4baa55ff405f897dbd7a8fff8430876f4d3b0a12e0955b23e30"
+PINNED_MANIFESTS = {
+    "float64": ("a42343ae0acb79b415bb75e3bc1c3a458f5e4009bd59e58b1bcb38dbcc24457b",
+                "a401552184154e9d619d989f49e53f99232f91a48fc48324245a99ddd565471e"),
+    "float32": ("870661af12ff6142a62dda1f5af217c1b721c79dd49b7b675a14eb8cda2af514",
+                "4ce68b706267e219c3eb90f1fad58359c202870d66e0aa0c9a304b32e17ab1bd"),
+}
+
+
+@pytest.mark.skipif(arithmetic_fingerprint() != PINNED_FINGERPRINT,
+                    reason="this platform rounds BLAS products or ufuncs unlike the one "
+                           "the digests were pinned on")
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_small_run_manifests_equal_the_pinned_digests(precision):
+    digests = tuple(hashlib.sha256(json.dumps(m, sort_keys=True).encode("utf-8")).hexdigest()
+                    for m in small_run_manifests(precision))
+    assert digests == PINNED_MANIFESTS[precision]
 
 
 # --- closed-form KL against analytics and Monte Carlo ---
