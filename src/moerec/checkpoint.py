@@ -10,9 +10,10 @@ payload in offset order, with no gap and no overlap. A file of another
 version (a GVMC-2 file with its vocabulary sidecar, say) fails with
 ConfigError, and a damaged one with DataError.
 
-Payloads are little-endian float32 by default (a documented lossy downcast
-from float64 training values); `f64=True` keeps full precision so that
-bit-exact round-trips and determinism comparisons are possible.
+Payloads are little-endian float32 by default: exact for a model trained
+at the float32 default, and a lossy downcast only for one trained under
+``precision = float64``, which `f64=True` keeps at full precision so that
+its round-trips are bit-exact.
 """
 
 from __future__ import annotations

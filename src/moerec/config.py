@@ -29,7 +29,6 @@ class StageConfig:
     alpha: float = 0.1
     clip_norm: float = 0.3
     seed: int = 0
-    freeze_gmm: bool = False
     warmup_epochs: int = 1
     warmup_beta: float = 0.0
     joint_lr: float = -1.0     # -1 means: same as lr
@@ -98,7 +97,7 @@ class RunConfig:
     # name them: read_fields drops one at that value and refuses any other,
     # since no run can honour it now.
     RETIRED_FIELDS = {"renormalize_topk": False, "s1_grad_accum": 1, "s2_grad_accum": 1,
-                      "early_stop": False, "patience": 3}
+                      "early_stop": False, "patience": 3, "freeze_gmm": False}
 
     seed: int = 0
     precision: str = "float32"   # training's dtype; inference keeps the process's
@@ -132,7 +131,6 @@ class RunConfig:
     s2_lr: float = 1.5e-3
     alpha: float = 0.1
     s2_clip: float = 0.3
-    freeze_gmm: bool = False
     weight_decay: float = 0.0
 
     def validate(self) -> "RunConfig":
@@ -161,8 +159,7 @@ class RunConfig:
         return StageConfig(stage=2, epochs=self.s2_epochs, batch_size=self.s2_batch,
                            lr=self.s2_lr, beta=self.beta, alpha=self.alpha,
                            clip_norm=self.s2_clip, seed=self.seed,
-                           freeze_gmm=self.freeze_gmm, weight_decay=self.weight_decay,
-                           precision=self.precision)
+                           weight_decay=self.weight_decay, precision=self.precision)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -17,12 +17,12 @@ as ``min(floor(u * n), n - 1)``:
 
 - one per item, its rating effect ``u * 0.5 - 0.25``;
 - 7 per user, in user order: the Fisher-Yates shuffle of the cluster's
-  lexicon, whose first ``favorites_per_user`` tokens are the favorites;
+  lexicon, whose first ``FAVORITES_PER_USER`` (3) tokens are the favorites;
 - per record, user by user, 5 words, or 7 plus one per noisy feature with
   more than one cluster: the item, the first favorite, the second (of the
   rest); with more than one cluster, each feature's noise flag
-  ``u < noise_rate``, followed when set by an other-cluster token; then a
-  Box-Muller pair whose cosine output scales ``rating_noise``.
+  ``u < NOISE_RATE`` (0.1), followed when set by an other-cluster token;
+  then a Box-Muller pair whose cosine output scales ``RATING_NOISE`` (0.3).
 """
 
 from __future__ import annotations
@@ -242,30 +242,28 @@ CLUSTER_TEMPLATES = [
 ]
 
 CLUSTER_RATING_BIAS = [2.2, 3.5, 4.8, 1.6, 3.0]
+NOISE_RATE = 0.1            # chance that a feature flips to an other-cluster token
+RATING_NOISE = 0.3          # standard deviation of a rating around its level
+FAVORITES_PER_USER = 3      # signature tokens each user draws its two features from
 
 
 @dataclass
 class SynthSpec:
+    # Fields that became constants, with their values: read_fields drops one
+    # an old spec file sets at that value and refuses any other.
+    RETIRED_FIELDS = {"noise_rate": NOISE_RATE, "rating_noise": RATING_NOISE,
+                      "favorites_per_user": FAVORITES_PER_USER}
+
     planted_clusters: int = 3
     n_users: int = 300
     n_items: int = 100
     records_per_user: int = 20
-    noise_rate: float = 0.1
-    rating_noise: float = 0.3
-    favorites_per_user: int = 3
     seed: int = 0
 
     def __post_init__(self):
         if not 1 <= self.planted_clusters <= len(CLUSTER_LEXICONS):
             raise DataError(
                 f"planted_clusters must be in [1, {len(CLUSTER_LEXICONS)}]")
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise DataError("noise_rate must be in [0, 1)")
-        if not 0.0 <= self.rating_noise <= sys.float_info.max:
-            raise DataError("rating_noise must be nonnegative and finite")
-        if not 2 <= self.favorites_per_user <= len(CLUSTER_LEXICONS[0]):
-            raise DataError(f"favorites_per_user must be in [2, {len(CLUSTER_LEXICONS[0])}]: "
-                            "each record draws two distinct favorites from one lexicon")
         for name in ("n_users", "n_items", "records_per_user"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -287,13 +285,15 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
     """Planted-cluster corpus plus the user -> cluster ground-truth labels.
 
     Users are assigned clusters round-robin. Each record draws two distinct
-    features from the user's `favorites_per_user` favorite signature tokens;
+    features from the user's `FAVORITES_PER_USER` favorite signature tokens;
     each feature flips to a random other-cluster token with probability
-    `noise_rate`. Ratings are the cluster's level plus Gaussian noise,
-    clipped to [1, 5]. Explanations are a pure function of (cluster, rating
-    bucket, features). The labels never enter the record stream.
+    `NOISE_RATE`. Ratings are the cluster's level plus Gaussian noise of
+    deviation `RATING_NOISE`, clipped to [1, 5]. Explanations are a pure
+    function of (cluster, rating bucket, features). The labels never enter
+    the record stream.
     """
-    k, n_items, n_favs = spec.planted_clusters, spec.n_items, spec.favorites_per_user
+    k, n_items, n_favs = spec.planted_clusters, spec.n_items, FAVORITES_PER_USER
+    noise_rate, rating_noise = NOISE_RATE, RATING_NOISE
     users = [f"u{idx:04d}" for idx in range(spec.n_users)]
     items = [f"i{idx:04d}" for idx in range(n_items)]
     labels = {user: idx % k for idx, user in enumerate(users)}
@@ -328,7 +328,7 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
             at += 3
             for slot in range(2 if k > 1 else 0):
                 at += 1
-                if u[at - 1] < spec.noise_rate:
+                if u[at - 1] < noise_rate:
                     feats[slot] = pool[min(int(u[at] * len(pool)), len(pool) - 1)]
                     at += 1
             drawn.append((items[item], item_effect[item], feats))
@@ -339,7 +339,7 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
         normals = (np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * math.pi * u2)).tolist()
         for (item, effect, feats), z in zip(drawn, normals):
             rating = round(min(max(CLUSTER_RATING_BIAS[cluster] + effect
-                                   + z * spec.rating_noise, 1.0), 5.0), 2)
+                                   + z * rating_noise, 1.0), 5.0), 2)
             bucket = min(max(round(rating), 1), 5)
             key = (cluster, bucket, *feats)
             text = texts.get(key)

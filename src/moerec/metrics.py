@@ -250,6 +250,11 @@ def evaluate_model(
     """
     if not test_records:
         raise MetricError("no test records to evaluate")
+    if buckets and train_records is None:
+        raise MetricError("bucket evaluation needs the training records")
+    if buckets and len(test_records) < 3:
+        raise MetricError(f"bucket evaluation needs at least 3 test records, one per "
+                          f"bucket, have {len(test_records)}")
     generated, gates, _ = bundle.explain(test_records)
 
     prompt_of = getattr(bundle, "prompt_text", lambda rec: "")
@@ -269,8 +274,6 @@ def evaluate_model(
 
     bucket_rows = None
     if buckets:
-        if train_records is None:
-            raise MetricError("bucket evaluation needs the training records")
         generated_by_id = {id(rec): pair for rec, pair in zip(test_records, pairs)}
         bucket_rows = {}
         split = sparsity_buckets(test_records, train_records)

@@ -10,10 +10,10 @@ hard cluster assignment along the deterministic mean path; the loss is
 
     alpha * elbo + (1 - alpha) * mean continuation NLL
 
-and the preference model (mixture prior included, unless frozen) keeps
-training because the ELBO term remains in the objective. The degenerate
-mixing values are honored exactly: alpha=1 never touches the language
-model, alpha=0 never touches the rating decoder.
+and the preference model (mixture prior included) keeps training because
+the ELBO term remains in the objective. The degenerate mixing values are
+honored exactly: alpha=1 never touches the language model, alpha=0 never
+touches the rating decoder.
 
 The warm-up, the joint phase and stage 2 run through one loop, `_fit`,
 which owns the optimisation policy. Each epoch shuffles the training
@@ -278,10 +278,7 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
         bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
                                  user_index=split.user_index,
                                  item_index=split.item_index, r_max=run.r_max)
-        params = bundle.params()
-        if cfg.freeze_gmm:
-            params = {k: v for k, v in params.items() if not k.startswith("vae.gmm.")}
-        opt = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+        opt = AdamW(bundle.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         started = time.time()
         rows = _fit(opt, cfg, cfg.epochs, split, vae,
                     partial(_explainer_batches, bundle, run, cfg, split),

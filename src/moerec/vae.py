@@ -268,9 +268,7 @@ class VaeGmm:
         return _in_chunks(lambda u, i: self.encode(u, i)[0].data, users, items)
 
     def decode(self, z: Tensor) -> Tensor:
-        """Predicted normalized rating in (0, 1)."""
-        if z.data.ndim == 1:
-            return T.sigmoid(self.decoder.forward(z.reshape(1, -1))[:, 0]).sum()
+        """Predicted normalized rating in (0, 1) for each row of `z` (B, D)."""
         return T.sigmoid(self.decoder.forward(z)[:, 0])
 
     def predict_rating(self, users, items) -> np.ndarray:

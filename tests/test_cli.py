@@ -90,11 +90,11 @@ def test_synth_malformed_spec_field(tmp_path, capsys):
     ("n_users = -3\n", (), 2, "n_users"),
     ("n_items = 0\n", (), 2, "n_items"),
     ("records_per_user = 0\n", (), 2, "records_per_user"),
-    ("rating_noise = NaN\n", (), 2, "rating_noise"),
-    ("favorites_per_user = 1\n", (), 2, "favorites_per_user"),
+    ("rating_noise = NaN\n", (), 1, "rating_noise"),          # retired: only 0.3 reads
+    ("favorites_per_user = 1\n", (), 1, "favorites_per_user"),   # retired: only 3 reads
     (None, ("--seed", "Infinity"), 1, "seed"),
     ("n_users = 12.9\n", (), 1, "n_users"),
-    ("favorites_per_user = 9\n", (), 2, "favorites_per_user"),
+    ("favorites_per_user = 9\n", (), 1, "favorites_per_user"),
 ])
 def test_synth_rejects_malformed_spec_values(tmp_path, capsys, spec_text, extra,
                                              code, needle):
@@ -231,6 +231,7 @@ def test_train_refuses_the_retired_encoder_attention_flag(workspace, tmp_path, c
     ("train", ("--renormalize_topk", "true")),
     ("train", ("--early_stop", "false")),
     ("evaluate", ("--sentence-level",)),
+    ("train", ("--freeze_gmm", "false")),
 ])
 def test_retired_flags_are_usage_errors(workspace, tmp_path, capsys, command, retired):
     argv = {"train": ("--stage", "1", "--out", str(tmp_path / "x.ckpt")),
@@ -263,7 +264,7 @@ def test_checkpoints_holding_retired_fields_at_their_defaults_load(workspace, tm
 
 @pytest.mark.parametrize("field,value", [
     ("renormalize_topk", True), ("s1_grad_accum", 2), ("s2_grad_accum", 4),
-    ("early_stop", True), ("patience", 5),
+    ("early_stop", True), ("patience", 5), ("freeze_gmm", True),
 ])
 def test_checkpoints_holding_a_retired_field_elsewhere_are_refused(workspace, tmp_path,
                                                                    capsys, field, value):

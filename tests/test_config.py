@@ -25,13 +25,13 @@ def test_file_parsing_and_comments(tmp_path):
         "# a comment\n"
         "clusters = 2\n"
         "s1_lr = 0.001\n"
-        "freeze_gmm = true\n"
+        "s2_epochs = 4\n"
         "precision = \"float64\"\n",
         encoding="utf-8")
     run = load_config(path)
     assert run.clusters == 2
     assert run.s1_lr == 0.001
-    assert run.freeze_gmm is True
+    assert run.s2_epochs == 4 and run.precision == "float64"
 
 
 def test_overrides_win_over_file(tmp_path):
@@ -79,6 +79,7 @@ def test_save_load_roundtrip(tmp_path):
 
 
 def test_bad_boolean_rejected(tmp_path):
+    # a retired bool field still reads its value as a bool before comparing
     with pytest.raises(ConfigError):
         load_config(None, {"freeze_gmm": "maybe"})
 
@@ -107,7 +108,7 @@ def test_direct_construction_checks_types():
     with pytest.raises(ConfigError):
         RunConfig(d_emb=8.5).validate()
     with pytest.raises(ConfigError):
-        RunConfig(freeze_gmm=1).validate()
+        RunConfig(precision=32).validate()
     with pytest.raises(ConfigError):
         RunConfig(clusters=True).validate()
     assert RunConfig(s1_lr=1).validate().s1_lr == 1
@@ -125,29 +126,70 @@ def test_encoder_attention_must_stay_off(tmp_path):
         assert "encoder_attention" in str(err.value)
 
 
-def test_retired_fields_load_only_at_their_old_defaults(tmp_path):
-    # config files and checkpoint manifests written before these fields went
-    # still name them; at the old default they are dropped, at any other
-    # value refused with the field named
+def test_retired_fields_load_only_at_their_old_defaults(tmp_path, capsys):
+    # config files, spec files and checkpoint manifests written before these
+    # fields went still name them; at the old default they are dropped, at
+    # any other value refused with the field named
     retired = {"renormalize_topk": False, "s1_grad_accum": 1, "s2_grad_accum": 1,
-               "early_stop": False, "patience": 3}
+               "early_stop": False, "patience": 3, "freeze_gmm": False}
     assert RunConfig.RETIRED_FIELDS == retired
     path = tmp_path / "run.cfg"
-    path.write_text("clusters = 2\nearly_stop = false\npatience = 3\n", encoding="utf-8")
+    path.write_text("clusters = 2\nearly_stop = false\npatience = 3\nfreeze_gmm = false\n",
+                    encoding="utf-8")
     assert load_config(path) == load_config(None, {"clusters": "2"})
     assert load_config(None, retired) == RunConfig().validate()
     assert load_config(None, {key: json.dumps(v) for key, v in retired.items()}) == RunConfig()
     path.write_text("clusters = 2\npatience = 5\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="config line 2: config field 'patience' is retired"):
         load_config(path)
+    path.write_text("clusters = 2\nfreeze_gmm = true\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="config line 2: config field 'freeze_gmm' is retired"):
+        load_config(path)
     for name, value in (("early_stop", True), ("s1_grad_accum", "2"),
-                        ("renormalize_topk", "maybe"), ("patience", 3.5)):
+                        ("renormalize_topk", "maybe"), ("patience", 3.5),
+                        ("freeze_gmm", "true"), ("freeze_gmm", 0)):
         with pytest.raises(ConfigError, match=name):
             load_config(None, {name: value})
     for name in retired:
         assert name not in RunConfig().to_dict()
         with pytest.raises(ConfigError, match=name):
             read_fields(SynthSpec, overrides={name: retired[name]}, kind="spec")
+
+    spec_retired = {"noise_rate": 0.1, "rating_noise": 0.3, "favorites_per_user": 3}
+    assert SynthSpec.RETIRED_FIELDS == spec_retired
+    spec = tmp_path / "synth.cfg"
+    spec.write_text("n_users = 12\nnoise_rate = 0.1\nrating_noise = 0.3\n"
+                    "favorites_per_user = 3\n", encoding="utf-8")
+    assert read_fields(SynthSpec, spec, kind="spec") == {"n_users": 12}
+    assert read_fields(SynthSpec, overrides=spec_retired, kind="spec") == {}
+    assert read_fields(SynthSpec, overrides={k: json.dumps(v) for k, v in spec_retired.items()},
+                       kind="spec") == {}
+    assert read_fields(SynthSpec, overrides={"favorites_per_user": 3.0}, kind="spec") == {}
+    for name, value in (("noise_rate", "0.5"), ("noise_rate", 0.0), ("rating_noise", "NaN"),
+                        ("favorites_per_user", 2), ("favorites_per_user", 3.5),
+                        ("noise_rate", "high")):
+        with pytest.raises(ConfigError, match=name):
+            read_fields(SynthSpec, overrides={name: value}, kind="spec")
+    for name in spec_retired:
+        assert not hasattr(SynthSpec(), name)
+        with pytest.raises(ConfigError, match=name):
+            load_config(None, {name: json.dumps(spec_retired[name])})
+
+    # `moerec synth --spec`: the retired fields at their old values write the
+    # corpus the spec without them writes; another value writes nothing
+    from moerec.cli import main
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("n_users = 12\n", encoding="utf-8")
+    outs = [tmp_path / "old.jsonl", tmp_path / "plain.jsonl"]
+    for source, out in zip((spec, plain), outs):
+        assert main(["synth", "--spec", str(source), "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    spec.write_text("n_users = 12\nnoise_rate = 0.5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.jsonl")]) == 1
+    assert ("spec line 2: spec field 'noise_rate' is retired and takes only its old "
+            "default 0.1, got 0.5") in capsys.readouterr().err
+    assert not (tmp_path / "x.jsonl").exists()
 
 
 _TYPES = {"int": int, "float": float, "bool": bool, "str": str}

@@ -209,6 +209,22 @@ def test_evaluate_bucket_mode_rows():
     assert "bleu4_ratio_ds3_ds1" in report.buckets
 
 
+@pytest.mark.parametrize("n,train,needle", [
+    (1, records_fixture(9), "at least 3 test records, one per bucket, have 1"),
+    (2, records_fixture(9), "at least 3 test records, one per bucket, have 2"),
+    (9, None, "needs the training records"),
+])
+def test_bucket_inputs_are_checked_before_any_decoding(n, train, needle):
+    bundle = EchoBundle()
+    with pytest.raises(MetricError, match=needle):
+        evaluate_model(bundle, records_fixture(n), train_records=train, buckets=True)
+    assert bundle.calls == {"explain": 0, "predict_norm_ratings": 0}
+    # three records fill one bucket each
+    report, _ = evaluate_model(bundle, records_fixture(3), train_records=records_fixture(9),
+                               buckets=True)
+    assert [report.buckets[k]["count"] for k in ("ds1", "ds2", "ds3")] == [1, 1, 1]
+
+
 def test_report_percent_formatting():
     report = MetricReport(values={"bleu1": 0.21370, "rmse": 0.5}, count=3)
     table = report.to_table()

@@ -225,17 +225,6 @@ def test_stage2_alpha_zero_never_touches_rating_decoder():
                for p in lm.params().values())
 
 
-def test_stage2_freeze_gmm_keeps_prior_fixed():
-    split, _ = small_corpus()
-    run = small_run(freeze_gmm=True)
-    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
-    before = {name: vae.params()[name].data.copy()
-              for name in ("vae.gmm.pi_logits", "vae.gmm.mu", "vae.gmm.log_var")}
-    train_stage2(split, vae, run, run.stage2())
-    for name, data in before.items():
-        assert np.array_equal(vae.params()[name].data, data), name
-
-
 def test_stage2_determinism_bit_identical():
     a = trained_pair(seed=3)[3]
     b = trained_pair(seed=3)[3]
@@ -678,7 +667,7 @@ def test_stage_config_validation():
     ("clip_norm", 0.0), ("clip_norm", math.nan), ("warmup_beta", 3.0),
     ("weight_decay", math.inf), ("joint_lr", math.inf), ("joint_lr", 0.0), ("joint_lr", -2.0),
     ("lr", 0.0), ("epochs", -1), ("warmup_epochs", -1), ("batch_size", 0),
-    ("alpha", -0.1), ("epochs", 2.5), ("seed", True), ("freeze_gmm", "yes"),
+    ("alpha", -0.1), ("epochs", 2.5), ("seed", True),
     ("precision", "float16"), ("precision", 32),
 ])
 def test_stage_config_checks_every_field(field, value):
