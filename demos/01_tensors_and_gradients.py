@@ -9,6 +9,7 @@ import numpy as np
 
 from moerec import Rng, Tape, Tensor, grad_check
 from moerec import tensor as T
+from moerec.verify import softmax
 
 # Tensors wrap float64 numpy arrays. Only tensors created with
 # requires_grad=True accumulate gradients.
@@ -20,7 +21,7 @@ print("w =\n", w.data)
 # backward sweep walks that record once, in reverse.
 with Tape() as tape:
     h = T.sigmoid(x @ w)         # (2, 3)
-    probs = T.softmax(h, axis=-1)
+    probs = softmax(h, axis=-1)
     loss = -(T.log(probs) * Tensor([[1, 0, 0], [0, 1, 0.0]])).sum()
     tape.backward(loss)
 
@@ -37,7 +38,7 @@ w.zero_grad()
 
 # The finite-difference checker is the standing oracle for every backward
 # rule: it perturbs each coordinate and compares slopes.
-err = grad_check(lambda t: (T.softmax(t) * Tensor([0.2, 0.5, 0.3])).sum(),
+err = grad_check(lambda t: (softmax(t) * Tensor([0.2, 0.5, 0.3])).sum(),
                  Tensor(Rng(1).normal(3)))
 print(f"softmax grad check: max relative error {err:.2e}")
 

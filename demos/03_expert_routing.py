@@ -8,6 +8,7 @@ how the rows of a mixed-gate batch are grouped by expert.
 import numpy as np
 
 from moerec import Rng, Tensor, decompose_experts, top_k_select
+from moerec import tensor as T
 from moerec.moe import ExpertBank, GateRouter, _moe_rows, expert_weight_count
 from moerec.verify import reference_expert_ffn
 
@@ -31,19 +32,22 @@ print(f"stacked experts w1 {bank.w1.shape}, w2 {bank.w2.shape};",
 x = Tensor(Rng(2).normal(8).reshape(1, 8))
 
 for gate in range(3):
-    scores = router.scores(gate, x).data[0]
+    scores = router.scores(np.array([gate]), x.data)[0]
     picked = top_k_select(scores, 2)
     print(f"gate {gate}: scores {scores.round(3)} -> experts {picked}")
 
-# Only the top-k experts are evaluated; the counter proves it. A batch of
-# rows under mixed gates runs through the bank in one call, its (row,
-# expert) pairs sorted by expert.
+# Only the top-k experts are evaluated; the counter proves it. A block's
+# MoE sublayer normalizes a batch of rows under mixed gates, scores them,
+# and runs all their (row, expert) pairs through the bank in one call,
+# grouped by expert, with the residual added back.
 rows = Tensor(Rng(3).normal(5 * 8).reshape(5, 8))
 row_gates = np.array([0, 2, 1, 0, 2])
+gain = Tensor(np.ones(8))
 bank.eval_count = 0
-_moe_rows(bank, router, row_gates, rows, k=2)
+_moe_rows(bank, router, gain, row_gates, rows)
 print(f"expert evaluations for 5 rows with k=2: {bank.eval_count}")
-selected = top_k_select(router.scores(row_gates, rows).data, 2).reshape(-1)
+normed = T.rms_norm(rows, gain).data
+selected = top_k_select(router.scores(row_gates, normed), 2).reshape(-1)
 print("experts of the pairs, grouped:", np.sort(selected, kind="stable"))
 
 # The raw softmax scores weight the selected outputs, so with identical
@@ -51,10 +55,12 @@ print("experts of the pairs, grouped:", np.sort(selected, kind="stable"))
 for part in ("w1", "b1", "w2", "b2"):
     stack = getattr(bank, part).data
     stack[1:] = stack[0]
-scores = router.scores(0, x).data[0]
+normed = T.rms_norm(x, gain)
+scores = router.scores(np.array([0]), normed.data)[0]
 picked = top_k_select(scores, 2)
-single = reference_expert_ffn(x, bank.w1, bank.b1, bank.w2, bank.b2, np.array([0])).data[0]
-combined = _moe_rows(bank, router, 0, x, k=2).data[0]
+single = reference_expert_ffn(normed, bank.w1, bank.b1, bank.w2, bank.b2,
+                              np.array([0])).data[0]
+combined = _moe_rows(bank, router, gain, np.array([0]), x).data[0] - x.data[0]
 print("factorization holds:",
       np.allclose(combined, scores[picked].sum() * single))
 

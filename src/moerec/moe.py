@@ -184,16 +184,16 @@ class ExpertBank:
         self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 
-    def run(self, experts: np.ndarray, order: np.ndarray, rows: Tensor, scores: Tensor,
-            residual: Tensor) -> Tensor:
-        """Pair ``order[i]`` of the (n, k) selection through expert
-        `experts[i]`: its row of `rows`, weighted by the router's `scores`
-        and mixed into `residual`, in one fused
-        :func:`~moerec.tensor.routed_experts`; pairs sorted by expert are
-        sliced rather than gathered."""
-        self.eval_count += order.shape[0]
-        return T.routed_experts(residual, rows, self.w1, self.b1, self.w2, self.b2,
-                                experts, scores, order)
+    def run(self, h: Tensor, selected: np.ndarray, router: "GateRouter", gates: np.ndarray,
+            scores: np.ndarray, gain: Tensor, norm: tuple) -> Tensor:
+        """The MoE sublayer of rows `h` as one fused
+        :func:`~moerec.tensor.moe_sublayer`, on the row-major (n*k,) experts
+        `selected` from the `router`'s `scores` (under `gates`) of the rows
+        normed by `gain` (`norm`); it checks `selected` once."""
+        out = T.moe_sublayer(h, gain, router.weights, self.w1, self.b1, self.w2, self.b2,
+                             gates, scores, selected, self.cfg.active, norm)
+        self.eval_count += len(selected)
+        return out
 
 
 class GateRouter:
@@ -207,13 +207,16 @@ class GateRouter:
             .reshape(model_dim, cfg.expert_count) / math.sqrt(model_dim)
             for _ in range(cfg.gates)]), requires_grad=True)
 
-    def scores(self, gates, rows: Tensor) -> Tensor:
-        """(n, E) scores for (n, m) rows, row i under gate `gates[i]`; one
-        int routes every row through the same gate."""
-        gates = np.zeros(rows.shape[:1], dtype=np.int64) + T._row_ids(gates)
+    def scores(self, gates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(n, E) softmax scores of the (n, m) array `rows`, row i under gate
+        `gates[i]` (:func:`~moerec.tensor._router_softmax`); a gate outside
+        the range raises ConfigError."""
+        gates = T._row_ids(gates)
+        if gates.shape != rows.shape[:1]:
+            raise ShapeError(f"{gates.shape} gates for {rows.shape[:1]} rows")
         if gates.size and (gates.min() < 0 or gates.max() >= self.cfg.gates):
             raise ConfigError(f"gate index outside [0, {self.cfg.gates})")
-        return T.softmax(T.grouped_matmul(rows, self.weights, gates), axis=-1)
+        return T._router_softmax(rows, self.weights.data, gates)
 
 
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
@@ -221,26 +224,26 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     scores = np.asarray(scores)
     if k > scores.shape[-1]:
         raise ConfigError(f"k={k} exceeds {scores.shape[-1]} experts")
-    order = np.argsort(-scores, axis=-1, kind="stable")
+    order = (-scores).argsort(axis=-1, kind="stable")
     return np.sort(order[..., :k], axis=-1)
 
 
-def _moe_rows(bank: ExpertBank, router: GateRouter, gates, rows: Tensor,
-              k: int, residual: Tensor = None) -> Tensor:
-    """Top-k expert mixture of (n, m) rows, each routed by its own gate,
-    added to `residual` (zeros by default).
-
-    Dropless grouping (MegaBlocks, Gale et al. 2023): the n*k (row, expert)
-    pairs are stable-sorted by expert, run through the bank in one call, and
-    each row's k weighted outputs are summed back into it. Outputs are weighted
-    by the raw softmax scores. Gradients reach the selected experts and,
-    through the full softmax, every routing logit of the row's gate.
-    """
-    scores = router.scores(gates, rows)                     # (n, E)
-    selected = top_k_select(scores.data, k).reshape(-1)     # (n*k,), row-major
-    order = np.argsort(selected, kind="stable")
-    residual = Tensor(np.zeros_like(rows.data)) if residual is None else residual
-    return bank.run(selected[order], order, rows, scores, residual)
+def _moe_rows(bank: ExpertBank, router: GateRouter, gain: Tensor, gates: np.ndarray,
+              h: Tensor) -> Tensor:
+    """The MoE sublayer of a block over (n, m) rows `h`, row i routed by
+    gate `gates[i]`: ``h`` plus the top-k expert mixture of
+    ``rms_norm(h, gain)``. The norm, the router and the top-k run on
+    arrays, then the bank records the sublayer as one op. Dropless grouping
+    (MegaBlocks, Gale et al. 2023): the n*k (row, expert) pairs are
+    stable-sorted by expert, run through the bank in one call, and each
+    row's k outputs, weighted by the raw softmax scores, are summed back
+    into it. Gradients reach the selected experts and, through the full
+    softmax, every routing logit of the row's gate."""
+    norm = T._rms_parts(h.data, gain.data)
+    T._check_finite(norm[0], "rms_norm")
+    scores = router.scores(gates, norm[0])                         # (n, E)
+    selected = top_k_select(scores, bank.cfg.active).reshape(-1)   # (n*k,), row-major
+    return bank.run(h, selected, router, gates, scores, gain, norm)
 
 
 # --- transformer ---
@@ -282,7 +285,7 @@ class TransformerBlock:
                 cache: list = None, offset: int = 0, start: int = 0) -> Tensor:
         """One block over `batch` sequences of `length` rows each, sequence
         `b` routed by `gates[b]`: the fused attention sublayer, then the
-        norm, the router and the fused routed experts. `cache` is this
+        MoE sublayer of :func:`_moe_rows`. `cache` is this
         block's entry of a :class:`KVCache` holding `offset` positions; an
         empty entry gets buffers of the whole context. With `start`, the
         block returns only positions ``start..length-1`` of each sequence:
@@ -293,8 +296,8 @@ class TransformerBlock:
             cache[:] = [np.empty(shape, rows.data.dtype) for _ in range(2)]
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
                                  self.config.heads, batch, cache, offset, start)
-        return _moe_rows(self.bank, self.router, np.repeat(gates, length - start),
-                         T.rms_norm(h, self.norm2_g), self.config.moe.active, residual=h)
+        return _moe_rows(self.bank, self.router, self.norm2_g,
+                         np.repeat(gates, length - start), h)
 
 
 class KVCache:
@@ -399,8 +402,8 @@ class LanguageModel:
                 start = int((rows % length).min())
                 rows = rows // length * (length - start) + rows % length - start
         flat = tokens.reshape(-1)
-        pos_ids = np.tile(np.arange(offset, offset + length), batch)
-        x = T.take_rows(self.embed, flat) + T.take_rows(self.pos, pos_ids)
+        pos_ids = np.arange(batch * length) % length + offset
+        x = T.add_rows(self.embed, flat, self.pos, pos_ids)
         if cache is not None and cache.length == 0:
             shape = (batch, cache.positions or self.config.context, x.shape[1])
             for entry in cache.blocks:

@@ -15,21 +15,22 @@ Rules of the house:
 - Every operation checks its output for NaN/Inf and raises
   :class:`~moerec.errors.NumericError` rather than letting poison propagate.
 - The hot chains run as fused ops, one record each. For the transformer:
-  :func:`rms_norm`, the block sublayers :func:`attention_sublayer` and
-  :func:`routed_experts`, and :func:`weighted_nll` (the language-model
-  loss). For the variational preference model: :func:`concat_rows` (the
-  embedding-pair gather), :func:`mlp` (the two-layer tanh network, which
-  shares its body with the routed experts), :func:`gaussian_sample` (the
-  reparameterized draw), :func:`bce_with_logits` (the reconstruction loss)
-  and :func:`mixture_kl` (the closed-form KL to a Gaussian mixture). Their
-  forwards and gradients equal those of the op chains they replace, bit for
-  bit, and they also check the intermediates that their output would hide.
-  The chains, and the structural ops only they use, are in moerec.verify.
+  :func:`add_rows` (the token and position embeddings), :func:`rms_norm`,
+  the block sublayers :func:`attention_sublayer` and :func:`moe_sublayer`,
+  and :func:`weighted_nll` (the language-model loss). For the variational
+  preference model: :func:`concat_rows` (the embedding-pair gather),
+  :func:`mlp` (the two-layer tanh network, which shares its body with the
+  experts), :func:`gaussian_sample` (the reparameterized draw),
+  :func:`bce_with_logits` (the reconstruction loss) and :func:`mixture_kl`
+  (the closed-form KL to a Gaussian mixture). Their forwards and gradients
+  equal those of the op chains they replace, bit for bit, and they also
+  check the intermediates that their output would hide. The chains, and
+  the structural ops only they use, are in moerec.verify.
 - The transformer sublayers compute only what is read. attention_sublayer
   can start its query side at a position, so that a loss over late rows
   runs no queries, router or experts for the earlier ones, and
-  routed_experts gathers each pair's row itself and sums each row's k
-  pairs with a fixed fan-in (:func:`_fan_in_sums`) instead of a scatter.
+  moe_sublayer gathers each pair's row itself and sums each row's k pairs
+  with a fixed fan-in (:func:`_fan_in_sums`) instead of a scatter.
 - Gradient accumulation never clears anything implicitly: call
   :func:`zero_grad` (or ``Tensor.zero_grad``, or an optimizer's
   ``zero_grad``) between optimization steps. An optimizer's parameters
@@ -77,8 +78,12 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
     A finite sum proves every element finite, so the full scan runs only
     when the sum is not finite. A finite array whose sum overflows (say
     ``[1e308, 1e308]``) takes the scan and passes; numpy may emit an
-    overflow RuntimeWarning for that sum.
+    overflow RuntimeWarning for that sum. An array whose strides are all 0
+    holds one value, repeated, so a large one has its first element alone
+    checked; for a small one the sum costs less than the question.
     """
+    if arr.size > 1024 and not any(arr.strides):
+        arr = arr[(slice(0, 1),) * arr.ndim]
     if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {op}")
 
@@ -366,24 +371,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ b.data.T, a.data.T @ g))
 
 
-def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
-    """Row i of the result is ``x[i] @ w[groups[i]]`` for a (G, p, q) stack
-    `w`. The rows of each group run as one matmul; groups may be empty and
-    rows may come in any order, though rows sorted by group are sliced
-    rather than gathered."""
-    groups = _row_ids(groups)
-    if (x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]
-            or groups.shape != x.shape[:1]):
-        raise ShapeError(f"grouped_matmul shapes incompatible: {x.shape} @ {w.shape} "
-                         f"with {groups.shape} group ids")
-    parts = _group_parts(groups, w.shape[0])
-    out = _grouped_forward(x.data, w.data, parts)
-    return _make(out, "grouped_matmul", (x, w),
-                 lambda grad: _grouped_backward(grad, x.data, w.data, parts))
-
-
 def _group_parts(groups: np.ndarray, count: int) -> list:
-    """(group, rows) for each nonempty group of `count`; `rows` is a slice
+    """(group, rows) for each nonempty group of `count`, for row i times
+    ``w[groups[i]]`` (the router's gates, the experts); `rows` is a slice
     when `groups` is sorted, else the group's row indices in input order.
     Decoding calls this for one or two rows at a time, so a few sorted ids
     are grouped in plain Python; otherwise it makes few numpy calls."""
@@ -424,7 +414,9 @@ def _group_sums(shape: tuple, g: np.ndarray, parts: list, groups: np.ndarray) ->
 
 
 def _grouped_forward(x: np.ndarray, w: np.ndarray, parts: list) -> np.ndarray:
-    out = np.empty((x.shape[0], w.shape[2]), dtype=np.result_type(x, w))
+    if len(parts) == 1:                  # one group, sliced: every row
+        return x @ w[parts[0][0]]
+    out = np.empty((x.shape[0], w.shape[2]), dtype=np.promote_types(x.dtype, w.dtype))
     for g, rows in parts:
         out[rows] = x[rows] @ w[g]
     return out
@@ -480,6 +472,19 @@ def _rms_parts(x: np.ndarray, gain: np.ndarray) -> tuple:
     return normed * gain, back
 
 
+def _router_softmax(rows: np.ndarray, weights: np.ndarray, gates: np.ndarray) -> np.ndarray:
+    """``softmax(rows[i] @ weights[gates[i]])`` for each row i, with the
+    logits and the scores checked; its backward rule is part of
+    :func:`moe_sublayer`'s."""
+    logits = _grouped_forward(rows, weights, _group_parts(gates, weights.shape[0]))
+    _check_finite(logits, "router logits")
+    # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
+    e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    scores = e / np.add.reduce(e, axis=-1, keepdims=True)
+    _check_finite(scores, "router softmax")
+    return scores
+
+
 def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
                      offset: int) -> tuple:
     """(output, backward rule) of causal attention of (B, L, m) queries over
@@ -496,9 +501,10 @@ def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     if keys > offset + 1:                # else every query sees every key
         scores = scores + np.triu(np.full((length, keys), -1e9, dtype=qh.dtype), k=offset + 1)
     _check_finite(scores, "attention scores")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
+    # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
+    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
     mixed = probs @ vh
     out = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(batch * length, m)
 
@@ -535,8 +541,9 @@ def _expert_layers(op: str, arrays: tuple, experts: np.ndarray) -> tuple:
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``tanh(x @ w1 + b1) @ w2 + b2`` over the rows of `x`: the two-layer
-    network of :func:`routed_experts` with a single expert, whose biases
-    broadcast over the rows and take the row sums as their gradients."""
+    network of the experts of :func:`moe_sublayer` with a single expert,
+    whose biases broadcast over the rows and take the row sums as their
+    gradients."""
     if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
             or x.shape[1] != w1.shape[0] or b1.shape != w1.shape[1:]
             or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
@@ -552,7 +559,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def _tanh_mlp(op: str, arrays: tuple, layer: Callable, layer_back: Callable,
               bias: Callable, bias_back: Callable) -> tuple:
     """(output, backward rule) of :func:`mlp` and of the experts of
-    :func:`routed_experts` on the arrays (x, w1, b1, w2, b2).
+    :func:`_mixture_parts` on the arrays (x, w1, b1, w2, b2).
     ``layer(x, w)`` multiplies rows by a weight and ``layer_back(g, x, w)``
     returns its (x, w) gradients; ``bias(b)`` is the bias added to the rows
     and ``bias_back(shape, g)`` reduces a row gradient to it."""
@@ -608,7 +615,7 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
         return a.reshape(batch, length, -1)[:, start:]
 
     normed, norm_back = _rms_parts(x.data, gain.data)
-    k, v = (normed @ w.data for w in (wk, wv))
+    k, v = normed @ wk.data, normed @ wv.data
     cut = tail(normed).reshape(-1, m) if start else normed
     q = cut @ wq.data
     keys, values = k.reshape(batch, length, m), v.reshape(batch, length, m)
@@ -634,43 +641,64 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
     return _make(residual + mixed @ wo.data, "attention_sublayer", inputs, back)
 
 
-def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                   experts: np.ndarray, scores: Tensor, order: np.ndarray) -> Tensor:
-    """The top-k mixture of the n `rows` under router `scores` (n, E), plus
-    the residual `x`, through stacked two-layer experts
-    ``tanh(r @ w1[e] + b1[e]) @ w2[e] + b2[e]`` for `w1` (E, m, h), `b1`
-    (E, h), `w2` (E, h, m) and `b2` (E, m). Pair i is pair ``order[i]`` of
-    the row-major (n, k) selection: row ``order[i] // k`` of `rows` through
-    expert ``experts[i]``, weighted by its score, and added back into its
-    row. The pairs of one expert run as one matmul per layer, grouped as in
-    :func:`grouped_matmul`. Each row has k pairs, so the sum of a row's
-    pairs and the gradient of the row gather are :func:`_fan_in_sums`,
-    which equal the scatter ``_index_add`` bit for bit."""
-    order = _row_ids(order, np.size(order))
-    n = x.shape[0] if x.data.ndim == 2 else 0
-    k = order.size // n if n else 0
-    row_of = order // k if k else order
-    if (k < 1 or order.shape != (n * k,) or rows.data.ndim != 2 or rows.shape[0] != n
-            or scores.shape != (n, w1.shape[0]) or x.shape[1] != w2.shape[2]
-            or (np.bincount(row_of, minlength=n) != k).any()):
-        raise ShapeError(f"routed_experts shapes incompatible: x {x.shape}, scores "
-                         f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids "
-                         f"that must give each row the same count")
-    slots = np.argsort(row_of, kind="stable").reshape(n, k)
-    arrays = (rows.data[row_of], w1.data, b1.data, w2.data, b2.data)
-    ffn, ffn_back = _tanh_mlp("routed_experts", arrays,
-                              *_expert_layers("routed_experts", arrays, experts))
-    weight = scores.data[row_of, experts].reshape(-1, 1)
+def _mixture_parts(rows: np.ndarray, bank: tuple, scores: np.ndarray, experts: np.ndarray,
+                   row_of: np.ndarray, slots: np.ndarray, op: str) -> tuple:
+    """(mixture, backward rule) of n*k pairs: row ``row_of[i]`` of `rows`
+    through expert ``e = experts[i]`` of the stacked `bank` (w1, b1, w2, b2),
+    ``tanh(r @ w1[e] + b1[e]) @ w2[e] + b2[e]``, weighted by its score and
+    summed into its row, and the row gather's gradient likewise, by the
+    :func:`_fan_in_sums` of the (n, k) `slots`. The rule returns the
+    gradients of (rows, w1, b1, w2, b2, scores)."""
+    arrays = (rows[row_of], *bank)
+    ffn, ffn_back = _tanh_mlp(op, arrays, *_expert_layers(op, arrays, experts))
+    weight = scores[row_of, experts].reshape(-1, 1)
 
     def back(g):
         g_pairs = g[row_of]
         g_weight = _unbroadcast(g_pairs * ffn, weight.shape).reshape(-1)
         g_rows, *g_bank = ffn_back(_unbroadcast(g_pairs * weight, ffn.shape))
-        return (g, _fan_in_sums(g_rows, slots), *g_bank,
+        return (_fan_in_sums(g_rows, slots), *g_bank,
                 _index_add(scores.shape, (row_of, experts), g_weight))
 
-    out = x.data + _fan_in_sums(ffn * weight, slots)
-    return _make(out, "routed_experts", (x, rows, w1, b1, w2, b2, scores), back)
+    return _fan_in_sums(ffn * weight, slots), back
+
+
+def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, gates: np.ndarray, scores: np.ndarray,
+                 selected: np.ndarray, k: int, norm: tuple) -> Tensor:
+    """``h + sum_j p[r, e] * ffn_e(y[r])`` over row r's k experts ``e =
+    selected[r*k + j]`` (:func:`_mixture_parts`), for ``y = rms_norm(h,
+    gain)`` and ``p = softmax(y[r] @ router[gates[r]])``. The caller ran
+    those to pick the experts and hands them in: `norm` is
+    :func:`_rms_parts`'s (y, backward rule) and `scores` is
+    :func:`_router_softmax`'s p. The rule
+    adds the chain's terms in its reverse-sweep order: y gets the experts'
+    term plus the router's, and `h` the residual's, then the norm's three
+    (so the record lists `h` four times)."""
+    selected = _row_ids(selected, w1.shape[0])
+    normed, norm_back = norm
+    n, m = h.shape if h.data.ndim == 2 else (-1, -1)
+    if (k < 1 or selected.shape != (n * k,) or normed.shape != (n, m)
+            or np.shape(gates) != (n,) or scores.shape != (n, w1.shape[0])
+            or router.shape[1:] != (m, w1.shape[0]) or w2.shape[2:] != (m,)):
+        raise ShapeError(f"moe_sublayer shapes incompatible: h {h.shape}, router {router.shape}, "
+                         f"w2 {w2.shape}, {np.shape(gates)} gates, scores {scores.shape}, "
+                         f"{selected.shape} expert ids for k={k}")
+    order = selected.argsort(kind="stable")
+    row_of = order // k
+    slots = row_of.argsort(kind="stable").reshape(n, k)
+    mixed, mix_back = _mixture_parts(normed, (w1.data, b1.data, w2.data, b2.data), scores,
+                                     selected[order], row_of, slots, "moe_sublayer")
+
+    def back(g):
+        g_normed, *g_bank, g_scores = mix_back(g)
+        g_logits = (g_scores - (g_scores * scores).sum(axis=-1, keepdims=True)) * scores
+        g_routed, g_router = _grouped_backward(g_logits, normed, router.data,
+                                               _group_parts(gates, router.shape[0]))
+        return (g, *g_bank, g_router, *norm_back(g_normed + g_routed))
+
+    return _make(h.data + mixed, "moe_sublayer", (h, w1, b1, w2, b2, router, gain, h, h, h),
+                 back)
 
 
 def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
@@ -700,6 +728,18 @@ def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Te
         return (grad,)
 
     return _make(out, "weighted_nll", (logits,), back)
+
+
+def add_rows(a: Tensor, rows_a: np.ndarray, b: Tensor, rows_b: np.ndarray) -> Tensor:
+    """``a[rows_a] + b[rows_b]``, as the token and position embeddings are
+    summed; indices may repeat."""
+    if (a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]
+            or np.ndim(rows_a) != 1 or np.shape(rows_a) != np.shape(rows_b)):
+        raise ShapeError(f"add_rows shapes incompatible: {a.shape} rows {np.shape(rows_a)}, "
+                         f"{b.shape} rows {np.shape(rows_b)}")
+    rows_a, rows_b = _row_ids(rows_a, a.shape[0]), _row_ids(rows_b, b.shape[0])
+    return _make(a.data[rows_a] + b.data[rows_b], "add_rows", (a, b),
+                 lambda g: (_index_add(a.shape, rows_a, g), _index_add(b.shape, rows_b, g)))
 
 
 # --- fused ops of the variational preference model ---
@@ -857,21 +897,6 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(np.asarray(out), "mean", (a,), back)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along `axis`; rows sum to one."""
-    if a.data.size == 0:
-        raise ShapeError("softmax of an empty tensor")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def back(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - inner) * out,)
-
-    return _make(out, "softmax", (a,), back)
-
-
 def slice_view(a: Tensor, key) -> Tensor:
     """Basic indexing only (ints and slices); the backward rule assigns into
     a zero buffer, which is only correct when the key selects each element
@@ -905,7 +930,9 @@ def _row_ids(idx, bound: int = None) -> np.ndarray:
     if idx.size and idx.dtype.kind not in "iu":
         raise ShapeError(f"ids must be integers, have dtype {idx.dtype}")
     idx = idx.astype(np.int64, copy=False)
-    if bound is not None and idx.size and (idx.min() < 0 or idx.max() >= bound):
+    # a negative id reads as a huge unsigned one, so one maximum checks both ends
+    if (bound is not None and idx.size
+            and np.maximum.reduce(idx.view(np.uint64), axis=None) >= bound):
         raise ShapeError(f"id outside [0, {bound}): {idx.min()}..{idx.max()}")
     return idx
 

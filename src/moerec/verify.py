@@ -274,6 +274,37 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                    lambda g: tuple(np.split(g, splits, axis=axis)))
 
 
+def softmax(a: Tensor, axis: int = -1) -> Tensor:
+    """Max-shifted softmax along `axis`; rows sum to one."""
+    if a.data.size == 0:
+        raise ShapeError("softmax of an empty tensor")
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def back(g):
+        inner = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - inner) * out,)
+
+    return T._make(out, "softmax", (a,), back)
+
+
+def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
+    """Row i of the result is ``x[i] @ w[groups[i]]`` for a (G, p, q) stack
+    `w`. The rows of each group run as one matmul; groups may be empty and
+    rows may come in any order, though rows sorted by group are sliced
+    rather than gathered."""
+    groups = T._row_ids(groups)
+    if (x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]
+            or groups.shape != x.shape[:1]):
+        raise ShapeError(f"grouped_matmul shapes incompatible: {x.shape} @ {w.shape} "
+                         f"with {groups.shape} group ids")
+    parts = T._group_parts(groups, w.shape[0])
+    out = T._grouped_forward(x.data, w.data, parts)
+    return T._make(out, "grouped_matmul", (x, w),
+                   lambda grad: T._grouped_backward(grad, x.data, w.data, parts))
+
+
 def scatter_rows(rows: Tensor, idx: np.ndarray, n: int) -> Tensor:
     """Inverse of take_rows: add `rows` into a fresh (n, …) zero tensor."""
     idx = np.asarray(idx, dtype=np.int64)
@@ -288,8 +319,8 @@ def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
                    lambda g: (T._index_add(a.shape, (rows, cols), g),))
 
 
-# The two bodies inside the sublayer ops, each recorded as one op, so that
-# the chains built on them stay bit-identical to the sublayers.
+# The bodies inside the sublayer ops, each recorded as one op, so that the
+# chains built on them stay bit-identical to the sublayers.
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
     """The attention inside :func:`moerec.tensor.attention_sublayer`."""
@@ -299,12 +330,46 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tenso
 
 def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
                experts: np.ndarray) -> Tensor:
-    """The experts of :func:`moerec.tensor.routed_experts`: row i through
+    """The experts of :func:`moerec.tensor.moe_sublayer`: row i through
     expert ``e = experts[i]``, ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]``."""
     inputs = (rows, w1, b1, w2, b2)
     arrays = tuple(t.data for t in inputs)
     out, back = T._tanh_mlp("expert_ffn", arrays, *T._expert_layers("expert_ffn", arrays, experts))
     return T._make(out, "expert_ffn", inputs, back)
+
+
+def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                   experts: np.ndarray, scores: Tensor, order: np.ndarray) -> Tensor:
+    """The top-k mixture of :func:`moerec.tensor.moe_sublayer` of the n
+    `rows` under router `scores` (n, E), plus the residual `x`: pair i is
+    pair ``order[i]`` of the row-major (n, k) selection, row ``order[i] //
+    k`` of `rows` through expert ``experts[i]``. The last op of the chain
+    that moe_sublayer replaces."""
+    order = T._row_ids(order, np.size(order))
+    n = x.shape[0] if x.data.ndim == 2 else 0
+    k = order.size // n if n else 0
+    row_of = order // k if k else order
+    if (k < 1 or order.shape != (n * k,) or rows.data.ndim != 2 or rows.shape[0] != n
+            or scores.shape != (n, w1.shape[0]) or x.shape[1] != w2.shape[2]
+            or (np.bincount(row_of, minlength=n) != k).any()):
+        raise ShapeError(f"routed_experts shapes incompatible: x {x.shape}, scores "
+                         f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids "
+                         f"that must give each row the same count")
+    slots = np.argsort(row_of, kind="stable").reshape(n, k)
+    mixed, back = T._mixture_parts(rows.data, (w1.data, b1.data, w2.data, b2.data),
+                                   scores.data, experts, row_of, slots, "routed_experts")
+    return T._make(x.data + mixed, "routed_experts", (x, rows, w1, b1, w2, b2, scores),
+                   lambda g: (g, *back(g)))
+
+
+def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+                 b2: Tensor, gates: np.ndarray, selected: np.ndarray, k: int) -> Tensor:
+    """:func:`moerec.tensor.moe_sublayer` on a fixed row-major selection of
+    k experts per row, its front computed here: the norm's arrays, and the
+    router's scores by the router's chain ops."""
+    norm = T._rms_parts(h.data, gain.data)
+    scores = softmax(grouped_matmul(Tensor(norm[0]), Tensor(router.data), gates)).data
+    return T.moe_sublayer(h, gain, router, w1, b1, w2, b2, gates, scores, selected, k, norm)
 
 
 # --- the op chains that the fused tensor ops replace ---
@@ -329,7 +394,7 @@ def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     mask = np.triu(np.full((length, keys), -1e9), k=offset + 1)
     scores = (bmm(split(q, length), permute(split(k, keys), (0, 1, 3, 2)))
               * (1.0 / math.sqrt(dh)) + Tensor(mask))
-    mixed = bmm(T.softmax(scores, axis=-1), split(v, keys))
+    mixed = bmm(softmax(scores, axis=-1), split(v, keys))
     return permute(mixed, (0, 2, 1, 3)).reshape(batch * length, m)
 
 
@@ -356,9 +421,9 @@ def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor
 def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                              b2: Tensor, experts: np.ndarray, scores: Tensor,
                              order: np.ndarray) -> Tensor:
-    """:func:`moerec.tensor.routed_experts` as the chain it replaces: a pick
-    of each pair's score, a gather of each pair's row, the fused expert FFN,
-    a product, a scatter of the pairs into their rows and the residual add."""
+    """:func:`routed_experts` as the chain it replaces: a pick of each
+    pair's score, a gather of each pair's row, the fused expert FFN, a
+    product, a scatter of the pairs into their rows and the residual add."""
     n = scores.shape[0]
     by_row = np.repeat(np.arange(n), len(order) // n)[order]
     weight = gather_pairs(scores, by_row, experts)
@@ -368,17 +433,31 @@ def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor
     return mixed if x is None else x + mixed
 
 
+def reference_moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor,
+                           w2: Tensor, b2: Tensor, gates: np.ndarray,
+                           selected: np.ndarray) -> Tensor:
+    """:func:`moerec.tensor.moe_sublayer` as the chain it replaces, on the
+    row-major `selected` experts: an RMSNorm, the router's grouped matmul
+    and softmax, and :func:`routed_experts` with the residual add."""
+    normed = T.rms_norm(h, gain)
+    scores = softmax(grouped_matmul(normed, router, gates), axis=-1)
+    order = np.argsort(selected, kind="stable")
+    return routed_experts(h, normed, w1, b1, w2, b2, selected[order], scores, order)
+
+
 def reference_block(blk: TransformerBlock, rows: Tensor, batch: int, length: int,
                     gates: np.ndarray, start: int = 0) -> Tensor:
     """:meth:`moerec.moe.TransformerBlock.forward`, without a cache, with its
-    fused sublayers replaced by the chains above."""
+    fused sublayers replaced by the finest chains above: the attention
+    chain, then an RMSNorm, the router's grouped matmul and softmax, the
+    top k of its scores and the routed-experts chain."""
     cfg = blk.config
     h = reference_attention_sublayer(rows, blk.norm1_g, blk.wq, blk.wk, blk.wv, blk.wo,
                                      cfg.heads, batch, start)
     normed = T.rms_norm(h, blk.norm2_g)
-    scores = blk.router.scores(np.repeat(gates, length - start), normed)
-    k = cfg.moe.active
-    selected = top_k_select(scores.data, k).reshape(-1)
+    scores = softmax(grouped_matmul(normed, blk.router.weights,
+                                    np.repeat(gates, length - start)), axis=-1)
+    selected = top_k_select(scores.data, cfg.moe.active).reshape(-1)
     order = np.argsort(selected, kind="stable")
     bank = blk.bank
     return reference_routed_experts(h, normed, bank.w1, bank.b1, bank.w2,
@@ -417,8 +496,14 @@ def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                          b2: Tensor, experts: np.ndarray) -> Tensor:
     """:func:`expert_ffn` as two grouped matmuls, two bias gathers and a
     tanh."""
-    hidden = tanh(T.grouped_matmul(rows, w1, experts) + T.take_rows(b1, experts))
-    return T.grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
+    hidden = tanh(grouped_matmul(rows, w1, experts) + T.take_rows(b1, experts))
+    return grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
+
+
+def reference_add_rows(a: Tensor, rows_a: np.ndarray, b: Tensor,
+                       rows_b: np.ndarray) -> Tensor:
+    """:func:`moerec.tensor.add_rows` as two row gathers and an add."""
+    return T.take_rows(a, rows_a) + T.take_rows(b, rows_b)
 
 
 def reference_weighted_nll(logits: Tensor, targets: np.ndarray,
@@ -531,8 +616,8 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
 
 
 # the fused ops of each model, by the names fused_cases gives them
-FUSED_OPS = {"moe": ("rms_norm", "attention", "expert_ffn", "weighted_nll",
-                     "attention_sublayer", "routed_experts"),
+FUSED_OPS = {"moe": ("add_rows", "rms_norm", "attention", "expert_ffn", "weighted_nll",
+                     "attention_sublayer", "routed_experts", "moe_sublayer"),
              "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl")}
 
 
@@ -543,7 +628,8 @@ def fused_cases(seed: int) -> dict:
     one of the four experts getting no rows; repeated table rows; and
     log-variances on both sides of their clamps, with a zero
     responsibility. The attention sublayer also runs its query side from
-    position 2 of 3 on. Each case draws its inputs from its own substream of
+    position 2 of 3 on, and the MoE sublayer routes its rows through two
+    gates. Each case draws its inputs from its own substream of
     `seed`, named after it, so adding or dropping a case leaves the others'
     inputs as they are."""
     def normal(*shape) -> np.ndarray:
@@ -579,12 +665,20 @@ def fused_cases(seed: int) -> dict:
     order = np.argsort(selected, kind="stable")
     rng = Rng(seed).substream("routed_experts")
     cases["routed_experts"] = (
-        lambda x, rows, *rest: T.routed_experts(x, rows, *rest[:4], selected[order], rest[4],
+        lambda x, rows, *rest: routed_experts(x, rows, *rest[:4], selected[order], rest[4],
                                                 order),
         lambda x, rows, *rest: reference_routed_experts(x, rows, *rest[:4], selected[order],
                                                         rest[4], order),
         [normal(3, 4), normal(3, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
          normal(4, 4), np.exp(normal(3, 4))])
+    # the same selection, row 0's out of order, its rows under gates 1, 0, 1
+    rng = Rng(seed).substream("moe_sublayer")
+    gates, unsorted = np.array([1, 0, 1]), np.array([3, 0, 2, 3, 0, 2])
+    cases["moe_sublayer"] = (
+        lambda *tensors: moe_sublayer(*tensors, gates, unsorted, 2),
+        lambda *tensors: reference_moe_sublayer(*tensors, gates, unsorted),
+        [normal(3, 4), normal(4), normal(2, 4, 4), normal(4, 4, 3), normal(4, 3),
+         normal(4, 3, 4), normal(4, 4)])
     # rows 0 and 3 share a target; row 4 weighs nothing
     picks, weights = np.array([3, 0, 5, 3, 1]), np.array([0.5, 0.25, 1.5, 0.125, 0.0])
     rng = Rng(seed).substream("weighted_nll")
@@ -601,6 +695,11 @@ def fused_cases(seed: int) -> dict:
         lambda a, b: T.concat_rows(a, rows_a, b, rows_b),
         lambda a, b: reference_concat_rows(a, rows_a, b, rows_b),
         [normal(4, 3), normal(3, 2)])
+    rng = Rng(seed).substream("add_rows")
+    cases["add_rows"] = (
+        lambda a, b: T.add_rows(a, rows_a, b, rows_b),
+        lambda a, b: reference_add_rows(a, rows_a, b, rows_b),
+        [normal(4, 3), normal(3, 3)])
     rng = Rng(seed).substream("gaussian_sample")
     eps = normal(5, 3)
     cases["gaussian_sample"] = (
@@ -761,7 +860,7 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
         c6 = Tensor(rng.normal(6))
         c32 = Tensor(rng.normal(6).reshape(3, 2))
         cases = {
-            "softmax": lambda x: (T.softmax(x) * c6).sum(),
+            "softmax": lambda x: (softmax(x) * c6).sum(),
             "log_softmax": lambda x: (log_softmax(x) * c6).sum(),
             "matmul": lambda x: (x.reshape(2, 3) @ c32).sum(),
             "exp_log": lambda x: T.log(T.exp(x) + 1.0).sum(),
@@ -785,10 +884,10 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
         "permute": lambda x: (permute(x.reshape(3, 1, 2), (2, 0, 1)).reshape(2, 3)
                               * c6.reshape(2, 3)).sum(),
         # group 1 of three gets no rows, so its stack slice gets no gradient
-        "grouped_matmul": lambda x: (T.grouped_matmul(
+        "grouped_matmul": lambda x: (grouped_matmul(
             x.reshape(3, 2), Tensor(np.arange(12.0).reshape(3, 2, 2) / 7.0),
             np.array([2, 0, 2])) * c32.reshape(3, 2)).sum(),
-        "grouped_matmul.stack": lambda x: (T.grouped_matmul(
+        "grouped_matmul.stack": lambda x: (grouped_matmul(
             c6.reshape(3, 2), x.reshape(3, 2, 1), np.array([2, 0, 2]))
             * c22[:3].reshape(3, 1)).sum(),
     }
@@ -810,9 +909,10 @@ def verify_grads(seeds: int = 20) -> List[CheckResult]:
     bank = ExpertBank(4, moe_cfg, Rng(11))
     router = GateRouter(4, moe_cfg, Rng(12))
     weights = Tensor(Rng(13).normal(12).reshape(3, 4))
+    gain = Tensor(Rng(15).normal(4))
 
     def moe_loss(x):
-        return (_moe_rows(bank, router, np.array([1, 0, 1]), x.reshape(3, 4), k=2)
+        return (_moe_rows(bank, router, gain, np.array([1, 0, 1]), x.reshape(3, 4))
                 * weights).sum()
 
     err = grad_check(moe_loss, Tensor(Rng(14).normal(12)))
@@ -850,12 +950,14 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
         bank = ExpertBank(5, mcfg, Rng(1 + case))
         router = GateRouter(5, mcfg, Rng(20 + case))
         rows = Rng(40 + case).normal(9 * 5).reshape(9, 5)
+        gain = Tensor(Rng(60 + case).normal(5))
         row_gates = np.arange(9) % gates
         bank.eval_count = 0
-        grouped = _moe_rows(bank, router, row_gates, Tensor(rows), k).data
+        grouped = _moe_rows(bank, router, gain, row_gates, Tensor(rows)).data
         evals_ok &= bank.eval_count == 9 * k
+        normed = T.rms_norm(Tensor(rows), gain).data
         gap = max(gap, float(np.max(np.abs(
-            grouped - loop_moe_rows(bank, router, row_gates, rows, k)))))
+            grouped - rows - loop_moe_rows(bank, router, row_gates, normed, k)))))
     results.append(CheckResult("moe.exactly_k_evaluations", evals_ok,
                                "n*k expert evaluations over 5 layouts, k 1 to 6"))
     results.append(CheckResult("moe.grouped_matches_loop", gap <= 1e-12,

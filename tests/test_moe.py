@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from moerec import Tape, Tensor, grad_check
-from moerec.errors import ConfigError, ContextLimitError, ShapeError, TapeError
+from moerec.errors import ConfigError, ContextLimitError, NumericError, ShapeError, TapeError
 from moerec.rng import Rng
 from moerec import moe as moe_module
 from moerec import tensor as T
@@ -96,7 +96,7 @@ def test_decompose_random_configs_identity():
 
 def route(router, gate, x):
     """Scores of one vector under one gate."""
-    return router.scores(gate, x.reshape(1, -1)).reshape(-1)
+    return router.scores(np.array([gate]), x.data.reshape(1, -1))[0]
 
 
 def test_route_uniform_for_zero_weights():
@@ -104,7 +104,7 @@ def test_route_uniform_for_zero_weights():
     router = GateRouter(4, cfg, Rng(0))
     router.weights.data[0] = 0.0
     scores = route(router, 0, Tensor(Rng(1).normal(4)))
-    assert np.allclose(scores.data, np.full(4, 0.25), atol=1e-15)
+    assert np.allclose(scores, np.full(4, 0.25), atol=1e-15)
 
 
 def test_route_scores_sum_to_one():
@@ -112,14 +112,14 @@ def test_route_scores_sum_to_one():
     router = GateRouter(5, cfg, Rng(2))
     for seed in range(100):
         s = route(router, seed % 2, Tensor(Rng(seed).normal(5)))
-        assert abs(s.data.sum() - 1.0) <= 1e-12
+        assert abs(s.sum() - 1.0) <= 1e-12
 
 
 def test_route_gates_differ_for_same_input():
     cfg = decompose_experts(2, 8, 2, active=2, gates=3)
     router = GateRouter(6, cfg, Rng(3))
     x = Tensor(Rng(4).normal(6))
-    assert not np.allclose(route(router, 0, x).data, route(router, 1, x).data)
+    assert not np.allclose(route(router, 0, x), route(router, 1, x))
 
 
 def test_route_rejects_bad_gate():
@@ -128,7 +128,9 @@ def test_route_rejects_bad_gate():
     with pytest.raises(ConfigError):
         route(router, 2, Tensor(np.zeros(4)))
     with pytest.raises(ConfigError):
-        router.scores(np.array([0, -1]), Tensor(np.zeros((2, 4))))
+        router.scores(np.array([0, -1]), np.zeros((2, 4)))
+    with pytest.raises(ShapeError):
+        router.scores(np.array([0, 1, 0]), np.zeros((2, 4)))
 
 
 def test_router_scores_each_row_under_its_own_gate():
@@ -136,9 +138,9 @@ def test_router_scores_each_row_under_its_own_gate():
     router = GateRouter(5, cfg, Rng(5))
     rows = Tensor(Rng(6).normal(6 * 5).reshape(6, 5))
     gates = np.array([2, 0, 1, 2, 2, 0])
-    mixed = router.scores(gates, rows).data
+    mixed = router.scores(gates, rows.data)
     for i, gate in enumerate(gates):
-        alone = route(router, int(gate), rows[i:i + 1]).data
+        alone = route(router, int(gate), rows[i:i + 1])
         assert np.max(np.abs(mixed[i] - alone)) <= 1e-15
 
 
@@ -160,9 +162,14 @@ def test_top_k_shift_invariance():
 
 # --- the grouped mixture on single rows ---
 
-def moe_forward(bank, router, gate, x, k):
-    """The mixture of one vector under one gate."""
-    return _moe_rows(bank, router, gate, x.reshape(1, -1), k).reshape(-1)
+def moe_forward(bank, router, gate, x, gain=None):
+    """The mixture of one vector under one gate: the MoE sublayer's output
+    less its residual. The default gain undoes the norm, up to rounding, so
+    the experts see `x` itself."""
+    h = x.reshape(1, -1)
+    if gain is None:
+        gain = Tensor(np.full(h.shape[1], math.sqrt(np.mean(h.data * h.data) + 1e-6)))
+    return (_moe_rows(bank, router, gain, np.array([gate]), h) - h).reshape(-1)
 
 
 def rigged_router(scores_row, model_dim):
@@ -202,7 +209,7 @@ def test_moe_forward_scalar_experts_oracle():
     bank.w2.data[...] = 0.0   # expert e outputs its bias, (e + 1) * x
     bank.b2.data[...] = (np.arange(3) + 1.0)[:, None] * x
 
-    out = moe_forward(bank, router, 0, Tensor(x), k=2)
+    out = moe_forward(bank, router, 0, Tensor(x))
 
     # enumerate-all-subsets oracle: best-2 subset by score, then weighted sum
     best = max(
@@ -223,8 +230,8 @@ def test_moe_forward_identical_experts_factorize():
         stack[1:] = stack[0]
     router = GateRouter(3, cfg, Rng(6))
     x = Tensor(Rng(7).normal(3))
-    out = moe_forward(bank, router, 0, x, k=3)
-    scores = route(router, 0, x).data
+    out = moe_forward(bank, router, 0, x)
+    scores = route(router, 0, x)
     sel = top_k_select(scores, 3)
     single = reference_expert_ffn(x.reshape(1, -1), bank.w1, bank.b1, bank.w2, bank.b2,
                                   np.array([0])).data[0]
@@ -236,8 +243,8 @@ def test_moe_forward_full_k_equals_dense_mixture():
     bank = ExpertBank(6, cfg, Rng(8))
     router = GateRouter(6, cfg, Rng(9))
     x = Tensor(Rng(10).normal(6))
-    out = moe_forward(bank, router, 0, x, k=4)
-    scores = route(router, 0, x).data
+    out = moe_forward(bank, router, 0, x)
+    scores = route(router, 0, x)
     dense = sum(scores[e] * reference_expert_ffn(x.reshape(1, -1), bank.w1, bank.b1,
                                                  bank.w2, bank.b2, np.array([e])).data[0]
                 for e in range(4))
@@ -249,17 +256,19 @@ def test_moe_forward_evaluates_exactly_k_experts():
     bank = ExpertBank(5, cfg, Rng(11))
     router = GateRouter(5, cfg, Rng(12))
     bank.eval_count = 0
-    moe_forward(bank, router, 0, Tensor(Rng(13).normal(5)), k=2)
+    moe_forward(bank, router, 0, Tensor(Rng(13).normal(5)))
     assert bank.eval_count == 2
-    # batched, mixed gates: exactly k per row, in one bank call
+    # batched, mixed gates: exactly k per row, in one bank call that takes
+    # the row-major selection, each row's k experts ascending
     calls = []
     run = bank.run
-    bank.run = lambda experts, rows, *mix: calls.append(experts) or run(experts, rows, *mix)
+    bank.run = lambda h, selected, *front: calls.append(selected) or run(h, selected, *front)
     bank.eval_count = 0
     rows = Tensor(Rng(14).normal(7 * 5).reshape(7, 5))
-    _moe_rows(bank, router, np.array([0, 1, 1, 0, 1, 0, 0]), rows, 2)
+    _moe_rows(bank, router, Tensor(np.ones(5)), np.array([0, 1, 1, 0, 1, 0, 0]), rows)
     assert bank.eval_count == 2 * 7
-    assert len(calls) == 1 and np.all(np.diff(calls[0]) >= 0)
+    assert len(calls) == 1 and calls[0].shape == (2 * 7,)
+    assert np.all(np.diff(calls[0].reshape(7, 2), axis=1) > 0)
 
 
 def test_moe_forward_gradients():
@@ -267,8 +276,10 @@ def test_moe_forward_gradients():
     bank = ExpertBank(4, cfg, Rng(30))
     router = GateRouter(4, cfg, Rng(31))
 
+    gain = Tensor(Rng(33).normal(4))
+
     def f(x):
-        return (moe_forward(bank, router, 0, x, k=2)
+        return (moe_forward(bank, router, 0, x, gain)
                 * Tensor(np.array([1.0, -0.5, 2.0, 0.3]))).sum()
 
     assert grad_check(f, Tensor(Rng(32).normal(4))) <= 1e-4
@@ -276,11 +287,33 @@ def test_moe_forward_gradients():
     def f_router(w):
         router.weights = w
         x = Tensor(np.array([0.3, -0.8, 1.1, 0.2]))
-        return (moe_forward(bank, router, 0, x, k=2) * 2.0).sum()
+        return (moe_forward(bank, router, 0, x, gain) * 2.0).sum()
 
     original = router.weights
     assert grad_check(f_router, Tensor(original.data.copy())) <= 1e-4
     router.weights = original
+
+
+def test_moe_sublayer_boundary_errors():
+    cfg = decompose_experts(3, 4, 1, active=2, gates=2)
+    bank, router = ExpertBank(4, cfg, Rng(40)), GateRouter(4, cfg, Rng(41))
+    h, gain = Tensor(Rng(42).normal(12).reshape(3, 4)), Tensor(np.ones(4))
+    gates = np.array([1, 0, 1])
+    with pytest.raises(ConfigError):                    # gate 2 of two
+        _moe_rows(bank, router, gain, np.array([1, 2, 0]), h)
+    norm = T._rms_parts(h.data, gain.data)
+    front = (router, gates, router.scores(gates, norm[0]), gain, norm)
+    bank.eval_count = 0
+    bank.run(h, np.array([0, 2, 1, 2, 0, 1]), *front)
+    # a float id, expert 3 of three, and 5, 8 or no ids for 3 rows of k = 2
+    for bad in ([0.0, 2, 1, 2, 0, 1], [0, 2, 1, 3, 0, 1], [0, 2, 1, 2, 0],
+                [0, 2, 1, 2, 0, 1, 1, 2], np.zeros(0, dtype=np.int64)):
+        with pytest.raises(ShapeError):
+            bank.run(h, np.array(bad), *front)
+    assert bank.eval_count == 6                         # a refused run evaluates nothing
+    router.weights.data[0, 1, 2] = np.inf               # row 1 is under gate 0
+    with pytest.raises(NumericError):
+        _moe_rows(bank, router, gain, gates, h)
 
 
 # --- prompt and vocab ---
@@ -661,8 +694,10 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     # decode step from 106 ops to 49 and a batch of 16 from 107 tape
     # records to 50, the fused loss to 47; the fused attention and
     # routed-experts sublayers took them to 17 and 19, and the pair gather
-    # folded into the routed experts to 15 and 17 (per block: the attention
-    # sublayer, a norm, the router's two ops and the routed experts)
+    # folded into the routed experts to 15 and 17; the fused MoE sublayer
+    # and the fused embedding sum took them to 7 and 9 (the embedding; per
+    # block, the attention and MoE sublayers; the final norm and the head;
+    # and, for the batch, the row pick and the loss)
     lm = tiny_lm(seed=30)
     calls = []
     make = T._make
@@ -671,14 +706,14 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([0]), cache)
     calls.clear()
     lm.forward_rows(np.array([[7]]), np.array([0]), cache)
-    assert len(calls) <= 15, calls
+    assert len(calls) <= 7, calls
     monkeypatch.undo()
     rng = Rng(31)
     sequences = [np.concatenate([[BOS], rng.integers(5 + i % 4, 15) + 4, [EOS]])
                  for i in range(16)]
     with Tape() as tape:
         lm.batched_nll(sequences, [3] * 16, np.arange(16) % 2)
-    assert len(tape.records) <= 17
+    assert len(tape.records) <= 9
     head = tape.records[-2]                  # the head matmul, before the loss
     assert head.inputs[1] is lm.head
     assert head.out.shape == (sum(len(s) - 3 for s in sequences), lm.config.vocab_size)

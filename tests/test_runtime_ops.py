@@ -13,10 +13,10 @@ from moerec.cli import main
 
 # what both training stages, checkpoints, evaluation and decoding call
 RUNTIME_OPS = {
-    "add", "attention_sublayer", "backward", "bce_with_logits", "clip", "concat_rows",
-    "default_dtype", "gaussian_sample", "grouped_matmul", "matmul", "mixture_kl", "mlp",
-    "mul", "rms_norm", "routed_experts", "set_default_dtype", "sigmoid", "slice_view",
-    "softmax", "take_rows", "tmean", "weighted_nll",
+    "add", "add_rows", "attention_sublayer", "backward", "bce_with_logits", "clip",
+    "concat_rows", "default_dtype", "gaussian_sample", "matmul", "mixture_kl", "mlp",
+    "moe_sublayer", "mul", "rms_norm", "set_default_dtype", "sigmoid", "slice_view",
+    "take_rows", "tmean", "weighted_nll",
 }
 # the elementwise algebra behind Tensor's operators, which the oracles and
 # grad_check use but the runtime does not

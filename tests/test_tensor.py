@@ -28,6 +28,7 @@ from moerec.verify import (
     fused_gap,
     fused_grad_error,
     gather_pairs,
+    grouped_matmul,
     log_softmax,
     permute,
     reference_attention_sublayer,
@@ -36,7 +37,9 @@ from moerec.verify import (
     reference_rms_norm,
     reference_routed_experts,
     reference_weighted_nll,
+    routed_experts,
     scatter_rows,
+    softmax,
     softplus,
     tanh,
 )
@@ -88,30 +91,30 @@ def test_matmul_shape_mismatch_reports_both_shapes():
 
 
 def test_softmax_symmetry_and_analytic():
-    out = T.softmax(Tensor([1.0, 1.0]))
+    out = softmax(Tensor([1.0, 1.0]))
     assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
-    out = T.softmax(Tensor([0.0, np.log(3.0)]))
+    out = softmax(Tensor([0.0, np.log(3.0)]))
     assert np.allclose(out.data, [0.25, 0.75], atol=1e-12)
 
 
 def test_softmax_shift_invariance_no_overflow():
-    out = T.softmax(Tensor([1000.0, 1000.0]))
+    out = softmax(Tensor([1000.0, 1000.0]))
     assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
     a = Rng(8).normal(6)
-    base = T.softmax(Tensor(a)).data
-    shifted = T.softmax(Tensor(a + 123.456)).data
+    base = softmax(Tensor(a)).data
+    shifted = softmax(Tensor(a + 123.456)).data
     assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
 def test_softmax_sums_to_one():
     for seed in range(20):
         x = Rng(seed).normal(9)
-        assert abs(T.softmax(Tensor(x)).data.sum() - 1.0) <= 1e-12
+        assert abs(softmax(Tensor(x)).data.sum() - 1.0) <= 1e-12
 
 
 def test_softmax_empty_is_error():
     with pytest.raises(ShapeError):
-        T.softmax(Tensor(np.zeros(0)))
+        softmax(Tensor(np.zeros(0)))
 
 
 def test_backward_sum_gives_ones():
@@ -228,7 +231,8 @@ def _id_entry_points() -> dict:
     """name -> (call with one id array, valid ids, out-of-range ids, the
     class those raise) for each op and model entry point that takes ids."""
     from moerec.errors import ConfigError, TableLookupError
-    from moerec.moe import BOS, EOS, GateRouter, LanguageModel, LmConfig, decompose_experts
+    from moerec.moe import (BOS, EOS, ExpertBank, GateRouter, LanguageModel, LmConfig,
+                            decompose_experts)
     from moerec.vae import VaeConfig, VaeGmm, elbo_loss
 
     rng = Rng(3)
@@ -238,6 +242,12 @@ def _id_entry_points() -> dict:
     rows, scores = Tensor(rng.normal(4).reshape(2, 2)), Tensor(np.full((2, 3), 1 / 3))
     experts, order = np.array([0, 1, 1, 2]), np.arange(4)
     router = GateRouter(2, decompose_experts(2, 4, 1, active=1, gates=2), Rng(0))
+    # a bank of three experts, k = 2, and the front of its sublayer over x
+    three = decompose_experts(3, 3, 1, active=2, gates=2)
+    expert_bank, three_router = ExpertBank(2, three, Rng(1)), GateRouter(2, three, Rng(2))
+    gain, row_gates = Tensor(np.ones(2)), np.array([1, 0, 1])
+    norm = T._rms_parts(x.data, gain.data)
+    front = (three_router, row_gates, three_router.scores(row_gates, norm[0]), gain, norm)
     moe = decompose_experts(2, 8, 2, active=2, gates=2)
     lm = LanguageModel(LmConfig(vocab_size=20, model_dim=8, blocks=1, heads=2, context=16,
                                 moe=moe), Rng(0))
@@ -245,17 +255,20 @@ def _id_entry_points() -> dict:
                            clusters=2), Rng(0))
     pair = np.array([0, 1, 2])
     return {
-        "grouped_matmul": (lambda ids: T.grouped_matmul(x, w, ids),
+        "grouped_matmul": (lambda ids: grouped_matmul(x, w, ids),
                            np.array([1, 0, 1]), np.array([1, 2, 0]), ShapeError),
         "routed_experts.experts": (
-            lambda ids: T.routed_experts(x[[0, 1]], rows, *bank, ids, scores, order),
+            lambda ids: routed_experts(x[[0, 1]], rows, *bank, ids, scores, order),
             experts, np.array([0, 1, 1, 3]), ShapeError),
         "routed_experts.order": (
-            lambda ids: T.routed_experts(x[[0, 1]], rows, *bank, experts, scores, ids),
+            lambda ids: routed_experts(x[[0, 1]], rows, *bank, experts, scores, ids),
             order, np.array([0, 1, 2, 4]), ShapeError),
         "weighted_nll": (lambda ids: T.weighted_nll(x, ids, np.ones(3)),
                          np.array([0, 1, 1]), np.array([0, 2, 1]), ShapeError),
-        "GateRouter.scores": (lambda ids: router.scores(ids, x),
+        "ExpertBank.run": (lambda ids: expert_bank.run(x, ids, *front),
+                           np.array([0, 2, 1, 2, 0, 1]), np.array([0, 2, 1, 3, 0, 1]),
+                           ShapeError),
+        "GateRouter.scores": (lambda ids: router.scores(ids, x.data),
                               np.array([1, 0, 1]), np.array([1, 2, 0]), ConfigError),
         "forward_rows.tokens": (lambda ids: lm.forward_rows(ids, np.array([1])),
                                 np.array([[4, 5, 6]]), np.array([[4, 5, 20]]), ShapeError),
@@ -310,7 +323,7 @@ def test_empty_id_arrays_stay_valid():
     from moerec.vae import VaeConfig, VaeGmm
 
     w = Tensor(np.ones((2, 2, 3)))
-    assert T.grouped_matmul(Tensor(np.zeros((0, 2))), w, []).shape == (0, 3)
+    assert grouped_matmul(Tensor(np.zeros((0, 2))), w, []).shape == (0, 3)
     vae = VaeGmm(VaeConfig(n_users=6, n_items=5, d_emb=4, latent_dim=3, hidden=6,
                            clusters=2), Rng(0))
     mu, log_var = vae.encode(np.array([], dtype=np.int64), [])
@@ -337,6 +350,18 @@ def test_nonfinite_element_raises_wherever_it_sits(bad):
             T.neg(Tensor(np.ones(shape))) * Tensor(arr)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_zero_stride_arrays_are_checked_by_their_one_value(bad):
+    # a broadcast scalar repeats one value, which alone is checked
+    with pytest.raises(NumericError):
+        Tensor(np.broadcast_to(bad, (300, 4)))
+    with pytest.raises(NumericError):
+        T._check_finite(np.broadcast_to(bad, (5,)), "a broadcast")
+    T._check_finite(np.broadcast_to(1.5, (300, 4)), "a broadcast")
+    T._check_finite(np.broadcast_to(bad, (0, 4)), "an empty broadcast")
+    assert Tensor(np.broadcast_to(bad, (3, 0))).shape == (3, 0)
+
+
 def test_finite_array_with_overflowing_sum_passes():
     # the sum is inf, so the check falls back to the full scan, which passes
     big = np.array([1e308, 1e308])
@@ -349,7 +374,7 @@ def test_composite_backward_matches_grad_check():
     w = Tensor(Rng(5).normal(12).reshape(4, 3))
 
     def f(x):
-        h = T.softmax(x.reshape(2, 2) @ Tensor(Rng(9).normal(4).reshape(2, 2)))
+        h = softmax(x.reshape(2, 2) @ Tensor(Rng(9).normal(4).reshape(2, 2)))
         return -(T.log(h) * Tensor([[0.3, 0.7], [0.5, 0.5]])).sum()
 
     x = Tensor(Rng(6).normal(4))
@@ -378,7 +403,7 @@ def test_grad_check_sweep_all_ops(seed):
         "sigmoid": lambda x: T.sigmoid(x).mean(),
         "softplus": lambda x: softplus(x).sum(),
         "pow": lambda x: ((x * x + 1.0) ** 1.5).sum(),
-        "softmax": lambda x: (T.softmax(x) * c6).sum(),
+        "softmax": lambda x: (softmax(x) * c6).sum(),
         "log_softmax": lambda x: (log_softmax(x) * c6).sum(),
         "matmul": lambda x: (x.reshape(2, 3) @ c32).sum(),
         "transpose": lambda x: (x.reshape(2, 3).T * c32).sum(),
@@ -400,9 +425,9 @@ def test_grad_check_sweep_all_ops(seed):
         "permute": lambda x: (permute(x.reshape(1, 2, 3), (2, 0, 1))
                               * c32.reshape(3, 1, 2)).sum(),
         # three groups, the middle one empty
-        "grouped_matmul": lambda x: (T.grouped_matmul(
+        "grouped_matmul": lambda x: (grouped_matmul(
             x.reshape(3, 2), c6.reshape(3, 2, 1), np.array([2, 0, 2])) * c32[:, :1]).sum(),
-        "grouped_matmul_stack": lambda x: (T.grouped_matmul(
+        "grouped_matmul_stack": lambda x: (grouped_matmul(
             c32, x.reshape(3, 2, 1), np.array([2, 0, 2])) * c32[:, 1:]).sum(),
     }
     for name, f in cases.items():
@@ -488,22 +513,22 @@ def test_grouped_matmul_matches_row_loop_in_any_order():
     x = Rng(43).normal(7 * 3).reshape(7, 3)
     w = Rng(44).normal(4 * 3 * 2).reshape(4, 3, 2)
     for groups in (np.array([0, 0, 1, 3, 3, 3, 3]), np.array([3, 0, 3, 1, 0, 3, 3])):
-        out = T.grouped_matmul(Tensor(x), Tensor(w), groups).data
+        out = grouped_matmul(Tensor(x), Tensor(w), groups).data
         expected = np.stack([x[i] @ w[g] for i, g in enumerate(groups)])
         assert np.max(np.abs(out - expected)) <= 1e-15
-    empty = T.grouped_matmul(Tensor(np.zeros((0, 3))), Tensor(w), np.zeros(0, dtype=np.int64))
+    empty = grouped_matmul(Tensor(np.zeros((0, 3))), Tensor(w), np.zeros(0, dtype=np.int64))
     assert empty.shape == (0, 2)
     with pytest.raises(ShapeError):
-        T.grouped_matmul(Tensor(x), Tensor(w), np.full(7, 4))
+        grouped_matmul(Tensor(x), Tensor(w), np.full(7, 4))
     with pytest.raises(ShapeError):
-        T.grouped_matmul(Tensor(x), Tensor(w), np.zeros(6, dtype=np.int64))
+        grouped_matmul(Tensor(x), Tensor(w), np.zeros(6, dtype=np.int64))
 
 
 def test_grouped_matmul_empty_group_gets_zero_gradient():
     w = Tensor(Rng(45).normal(3 * 2 * 2).reshape(3, 2, 2), requires_grad=True)
     x = Tensor(Rng(46).normal(8).reshape(4, 2), requires_grad=True)
     with Tape() as tape:
-        tape.backward(T.grouped_matmul(x, w, np.array([0, 2, 2, 0])).sum())
+        tape.backward(grouped_matmul(x, w, np.array([0, 2, 2, 0])).sum())
     assert np.all(w.grad[1] == 0.0) and np.all(w.grad[0] != 0.0)
 
 
@@ -607,6 +632,17 @@ def test_routed_experts_empty_expert_gets_zero_gradient():
     assert np.all(leaves[6].grad[:, 1] == 0.0)
 
 
+def test_moe_sublayer_empty_expert_gets_zero_gradient():
+    fused, _, inputs = FUSED["moe_sublayer"]     # expert 1 gets no rows
+    leaves = [Tensor(a, requires_grad=True) for a in inputs]
+    with Tape() as tape:
+        tape.backward(fused(*leaves).sum())
+    for stack in leaves[3:]:
+        assert np.all(stack.grad[1] == 0.0) and np.all(stack.grad[[0, 2, 3]] != 0.0)
+    # through the softmax, every logit of both gates gets gradient
+    assert np.all(leaves[2].grad != 0.0)
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("groups", [
     [0, 0, 1, 1, 1, 3, 3, 3, 3, 3, 3, 3, 3, 3, 3, 4],          # sorted, 2 is empty
@@ -669,7 +705,7 @@ def test_routed_experts_raises_where_the_hidden_layer_overflows():
     # tanh maps an infinite pre-activation to a finite 1
     args, experts, order = routed_case()
     args[1], args[2] = (Tensor(np.full(a.shape, 1e200)) for a in args[1:3])
-    for fn in (T.routed_experts, reference_routed_experts):
+    for fn in (routed_experts, reference_routed_experts):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
             fn(*args[:6], experts, args[6], order)
 
@@ -689,7 +725,7 @@ def test_fused_ops_check_shapes():
                 (x, rows, w1, b1, w2, b2, experts[:5], scores, order),
                 (x, rows, w1, b1, w2, b1, experts, scores, order)):
         with pytest.raises(ShapeError):
-            T.routed_experts(*bad)
+            routed_experts(*bad)
 
 
 def test_mlp_raises_where_the_hidden_layer_overflows():
@@ -766,9 +802,9 @@ def test_group_ids_outside_the_range_raise(bad):
     (x, rows, w1, b1, w2, b2, scores), _, _ = routed_case()      # four experts
     ids = np.array([0, 1, 2, 3, bad, 0])
     with pytest.raises(ShapeError):
-        T.routed_experts(x, rows, w1, b1, w2, b2, ids, scores, np.arange(6))
+        routed_experts(x, rows, w1, b1, w2, b2, ids, scores, np.arange(6))
     with pytest.raises(ShapeError):
-        T.grouped_matmul(Tensor(np.repeat(rows.data, 2, axis=0)), w1, ids)
+        grouped_matmul(Tensor(np.repeat(rows.data, 2, axis=0)), w1, ids)
 
 
 def test_mixture_kl_raises_where_the_mixture_log_weights_overflow():
