@@ -32,7 +32,8 @@ print(f"stacked experts w1 {bank.w1.shape}, w2 {bank.w2.shape};",
 x = Tensor(Rng(2).normal(8).reshape(1, 8))
 
 for gate in range(3):
-    scores = router.scores(np.array([gate]), x.data)[0]
+    # the router returns the (rows, experts) scores and their backward rule
+    scores = router.scores(np.array([gate]), x.data)[0][0]
     picked = top_k_select(scores, 2)
     print(f"gate {gate}: scores {scores.round(3)} -> experts {picked}")
 
@@ -47,7 +48,7 @@ bank.eval_count = 0
 _moe_rows(bank, router, gain, row_gates, rows)
 print(f"expert evaluations for 5 rows with k=2: {bank.eval_count}")
 normed = T.rms_norm(rows, gain).data
-selected = top_k_select(router.scores(row_gates, normed), 2).reshape(-1)
+selected = top_k_select(router.scores(row_gates, normed)[0], 2).reshape(-1)
 print("experts of the pairs, grouped:", np.sort(selected, kind="stable"))
 
 # The raw softmax scores weight the selected outputs, so with identical
@@ -56,7 +57,7 @@ for part in ("w1", "b1", "w2", "b2"):
     stack = getattr(bank, part).data
     stack[1:] = stack[0]
 normed = T.rms_norm(x, gain)
-scores = router.scores(np.array([0]), normed.data)[0]
+scores = router.scores(np.array([0]), normed.data)[0][0]
 picked = top_k_select(scores, 2)
 single = reference_expert_ffn(normed, bank.w1, bank.b1, bank.w2, bank.b2,
                               np.array([0])).data[0]

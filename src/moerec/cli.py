@@ -146,7 +146,7 @@ def cmd_train(args) -> int:
     split = split_records(records, run.seed)
     if args.stage == 1:
         vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
-        bundle = ExplainerBundle(vae, None, None, split.user_index, split.item_index, run.r_max)
+        bundle = ExplainerBundle(vae, None, None, split.user_index, split.item_index)
     else:
         if not args.stage1_checkpoint:
             raise TrainingError("stage 2 requires --stage1-checkpoint")

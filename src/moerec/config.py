@@ -68,7 +68,7 @@ _RUN_RANGES = {
                      "heads", "context", "base_experts", "base_hidden", "factor",
                      "active_experts", "s1_batch", "s2_batch"), "count"),
     **dict.fromkeys(("s1_epochs", "s1_warmup_epochs", "s2_epochs"), "size"),
-    **dict.fromkeys(("r_max", "s1_lr", "s2_lr", "s1_clip", "s2_clip"), "rate"),
+    **dict.fromkeys(("s1_lr", "s2_lr", "s1_clip", "s2_clip"), "rate"),
     **dict.fromkeys(("alpha", "beta", "s1_warmup_beta"), "weight"),
     "s1_joint_lr": "rate_or_default", "weight_decay": "decay", "precision": "dtype",
 }
@@ -97,7 +97,8 @@ class RunConfig:
     # name them: read_fields drops one at that value and refuses any other,
     # since no run can honour it now.
     RETIRED_FIELDS = {"renormalize_topk": False, "s1_grad_accum": 1, "s2_grad_accum": 1,
-                      "early_stop": False, "patience": 3, "freeze_gmm": False}
+                      "early_stop": False, "patience": 3, "freeze_gmm": False,
+                      "r_max": 5.0}
 
     seed: int = 0
     precision: str = "float32"   # training's dtype; inference keeps the process's
@@ -114,7 +115,6 @@ class RunConfig:
     base_hidden: int = 128
     factor: int = 2
     active_experts: int = 2
-    r_max: float = 5.0
     # stage 1 (warmup lr is s1_lr; the joint phase runs slower so the
     # freshly fitted mixture structure is refined rather than eroded)
     s1_epochs: int = 25

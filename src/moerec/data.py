@@ -3,8 +3,9 @@
 File formats:
 
 - dataset: UTF-8 JSON-lines, one object per line with exactly the fields
-  ``user`` (string), ``item`` (string), ``rating`` (positive finite number),
-  ``features`` (array of strings), ``explanation`` (string);
+  ``user`` (string), ``item`` (string), ``rating`` (a number in (0, 5], on
+  the five-star scale ``R_MAX``), ``features`` (array of strings),
+  ``explanation`` (string);
 - cluster-label sidecar: lines ``user<TAB>cluster_index`` — evaluation-only
   ground truth for synthetic corpora, never part of the training stream.
 
@@ -39,6 +40,7 @@ from .errors import DataError
 from .rng import Rng
 
 DATASET_FIELDS = ("user", "item", "rating", "features", "explanation")
+R_MAX = 5.0                 # top of the rating scale: one to five stars
 
 
 @dataclass(slots=True)
@@ -88,13 +90,17 @@ def check_rating(rating, where: str) -> float:
     return float(rating)
 
 
-def normalized_ratings(records: Sequence[InteractionRecord], r_max: float) -> np.ndarray:
-    """Ratings divided by `r_max`; DataError if one exceeds it."""
+def normalized_ratings(records: Sequence[InteractionRecord]) -> np.ndarray:
+    """Ratings divided by `R_MAX`; DataError if one exceeds it."""
     ratings = np.array([rec.rating for rec in records], dtype=np.float64)
-    if ratings.size and ratings.max() > r_max:
-        raise DataError(
-            f"rating {ratings.max()} exceeds r_max={r_max}; fix the dataset metadata")
-    return ratings / r_max
+    if ratings.size and ratings.max() > R_MAX:
+        raise DataError(f"rating {ratings.max()} exceeds the scale's top R_MAX={R_MAX}")
+    return ratings / R_MAX
+
+
+def rating_bucket(rating: float) -> int:
+    """The star `rating` rounds to, within [1, R_MAX]."""
+    return min(max(int(round(rating)), 1), int(R_MAX))
 
 
 def _validate_record(obj: dict, line_no: int) -> InteractionRecord:
@@ -340,8 +346,7 @@ def generate_synthetic(spec: SynthSpec) -> Tuple[List[InteractionRecord], Dict[s
         for (item, effect, feats), z in zip(drawn, normals):
             rating = round(min(max(CLUSTER_RATING_BIAS[cluster] + effect
                                    + z * rating_noise, 1.0), 5.0), 2)
-            bucket = min(max(round(rating), 1), 5)
-            key = (cluster, bucket, *feats)
+            key = (cluster, rating_bucket(rating), *feats)
             text = texts.get(key)
             if text is None:
                 text = texts[key] = render_explanation(*key)

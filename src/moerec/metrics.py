@@ -244,9 +244,9 @@ def evaluate_model(
     `bundle` hands over the whole batch in two calls:
     ``explain(records) -> (texts, gates, responsibilities)`` and
     ``predict_norm_ratings(records) -> (B,) array``. It may also expose
-    ``prompt_text(record)``, ``r_max`` and the clusters/gates_count
-    provenance. Returns (MetricReport, per-record rows); the last key of
-    each row is the record's gate.
+    ``prompt_text(record)`` and the clusters/gates_count provenance.
+    Returns (MetricReport, per-record rows); the last key of each row is
+    the record's gate.
     """
     if not test_records:
         raise MetricError("no test records to evaluate")
@@ -269,7 +269,7 @@ def evaluate_model(
                      "reference": rec.explanation, "gate": int(gate)})
 
     values = _text_metrics(pairs)
-    truth = normalized_ratings(test_records, getattr(bundle, "r_max", 5.0))
+    truth = normalized_ratings(test_records)
     values["rmse"] = rmse(bundle.predict_norm_ratings(test_records), truth)
 
     bucket_rows = None

@@ -26,6 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from .data import R_MAX, rating_bucket
 from .errors import ConfigError, ContextLimitError, ShapeError
 from .rng import Rng
 from . import tensor as T
@@ -41,10 +42,6 @@ _WORD_RE = re.compile(r"\w+|[^\w\s]")
 def tokenize(text: str) -> List[str]:
     """Lowercase, split on whitespace, punctuation becomes its own token."""
     return _WORD_RE.findall(text.lower())
-
-
-def rating_bucket(rating: float, r_max: float = 5.0) -> int:
-    return min(max(int(round(rating)), 1), int(math.ceil(r_max)))
 
 
 class Vocab:
@@ -79,8 +76,7 @@ class Vocab:
         return f"r:{bucket}"
 
     @classmethod
-    def build(cls, records, users: Sequence[str], items: Sequence[str],
-              r_max: float = 5.0) -> "Vocab":
+    def build(cls, records, users: Sequence[str], items: Sequence[str]) -> "Vocab":
         """Reserved tokens, then id tokens for every known user/item, rating
         buckets, and (sorted) words from the given training records."""
         words = set()
@@ -91,7 +87,7 @@ class Vocab:
         tokens = list(RESERVED)
         tokens += [cls.user_token(u) for u in sorted(set(users))]
         tokens += [cls.item_token(i) for i in sorted(set(items))]
-        tokens += [cls.rating_token(b) for b in range(1, int(math.ceil(r_max)) + 1)]
+        tokens += [cls.rating_token(b) for b in range(1, int(R_MAX) + 1)]
         tokens += sorted(words)
         return cls(tokens)
 
@@ -103,14 +99,14 @@ class Vocab:
 
 
 def build_prompt(vocab: Vocab, user: str, item: str, rating: float,
-                 features: Sequence[str], r_max: float = 5.0) -> List[int]:
+                 features: Sequence[str]) -> List[int]:
     """Token ids for the structured prompt; unknown words map to <unk>.
 
     An empty feature list drops the F: section entirely.
     """
     ids = [BOS, MARK_U, vocab.encode(Vocab.user_token(user)),
            MARK_I, vocab.encode(Vocab.item_token(item)),
-           MARK_R, vocab.encode(Vocab.rating_token(rating_bucket(rating, r_max)))]
+           MARK_R, vocab.encode(Vocab.rating_token(rating_bucket(rating)))]
     feature_words = [w for feat in features for w in tokenize(feat)]
     if feature_words:
         ids.append(MARK_F)
@@ -184,14 +180,14 @@ class ExpertBank:
         self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
         self.eval_count = 0
 
-    def run(self, h: Tensor, selected: np.ndarray, router: "GateRouter", gates: np.ndarray,
-            scores: np.ndarray, gain: Tensor, norm: tuple) -> Tensor:
+    def run(self, h: Tensor, selected: np.ndarray, router: "GateRouter", gain: Tensor,
+            norm: tuple, route: tuple) -> Tensor:
         """The MoE sublayer of rows `h` as one fused
         :func:`~moerec.tensor.moe_sublayer`, on the row-major (n*k,) experts
-        `selected` from the `router`'s `scores` (under `gates`) of the rows
+        `selected` by the `route` (:meth:`GateRouter.scores`) of the rows
         normed by `gain` (`norm`); it checks `selected` once."""
         out = T.moe_sublayer(h, gain, router.weights, self.w1, self.b1, self.w2, self.b2,
-                             gates, scores, selected, self.cfg.active, norm)
+                             selected, self.cfg.active, norm, route)
         self.eval_count += len(selected)
         return out
 
@@ -207,16 +203,17 @@ class GateRouter:
             .reshape(model_dim, cfg.expert_count) / math.sqrt(model_dim)
             for _ in range(cfg.gates)]), requires_grad=True)
 
-    def scores(self, gates: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def scores(self, gates: np.ndarray, rows: np.ndarray) -> tuple:
         """(n, E) softmax scores of the (n, m) array `rows`, row i under gate
-        `gates[i]` (:func:`~moerec.tensor._router_softmax`); a gate outside
-        the range raises ConfigError."""
+        `gates[i]`, with their backward rule
+        (:func:`~moerec.tensor._router_parts`); a gate outside the range
+        raises ConfigError."""
         gates = T._row_ids(gates)
         if gates.shape != rows.shape[:1]:
             raise ShapeError(f"{gates.shape} gates for {rows.shape[:1]} rows")
         if gates.size and (gates.min() < 0 or gates.max() >= self.cfg.gates):
             raise ConfigError(f"gate index outside [0, {self.cfg.gates})")
-        return T._router_softmax(rows, self.weights.data, gates)
+        return T._router_parts(rows, self.weights.data, gates)
 
 
 def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
@@ -241,9 +238,9 @@ def _moe_rows(bank: ExpertBank, router: GateRouter, gain: Tensor, gates: np.ndar
     softmax, every routing logit of the row's gate."""
     norm = T._rms_parts(h.data, gain.data)
     T._check_finite(norm[0], "rms_norm")
-    scores = router.scores(gates, norm[0])                         # (n, E)
-    selected = top_k_select(scores, bank.cfg.active).reshape(-1)   # (n*k,), row-major
-    return bank.run(h, selected, router, gates, scores, gain, norm)
+    route = router.scores(gates, norm[0])                            # (n, E) scores, rule
+    selected = top_k_select(route[0], bank.cfg.active).reshape(-1)   # (n*k,), row-major
+    return bank.run(h, selected, router, gain, norm, route)
 
 
 # --- transformer ---
@@ -286,14 +283,11 @@ class TransformerBlock:
         """One block over `batch` sequences of `length` rows each, sequence
         `b` routed by `gates[b]`: the fused attention sublayer, then the
         MoE sublayer of :func:`_moe_rows`. `cache` is this
-        block's entry of a :class:`KVCache` holding `offset` positions; an
-        empty entry gets buffers of the whole context. With `start`, the
-        block returns only positions ``start..length-1`` of each sequence:
-        every position still gives its key and value, but the queries, the
-        router and the experts run only from `start` on."""
-        if cache is not None and cache[0] is None:
-            shape = (batch, self.config.context, rows.shape[1])
-            cache[:] = [np.empty(shape, rows.data.dtype) for _ in range(2)]
+        block's entry of a :class:`KVCache`, its buffers holding `offset`
+        positions. With `start`, the block returns only positions
+        ``start..length-1`` of each sequence: every position still gives its
+        key and value, but the queries, the router and the experts run only
+        from `start` on."""
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
                                  self.config.heads, batch, cache, offset, start)
         return _moe_rows(self.bank, self.router, self.norm2_g,

@@ -375,19 +375,15 @@ def _group_parts(groups: np.ndarray, count: int) -> list:
     """(group, rows) for each nonempty group of `count`, for row i times
     ``w[groups[i]]`` (the router's gates, the experts); `rows` is a slice
     when `groups` is sorted, else the group's row indices in input order.
+    The ids are int64 in [0, count), as each caller has checked them.
     Decoding calls this for one or two rows at a time, so a few sorted ids
     are grouped in plain Python; otherwise it makes few numpy calls."""
     if groups.size <= 8:
         ids = groups.tolist()
-        if ids and ids == sorted(ids) and 0 <= ids[0] and ids[-1] < count:
+        if ids == sorted(ids):
             starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
             return [(ids[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(ids)])]
-    try:
-        counts = np.bincount(groups, minlength=count)
-    except ValueError:                           # a negative group id
-        counts = None
-    if counts is None or counts.size > count:
-        raise ShapeError(f"group id outside [0, {count})")
+    counts = np.bincount(groups, minlength=count)
     nonempty = np.flatnonzero(counts)
     bounds, end = [], 0
     for g, size in zip(nonempty.tolist(), counts[nonempty].tolist()):
@@ -472,17 +468,23 @@ def _rms_parts(x: np.ndarray, gain: np.ndarray) -> tuple:
     return normed * gain, back
 
 
-def _router_softmax(rows: np.ndarray, weights: np.ndarray, gates: np.ndarray) -> np.ndarray:
-    """``softmax(rows[i] @ weights[gates[i]])`` for each row i, with the
-    logits and the scores checked; its backward rule is part of
-    :func:`moe_sublayer`'s."""
-    logits = _grouped_forward(rows, weights, _group_parts(gates, weights.shape[0]))
+def _router_parts(rows: np.ndarray, weights: np.ndarray, gates: np.ndarray) -> tuple:
+    """(scores, backward rule) of ``softmax(rows[i] @ weights[gates[i]])``
+    for each row i; the rule takes the scores' gradient to those of (rows,
+    weights) on the forward's grouping by gate. Only the logits are
+    checked: finite logits keep every score in [0, 1]."""
+    parts = _group_parts(gates, weights.shape[0])
+    logits = _grouped_forward(rows, weights, parts)
     _check_finite(logits, "router logits")
     # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
     e = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
     scores = e / np.add.reduce(e, axis=-1, keepdims=True)
-    _check_finite(scores, "router softmax")
-    return scores
+
+    def back(g):
+        g_logits = (g - (g * scores).sum(axis=-1, keepdims=True)) * scores
+        return _grouped_backward(g_logits, rows, weights, parts)
+
+    return scores, back
 
 
 def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
@@ -521,9 +523,9 @@ def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
 
 
 def _expert_layers(op: str, arrays: tuple, experts: np.ndarray) -> tuple:
-    """The :func:`_tanh_mlp` rules of stacked experts, shapes checked."""
+    """The :func:`_tanh_mlp` rules of stacked experts, shapes checked; the
+    int64 `experts` are in range, as each caller has checked them."""
     rows, w1, b1, w2, b2 = arrays
-    experts = _row_ids(experts)
     count = w1.shape[0]
     if (rows.ndim != 2 or w1.ndim != 3 or w2.ndim != 3
             or experts.shape != rows.shape[:1] or rows.shape[1] != w1.shape[1]
@@ -664,25 +666,26 @@ def _mixture_parts(rows: np.ndarray, bank: tuple, scores: np.ndarray, experts: n
 
 
 def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor,
-                 w2: Tensor, b2: Tensor, gates: np.ndarray, scores: np.ndarray,
-                 selected: np.ndarray, k: int, norm: tuple) -> Tensor:
+                 w2: Tensor, b2: Tensor, selected: np.ndarray, k: int, norm: tuple,
+                 route: tuple) -> Tensor:
     """``h + sum_j p[r, e] * ffn_e(y[r])`` over row r's k experts ``e =
     selected[r*k + j]`` (:func:`_mixture_parts`), for ``y = rms_norm(h,
     gain)`` and ``p = softmax(y[r] @ router[gates[r]])``. The caller ran
     those to pick the experts and hands them in: `norm` is
-    :func:`_rms_parts`'s (y, backward rule) and `scores` is
-    :func:`_router_softmax`'s p. The rule
-    adds the chain's terms in its reverse-sweep order: y gets the experts'
-    term plus the router's, and `h` the residual's, then the norm's three
-    (so the record lists `h` four times)."""
+    :func:`_rms_parts`'s (y, backward rule) and `route` is
+    :func:`_router_parts`'s (p, backward rule) of y. The rule adds the
+    chain's terms in its reverse-sweep order: y gets the experts' term
+    plus the router's, and `h` the residual's, then the norm's three (so
+    the record lists `h` four times)."""
     selected = _row_ids(selected, w1.shape[0])
     normed, norm_back = norm
+    scores, route_back = route
     n, m = h.shape if h.data.ndim == 2 else (-1, -1)
     if (k < 1 or selected.shape != (n * k,) or normed.shape != (n, m)
-            or np.shape(gates) != (n,) or scores.shape != (n, w1.shape[0])
+            or scores.shape != (n, w1.shape[0])
             or router.shape[1:] != (m, w1.shape[0]) or w2.shape[2:] != (m,)):
         raise ShapeError(f"moe_sublayer shapes incompatible: h {h.shape}, router {router.shape}, "
-                         f"w2 {w2.shape}, {np.shape(gates)} gates, scores {scores.shape}, "
+                         f"w2 {w2.shape}, scores {scores.shape}, "
                          f"{selected.shape} expert ids for k={k}")
     order = selected.argsort(kind="stable")
     row_of = order // k
@@ -692,9 +695,7 @@ def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor
 
     def back(g):
         g_normed, *g_bank, g_scores = mix_back(g)
-        g_logits = (g_scores - (g_scores * scores).sum(axis=-1, keepdims=True)) * scores
-        g_routed, g_router = _grouped_backward(g_logits, normed, router.data,
-                                               _group_parts(gates, router.shape[0]))
+        g_routed, g_router = route_back(g_scores)
         return (g, *g_bank, g_router, *norm_back(g_normed + g_routed))
 
     return _make(h.data + mixed, "moe_sublayer", (h, w1, b1, w2, b2, router, gain, h, h, h),

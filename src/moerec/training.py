@@ -44,7 +44,8 @@ from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_ex
 from .optim import AdamW
 from .rng import Rng
 from .tensor import Tape, Tensor, default_dtype, set_default_dtype
-from .vae import GmmPrior, VaeConfig, VaeGmm, elbo_loss, init_gmm_prior
+from .vae import (LOG_VAR_MAX, LOG_VAR_MIN, GmmPrior, VaeConfig, VaeGmm, elbo_loss,
+                  init_gmm_prior)
 
 
 def _epoch_batches(n: int, batch_size: int, rng: Rng) -> List[np.ndarray]:
@@ -55,8 +56,7 @@ def _epoch_batches(n: int, batch_size: int, rng: Rng) -> List[np.ndarray]:
 def vae_config_from(run: RunConfig, split: DatasetSplit) -> VaeConfig:
     return VaeConfig(n_users=split.n_users, n_items=split.n_items,
                      d_emb=run.d_emb, latent_dim=run.latent_dim,
-                     hidden=run.enc_hidden, clusters=run.clusters,
-                     r_max=run.r_max)
+                     hidden=run.enc_hidden, clusters=run.clusters)
 
 
 def lm_config_from(run: RunConfig, vocab_size: int) -> LmConfig:
@@ -129,7 +129,7 @@ def _manifest(stage: str, cfg: StageConfig, config: dict, rows: List[dict],
 def _elbo_batches(model: VaeGmm, beta: float, split: DatasetSplit, records,
                   rng: Rng) -> Callable:
     users, items = split.user_ids(records), split.item_ids(records)
-    ratings = normalized_ratings(records, model.config.r_max)
+    ratings = normalized_ratings(records)
     return lambda idx: partial(elbo_loss, model, users[idx], items[idx],
                                ratings[idx], beta, rng)
 
@@ -159,7 +159,7 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
 
         mu_all, log_var_all = model.encode(split.user_ids(split.train),
                                            split.item_ids(split.train))
-        point_vars = np.exp(np.clip(log_var_all.data, -10.0, 10.0))
+        point_vars = np.exp(np.clip(log_var_all.data, LOG_VAR_MIN, LOG_VAR_MAX))
         model.prior = init_gmm_prior(mu_all.data, vae_config.clusters,
                                      root.substream("init.gmm"),
                                      point_vars=point_vars)
@@ -174,12 +174,10 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
                             rows, started)
 
 
-def prepare_sequence(vocab: Vocab, record: InteractionRecord, r_max: float,
-                     context: int) -> tuple:
+def prepare_sequence(vocab: Vocab, record: InteractionRecord, context: int) -> tuple:
     """(token array prompt+reference+<eos>, prompt length); the reference is
     truncated when the sequence would exceed the model context."""
-    prompt = build_prompt(vocab, record.user, record.item, record.rating,
-                          record.features, r_max)
+    prompt = build_prompt(vocab, record.user, record.item, record.rating, record.features)
     if len(prompt) + 2 > context:
         raise ContextLimitError(
             f"prompt of {len(prompt)} tokens leaves no room in context {context}")
@@ -202,7 +200,6 @@ class ExplainerBundle:
     vocab: Optional[Vocab]
     user_index: Dict[str, int]
     item_index: Dict[str, int]
-    r_max: float = 5.0
 
     @property
     def clusters(self) -> int:
@@ -214,8 +211,7 @@ class ExplainerBundle:
 
     def prompt_text(self, record: InteractionRecord) -> str:
         return self.vocab.decode(build_prompt(
-            self.vocab, record.user, record.item, record.rating,
-            record.features, self.r_max))
+            self.vocab, record.user, record.item, record.rating, record.features))
 
     def _rows(self, records: Sequence[InteractionRecord]) -> tuple:
         return (index_ids(self.user_index, [r.user for r in records]),
@@ -235,7 +231,7 @@ class ExplainerBundle:
             raise ConfigError(f"max_len must be at least 1, got {max_len}")
         prompts = [build_prompt(self.vocab, r.user, r.item,
                                 check_rating(r.rating, f"record {r.user}/{r.item}"),
-                                r.features, self.r_max) for r in records]
+                                r.features) for r in records]
         gamma = self.vae.posteriors(*self._rows(records))
         gates = np.argmax(gamma, axis=1)
         texts = [self.vocab.decode(self.lm.generate(prompt, gate, max_len=max_len, mode=mode,
@@ -272,12 +268,11 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
         except FloatingPointError:
             raise DataError(f"the stage-1 model holds values beyond {dtype}'s range") from None
         root = Rng(cfg.seed).substream("stage2")
-        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index),
-                            r_max=run.r_max)
+        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
         lm = LanguageModel(lm_config_from(run, len(vocab)), root.substream("init.lm"))
         bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab,
                                  user_index=split.user_index,
-                                 item_index=split.item_index, r_max=run.r_max)
+                                 item_index=split.item_index)
         opt = AdamW(bundle.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         started = time.time()
         rows = _fit(opt, cfg, cfg.epochs, split, vae,
@@ -289,8 +284,8 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
 def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig,
                        split: DatasetSplit, records, rng: Rng) -> Callable:
     users, items = split.user_ids(records), split.item_ids(records)
-    ratings = normalized_ratings(records, run.r_max)
-    sequences, prompt_lens = zip(*(prepare_sequence(bundle.vocab, rec, run.r_max, run.context)
+    ratings = normalized_ratings(records)
+    sequences, prompt_lens = zip(*(prepare_sequence(bundle.vocab, rec, run.context)
                                    for rec in records))
     # one packed int32 token buffer, record i at tokens[bounds[i]:bounds[i + 1]]
     tokens = np.concatenate(sequences).astype(np.int32)
@@ -404,5 +399,5 @@ def load_bundle(path, stage: Optional[str] = "stage2") -> tuple:
         params |= lm.params()
     restore_params(params, arrays)
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index=user_index,
-                             item_index=item_index, r_max=run.r_max)
+                             item_index=item_index)
     return bundle, run, manifest

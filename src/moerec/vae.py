@@ -9,7 +9,7 @@ expert-routing gate in the language model.
 
 Conventions fixed here and relied on by the rest of the package:
 
-- ratings are normalized to (0, 1) as rating / r_max before entering the
+- ratings are normalized to (0, 1] as rating / 5 before entering the
   loss, and the reconstruction likelihood is binary cross-entropy on that
   normalized value;
 - posterior log-variances are clamped to [-10, 10] before exponentiation;
@@ -60,7 +60,6 @@ class VaeConfig:
     latent_dim: int = 8
     hidden: int = 64
     clusters: int = 3
-    r_max: float = 5.0
 
 
 class EmbeddingTables:

@@ -294,11 +294,11 @@ def grouped_matmul(x: Tensor, w: Tensor, groups: np.ndarray) -> Tensor:
     `w`. The rows of each group run as one matmul; groups may be empty and
     rows may come in any order, though rows sorted by group are sliced
     rather than gathered."""
-    groups = T._row_ids(groups)
     if (x.data.ndim != 2 or w.data.ndim != 3 or x.shape[1] != w.shape[1]
-            or groups.shape != x.shape[:1]):
+            or np.shape(groups) != x.shape[:1]):
         raise ShapeError(f"grouped_matmul shapes incompatible: {x.shape} @ {w.shape} "
-                         f"with {groups.shape} group ids")
+                         f"with {np.shape(groups)} group ids")
+    groups = T._row_ids(groups, w.shape[0])
     parts = T._group_parts(groups, w.shape[0])
     out = T._grouped_forward(x.data, w.data, parts)
     return T._make(out, "grouped_matmul", (x, w),
@@ -334,6 +334,7 @@ def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
     expert ``e = experts[i]``, ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]``."""
     inputs = (rows, w1, b1, w2, b2)
     arrays = tuple(t.data for t in inputs)
+    experts = T._row_ids(experts, w1.shape[0])
     out, back = T._tanh_mlp("expert_ffn", arrays, *T._expert_layers("expert_ffn", arrays, experts))
     return T._make(out, "expert_ffn", inputs, back)
 
@@ -345,7 +346,7 @@ def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
     pair ``order[i]`` of the row-major (n, k) selection, row ``order[i] //
     k`` of `rows` through expert ``experts[i]``. The last op of the chain
     that moe_sublayer replaces."""
-    order = T._row_ids(order, np.size(order))
+    order, experts = T._row_ids(order, np.size(order)), T._row_ids(experts, w1.shape[0])
     n = x.shape[0] if x.data.ndim == 2 else 0
     k = order.size // n if n else 0
     row_of = order // k if k else order
@@ -365,11 +366,11 @@ def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, 
 def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                  b2: Tensor, gates: np.ndarray, selected: np.ndarray, k: int) -> Tensor:
     """:func:`moerec.tensor.moe_sublayer` on a fixed row-major selection of
-    k experts per row, its front computed here: the norm's arrays, and the
-    router's scores by the router's chain ops."""
+    k experts per row, its front computed here: the norm's and the router's
+    arrays and backward rules."""
     norm = T._rms_parts(h.data, gain.data)
-    scores = softmax(grouped_matmul(Tensor(norm[0]), Tensor(router.data), gates)).data
-    return T.moe_sublayer(h, gain, router, w1, b1, w2, b2, gates, scores, selected, k, norm)
+    route = T._router_parts(norm[0], router.data, T._row_ids(gates, router.shape[0]))
+    return T.moe_sublayer(h, gain, router, w1, b1, w2, b2, selected, k, norm, route)
 
 
 # --- the op chains that the fused tensor ops replace ---

@@ -124,10 +124,10 @@ def micro_world(seed):
     from moerec.moe import LanguageModel, Vocab
     from moerec.training import ExplainerBundle
     vocab = Vocab.build(split.train, list(split.user_index),
-                        list(split.item_index), 5.0)
+                        list(split.item_index))
     lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(seed + 4))
     bundle = ExplainerBundle(vae, lm, vocab, split.user_index,
-                             split.item_index, 5.0)
+                             split.item_index)
     return split, run, bundle
 
 
@@ -217,8 +217,8 @@ def test_criterion_1_gradient_correctness():
         split, run, bundle = micro_world(seed)
         users = split.user_ids(split.train)[:4]
         items = split.item_ids(split.train)[:4]
-        ratings = normalized_ratings(split.train, 5.0)[:4]
-        prepared = [prepare_sequence(bundle.vocab, r, 5.0, run.context)
+        ratings = normalized_ratings(split.train)[:4]
+        prepared = [prepare_sequence(bundle.vocab, r, run.context)
                     for r in split.train[:4]]
         gates = bundle.vae.gates(users, items)
         cfg2 = run.stage2()
@@ -408,7 +408,7 @@ def test_cached_generation_matches_full_recompute_on_trained_model(planted,
     texts, gates, _ = bundle.explain(split.test[:12])
     for rec, text, gate in zip(split.test[:12], texts, gates.tolist()):
         prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
-                              rec.features, bundle.r_max)
+                              rec.features)
         expected, _ = reference_generate(bundle.lm, prompt, gate)
         assert bundle.lm.generate(prompt, gate) == expected
         assert text == bundle.vocab.decode(expected)
@@ -422,7 +422,7 @@ def test_greedy_explanations_equal_the_unmasked_decode(planted, stage2_bundle):
     texts, gates, _ = bundle.explain(records)
     for rec, text, gate in zip(records, texts, gates.tolist()):
         prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
-                              rec.features, bundle.r_max)
+                              rec.features)
         assert text == bundle.vocab.decode(bundle.lm.generate(prompt, gate))
 
 
@@ -526,8 +526,8 @@ def test_criterion_11_loss_decoupling():
     split, run, bundle = micro_world(7)
     users = split.user_ids(split.train)[:4]
     items = split.item_ids(split.train)[:4]
-    ratings = normalized_ratings(split.train, 5.0)[:4]
-    prepared = [prepare_sequence(bundle.vocab, r, 5.0, run.context)
+    ratings = normalized_ratings(split.train)[:4]
+    prepared = [prepare_sequence(bundle.vocab, r, run.context)
                 for r in split.train[:4]]
     gates = bundle.vae.gates(users, items)
 

@@ -163,7 +163,7 @@ def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path
     vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
     assert vae.encoder.w1.data.dtype == np.dtype(precision)
     save_bundle(tmp_path / "lib.s1", ExplainerBundle(vae, None, None, split.user_index,
-                                                     split.item_index, run.r_max),
+                                                     split.item_index),
                 run, manifest)
     assert (tmp_path / "lib.s1").read_bytes() == cli_s1.read_bytes()
 
@@ -232,6 +232,7 @@ def test_train_refuses_the_retired_encoder_attention_flag(workspace, tmp_path, c
     ("train", ("--early_stop", "false")),
     ("evaluate", ("--sentence-level",)),
     ("train", ("--freeze_gmm", "false")),
+    ("train", ("--r_max", "5")),
 ])
 def test_retired_flags_are_usage_errors(workspace, tmp_path, capsys, command, retired):
     argv = {"train": ("--stage", "1", "--out", str(tmp_path / "x.ckpt")),
@@ -253,18 +254,35 @@ def rewrite_checkpoint(src, dest, config=None, stage=None):
 
 def test_checkpoints_holding_retired_fields_at_their_defaults_load(workspace, tmp_path):
     old, retired = tmp_path / "old.ckpt", RunConfig.RETIRED_FIELDS.keys()
-    rewrite_checkpoint(workspace["s2"], old, RunConfig.RETIRED_FIELDS)
-    assert retired <= load_checkpoint(old)[0]["config"].keys()
     assert not retired & load_checkpoint(workspace["s2"])[0]["config"].keys()
     records = split_records(load_records(workspace["data"]), 5).test[:6]
-    (clean, clean_run, _), (again, old_run, _) = (load_bundle(p) for p in (workspace["s2"], old))
-    assert old_run == clean_run
-    assert again.explain(records)[0] == clean.explain(records)[0]
+    clean, clean_run, _ = load_bundle(workspace["s2"])
+    for top in (5.0, 5):                         # the five-star scale, as a float or an int
+        rewrite_checkpoint(workspace["s2"], old, RunConfig.RETIRED_FIELDS | {"r_max": top})
+        assert retired <= load_checkpoint(old)[0]["config"].keys()
+        again, old_run, _ = load_bundle(old)
+        assert old_run == clean_run
+        assert again.explain(records)[0] == clean.explain(records)[0]
+
+
+def test_a_config_naming_the_five_star_scale_trains_the_same_checkpoint(workspace, tmp_path,
+                                                                        capsys):
+    # r_max is retired at 5: a config file naming it there trains the bytes
+    # one without it does, and any other value is refused before training
+    for top, code in (("5", 0), ("10", 1)):
+        cfg = tmp_path / f"top{top}.cfg"
+        cfg.write_text(workspace["cfg"].read_text(encoding="utf-8") + f"r_max = {top}\n",
+                       encoding="utf-8")
+        assert run_cli("train", "--stage", "1", "--data", str(workspace["data"]),
+                       "--config", str(cfg), "--out", str(tmp_path / f"top{top}.ckpt")) == code
+    assert (tmp_path / "top5.ckpt").read_bytes() == workspace["s1"].read_bytes()
+    assert not (tmp_path / "top10.ckpt").exists()
+    assert "config field 'r_max' is retired" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field,value", [
     ("renormalize_topk", True), ("s1_grad_accum", 2), ("s2_grad_accum", 4),
-    ("early_stop", True), ("patience", 5), ("freeze_gmm", True),
+    ("early_stop", True), ("patience", 5), ("freeze_gmm", True), ("r_max", 10.0),
 ])
 def test_checkpoints_holding_a_retired_field_elsewhere_are_refused(workspace, tmp_path,
                                                                    capsys, field, value):

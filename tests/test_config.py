@@ -96,7 +96,7 @@ def test_every_field_is_range_checked():
                          ("active_experts", "0"), ("active_experts", "13"),
                          ("s1_batch", "0"), ("s2_batch", "0"), ("s1_epochs", "-1"),
                          ("s2_epochs", "-1"), ("s2_lr", "0"), ("s1_lr", "NaN"),
-                         ("r_max", "Infinity"), ("s1_joint_lr", "0"), ("weight_decay", "-0.1"),
+                         ("s1_joint_lr", "0"), ("weight_decay", "-0.1"),
                          ("beta", "2"), ("s1_warmup_beta", "-0.5"), ("model_dim", "63")]:
         with pytest.raises(ConfigError) as err:
             load_config(None, {field: value})
@@ -131,12 +131,16 @@ def test_retired_fields_load_only_at_their_old_defaults(tmp_path, capsys):
     # fields went still name them; at the old default they are dropped, at
     # any other value refused with the field named
     retired = {"renormalize_topk": False, "s1_grad_accum": 1, "s2_grad_accum": 1,
-               "early_stop": False, "patience": 3, "freeze_gmm": False}
+               "early_stop": False, "patience": 3, "freeze_gmm": False, "r_max": 5.0}
     assert RunConfig.RETIRED_FIELDS == retired
     path = tmp_path / "run.cfg"
     path.write_text("clusters = 2\nearly_stop = false\npatience = 3\nfreeze_gmm = false\n",
                     encoding="utf-8")
     assert load_config(path) == load_config(None, {"clusters": "2"})
+    for top in ("5", "5.0"):                # the five-star scale, as an int or a float
+        path.write_text(f"clusters = 2\nr_max = {top}\n", encoding="utf-8")
+        assert load_config(path) == load_config(None, {"clusters": "2"})
+        assert load_config(None, {"r_max": top}) == RunConfig()
     assert load_config(None, retired) == RunConfig().validate()
     assert load_config(None, {key: json.dumps(v) for key, v in retired.items()}) == RunConfig()
     path.write_text("clusters = 2\npatience = 5\n", encoding="utf-8")
@@ -145,9 +149,13 @@ def test_retired_fields_load_only_at_their_old_defaults(tmp_path, capsys):
     path.write_text("clusters = 2\nfreeze_gmm = true\n", encoding="utf-8")
     with pytest.raises(ConfigError, match="config line 2: config field 'freeze_gmm' is retired"):
         load_config(path)
+    path.write_text("clusters = 2\nr_max = 10\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="config line 2: config field 'r_max' is retired"):
+        load_config(path)
     for name, value in (("early_stop", True), ("s1_grad_accum", "2"),
                         ("renormalize_topk", "maybe"), ("patience", 3.5),
-                        ("freeze_gmm", "true"), ("freeze_gmm", 0)):
+                        ("freeze_gmm", "true"), ("freeze_gmm", 0), ("r_max", 10),
+                        ("r_max", "Infinity"), ("r_max", 4.9)):
         with pytest.raises(ConfigError, match=name):
             load_config(None, {name: value})
     for name in retired:

@@ -161,7 +161,6 @@ class EchoBundle:
 
     clusters = 3
     gates_count = 3
-    r_max = 5.0
 
     def __init__(self):
         self.calls = {"explain": 0, "predict_norm_ratings": 0}
@@ -265,7 +264,7 @@ def test_evaluate_hands_the_batch_to_the_bundle_once():
 def test_evaluate_rejects_a_rating_above_r_max():
     records = records_fixture(3)
     records[1].rating = 5.5
-    with pytest.raises(DataError, match="r_max"):
+    with pytest.raises(DataError, match="R_MAX"):
         evaluate_model(EchoBundle(), records)
 
 

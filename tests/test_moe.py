@@ -7,6 +7,7 @@ import pytest
 
 from moerec import Tape, Tensor, grad_check
 from moerec.errors import ConfigError, ContextLimitError, NumericError, ShapeError, TapeError
+from moerec.data import rating_bucket
 from moerec.rng import Rng
 from moerec import moe as moe_module
 from moerec import tensor as T
@@ -28,7 +29,6 @@ from moerec.moe import (
     _moe_rows,
     decompose_experts,
     expert_weight_count,
-    rating_bucket,
     tokenize,
     top_k_select,
 )
@@ -96,7 +96,7 @@ def test_decompose_random_configs_identity():
 
 def route(router, gate, x):
     """Scores of one vector under one gate."""
-    return router.scores(np.array([gate]), x.data.reshape(1, -1))[0]
+    return router.scores(np.array([gate]), x.data.reshape(1, -1))[0][0]
 
 
 def test_route_uniform_for_zero_weights():
@@ -138,7 +138,7 @@ def test_router_scores_each_row_under_its_own_gate():
     router = GateRouter(5, cfg, Rng(5))
     rows = Tensor(Rng(6).normal(6 * 5).reshape(6, 5))
     gates = np.array([2, 0, 1, 2, 2, 0])
-    mixed = router.scores(gates, rows.data)
+    mixed, _ = router.scores(gates, rows.data)
     for i, gate in enumerate(gates):
         alone = route(router, int(gate), rows[i:i + 1])
         assert np.max(np.abs(mixed[i] - alone)) <= 1e-15
@@ -302,7 +302,7 @@ def test_moe_sublayer_boundary_errors():
     with pytest.raises(ConfigError):                    # gate 2 of two
         _moe_rows(bank, router, gain, np.array([1, 2, 0]), h)
     norm = T._rms_parts(h.data, gain.data)
-    front = (router, gates, router.scores(gates, norm[0]), gain, norm)
+    front = (router, gain, norm, router.scores(gates, norm[0]))
     bank.eval_count = 0
     bank.run(h, np.array([0, 2, 1, 2, 0, 1]), *front)
     # a float id, expert 3 of three, and 5, 8 or no ids for 3 rows of k = 2
@@ -329,7 +329,7 @@ def sample_records():
 
 
 def test_vocab_reserved_layout_and_bijection():
-    vocab = Vocab.build(sample_records(), ["3", "9"], ["7"], r_max=5.0)
+    vocab = Vocab.build(sample_records(), ["3", "9"], ["7"])
     assert vocab.tokens[:9] == RESERVED
     assert vocab.index["<pad>"] == PAD == 0
     assert vocab.index["<unk>"] == UNK == 3
@@ -340,7 +340,7 @@ def test_vocab_reserved_layout_and_bijection():
 
 
 def test_vocab_prompt_only_ids_are_the_reserved_and_id_tokens():
-    vocab = Vocab.build(sample_records(), ["3", "9"], ["7"], r_max=5.0)
+    vocab = Vocab.build(sample_records(), ["3", "9"], ["7"])
     got = [vocab.tokens[i] for i in vocab.prompt_only]
     assert got == [t for t in RESERVED if t != "<eos>"] + [
         "u:3", "u:9", "i:7", "r:1", "r:2", "r:3", "r:4", "r:5"]
@@ -389,7 +389,7 @@ def test_empty_prompt_or_token_matrix_raises_shape_error():
 
 
 def test_build_prompt_structure():
-    vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
+    vocab = Vocab.build(sample_records(), ["3"], ["7"])
     ids = build_prompt(vocab, "3", "7", 4.0, ["thai", "cozy"])
     toks = [vocab.tokens[i] for i in ids]
     assert toks == ["<bos>", "U:", "u:3", "I:", "i:7", "R:", "r:4", "F:",
@@ -397,14 +397,14 @@ def test_build_prompt_structure():
 
 
 def test_build_prompt_empty_features_drops_section():
-    vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
+    vocab = Vocab.build(sample_records(), ["3"], ["7"])
     toks = [vocab.tokens[i] for i in build_prompt(vocab, "3", "7", 2.0, [])]
     assert toks == ["<bos>", "U:", "u:3", "I:", "i:7", "R:", "r:2", "EXP:"]
     assert "F:" not in toks
 
 
 def test_build_prompt_unknown_feature_becomes_unk():
-    vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
+    vocab = Vocab.build(sample_records(), ["3"], ["7"])
     ids = build_prompt(vocab, "3", "7", 4.0, ["swimming"])
     assert ids[-2] == UNK
 
@@ -848,9 +848,9 @@ def test_nll_rejects_empty_reference():
     from moerec.data import InteractionRecord
     from moerec.errors import DataError
     from moerec.training import prepare_sequence
-    vocab = Vocab.build(sample_records(), ["3"], ["7"], r_max=5.0)
+    vocab = Vocab.build(sample_records(), ["3"], ["7"])
     with pytest.raises(DataError):
-        prepare_sequence(vocab, InteractionRecord("3", "7", 4.0, ["thai"], " "), 5.0, 32)
+        prepare_sequence(vocab, InteractionRecord("3", "7", 4.0, ["thai"], " "), 32)
 
 
 def test_batched_nll_matches_single_records():
@@ -1012,7 +1012,8 @@ def test_batched_block_with_cache_matches_loops(variant):
     x = Tensor(lm.embed.data[tokens] + lm.pos.data[:8])          # (2, 8, m)
     blk = lm.blocks[0]
     ref = reference_block_forward(blk, x.data.reshape(16, -1), 2, 8, gates).reshape(2, 8, -1)
-    cache = [None, None]
+    # one preallocated buffer per side, as forward_rows makes them
+    cache = [np.empty((2, lm.config.context, 8)) for _ in range(2)]
     start = 0
     for size in (3, 1, 2, 1, 1):
         chunk = Tensor(x.data[:, start:start + size].reshape(2 * size, -1))
@@ -1021,7 +1022,5 @@ def test_batched_block_with_cache_matches_loops(variant):
         assert np.max(np.abs(out - ref[:, start:start + size])) <= 1e-12
         assert blk.bank.eval_count == 2 * size * variant["active"]
         start += size
-        # one preallocated buffer per side, filled in place up to `start`
-        assert cache[0].shape == cache[1].shape == (2, lm.config.context, 8)
     keys = T.rms_norm(x.reshape(16, 8), blk.norm1_g).data @ blk.wk.data
     assert np.max(np.abs(cache[0][:, :start] - keys.reshape(2, 8, 8))) <= 1e-12

@@ -247,7 +247,7 @@ def _id_entry_points() -> dict:
     expert_bank, three_router = ExpertBank(2, three, Rng(1)), GateRouter(2, three, Rng(2))
     gain, row_gates = Tensor(np.ones(2)), np.array([1, 0, 1])
     norm = T._rms_parts(x.data, gain.data)
-    front = (three_router, row_gates, three_router.scores(row_gates, norm[0]), gain, norm)
+    front = (three_router, gain, norm, three_router.scores(row_gates, norm[0]))
     moe = decompose_experts(2, 8, 2, active=2, gates=2)
     lm = LanguageModel(LmConfig(vocab_size=20, model_dim=8, blocks=1, heads=2, context=16,
                                 moe=moe), Rng(0))
@@ -877,22 +877,21 @@ def default_losses(precision: str) -> tuple:
         rng, k, d = Rng(4), run.clusters, run.latent_dim
         vae.prior = GmmPrior(rng.normal(k), rng.normal(k * d).reshape(k, d),
                              rng.normal(k * d).reshape(k, d) * 0.3)
-        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index),
-                            run.r_max)
+        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
         lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(5))
     finally:
         T.set_default_dtype(caller)
-    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index, run.r_max)
+    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index)
 
     def batch(size):
         records = split.train[:size]
         return (split.user_ids(records), split.item_ids(records),
-                normalized_ratings(records, run.r_max), records)
+                normalized_ratings(records), records)
 
     users, items, ratings, _ = batch(run.s1_batch)
     stage1 = lambda: elbo_loss(vae, users, items, ratings, run.beta, Rng(9))  # noqa: E731
     users2, items2, ratings2, records = batch(run.s2_batch)
-    prepared = [prepare_sequence(vocab, r, run.r_max, run.context) for r in records]
+    prepared = [prepare_sequence(vocab, r, run.context) for r in records]
     gates = vae.gates(users2, items2)
     stage2 = lambda: _stage2_loss(bundle, users2, items2, ratings2, prepared,  # noqa: E731
                                   gates, run.stage2(), Rng(9))

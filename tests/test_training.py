@@ -60,10 +60,10 @@ def small_run(**overrides) -> RunConfig:
 
 def test_normalized_ratings_validation():
     split, _ = small_corpus()
-    values = normalized_ratings(split.train, 5.0)
+    values = normalized_ratings(split.train)
     assert values.min() >= 0.0 and values.max() <= 1.0
-    with pytest.raises(DataError):
-        normalized_ratings(split.train, 2.0)
+    with pytest.raises(DataError, match="R_MAX"):       # above the five-star scale
+        normalized_ratings([*split.train, InteractionRecord("u0", "i0", 5.5, [], "ok")])
 
 
 def test_gradient_accumulation_equivalence():
@@ -71,7 +71,7 @@ def test_gradient_accumulation_equivalence():
     run = small_run()
     users = split.user_ids(split.train)[:16]
     items = split.item_ids(split.train)[:16]
-    ratings = normalized_ratings(split.train, 5.0)[:16]
+    ratings = normalized_ratings(split.train)[:16]
 
     def grads_with(accum):
         model = VaeGmm(vae_config_from(run, split), Rng(3))
@@ -136,7 +136,7 @@ def test_beta_ablation_reconstruction_report(capsys):
         vae, _ = train_stage1(split, vae_config_from(run_b, split), run_b.stage1())
         users = split.user_ids(split.train)
         items = split.item_ids(split.train)
-        ratings = normalized_ratings(split.train, 5.0)
+        ratings = normalized_ratings(split.train)
         loss = elbo_loss(vae, users, items, ratings, 0.0, Rng(1), eps_override=0.0)
         recon[beta] = loss.item()
     print(f"reconstruction-only loss: beta=0 {recon[0.0]:.5f}, "
@@ -149,12 +149,12 @@ def test_prepare_sequence_structure_and_truncation():
     run = small_run()
     from moerec.moe import Vocab
     vocab = Vocab.build(split.train, list(split.user_index),
-                        list(split.item_index), 5.0)
+                        list(split.item_index))
     rec = split.train[0]
-    seq, plen = prepare_sequence(vocab, rec, 5.0, run.context)
+    seq, plen = prepare_sequence(vocab, rec, run.context)
     assert seq[-1] == EOS
     assert plen < len(seq) - 1
-    tight, plen2 = prepare_sequence(vocab, rec, 5.0, plen + 3)
+    tight, plen2 = prepare_sequence(vocab, rec, plen + 3)
     assert len(tight) == plen2 + 3  # reference truncated to fit + eos
 
 
@@ -181,14 +181,14 @@ def test_stage2_alpha_one_never_touches_lm():
     cfg = run.stage2()
     from moerec.moe import LanguageModel, Vocab
     from moerec.training import lm_config_from
-    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index), 5.0)
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
     lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(5))
-    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index, 5.0)
+    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index)
 
     users = split.user_ids(split.train)[:6]
     items = split.item_ids(split.train)[:6]
-    ratings = normalized_ratings(split.train, 5.0)[:6]
-    prepared = [prepare_sequence(vocab, r, 5.0, run.context) for r in split.train[:6]]
+    ratings = normalized_ratings(split.train)[:6]
+    prepared = [prepare_sequence(vocab, r, run.context) for r in split.train[:6]]
     gates = vae.gates(users, items)
     with Tape() as tape:
         loss = _stage2_loss(bundle, users, items, ratings, prepared, gates, cfg, Rng(9))
@@ -206,14 +206,14 @@ def test_stage2_alpha_zero_never_touches_rating_decoder():
     cfg = run.stage2()
     from moerec.moe import LanguageModel, Vocab
     from moerec.training import lm_config_from
-    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index), 5.0)
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
     lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(5))
-    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index, 5.0)
+    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index)
 
     users = split.user_ids(split.train)[:6]
     items = split.item_ids(split.train)[:6]
-    ratings = normalized_ratings(split.train, 5.0)[:6]
-    prepared = [prepare_sequence(vocab, r, 5.0, run.context) for r in split.train[:6]]
+    ratings = normalized_ratings(split.train)[:6]
+    prepared = [prepare_sequence(vocab, r, run.context) for r in split.train[:6]]
     gates = vae.gates(users, items)
     with Tape() as tape:
         loss = _stage2_loss(bundle, users, items, ratings, prepared, gates, cfg, Rng(9))
@@ -335,7 +335,7 @@ def _train_both_stages(tmp_path, name):
     run = small_run()
     vae, m1 = train_stage1(split, vae_config_from(run, split), run.stage1())
     save_bundle(tmp_path / f"{name}.s1", ExplainerBundle(vae, None, None, split.user_index,
-                                                         split.item_index, run.r_max), run, m1)
+                                                         split.item_index), run, m1)
     bundle, m2 = train_stage2(split, vae, run, run.stage2())
     save_bundle(tmp_path / f"{name}.s2", bundle, run, m2)
     return ([(tmp_path / f"{name}.{s}").read_bytes() for s in ("s1", "s2")],
@@ -475,8 +475,8 @@ def test_save_load_roundtrip_stage1(tmp_path):
     run = small_run()
     vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
     path = tmp_path / "s1.ckpt"
-    save_bundle(path, ExplainerBundle(vae, None, None, split.user_index, split.item_index,
-                                      run.r_max), run, manifest, f64=True)
+    save_bundle(path, ExplainerBundle(vae, None, None, split.user_index, split.item_index),
+                run, manifest, f64=True)
     loaded, _, _ = load_bundle(path, None)
     assert loaded.lm is None and loaded.vocab is None
     assert loaded.user_index == split.user_index and loaded.item_index == split.item_index
@@ -501,7 +501,7 @@ def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
     split, _, run, bundle, manifest = trained_pair()
     s1, s2 = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt"
     save_bundle(s1, ExplainerBundle(bundle.vae, None, None, split.user_index,
-                                    split.item_index, run.r_max), run, manifest)
+                                    split.item_index), run, manifest)
     save_bundle(s2, bundle, run, manifest, f64=True)
 
     def no_draws(self, n):
@@ -569,7 +569,7 @@ def test_the_loader_accepts_only_the_asked_for_stage(tmp_path):
     split, _, run, bundle, manifest = trained_pair()
     s1, s2, s3 = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt", tmp_path / "s3.ckpt"
     save_bundle(s1, ExplainerBundle(bundle.vae, None, None, split.user_index,
-                                    split.item_index, run.r_max), run, manifest)
+                                    split.item_index), run, manifest)
     save_bundle(s2, bundle, run, manifest)
     save_checkpoint(s3, bundle.params(), config=run.to_dict(), seed=run.seed,
                     stage="stage3", extra=read_manifest(s2)["extra"])
@@ -632,7 +632,7 @@ def test_sampled_explanations_hold_only_word_tokens():
     for text in texts:
         ids = [bundle.vocab.index[tok] for tok in text.split()]
         assert not banned & set(ids), text
-    prompts = [build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features, run.r_max)
+    prompts = [build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features)
                for r in split.test]
     unmasked = [bundle.lm.generate(prompt, gate, mode="sample", seed=3)
                 for prompt, gate in zip(prompts, gates.tolist())]

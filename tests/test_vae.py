@@ -313,10 +313,10 @@ def test_explain_of_no_records_returns_empty_results():
                     active_experts=2).validate()
     split = split_records(generate_synthetic(SynthSpec(n_users=12, n_items=8,
                                                        records_per_user=6))[0], seed=0)
-    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index), 5.0)
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
     bundle = ExplainerBundle(VaeGmm(vae_config_from(run, split), Rng(1)),
                              LanguageModel(lm_config_from(run, len(vocab)), Rng(2)), vocab,
-                             split.user_index, split.item_index, 5.0)
+                             split.user_index, split.item_index)
     bundle.vae.prior = GmmPrior.standard_normal(2, 4)
     texts, gates, gamma = bundle.explain([])
     assert texts == [] and gates.shape == (0,) and gamma.shape == (0, 2)
