@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -83,10 +82,12 @@ def index_ids(index: Dict[str, int], keys: Sequence[str]) -> np.ndarray:
 
 
 def check_rating(rating, where: str) -> float:
-    """`rating` as a float; DataError unless it is a positive finite number."""
+    """`rating` as a float; DataError unless it is a finite number in
+    (0, R_MAX]."""
     if (not isinstance(rating, (int, float)) or isinstance(rating, bool)
-            or not 0 < rating <= sys.float_info.max):
-        raise DataError(f"{where}: rating must be a positive finite number, got {rating!r}")
+            or not 0 < rating <= R_MAX):
+        raise DataError(f"{where}: rating must be a finite number in (0, R_MAX={R_MAX}], "
+                        f"got {rating!r}")
     return float(rating)
 
 

@@ -307,6 +307,8 @@ class KVCache:
     attend over every cached key, while the prefix is not recomputed. The
     first call on a fresh cache is the prefill. Cached forwards are for
     inference only; under a recording tape they raise TapeError.
+    :meth:`row` hands out one sequence of a batch as a cache of its own,
+    with views of this one's buffers.
     """
 
     def __init__(self, blocks: int, batch: int = 1, positions: int = None):
@@ -314,6 +316,15 @@ class KVCache:
         self.batch = batch
         self.positions = positions
         self.blocks = [[None, None] for _ in range(blocks)]
+
+    def row(self, i: int) -> "KVCache":
+        """Sequence `i` as a one-sequence cache of the same length whose
+        buffers are views of this one's: a forward on it writes row `i` of
+        the shared buffers and no other row."""
+        one = KVCache(len(self.blocks), positions=self.positions)
+        one.length = self.length
+        one.blocks = [[buf[i:i + 1] for buf in entry] for entry in self.blocks]
+        return one
 
 
 class LanguageModel:
@@ -413,39 +424,64 @@ class LanguageModel:
             x = T.take_rows(x, rows)
         return T.rms_norm(x, self.norm_f_g) @ self.head
 
+    def prefill(self, prompts, gates: np.ndarray, positions: int = None) -> list:
+        """Feed a (B, L) matrix of equal-length prompts, prompt b under gate
+        `gates[b]`, in one forward into a B-row :class:`KVCache` of
+        `positions` positions (the context by default). Returns one
+        (cache, logits) pair per prompt: the cache is :meth:`KVCache.row`
+        of the shared one, holding that prompt's L positions, and the
+        logits are its last position's, the start of :meth:`generate`.
+        Only the last positions go through the head, and the last block's
+        queries and experts run only there. A prompt that fills the context
+        raises ContextLimitError, and prompts of several lengths ShapeError.
+        """
+        try:
+            tokens = np.atleast_2d(np.asarray(prompts))
+        except ValueError:                  # numpy refuses a ragged matrix
+            raise ShapeError("prefill takes prompts of one length") from None
+        batch, length = tokens.shape
+        if length >= self.config.context:
+            raise ContextLimitError(
+                f"prompt of {length} tokens fills context "
+                f"{self.config.context}; nothing can be generated")
+        cache = KVCache(len(self.blocks), batch, positions)
+        logits = self.forward_rows(tokens, gates, cache,
+                                   rows=np.arange(1, batch + 1) * length - 1).data
+        return [(cache.row(b), logits[b]) for b in range(batch)]
+
     def generate(self, prompt: Sequence[int], gate: int, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,
-                 seed: int = 0, banned: np.ndarray = None) -> List[int]:
+                 seed: int = 0, banned: np.ndarray = None, start: tuple = None) -> List[int]:
         """Autoregressive continuation after the prompt, until <eos> or
         max_len; greedy mode is deterministic, sampling is seeded at a
         nonnegative finite `temperature`. The `banned` token ids get no
         probability in either mode.
 
-        The prompt is prefilled once into a :class:`KVCache`; each later
-        step feeds only the token just emitted.
+        Decoding starts from `start`, the (cache, logits) pair of
+        :meth:`prefill` for this prompt and gate, and uses it up: each step
+        feeds only the token just emitted into that cache. Without `start`,
+        the prompt is prefilled alone, into a cache sized to the request.
         """
         if mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown generation mode {mode!r}")
         if mode == "sample" and not 0.0 <= temperature < math.inf:
             raise ConfigError(f"sampling temperature must be nonnegative and finite, "
                               f"got {temperature}")
-        if len(prompt) >= self.config.context:
-            raise ContextLimitError(
-                f"prompt of {len(prompt)} tokens fills context "
-                f"{self.config.context}; nothing can be generated")
         if banned is not None:
             banned = T._row_ids(banned, self.config.vocab_size)
+        if start is None:
+            # the prompt and every emitted token but the last are fed, at most
+            start, = self.prefill([prompt], np.array([gate]),
+                                  min(self.config.context, len(prompt) + max(max_len - 1, 0)))
+        cache, logits = start
         rng = Rng(seed)
-        # the prompt and every emitted token but the last are fed, at most
-        cache = KVCache(len(self.blocks), positions=min(self.config.context,
-                                                        len(prompt) + max(max_len - 1, 0)))
-        new = list(prompt)
         out: List[int] = []
-        while len(out) < max_len and cache.length + len(new) < self.config.context:
-            # the prefill reads only its last position's logits
-            logits = self.forward_rows(np.asarray(new)[None, :], np.array([gate]), cache,
-                                       rows=None if cache.length else np.array([len(new) - 1])
-                                       ).data[-1]
+        while len(out) < max_len:
+            if out:
+                if cache.length + 1 >= self.config.context:
+                    break
+                logits = self.forward_rows(np.array([out[-1:]]), np.array([gate]),
+                                           cache).data[-1]
             if banned is not None:
                 logits[banned] = -np.inf
             if mode == "greedy":
@@ -459,7 +495,6 @@ class LanguageModel:
             if nxt == EOS:
                 break
             out.append(nxt)
-            new = [nxt]
         return out
 
     def batched_nll(self, sequences: List[np.ndarray], prompt_lens: List[int],

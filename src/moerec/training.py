@@ -174,6 +174,9 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
                             rows, started)
 
 
+PREFILL_ROWS = 256        # prompt tokens in one batched prefill of `ExplainerBundle.explain`
+
+
 def prepare_sequence(vocab: Vocab, record: InteractionRecord, context: int) -> tuple:
     """(token array prompt+reference+<eos>, prompt length); the reference is
     truncated when the sequence would exceed the model context."""
@@ -223,9 +226,13 @@ class ExplainerBundle:
 
         One encoder pass gates the whole batch: each record's gate is the
         largest of its (B, K) responsibilities along the deterministic mean
-        path, ties to the lowest index. Each record then decodes alone
-        after its prompt, sampled records on the stream of `seed`. Neither
-        mode emits a token that only prompts hold (`Vocab.prompt_only`).
+        path, ties to the lowest index. Records whose prompts have one
+        length are prefilled together (:meth:`LanguageModel.prefill`), in
+        input order and in chunks of at most ``PREFILL_ROWS`` prompt tokens
+        (one prompt, if it is longer); then each record decodes alone from
+        its row of the cache, sampled records on the stream of `seed`.
+        Neither mode emits a token that only prompts hold
+        (`Vocab.prompt_only`).
         """
         if max_len < 1:
             raise ConfigError(f"max_len must be at least 1, got {max_len}")
@@ -234,10 +241,21 @@ class ExplainerBundle:
                                 r.features) for r in records]
         gamma = self.vae.posteriors(*self._rows(records))
         gates = np.argmax(gamma, axis=1)
-        texts = [self.vocab.decode(self.lm.generate(prompt, gate, max_len=max_len, mode=mode,
-                                                    temperature=temperature, seed=seed,
-                                                    banned=self.vocab.prompt_only))
-                 for prompt, gate in zip(prompts, gates)]
+        by_length: Dict[int, List[int]] = {}
+        for i, prompt in enumerate(prompts):
+            by_length.setdefault(len(prompt), []).append(i)
+        texts = [""] * len(records)
+        for length, group in by_length.items():
+            size = max(PREFILL_ROWS // length, 1)
+            positions = min(self.lm.config.context, length + max_len - 1)
+            for at in range(0, len(group), size):
+                chunk = group[at:at + size]
+                starts = self.lm.prefill([prompts[i] for i in chunk], gates[chunk], positions)
+                for i, start in zip(chunk, starts):
+                    texts[i] = self.vocab.decode(self.lm.generate(
+                        prompts[i], gates[i], max_len=max_len, mode=mode,
+                        temperature=temperature, seed=seed, banned=self.vocab.prompt_only,
+                        start=start))
         return texts, gates, gamma
 
     def generate_explanation(self, record: InteractionRecord, max_len: int = 16,

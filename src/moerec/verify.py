@@ -988,6 +988,13 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
                                f"max logit gap {gap:.1e} over every decode step"))
 
+    gap, same = _prefill_gap(seed)
+    results.append(CheckResult("moe.prefill_matches_per_record", gap <= 1e-10 and same,
+                               f"max last-position logit gap {gap:.1e} between a 5-prompt "
+                               f"prefill under mixed gates and each prompt's lone one; "
+                               f"greedy and seeded-sample tokens "
+                               f"{'equal' if same else 'differ'}"))
+
     gaps = [loss_rows_gap(seed + case) for case in range(4)]
     gaps += [loss_rows_gap(seed + 4, blocks, prompt=10) for blocks in (2, 1)]
     loss_gap, grad_gap = (max(g[i] for g in gaps) for i in (0, 1))
@@ -1119,6 +1126,25 @@ def _kv_cache_gap(gates: int, seed: int) -> float:
             new = [int(np.argmax(full))]
             seq = seq + new
     return gap
+
+
+def _prefill_gap(seed: int) -> tuple:
+    """(largest gap between the last-position logits of one batched prefill
+    and of each prompt prefilled alone, whether decoding from each row of
+    the batch gives the lone decode's greedy and seeded-sample tokens)."""
+    moe = decompose_experts(2, 8, 2, active=2, gates=3)
+    lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=2,
+                                context=16, moe=moe), Rng(seed))
+    prompts = Rng(seed + 1).integers(5 * 6, 20).reshape(5, 6) + 4
+    gates = np.array([0, 2, 1, 2, 0])
+    gap, same = 0.0, True
+    for options in (dict(mode="greedy"), dict(mode="sample", temperature=1.5, seed=seed)):
+        for prompt, gate, start in zip(prompts, gates, lm.prefill(prompts, gates)):
+            (_, alone), = lm.prefill(prompt[None], gate[None])
+            gap = max(gap, float(np.max(np.abs(start[1] - alone))))
+            same &= (lm.generate(prompt, gate, max_len=8, start=start, **options)
+                     == lm.generate(prompt, gate, max_len=8, **options))
+    return gap, same
 
 
 SUITES = {

@@ -378,6 +378,9 @@ def test_generate_unknown_user_warns_but_succeeds(workspace, capsys):
     (("--rating", "3", "--mode", "sample", "--temperature", "-0.5"), 1, "temperature"),
     (("--rating", "3", "--temperature", "nan"), 0, ""),
     (("--rating", "3", "--mode", "sample", "--temperature", "0"), 0, ""),
+    (("--rating", "9"), 2, "R_MAX"),
+    (("--rating", "5.5"), 2, "R_MAX"),
+    (("--rating", "5"), 0, ""),
 ])
 def test_generate_rejects_a_bad_rating_or_sampling_temperature(workspace, capsys, extra,
                                                                code, needle):

@@ -15,6 +15,7 @@ from moerec.data import (
     RATING_NOISE,
     InteractionRecord,
     SynthSpec,
+    check_rating,
     cluster_signature,
     corpus_stats,
     generate_synthetic,
@@ -67,6 +68,24 @@ def test_load_rejects_non_finite_rating_with_line_number(tmp_path, value):
     assert "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("value", ["5.5", "9", "1e300"])
+def test_load_rejects_a_rating_above_the_scale_with_line_number(tmp_path, value):
+    path = tmp_path / "data.jsonl"
+    bad = record_line().replace('"rating": 4.0', f'"rating": {value}')
+    write_lines(path, [record_line(rating=5.0), bad])
+    with pytest.raises(DataError) as err:
+        load_records(path)
+    message = str(err.value)
+    assert "line 2" in message and "line 1" not in message and "R_MAX" in message
+
+
+def test_check_rating_takes_the_five_star_scale_top_included():
+    assert check_rating(5, "here") == 5.0 and check_rating(0.25, "here") == 0.25
+    for rating in (5.000001, 9, 1e308):
+        with pytest.raises(DataError, match=r"here: .*R_MAX=5\.0"):
+            check_rating(rating, "here")
+
+
 def test_load_rejects_missing_field(tmp_path):
     path = tmp_path / "data.jsonl"
     bad = json.dumps({"user": "u", "item": "i", "rating": 3.0, "features": []})
@@ -100,7 +119,7 @@ def test_load_empty_file_ok(tmp_path):
 
 
 def test_save_load_roundtrip(tmp_path):
-    records = [InteractionRecord(f"u{i}", f"i{i}", 1.5 + i, ["a", "b"], "text here")
+    records = [InteractionRecord(f"u{i}", f"i{i}", 0.5 + i, ["a", "b"], "text here")
                for i in range(5)]
     path = tmp_path / "data.jsonl"
     save_records(records, path)

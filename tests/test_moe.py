@@ -453,6 +453,12 @@ def test_forward_lm_context_limit():
         forward_lm(lm, [1] * 17, gate=0)
 
 
+def test_prefill_refuses_prompts_of_several_lengths():
+    lm = tiny_lm(seed=13)
+    with pytest.raises(ShapeError, match="one length"):
+        lm.prefill([[BOS, 4, 5], [BOS, 4]], np.array([0, 1]))
+
+
 def test_generate_rejects_full_context_prompt():
     lm = tiny_lm()
     with pytest.raises(ContextLimitError):

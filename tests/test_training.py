@@ -20,7 +20,7 @@ from moerec.data import (
     split_records,
 )
 from moerec import tensor, training
-from moerec.errors import ConfigError, DataError, TrainingError
+from moerec.errors import ConfigError, ContextLimitError, DataError, TrainingError
 from moerec.moe import EOS, LanguageModel, build_prompt
 from moerec.optim import AdamW
 from moerec.rng import Rng
@@ -616,6 +616,97 @@ def test_explain_on_a_batch_equals_explaining_each_record(mode):
         assert one_texts == [text] == [bundle.generate_explanation(rec, **options)]
         assert one_gates.tolist() == [gate]
         assert np.allclose(one_gamma[0], row, rtol=0, atol=1e-12)
+
+
+def with_features(record, words):
+    """`record` with a prompt of 9 + `words` tokens: `words` feature words."""
+    return InteractionRecord(record.user, record.item, record.rating, ["staff"] * words, "")
+
+
+@pytest.mark.parametrize("order", [(2, 4), (4, 2)])
+def test_a_prompt_that_fills_the_context_fails_in_a_batch_as_alone(order):
+    # the first record in input order whose prompt fills the context names
+    # the error, whatever the lengths of the prompts before and after it
+    split, _, run, bundle, _ = trained_pair()
+    records = [split.test[0], with_features(split.test[1], 3), None, split.test[3], None,
+               with_features(split.test[5], 1)]
+    records[order[0]] = with_features(split.test[2], run.context - 9)      # fills it exactly
+    records[order[1]] = with_features(split.test[4], run.context - 5)      # runs past it
+    lengths = [len(build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features))
+               for r in records]
+    assert len(set(lengths)) == 5 and sorted(lengths)[-2:] == [run.context, run.context + 4]
+    first = min(order)
+    with pytest.raises(ContextLimitError) as alone:
+        bundle.explain([records[first]])
+    with pytest.raises(ContextLimitError) as batch:
+        bundle.explain(records)
+    assert type(batch.value) is type(alone.value)
+    assert str(batch.value) == str(alone.value) == (
+        f"prompt of {lengths[first]} tokens fills context {run.context}; "
+        "nothing can be generated")
+
+
+@pytest.mark.parametrize("bound", [1, 24, 256])
+def test_prefills_keep_to_the_row_bound_and_a_lone_chunk_is_the_lone_path(monkeypatch, bound):
+    split, _, _, bundle, _ = trained_pair()
+    records = split.test[:9] + [with_features(r, 2 * i) for i, r in enumerate(split.test[:4])]
+    monkeypatch.setattr(training, "PREFILL_ROWS", bound)
+    forward = bundle.lm.forward_rows
+    for mode in ("greedy", "sample"):
+        prefills = []
+
+        def spy(tokens, gates, cache=None, rows=None):
+            if cache is not None and cache.length == 0:
+                prefills.append(np.shape(tokens))
+            return forward(tokens, gates, cache, rows)
+
+        bundle.lm.forward_rows = spy
+        texts, gates, _ = bundle.explain(records, max_len=10, mode=mode, seed=3)
+        del bundle.lm.forward_rows
+        # every record is prefilled once, and a chunk longer than the bound is one prompt
+        assert sum(batch for batch, _ in prefills) == len(records) and len(prefills) > 1
+        assert all(batch * length <= bound or batch == 1 for batch, length in prefills)
+        lone = [bundle.vocab.decode(bundle.lm.generate(
+            build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features), gate,
+            max_len=10, mode=mode, seed=3, banned=bundle.vocab.prompt_only))
+            for r, gate in zip(records, gates)]
+        assert texts == lone
+
+
+def test_decoding_one_row_of_a_shared_prefill_leaves_the_other_rows_alone():
+    split, _, run, bundle, _ = trained_pair(clusters=3)
+    lm = bundle.lm
+    prompts = np.array([build_prompt(bundle.vocab, r.user, r.item, r.rating, ["staff", "wifi"])
+                        for r in split.test[:3]])
+    gates = np.array([0, 2, 1])
+    length = prompts.shape[1]
+
+    def buffers(starts):        # as bytes: positions not yet written hold what np.empty left
+        return [[buf.tobytes() for entry in cache.blocks for buf in entry] for cache, _ in starts]
+
+    starts = lm.prefill(prompts, gates, run.context)
+    shared = starts[0][0].blocks[0][0].base
+    assert shared is not None and all(cache.blocks[0][0].base is shared for cache, _ in starts)
+    before = buffers(starts)
+    out = lm.generate(prompts[1], gates[1], max_len=8, start=starts[1])
+    after = buffers(starts)
+    assert starts[1][0].length == length + len(out) - 1 > length
+    for b in (0, 2):
+        assert starts[b][0].length == length and before[b] == after[b]
+    prompt_part = length * starts[1][0].blocks[0][0].strides[1]
+    assert all(x[:prompt_part] == y[:prompt_part] and x != y for x, y in zip(before[1], after[1]))
+    for b in (0, 2):
+        assert (lm.generate(prompts[b], gates[b], max_len=8, start=starts[b])
+                == lm.generate(prompts[b], gates[b], max_len=8))
+
+
+def test_explain_refuses_a_rating_above_the_scale():
+    split, _, _, bundle, _ = trained_pair()
+    high = InteractionRecord(split.test[0].user, split.test[0].item, 9.0, [], "")
+    for records in ([high], [split.test[1], high]):
+        with pytest.raises(DataError, match="R_MAX") as err:
+            bundle.explain(records)
+        assert err.value.exit_code == 2
 
 
 def test_sampled_explanations_hold_only_word_tokens():
