@@ -10,10 +10,9 @@ payload in offset order, with no gap and no overlap. A file of another
 version (a GVMC-2 file with its vocabulary sidecar, say) fails with
 ConfigError, and a damaged one with DataError.
 
-Payloads are little-endian float32 by default: exact for a model trained
-at the float32 default, and a lossy downcast only for one trained under
-``precision = float64``, which `f64=True` keeps at full precision so that
-its round-trips are bit-exact.
+Payloads are little-endian float32, or float64 given `f64=True`. A
+trained model's file holds the dtype it trained in (`training.save_bundle`),
+so its round-trips are bit-exact at either precision.
 """
 
 from __future__ import annotations

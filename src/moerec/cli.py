@@ -73,7 +73,6 @@ def build_parser() -> _Parser:
     p_train.add_argument("--out", required=True, help="checkpoint path")
     p_train.add_argument("--config", default=None)
     p_train.add_argument("--stage1-checkpoint", default=None)
-    p_train.add_argument("--f64-checkpoint", action="store_true")
     for f in dataclasses.fields(RunConfig):
         p_train.add_argument(f"--{f.name}", default=None, metavar="V")
 
@@ -151,15 +150,16 @@ def cmd_train(args) -> int:
         if not args.stage1_checkpoint:
             raise TrainingError("stage 2 requires --stage1-checkpoint")
         stage1, run1, _ = load_bundle(args.stage1_checkpoint, "stage1")
-        if run.clusters != run1.clusters:
-            raise ConfigError(
-                f"stage-2 clusters ({run.clusters}) must match the stage-1 "
-                f"checkpoint ({run1.clusters})")
+        for field in ("clusters", "d_emb", "latent_dim", "enc_hidden"):   # vae_config_from's
+            if getattr(run, field) != getattr(run1, field):
+                raise ConfigError(
+                    f"stage-2 {field} ({getattr(run, field)}) must match the stage-1 "
+                    f"checkpoint ({getattr(run1, field)})")
         # both are rank maps of sorted ids: equal exactly when the id sets are
         if stage1.user_index != split.user_index or stage1.item_index != split.item_index:
             raise DataError("dataset entities differ from the stage-1 checkpoint")
         bundle, manifest = train_stage2(split, stage1.vae, run, run.stage2())
-    save_bundle(args.out, bundle, run, manifest, f64=args.f64_checkpoint)
+    save_bundle(args.out, bundle, run, manifest)
     with open(f"{args.out}.manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
     final = manifest["epochs"][-1]["loss"] if manifest["epochs"] else float("nan")

@@ -25,7 +25,11 @@ def clip_grad_norm(grads: List[np.ndarray], max_norm: float,
     """
     if max_norm <= 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+    with np.errstate(over="ignore"):
+        total = math.sqrt(sum(float((g * g).sum()) for g in grads))
+        if not math.isfinite(total):    # the squares overflow: sum them relative to the largest
+            big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+            total = big * math.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads))
     if total <= max_norm or total == 0.0:
         return 1.0
     scale = max_norm / total
@@ -50,12 +54,12 @@ class AdamW:
         m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2
         p <- p*(1 - lr*weight_decay) - lr * m_hat / (sqrt(v_hat) + eps)
 
-    Per dtype, one (4, n) store holds the values, grads and moments, and
-    each ``data``, ``grad``, ``m`` and ``v`` is a view into a row of it (the
-    multi-tensor layout of NVIDIA Apex and PyTorch). A step copies in any
-    ``data`` or ``grad`` replaced from outside (``None`` is zeros), then
-    updates the rows in place, `CHUNK` values at a time, with two rows of
-    scratch made once per step.
+    One (4, n) store in the parameters' one dtype holds the values, grads and
+    moments, and each ``data``, ``grad``, ``m`` and ``v`` is a view into a row
+    of it (the multi-tensor layout of NVIDIA Apex and PyTorch). A step copies
+    in any ``data`` or ``grad`` replaced from outside (``None`` is zeros),
+    then updates the rows in place, `CHUNK` values at a time, with two rows
+    of scratch made once per step.
     """
 
     def __init__(self, params: Dict[str, Tensor], lr: float = 1e-3,
@@ -66,18 +70,17 @@ class AdamW:
         self.b1, self.b2 = betas
         self.step_count = 0
         self._names = sorted(self.params)
-        self.m, self.v, views, self._stores = {}, {}, {}, []    # one store per dtype
-        for dtype in {p.data.dtype for p in self.params.values()}:
-            names = [n for n in self._names if self.params[n].data.dtype == dtype]
-            bounds = np.cumsum([0] + [self.params[n].data.size for n in names]).tolist()
-            store = np.zeros((4, bounds[-1]), dtype)
-            for name, start, stop in zip(names, bounds, bounds[1:]):
-                p = self.params[name]
-                data, grad, self.m[name], self.v[name] = \
-                    store[:, start:stop].reshape((4,) + p.data.shape)
-                views[name] = (p, data, grad)
-            self._stores.append(store)
-        self._views = [views[n] for n in self._names]
+        dtypes = sorted({p.data.dtype.name for p in self.params.values()})
+        if len(dtypes) > 1:
+            raise TrainingError(f"AdamW parameters of several dtypes: {', '.join(dtypes)}")
+        bounds = np.cumsum([0] + [self.params[n].data.size for n in self._names]).tolist()
+        self._store = np.zeros((4, bounds[-1]), dtypes[0] if dtypes else None)
+        self.m, self.v, self._views = {}, {}, []
+        for name, start, stop in zip(self._names, bounds, bounds[1:]):
+            p = self.params[name]
+            data, grad, self.m[name], self.v[name] = \
+                self._store[:, start:stop].reshape((4,) + p.data.shape)
+            self._views.append((p, data, grad))
         self._grads = [grad for _, _, grad in self._views]
         self._adopt()
 
@@ -92,45 +95,46 @@ class AdamW:
                 p.grad = p.store_grad = grad
 
     def zero_grad(self) -> None:
-        for store in self._stores:
-            store[1].fill(0.0)
+        self._store[1].fill(0.0)
         for p, _, grad in self._views:
             p.grad = p.store_grad = grad
 
     def step(self, clip_norm: float | None = None) -> float:
         """One update over all parameters; returns the clip scale applied."""
         self._adopt()
-        # a finite sum proves every element finite (see tensor._check_finite)
-        if any(not math.isfinite(store[1].sum()) for store in self._stores):
+        # a finite sum proves every element finite (see tensor._check_finite);
+        # an overflowing one sends the check to the elements
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(self._store[1].sum())
+        if not finite:
             bad = [n for n, g in zip(self._names, self._grads) if not np.isfinite(g).all()]
             if bad:
                 raise TrainingError(f"non-finite gradient on parameter {bad[0]!r}")
         scale = 1.0
         if clip_norm is not None:
-            scale = clip_grad_norm(self._grads, clip_norm, [s[1] for s in self._stores])
+            scale = clip_grad_norm(self._grads, clip_norm, [self._store[1]])
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count
         lr, b1, b2, decay = self.lr, self.b1, self.b2, self.lr * self.weight_decay
-        for store in self._stores:
-            # made per step, so it holds no memory through the backward sweep
-            scratch = np.empty((2, min(CHUNK, store.shape[1])), store.dtype)
-            for start in range(0, store.shape[1], CHUNK):
-                p, g, m, v = store[:, start:start + CHUNK]
-                a, b = scratch[:, :p.size]
-                m *= b1
-                m += np.multiply(g, 1.0 - b1, a)
-                v *= b2
-                np.multiply(g, 1.0 - b2, a)
-                a *= g
-                v += a
-                # a = (m / c1) / (sqrt(v / c2) + eps), the update
-                np.divide(m, c1, a)
-                np.sqrt(np.divide(v, c2, b), b)
-                b += self.eps
-                a /= b
-                if decay:
-                    p -= np.multiply(p, decay, b)
-                a *= lr
-                p -= a
+        # made per step, so it holds no memory through the backward sweep
+        scratch = np.empty((2, min(CHUNK, self._store.shape[1])), self._store.dtype)
+        for start in range(0, self._store.shape[1], CHUNK):
+            p, g, m, v = self._store[:, start:start + CHUNK]
+            a, b = scratch[:, :p.size]
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, a)
+            v *= b2
+            np.multiply(g, 1.0 - b2, a)
+            a *= g
+            v += a
+            # a = (m / c1) / (sqrt(v / c2) + eps), the update
+            np.divide(m, c1, a)
+            np.sqrt(np.divide(v, c2, b), b)
+            b += self.eps
+            a /= b
+            if decay:
+                p -= np.multiply(p, decay, b)
+            a *= lr
+            p -= a
         return scale

@@ -336,18 +336,18 @@ def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
 
 # --- persistence glue ---
 
-def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict,
-                f64: bool = False) -> None:
+def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict) -> None:
     """Write `bundle` as one checkpoint: a stage-2 one whose manifest holds
-    the vocabulary, or a stage-1 one when the bundle has no language model."""
-    # run manifests (which carry wall-clock times) live in the sidecar
-    # manifest file, never in the checkpoint: checkpoint bytes must be a
-    # pure function of config, seed, and data
+    the vocabulary, or a stage-1 one when the bundle has no language model.
+    Its payload is float64 when ``run.precision`` is, float32 otherwise.
+    `manifest` is unused: the run manifest, with its wall-clock times, goes
+    to the sidecar file, so checkpoint bytes depend only on config, seed and data."""
     extra = {"users": sorted(bundle.user_index), "items": sorted(bundle.item_index)}
     if bundle.lm is not None:
         extra["vocab"] = bundle.vocab.tokens
     save_checkpoint(path, bundle.params(), config=run.to_dict(), seed=run.seed,
-                    stage="stage1" if bundle.lm is None else "stage2", extra=extra, f64=f64)
+                    stage="stage1" if bundle.lm is None else "stage2", extra=extra,
+                    f64=run.precision == "float64")
 
 
 class _Unset(np.ndarray):

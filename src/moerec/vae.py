@@ -276,7 +276,7 @@ class VaeGmm:
 
     def posteriors(self, users, items) -> np.ndarray:
         """Responsibilities (B, K) along the deterministic mean path."""
-        return _in_chunks(lambda u, i: gmm_posterior_batch(self.prior, self.latent_mu(u, i)),
+        return _in_chunks(lambda u, i: gmm_posterior_batch(self.prior, self.encode(u, i)[0].data),
                           users, items)
 
     def gates(self, users, items) -> np.ndarray:

@@ -486,8 +486,7 @@ def run_pipeline(base, tag, precision):
     assert cli_main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
     s1 = root / "stage1.ckpt"
     s2 = root / "stage2.ckpt"
-    train = ["--data", str(data), "--config", str(cfg), "--precision", precision,
-             "--f64-checkpoint"]
+    train = ["--data", str(data), "--config", str(cfg), "--precision", precision]
     assert cli_main(["train", "--stage", "1", "--out", str(s1), *train]) == 0
     assert cli_main(["train", "--stage", "2", "--out", str(s2),
                      "--stage1-checkpoint", str(s1), *train]) == 0
@@ -514,10 +513,11 @@ def test_criterion_10_determinism_and_persistence(tmp_path, precision):
     rt_dir = tmp_path / "roundtrip"
     rt_dir.mkdir()
     resaved = rt_dir / first["s2_path"].name  # same basename, fresh directory
-    save_bundle(resaved, bundle, run, {}, f64=True)
+    save_bundle(resaved, bundle, run, {})
     assert resaved.read_bytes() == first["s2"]
     report(f"criterion 10 PASS ({precision} training): two full pipeline runs "
-           "bit-identical (f64 checkpoints, metric reports); round-trip byte-exact")
+           "bit-identical (checkpoints at the run's precision, metric reports); "
+           "round-trip byte-exact")
 
 
 # --- criterion 11: loss decoupling -------------------------------------------

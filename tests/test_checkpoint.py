@@ -283,15 +283,16 @@ def test_other_format_version_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: checkpoint format 'GVMC-2' is not GVMC-3\n"
 
 
-def untrained_bundle_checkpoint(path, f64=False):
-    """A tiny, well-formed stage-2 checkpoint of an untrained model."""
+def untrained_bundle_checkpoint(path, precision="float32"):
+    """A tiny, well-formed stage-2 checkpoint of an untrained model, its
+    payload in `precision`."""
     from moerec.config import RunConfig
     from moerec.moe import LanguageModel, Vocab
     from moerec.training import ExplainerBundle, lm_config_from, save_bundle
     from moerec.vae import VaeConfig, VaeGmm
     run = RunConfig(d_emb=4, latent_dim=2, clusters=1, enc_hidden=4, model_dim=8,
                     blocks=1, heads=1, base_experts=2, base_hidden=8,
-                    active_experts=1).validate()
+                    active_experts=1, precision=precision).validate()
     vocab = Vocab.build([], ["u0"], ["i0"])
     vae = VaeGmm(VaeConfig(n_users=1, n_items=1, d_emb=run.d_emb,
                            latent_dim=run.latent_dim, hidden=run.enc_hidden,
@@ -299,7 +300,7 @@ def untrained_bundle_checkpoint(path, f64=False):
     lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(1))
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index={"u0": 0},
                              item_index={"i0": 0})
-    save_bundle(path, bundle, run, {}, f64=f64)
+    save_bundle(path, bundle, run, {})
 
 
 def _drop(*keys):
@@ -388,12 +389,13 @@ def _write_value(path, name, index, value):
 @pytest.mark.parametrize("command", ["generate", "inspect-clusters"])
 @pytest.mark.parametrize("name", ["vae.gmm.pi_logits", "lm.head", "lm.block0.moe.w1"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("f64", [False, True], ids=["f32-payload", "f64-payload"])
-def test_a_non_finite_payload_fails_at_load(tmp_path, capsys, command, name, value, f64):
+@pytest.mark.parametrize("precision", ["float32", "float64"],
+                         ids=["f32-payload", "f64-payload"])
+def test_a_non_finite_payload_fails_at_load(tmp_path, capsys, command, name, value, precision):
     from moerec.cli import main
     from moerec.data import InteractionRecord, save_records
     path, data = tmp_path / "model.ckpt", tmp_path / "data.jsonl"
-    untrained_bundle_checkpoint(path, f64=f64)
+    untrained_bundle_checkpoint(path, precision)
     save_records([InteractionRecord("u0", "i0", 4.0, [], "fine")], data)
     _write_value(path, name, 0, value)
     args = {"generate": ["generate", "--checkpoint", str(path), "--user", "u0",

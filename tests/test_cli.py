@@ -142,12 +142,12 @@ def test_stage2_from_a_loaded_stage1_trains_as_from_owned_arrays(workspace, tmp_
 
 
 @pytest.mark.parametrize("precision", ["float32", "float64"])
-def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path,
-                                                            monkeypatch, precision):
+def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path, precision):
     """At either precision, `moerec train` and the library's train functions
     write the same bytes for one config. The library's stage 2 starts from the
-    stage-1 checkpoint loaded at the other dtype, which train_stage2 casts;
-    the checkpoint's f32 payload holds the same values at both dtypes."""
+    stage-1 checkpoint loaded at float64, as `moerec train` loads it: its
+    payload is in the run's precision, so the load is exact, and a float32
+    run's train_stage2 casts it back without loss."""
     from moerec.config import load_config
     from moerec.training import (ExplainerBundle, save_bundle, train_stage1, train_stage2,
                                  vae_config_from)
@@ -167,12 +167,8 @@ def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path
                 run, manifest)
     assert (tmp_path / "lib.s1").read_bytes() == cli_s1.read_bytes()
 
-    other = "float64" if precision == "float32" else "float32"
-    monkeypatch.setattr(T, "_default_dtype", T._default_dtype)   # restored at teardown
-    T.set_default_dtype(other)
     stage1, _, _ = load_bundle(cli_s1, "stage1")
-    T.set_default_dtype("float64")
-    assert stage1.vae.encoder.w1.data.dtype == np.dtype(other)
+    assert stage1.vae.encoder.w1.data.dtype == T.default_dtype() == np.float64
     bundle, manifest = train_stage2(split, stage1.vae, run, run.stage2())
     assert bundle.lm.head.data.dtype == stage1.vae.encoder.w1.data.dtype == np.dtype(precision)
     save_bundle(tmp_path / "lib.s2", bundle, run, manifest)
@@ -233,6 +229,7 @@ def test_train_refuses_the_retired_encoder_attention_flag(workspace, tmp_path, c
     ("evaluate", ("--sentence-level",)),
     ("train", ("--freeze_gmm", "false")),
     ("train", ("--r_max", "5")),
+    ("train", ("--f64-checkpoint",)),
 ])
 def test_retired_flags_are_usage_errors(workspace, tmp_path, capsys, command, retired):
     argv = {"train": ("--stage", "1", "--out", str(tmp_path / "x.ckpt")),
@@ -304,15 +301,22 @@ def test_inspect_clusters_names_both_stages_for_another_tag(workspace, tmp_path,
     assert "expected a stage1 or stage2 checkpoint, found 'stage3'" in capsys.readouterr().err
 
 
-def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace,
-                                                               tmp_path, capsys):
+@pytest.mark.parametrize("field,value,trained", [
+    ("clusters", "3", 2), ("d_emb", "12", 8), ("latent_dim", "6", 4), ("enc_hidden", "10", 12),
+])
+def test_train_stage2_rejects_cluster_mismatch_with_checkpoint(workspace, tmp_path, capsys,
+                                                               field, value, trained):
+    """Every shape of the preference model must match the stage-1 checkpoint's,
+    or stage 2 would write a file whose config no command can load."""
     code = run_cli("train", "--stage", "2", "--data", str(workspace["data"]),
                    "--config", str(workspace["cfg"]),
                    "--out", str(tmp_path / "x.ckpt"),
                    "--stage1-checkpoint", str(workspace["s1"]),
-                   "--clusters", "3")
+                   f"--{field}", value)
     assert code == 1
-    assert "clusters" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: stage-2 {field} ({value}) must match the "
+                                       f"stage-1 checkpoint ({trained})\n")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("field,value", [

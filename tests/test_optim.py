@@ -1,5 +1,8 @@
 """Optimizer semantics: clipping, decay, convergence."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +28,32 @@ def test_clip_no_op_below_threshold():
 def test_clip_zero_gradients_safe():
     grads = [np.zeros(4)]
     assert clip_grad_norm(grads, 0.3) == 1.0
+
+
+@pytest.mark.parametrize("dtype,big", [("float32", 1e20), ("float64", 1e200)])
+def test_clip_of_finite_grads_whose_squares_overflow(dtype, big):
+    """The squared norm overflows the dtype, the norm does not: the grads are
+    scaled to the bound, not zeroed, and no overflow warning escapes."""
+    grads = [np.array([big, 1.0], dtype), np.array([-big], dtype)]
+    norm = big * math.sqrt(2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale = clip_grad_norm(grads, 0.3)
+    assert scale == pytest.approx(0.3 / norm, rel=1e-6)
+    assert np.allclose(grads[0], [0.3 / math.sqrt(2.0), 0.3 / norm], rtol=1e-5, atol=0)
+    assert np.allclose(grads[1], [-0.3 / math.sqrt(2.0)], rtol=1e-5, atol=0)
+
+
+def test_a_clipped_step_takes_finite_grads_whose_sum_overflows():
+    p = Tensor(np.zeros(2))
+    p.data = p.data.astype(np.float32)
+    opt = AdamW({"p": p}, lr=0.1)
+    p.grad = np.array([3e38, 3e38], np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale = opt.step(clip_norm=0.3)
+    assert scale == pytest.approx(0.3 / (3e38 * math.sqrt(2.0)), rel=1e-6)
+    assert np.allclose(p.data, [-0.1, -0.1], rtol=1e-5)
 
 
 def test_clip_never_increases_norm():
@@ -105,6 +134,13 @@ def test_adamw_step_counter_and_moment_shapes():
     opt.step()
     opt.step()
     assert opt.step_count == 2
+
+
+def test_adamw_refuses_parameters_of_two_dtypes():
+    params = {"a": Tensor(np.zeros(2)), "b": Tensor(np.zeros(3))}
+    params["b"].data = params["b"].data.astype(np.float32)
+    with pytest.raises(TrainingError, match="several dtypes: float32, float64"):
+        AdamW(params)
 
 
 class ReferenceAdamW:

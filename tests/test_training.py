@@ -20,6 +20,7 @@ from moerec.data import (
     split_records,
 )
 from moerec import tensor, training
+from moerec.checkpoint import read_manifest
 from moerec.errors import ConfigError, ContextLimitError, DataError, TrainingError
 from moerec.moe import EOS, LanguageModel, build_prompt
 from moerec.optim import AdamW
@@ -476,7 +477,7 @@ def test_save_load_roundtrip_stage1(tmp_path):
     vae, manifest = train_stage1(split, vae_config_from(run, split), run.stage1())
     path = tmp_path / "s1.ckpt"
     save_bundle(path, ExplainerBundle(vae, None, None, split.user_index, split.item_index),
-                run, manifest, f64=True)
+                run, manifest)
     loaded, _, _ = load_bundle(path, None)
     assert loaded.lm is None and loaded.vocab is None
     assert loaded.user_index == split.user_index and loaded.item_index == split.item_index
@@ -487,7 +488,7 @@ def test_save_load_roundtrip_stage1(tmp_path):
 def test_save_load_roundtrip_bundle(tmp_path):
     split, _, run, bundle, manifest = trained_pair()
     path = tmp_path / "s2.ckpt"
-    save_bundle(path, bundle, run, manifest, f64=True)
+    save_bundle(path, bundle, run, manifest)
     loaded, _, _ = load_bundle(path, None)
     assert loaded.vocab.tokens == bundle.vocab.tokens
     for name, p in bundle.params().items():
@@ -496,13 +497,28 @@ def test_save_load_roundtrip_bundle(tmp_path):
     assert loaded.generate_explanation(rec) == bundle.generate_explanation(rec)
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_a_runs_precision_is_its_payload_and_a_resave_keeps_the_bytes(tmp_path, precision):
+    split, _, run, bundle, manifest = trained_pair(precision=precision)
+    s1, s2, again = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt", tmp_path / "again.ckpt"
+    save_bundle(s1, ExplainerBundle(bundle.vae, None, None, split.user_index,
+                                    split.item_index), run, manifest)
+    save_bundle(s2, bundle, run, manifest)
+    for path in (s1, s2):
+        payload = {spec["dtype"] for spec in read_manifest(path)["tensors"].values()}
+        assert payload == {{"float32": "f32", "float64": "f64"}[precision]}
+        loaded, loaded_run, _ = load_bundle(path, None)
+        save_bundle(again, loaded, loaded_run, {})
+        assert again.read_bytes() == path.read_bytes()
+
+
 def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
                                                                      monkeypatch):
     split, _, run, bundle, manifest = trained_pair()
     s1, s2 = tmp_path / "s1.ckpt", tmp_path / "s2.ckpt"
     save_bundle(s1, ExplainerBundle(bundle.vae, None, None, split.user_index,
                                     split.item_index), run, manifest)
-    save_bundle(s2, bundle, run, manifest, f64=True)
+    save_bundle(s2, bundle, run, manifest)
 
     def no_draws(self, n):
         raise AssertionError("loading drew random weights")
