@@ -36,12 +36,10 @@ from .data import (
 )
 from .vae import (
     GmmPrior,
-    LatentSample,
     VaeConfig,
     VaeGmm,
     elbo_loss,
     init_gmm_prior,
-    log_normal_diag,
     reparameterize,
 )
 from .moe import (

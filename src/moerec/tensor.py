@@ -22,10 +22,11 @@ Rules of the house:
   :func:`mlp` (the two-layer tanh network, which shares its body with the
   experts), :func:`gaussian_sample` (the reparameterized draw),
   :func:`bce_with_logits` (the reconstruction loss) and :func:`mixture_kl`
-  (the closed-form KL to a Gaussian mixture). Their forwards and gradients
-  equal those of the op chains they replace, bit for bit, and they also
-  check the intermediates that their output would hide. The chains, and
-  the structural ops only they use, are in moerec.verify.
+  (the closed-form KL to a Gaussian mixture); :func:`weighted_means` mixes
+  either stage's loss terms. Their forwards and gradients equal those of
+  the op chains they replace, bit for bit, and they also check the
+  intermediates that their output would hide. The chains, and the
+  structural ops only they use, are in moerec.verify.
 - The transformer sublayers compute only what is read. attention_sublayer
   can start its query side at a position, so that a loss over late rows
   runs no queries, router or experts for the earlier ones, and
@@ -50,7 +51,7 @@ Rules of the house:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -350,16 +351,9 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
-def _clamp(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """``np.clip(x, lo, hi)``, NaN included, without its Python-level wrapper."""
-    return np.minimum(np.maximum(x, lo), hi)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes only strictly inside."""
-    out = _clamp(a.data, lo, hi)
-    inside = (a.data > lo) & (a.data < hi)
-    return _make(out, "clip", (a,), lambda g: (g * inside,))
+def _clamp(x: np.ndarray, lo: float, hi: float) -> tuple:
+    """(``np.clip(x, lo, hi)`` without its Python wrapper, NaN kept; the mask of (lo, hi))."""
+    return np.minimum(np.maximum(x, lo), hi), (x > lo) & (x < hi)
 
 
 # --- linear algebra and shape ---
@@ -768,9 +762,9 @@ def gaussian_sample(mu: Tensor, log_var: Tensor, eps: np.ndarray,
     if mu.shape != log_var.shape or noise.shape != mu.shape:
         raise ShapeError(f"gaussian_sample shapes incompatible: mu {mu.shape}, "
                          f"log_var {log_var.shape}, eps {noise.shape}")
-    inside = (log_var.data > lo) & (log_var.data < hi)
+    clamped, inside = _clamp(log_var.data, lo, hi)
     with np.errstate(over="ignore"):
-        sigma = np.exp(_clamp(log_var.data, lo, hi) * 0.5)
+        sigma = np.exp(clamped * 0.5)
     out = mu.data + noise * sigma
     return _make(out, "gaussian_sample", (mu, log_var),
                  lambda g: (g, g * noise * sigma * 0.5 * inside))
@@ -784,7 +778,7 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
         raise ShapeError(f"bce_with_logits shapes incompatible: logits {logits.shape}, "
                          f"targets {t.shape}")
     x = logits.data.reshape(t.shape)
-    sig = 1.0 / (1.0 + np.exp(-_clamp(x, -500, 500)))
+    sig = 1.0 / (1.0 + np.exp(-_clamp(x, -500, 500)[0]))
     with np.errstate(invalid="ignore"):                 # a NaN logit raises below
         out = np.asarray((np.logaddexp(0.0, x) - x * t).mean())
 
@@ -796,12 +790,12 @@ def bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def mixture_kl(mu: Tensor, log_var: Tensor, gamma: np.ndarray, pi_logits: Tensor,
-               means: Tensor, log_vars: Tensor, lo: float, hi: float) -> Tensor:
-    """Per-row closed-form KL from ``N(mu, diag exp(log_var))`` with
-    constant cluster responsibilities `gamma` (B, K) to a diagonal Gaussian
-    mixture with weights ``softmax(pi_logits)``, component `means` (K, D)
-    and component log-variances ``clip(log_vars, lo, hi)``; see
-    :func:`moerec.vae.kl_closed_form_batch` for the formula.
+               means: Tensor, log_vars: Tensor, bounds: tuple, prior_bounds: tuple) -> Tensor:
+    """Per-row closed-form KL from ``N(mu, diag exp(clip(log_var, *bounds)))``
+    with constant cluster responsibilities `gamma` (B, K) to a diagonal
+    Gaussian mixture with weights ``softmax(pi_logits)``, component `means`
+    (K, D) and component log-variances ``clip(log_vars, *prior_bounds)``;
+    see :func:`moerec.vae.kl_closed_form_batch` for the formula.
 
     The forward runs the expressions of the op chain it replaces, in its
     order, and the backward rule adds up each input's gradient terms in
@@ -817,11 +811,11 @@ def mixture_kl(mu: Tensor, log_var: Tensor, gamma: np.ndarray, pi_logits: Tensor
                          f"{pi_logits.shape}, means {means.shape}, log_vars {log_vars.shape}")
     weights = np.asarray(gamma, dtype=_default_dtype)
     pmu, m = means.data, mu.data
-    inside = (log_vars.data > lo) & (log_vars.data < hi)
-    prior_log_var = _clamp(log_vars.data, lo, hi)
+    post_log_var, inside = _clamp(log_var.data, *bounds)
+    prior_log_var, prior_inside = _clamp(log_vars.data, *prior_bounds)
     with np.errstate(over="ignore"):
         inv_var = np.exp(-prior_log_var)
-        var = np.exp(log_var.data)
+        var = np.exp(post_log_var)
     inv_var_t = inv_var.T.copy()
     m_iv = pmu * inv_var
     m_iv_t = m_iv.T.copy()
@@ -835,7 +829,7 @@ def mixture_kl(mu: Tensor, log_var: Tensor, gamma: np.ndarray, pi_logits: Tensor
     g_log_g = np.where(gamma > 0, gamma * np.log(np.maximum(gamma, 1e-300)), 0.0)
     cat = (np.asarray(g_log_g.sum(axis=1), dtype=_default_dtype)
            - (weights @ log_pi.reshape(-1, 1))[:, 0])
-    out = ((comp + cat) + log_var.data.sum(axis=1) * -0.5) - 0.5 * dims
+    out = ((comp + cat) + post_log_var.sum(axis=1) * -0.5) - 0.5 * dims
 
     def back(g):
         # gradients of the chain's intermediates: g_s of the (B, K) bracket
@@ -847,16 +841,27 @@ def mixture_kl(mu: Tensor, log_var: Tensor, gamma: np.ndarray, pi_logits: Tensor
         g_cross = (-g_s) * 2.0
         g_sq = g_s @ inv_var_t.T
         g_mu = g_cross @ m_iv_t.T + g_sq * m + g_sq * m
-        g_log_var = (g * -0.5)[:, None] + g_sq * var
+        g_log_var = ((g * -0.5)[:, None] + g_sq * var) * inside
         g_log_pi = (weights.T @ (-g)[:, None]).reshape(clusters)
         g_pi = g_log_pi - np.exp(log_pi) * g_log_pi.sum(keepdims=True)
         g_m_iv = g_q * pmu + (m.T @ g_cross).T
         g_means = g_q * m_iv + g_m_iv * inv_var
         g_inv_var = ((mu_sq.T @ g_s).T + g_m_iv * pmu) + (var.T @ g_s).T
-        g_log_vars = (g_q - g_inv_var * inv_var) * inside
+        g_log_vars = (g_q - g_inv_var * inv_var) * prior_inside
         return g_mu, g_log_var, g_pi, g_means, g_log_vars
 
     return _make(out, "mixture_kl", (mu, log_var, pi_logits, means, log_vars), back)
+
+
+def weighted_means(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``sum_i w_i * mean(t_i)``, added in order, each constant weight cast to
+    the default dtype as a lifted constant is: either stage's loss mix."""
+    if not terms or len(terms) != len(weights):
+        raise ShapeError(f"weighted_means: {len(terms)} terms, {len(weights)} weights")
+    scales = [np.asarray(w, dtype=_default_dtype) for w in weights]
+    parts = [t.data.mean() * w for t, w in zip(terms, scales)]
+    return _make(np.asarray(sum(parts[1:], parts[0])), "weighted_means", tuple(terms),
+                 lambda g: tuple(np.full(t.shape, g * w / t.size) for t, w in zip(terms, scales)))
 
 
 def transpose(a: Tensor) -> Tensor:

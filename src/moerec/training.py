@@ -43,7 +43,7 @@ from .errors import ConfigError, ContextLimitError, DataError, TrainingError
 from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_experts, tokenize
 from .optim import AdamW
 from .rng import Rng
-from .tensor import Tape, Tensor, default_dtype, set_default_dtype
+from .tensor import Tape, Tensor, default_dtype, set_default_dtype, weighted_means
 from .vae import (LOG_VAR_MAX, LOG_VAR_MIN, GmmPrior, VaeConfig, VaeGmm, elbo_loss,
                   init_gmm_prior)
 
@@ -331,7 +331,7 @@ def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
         return nll
     elbo = elbo_loss(bundle.vae, users, items, ratings, cfg.beta, eps_rng,
                      eps_override=eps_override, gamma_override=gamma_override)
-    return elbo * cfg.alpha + nll * (1.0 - cfg.alpha)
+    return weighted_means((elbo, nll), (cfg.alpha, 1.0 - cfg.alpha))
 
 
 # --- persistence glue ---

@@ -23,9 +23,10 @@ The training step runs on fused tensor ops, one tape record each: the
 embedding-pair gather (:func:`~moerec.tensor.concat_rows`), the encoder
 and decoder networks (:func:`~moerec.tensor.mlp`), the reparameterized
 draw (:func:`~moerec.tensor.gaussian_sample`), the reconstruction loss
-(:func:`~moerec.tensor.bce_with_logits`) and the closed-form KL
-(:func:`~moerec.tensor.mixture_kl`). The op chains they replace are kept
-as oracles in :mod:`moerec.verify`.
+(:func:`~moerec.tensor.bce_with_logits`), the closed-form KL
+(:func:`~moerec.tensor.mixture_kl`) and their beta-weighted sum
+(:func:`~moerec.tensor.weighted_means`). The op chains they replace are
+kept as oracles in :mod:`moerec.verify`.
 
 The untaped mean-path passes (``latent_mu``, ``posteriors``, ``gates``) run
 over chunks of at most ``INFERENCE_ROWS`` pairs and equal one pass over all
@@ -40,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DataError, NumericError, ShapeError, TableLookupError, TrainingError
+from .errors import DataError, ShapeError, TableLookupError, TrainingError
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
@@ -140,25 +141,6 @@ class GmmPrior:
         return np.exp(np.clip(self.log_var.data, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX))
 
 
-@dataclass
-class LatentSample:
-    """One reparameterized draw: z = mu + eps * exp(log_var / 2), exactly."""
-
-    mu: Tensor
-    log_var: Tensor
-    eps: np.ndarray
-    z: Tensor
-
-
-def log_normal_diag(z: Tensor, mu: Tensor, var: Tensor) -> Tensor:
-    """Log-density of z under a diagonal Gaussian; differentiable."""
-    if np.any(var.data <= 0):
-        raise NumericError("log_normal_diag requires strictly positive variance")
-    diff = z - mu
-    terms = T.log(var) + diff * diff / var
-    return (terms.sum() + float(z.size) * LOG_2PI) * -0.5
-
-
 def _log_normal_diag_np(z: np.ndarray, mu: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Rows of z (B,D) against components mu/var (K,D); returns (B,K)."""
     z = z[:, None, :]
@@ -182,22 +164,17 @@ def gmm_posterior_batch(prior: GmmPrior, z: np.ndarray) -> np.ndarray:
 
 
 def reparameterize(mu: Tensor, log_var: Tensor, rng: Rng,
-                   eps_override: Optional[np.ndarray] = None) -> LatentSample:
-    """Draw z = mu + eps * sigma with eps ~ N(0, I) from the seeded stream.
-
-    log_var is clamped to [-10, 10] first; the sample stores the clamped
-    tensor, so the z identity holds on the stored fields. Gradients flow
-    through mu and log_var only, never through eps. `eps_override` is a
-    test hook for deterministic paths (e.g. eps = 0 pins z to the mean).
+                   eps_override: Optional[np.ndarray] = None) -> tuple:
+    """(z, eps): z = mu + eps * exp(clip(log_var, -10, 10) / 2) with eps ~
+    N(0, I) from the seeded stream. Gradients flow through mu and log_var
+    only, never through eps. `eps_override` is a test hook for
+    deterministic paths (e.g. eps = 0 pins z to the mean).
     """
     if eps_override is None:
         eps = rng.normal(mu.size).reshape(mu.shape)
     else:
         eps = np.broadcast_to(np.asarray(eps_override, dtype=np.float64), mu.shape).copy()
-    z = T.gaussian_sample(mu, log_var, eps, LOG_VAR_MIN, LOG_VAR_MAX)
-    # the draw clamps inside its op; the KL term takes the clamped tensor
-    return LatentSample(mu=mu, log_var=T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX),
-                        eps=eps, z=z)
+    return T.gaussian_sample(mu, log_var, eps, LOG_VAR_MIN, LOG_VAR_MAX), eps
 
 
 def kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
@@ -213,12 +190,13 @@ def kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
     gamma enters as a constant (already normalized); zero entries follow
     the 0 * log(pi/0) = 0 convention. Differentiable in mu, log_var and
     all prior parameters. Returns a (B,) tensor of per-row KL values,
-    each nonnegative up to sampling of gamma. The component log-variances
-    are clamped to [log 1e-4, 10] first. Runs as one fused op,
-    :func:`moerec.tensor.mixture_kl`.
+    each nonnegative up to sampling of gamma. Runs as one fused op,
+    :func:`moerec.tensor.mixture_kl`, which clamps the posterior log-variance
+    to [-10, 10], as the draw does, and the component ones to [log 1e-4, 10].
     """
     return T.mixture_kl(mu, log_var, np.atleast_2d(gamma), prior.pi_logits, prior.mu,
-                        prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
+                        prior.log_var, (LOG_VAR_MIN, LOG_VAR_MAX),
+                        (math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX))
 
 
 def _in_chunks(fn: Callable, users, items) -> np.ndarray:
@@ -299,14 +277,14 @@ def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
         raise ValueError("beta must be nonnegative")
 
     mu, log_var = model.encode(users, items)
-    sample = reparameterize(mu, log_var, rng, eps_override=eps_override)
-    bce = T.bce_with_logits(model.decoder.forward(sample.z), ratings_norm)
+    z, _ = reparameterize(mu, log_var, rng, eps_override=eps_override)
+    bce = T.bce_with_logits(model.decoder.forward(z), ratings_norm)
     if beta == 0.0:
         return bce
     gamma = (gamma_override if gamma_override is not None
-             else gmm_posterior_batch(model.prior, sample.z.data))
-    kl = kl_closed_form_batch(sample.mu, sample.log_var, gamma, model.prior).mean()
-    return bce + beta * kl
+             else gmm_posterior_batch(model.prior, z.data))
+    kl = kl_closed_form_batch(mu, log_var, gamma, model.prior)
+    return T.weighted_means((bce, kl), (1.0, beta))
 
 
 def init_gmm_prior(latents: np.ndarray, clusters: int, rng: Rng,

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .gradcheck import grad_check
 from .metrics import (
     adjusted_rand_index,
@@ -55,6 +55,7 @@ from .vae import (
     elbo_loss,
     gmm_posterior_batch,
     kl_closed_form_batch,
+    reparameterize,
 )
 
 
@@ -186,8 +187,7 @@ def ari_pair_enumeration(pred, truth) -> float:
 def kl_closed_form(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
                    prior: GmmPrior) -> Tensor:
     """Single-sample :func:`moerec.vae.kl_closed_form_batch` (a scalar tensor)."""
-    return kl_closed_form_batch(mu.reshape(1, -1), log_var.reshape(1, -1),
-                                np.atleast_2d(gamma), prior).sum()
+    return kl_closed_form_batch(mu.reshape(1, -1), log_var.reshape(1, -1), gamma, prior).sum()
 
 
 def mc_kl_estimate(mu: np.ndarray, log_var: np.ndarray, prior: GmmPrior,
@@ -227,6 +227,21 @@ def mc_kl_estimate(mu: np.ndarray, log_var: np.ndarray, prior: GmmPrior,
 
 # --- the structural tape ops that only the reference chains use ---
 
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp values to [lo, hi]; gradient passes only strictly inside."""
+    out, inside = T._clamp(a.data, lo, hi)
+    return T._make(out, "clip", (a,), lambda g: (g * inside,))
+
+
+def log_normal_diag(z: Tensor, mu: Tensor, var: Tensor) -> Tensor:
+    """Log-density of z under a diagonal Gaussian; differentiable."""
+    if np.any(var.data <= 0):
+        raise NumericError("log_normal_diag requires strictly positive variance")
+    diff = z - mu
+    terms = T.log(var) + diff * diff / var
+    return (terms.sum() + float(z.size) * LOG_2PI) * -0.5
+
+
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
     return T._make(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
@@ -235,7 +250,7 @@ def tanh(a: Tensor) -> Tensor:
 def softplus(a: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow."""
     out = np.logaddexp(0.0, a.data)
-    sig = 1.0 / (1.0 + np.exp(-T._clamp(a.data, -500, 500)))
+    sig = 1.0 / (1.0 + np.exp(-T._clamp(a.data, -500, 500)[0]))
     return T._make(out, "softplus", (a,), lambda g: (g * sig,))
 
 
@@ -551,7 +566,7 @@ def reference_gaussian_sample(mu: Tensor, log_var: Tensor, eps: np.ndarray,
                               lo: float, hi: float) -> Tensor:
     """:func:`moerec.tensor.gaussian_sample` as a clip, a scale, an exp, a
     product with the noise and a sum."""
-    return mu + Tensor(eps) * T.exp(T.clip(log_var, lo, hi) * 0.5)
+    return mu + Tensor(eps) * T.exp(clip(log_var, lo, hi) * 0.5)
 
 
 def reference_bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -563,14 +578,15 @@ def reference_bce_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 def reference_kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarray,
                                    prior: GmmPrior) -> Tensor:
-    """:func:`moerec.vae.kl_closed_form_batch` as the chain of elementwise
-    ops, matmuls and reductions that :func:`moerec.tensor.mixture_kl`
-    replaces."""
+    """:func:`moerec.vae.kl_closed_form_batch` as the chain of clamps,
+    elementwise ops, matmuls and reductions that
+    :func:`moerec.tensor.mixture_kl` replaces."""
     gamma = np.atleast_2d(gamma)
     dims = mu.shape[1]
     gamma_t = Tensor(gamma)
 
-    prior_log_var = T.clip(prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
+    log_var = clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
+    prior_log_var = clip(prior.log_var, math.log(PRIOR_VAR_FLOOR), LOG_VAR_MAX)
     inv_var = T.exp(-prior_log_var)
     var = T.exp(log_var)
 
@@ -593,33 +609,29 @@ def reference_kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarra
 
 def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
                         eps_override=None, gamma_override=None) -> Tensor:
-    """:func:`moerec.vae.elbo_loss` as the op chains above, drawing the same
-    noise from `rng`; the clamped log-variance feeds both the sample and
-    the KL term, as it did before the draw became one op."""
-    u_emb = T.take_rows(model.tables.user, users)
-    i_emb = T.take_rows(model.tables.item, items)
+    """:func:`moerec.vae.elbo_loss` as the op chains above, with the noise
+    that :func:`moerec.vae.reparameterize` draws from `rng`; the sample and
+    the KL term each clamp the raw log-variance, as the fused ops do."""
     enc, dec, latent = model.encoder, model.decoder, model.config.latent_dim
-    out = reference_mlp(concat([u_emb, i_emb], axis=1), enc.w1, enc.b1, enc.w2, enc.b2)
+    pairs = reference_concat_rows(model.tables.user, users, model.tables.item, items)
+    out = reference_mlp(pairs, enc.w1, enc.b1, enc.w2, enc.b2)
     mu, log_var = out[:, :latent], out[:, latent:]
-    clamped = T.clip(log_var, LOG_VAR_MIN, LOG_VAR_MAX)
-    if eps_override is None:
-        eps = rng.normal(mu.size).reshape(mu.shape)
-    else:
-        eps = np.broadcast_to(np.asarray(eps_override, dtype=np.float64), mu.shape).copy()
-    z = mu + Tensor(eps) * T.exp(clamped * 0.5)
+    _, eps = reparameterize(mu.detach(), log_var.detach(), rng, eps_override)
+    z = reference_gaussian_sample(mu, log_var, eps, LOG_VAR_MIN, LOG_VAR_MAX)
     bce = reference_bce_with_logits(reference_mlp(z, dec.w1, dec.b1, dec.w2, dec.b2),
                                     np.asarray(ratings_norm, dtype=np.float64))
     if beta == 0.0:
         return bce
     gamma = (gamma_override if gamma_override is not None
              else gmm_posterior_batch(model.prior, z.data))
-    return bce + beta * reference_kl_closed_form_batch(mu, clamped, gamma, model.prior).mean()
+    return bce + beta * reference_kl_closed_form_batch(mu, log_var, gamma, model.prior).mean()
 
 
 # the fused ops of each model, by the names fused_cases gives them
 FUSED_OPS = {"moe": ("add_rows", "rms_norm", "attention", "expert_ffn", "weighted_nll",
                      "attention_sublayer", "routed_experts", "moe_sublayer"),
-             "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl")}
+             "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl",
+                     "weighted_means")}
 
 
 def fused_cases(seed: int) -> dict:
@@ -720,11 +732,17 @@ def fused_cases(seed: int) -> dict:
     floor = math.log(PRIOR_VAR_FLOOR)
     log_vars = normal(3, 3) * 0.3
     log_vars[2, 1] = floor - 0.5
+    inputs = [normal(4, 3) * 0.8, normal(4, 3) * 0.4, normal(3), normal(3, 3), log_vars]
+    inputs[1][0, 1], inputs[1][3, 2] = LOG_VAR_MIN - 2.0, LOG_VAR_MAX + 1.0
     cases["mixture_kl"] = (
-        lambda mu, log_var, *mix: T.mixture_kl(mu, log_var, gamma, *mix, floor, LOG_VAR_MAX),
+        lambda mu, log_var, *mix: T.mixture_kl(mu, log_var, gamma, *mix,
+                                               (LOG_VAR_MIN, LOG_VAR_MAX), (floor, LOG_VAR_MAX)),
         lambda mu, log_var, *mix: reference_kl_closed_form_batch(mu, log_var, gamma,
-                                                                 GmmPrior(*mix)),
-        [normal(4, 3) * 0.8, normal(4, 3) * 0.4, normal(3), normal(3, 3), log_vars])
+                                                                 GmmPrior(*mix)), inputs)
+    rng = Rng(seed).substream("weighted_means")
+    cases["weighted_means"] = (lambda a, b: T.weighted_means((a, b), (0.3, 0.7)),
+                               lambda a, b: a.mean() * 0.3 + b.mean() * 0.7,
+                               [normal(4, 3), normal(5)])
     return cases
 
 
@@ -834,7 +852,7 @@ def verify_kl(configs: int = 10, samples: int = 100_000,
               seed: int = 77) -> List[CheckResult]:
     results = []
     layouts = [(1, 2), (2, 2), (3, 4), (5, 8), (3, 8),
-               (2, 8), (4, 4), (5, 2), (3, 2), (1, 8)][:configs]
+               (2, 8), (4, 4), (5, 2), (3, 2), (1, 8)][:configs] + [(2, 3)]
     for case, (clusters, dim) in enumerate(layouts):
         rng = Rng(seed + case)
         prior = GmmPrior(rng.normal(clusters),
@@ -842,14 +860,15 @@ def verify_kl(configs: int = 10, samples: int = 100_000,
                          rng.normal(clusters * dim).reshape(clusters, dim) * 0.3)
         mu = rng.normal(dim) * 0.8
         log_var = rng.normal(dim) * 0.4
+        name = f"kl.closed_vs_mc.k{clusters}d{dim}"
+        if case == len(layouts) - 1:       # past both clamps, which both sides apply
+            log_var[:2], name = (LOG_VAR_MIN - 2.0, LOG_VAR_MAX + 1.0), name + ".outside_clamp"
         gamma = gmm_posterior_batch(prior, mu[None, :])[0]
         closed = kl_closed_form(Tensor(mu), Tensor(log_var), gamma, prior).item()
         est, se = mc_kl_estimate(mu, log_var, prior, Rng(seed + 500 + case),
                                  samples, gamma=gamma)
-        gap = abs(closed - est)
-        results.append(CheckResult(
-            f"kl.closed_vs_mc.k{clusters}d{dim}", gap <= 3 * se,
-            f"closed {closed:.5f} vs mc {est:.5f} (3se {3 * se:.5f})"))
+        results.append(CheckResult(name, abs(closed - est) <= 3 * se,
+                                   f"closed {closed:.5f} vs mc {est:.5f} (3se {3 * se:.5f})"))
     return results
 
 

@@ -21,7 +21,7 @@ from moerec.data import (
     normalized_ratings,
     split_records,
 )
-from moerec.metrics import adjusted_rand_index, evaluate_model
+from moerec.metrics import adjusted_rand_index, corpus_bleu, evaluate_model
 from moerec.moe import build_prompt, tokenize
 from moerec.rng import Rng
 from moerec import moe as moe_mod
@@ -39,13 +39,14 @@ from moerec.vae import (
     VaeGmm,
     elbo_loss,
     gmm_posterior_batch,
-    log_normal_diag,
     reparameterize,
 )
 from moerec.verify import (
+    clip,
     concat,
     gather_pairs,
     kl_closed_form,
+    log_normal_diag,
     log_softmax,
     scatter_rows,
     softmax,
@@ -192,7 +193,7 @@ def test_criterion_1_gradient_correctness():
             lambda x: ((x * x + 1.0) ** 1.7).sum(), lambda x: T.exp(x).sum(),
             lambda x: T.log(x * x + 1.0).sum(), lambda x: T.sqrt(x * x + 0.3).sum(),
             lambda x: tanh(x).sum(), lambda x: T.sigmoid(x).mean(),
-            lambda x: softplus(x).sum(), lambda x: T.clip(x * 2.0, -0.9, 0.9).sum(),
+            lambda x: softplus(x).sum(), lambda x: clip(x * 2.0, -0.9, 0.9).sum(),
             lambda x: (x.reshape(2, 3) @ c32).sum(),
             lambda x: (x.reshape(2, 3).T * c32).sum(),
             lambda x: (x.reshape(3, 2).sum(axis=0) * c2).sum(),
@@ -224,9 +225,8 @@ def test_criterion_1_gradient_correctness():
         cfg2 = run.stage2()
 
         mu0, lv0 = bundle.vae.encode(users, items)
-        sample = reparameterize(mu0, lv0, Rng(seed + 9))
-        eps = sample.eps
-        gamma = gmm_posterior_batch(bundle.vae.prior, sample.z.data)
+        z, eps = reparameterize(mu0, lv0, Rng(seed + 9))
+        gamma = gmm_posterior_batch(bundle.vae.prior, z.data)
 
         def stage1_loss(_x):
             return elbo_loss(bundle.vae, users, items, ratings, 0.1, Rng(0),
@@ -273,8 +273,8 @@ def test_criterion_2_kl_oracle():
     failed = [r for r in results if not r.passed]
     assert not failed, failed
     assert elapsed <= 60.0
-    report(f"criterion 2 PASS: 10/10 closed-form vs monte-carlo within 3 SE "
-           f"in {elapsed:.1f}s")
+    report(f"criterion 2 PASS: {len(results)}/{len(results)} closed-form vs monte-carlo "
+           f"within 3 SE (one with log-variances past both clamps) in {elapsed:.1f}s")
 
 
 # --- criterion 3: standard-VAE reduction -------------------------------------
@@ -399,6 +399,36 @@ def test_criterion_7_explanation_fidelity(planted, stage2_bundle):
     report(f"criterion 7 PASS: BLEU-1 {bleu1:.3f}, ROUGE-1 {rouge1:.3f}, "
            f"signature hit rate {hit_rate:.3f} on {len(split.test)} held-out "
            f"records (stage 2 in {elapsed:.0f}s)")
+
+
+def test_gate_ablation_shifted_gates_lose_bleu(planted, stage2_bundle, monkeypatch):
+    """The trained model, its responsibilities rolled by one and by two
+    clusters so that every record decodes under another gate, loses at
+    least 0.3 of corpus BLEU-4. The signature hit rate is reported only:
+    the signature words are copied from the prompt's feature tokens."""
+    split, labels = planted
+    bundle, _, _ = stage2_bundle
+    records = split.test[:300]
+    posteriors = bundle.vae.posteriors
+
+    def scores(shift):
+        with monkeypatch.context() as patch:
+            patch.setattr(bundle.vae, "posteriors",
+                          lambda users, items: np.roll(posteriors(users, items), shift, axis=1))
+            texts, _, _ = bundle.explain(records)
+        bleu = corpus_bleu([(tokenize(text), tokenize(rec.explanation))
+                            for rec, text in zip(records, texts)], 4)
+        hits = sum(bool(set(cluster_signature(labels[rec.user])) & set(tokenize(text)))
+                   for rec, text in zip(records, texts))
+        return bleu, hits / len(records)
+
+    (bleu, hit_rate), *shifted = (scores(shift) for shift in (0, 1, 2))
+    for shift_bleu, _ in shifted:
+        assert bleu - shift_bleu >= 0.3, (bleu, shifted)
+    report(f"gate ablation PASS: BLEU-4 {bleu:.3f} on {len(records)} held-out records, "
+           f"{shifted[0][0]:.3f} and {shifted[1][0]:.3f} with gates shifted by 1 and 2; "
+           f"signature hit rate {hit_rate:.3f}, {shifted[0][1]:.3f} and "
+           f"{shifted[1][1]:.3f} (reported, no threshold)")
 
 
 def test_cached_generation_matches_full_recompute_on_trained_model(planted,

@@ -13,15 +13,15 @@ from moerec.cli import main
 
 # what both training stages, checkpoints, evaluation and decoding call
 RUNTIME_OPS = {
-    "add", "add_rows", "attention_sublayer", "backward", "bce_with_logits", "clip",
-    "concat_rows", "default_dtype", "gaussian_sample", "matmul", "mixture_kl", "mlp",
-    "moe_sublayer", "mul", "rms_norm", "set_default_dtype", "sigmoid", "slice_view",
-    "take_rows", "tmean", "weighted_nll",
+    "add_rows", "attention_sublayer", "backward", "bce_with_logits", "concat_rows",
+    "default_dtype", "gaussian_sample", "matmul", "mixture_kl", "mlp", "moe_sublayer",
+    "rms_norm", "set_default_dtype", "sigmoid", "slice_view", "take_rows", "weighted_means",
+    "weighted_nll",
 }
 # the elementwise algebra behind Tensor's operators, which the oracles and
 # grad_check use but the runtime does not
-OPERATOR_ALGEBRA = {"sub", "div", "neg", "pow_const", "exp", "log", "sqrt", "reshape",
-                    "transpose", "tsum"}
+OPERATOR_ALGEBRA = {"add", "sub", "mul", "div", "neg", "pow_const", "exp", "log", "sqrt",
+                    "reshape", "transpose", "tsum", "tmean"}
 # exported for callers that run their own optimization steps
 UNCALLED_API = {"zero_grad"}
 

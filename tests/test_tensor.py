@@ -23,6 +23,7 @@ from moerec.training import (
 )
 from moerec.verify import (
     bmm,
+    clip,
     concat,
     fused_cases,
     fused_gap,
@@ -42,8 +43,9 @@ from moerec.verify import (
     softmax,
     softplus,
     tanh,
+    taped_run,
 )
-from moerec.vae import GmmPrior, VaeGmm, elbo_loss
+from moerec.vae import LOG_VAR_MAX, LOG_VAR_MIN, GmmPrior, VaeGmm, elbo_loss
 
 
 def test_matmul_identity():
@@ -412,7 +414,7 @@ def test_grad_check_sweep_all_ops(seed):
         "slice": lambda x: (x.reshape(2, 3)[:, 1:] * c22).sum(),
         "take_rows": lambda x: (x.reshape(3, 2)[np.array([0, 2, 2])] * c32).sum(),
         "concat": lambda x: concat([x.reshape(2, 3), x.reshape(2, 3) * 2.0], axis=0).sum(),
-        "clip": lambda x: T.clip(x * 3.0, -1.0, 1.0).sum(),
+        "clip": lambda x: clip(x * 3.0, -1.0, 1.0).sum(),
         "scatter_rows": lambda x: (scatter_rows(x.reshape(3, 2), np.array([1, 0, 1]), 4)
                                    * c42).sum(),
         "gather_pairs": lambda x: gather_pairs(x.reshape(2, 3),
@@ -738,15 +740,33 @@ def test_mlp_raises_where_the_hidden_layer_overflows():
             fn(*args)
 
 
-@pytest.mark.parametrize("wrt,value", [(0, 1e200), (1, 1000.0)])
+@pytest.mark.parametrize("wrt,value", [(0, 1e200)])
 def test_mixture_kl_raises_where_its_terms_overflow(wrt, value):
-    # mu * mu and exp(log_var) overflow; the chain stops at that op
+    # mu * mu overflows; the chain stops at that op
     fused, reference, inputs = FUSED["mixture_kl"]
     args = [Tensor(a) for a in inputs]
     args[wrt] = Tensor(np.full(inputs[wrt].shape, value))
     for fn in (fused, reference):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             fn(*args)
+
+
+@pytest.mark.parametrize("value,bound", [(1000.0, LOG_VAR_MAX), (-1000.0, LOG_VAR_MIN)])
+def test_mixture_kl_reads_a_log_variance_past_its_clamp_as_the_bound(value, bound):
+    # the KL clamps the posterior log-variance as the draw does, so a value
+    # past a bound gives the bound's KL and no gradient
+    fused, reference, inputs = FUSED["mixture_kl"]
+    for fn in (fused, reference):
+        runs = []
+        for log_var in (value, bound):
+            arrays = [np.array(a) for a in inputs]
+            arrays[1][2, 0] = log_var
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            runs.append(taped_run(lambda: fn(*leaves), leaves, weight_seed=8))
+        (past, past_grads), (at, at_grads) = runs
+        assert np.array_equal(past, at)
+        assert past_grads[1][2, 0] == 0.0
+        assert all(np.array_equal(a, b) for a, b in zip(past_grads, at_grads))
 
 
 def test_weighted_nll_gradient_is_weighted_softmax_minus_onehot():
@@ -814,7 +834,8 @@ def test_mixture_kl_raises_where_the_mixture_log_weights_overflow():
     args[2] = Tensor(np.array([1e308, -1e308, 0.0]))
     gamma = np.array([[0.4, 0.0, 0.6], [1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.0, 0.0, 1.0]])
     prior = GmmPrior(*args[2:])
-    for fn in (lambda: T.mixture_kl(*args[:2], gamma, *args[2:], -9.0, 10.0),
+    for fn in (lambda: T.mixture_kl(*args[:2], gamma, *args[2:], (LOG_VAR_MIN, LOG_VAR_MAX),
+                                    (-9.0, 10.0)),
                lambda: reference_kl_closed_form_batch(*args[:2], gamma, prior)):
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
             fn()
@@ -838,7 +859,11 @@ def test_vae_fused_ops_check_shapes():
     _, _, inputs = FUSED["mixture_kl"]
     args = [Tensor(x) for x in inputs]
     with pytest.raises(ShapeError):
-        T.mixture_kl(args[0], args[1], np.full((4, 2), 0.5), *args[2:], -9.0, 10.0)
+        T.mixture_kl(args[0], args[1], np.full((4, 2), 0.5), *args[2:],
+                     (LOG_VAR_MIN, LOG_VAR_MAX), (-9.0, 10.0))
+    for terms, weights in (((a, b), (1.0,)), ((), ())):
+        with pytest.raises(ShapeError):
+            T.weighted_means(terms, weights)
 
 
 # --- the reverse sweep empties each record as it passes ---

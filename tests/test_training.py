@@ -22,7 +22,7 @@ from moerec.data import (
 from moerec import tensor, training
 from moerec.checkpoint import read_manifest
 from moerec.errors import ConfigError, ContextLimitError, DataError, TrainingError
-from moerec.moe import EOS, LanguageModel, build_prompt
+from moerec.moe import EOS, LanguageModel, Vocab, build_prompt
 from moerec.optim import AdamW
 from moerec.rng import Rng
 from moerec.tensor import Tape
@@ -38,7 +38,7 @@ from moerec.training import (
     train_stage2,
     vae_config_from,
 )
-from moerec.vae import VaeGmm, elbo_loss
+from moerec.vae import GmmPrior, VaeGmm, elbo_loss
 
 
 def small_corpus(seed=0, users=24, items=12, per_user=6):
@@ -198,6 +198,53 @@ def test_stage2_alpha_one_never_touches_lm():
         assert p.grad is None or np.all(p.grad == 0.0), name
     assert any(p.grad is not None and np.any(p.grad != 0.0)
                for p in vae.params().values())
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("alpha", [0.1, 0.3])
+def test_stage2_loss_equals_the_operator_chain_bit_for_bit(alpha, precision):
+    # the alpha mix is one weighted_means record, 19 per step at two blocks;
+    # it equals elbo * alpha + nll * (1 - alpha) on Tensor's operators, which
+    # records a product, a product and a sum, in the loss and every gradient
+    split, _ = small_corpus()
+    run = small_run(blocks=2, alpha=alpha)
+    caller = tensor.default_dtype().name
+    tensor.set_default_dtype(precision)
+    try:
+        vae = VaeGmm(vae_config_from(run, split), Rng(3))
+        rng = Rng(4)
+        vae.prior = GmmPrior(rng.normal(2), rng.normal(8).reshape(2, 4),
+                             rng.normal(8).reshape(2, 4) * 0.3)
+        vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
+        lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(5))
+        bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index)
+        records = split.train[:8]
+        users, items = split.user_ids(records), split.item_ids(records)
+        ratings = normalized_ratings(records)
+        prepared = [prepare_sequence(vocab, r, run.context) for r in records]
+        gates = vae.gates(users, items)
+        cfg = run.stage2()
+
+        def chain():
+            elbo = elbo_loss(vae, users, items, ratings, cfg.beta, Rng(9))
+            nll = lm.batched_nll([seq for seq, _ in prepared], [n for _, n in prepared], gates)
+            return elbo * cfg.alpha + nll * (1.0 - cfg.alpha)
+
+        params = bundle.params()
+        runs = []
+        for loss_fn in (lambda: _stage2_loss(bundle, users, items, ratings, prepared, gates,
+                                             cfg, Rng(9)), chain):
+            tensor.zero_grad(params.values())
+            with Tape() as tape:
+                loss = loss_fn()
+                tape.backward(loss)
+            runs.append((len(tape.records), np.asarray(loss.data).tobytes(),
+                         {name: p.grad.tobytes() for name, p in params.items()}))
+    finally:
+        tensor.set_default_dtype(caller)
+    (fused_records, *fused), (chain_records, *chained) = runs
+    assert (fused_records, chain_records) == (19, 21)
+    assert fused == chained
 
 
 def test_stage2_alpha_zero_never_touches_rating_decoder():
