@@ -26,7 +26,7 @@ BLEU_EPSILON = 1e-9
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
 def _clipped_counts(candidate: Sequence[str], reference: Sequence[str],
@@ -74,14 +74,15 @@ def corpus_bleu(pairs: Sequence[tuple], n: int) -> float:
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    table = np.zeros((len(a) + 1, len(b) + 1), dtype=np.int64)
-    for i in range(1, len(a) + 1):
-        for j in range(1, len(b) + 1):
-            if a[i - 1] == b[j - 1]:
-                table[i, j] = table[i - 1, j - 1] + 1
-            else:
-                table[i, j] = max(table[i - 1, j], table[i, j - 1])
-    return int(table[len(a), len(b)])
+    """Longest common subsequence length by dynamic programming on Python
+    ints, one table row at a time: a numpy cell costs more than its sum."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b):
+            row.append(prev[j] + 1 if x == y else max(prev[j + 1], row[j]))
+        prev = row
+    return prev[-1]
 
 
 def _f1(precision: float, recall: float) -> float:
@@ -221,6 +222,8 @@ class MetricReport:
 
 
 def _text_metrics(pairs: List[tuple]) -> Dict[str, float]:
+    """The report's text scores: corpus BLEU-1 and BLEU-4, the means of
+    :func:`rouge_scores` over the pairs, and distinct-1 and -2 of the candidates."""
     candidates = [c for c, _ in pairs]
     rouge_pairs = [rouge_scores(c, r) for c, r in pairs]
     return {

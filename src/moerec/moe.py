@@ -208,11 +208,9 @@ class GateRouter:
         `gates[i]`, with their backward rule
         (:func:`~moerec.tensor._router_parts`); a gate outside the range
         raises ConfigError."""
-        gates = T._row_ids(gates)
+        gates = T._row_ids(gates, self.cfg.gates, ConfigError)
         if gates.shape != rows.shape[:1]:
             raise ShapeError(f"{gates.shape} gates for {rows.shape[:1]} rows")
-        if gates.size and (gates.min() < 0 or gates.max() >= self.cfg.gates):
-            raise ConfigError(f"gate index outside [0, {self.cfg.gates})")
         return T._router_parts(rows, self.weights.data, gates)
 
 
@@ -221,8 +219,9 @@ def top_k_select(scores: np.ndarray, k: int) -> np.ndarray:
     scores = np.asarray(scores)
     if k > scores.shape[-1]:
         raise ConfigError(f"k={k} exceeds {scores.shape[-1]} experts")
-    order = (-scores).argsort(axis=-1, kind="stable")
-    return np.sort(order[..., :k], axis=-1)
+    top = (-scores).argsort(axis=-1, kind="stable")[..., :k]
+    top.sort(axis=-1)
+    return top
 
 
 def _moe_rows(bank: ExpertBank, router: GateRouter, gain: Tensor, gates: np.ndarray,
@@ -291,7 +290,7 @@ class TransformerBlock:
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
                                  self.config.heads, batch, cache, offset, start)
         return _moe_rows(self.bank, self.router, self.norm2_g,
-                         np.repeat(gates, length - start), h)
+                         gates.repeat(length - start), h)
 
 
 class KVCache:
@@ -380,8 +379,8 @@ class LanguageModel:
         enter the cache), and only the selected rows go through the final
         norm and the head.
         """
-        tokens = np.atleast_2d(T._row_ids(tokens, self.config.vocab_size))
-        batch, length = tokens.shape
+        tokens = T._row_ids(tokens, self.config.vocab_size)
+        batch, length = tokens.shape if tokens.ndim > 1 else (1, tokens.size)
         offset = 0 if cache is None else cache.length
         if cache is not None and (cache.batch != batch
                                   or len(cache.blocks) != len(self.blocks)):
@@ -436,7 +435,7 @@ class LanguageModel:
         raises ContextLimitError, and prompts of several lengths ShapeError.
         """
         try:
-            tokens = np.atleast_2d(np.asarray(prompts))
+            tokens = np.array(prompts, ndmin=2)
         except ValueError:                  # numpy refuses a ragged matrix
             raise ShapeError("prefill takes prompts of one length") from None
         batch, length = tokens.shape
@@ -475,22 +474,24 @@ class LanguageModel:
                                   min(self.config.context, len(prompt) + max(max_len - 1, 0)))
         cache, logits = start
         rng = Rng(seed)
+        token, gates = np.empty((1, 1), np.int64), np.array([gate])
         out: List[int] = []
         while len(out) < max_len:
             if out:
                 if cache.length + 1 >= self.config.context:
                     break
-                logits = self.forward_rows(np.array([out[-1:]]), np.array([gate]),
-                                           cache).data[-1]
+                token[0, 0] = out[-1]
+                logits = self.forward_rows(token, gates, cache).data[-1]
             if banned is not None:
                 logits[banned] = -np.inf
             if mode == "greedy":
-                nxt = int(np.argmax(logits))
+                nxt = int(logits.argmax())
             else:
-                z = (logits - logits.max()) / max(temperature, 1e-8)
+                # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
+                z = (logits - np.maximum.reduce(logits)) / max(temperature, 1e-8)
                 p = np.exp(z)
-                p /= p.sum()
-                nxt = int(np.searchsorted(np.cumsum(p), rng.uniform(1)[0], side="right"))
+                p /= np.add.reduce(p)
+                nxt = int(p.cumsum().searchsorted(rng.uniform(1)[0], side="right"))
                 nxt = min(nxt, len(p) - 1)
             if nxt == EOS:
                 break

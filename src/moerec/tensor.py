@@ -359,7 +359,7 @@ def _clamp(x: np.ndarray, lo: float, hi: float) -> tuple:
 # --- linear algebra and shape ---
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     return _make(a.data @ b.data, "matmul", (a, b),
                  lambda g: (g @ b.data.T, a.data.T @ g))
@@ -531,7 +531,7 @@ def _expert_layers(op: str, arrays: tuple, experts: np.ndarray) -> tuple:
     parts = _group_parts(experts, count)
     return (lambda x, w: _grouped_forward(x, w, parts),
             lambda g, x, w: _grouped_backward(g, x, w, parts),
-            lambda b: b[experts],
+            lambda b: b.take(experts, axis=0),
             lambda shape, g: _group_sums(shape, g, parts, experts))
 
 
@@ -595,10 +595,11 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
     the rows below `start` get gradient only through them: no residual term
     and no query term."""
     inputs = (x, wo, wv, wk, wq, gain, x, x, x)
-    n, m = x.shape if x.data.ndim == 2 else (-1, -1)
+    n, m = x.data.shape if x.data.ndim == 2 else (-1, -1)
     length = n // batch if batch > 0 and n % batch == 0 else -1
-    if (length < 1 or not 0 <= start < length or m % heads or gain.shape != (m,)
-            or any(w.shape != (m, m) for w in (wq, wk, wv, wo)) or kv is not None
+    if (length < 1 or not 0 <= start < length or m % heads or gain.data.shape != (m,)
+            or not wq.data.shape == wk.data.shape == wv.data.shape == wo.data.shape == (m, m)
+            or kv is not None
             and (kv[0].shape[::2] != (batch, m) or offset + length > kv[0].shape[1])):
         raise ShapeError(f"attention_sublayer shapes incompatible: x {x.shape} of {batch} "
                          f"sequences, {heads} heads, weights {wq.shape}, offset {offset}, "
@@ -645,7 +646,7 @@ def _mixture_parts(rows: np.ndarray, bank: tuple, scores: np.ndarray, experts: n
     summed into its row, and the row gather's gradient likewise, by the
     :func:`_fan_in_sums` of the (n, k) `slots`. The rule returns the
     gradients of (rows, w1, b1, w2, b2, scores)."""
-    arrays = (rows[row_of], *bank)
+    arrays = (rows.take(row_of, axis=0), *bank)
     ffn, ffn_back = _tanh_mlp(op, arrays, *_expert_layers(op, arrays, experts))
     weight = scores[row_of, experts].reshape(-1, 1)
 
@@ -671,13 +672,13 @@ def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor
     chain's terms in its reverse-sweep order: y gets the experts' term
     plus the router's, and `h` the residual's, then the norm's three (so
     the record lists `h` four times)."""
-    selected = _row_ids(selected, w1.shape[0])
+    selected = _row_ids(selected, w1.data.shape[0])
     normed, norm_back = norm
     scores, route_back = route
-    n, m = h.shape if h.data.ndim == 2 else (-1, -1)
+    n, m = h.data.shape if h.data.ndim == 2 else (-1, -1)
     if (k < 1 or selected.shape != (n * k,) or normed.shape != (n, m)
-            or scores.shape != (n, w1.shape[0])
-            or router.shape[1:] != (m, w1.shape[0]) or w2.shape[2:] != (m,)):
+            or scores.shape != (n, w1.data.shape[0])
+            or router.data.shape[1:] != (m, w1.data.shape[0]) or w2.data.shape[2:] != (m,)):
         raise ShapeError(f"moe_sublayer shapes incompatible: h {h.shape}, router {router.shape}, "
                          f"w2 {w2.shape}, scores {scores.shape}, "
                          f"{selected.shape} expert ids for k={k}")
@@ -728,11 +729,12 @@ def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Te
 def add_rows(a: Tensor, rows_a: np.ndarray, b: Tensor, rows_b: np.ndarray) -> Tensor:
     """``a[rows_a] + b[rows_b]``, as the token and position embeddings are
     summed; indices may repeat."""
-    if (a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]
-            or np.ndim(rows_a) != 1 or np.shape(rows_a) != np.shape(rows_b)):
-        raise ShapeError(f"add_rows shapes incompatible: {a.shape} rows {np.shape(rows_a)}, "
-                         f"{b.shape} rows {np.shape(rows_b)}")
-    rows_a, rows_b = _row_ids(rows_a, a.shape[0]), _row_ids(rows_b, b.shape[0])
+    rows_a, rows_b = np.asarray(rows_a), np.asarray(rows_b)
+    if (a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]
+            or rows_a.ndim != 1 or rows_a.shape != rows_b.shape):
+        raise ShapeError(f"add_rows shapes incompatible: {a.shape} rows {rows_a.shape}, "
+                         f"{b.shape} rows {rows_b.shape}")
+    rows_a, rows_b = _row_ids(rows_a, a.data.shape[0]), _row_ids(rows_b, b.data.shape[0])
     return _make(a.data[rows_a] + b.data[rows_b], "add_rows", (a, b),
                  lambda g: (_index_add(a.shape, rows_a, g), _index_add(b.shape, rows_b, g)))
 
@@ -928,10 +930,11 @@ def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
     return _make(out, "take_rows", (a,), lambda g: (_index_add(a.shape, idx, g),))
 
 
-def _row_ids(idx, bound: int = None) -> np.ndarray:
+def _row_ids(idx, bound: int = None, error: type = ShapeError) -> np.ndarray:
     """`idx` as int64, the one conversion of caller-supplied ids. A nonempty
     index that is not integer (a boolean mask, a float) raises ShapeError
-    rather than selecting the wrong rows, as does an id outside [0, bound)."""
+    rather than selecting the wrong rows, and an id outside [0, bound)
+    raises `error`."""
     idx = np.asarray(idx)
     if idx.size and idx.dtype.kind not in "iu":
         raise ShapeError(f"ids must be integers, have dtype {idx.dtype}")
@@ -939,7 +942,7 @@ def _row_ids(idx, bound: int = None) -> np.ndarray:
     # a negative id reads as a huge unsigned one, so one maximum checks both ends
     if (bound is not None and idx.size
             and np.maximum.reduce(idx.view(np.uint64), axis=None) >= bound):
-        raise ShapeError(f"id outside [0, {bound}): {idx.min()}..{idx.max()}")
+        raise error(f"id outside [0, {bound}): {idx.min()}..{idx.max()}")
     return idx
 
 
@@ -969,7 +972,7 @@ def _fan_in_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     values of each row are added in that order into float64 zeros and the
     sum is rounded once, as bincount adds them; a row of ``-0.0`` values
     sums to ``+0.0`` there too."""
-    picked = values[slots]
+    picked = values.take(slots, axis=0)
     out = np.zeros(picked.shape[:1] + picked.shape[2:])
     for j in range(slots.shape[1]):
         out += picked[:, j]

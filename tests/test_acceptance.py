@@ -5,6 +5,7 @@ lines; the heavyweight corpus/training fixtures are session-scoped and
 shared, so the whole suite stays inside the stated time budgets.
 """
 
+import dataclasses
 import json
 import time
 
@@ -15,10 +16,13 @@ from moerec import Tape, Tensor, grad_check
 from moerec.cli import main as cli_main
 from moerec.config import RunConfig
 from moerec.data import (
+    R_MAX,
+    SENTIMENT_WORDS,
     SynthSpec,
     cluster_signature,
     generate_synthetic,
     normalized_ratings,
+    rating_bucket,
     split_records,
 )
 from moerec.metrics import adjusted_rand_index, corpus_bleu, evaluate_model
@@ -401,34 +405,81 @@ def test_criterion_7_explanation_fidelity(planted, stage2_bundle):
            f"records (stage 2 in {elapsed:.0f}s)")
 
 
-def test_gate_ablation_shifted_gates_lose_bleu(planted, stage2_bundle, monkeypatch):
+@pytest.fixture(scope="session")
+def held_out_decode(planted, stage2_bundle):
+    """The first 300 held-out records and the texts the trained model writes
+    for them under their own ratings and gates: the one decode that the
+    gate ablation and the rating-coherence measure share."""
+    split, _ = planted
+    bundle, _, _ = stage2_bundle
+    records = split.test[:300]
+    return records, bundle.explain(records)[0]
+
+
+def held_out_scores(records, texts, labels) -> tuple:
+    """(corpus BLEU-4, signature hit rate) of `texts` written for `records`."""
+    bleu = corpus_bleu([(tokenize(text), tokenize(rec.explanation))
+                        for rec, text in zip(records, texts)], 4)
+    hits = sum(bool(set(cluster_signature(labels[rec.user])) & set(tokenize(text)))
+               for rec, text in zip(records, texts))
+    return bleu, hits / len(records)
+
+
+def test_gate_ablation_shifted_gates_lose_bleu(planted, stage2_bundle, held_out_decode,
+                                               monkeypatch):
     """The trained model, its responsibilities rolled by one and by two
     clusters so that every record decodes under another gate, loses at
     least 0.3 of corpus BLEU-4. The signature hit rate is reported only:
     the signature words are copied from the prompt's feature tokens."""
-    split, labels = planted
+    _, labels = planted
     bundle, _, _ = stage2_bundle
-    records = split.test[:300]
+    records, texts = held_out_decode
     posteriors = bundle.vae.posteriors
 
-    def scores(shift):
+    def shifted_texts(shift):
         with monkeypatch.context() as patch:
             patch.setattr(bundle.vae, "posteriors",
                           lambda users, items: np.roll(posteriors(users, items), shift, axis=1))
-            texts, _, _ = bundle.explain(records)
-        bleu = corpus_bleu([(tokenize(text), tokenize(rec.explanation))
-                            for rec, text in zip(records, texts)], 4)
-        hits = sum(bool(set(cluster_signature(labels[rec.user])) & set(tokenize(text)))
-                   for rec, text in zip(records, texts))
-        return bleu, hits / len(records)
+            return bundle.explain(records)[0]
 
-    (bleu, hit_rate), *shifted = (scores(shift) for shift in (0, 1, 2))
+    (bleu, hit_rate), *shifted = (held_out_scores(records, out, labels) for out in
+                                  (texts, shifted_texts(1), shifted_texts(2)))
     for shift_bleu, _ in shifted:
         assert bleu - shift_bleu >= 0.3, (bleu, shifted)
     report(f"gate ablation PASS: BLEU-4 {bleu:.3f} on {len(records)} held-out records, "
            f"{shifted[0][0]:.3f} and {shifted[1][0]:.3f} with gates shifted by 1 and 2; "
            f"signature hit rate {hit_rate:.3f}, {shifted[0][1]:.3f} and "
            f"{shifted[1][1]:.3f} (reported, no threshold)")
+
+
+def test_rating_coherence_under_true_and_predicted_ratings(planted, stage2_bundle,
+                                                           held_out_decode):
+    """The paper's consistency claim, measured with no threshold. Each
+    prompt carries either the record's own rating or the VAE's predicted
+    one; coherence is the share of texts whose sentiment word
+    (`data.SENTIMENT_WORDS`) is that of the prompt's rating bucket, and of
+    the true bucket. BLEU-4 and the signature hit rate are against the
+    true explanations."""
+    _, labels = planted
+    bundle, _, _ = stage2_bundle
+    records, texts = held_out_decode
+    predicted = [dataclasses.replace(rec, rating=float(pred * R_MAX)) for rec, pred
+                 in zip(records, bundle.predict_norm_ratings(records))]
+
+    def coherence(texts, prompts) -> float:
+        return sum(SENTIMENT_WORDS[rating_bucket(rec.rating)] in tokenize(text)
+                   for rec, text in zip(prompts, texts)) / len(texts)
+
+    lines = []
+    for name, prompts, out in (("true", records, texts),
+                               ("predicted", predicted, bundle.explain(predicted)[0])):
+        bleu, hit_rate = held_out_scores(records, out, labels)
+        to_prompt, to_truth = coherence(out, prompts), coherence(out, records)
+        lines.append(f"{name}-rating prompts: BLEU-4 {bleu:.3f}, signature hit rate "
+                     f"{hit_rate:.3f}, coherence {to_prompt:.3f} with the prompt's "
+                     f"rating and {to_truth:.3f} with the true one")
+    report(f"rating coherence on {len(records)} held-out records (reported, no "
+           f"threshold): {'; '.join(lines)}")
 
 
 def test_cached_generation_matches_full_recompute_on_trained_model(planted,

@@ -17,9 +17,12 @@ from moerec.metrics import (
     evaluate_model,
     rmse,
     rouge_scores,
+    _lcs_length,
+    _text_metrics,
 )
 from moerec.verify import (
     ari_pair_enumeration,
+    lcs_reference,
     naive_bleu,
     naive_distinct,
     naive_rmse,
@@ -151,6 +154,33 @@ def test_naive_references_disagree_with_wrong_values():
     assert naive_distinct(["a a".split()], 1) == pytest.approx(0.5)
     assert naive_rmse([0.0], [1.0]) == pytest.approx(1.0)
     assert ari_pair_enumeration([0, 1], [1, 0]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_text_metrics_equal_the_public_metrics(seed):
+    # seeded random token pairs over a small vocabulary, so that n-grams
+    # repeat, with empty candidates among them
+    rng = np.random.default_rng(seed)
+    words = list("abcdef")
+    pairs = [([words[i] for i in rng.integers(0, 6, rng.integers(0, 9))],
+              [words[i] for i in rng.integers(0, 6, rng.integers(1, 9))])
+             for _ in range(int(rng.integers(1, 40)))]
+    pairs.append(([], list("ab")))
+    rouge = [rouge_scores(c, r) for c, r in pairs]
+    assert _text_metrics(pairs) == {
+        "bleu1": corpus_bleu(pairs, 1),
+        "bleu4": corpus_bleu(pairs, 4),
+        "rouge1": float(np.mean([r1 for r1, _ in rouge])),
+        "rougeL": float(np.mean([rl for _, rl in rouge])),
+        "distinct1": distinct_n([c for c, _ in pairs], 1),
+        "distinct2": distinct_n([c for c, _ in pairs], 2),
+    }
+    for (c, r), scores in zip(pairs, rouge):
+        assert _lcs_length(c, r) == lcs_reference(c, r)
+        assert _lcs_length(r, c) == lcs_reference(r, c)
+        assert scores == pytest.approx(naive_rouge(c, r), rel=1e-12)
+        for n in range(1, 5):
+            assert bleu_n(c, r, n) == pytest.approx(naive_bleu(c, r, n), rel=1e-12)
 
 
 # --- evaluate_model ---

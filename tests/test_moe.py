@@ -1,6 +1,7 @@
 """Expert decomposition, routing contracts, causality, and dense equivalence."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -723,6 +724,29 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     head = tape.records[-2]                  # the head matmul, before the loss
     assert head.inputs[1] is lm.head
     assert head.out.shape == (sum(len(s) - 3 for s in sequences), lm.config.vocab_size)
+
+
+def test_decode_step_runs_no_numpy_python_wrapper():
+    # the interpreter cost of one cached one-token step of a two-block
+    # model, counted in Python frames, which do not depend on the hardware:
+    # no numpy function with a Python-level wrapper runs (ndarray methods
+    # and ufunc reductions instead), and moerec's own frames are pinned at
+    # 99, down from 139 with 22 numpy frames beside them (Python 3.11;
+    # 3.12 inlines comprehensions, so it counts fewer); numpy >= 1.25
+    # dispatches __array_function__ in C, where older numpy ran a wrapper
+    lm = tiny_lm(seed=30)
+    cache = KVCache(lm.config.blocks)
+    lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([0]), cache)
+    token, gate = np.array([[7]]), np.array([0])
+    modules = []
+    sys.setprofile(lambda frame, event, arg: event == "call"
+                   and modules.append(frame.f_globals.get("__name__", "")))
+    try:
+        lm.forward_rows(token, gate, cache)
+    finally:
+        sys.setprofile(None)
+    assert not [m for m in modules if m.split(".")[0] != "moerec"], sorted(set(modules))
+    assert len(modules) <= 99, len(modules)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
