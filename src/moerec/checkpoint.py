@@ -12,7 +12,8 @@ ConfigError, and a damaged one with DataError.
 
 Payloads are little-endian float32, or float64 given `f64=True`. A
 trained model's file holds the dtype it trained in (`training.save_bundle`),
-so its round-trips are bit-exact at either precision.
+and `load_checkpoint` hands each tensor back in its file's dtype, so a
+round-trip is bit-exact at either precision.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .tensor import Tensor, default_dtype
+from .tensor import Tensor
 
 FORMAT_VERSION = "GVMC-3"
 _DTYPE_BYTES = {"f32": 4, "f64": 8}
@@ -103,10 +104,10 @@ def read_manifest(path) -> dict:
 
 
 def load_checkpoint(path) -> tuple:
-    """Returns (manifest, {name: ndarray}). The payload is read once and
-    widened into one flat buffer of the default tensor dtype, of which each
-    array is a view of its own slice. A NaN or an infinity in the payload
-    fails with DataError naming the first tensor holding one."""
+    """Returns (manifest, {name: ndarray}). The payload is read once, into
+    one byte buffer, and each array is a view of its own slice in the dtype
+    the file holds: nothing is widened or copied. A NaN or an infinity in
+    the payload fails with DataError naming the first tensor holding one."""
     with _open(path) as fh:
         manifest = _read_manifest(fh)
         try:
@@ -121,40 +122,31 @@ def load_checkpoint(path) -> tuple:
                 if spec["offset"] != end:
                     raise DataError(f"tensor {name} starts at byte {spec['offset']}; "
                                     f"the tensors before it end at byte {end}")
-                count = math.prod(shape)
-                layout.append((name, dtype, shape, count))
-                end += count * _DTYPE_BYTES[dtype]
+                layout.append((name, dtype, shape, end))
+                end += math.prod(shape) * _DTYPE_BYTES[dtype]
             size = os.fstat(fh.fileno()).st_size - fh.tell()
             if size != end or end != manifest["payload_bytes"]:
                 raise DataError(f"checkpoint payload is {size} bytes, manifest says {end}")
         except (KeyError, TypeError, AttributeError, ValueError) as err:
             raise DataError(f"checkpoint tensor directory is malformed: {err!r}") from None
-        # one tensor at a time through a scratch buffer, so that no copy of
-        # the whole payload sits next to the flat buffer
-        flat = np.empty(sum(count for *_, count in layout), default_dtype())
-        scratch = np.empty(max((count * _DTYPE_BYTES[dtype] for _, dtype, _, count in layout),
-                               default=0), np.uint8)
-        arrays, start = {}, 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name, dtype, shape, count in layout:
-                nbytes = count * _DTYPE_BYTES[dtype]
-                if fh.readinto(scratch[:nbytes]) != nbytes:
-                    raise DataError(f"checkpoint payload ends inside tensor {name}")
-                view = flat[start:start + count]
-                view[...] = scratch[:nbytes].view(_DTYPE_NP[dtype])
-                arrays[name] = view.reshape(shape)
-                start += count
-            finite = math.isfinite(np.add.reduce(flat))
-    if not finite:  # a finite sum proves every value finite
+        payload = np.empty(end, np.uint8)
+        if fh.readinto(payload) != end:
+            raise DataError(f"checkpoint payload ends before byte {end}")
+    bounds = [start for *_, start in layout[1:]] + [end]
+    arrays = {name: payload[start:stop].view(_DTYPE_NP[dtype]).reshape(shape)
+              for (name, dtype, shape, start), stop in zip(layout, bounds)}
+    with np.errstate(over="ignore", invalid="ignore"):
         for name, array in arrays.items():
-            if not np.isfinite(array).all():
+            # a finite sum proves every value finite
+            if not (math.isfinite(np.add.reduce(array, axis=None))
+                    or np.isfinite(array).all()):
                 raise DataError(f"checkpoint tensor {name} holds a NaN or an infinity")
     return manifest, arrays
 
 
 def restore_params(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray]) -> None:
-    """Make each loaded array the `data` of its parameter: adopted, not
-    copied, unless its dtype differs from the parameter's, which casts it."""
+    """Make each loaded array the `data` of its parameter: adopted as it is,
+    in the checkpoint's dtype, not copied or cast."""
     missing = sorted(set(params) - set(arrays))
     surplus = sorted(set(arrays) - set(params))
     if missing or surplus:
@@ -166,4 +158,4 @@ def restore_params(params: Dict[str, Tensor], arrays: Dict[str, np.ndarray]) -> 
             raise DataError(
                 f"tensor {name}: shape {list(arrays[name].shape)} does not match "
                 f"model shape {list(tensor.data.shape)}")
-        tensor.data = arrays[name].astype(tensor.data.dtype, copy=False)
+        tensor.data = arrays[name]

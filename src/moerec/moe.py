@@ -278,15 +278,14 @@ class TransformerBlock:
         self.router = GateRouter(m, config.moe, rng)
 
     def forward(self, rows: Tensor, batch: int, length: int, gates: np.ndarray,
-                cache: list = None, offset: int = 0, start: int = 0) -> Tensor:
+                cache: np.ndarray = None, offset: int = 0, start: int = 0) -> Tensor:
         """One block over `batch` sequences of `length` rows each, sequence
         `b` routed by `gates[b]`: the fused attention sublayer, then the
-        MoE sublayer of :func:`_moe_rows`. `cache` is this
-        block's entry of a :class:`KVCache`, its buffers holding `offset`
-        positions. With `start`, the block returns only positions
-        ``start..length-1`` of each sequence: every position still gives its
-        key and value, but the queries, the router and the experts run only
-        from `start` on."""
+        MoE sublayer of :func:`_moe_rows`. `cache` is this block's buffer
+        of a :class:`KVCache`, holding `offset` positions. With `start`, the
+        block returns only positions ``start..length-1`` of each sequence:
+        every position still gives its key and value, but the queries, the
+        router and the experts run only from `start` on."""
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
                                  self.config.heads, batch, cache, offset, start)
         return _moe_rows(self.bank, self.router, self.norm2_g,
@@ -294,10 +293,10 @@ class TransformerBlock:
 
 
 class KVCache:
-    """Keys and values of the positions already fed: per block, a
-    [keys, values] pair of (batch, positions, model_dim) buffers, made on
-    the first forward and written in place, whose first `length` positions
-    are filled; heads are split only inside
+    """Keys and values of the positions already fed: per block, one
+    (2, batch, positions, model_dim) buffer, keys then values, made on the
+    first forward and written in place, whose first `length` positions are
+    filled; heads are split only inside
     :func:`~moerec.tensor.attention_sublayer`. `positions` defaults to the
     model's context; a forward past it raises ContextLimitError.
 
@@ -306,24 +305,20 @@ class KVCache:
     attend over every cached key, while the prefix is not recomputed. The
     first call on a fresh cache is the prefill. Cached forwards are for
     inference only; under a recording tape they raise TapeError.
-    :meth:`row` hands out one sequence of a batch as a cache of its own,
-    with views of this one's buffers.
+    :meth:`keep` drops the sequences that have finished decoding.
     """
 
     def __init__(self, blocks: int, batch: int = 1, positions: int = None):
         self.length = 0
         self.batch = batch
         self.positions = positions
-        self.blocks = [[None, None] for _ in range(blocks)]
+        self.blocks = [None] * blocks
 
-    def row(self, i: int) -> "KVCache":
-        """Sequence `i` as a one-sequence cache of the same length whose
-        buffers are views of this one's: a forward on it writes row `i` of
-        the shared buffers and no other row."""
-        one = KVCache(len(self.blocks), positions=self.positions)
-        one.length = self.length
-        one.blocks = [[buf[i:i + 1] for buf in entry] for entry in self.blocks]
-        return one
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the sequences `rows` (indices), in that order: one row
+        gather per block."""
+        self.blocks = [entry.take(rows, axis=1) for entry in self.blocks]
+        self.batch = len(rows)
 
 
 class LanguageModel:
@@ -380,6 +375,8 @@ class LanguageModel:
         norm and the head.
         """
         tokens = T._row_ids(tokens, self.config.vocab_size)
+        if tokens.ndim > 2:
+            raise ShapeError(f"token matrix of shape {tokens.shape}: one sequence per row")
         batch, length = tokens.shape if tokens.ndim > 1 else (1, tokens.size)
         offset = 0 if cache is None else cache.length
         if cache is not None and (cache.batch != batch
@@ -409,9 +406,8 @@ class LanguageModel:
         pos_ids = np.arange(batch * length) % length + offset
         x = T.add_rows(self.embed, flat, self.pos, pos_ids)
         if cache is not None and cache.length == 0:
-            shape = (batch, cache.positions or self.config.context, x.shape[1])
-            for entry in cache.blocks:
-                entry[:] = [np.empty(shape, x.data.dtype) for _ in range(2)]
+            shape = (2, batch, cache.positions or self.config.context, x.shape[1])
+            cache.blocks = [np.empty(shape, x.data.dtype) for _ in cache.blocks]
         last = len(self.blocks) - 1
         for b, blk in enumerate(self.blocks):
             x = blk.forward(x, batch, length, gates,
@@ -423,43 +419,52 @@ class LanguageModel:
             x = T.take_rows(x, rows)
         return T.rms_norm(x, self.norm_f_g) @ self.head
 
-    def prefill(self, prompts, gates: np.ndarray, positions: int = None) -> list:
+    def prefill(self, prompts, gates: np.ndarray, max_len: int) -> tuple:
         """Feed a (B, L) matrix of equal-length prompts, prompt b under gate
-        `gates[b]`, in one forward into a B-row :class:`KVCache` of
-        `positions` positions (the context by default). Returns one
-        (cache, logits) pair per prompt: the cache is :meth:`KVCache.row`
-        of the shared one, holding that prompt's L positions, and the
-        logits are its last position's, the start of :meth:`generate`.
-        Only the last positions go through the head, and the last block's
-        queries and experts run only there. A prompt that fills the context
-        raises ContextLimitError, and prompts of several lengths ShapeError.
+        `gates[b]`, in one forward into a B-row :class:`KVCache`. Returns
+        the cache, holding the prompts' L positions, and the (B, vocab)
+        logits of their last positions, where :meth:`generate` starts. The
+        cache has room for the prompts and the `max_len` - 1 tokens that
+        decoding `max_len` tokens feeds at most, up to the context. Only the
+        last positions go through the head, and the last block's queries and
+        experts run only there. A prompt that fills the context raises
+        ContextLimitError, and prompts of several lengths, or not in a
+        matrix, ShapeError.
         """
         try:
-            tokens = np.array(prompts, ndmin=2)
+            tokens = np.array(prompts)
         except ValueError:                  # numpy refuses a ragged matrix
             raise ShapeError("prefill takes prompts of one length") from None
+        if tokens.ndim != 2:
+            raise ShapeError(f"prompts of shape {tokens.shape}: one prompt per row")
         batch, length = tokens.shape
-        if length >= self.config.context:
+        context = self.config.context
+        if length >= context:
             raise ContextLimitError(
-                f"prompt of {length} tokens fills context "
-                f"{self.config.context}; nothing can be generated")
-        cache = KVCache(len(self.blocks), batch, positions)
+                f"prompt of {length} tokens fills context {context}; nothing can be generated")
+        cache = KVCache(len(self.blocks), batch, min(context, length + max(max_len - 1, 0)))
         logits = self.forward_rows(tokens, gates, cache,
                                    rows=np.arange(1, batch + 1) * length - 1).data
-        return [(cache.row(b), logits[b]) for b in range(batch)]
+        return cache, logits
 
-    def generate(self, prompt: Sequence[int], gate: int, max_len: int = 16,
+    def generate(self, prompts, gates: np.ndarray, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,
-                 seed: int = 0, banned: np.ndarray = None, start: tuple = None) -> List[int]:
-        """Autoregressive continuation after the prompt, until <eos> or
-        max_len; greedy mode is deterministic, sampling is seeded at a
-        nonnegative finite `temperature`. The `banned` token ids get no
-        probability in either mode.
+                 seed: int = 0, banned: np.ndarray = None) -> List[List[int]]:
+        """One continuation per prompt of a (B, L) matrix of equal-length
+        prompts, prompt b under gate `gates[b]`, decoded in lockstep
+        (iteration-level batching, as in Orca, Yu et al., OSDI 2022): one
+        :meth:`prefill` into a cache sized to the request, then one forward
+        per step over the rows still running, each fed only its last token.
+        A row ends at <eos>, at `max_len` tokens or at the context; a row
+        that emits <eos> leaves the batch and the cache
+        (:meth:`KVCache.keep`).
 
-        Decoding starts from `start`, the (cache, logits) pair of
-        :meth:`prefill` for this prompt and gate, and uses it up: each step
-        feeds only the token just emitted into that cache. Without `start`,
-        the prompt is prefilled alone, into a cache sized to the request.
+        Greedy mode is deterministic. Sampling is seeded, at a nonnegative
+        finite `temperature`, and each row draws from its own ``Rng(seed)``
+        stream, so a sampled text does not depend on its batch: every row
+        still running at step t has drawn t - 1 values, so one draw per step
+        is the next value of each one's stream. The `banned` token ids get
+        no probability in either mode.
         """
         if mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown generation mode {mode!r}")
@@ -468,35 +473,34 @@ class LanguageModel:
                               f"got {temperature}")
         if banned is not None:
             banned = T._row_ids(banned, self.config.vocab_size)
-        if start is None:
-            # the prompt and every emitted token but the last are fed, at most
-            start, = self.prefill([prompt], np.array([gate]),
-                                  min(self.config.context, len(prompt) + max(max_len - 1, 0)))
-        cache, logits = start
+        gates = T._row_ids(gates).reshape(-1)
+        cache, logits = self.prefill(prompts, gates, max_len)
+        width = max(min(max_len, self.config.context - cache.length), 0)
+        emitted = np.full((cache.batch, width), EOS)    # a row's text ends at its first <eos>
+        live = np.arange(cache.batch)                   # the rows still running, in order
         rng = Rng(seed)
-        token, gates = np.empty((1, 1), np.int64), np.array([gate])
-        out: List[int] = []
-        while len(out) < max_len:
-            if out:
-                if cache.length + 1 >= self.config.context:
-                    break
-                token[0, 0] = out[-1]
-                logits = self.forward_rows(token, gates, cache).data[-1]
+        for step in range(width):
+            if step:
+                logits = self.forward_rows(emitted[live, step - 1:step], gates, cache).data
             if banned is not None:
-                logits[banned] = -np.inf
+                logits[:, banned] = -np.inf
             if mode == "greedy":
-                nxt = int(logits.argmax())
+                nxt = logits.argmax(axis=1)
             else:
                 # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
-                z = (logits - np.maximum.reduce(logits)) / max(temperature, 1e-8)
-                p = np.exp(z)
-                p /= np.add.reduce(p)
-                nxt = int(p.cumsum().searchsorted(rng.uniform(1)[0], side="right"))
-                nxt = min(nxt, len(p) - 1)
-            if nxt == EOS:
-                break
-            out.append(nxt)
-        return out
+                top = np.maximum.reduce(logits, axis=1, keepdims=True)
+                p = np.exp((logits - top) / max(temperature, 1e-8))
+                p /= np.add.reduce(p, axis=1, keepdims=True)
+                # the count of cumulative sums at or below the draw is searchsorted's right side
+                nxt = np.minimum((p.cumsum(axis=1) <= rng.uniform(1)).sum(axis=1), p.shape[1] - 1)
+            emitted[live, step] = nxt
+            going = np.flatnonzero(nxt != EOS)
+            if going.size < live.size:
+                if not going.size or step + 1 == width:
+                    break
+                live, gates = live[going], gates[going]
+                cache.keep(going)
+        return [row[:row.index(EOS)] if EOS in row else row for row in emitted.tolist()]
 
     def batched_nll(self, sequences: List[np.ndarray], prompt_lens: List[int],
                     gates: np.ndarray) -> Tensor:

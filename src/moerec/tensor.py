@@ -579,12 +579,12 @@ def _tanh_mlp(op: str, arrays: tuple, layer: Callable, layer_back: Callable,
 # --- fused transformer sublayers, built on the bodies above ---
 
 def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                       wo: Tensor, heads: int, batch: int, kv: list = None,
+                       wo: Tensor, heads: int, batch: int, kv: np.ndarray = None,
                        offset: int = 0, start: int = 0) -> Tensor:
     """``x + attention(q, k, v) @ wo`` over the (batch*L, m) rows `x` of
     `batch` sequences, ``q = rms_norm(x, gain) @ wq`` and k, v alike, with
     the causal multi-head attention of :func:`_attention_parts`. With `kv`,
-    (batch, P, m) [keys, values] buffers holding `offset` of their P
+    a (2, batch, P, m) buffer of keys then values holding `offset` of its P
     positions, the new keys and values are written in after them; that path is
     inference-only: it raises TapeError under a recording tape.
 

@@ -227,12 +227,12 @@ class ExplainerBundle:
         One encoder pass gates the whole batch: each record's gate is the
         largest of its (B, K) responsibilities along the deterministic mean
         path, ties to the lowest index. Records whose prompts have one
-        length are prefilled together (:meth:`LanguageModel.prefill`), in
-        input order and in chunks of at most ``PREFILL_ROWS`` prompt tokens
-        (one prompt, if it is longer); then each record decodes alone from
-        its row of the cache, sampled records on the stream of `seed`.
-        Neither mode emits a token that only prompts hold
-        (`Vocab.prompt_only`).
+        length are decoded together, in lockstep
+        (:meth:`LanguageModel.generate`), in input order and in chunks of at
+        most ``PREFILL_ROWS`` prompt tokens (one prompt, if it is longer);
+        each sampled record draws from its own stream of `seed`, so its
+        text does not depend on its chunk. Neither mode emits a token that
+        only prompts hold (`Vocab.prompt_only`).
         """
         if max_len < 1:
             raise ConfigError(f"max_len must be at least 1, got {max_len}")
@@ -247,15 +247,13 @@ class ExplainerBundle:
         texts = [""] * len(records)
         for length, group in by_length.items():
             size = max(PREFILL_ROWS // length, 1)
-            positions = min(self.lm.config.context, length + max_len - 1)
             for at in range(0, len(group), size):
                 chunk = group[at:at + size]
-                starts = self.lm.prefill([prompts[i] for i in chunk], gates[chunk], positions)
-                for i, start in zip(chunk, starts):
-                    texts[i] = self.vocab.decode(self.lm.generate(
-                        prompts[i], gates[i], max_len=max_len, mode=mode,
-                        temperature=temperature, seed=seed, banned=self.vocab.prompt_only,
-                        start=start))
+                outs = self.lm.generate([prompts[i] for i in chunk], gates[chunk],
+                                        max_len=max_len, mode=mode, temperature=temperature,
+                                        seed=seed, banned=self.vocab.prompt_only)
+                for i, out in zip(chunk, outs):
+                    texts[i] = self.vocab.decode(out)
         return texts, gates, gamma
 
     def generate_explanation(self, record: InteractionRecord, max_len: int = 16,
@@ -379,7 +377,8 @@ def load_bundle(path, stage: Optional[str] = "stage2") -> tuple:
     """(ExplainerBundle, run config, manifest) rebuilt from a checkpoint of
     `stage`, or of either stage when `stage` is None. The file's own tag
     decides what is read: a stage-1 bundle has no language model and no
-    vocabulary."""
+    vocabulary. Each parameter keeps its payload's dtype, the run's
+    `precision`, so a loaded model computes what the trained one did."""
     manifest, arrays = load_checkpoint(path)
     try:
         found = manifest["stage"]

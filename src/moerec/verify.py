@@ -1007,12 +1007,14 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
     results.append(CheckResult("moe.kv_cache_matches_recompute", gap <= 1e-10,
                                f"max logit gap {gap:.1e} over every decode step"))
 
-    gap, same = _prefill_gap(seed)
-    results.append(CheckResult("moe.prefill_matches_per_record", gap <= 1e-10 and same,
-                               f"max last-position logit gap {gap:.1e} between a 5-prompt "
-                               f"prefill under mixed gates and each prompt's lone one; "
-                               f"greedy and seeded-sample tokens "
-                               f"{'equal' if same else 'differ'}"))
+    gap, same, ends = _lockstep_gap(seed)
+    results.append(CheckResult("moe.lockstep_matches_per_record",
+                               gap <= 1e-10 and same and len(ends) > 1,
+                               f"max logit gap {gap:.1e} over every step between a "
+                               f"5-prompt lockstep decode under mixed gates and each "
+                               f"prompt decoded alone; greedy and seeded-sample tokens "
+                               f"{'equal' if same else 'differ'}; rows end after "
+                               f"{sorted(ends)} steps"))
 
     gaps = [loss_rows_gap(seed + case) for case in range(4)]
     gaps += [loss_rows_gap(seed + 4, blocks, prompt=10) for blocks in (2, 1)]
@@ -1147,23 +1149,46 @@ def _kv_cache_gap(gates: int, seed: int) -> float:
     return gap
 
 
-def _prefill_gap(seed: int) -> tuple:
-    """(largest gap between the last-position logits of one batched prefill
-    and of each prompt prefilled alone, whether decoding from each row of
-    the batch gives the lone decode's greedy and seeded-sample tokens)."""
+def _lockstep_gap(seed: int) -> tuple:
+    """(largest logit gap, over every step, between the rows of one
+    lockstep :meth:`~moerec.moe.LanguageModel.generate` and each prompt
+    decoded alone; whether their greedy and seeded-sample tokens are equal;
+    the set of step counts after which the rows end). A raised <eos> logit
+    makes rows leave the batch at different steps."""
     moe = decompose_experts(2, 8, 2, active=2, gates=3)
     lm = LanguageModel(LmConfig(vocab_size=24, model_dim=8, blocks=2, heads=2,
                                 context=16, moe=moe), Rng(seed))
+    lm.head.data[:, EOS] += 2.0
     prompts = Rng(seed + 1).integers(5 * 6, 20).reshape(5, 6) + 4
     gates = np.array([0, 2, 1, 2, 0])
-    gap, same = 0.0, True
+    forward = lm.forward_rows
+
+    def decode(prompts, gates, options) -> tuple:        # (texts, each step's logits)
+        steps = []
+
+        def recording(*args, **kwargs):
+            out = forward(*args, **kwargs)
+            steps.append(out.data)
+            return out
+
+        lm.forward_rows = recording
+        try:
+            return lm.generate(prompts, gates, max_len=8, **options), steps
+        finally:
+            del lm.forward_rows
+
+    gap, same, ends = 0.0, True, set()
     for options in (dict(mode="greedy"), dict(mode="sample", temperature=1.5, seed=seed)):
-        for prompt, gate, start in zip(prompts, gates, lm.prefill(prompts, gates)):
-            (_, alone), = lm.prefill(prompt[None], gate[None])
-            gap = max(gap, float(np.max(np.abs(start[1] - alone))))
-            same &= (lm.generate(prompt, gate, max_len=8, start=start, **options)
-                     == lm.generate(prompt, gate, max_len=8, **options))
-    return gap, same
+        texts, steps = decode(prompts, gates, options)
+        alone = [decode(prompts[b:b + 1], gates[b:b + 1], options) for b in range(5)]
+        same &= texts == [text for (text,), _ in alone]
+        ends |= {len(lone) for _, lone in alone}
+        for t, logits in enumerate(steps):
+            running = [lone[t][0] for _, lone in alone if len(lone) > t]
+            if len(running) != len(logits):
+                return math.inf, False, ends
+            gap = max(gap, float(np.max(np.abs(logits - np.stack(running)))))
+    return gap, same, ends
 
 
 SUITES = {

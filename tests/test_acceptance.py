@@ -491,7 +491,7 @@ def test_cached_generation_matches_full_recompute_on_trained_model(planted,
         prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
                               rec.features)
         expected, _ = reference_generate(bundle.lm, prompt, gate)
-        assert bundle.lm.generate(prompt, gate) == expected
+        assert bundle.lm.generate([prompt], [gate]) == [expected]
         assert text == bundle.vocab.decode(expected)
 
 
@@ -504,7 +504,7 @@ def test_greedy_explanations_equal_the_unmasked_decode(planted, stage2_bundle):
     for rec, text, gate in zip(records, texts, gates.tolist()):
         prompt = build_prompt(bundle.vocab, rec.user, rec.item, rec.rating,
                               rec.features)
-        assert text == bundle.vocab.decode(bundle.lm.generate(prompt, gate))
+        assert text == bundle.vocab.decode(*bundle.lm.generate([prompt], [gate]))
 
 
 # --- criterion 8: sparsity protocol analog -----------------------------------

@@ -18,7 +18,7 @@ from moerec.checkpoint import (
 )
 from moerec.errors import ConfigError, DataError
 from moerec.rng import Rng
-from moerec.tensor import Tensor, default_dtype
+from moerec.tensor import Tensor
 
 
 def sample_tensors(seed=0):
@@ -99,14 +99,14 @@ def test_restore_params_copies_values(tmp_path):
 
 def reference_decode(path) -> dict:
     """The loader's oracle: the whole file read as bytes, and each tensor
-    decoded on its own and widened to the default dtype."""
+    decoded on its own, in the dtype the file holds."""
     blob = path.read_bytes()
     (length,) = struct.unpack("<Q", blob[:8])
     manifest = json.loads(blob[8:8 + length])
     payload = blob[8 + length:]
     return {name: np.frombuffer(payload, dtype={"f32": "<f4", "f64": "<f8"}[spec["dtype"]],
                                 count=math.prod(spec["shape"]), offset=spec["offset"])
-            .reshape(spec["shape"]).astype(default_dtype())
+            .reshape(spec["shape"])
             for name, spec in manifest["tensors"].items()}
 
 
@@ -147,12 +147,15 @@ def test_loader_equals_the_reference_decode(tmp_path, f64, dtype):
         assert got.tobytes() == want.tobytes(), name
 
 
-def test_f64_payload_beyond_float32_is_refused_under_float32(tmp_path):
+def test_f64_payload_beyond_float32_loads_exactly_under_float32(tmp_path):
+    # nothing is narrowed at load; stage 2 refuses such a stage-1 model when
+    # it casts it (test_stage2_refuses_a_stage1_model_beyond_float32)
     path = tmp_path / "model.ckpt"
     tensors = dict(varied_tensors(), **{"f.huge": Tensor(np.array([1.0, 1e300]))})
     save_checkpoint(path, tensors, config={}, seed=0, stage="stage1", f64=True)
-    with working_dtype("float32"), pytest.raises(DataError, match="f.huge"):
-        load_checkpoint(path)
+    with working_dtype("float32"):
+        _, arrays = load_checkpoint(path)
+    assert arrays["f.huge"].dtype == np.float64 and arrays["f.huge"].tolist() == [1.0, 1e300]
 
 
 def test_loaded_arrays_are_disjoint_views_of_one_buffer(tmp_path):
@@ -160,9 +163,9 @@ def test_loaded_arrays_are_disjoint_views_of_one_buffer(tmp_path):
     save_checkpoint(path, varied_tensors(), config={}, seed=0, stage="stage1")
     _, arrays = load_checkpoint(path)
     flat = arrays["a.stack"].base
-    assert flat.ndim == 1 and flat.dtype == default_dtype()
-    assert all(array.base is flat for array in arrays.values())
-    assert flat.size == sum(array.size for array in arrays.values())
+    assert flat.ndim == 1 and flat.dtype == np.uint8
+    assert all(array.base is flat and array.dtype == np.float32 for array in arrays.values())
+    assert flat.size == sum(array.nbytes for array in arrays.values())
     spans = sorted((array.__array_interface__["data"][0], array.nbytes)
                    for array in arrays.values())
     assert all(start + size <= following
@@ -179,7 +182,7 @@ def test_restore_params_adopts_the_loaded_arrays(tmp_path):
         assert tensor.data is arrays[name], name
 
 
-def test_restore_params_casts_only_on_a_dtype_mismatch(tmp_path):
+def test_restore_params_keeps_the_checkpoint_dtype(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, sample_tensors(seed=1), config={}, seed=0, stage="stage1",
                     f64=True)
@@ -188,8 +191,7 @@ def test_restore_params_casts_only_on_a_dtype_mismatch(tmp_path):
         fresh = sample_tensors(seed=2)
     restore_params(fresh, arrays)
     for name, tensor in fresh.items():
-        assert tensor.data.dtype == np.float32 and tensor.data is not arrays[name]
-        assert np.array_equal(tensor.data, arrays[name].astype(np.float32)), name
+        assert tensor.data is arrays[name] and tensor.data.dtype == np.float64, name
 
 
 def test_restore_params_name_mismatch(tmp_path):

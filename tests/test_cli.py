@@ -145,9 +145,9 @@ def test_stage2_from_a_loaded_stage1_trains_as_from_owned_arrays(workspace, tmp_
 def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path, precision):
     """At either precision, `moerec train` and the library's train functions
     write the same bytes for one config. The library's stage 2 starts from the
-    stage-1 checkpoint loaded at float64, as `moerec train` loads it: its
-    payload is in the run's precision, so the load is exact, and a float32
-    run's train_stage2 casts it back without loss."""
+    stage-1 checkpoint as `moerec train` loads it: its payload is in the run's
+    precision, and the load keeps that dtype, so it is exact and stage 2 needs
+    no cast."""
     from moerec.config import load_config
     from moerec.training import (ExplainerBundle, save_bundle, train_stage1, train_stage2,
                                  vae_config_from)
@@ -168,7 +168,8 @@ def test_library_and_cli_training_write_the_same_checkpoints(workspace, tmp_path
     assert (tmp_path / "lib.s1").read_bytes() == cli_s1.read_bytes()
 
     stage1, _, _ = load_bundle(cli_s1, "stage1")
-    assert stage1.vae.encoder.w1.data.dtype == T.default_dtype() == np.float64
+    assert stage1.vae.encoder.w1.data.dtype == np.dtype(precision)
+    assert T.default_dtype() == np.float64
     bundle, manifest = train_stage2(split, stage1.vae, run, run.stage2())
     assert bundle.lm.head.data.dtype == stage1.vae.encoder.w1.data.dtype == np.dtype(precision)
     save_bundle(tmp_path / "lib.s2", bundle, run, manifest)
@@ -657,8 +658,9 @@ def test_train_precision_holds_for_that_command_only(workspace, tmp_path, monkey
     assert run_cli("train", "--stage", "1", "--out", str(tmp_path / "f32.ckpt"),
                    "--s1_epochs", "1", "--s1_warmup_epochs", "1", *common) == 0
     assert T.default_dtype() == np.float64
+    # a load keeps its payload's dtype, the workspace run's float32, whatever the process's
     bundle, _, _ = load_bundle(workspace["s2"])
-    assert bundle.vae.encoder.w1.data.dtype == np.float64
+    assert bundle.vae.encoder.w1.data.dtype == np.float32
     # and when training fails
     assert run_cli("train", "--stage", "2", "--out", str(tmp_path / "x.ckpt"), *common) == 3
     assert T.default_dtype() == np.float64

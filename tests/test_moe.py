@@ -49,6 +49,12 @@ def forward_lm(lm: LanguageModel, tokens, gate: int) -> Tensor:
     return lm.forward_rows(np.asarray(tokens)[None, :], np.array([gate]))
 
 
+def generate_one(lm: LanguageModel, prompt, gate: int, **options) -> list:
+    """The tokens that `generate` writes for one prompt, as a batch of one."""
+    out, = lm.generate([prompt], [gate], **options)
+    return out
+
+
 # --- decomposition ---
 
 def test_decompose_reference_instance():
@@ -352,13 +358,13 @@ def test_vocab_prompt_only_ids_are_the_reserved_and_id_tokens():
 def test_generate_never_emits_a_banned_token():
     lm = tiny_lm(seed=12)
     banned = np.array([0, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11])
-    free = [lm.generate([BOS, 4], gate=0, max_len=12, mode="sample",
-                        temperature=2.0, seed=seed) for seed in range(12)]
+    free = [generate_one(lm, [BOS, 4], 0, max_len=12, mode="sample",
+                         temperature=2.0, seed=seed) for seed in range(12)]
     assert set(banned) & {t for out in free for t in out}    # untrained: all appear
     for seed in range(12):
         for mode in ("greedy", "sample"):
-            out = lm.generate([BOS, 4], gate=0, max_len=12, mode=mode,
-                              temperature=2.0, seed=seed, banned=banned)
+            out = generate_one(lm, [BOS, 4], 0, max_len=12, mode=mode,
+                               temperature=2.0, seed=seed, banned=banned)
             assert not set(banned) & set(out)
 
 
@@ -367,8 +373,8 @@ def test_sampling_never_emits_a_banned_token_at_any_temperature(temperature):
     lm = tiny_lm(seed=13)
     banned = np.array([0, 1, 3, 4, 5, 6, 7, 8, 19])
     for seed in range(8):
-        out = lm.generate([BOS, 4], gate=seed % 2, max_len=12, mode="sample",
-                          temperature=temperature, seed=seed, banned=banned)
+        out = generate_one(lm, [BOS, 4], seed % 2, max_len=12, mode="sample",
+                           temperature=temperature, seed=seed, banned=banned)
         assert not set(banned.tolist()) & set(out), (seed, out)
 
 
@@ -376,14 +382,14 @@ def test_sampling_never_emits_a_banned_token_at_any_temperature(temperature):
 def test_generate_rejects_a_bad_sampling_temperature(temperature):
     lm = tiny_lm(seed=13)
     with pytest.raises(ConfigError, match="temperature"):
-        lm.generate([BOS, 4], gate=0, mode="sample", temperature=temperature)
-    assert len(lm.generate([BOS, 4], gate=0, max_len=3, temperature=temperature)) <= 3
+        generate_one(lm, [BOS, 4], 0, mode="sample", temperature=temperature)
+    assert len(generate_one(lm, [BOS, 4], 0, max_len=3, temperature=temperature)) <= 3
 
 
 def test_empty_prompt_or_token_matrix_raises_shape_error():
     lm = tiny_lm(seed=13)
     with pytest.raises(ShapeError, match="no tokens"):
-        lm.generate([], gate=0)
+        generate_one(lm, [], 0)
     for tokens in (np.zeros((1, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
         with pytest.raises(ShapeError, match="no tokens"):
             lm.forward_rows(tokens, np.zeros(tokens.shape[0], dtype=np.int64))
@@ -457,13 +463,13 @@ def test_forward_lm_context_limit():
 def test_prefill_refuses_prompts_of_several_lengths():
     lm = tiny_lm(seed=13)
     with pytest.raises(ShapeError, match="one length"):
-        lm.prefill([[BOS, 4, 5], [BOS, 4]], np.array([0, 1]))
+        lm.prefill([[BOS, 4, 5], [BOS, 4]], np.array([0, 1]), max_len=4)
 
 
 def test_generate_rejects_full_context_prompt():
     lm = tiny_lm()
     with pytest.raises(ContextLimitError):
-        lm.generate([1] * 16, gate=0)
+        generate_one(lm, [1] * 16, 0)
 
 
 def test_forward_rows_matches_per_sequence():
@@ -495,22 +501,22 @@ def test_generate_rigged_logits_constant_token():
     lm = tiny_lm(seed=8)
     rig_identity_blocks(lm)
     lm.head.data[:, 9] = 50.0  # any position's logits favor token 9
-    out = lm.generate([BOS, 5], gate=0, max_len=4)
+    out = generate_one(lm, [BOS, 5], 0, max_len=4)
     assert out == [9, 9, 9, 9]
 
 
 def test_generate_greedy_deterministic():
     lm = tiny_lm(seed=9)
-    a = lm.generate([BOS, 4, 6], gate=1, max_len=6)
-    b = lm.generate([BOS, 4, 6], gate=1, max_len=6)
+    a = generate_one(lm, [BOS, 4, 6], 1, max_len=6)
+    b = generate_one(lm, [BOS, 4, 6], 1, max_len=6)
     assert a == b
 
 
 def test_generate_sampling_seeded():
     lm = tiny_lm(seed=10)
-    a = lm.generate([BOS, 4], gate=0, max_len=6, mode="sample", temperature=1.5, seed=7)
-    b = lm.generate([BOS, 4], gate=0, max_len=6, mode="sample", temperature=1.5, seed=7)
-    c = lm.generate([BOS, 4], gate=0, max_len=6, mode="sample", temperature=1.5, seed=8)
+    a = generate_one(lm, [BOS, 4], 0, max_len=6, mode="sample", temperature=1.5, seed=7)
+    b = generate_one(lm, [BOS, 4], 0, max_len=6, mode="sample", temperature=1.5, seed=7)
+    c = generate_one(lm, [BOS, 4], 0, max_len=6, mode="sample", temperature=1.5, seed=8)
     assert a == b
     assert a != c or len(a) == 0
 
@@ -519,7 +525,7 @@ def test_generate_stops_at_eos():
     lm = tiny_lm(seed=11)
     lm.head.data[...] = 0.0
     lm.head.data[:, EOS] = 10.0
-    assert lm.generate([BOS, 5], gate=0, max_len=8) == []
+    assert generate_one(lm, [BOS, 5], 0, max_len=8) == []
 
 
 # --- cached decoding oracle ---
@@ -589,7 +595,7 @@ def test_cached_logits_match_full_recompute_every_step(variant):
     for gate in range(variant["gates"]):
         for prompt in PROMPTS:
             calls = record_forward_rows(lm)
-            cached = lm.generate(prompt, gate, max_len=16)
+            cached = generate_one(lm, prompt, gate, max_len=16)
             del lm.forward_rows
             ref, ref_logits = reference_generate(lm, prompt, gate, max_len=16)
             assert cached == ref
@@ -604,8 +610,8 @@ def test_cached_sampling_reproduces_reference(variant):
     lm = tiny_lm(**variant)
     for seed in range(4):
         for prompt in PROMPTS:
-            got = lm.generate(prompt, 0, max_len=10, mode="sample",
-                              temperature=1.5, seed=seed)
+            got = generate_one(lm, prompt, 0, max_len=10, mode="sample",
+                               temperature=1.5, seed=seed)
             want, _ = reference_generate(lm, prompt, 0, max_len=10, mode="sample",
                                          temperature=1.5, seed=seed)
             assert got == want
@@ -618,7 +624,7 @@ def test_cached_generation_evaluates_each_position_once(variant):
     for prompt, max_len in ((PROMPTS[1], 6), (PROMPTS[2], 16), ([BOS] * 15, 4)):
         lm.reset_eval_counters()
         calls = record_forward_rows(lm)
-        out = lm.generate(prompt, 0, max_len=max_len)
+        out = generate_one(lm, prompt, 0, max_len=max_len)
         del lm.forward_rows
         fed = sum(tokens.size for tokens, _ in calls)
         assert calls[0][0].size == len(prompt)
@@ -669,14 +675,14 @@ def test_cached_forward_under_a_recording_tape_raises_tape_error():
         with pytest.raises(TapeError, match="inference-only"):
             lm.forward_rows(np.array([[BOS, 4]]), np.array([0]), cache)
         with pytest.raises(TapeError):
-            lm.generate([BOS, 4], gate=0)
+            generate_one(lm, [BOS, 4], 0)
     assert cache.length == 0
     # frozen parameters record nothing, so the cache may run under a tape
     for p in lm.params().values():
         p.requires_grad = False
     with Tape() as tape:
-        out = lm.generate([BOS, 4], gate=0, max_len=4)
-    assert tape.records == [] and out == tiny_lm(seed=30).generate([BOS, 4], 0, max_len=4)
+        out = generate_one(lm, [BOS, 4], 0, max_len=4)
+    assert tape.records == [] and out == generate_one(tiny_lm(seed=30), [BOS, 4], 0, max_len=4)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -813,19 +819,96 @@ def test_generate_sizes_its_cache_to_the_request(monkeypatch):
                         lambda *args, **kw: made.append(KVCache(*args, **kw)) or made[-1])
     for prompt, max_len, want in (([BOS, 4, 6], 5, 7), ([BOS] * 9, 16, 16), ([BOS, 4], 1, 2)):
         made.clear()
-        out = lm.generate(prompt, 0, max_len=max_len)
+        out = generate_one(lm, prompt, 0, max_len=max_len)
         assert len(out) == min(max_len, lm.config.context - len(prompt))
         assert made[0].positions == want
         assert all(buf.shape == (1, want, lm.config.model_dim)
                    for entry in made[0].blocks for buf in entry)
     monkeypatch.undo()
     with pytest.raises(ContextLimitError):
-        lm.generate([BOS] * lm.config.context, 0)
+        generate_one(lm, [BOS] * lm.config.context, 0)
     cache = KVCache(lm.config.blocks, positions=4)
     lm.forward_rows(np.array([[BOS, 4, 5]]), np.array([0]), cache)
     with pytest.raises(ContextLimitError, match="4 positions"):
         lm.forward_rows(np.array([[6, 7]]), np.array([0]), cache)
     assert cache.length == 3
+
+
+def lockstep_and_reference(lm: LanguageModel, prompts, gates, **options) -> tuple:
+    """(generate's texts, each of its forwards' tokens and logits, its expert
+    evaluations, reference_generate's (tokens, step logits) per prompt)."""
+    calls = record_forward_rows(lm)
+    lm.reset_eval_counters()
+    texts = lm.generate(prompts, gates, **options)
+    evaluations = lm.expert_evaluations()
+    del lm.forward_rows
+    refs = [reference_generate(lm, prompt, gate, **options)
+            for prompt, gate in zip(prompts, gates)]
+    return texts, calls, evaluations, refs
+
+
+LOCKSTEP_OPTIONS = [dict(max_len=6), dict(max_len=16),
+                    dict(max_len=16, mode="sample", temperature=1.5, seed=3)]
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_lockstep_matches_the_per_record_reference(variant):
+    # six 5-token prompts under mixed gates, and a batch of one; raising the
+    # <eos> logit makes rows end at different steps: at <eos>, at max_len
+    # (6) and at the context (16 - 5 = 11 tokens)
+    prompts = Rng(variant["seed"]).integers(6 * 5, 16).reshape(6, 5) + 4
+    gates = np.arange(6) % variant["gates"]
+    ends = set()
+    for boost in (0.5, 1.5):
+        lm = tiny_lm(**variant)
+        lm.head.data[:, EOS] += boost
+        k, blocks = lm.config.moe.active, lm.config.blocks
+        for rows in (slice(None), slice(2, 3)):
+            for options in LOCKSTEP_OPTIONS:
+                texts, calls, evaluations, refs = lockstep_and_reference(
+                    lm, prompts[rows], gates[rows], **options)
+                assert texts == [out for out, _ in refs]
+                steps = [len(logits) for _, logits in refs]
+                assert len(calls) == max(steps)
+                for t, (tokens, logits) in enumerate(calls):
+                    running = [r for r, n in enumerate(steps) if n > t]
+                    assert tokens.shape == (len(running), 5 if t == 0 else 1)
+                    assert logits.shape[0] == len(running)
+                    for row, r in zip(logits, running):
+                        assert np.max(np.abs(row - refs[r][1][t])) <= 1e-10
+                # every fed position once through every block, but the last
+                # block of the prefill, which routes each prompt's last row only
+                assert evaluations == k * (blocks * sum(5 + n - 1 for n in steps)
+                                           - len(steps) * (5 - 1))
+                ends |= {"eos" if len(out) < n else "max_len" if n == options["max_len"]
+                         else "context" for out, n in zip(texts, steps)}
+    assert ends == {"eos", "max_len", "context"}
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS)
+def test_lockstep_tokens_equal_the_per_record_reference_in_float32(variant):
+    T.set_default_dtype("float32")
+    try:
+        lm = tiny_lm(**variant)
+        lm.head.data[:, EOS] += 0.5
+        prompts = Rng(variant["seed"]).integers(6 * 5, 16).reshape(6, 5) + 4
+        gates = np.arange(6) % variant["gates"]
+        for options in LOCKSTEP_OPTIONS:
+            texts = lm.generate(prompts, gates, **options)
+            assert texts == [reference_generate(lm, prompt, gate, **options)[0]
+                             for prompt, gate in zip(prompts, gates)]
+    finally:
+        T.set_default_dtype("float64")
+    assert lm.head.data.dtype == np.float32
+
+
+def test_token_arrays_of_three_dimensions_raise_shape_error():
+    lm = tiny_lm(seed=13)
+    with pytest.raises(ShapeError, match="one sequence per row"):
+        lm.forward_rows(np.full((2, 1, 3), BOS), np.array([0, 1]))
+    for prompts in (np.full((2, 1, 3), BOS), [BOS, 4, 5]):
+        with pytest.raises(ShapeError, match="one prompt per row"):
+            lm.generate(prompts, [0, 1])
 
 
 # --- explanation NLL ---

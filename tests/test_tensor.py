@@ -276,9 +276,10 @@ def _id_entry_points() -> dict:
                                 np.array([[4, 5, 6]]), np.array([[4, 5, 20]]), ShapeError),
         "forward_rows.gates": (lambda ids: lm.forward_rows(np.array([[4, 5], [6, 7]]), ids),
                                np.array([1, 0]), np.array([1, 2]), ConfigError),
-        "generate.gate": (lambda ids: lm.generate([BOS, 4, 5], ids, max_len=2),
-                          np.int64(1), np.int64(2), ConfigError),
-        "generate.banned": (lambda ids: lm.generate([BOS, 4, 5], 1, max_len=2, banned=ids),
+        "generate.gate": (lambda ids: lm.generate([[BOS, 4, 5], [BOS, 6, 7]], ids, max_len=2),
+                          np.array([1, 0]), np.array([1, 2]), ConfigError),
+        "generate.banned": (lambda ids: lm.generate([[BOS, 4, 5]], [1], max_len=2,
+                                                    banned=ids),
                             np.array([1, 2, 6]), np.array([1, 20, 6]), ShapeError),
         "batched_nll": (lambda ids: lm.batched_nll([ids], [3], np.array([1])),
                         np.array([BOS, 4, 5, 6, EOS]), np.array([BOS, 4, 20, 6, EOS]),

@@ -559,6 +559,25 @@ def test_a_runs_precision_is_its_payload_and_a_resave_keeps_the_bytes(tmp_path, 
         assert again.read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_a_loaded_bundle_explains_bit_for_bit_like_the_trained_one(tmp_path, precision):
+    # the load keeps the payload's dtype, so the loaded model computes what
+    # the trained one does: texts, gates, responsibilities and ratings, bit for bit
+    split, _, run, bundle, manifest = trained_pair(precision=precision)
+    path = tmp_path / "s2.ckpt"
+    save_bundle(path, bundle, run, manifest)
+    loaded, _, _ = load_bundle(path)
+    assert {p.data.dtype for p in loaded.params().values()} == {np.dtype(precision)}
+    ratings = [b.predict_norm_ratings(split.test) for b in (loaded, bundle)]
+    assert ratings[0].tobytes() == ratings[1].tobytes()
+    for options in (dict(), dict(mode="sample", seed=3)):
+        want_texts, *want = bundle.explain(split.test, **options)
+        got_texts, *got = loaded.explain(split.test, **options)
+        assert got_texts == want_texts
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
                                                                      monkeypatch):
     split, _, run, bundle, manifest = trained_pair()
@@ -729,38 +748,32 @@ def test_prefills_keep_to_the_row_bound_and_a_lone_chunk_is_the_lone_path(monkey
         # every record is prefilled once, and a chunk longer than the bound is one prompt
         assert sum(batch for batch, _ in prefills) == len(records) and len(prefills) > 1
         assert all(batch * length <= bound or batch == 1 for batch, length in prefills)
-        lone = [bundle.vocab.decode(bundle.lm.generate(
-            build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features), gate,
+        lone = [bundle.vocab.decode(*bundle.lm.generate(
+            [build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features)], [gate],
             max_len=10, mode=mode, seed=3, banned=bundle.vocab.prompt_only))
             for r, gate in zip(records, gates)]
         assert texts == lone
 
 
-def test_decoding_one_row_of_a_shared_prefill_leaves_the_other_rows_alone():
-    split, _, run, bundle, _ = trained_pair(clusters=3)
+def test_rows_that_leave_a_lockstep_batch_leave_the_others_as_they_were():
+    split, _, _, bundle, _ = trained_pair(clusters=3)
     lm = bundle.lm
     prompts = np.array([build_prompt(bundle.vocab, r.user, r.item, r.rating, ["staff", "wifi"])
                         for r in split.test[:3]])
-    gates = np.array([0, 2, 1])
-    length = prompts.shape[1]
-
-    def buffers(starts):        # as bytes: positions not yet written hold what np.empty left
-        return [[buf.tobytes() for entry in cache.blocks for buf in entry] for cache, _ in starts]
-
-    starts = lm.prefill(prompts, gates, run.context)
-    shared = starts[0][0].blocks[0][0].base
-    assert shared is not None and all(cache.blocks[0][0].base is shared for cache, _ in starts)
-    before = buffers(starts)
-    out = lm.generate(prompts[1], gates[1], max_len=8, start=starts[1])
-    after = buffers(starts)
-    assert starts[1][0].length == length + len(out) - 1 > length
-    for b in (0, 2):
-        assert starts[b][0].length == length and before[b] == after[b]
-    prompt_part = length * starts[1][0].blocks[0][0].strides[1]
-    assert all(x[:prompt_part] == y[:prompt_part] and x != y for x, y in zip(before[1], after[1]))
-    for b in (0, 2):
-        assert (lm.generate(prompts[b], gates[b], max_len=8, start=starts[b])
-                == lm.generate(prompts[b], gates[b], max_len=8))
+    gates, kept = np.array([0, 2, 1]), np.array([0, 2])
+    cache, logits = lm.prefill(prompts, gates, max_len=8)
+    before = cache.blocks
+    cache.keep(kept)
+    assert cache.batch == 2 and cache.length == prompts.shape[1]
+    for old, new in zip(before, cache.blocks):
+        assert new.shape == (2, 2) + old.shape[2:]
+        assert np.array_equal(new[:, :, :cache.length], old[:, kept, :cache.length])
+    # the kept rows decode on as the two prompts do without the row that left
+    alone, alone_logits = lm.prefill(prompts[kept], gates[kept], max_len=8)
+    token = alone_logits.argmax(axis=1)[:, None]
+    assert np.array_equal(logits[kept].argmax(axis=1)[:, None], token)
+    step = lm.forward_rows(token, gates[kept], cache).data
+    assert np.max(np.abs(step - lm.forward_rows(token, gates[kept], alone).data)) <= 1e-10
 
 
 def test_explain_refuses_a_rating_above_the_scale():
@@ -788,7 +801,7 @@ def test_sampled_explanations_hold_only_word_tokens():
         assert not banned & set(ids), text
     prompts = [build_prompt(bundle.vocab, r.user, r.item, r.rating, r.features)
                for r in split.test]
-    unmasked = [bundle.lm.generate(prompt, gate, mode="sample", seed=3)
+    unmasked = [bundle.lm.generate([prompt], [gate], mode="sample", seed=3)[0]
                 for prompt, gate in zip(prompts, gates.tolist())]
     assert any(banned & set(out) for out in unmasked)
 
