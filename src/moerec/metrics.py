@@ -26,15 +26,42 @@ BLEU_EPSILON = 1e-9
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[i:] for i in range(n))))
+    """The n-grams of `tokens` of every order 1..n, counted together."""
+    return Counter([tuple(tokens[i:i + order]) for order in range(1, n + 1)
+                    for i in range(len(tokens) - order + 1)])
 
 
-def _clipped_counts(candidate: Sequence[str], reference: Sequence[str],
-                    n: int) -> tuple:
-    cand = _ngrams(candidate, n)
-    ref = _ngrams(reference, n)
-    clipped = sum(min(count, ref[gram]) for gram, count in cand.items())
-    return clipped, sum(cand.values())
+def _corpus_counts(pairs: Sequence[tuple], n: int) -> tuple:
+    """Each pair's n-grams of orders 1..n counted once, for every score: (each
+    order's clipped matches and candidate n-grams, summed; the summed candidate
+    and reference lengths; each pair's unigram matches and :func:`_ngrams`)."""
+    if not pairs:
+        raise MetricError("corpus BLEU needs at least one pair")
+    clipped, per_pair = [0] * n, []
+    for candidate, reference in pairs:
+        if len(reference) == 0:
+            raise MetricError("BLEU needs a non-empty reference")
+        cand, ref, unigrams = _ngrams(candidate, n), _ngrams(reference, n), clipped[0]
+        for gram, count in cand.items():       # matched at most as often as the reference has it
+            clipped[len(gram) - 1] += min(count, ref.get(gram, 0))
+        per_pair.append((clipped[0] - unigrams, cand))
+    totals = [sum(max(len(c) - order, 0) for c, _ in pairs) for order in range(n)]
+    lengths = sum(len(c) for c, _ in pairs), sum(len(r) for _, r in pairs)
+    return clipped, totals, lengths, per_pair
+
+
+def _bleu(clipped: list, totals: list, lengths: tuple) -> float:
+    """BLEU of order ``len(clipped)`` from :func:`_corpus_counts`' sums."""
+    cand_len, ref_len = lengths
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for matches, total in zip(clipped, totals):
+        num = matches if matches > 0 else BLEU_EPSILON
+        log_sum += math.log(num / max(total, 1))
+    geo = math.exp(log_sum / len(clipped))
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * geo
 
 
 def bleu_n(candidate: Sequence[str], reference: Sequence[str], n: int) -> float:
@@ -48,47 +75,34 @@ def corpus_bleu(pairs: Sequence[tuple], n: int) -> float:
     zero counts, and the brevity penalty on total lengths."""
     if not 1 <= n <= 4:
         raise MetricError(f"BLEU order must be in 1..4, got {n}")
-    if not pairs:
-        raise MetricError("corpus BLEU needs at least one pair")
-    clipped = [0] * n
-    totals = [0] * n
-    cand_len = ref_len = 0
-    for candidate, reference in pairs:
-        if len(reference) == 0:
-            raise MetricError("BLEU needs a non-empty reference")
-        cand_len += len(candidate)
-        ref_len += len(reference)
-        for order in range(1, n + 1):
-            c, t = _clipped_counts(candidate, reference, order)
-            clipped[order - 1] += c
-            totals[order - 1] += t
-    if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for order in range(n):
-        num = clipped[order] if clipped[order] > 0 else BLEU_EPSILON
-        log_sum += math.log(num / max(totals[order], 1))
-    geo = math.exp(log_sum / n)
-    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
-    return brevity * geo
+    return _bleu(*_corpus_counts(pairs, n)[:3])
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence length by dynamic programming on Python
-    ints, one table row at a time: a numpy cell costs more than its sum."""
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        row = [0]
-        for j, y in enumerate(b):
-            row.append(prev[j] + 1 if x == y else max(prev[j + 1], row[j]))
-        prev = row
-    return prev[-1]
+    """Longest common subsequence length, bit-parallel (Allison and Dix,
+    IPL 1986, in Hyyrö's form): one pass over `a` on a Python int with a
+    bit per token of `b`, whose zero bits count the subsequence."""
+    masks: Dict[str, int] = {}
+    for j, token in enumerate(b):
+        masks[token] = masks.get(token, 0) | 1 << j
+    row = every = (1 << len(b)) - 1
+    for token in a:
+        match = row & masks.get(token, 0)
+        row = (row + match) | (row - match)
+    return len(b) - (row & every).bit_count()
 
 
 def _f1(precision: float, recall: float) -> float:
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+def _rouge(candidate: Sequence[str], reference: Sequence[str], overlap: int) -> tuple:
+    """:func:`rouge_scores` of a nonempty pair with `overlap` unigram matches."""
+    lcs = _lcs_length(candidate, reference)
+    return (_f1(overlap / len(candidate), overlap / len(reference)),
+            _f1(lcs / len(candidate), lcs / len(reference)))
 
 
 def rouge_scores(candidate: Sequence[str], reference: Sequence[str]) -> tuple:
@@ -98,22 +112,21 @@ def rouge_scores(candidate: Sequence[str], reference: Sequence[str]) -> tuple:
         raise MetricError("ROUGE needs a non-empty reference")
     if len(candidate) == 0:
         return 0.0, 0.0
-    overlap, _ = _clipped_counts(candidate, reference, 1)
-    rouge1 = _f1(overlap / len(candidate), overlap / len(reference))
-    lcs = _lcs_length(candidate, reference)
-    rouge_l = _f1(lcs / len(candidate), lcs / len(reference))
-    return rouge1, rouge_l
+    return _rouge(candidate, reference, _corpus_counts([(candidate, reference)], 1)[0][0])
+
+
+def _distinct(grams: Sequence[Counter], n: int, total: int) -> float:
+    """Unique n-grams of order n pooled across texts' :func:`_ngrams`, over `total`."""
+    unique = Counter(map(len, set().union(*grams)))[n]
+    return unique / total if total else 0.0
 
 
 def distinct_n(texts: Sequence[Sequence[str]], n: int) -> float:
     """Unique n-grams over total n-grams, pooled across the corpus."""
     if n not in (1, 2):
         raise MetricError(f"distinct order must be 1 or 2, got {n}")
-    pooled: Counter = Counter()
-    for text in texts:
-        pooled.update(_ngrams(text, n))
-    total = sum(pooled.values())
-    return len(pooled) / total if total else 0.0
+    return _distinct([_ngrams(text, n) for text in texts], n,
+                     sum(max(len(text) - n + 1, 0) for text in texts))
 
 
 def rmse(predicted: Sequence[float], truth: Sequence[float]) -> float:
@@ -223,16 +236,19 @@ class MetricReport:
 
 def _text_metrics(pairs: List[tuple]) -> Dict[str, float]:
     """The report's text scores: corpus BLEU-1 and BLEU-4, the means of
-    :func:`rouge_scores` over the pairs, and distinct-1 and -2 of the candidates."""
-    candidates = [c for c, _ in pairs]
-    rouge_pairs = [rouge_scores(c, r) for c, r in pairs]
+    :func:`rouge_scores` over the pairs, and distinct-1 and -2 of the
+    candidates, all read from one :func:`_corpus_counts`."""
+    clipped, totals, lengths, counts = _corpus_counts(pairs, 4)
+    rouge_pairs = [_rouge(c, r, overlap) if c else (0.0, 0.0)
+                   for (c, r), (overlap, _) in zip(pairs, counts)]
+    grams = [cand for _, cand in counts]
     return {
-        "bleu1": corpus_bleu(pairs, 1),
-        "bleu4": corpus_bleu(pairs, 4),
+        "bleu1": _bleu(clipped[:1], totals[:1], lengths),
+        "bleu4": _bleu(clipped, totals, lengths),
         "rouge1": float(np.mean([r1 for r1, _ in rouge_pairs])),
         "rougeL": float(np.mean([rl for _, rl in rouge_pairs])),
-        "distinct1": distinct_n(candidates, 1),
-        "distinct2": distinct_n(candidates, 2),
+        "distinct1": _distinct(grams, 1, totals[0]),
+        "distinct2": _distinct(grams, 2, totals[1]),
     }
 
 
@@ -261,12 +277,9 @@ def evaluate_model(
     generated, gates, _ = bundle.explain(test_records)
 
     prompt_of = getattr(bundle, "prompt_text", lambda rec: "")
-    rows = []
-    pairs = []
+    rows, pairs = [], []
     for rec, text, gate in zip(test_records, generated, gates):
-        cand = tokenize(text)
-        ref = tokenize(rec.explanation)
-        pairs.append((cand, ref))
+        pairs.append((tokenize(text), tokenize(rec.explanation)))
         rows.append({"user": rec.user, "item": rec.item,
                      "prompt": prompt_of(rec), "generated": text,
                      "reference": rec.explanation, "gate": int(gate)})
@@ -285,11 +298,8 @@ def evaluate_model(
             stats = _text_metrics(group_pairs)
             stats["count"] = len(group)
             bucket_rows[name] = stats
-        if bucket_rows["ds1"]["bleu4"] > 0:
-            bucket_rows["bleu4_ratio_ds3_ds1"] = (
-                bucket_rows["ds3"]["bleu4"] / bucket_rows["ds1"]["bleu4"])
-        else:
-            bucket_rows["bleu4_ratio_ds3_ds1"] = None
+        ds1, ds3 = bucket_rows["ds1"]["bleu4"], bucket_rows["ds3"]["bleu4"]
+        bucket_rows["bleu4_ratio_ds3_ds1"] = ds3 / ds1 if ds1 > 0 else None
 
     report = MetricReport(
         values=values, count=len(test_records), buckets=bucket_rows,

@@ -278,14 +278,14 @@ class TransformerBlock:
         self.router = GateRouter(m, config.moe, rng)
 
     def forward(self, rows: Tensor, batch: int, length: int, gates: np.ndarray,
-                cache: np.ndarray = None, offset: int = 0, start: int = 0) -> Tensor:
+                cache: tuple = None, offset: int = 0, start: int = 0) -> Tensor:
         """One block over `batch` sequences of `length` rows each, sequence
         `b` routed by `gates[b]`: the fused attention sublayer, then the
-        MoE sublayer of :func:`_moe_rows`. `cache` is this block's buffer
-        of a :class:`KVCache`, holding `offset` positions. With `start`, the
-        block returns only positions ``start..length-1`` of each sequence:
-        every position still gives its key and value, but the queries, the
-        router and the experts run only from `start` on."""
+        MoE sublayer of :func:`_moe_rows`. `cache` is this block's (keys,
+        values) buffers of a :class:`KVCache`, holding `offset` positions.
+        With `start`, the block returns only positions ``start..length-1``
+        of each sequence: every position still gives its key and value, but
+        the queries, the router and the experts run only from `start` on."""
         h = T.attention_sublayer(rows, self.norm1_g, self.wq, self.wk, self.wv, self.wo,
                                  self.config.heads, batch, cache, offset, start)
         return _moe_rows(self.bank, self.router, self.norm2_g,
@@ -293,12 +293,14 @@ class TransformerBlock:
 
 
 class KVCache:
-    """Keys and values of the positions already fed: per block, one
-    (2, batch, positions, model_dim) buffer, keys then values, made on the
-    first forward and written in place, whose first `length` positions are
-    filled; heads are split only inside
-    :func:`~moerec.tensor.attention_sublayer`. `positions` defaults to the
-    model's context; a forward past it raises ContextLimitError.
+    """Keys and values of the positions already fed, head-major: per
+    block, a pair of buffers, keys (batch, heads, head_dim, positions),
+    already transposed, and values (batch, heads, positions, head_dim).
+    They are made on the first forward and written in place, and their
+    first `length` positions are filled; the attention multiplies views of
+    them, uncopied (:func:`~moerec.tensor.attention_sublayer`).
+    `positions` defaults to the model's context; a forward past it raises
+    ContextLimitError.
 
     Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
     incremental: the new tokens sit at positions offset by `length` and
@@ -316,8 +318,9 @@ class KVCache:
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the sequences `rows` (indices), in that order: one row
-        gather per block."""
-        self.blocks = [entry.take(rows, axis=1) for entry in self.blocks]
+        gather per buffer."""
+        self.blocks = [(keys.take(rows, axis=0), values.take(rows, axis=0))
+                       for keys, values in self.blocks]
         self.batch = len(rows)
 
 
@@ -374,7 +377,7 @@ class LanguageModel:
         enter the cache), and only the selected rows go through the final
         norm and the head.
         """
-        tokens = T._row_ids(tokens, self.config.vocab_size)
+        tokens = T._row_ids(tokens)             # their range is add_rows' to check
         if tokens.ndim > 2:
             raise ShapeError(f"token matrix of shape {tokens.shape}: one sequence per row")
         batch, length = tokens.shape if tokens.ndim > 1 else (1, tokens.size)
@@ -406,8 +409,8 @@ class LanguageModel:
         pos_ids = np.arange(batch * length) % length + offset
         x = T.add_rows(self.embed, flat, self.pos, pos_ids)
         if cache is not None and cache.length == 0:
-            shape = (2, batch, cache.positions or self.config.context, x.shape[1])
-            cache.blocks = [np.empty(shape, x.data.dtype) for _ in cache.blocks]
+            shape = (batch, cache.positions or self.config.context, x.shape[1], self.config.heads)
+            cache.blocks = [T._kv_buffers(*shape, x.data.dtype) for _ in cache.blocks]
         last = len(self.blocks) - 1
         for b, blk in enumerate(self.blocks):
             x = blk.forward(x, batch, length, gates,
@@ -494,7 +497,7 @@ class LanguageModel:
                 # the count of cumulative sums at or below the draw is searchsorted's right side
                 nxt = np.minimum((p.cumsum(axis=1) <= rng.uniform(1)).sum(axis=1), p.shape[1] - 1)
             emitted[live, step] = nxt
-            going = np.flatnonzero(nxt != EOS)
+            going = (nxt != EOS).nonzero()[0]
             if going.size < live.size:
                 if not going.size or step + 1 == width:
                     break

@@ -102,8 +102,8 @@ class AdamW:
     def step(self, clip_norm: float | None = None) -> float:
         """One update over all parameters; returns the clip scale applied."""
         self._adopt()
-        # a finite sum proves every element finite (see tensor._check_finite);
-        # an overflowing one sends the check to the elements
+        # a finite sum proves every element finite; an overflowing one
+        # sends the check to the elements
         with np.errstate(over="ignore"):
             finite = math.isfinite(self._store[1].sum())
         if not finite:

@@ -76,16 +76,17 @@ def default_dtype() -> np.dtype:
 def _check_finite(arr: np.ndarray, op: str) -> None:
     """Raise NumericError when `arr` holds a NaN or an infinity.
 
-    A finite sum proves every element finite, so the full scan runs only
-    when the sum is not finite. A finite array whose sum overflows (say
-    ``[1e308, 1e308]``) takes the scan and passes; numpy may emit an
-    overflow RuntimeWarning for that sum. An array whose strides are all 0
-    holds one value, repeated, so a large one has its first element alone
-    checked; for a small one the sum costs less than the question.
+    An isfinite pass, unlike a sum, cannot overflow, so huge finite values
+    (say ``[1e308, 1e308]``) pass with no RuntimeWarning. An array of one
+    value, or a large one whose strides are all 0 and so repeats one
+    value, has that value alone checked; for a small broadcast the pass
+    costs less than the question.
     """
-    if arr.size > 1024 and not any(arr.strides):
-        arr = arr[(slice(0, 1),) * arr.ndim]
-    if not math.isfinite(np.add.reduce(arr, axis=None)) and not np.isfinite(arr).all():
+    if arr.size == 1 or arr.size > 1024 and not any(arr.strides):
+        finite = math.isfinite(arr.item(0))
+    else:
+        finite = np.logical_and.reduce(np.isfinite(arr), axis=None)
+    if not finite:
         raise NumericError(f"non-finite values produced by {op}")
 
 
@@ -370,23 +371,21 @@ def _group_parts(groups: np.ndarray, count: int) -> list:
     ``w[groups[i]]`` (the router's gates, the experts); `rows` is a slice
     when `groups` is sorted, else the group's row indices in input order.
     The ids are int64 in [0, count), as each caller has checked them.
-    Decoding calls this for one or two rows at a time, so a few sorted ids
-    are grouped in plain Python; otherwise it makes few numpy calls."""
-    if groups.size <= 8:
+    A decode step groups a few dozen ids at most, so plain Python sorts out
+    up to 32 sorted ids; the rest take ndarray methods and a ufunc
+    reduction, none with a Python-level wrapper."""
+    small = groups.size <= 32
+    if small:
         ids = groups.tolist()
         if ids == sorted(ids):
             starts = [i for i in range(len(ids)) if i == 0 or ids[i] != ids[i - 1]]
             return [(ids[a], slice(a, b)) for a, b in zip(starts, starts[1:] + [len(ids)])]
-    counts = np.bincount(groups, minlength=count)
-    nonempty = np.flatnonzero(counts)
-    bounds, end = [], 0
-    for g, size in zip(nonempty.tolist(), counts[nonempty].tolist()):
-        bounds.append((g, end, end + size))
-        end += size
-    if (groups[1:] >= groups[:-1]).all():
-        return [(g, slice(start, stop)) for g, start, stop in bounds]
-    order = np.argsort(groups, kind="stable")
-    return [(g, order[start:stop]) for g, start, stop in bounds]
+    if not small and np.logical_and.reduce(groups[1:] >= groups[:-1]):
+        edges = groups.searchsorted(np.arange(count + 1)).tolist()
+        return [(g, slice(a, b)) for g, (a, b) in enumerate(zip(edges, edges[1:])) if a < b]
+    order = groups.argsort(kind="stable")
+    edges = groups[order].searchsorted(np.arange(count + 1)).tolist()
+    return [(g, order[a:b]) for g, (a, b) in enumerate(zip(edges, edges[1:])) if a < b]
 
 
 def _group_sums(shape: tuple, g: np.ndarray, parts: list, groups: np.ndarray) -> np.ndarray:
@@ -481,17 +480,21 @@ def _router_parts(rows: np.ndarray, weights: np.ndarray, gates: np.ndarray) -> t
     return scores, back
 
 
-def _attention_parts(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-                     offset: int) -> tuple:
+def _kv_buffers(batch: int, positions: int, m: int, heads: int, dtype) -> tuple:
+    """Empty buffers of a block's KV cache, head-major: keys (batch, heads,
+    head_dim, positions), already transposed; values (batch, heads, positions, head_dim)."""
+    keys = np.empty((batch, heads, m // heads, positions), dtype)
+    return keys, np.empty(keys.shape[:2] + keys.shape[:1:-1], dtype)
+
+
+def _attention_parts(q: np.ndarray, kt: np.ndarray, vh: np.ndarray, offset: int) -> tuple:
     """(output, backward rule) of causal attention of (B, L, m) queries over
-    (B, S, m) keys and values into (B*L, m) rows. Query i sees keys 0 to
+    S keys `kt` and values `vh` in :func:`_kv_buffers`' layout (views of a
+    cache are read in place) into (B*L, m) rows. Query i sees keys 0 to
     ``offset + i``; scores per head are scaled by ``1/sqrt(m // heads)``."""
     batch, length, m = q.shape
-    keys = k.shape[1]
-    dh = m // heads
+    heads, dh, keys = kt.shape[1:]
     qh = np.ascontiguousarray(q.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3))
-    kt = np.ascontiguousarray(k.reshape(batch, keys, heads, dh).transpose(0, 2, 3, 1))
-    vh = np.ascontiguousarray(v.reshape(batch, keys, heads, dh).transpose(0, 2, 1, 3))
     scale = 1.0 / math.sqrt(dh)
     scores = (qh @ kt) * scale
     if keys > offset + 1:                # else every query sees every key
@@ -579,14 +582,15 @@ def _tanh_mlp(op: str, arrays: tuple, layer: Callable, layer_back: Callable,
 # --- fused transformer sublayers, built on the bodies above ---
 
 def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tensor,
-                       wo: Tensor, heads: int, batch: int, kv: np.ndarray = None,
+                       wo: Tensor, heads: int, batch: int, kv: tuple = None,
                        offset: int = 0, start: int = 0) -> Tensor:
     """``x + attention(q, k, v) @ wo`` over the (batch*L, m) rows `x` of
     `batch` sequences, ``q = rms_norm(x, gain) @ wq`` and k, v alike, with
     the causal multi-head attention of :func:`_attention_parts`. With `kv`,
-    a (2, batch, P, m) buffer of keys then values holding `offset` of its P
-    positions, the new keys and values are written in after them; that path is
-    inference-only: it raises TapeError under a recording tape.
+    a KV cache block's (keys, values) buffers holding `offset` of their P
+    positions, the new keys and values are written in after them and the
+    attention reads the buffers in place; that path is inference-only: it
+    raises TapeError under a recording tape.
 
     With `start`, the query side runs only for positions ``start..L-1`` of
     each sequence: the queries, the attention mix, `wo` and the residual.
@@ -600,7 +604,8 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
     if (length < 1 or not 0 <= start < length or m % heads or gain.data.shape != (m,)
             or not wq.data.shape == wk.data.shape == wv.data.shape == wo.data.shape == (m, m)
             or kv is not None
-            and (kv[0].shape[::2] != (batch, m) or offset + length > kv[0].shape[1])):
+            and (kv[0].shape[:3] != (batch, heads, m // heads) or offset + length > kv[0].shape[3]
+                 or kv[1].shape != kv[0].shape[:2] + kv[0].shape[:1:-1])):
         raise ShapeError(f"attention_sublayer shapes incompatible: x {x.shape} of {batch} "
                          f"sequences, {heads} heads, weights {wq.shape}, offset {offset}, "
                          f"start {start}")
@@ -615,12 +620,15 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
     k, v = normed @ wk.data, normed @ wv.data
     cut = tail(normed).reshape(-1, m) if start else normed
     q = cut @ wq.data
-    keys, values = k.reshape(batch, length, m), v.reshape(batch, length, m)
-    if kv is not None:
-        kv[0][:, offset:offset + length], kv[1][:, offset:offset + length] = keys, values
-        keys, values = kv[0][:, :offset + length], kv[1][:, :offset + length]
+    split = (batch, length, heads, m // heads)          # to the cache's head-major layout
+    keys, values = k.reshape(split).transpose(0, 2, 3, 1), v.reshape(split).transpose(0, 2, 1, 3)
+    if kv is None:
+        keys, values = np.ascontiguousarray(keys), np.ascontiguousarray(values)
+    else:
+        kv[0][..., offset:offset + length], kv[1][:, :, offset:offset + length] = keys, values
+        keys, values = kv[0][..., :offset + length], kv[1][:, :, :offset + length]
     mixed, attention_back = _attention_parts(q.reshape(batch, length - start, m), keys,
-                                             values, heads, offset + start)
+                                             values, offset + start)
     _check_finite(mixed, "attention")
 
     def back(g):

@@ -91,33 +91,28 @@ def naive_bleu(candidate: List[str], reference: List[str], n: int) -> float:
 
 def lcs_reference(a: List[str], b: List[str]) -> int:
     """Longest common subsequence by exhaustive subsequence enumeration for
-    short inputs, falling back to memoized recursion."""
-    if len(a) <= 12:
-        def is_subseq(sub, seq):
-            pos = 0
-            for tok in seq:
-                if pos < len(sub) and sub[pos] == tok:
-                    pos += 1
-            return pos == len(sub)
+    short inputs, falling back to :func:`lcs_table`."""
+    if len(a) > 12:
+        return lcs_table(a, b)
+    best = 0
+    for bits in range(1 << len(a)):
+        sub, seq = [a[i] for i in range(len(a)) if bits >> i & 1], iter(b)
+        if len(sub) > best and all(tok in seq for tok in sub):      # a subsequence of b
+            best = len(sub)
+    return best
 
-        best = 0
-        for bits in range(1 << len(a)):
-            sub = [a[i] for i in range(len(a)) if bits >> i & 1]
-            if len(sub) > best and is_subseq(sub, b):
-                best = len(sub)
-        return best
 
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def rec(i, j):
-        if i == len(a) or j == len(b):
-            return 0
-        if a[i] == b[j]:
-            return 1 + rec(i + 1, j + 1)
-        return max(rec(i + 1, j), rec(i, j + 1))
-
-    return rec(0, 0)
+def lcs_table(a: List[str], b: List[str]) -> int:
+    """Longest common subsequence length by dynamic programming, one table
+    row at a time: the oracle of the bit-parallel
+    :func:`moerec.metrics._lcs_length`."""
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        row = [0]
+        for j, y in enumerate(b):
+            row.append(prev[j] + 1 if x == y else max(prev[j + 1], row[j]))
+        prev = row
+    return prev[-1]
 
 
 def naive_rouge(candidate: List[str], reference: List[str]) -> tuple:
@@ -339,7 +334,9 @@ def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
     """The attention inside :func:`moerec.tensor.attention_sublayer`."""
-    out, back = T._attention_parts(q.data, k.data, v.data, heads, offset)
+    split = k.shape[:2] + (heads, k.shape[2] // heads)
+    out, back = T._attention_parts(q.data, k.data.reshape(split).transpose(0, 2, 3, 1).copy(),
+                                   v.data.reshape(split).transpose(0, 2, 1, 3).copy(), offset)
     return T._make(out, "attention", (q, k, v), back)
 
 

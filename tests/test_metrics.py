@@ -23,6 +23,7 @@ from moerec.metrics import (
 from moerec.verify import (
     ari_pair_enumeration,
     lcs_reference,
+    lcs_table,
     naive_bleu,
     naive_distinct,
     naive_rmse,
@@ -159,12 +160,16 @@ def test_naive_references_disagree_with_wrong_values():
 @pytest.mark.parametrize("seed", range(6))
 def test_text_metrics_equal_the_public_metrics(seed):
     # seeded random token pairs over a small vocabulary, so that n-grams
-    # repeat, with empty candidates among them
+    # repeat, with empty candidates among them, and pairs longer than 64
+    # tokens, so that the bit-parallel LCS runs past one machine word
     rng = np.random.default_rng(seed)
     words = list("abcdef")
     pairs = [([words[i] for i in rng.integers(0, 6, rng.integers(0, 9))],
               [words[i] for i in rng.integers(0, 6, rng.integers(1, 9))])
              for _ in range(int(rng.integers(1, 40)))]
+    pairs += [([words[i] for i in rng.integers(0, 6, rng.integers(65, 150))],
+               [words[i] for i in rng.integers(0, 6, rng.integers(lo, 150))])
+              for lo in (1, 65)]
     pairs.append(([], list("ab")))
     rouge = [rouge_scores(c, r) for c, r in pairs]
     assert _text_metrics(pairs) == {
@@ -176,8 +181,8 @@ def test_text_metrics_equal_the_public_metrics(seed):
         "distinct2": distinct_n([c for c, _ in pairs], 2),
     }
     for (c, r), scores in zip(pairs, rouge):
-        assert _lcs_length(c, r) == lcs_reference(c, r)
-        assert _lcs_length(r, c) == lcs_reference(r, c)
+        assert _lcs_length(c, r) == lcs_reference(c, r) == lcs_table(c, r)
+        assert _lcs_length(r, c) == lcs_reference(r, c) == lcs_table(r, c)
         assert scores == pytest.approx(naive_rouge(c, r), rel=1e-12)
         for n in range(1, 5):
             assert bleu_n(c, r, n) == pytest.approx(naive_bleu(c, r, n), rel=1e-12)

@@ -737,22 +737,72 @@ def test_decode_step_runs_no_numpy_python_wrapper():
     # model, counted in Python frames, which do not depend on the hardware:
     # no numpy function with a Python-level wrapper runs (ndarray methods
     # and ufunc reductions instead), and moerec's own frames are pinned at
-    # 99, down from 139 with 22 numpy frames beside them (Python 3.11;
-    # 3.12 inlines comprehensions, so it counts fewer); numpy >= 1.25
-    # dispatches __array_function__ in C, where older numpy ran a wrapper
-    lm = tiny_lm(seed=30)
-    cache = KVCache(lm.config.blocks)
-    lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([0]), cache)
-    token, gate = np.array([[7]]), np.array([0])
-    modules = []
-    sys.setprofile(lambda frame, event, arg: event == "call"
-                   and modules.append(frame.f_globals.get("__name__", "")))
+    # 99, down from 139 with 22 numpy frames beside them for one row, and
+    # from 137, numpy's among them, for 12 (Python 3.11; 3.12 inlines
+    # comprehensions, so it counts fewer); numpy >= 1.25 dispatches
+    # __array_function__ in C, where older numpy ran a wrapper. Lockstep
+    # steps of 12 and 20 rows under mixed gates take _group_parts' numpy
+    # path: the routers' gate ids are unsorted, and 20 rows give each bank
+    # 40 expert ids, more than it groups in plain Python
+    lm = tiny_lm(seed=30, gates=3)
+    for rows in (1, 12, 20):
+        cache = KVCache(lm.config.blocks, batch=rows)
+        gates = np.arange(rows) % 3
+        lm.forward_rows(Rng(rows).integers(rows * 4, 16).reshape(rows, 4) + 4, gates, cache)
+        token = Rng(rows + 1).integers(rows, 16).reshape(rows, 1) + 4
+        modules = []
+        sys.setprofile(lambda frame, event, arg: event == "call"
+                       and modules.append(frame.f_globals.get("__name__", "")))
+        try:
+            lm.forward_rows(token, gates, cache)
+        finally:
+            sys.setprofile(None)
+        assert not [m for m in modules if m.split(".")[0] != "moerec"], sorted(set(modules))
+        assert len(modules) <= 99, (rows, len(modules))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_a_cached_step_reads_the_cache_in_place(monkeypatch, dtype):
+    # each block's attention multiplies views of its head-major cache
+    # buffers, uncopied, and gets the bits that contiguous copies of them
+    # give; the prefill's logits are the uncached forward's rows bit for
+    # bit. A cached step's products run on fewer rows than the uncached
+    # forward's (a one-row product takes a matrix-vector kernel), so its
+    # logits meet those rows within a few units in the last place
+    T.set_default_dtype(dtype)
     try:
-        lm.forward_rows(token, gate, cache)
+        lm = tiny_lm(seed=36, gates=2)                   # two blocks, two heads
+        prompts, gates = np.array([[BOS, 4, 6, 9], [BOS, 11, 5, 7]]), np.array([0, 1])
+        cache, logits = lm.prefill(prompts, gates, max_len=8)
+        last = np.array([1, 2]) * prompts.shape[1] - 1
+        assert np.array_equal(logits, lm.forward_rows(prompts, gates, rows=last).data)
+        multiplied = []
+        attention = T._attention_parts
+
+        def spy(q, keys, values, offset):
+            out, back = attention(q, keys, values, offset)
+            copied, _ = attention(q, np.ascontiguousarray(keys), np.ascontiguousarray(values),
+                                  offset)
+            multiplied.append((keys, values, np.array_equal(out, copied)))
+            return out, back
+
+        monkeypatch.setattr(T, "_attention_parts", spy)
+        seqs = prompts
+        for _ in range(4):
+            token = logits.argmax(axis=1)[:, None]
+            seqs = np.hstack([seqs, token])
+            multiplied.clear()
+            logits = lm.forward_rows(token, gates, cache).data
+            for (keys, values, same), (block_keys, block_values) in zip(multiplied, cache.blocks,
+                                                                        strict=True):
+                assert np.shares_memory(keys, block_keys) and same
+                assert np.shares_memory(values, block_values)
+            last = np.array([1, 2]) * seqs.shape[1] - 1
+            gap = np.max(np.abs(logits - lm.forward_rows(seqs, gates, rows=last).data))
+            assert gap <= (1e-13 if dtype == "float64" else 1e-5), gap
+            assert all(same for _, _, same in multiplied)
     finally:
-        sys.setprofile(None)
-    assert not [m for m in modules if m.split(".")[0] != "moerec"], sorted(set(modules))
-    assert len(modules) <= 99, len(modules)
+        T.set_default_dtype("float64")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -822,8 +872,8 @@ def test_generate_sizes_its_cache_to_the_request(monkeypatch):
         out = generate_one(lm, prompt, 0, max_len=max_len)
         assert len(out) == min(max_len, lm.config.context - len(prompt))
         assert made[0].positions == want
-        assert all(buf.shape == (1, want, lm.config.model_dim)
-                   for entry in made[0].blocks for buf in entry)
+        assert all(keys.shape == (1, 2, 4, want) and values.shape == (1, 2, want, 4)
+                   for keys, values in made[0].blocks)
     monkeypatch.undo()
     with pytest.raises(ContextLimitError):
         generate_one(lm, [BOS] * lm.config.context, 0)
@@ -1125,8 +1175,10 @@ def test_batched_block_with_cache_matches_loops(variant):
     x = Tensor(lm.embed.data[tokens] + lm.pos.data[:8])          # (2, 8, m)
     blk = lm.blocks[0]
     ref = reference_block_forward(blk, x.data.reshape(16, -1), 2, 8, gates).reshape(2, 8, -1)
-    # one preallocated buffer per side, as forward_rows makes them
-    cache = [np.empty((2, lm.config.context, 8)) for _ in range(2)]
+    # preallocated head-major buffers, as forward_rows makes them: keys
+    # (batch, heads, head_dim, positions), values (batch, heads, positions, head_dim)
+    heads, context = variant["heads"], lm.config.context
+    cache = (np.empty((2, heads, 8 // heads, context)), np.empty((2, heads, context, 8 // heads)))
     start = 0
     for size in (3, 1, 2, 1, 1):
         chunk = Tensor(x.data[:, start:start + size].reshape(2 * size, -1))
@@ -1135,5 +1187,7 @@ def test_batched_block_with_cache_matches_loops(variant):
         assert np.max(np.abs(out - ref[:, start:start + size])) <= 1e-12
         assert blk.bank.eval_count == 2 * size * variant["active"]
         start += size
-    keys = T.rms_norm(x.reshape(16, 8), blk.norm1_g).data @ blk.wk.data
-    assert np.max(np.abs(cache[0][:, :start] - keys.reshape(2, 8, 8))) <= 1e-12
+    normed = T.rms_norm(x.reshape(16, 8), blk.norm1_g).data
+    keys, values = ((normed @ w.data).reshape(2, 8, heads, 8 // heads) for w in (blk.wk, blk.wv))
+    assert np.max(np.abs(cache[0][..., :start] - keys.transpose(0, 2, 3, 1))) <= 1e-12
+    assert np.max(np.abs(cache[1][:, :, :start] - values.transpose(0, 2, 1, 3))) <= 1e-12

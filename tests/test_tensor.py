@@ -1,6 +1,7 @@
 """Tape mechanics, op semantics, and backward rules for the tensor engine."""
 
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -366,11 +367,26 @@ def test_zero_stride_arrays_are_checked_by_their_one_value(bad):
 
 
 def test_finite_array_with_overflowing_sum_passes():
-    # the sum is inf, so the check falls back to the full scan, which passes
+    # the check takes no sum, so values whose sum overflows pass
     big = np.array([1e308, 1e308])
     with np.errstate(over="ignore"):
         assert np.array_equal(Tensor(big).data, big)
         assert np.array_equal((Tensor(big) * 1.0).data, big)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_finite_check_warns_nothing_where_the_sum_overflows(dtype):
+    # under the default error state, and in the CI's -W error::RuntimeWarning
+    # form, values whose sum overflows pass with no warning at all, while a
+    # NaN or an infinity among them still raises
+    big = np.array([np.finfo(dtype).max * 0.9] * 2, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T._check_finite(big, "huge values")
+        T._check_finite(np.broadcast_to(big[0], (40, 40)), "a huge broadcast")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NumericError):
+                T._check_finite(np.append(big, dtype(bad)), "huge values")
 
 
 def test_composite_backward_matches_grad_check():
@@ -715,11 +731,17 @@ def test_routed_experts_raises_where_the_hidden_layer_overflows():
 
 def test_fused_ops_check_shapes():
     x, gain, w = Tensor(np.zeros((6, 8))), Tensor(np.ones(8)), Tensor(np.zeros((8, 8)))
-    kv = [np.zeros((2, 5, 8)), np.zeros((2, 5, 8))]
+    # head-major buffers of 2 sequences, 2 heads of 4 and 5 positions: keys
+    # (batch, heads, head_dim, positions), values (batch, heads, positions, head_dim)
+    kv = (np.zeros((2, 2, 4, 5)), np.zeros((2, 2, 5, 4)))
+    T.attention_sublayer(x, gain, w, w, w, w, 2, 2, kv, 2)
     for heads, batch, cache, offset in ((3, 2, None, 0),      # 3 heads do not divide 8
                                         (2, 4, None, 0),      # 6 rows are not 4 sequences
                                         (2, 2, kv, 3),        # 3 + 3 positions over 5
-                                        (2, 3, kv, 0)):       # the buffers hold 2 sequences
+                                        (2, 3, kv, 0),        # the buffers hold 2 sequences
+                                        (4, 2, kv, 0),        # the buffers hold 2 heads
+                                        (2, 2, kv[::-1], 0),  # values where keys go
+                                        (2, 2, kv[:1] * 2, 0)):   # keys where values go
         with pytest.raises(ShapeError):
             T.attention_sublayer(x, gain, w, w, w, w, heads, batch, cache, offset)
     (x, rows, w1, b1, w2, b2, scores), experts, order = routed_case()

@@ -765,9 +765,13 @@ def test_rows_that_leave_a_lockstep_batch_leave_the_others_as_they_were():
     before = cache.blocks
     cache.keep(kept)
     assert cache.batch == 2 and cache.length == prompts.shape[1]
-    for old, new in zip(before, cache.blocks):
-        assert new.shape == (2, 2) + old.shape[2:]
-        assert np.array_equal(new[:, :, :cache.length], old[:, kept, :cache.length])
+    # per block, head-major keys (batch, heads, head_dim, positions) and
+    # values (batch, heads, positions, head_dim), each a gather of the kept rows
+    for (old_keys, old_values), (keys, values) in zip(before, cache.blocks):
+        assert keys.shape[0] == values.shape[0] == 2
+        assert keys.shape[1:] == old_keys.shape[1:] and values.shape[1:] == old_values.shape[1:]
+        assert np.array_equal(keys[..., :cache.length], old_keys[kept, ..., :cache.length])
+        assert np.array_equal(values[:, :, :cache.length], old_values[kept, :, :cache.length])
     # the kept rows decode on as the two prompts do without the row that left
     alone, alone_logits = lm.prefill(prompts[kept], gates[kept], max_len=8)
     token = alone_logits.argmax(axis=1)[:, None]
