@@ -101,7 +101,7 @@ class RunConfig:
                       "r_max": 5.0}
 
     seed: int = 0
-    precision: str = "float32"   # training's dtype; inference keeps the process's
+    precision: str = "float32"   # training's dtype; a loaded model keeps its checkpoint's
     # model shape
     d_emb: int = 32
     latent_dim: int = 8

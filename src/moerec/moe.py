@@ -247,15 +247,13 @@ def _moe_rows(bank: ExpertBank, router: GateRouter, gain: Tensor, gates: np.ndar
 @dataclass
 class LmConfig:
     vocab_size: int
-    model_dim: int = 64
-    blocks: int = 2
-    heads: int = 2
-    context: int = 64
-    moe: MoeLayerConfig = None
+    model_dim: int
+    blocks: int
+    heads: int
+    context: int
+    moe: MoeLayerConfig
 
     def __post_init__(self):
-        if self.moe is None:
-            self.moe = decompose_experts(6, 128, 2, active=2, gates=1)
         if self.model_dim % self.heads != 0:
             raise ConfigError(
                 f"heads {self.heads} must divide model_dim {self.model_dim}")
@@ -478,6 +476,9 @@ class LanguageModel:
             banned = T._row_ids(banned, self.config.vocab_size)
         gates = T._row_ids(gates).reshape(-1)
         cache, logits = self.prefill(prompts, gates, max_len)
+        # a temperature past the logits' range divides as their largest value:
+        # cast to their dtype it would read inf, and every probability NaN
+        divisor = min(max(temperature, 1e-8), float(np.finfo(logits.dtype).max))
         width = max(min(max_len, self.config.context - cache.length), 0)
         emitted = np.full((cache.batch, width), EOS)    # a row's text ends at its first <eos>
         live = np.arange(cache.batch)                   # the rows still running, in order
@@ -492,7 +493,7 @@ class LanguageModel:
             else:
                 # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
                 top = np.maximum.reduce(logits, axis=1, keepdims=True)
-                p = np.exp((logits - top) / max(temperature, 1e-8))
+                p = np.exp((logits - top) / divisor)
                 p /= np.add.reduce(p, axis=1, keepdims=True)
                 # the count of cumulative sums at or below the draw is searchsorted's right side
                 nxt = np.minimum((p.cumsum(axis=1) <= rng.uniform(1)).sum(axis=1), p.shape[1] - 1)

@@ -519,25 +519,6 @@ def _attention_parts(q: np.ndarray, kt: np.ndarray, vh: np.ndarray, offset: int)
     return out, back
 
 
-def _expert_layers(op: str, arrays: tuple, experts: np.ndarray) -> tuple:
-    """The :func:`_tanh_mlp` rules of stacked experts, shapes checked; the
-    int64 `experts` are in range, as each caller has checked them."""
-    rows, w1, b1, w2, b2 = arrays
-    count = w1.shape[0]
-    if (rows.ndim != 2 or w1.ndim != 3 or w2.ndim != 3
-            or experts.shape != rows.shape[:1] or rows.shape[1] != w1.shape[1]
-            or b1.shape != (count, w1.shape[2]) or w2.shape[:2] != b1.shape
-            or b2.shape != (count, w2.shape[2])):
-        raise ShapeError(f"{op} shapes incompatible: rows {rows.shape}, w1 {w1.shape}, "
-                         f"b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
-                         f"{experts.shape} expert ids")
-    parts = _group_parts(experts, count)
-    return (lambda x, w: _grouped_forward(x, w, parts),
-            lambda g, x, w: _grouped_backward(g, x, w, parts),
-            lambda b: b.take(experts, axis=0),
-            lambda shape, g: _group_sums(shape, g, parts, experts))
-
-
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``tanh(x @ w1 + b1) @ w2 + b2`` over the rows of `x`: the two-layer
     network of the experts of :func:`moe_sublayer` with a single expert,
@@ -558,7 +539,7 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def _tanh_mlp(op: str, arrays: tuple, layer: Callable, layer_back: Callable,
               bias: Callable, bias_back: Callable) -> tuple:
     """(output, backward rule) of :func:`mlp` and of the experts of
-    :func:`_mixture_parts` on the arrays (x, w1, b1, w2, b2).
+    :func:`moe_sublayer` on the arrays (x, w1, b1, w2, b2).
     ``layer(x, w)`` multiplies rows by a weight and ``layer_back(g, x, w)``
     returns its (x, w) gradients; ``bias(b)`` is the bias added to the rows
     and ``bias_back(shape, g)`` reduces a row gradient to it."""
@@ -646,63 +627,57 @@ def attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor, wv: Tens
     return _make(residual + mixed @ wo.data, "attention_sublayer", inputs, back)
 
 
-def _mixture_parts(rows: np.ndarray, bank: tuple, scores: np.ndarray, experts: np.ndarray,
-                   row_of: np.ndarray, slots: np.ndarray, op: str) -> tuple:
-    """(mixture, backward rule) of n*k pairs: row ``row_of[i]`` of `rows`
-    through expert ``e = experts[i]`` of the stacked `bank` (w1, b1, w2, b2),
-    ``tanh(r @ w1[e] + b1[e]) @ w2[e] + b2[e]``, weighted by its score and
-    summed into its row, and the row gather's gradient likewise, by the
-    :func:`_fan_in_sums` of the (n, k) `slots`. The rule returns the
-    gradients of (rows, w1, b1, w2, b2, scores)."""
-    arrays = (rows.take(row_of, axis=0), *bank)
-    ffn, ffn_back = _tanh_mlp(op, arrays, *_expert_layers(op, arrays, experts))
+def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor,
+                 w2: Tensor, b2: Tensor, selected: np.ndarray, k: int, norm: tuple,
+                 route: tuple) -> Tensor:
+    """``h + sum_j p[r, e] * ffn_e(y[r])`` over row r's k experts ``e =
+    selected[r*k + j]``, for ``y = rms_norm(h, gain)``, ``p = softmax(y[r]
+    @ router[gates[r]])`` and ``ffn_e(y) = tanh(y @ w1[e] + b1[e]) @ w2[e]
+    + b2[e]`` of the stacked bank. The caller ran the norm and the router to
+    pick the experts and hands them in: `norm` is :func:`_rms_parts`'s (y,
+    backward rule) and `route` is :func:`_router_parts`'s (p, backward rule)
+    of y. The n*k pairs run in expert-sorted groups; each row sums its k
+    weighted pairs, and the row gather's gradient its pairs' terms, by the
+    :func:`_fan_in_sums` of an (n, k) slot table. The rule adds the chain's
+    terms in its reverse-sweep order: y gets the experts' term plus the
+    router's, and `h` the residual's, then the norm's three (so the record
+    lists `h` four times)."""
+    count = w1.data.shape[0]
+    selected = _row_ids(selected, count)
+    normed, norm_back = norm
+    scores, route_back = route
+    n, m = h.data.shape if h.data.ndim == 2 else (-1, -1)
+    if (k < 1 or selected.shape != (n * k,) or normed.shape != (n, m)
+            or scores.shape != (n, count) or router.data.shape[1:] != (m, count)
+            or w1.data.ndim != 3 or w1.data.shape[1] != m
+            or b1.data.shape != (count, w1.data.shape[2])
+            or w2.data.shape != b1.data.shape + (m,) or b2.data.shape != (count, m)):
+        raise ShapeError(f"moe_sublayer shapes incompatible: h {h.shape}, router {router.shape}, "
+                         f"w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, b2 {b2.shape}, "
+                         f"scores {scores.shape}, {selected.shape} expert ids for k={k}")
+    order = selected.argsort(kind="stable")
+    row_of = order // k
+    slots = row_of.argsort(kind="stable").reshape(n, k)
+    experts = selected[order]
+    arrays = (normed.take(row_of, axis=0), w1.data, b1.data, w2.data, b2.data)
+    parts = _group_parts(experts, count)
+    ffn, ffn_back = _tanh_mlp("moe_sublayer", arrays,
+                              lambda x, w: _grouped_forward(x, w, parts),
+                              lambda g, x, w: _grouped_backward(g, x, w, parts),
+                              lambda b: b.take(experts, axis=0),
+                              lambda shape, g: _group_sums(shape, g, parts, experts))
     weight = scores[row_of, experts].reshape(-1, 1)
 
     def back(g):
         g_pairs = g[row_of]
         g_weight = _unbroadcast(g_pairs * ffn, weight.shape).reshape(-1)
         g_rows, *g_bank = ffn_back(_unbroadcast(g_pairs * weight, ffn.shape))
-        return (_fan_in_sums(g_rows, slots), *g_bank,
-                _index_add(scores.shape, (row_of, experts), g_weight))
-
-    return _fan_in_sums(ffn * weight, slots), back
-
-
-def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor,
-                 w2: Tensor, b2: Tensor, selected: np.ndarray, k: int, norm: tuple,
-                 route: tuple) -> Tensor:
-    """``h + sum_j p[r, e] * ffn_e(y[r])`` over row r's k experts ``e =
-    selected[r*k + j]`` (:func:`_mixture_parts`), for ``y = rms_norm(h,
-    gain)`` and ``p = softmax(y[r] @ router[gates[r]])``. The caller ran
-    those to pick the experts and hands them in: `norm` is
-    :func:`_rms_parts`'s (y, backward rule) and `route` is
-    :func:`_router_parts`'s (p, backward rule) of y. The rule adds the
-    chain's terms in its reverse-sweep order: y gets the experts' term
-    plus the router's, and `h` the residual's, then the norm's three (so
-    the record lists `h` four times)."""
-    selected = _row_ids(selected, w1.data.shape[0])
-    normed, norm_back = norm
-    scores, route_back = route
-    n, m = h.data.shape if h.data.ndim == 2 else (-1, -1)
-    if (k < 1 or selected.shape != (n * k,) or normed.shape != (n, m)
-            or scores.shape != (n, w1.data.shape[0])
-            or router.data.shape[1:] != (m, w1.data.shape[0]) or w2.data.shape[2:] != (m,)):
-        raise ShapeError(f"moe_sublayer shapes incompatible: h {h.shape}, router {router.shape}, "
-                         f"w2 {w2.shape}, scores {scores.shape}, "
-                         f"{selected.shape} expert ids for k={k}")
-    order = selected.argsort(kind="stable")
-    row_of = order // k
-    slots = row_of.argsort(kind="stable").reshape(n, k)
-    mixed, mix_back = _mixture_parts(normed, (w1.data, b1.data, w2.data, b2.data), scores,
-                                     selected[order], row_of, slots, "moe_sublayer")
-
-    def back(g):
-        g_normed, *g_bank, g_scores = mix_back(g)
-        g_routed, g_router = route_back(g_scores)
+        g_normed = _fan_in_sums(g_rows, slots)
+        g_routed, g_router = route_back(_index_add(scores.shape, (row_of, experts), g_weight))
         return (g, *g_bank, g_router, *norm_back(g_normed + g_routed))
 
-    return _make(h.data + mixed, "moe_sublayer", (h, w1, b1, w2, b2, router, gain, h, h, h),
-                 back)
+    return _make(h.data + _fan_in_sums(ffn * weight, slots), "moe_sublayer",
+                 (h, w1, b1, w2, b2, router, gain, h, h, h), back)
 
 
 def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:

@@ -329,52 +329,6 @@ def gather_pairs(a: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
                    lambda g: (T._index_add(a.shape, (rows, cols), g),))
 
 
-# The bodies inside the sublayer ops, each recorded as one op, so that the
-# chains built on them stay bit-identical to the sublayers.
-
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, offset: int) -> Tensor:
-    """The attention inside :func:`moerec.tensor.attention_sublayer`."""
-    split = k.shape[:2] + (heads, k.shape[2] // heads)
-    out, back = T._attention_parts(q.data, k.data.reshape(split).transpose(0, 2, 3, 1).copy(),
-                                   v.data.reshape(split).transpose(0, 2, 1, 3).copy(), offset)
-    return T._make(out, "attention", (q, k, v), back)
-
-
-def expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-               experts: np.ndarray) -> Tensor:
-    """The experts of :func:`moerec.tensor.moe_sublayer`: row i through
-    expert ``e = experts[i]``, ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]``."""
-    inputs = (rows, w1, b1, w2, b2)
-    arrays = tuple(t.data for t in inputs)
-    experts = T._row_ids(experts, w1.shape[0])
-    out, back = T._tanh_mlp("expert_ffn", arrays, *T._expert_layers("expert_ffn", arrays, experts))
-    return T._make(out, "expert_ffn", inputs, back)
-
-
-def routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-                   experts: np.ndarray, scores: Tensor, order: np.ndarray) -> Tensor:
-    """The top-k mixture of :func:`moerec.tensor.moe_sublayer` of the n
-    `rows` under router `scores` (n, E), plus the residual `x`: pair i is
-    pair ``order[i]`` of the row-major (n, k) selection, row ``order[i] //
-    k`` of `rows` through expert ``experts[i]``. The last op of the chain
-    that moe_sublayer replaces."""
-    order, experts = T._row_ids(order, np.size(order)), T._row_ids(experts, w1.shape[0])
-    n = x.shape[0] if x.data.ndim == 2 else 0
-    k = order.size // n if n else 0
-    row_of = order // k if k else order
-    if (k < 1 or order.shape != (n * k,) or rows.data.ndim != 2 or rows.shape[0] != n
-            or scores.shape != (n, w1.shape[0]) or x.shape[1] != w2.shape[2]
-            or (np.bincount(row_of, minlength=n) != k).any()):
-        raise ShapeError(f"routed_experts shapes incompatible: x {x.shape}, scores "
-                         f"{scores.shape}, rows {rows.shape}, {order.shape} pair ids "
-                         f"that must give each row the same count")
-    slots = np.argsort(row_of, kind="stable").reshape(n, k)
-    mixed, back = T._mixture_parts(rows.data, (w1.data, b1.data, w2.data, b2.data),
-                                   scores.data, experts, row_of, slots, "routed_experts")
-    return T._make(x.data + mixed, "routed_experts", (x, rows, w1, b1, w2, b2, scores),
-                   lambda g: (g, *back(g)))
-
-
 def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                  b2: Tensor, gates: np.ndarray, selected: np.ndarray, k: int) -> Tensor:
     """:func:`moerec.tensor.moe_sublayer` on a fixed row-major selection of
@@ -395,8 +349,10 @@ def reference_rms_norm(x: Tensor, gain: Tensor) -> Tensor:
 
 def reference_attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
                         offset: int) -> Tensor:
-    """:func:`attention` as reshapes, permutes, two batched matmuls and a
-    softmax over a (batch, heads, queries, keys) score tensor."""
+    """The causal attention inside :func:`moerec.tensor.attention_sublayer`
+    of (batch, L, m) queries over (batch, S, m) keys and values, query i
+    seeing keys 0 to ``offset + i``, as reshapes, permutes, two batched
+    matmuls and a softmax over a (batch, heads, queries, keys) score tensor."""
     batch, length, m = q.shape
     keys = k.shape[1]
     dh = m // heads
@@ -416,7 +372,7 @@ def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor
                                  start: int = 0) -> Tensor:
     """:func:`moerec.tensor.attention_sublayer` without a cache, as the chain
     it replaces: an RMSNorm, three projections split into (batch, L, m), the
-    fused attention, `wo` and the residual add. With `start`, slices of the
+    attention chain, `wo` and the residual add. With `start`, slices of the
     normed rows and of the residual keep positions ``start..L-1`` of each
     sequence for the query side."""
     n, m = x.shape
@@ -428,22 +384,24 @@ def reference_attention_sublayer(x: Tensor, gain: Tensor, wq: Tensor, wk: Tensor
     normed = T.rms_norm(x, gain)
     q = (tail(normed) @ wq).reshape(batch, length - start, m)
     k, v = ((normed @ w).reshape(batch, length, m) for w in (wk, wv))
-    return tail(x) + attention(q, k, v, heads, start) @ wo
+    return tail(x) + reference_attention(q, k, v, heads, start) @ wo
 
 
-def reference_routed_experts(x, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+def reference_routed_experts(x: Tensor, rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                              b2: Tensor, experts: np.ndarray, scores: Tensor,
                              order: np.ndarray) -> Tensor:
-    """:func:`routed_experts` as the chain it replaces: a pick of each
-    pair's score, a gather of each pair's row, the fused expert FFN, a
-    product, a scatter of the pairs into their rows and the residual add."""
+    """The top-k mixture of :func:`moerec.tensor.moe_sublayer` of the n
+    `rows` under router `scores` (n, E), plus the residual `x`: pair i is
+    pair ``order[i]`` of the row-major (n, k) selection, row ``order[i] //
+    k`` through expert ``experts[i]``. As a chain: a pick of each pair's
+    score, a gather of each pair's row, the expert FFN chain, a product, a
+    scatter of the pairs into their rows and the residual add."""
     n = scores.shape[0]
     by_row = np.repeat(np.arange(n), len(order) // n)[order]
     weight = gather_pairs(scores, by_row, experts)
-    out = (expert_ffn(T.take_rows(rows, by_row), w1, b1, w2, b2, experts)
+    out = (reference_expert_ffn(T.take_rows(rows, by_row), w1, b1, w2, b2, experts)
            * weight.reshape(-1, 1))
-    mixed = scatter_rows(out, by_row, n)
-    return mixed if x is None else x + mixed
+    return x + scatter_rows(out, by_row, n)
 
 
 def reference_moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor,
@@ -451,11 +409,12 @@ def reference_moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, 
                            selected: np.ndarray) -> Tensor:
     """:func:`moerec.tensor.moe_sublayer` as the chain it replaces, on the
     row-major `selected` experts: an RMSNorm, the router's grouped matmul
-    and softmax, and :func:`routed_experts` with the residual add."""
+    and softmax, and :func:`reference_routed_experts` with the residual add."""
     normed = T.rms_norm(h, gain)
     scores = softmax(grouped_matmul(normed, router, gates), axis=-1)
     order = np.argsort(selected, kind="stable")
-    return routed_experts(h, normed, w1, b1, w2, b2, selected[order], scores, order)
+    return reference_routed_experts(h, normed, w1, b1, w2, b2, selected[order], scores,
+                                    order)
 
 
 def reference_block(blk: TransformerBlock, rows: Tensor, batch: int, length: int,
@@ -507,8 +466,9 @@ def fused_block_mismatches(lm: LanguageModel, tokens: np.ndarray, gates: np.ndar
 
 def reference_expert_ffn(rows: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
                          b2: Tensor, experts: np.ndarray) -> Tensor:
-    """:func:`expert_ffn` as two grouped matmuls, two bias gathers and a
-    tanh."""
+    """The experts of :func:`moerec.tensor.moe_sublayer`, row i through
+    expert ``e = experts[i]``, ``tanh(x @ w1[e] + b1[e]) @ w2[e] + b2[e]``,
+    as two grouped matmuls, two bias gathers and a tanh."""
     hidden = tanh(grouped_matmul(rows, w1, experts) + T.take_rows(b1, experts))
     return grouped_matmul(hidden, w2, experts) + T.take_rows(b2, experts)
 
@@ -625,63 +585,38 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
 
 
 # the fused ops of each model, by the names fused_cases gives them
-FUSED_OPS = {"moe": ("add_rows", "rms_norm", "attention", "expert_ffn", "weighted_nll",
-                     "attention_sublayer", "routed_experts", "moe_sublayer"),
+FUSED_OPS = {"moe": ("add_rows", "rms_norm", "weighted_nll", "attention_sublayer",
+                     "moe_sublayer"),
              "vae": ("mlp", "concat_rows", "gaussian_sample", "bce_with_logits", "mixture_kl",
                      "weighted_means")}
 
 
 def fused_cases(seed: int) -> dict:
     """name -> (fused op, its reference chain, input arrays). The layouts
-    cover several rows; two sequences of three queries, after no cached
-    keys and after two, under 1, 2 and 4 heads; expert groups in no order,
-    one of the four experts getting no rows; repeated table rows; and
-    log-variances on both sides of their clamps, with a zero
-    responsibility. The attention sublayer also runs its query side from
-    position 2 of 3 on, and the MoE sublayer routes its rows through two
-    gates. Each case draws its inputs from its own substream of
-    `seed`, named after it, so adding or dropping a case leaves the others'
-    inputs as they are."""
+    cover several rows; two sequences of five positions under 1, 2 and 4
+    heads, the attention sublayer's query side from position 0 and from 2
+    on; expert groups in no order under two gates, one of the four experts
+    getting no rows; repeated table rows; and log-variances on both sides
+    of their clamps, with a zero responsibility. Each case draws its inputs
+    from its own substream of `seed`, named after it, so adding or dropping
+    a case leaves the others' inputs as they are."""
     def normal(*shape) -> np.ndarray:
         return rng.normal(math.prod(shape)).reshape(shape)
 
     rng = Rng(seed).substream("rms_norm")
     cases = {"rms_norm": (T.rms_norm, reference_rms_norm, [normal(5, 8) * 3.0, normal(8)])}
     for heads in (1, 2, 4):
-        for offset in (0, 2):
-            name = f"attention.h{heads}.o{offset}"
+        for start in (0, 2):
+            name = f"attention_sublayer.h{heads}" + (f".s{start}" if start else "")
             rng = Rng(seed).substream(name)
             cases[name] = (
-                lambda q, k, v, h=heads, o=offset: attention(q, k, v, h, o),
-                lambda q, k, v, h=heads, o=offset: reference_attention(q, k, v, h, o),
-                [normal(2, 3, 8), normal(2, offset + 3, 8), normal(2, offset + 3, 8)])
-    experts = np.array([2, 0, 2, 3, 0, 3])
-    rng = Rng(seed).substream("expert_ffn")
-    cases["expert_ffn"] = (
-        lambda *stacks: expert_ffn(*stacks, experts),
-        lambda *stacks: reference_expert_ffn(*stacks, experts),
-        [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
-    for heads, start in ((1, 0), (2, 0), (2, 2)):
-        name = f"attention_sublayer.h{heads}" + (f".s{start}" if start else "")
-        rng = Rng(seed).substream(name)
-        cases[name] = (
-            lambda x, gain, *w, h=heads, s=start:
-                T.attention_sublayer(x, gain, *w, h, 2, start=s),
-            lambda x, gain, *w, h=heads, s=start:
-                reference_attention_sublayer(x, gain, *w, h, 2, s),
-            [normal(6, 4), normal(4)] + [normal(4, 4) * 0.6 for _ in range(4)])
-    # three rows pick two of four experts each, expert 1 none; row 0 holds expert 0
-    selected = np.array([[0, 3], [2, 3], [0, 2]]).reshape(-1)
-    order = np.argsort(selected, kind="stable")
-    rng = Rng(seed).substream("routed_experts")
-    cases["routed_experts"] = (
-        lambda x, rows, *rest: routed_experts(x, rows, *rest[:4], selected[order], rest[4],
-                                                order),
-        lambda x, rows, *rest: reference_routed_experts(x, rows, *rest[:4], selected[order],
-                                                        rest[4], order),
-        [normal(3, 4), normal(3, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4),
-         normal(4, 4), np.exp(normal(3, 4))])
-    # the same selection, row 0's out of order, its rows under gates 1, 0, 1
+                lambda x, gain, *w, h=heads, s=start:
+                    T.attention_sublayer(x, gain, *w, h, 2, start=s),
+                lambda x, gain, *w, h=heads, s=start:
+                    reference_attention_sublayer(x, gain, *w, h, 2, s),
+                [normal(10, 8), normal(8)] + [normal(8, 8) * 0.6 for _ in range(4)])
+    # three rows pick two of four experts each, expert 1 none; row 0's out
+    # of order, the rows under gates 1, 0, 1
     rng = Rng(seed).substream("moe_sublayer")
     gates, unsorted = np.array([1, 0, 1]), np.array([3, 0, 2, 3, 0, 2])
     cases["moe_sublayer"] = (

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -376,6 +377,30 @@ def test_sampling_never_emits_a_banned_token_at_any_temperature(temperature):
         out = generate_one(lm, [BOS, 4], seed % 2, max_len=12, mode="sample",
                            temperature=temperature, seed=seed, banned=banned)
         assert not set(banned.tolist()) & set(out), (seed, out)
+
+
+def test_float32_sampling_past_the_dtype_range_divides_by_its_largest_value():
+    # cast to float32, a temperature above its max reads inf, every
+    # probability reads NaN and each step picks id 0, the banned <pad>
+    banned, top = np.array([0, 1, 3, 4, 5, 6, 7, 8, 19]), float(np.finfo(np.float32).max)
+    T.set_default_dtype("float32")
+    try:
+        lm = tiny_lm(seed=13)
+        texts = []
+        for seed in range(6):
+            options = dict(max_len=12, mode="sample", seed=seed, banned=banned)
+            want = generate_one(lm, [BOS, 4], seed % 2, temperature=top, **options)
+            for temperature in (1e39, 1e308):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = generate_one(lm, [BOS, 4], seed % 2, temperature=temperature,
+                                       **options)
+                assert got == want, (seed, temperature)
+            texts.append(want)
+    finally:
+        T.set_default_dtype("float64")
+    assert lm.head.data.dtype == np.float32
+    assert any(texts) and not set(banned.tolist()) & {t for text in texts for t in text}
 
 
 @pytest.mark.parametrize("temperature", [math.nan, math.inf, -0.5])

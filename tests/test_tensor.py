@@ -33,13 +33,13 @@ from moerec.verify import (
     grouped_matmul,
     log_softmax,
     permute,
+    reference_attention,
     reference_attention_sublayer,
+    reference_expert_ffn,
     reference_kl_closed_form_batch,
     reference_mlp,
     reference_rms_norm,
-    reference_routed_experts,
     reference_weighted_nll,
-    routed_experts,
     scatter_rows,
     softmax,
     softplus,
@@ -240,10 +240,6 @@ def _id_entry_points() -> dict:
 
     rng = Rng(3)
     x, w = Tensor(rng.normal(6).reshape(3, 2)), Tensor(rng.normal(12).reshape(2, 2, 3))
-    bank = [Tensor(rng.normal(n).reshape(shape)) for n, shape in
-            ((18, (3, 2, 3)), (9, (3, 3)), (18, (3, 3, 2)), (6, (3, 2)))]
-    rows, scores = Tensor(rng.normal(4).reshape(2, 2)), Tensor(np.full((2, 3), 1 / 3))
-    experts, order = np.array([0, 1, 1, 2]), np.arange(4)
     router = GateRouter(2, decompose_experts(2, 4, 1, active=1, gates=2), Rng(0))
     # a bank of three experts, k = 2, and the front of its sublayer over x
     three = decompose_experts(3, 3, 1, active=2, gates=2)
@@ -260,14 +256,13 @@ def _id_entry_points() -> dict:
     return {
         "grouped_matmul": (lambda ids: grouped_matmul(x, w, ids),
                            np.array([1, 0, 1]), np.array([1, 2, 0]), ShapeError),
-        "routed_experts.experts": (
-            lambda ids: routed_experts(x[[0, 1]], rows, *bank, ids, scores, order),
-            experts, np.array([0, 1, 1, 3]), ShapeError),
-        "routed_experts.order": (
-            lambda ids: routed_experts(x[[0, 1]], rows, *bank, experts, scores, ids),
-            order, np.array([0, 1, 2, 4]), ShapeError),
         "weighted_nll": (lambda ids: T.weighted_nll(x, ids, np.ones(3)),
                          np.array([0, 1, 1]), np.array([0, 2, 1]), ShapeError),
+        "moe_sublayer": (lambda ids: T.moe_sublayer(
+                             x, gain, three_router.weights, expert_bank.w1, expert_bank.b1,
+                             expert_bank.w2, expert_bank.b2, ids, 2, *front[2:]),
+                         np.array([0, 2, 1, 2, 0, 1]), np.array([0, 2, 1, 3, 0, 1]),
+                         ShapeError),
         "ExpertBank.run": (lambda ids: expert_bank.run(x, ids, *front),
                            np.array([0, 2, 1, 2, 0, 1]), np.array([0, 2, 1, 3, 0, 1]),
                            ShapeError),
@@ -578,7 +573,7 @@ def test_index_add_equals_add_at_with_duplicates(dtype):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_fan_in_sums_equal_the_index_scatter(dtype, k):
-    # routed_experts sums each row's k pairs through a fixed fan-in; the ids
+    # moe_sublayer sums each row's k pairs through a fixed fan-in; the ids
     # come in a shuffled order, so a row's pairs are not adjacent
     rng = Rng(49 + k)
     n, width = 40, 5
@@ -611,10 +606,58 @@ def test_float32_index_add_rounds_once_not_per_addition():
 FUSED = fused_cases(5)
 
 
+def body_cases(seed: int) -> dict:
+    """name -> (the body as one recorded op, its reference chain, input
+    arrays) for two bodies inside the sublayer ops, each input drawn from a
+    substream named after its case as in fused_cases: the causal attention
+    of attention_sublayer (tensor._attention_parts), two sequences of three
+    queries after no cached keys and after two, under 1, 2 and 4 heads; and
+    the grouped tanh experts of moe_sublayer (tensor._tanh_mlp on the
+    grouped layers), expert groups in no order, one of four experts getting
+    no rows."""
+    def normal(*shape) -> np.ndarray:
+        return rng.normal(int(np.prod(shape))).reshape(shape)
+
+    def attention(q, k, v, heads, offset):
+        split = k.shape[:2] + (heads, k.shape[2] // heads)
+        out, back = T._attention_parts(q.data, k.data.reshape(split).transpose(0, 2, 3, 1).copy(),
+                                       v.data.reshape(split).transpose(0, 2, 1, 3).copy(), offset)
+        return T._make(out, "attention", (q, k, v), back)
+
+    def expert_ffn(*stacks):
+        parts = T._group_parts(experts, stacks[1].shape[0])
+        out, back = T._tanh_mlp("expert_ffn", tuple(t.data for t in stacks),
+                                lambda x, w: T._grouped_forward(x, w, parts),
+                                lambda g, x, w: T._grouped_backward(g, x, w, parts),
+                                lambda b: b.take(experts, axis=0),
+                                lambda shape, g: T._group_sums(shape, g, parts, experts))
+        return T._make(out, "expert_ffn", stacks, back)
+
+    cases = {}
+    for heads in (1, 2, 4):
+        for offset in (0, 2):
+            name = f"attention.h{heads}.o{offset}"
+            rng = Rng(seed).substream(name)
+            cases[name] = (
+                lambda q, k, v, h=heads, o=offset: attention(q, k, v, h, o),
+                lambda q, k, v, h=heads, o=offset: reference_attention(q, k, v, h, o),
+                [normal(2, 3, 8), normal(2, offset + 3, 8), normal(2, offset + 3, 8)])
+    experts = np.array([2, 0, 2, 3, 0, 3])
+    rng = Rng(seed).substream("expert_ffn")
+    cases["expert_ffn"] = (
+        expert_ffn, lambda *stacks: reference_expert_ffn(*stacks, experts),
+        [normal(6, 4), normal(4, 4, 3), normal(4, 3), normal(4, 3, 4), normal(4, 4)])
+    return cases
+
+
+# the fused ops' cases and the bodies', which the same three checks hold to
+CASES = {**FUSED, **body_cases(5)}
+
+
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_fused_op_matches_its_reference_chain(name, dtype):
-    fused, reference, inputs = FUSED[name]
+    fused, reference, inputs = CASES[name]
     T.set_default_dtype(dtype)
     try:
         same, gap = fused_gap(fused, reference, [a.astype(dtype) for a in inputs], seed=6)
@@ -624,9 +667,9 @@ def test_fused_op_matches_its_reference_chain(name, dtype):
     assert gap <= 1e-12, f"{name}: gradient gap {gap}"
 
 
-@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_fused_op_grad_check_every_input(name):
-    fused, _, inputs = FUSED[name]
+    fused, _, inputs = CASES[name]
     for wrt in range(len(inputs)):
         err = fused_grad_error(fused, inputs, wrt, seed=7)
         assert err <= 1e-4, f"{name}, input {wrt}: grad error {err}"
@@ -635,20 +678,10 @@ def test_fused_op_grad_check_every_input(name):
 def test_each_fused_case_draws_from_its_own_substream():
     # a case's first input is the first draw of the substream named after it,
     # whatever cases come before it
-    for name in ("rms_norm", "attention.h2.o2", "attention_sublayer.h1", "mlp"):
+    for name in ("rms_norm", "attention_sublayer.h1", "attention_sublayer.h4.s2", "mlp"):
         first = FUSED[name][2][0]
         want = Rng(5).substream(name).normal(first.size).reshape(first.shape)
         assert np.array_equal(first, want * (3.0 if name == "rms_norm" else 1.0)), name
-
-
-def test_routed_experts_empty_expert_gets_zero_gradient():
-    fused, _, inputs = FUSED["routed_experts"]   # expert 1 gets no rows
-    leaves = [Tensor(a, requires_grad=True) for a in inputs]
-    with Tape() as tape:
-        tape.backward(fused(*leaves).sum())
-    for stack in leaves[2:6]:
-        assert np.all(stack.grad[1] == 0.0) and np.all(stack.grad[[0, 2, 3]] != 0.0)
-    assert np.all(leaves[6].grad[:, 1] == 0.0)
 
 
 def test_moe_sublayer_empty_expert_gets_zero_gradient():
@@ -681,9 +714,9 @@ def test_expert_bias_group_sums_equal_the_index_scatter(dtype, groups, width):
     assert np.all(got[2] == 0.0)
 
 
-@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_fused_op_raises_on_a_nan_input_like_its_chain(name):
-    fused, reference, inputs = FUSED[name]
+    fused, reference, inputs = CASES[name]
     for wrt in range(len(inputs)):
         for fn in (fused, reference):
             args = [Tensor(a) for a in inputs]
@@ -712,21 +745,24 @@ def test_attention_raises_where_the_scores_overflow():
             fn(x, gain, wq, wk, w, w, 2, 1)
 
 
-def routed_case():
-    """The tensors, expert ids and pair order of FUSED["routed_experts"]:
-    three rows pick two of four experts each, expert 1 none."""
-    selected = np.array([0, 3, 2, 3, 0, 2])
-    order = np.argsort(selected, kind="stable")
-    return [Tensor(a) for a in FUSED["routed_experts"][2]], selected[order], order
+def moe_case():
+    """The tensors of FUSED["moe_sublayer"], three rows over a bank of four
+    experts, and the fronts that tensor.moe_sublayer takes: the norm's and
+    the router's arrays and rules under the case's gates 1, 0, 1."""
+    args = [Tensor(a) for a in FUSED["moe_sublayer"][2]]
+    norm = T._rms_parts(args[0].data, args[1].data)
+    return args, norm, T._router_parts(norm[0], args[2].data, np.array([1, 0, 1]))
 
 
-def test_routed_experts_raises_where_the_hidden_layer_overflows():
-    # tanh maps an infinite pre-activation to a finite 1
-    args, experts, order = routed_case()
-    args[1], args[2] = (Tensor(np.full(a.shape, 1e200)) for a in args[1:3])
-    for fn in (routed_experts, reference_routed_experts):
+def test_moe_sublayer_raises_where_the_hidden_layer_overflows():
+    # the norm holds rows of ones near 1, so a first layer of 1e308 sums
+    # past the float range; tanh maps an infinite pre-activation to a finite 1
+    fused, reference, inputs = FUSED["moe_sublayer"]
+    args = [Tensor(np.ones(a.shape)) for a in inputs[:2]] + [Tensor(a) for a in inputs[2:]]
+    args[3] = Tensor(np.full(inputs[3].shape, 1e308))
+    for fn in (fused, reference):
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            fn(*args[:6], experts, args[6], order)
+            fn(*args)
 
 
 def test_fused_ops_check_shapes():
@@ -744,13 +780,16 @@ def test_fused_ops_check_shapes():
                                         (2, 2, kv[:1] * 2, 0)):   # keys where values go
         with pytest.raises(ShapeError):
             T.attention_sublayer(x, gain, w, w, w, w, heads, batch, cache, offset)
-    (x, rows, w1, b1, w2, b2, scores), experts, order = routed_case()
-    for bad in ((x, rows, w1, b1, w2, b2, experts, Tensor(np.ones((3, 5))), order),
-                (x, rows, w1, b1, w2, b2, experts, scores, order[:5]),
-                (x, rows, w1, b1, w2, b2, experts[:5], scores, order),
-                (x, rows, w1, b1, w2, b1, experts, scores, order)):
+    (h, gain, router, w1, b1, w2, b2), norm, route = moe_case()
+    selected = np.array([3, 0, 2, 3, 0, 2])
+    T.moe_sublayer(h, gain, router, w1, b1, w2, b2, selected, 2, norm, route)
+    for bank, scores in (((w1, b1, w2, b1), route),                   # b1 where b2 goes
+                         ((w1, b2, w2, b2), route),                   # b2 where b1 goes
+                         ((w2, b1, w1, b2), route),                   # w1 and w2 swapped
+                         ((w1, Tensor(b1.data[:3]), w2, b2), route),  # 3 biases for 4 experts
+                         ((w1, b1, w2, b2), (np.ones((3, 5)), route[1]))):   # 5 scores a row
         with pytest.raises(ShapeError):
-            routed_experts(*bad)
+            T.moe_sublayer(h, gain, router, *bank, selected, 2, norm, scores)
 
 
 def test_mlp_raises_where_the_hidden_layer_overflows():
@@ -842,12 +881,12 @@ def test_weighted_nll_weights_take_the_logits_dtype():
 
 @pytest.mark.parametrize("bad", [-1, 4])
 def test_group_ids_outside_the_range_raise(bad):
-    (x, rows, w1, b1, w2, b2, scores), _, _ = routed_case()      # four experts
+    (h, gain, router, w1, b1, w2, b2), norm, route = moe_case()      # four experts
     ids = np.array([0, 1, 2, 3, bad, 0])
     with pytest.raises(ShapeError):
-        routed_experts(x, rows, w1, b1, w2, b2, ids, scores, np.arange(6))
+        T.moe_sublayer(h, gain, router, w1, b1, w2, b2, ids, 2, norm, route)
     with pytest.raises(ShapeError):
-        grouped_matmul(Tensor(np.repeat(rows.data, 2, axis=0)), w1, ids)
+        grouped_matmul(Tensor(np.repeat(h.data, 2, axis=0)), w1, ids)
 
 
 def test_mixture_kl_raises_where_the_mixture_log_weights_overflow():
