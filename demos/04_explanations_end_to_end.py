@@ -26,11 +26,12 @@ for row in manifest2["epochs"]:
     print(f"  epoch {row['epoch']}  loss {row['loss']:.4f}")
 
 print("\nheld-out generations (greedy):")
-texts, gates, gammas = bundle.explain(split.test[:5])
-for rec, text, gate, gamma in zip(split.test[:5], texts, gates, gammas):
+prompts = bundle.prompts(split.test[:5])
+texts, gates, gammas = bundle.explain(split.test[:5], prompts=prompts)
+for rec, prompt, text, gate, gamma in zip(split.test[:5], prompts, texts, gates, gammas):
     print(f"  user {rec.user} (planted cluster {labels[rec.user]}, gate {gate},"
           f" responsibilities {gamma.round(2)})")
-    print(f"    prompt:    {bundle.prompt_text(rec)}")
+    print(f"    prompt:    {bundle.prompt_text(prompt)}")
     print(f"    generated: {text}")
     print(f"    reference: {rec.explanation}")
 

@@ -260,10 +260,12 @@ def evaluate_model(
 ) -> tuple:
     """Generate an explanation for every test record and score the lot.
 
-    `bundle` hands over the whole batch in two calls:
-    ``explain(records) -> (texts, gates, responsibilities)`` and
-    ``predict_norm_ratings(records) -> (B,) array``. It may also expose
-    ``prompt_text(record)`` and the clusters/gates_count provenance.
+    `bundle` hands over the whole batch in three calls:
+    ``prompts(records)``, one prompt per record, which
+    ``explain(records, prompts=prompts) -> (texts, gates, responsibilities)``
+    decodes from and ``prompt_text(prompt)`` renders for the rows, and
+    ``predict_norm_ratings(records) -> (B,) array``. It may also expose the
+    clusters/gates_count provenance.
     Returns (MetricReport, per-record rows); the last key of each row is
     the record's gate.
     """
@@ -274,14 +276,14 @@ def evaluate_model(
     if buckets and len(test_records) < 3:
         raise MetricError(f"bucket evaluation needs at least 3 test records, one per "
                           f"bucket, have {len(test_records)}")
-    generated, gates, _ = bundle.explain(test_records)
+    prompts = bundle.prompts(test_records)
+    generated, gates, _ = bundle.explain(test_records, prompts=prompts)
 
-    prompt_of = getattr(bundle, "prompt_text", lambda rec: "")
     rows, pairs = [], []
-    for rec, text, gate in zip(test_records, generated, gates):
+    for rec, prompt, text, gate in zip(test_records, prompts, generated, gates):
         pairs.append((tokenize(text), tokenize(rec.explanation)))
         rows.append({"user": rec.user, "item": rec.item,
-                     "prompt": prompt_of(rec), "generated": text,
+                     "prompt": bundle.prompt_text(prompt), "generated": text,
                      "reference": rec.explanation, "gate": int(gate)})
 
     values = _text_metrics(pairs)

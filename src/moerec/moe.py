@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .data import R_MAX, rating_bucket
-from .errors import ConfigError, ContextLimitError, ShapeError
+from .errors import ConfigError, ContextLimitError, DataError, ShapeError
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
@@ -115,6 +116,109 @@ def build_prompt(vocab: Vocab, user: str, item: str, rating: float,
     return ids
 
 
+def prompt_features(prompt: Sequence[int]) -> List[int]:
+    """The feature words of a prompt: the tokens after its F: marker but
+    the last, EXP:; none without the marker."""
+    prompt = list(prompt)
+    return prompt[prompt.index(MARK_F) + 1:-1] if MARK_F in prompt else []
+
+
+# --- draft table ---
+
+# draft tokens a lone greedy row feeds after its last token, at most: on the
+# demo checkpoint a one-request `moerec generate` took 0.68, 0.66, 0.62, 0.58
+# and 0.57 of its zero-draft time at 3, 4, 6, 8 and 12 (medians of 400 paired
+# requests; most texts are 8 tokens with <eos>)
+DRAFT_TOKENS = 8
+
+
+class DraftTable:
+    """Guesses for draft-and-verify decoding (:meth:`LanguageModel.generate`):
+    `table` maps two consecutive tokens to the token guessed to follow
+    them, a token id, or ``~slot`` (below 0) for the feature word at
+    `slot` of the prompt's F: section, so that a guess copies the
+    request's own features (prompt lookup, Saxena 2023). The table is a
+    guess only: the model checks every drafted token, so what it holds
+    changes no greedy text."""
+
+    def __init__(self, table: Dict[Tuple[int, int], int]):
+        self.table = table
+
+    @classmethod
+    def build(cls, sequences) -> "DraftTable":
+        """From (prompt + reference + <eos> tokens, prompt length) pairs:
+        each pair of tokens, from the one ending at the prompt's last token
+        on, to the token that follows it most often, ties to the lowest
+        value stored; a successor that is one of the record's own feature
+        words counts as its slot."""
+        triples: Counter = Counter()
+        for seq, length in sequences:
+            seq = seq.tolist()
+            features = prompt_features(seq[:length])
+            nexts = [~features.index(nxt) if nxt in features else nxt for nxt in seq[length:]]
+            triples.update(zip(seq[length - 2:], seq[length - 1:], nexts))
+        table: Dict[Tuple[int, int], int] = {}
+        # by pair, then the commonest successor first, then the lowest
+        for (a, b, nxt), _ in sorted(triples.items(), key=lambda t: (t[0][:2], -t[1], t[0][2])):
+            table.setdefault((a, b), nxt)
+        return cls(table)
+
+    @classmethod
+    def from_list(cls, flat, vocab_size: int, context: int) -> "DraftTable":
+        """The table of a flat list of (first, second, next) triples
+        (:meth:`to_list`), for a vocabulary of `vocab_size` tokens and a
+        model of `context` positions. DataError unless it is a list of
+        ints whose length is a multiple of 3, each pair holds two
+        vocabulary ids and appears once, and each next token is an id or a
+        slot below ``context - 10``: a prompt with features holds 9 tokens
+        besides them, and one position must stay free to decode."""
+        if not isinstance(flat, list) or len(flat) % 3 or not set(map(type, flat)) <= {int}:
+            raise DataError("checkpoint manifest field extra.draft must be a list of ints, "
+                            "three per entry")
+        pairs = flat[0::3] + flat[1::3]
+        if pairs and (min(pairs) < 0 or max(pairs) >= vocab_size):
+            raise DataError(f"checkpoint manifest field extra.draft holds a token id outside "
+                            f"the vocabulary of {vocab_size}")
+        nexts = flat[2::3]
+        if nexts and (min(nexts) < 10 - context or max(nexts) >= vocab_size):
+            raise DataError(f"checkpoint manifest field extra.draft guesses a token outside "
+                            f"the vocabulary of {vocab_size} or a feature slot past "
+                            f"{context - 11}")
+        table = dict(zip(zip(flat[0::3], flat[1::3]), nexts))
+        if len(table) != len(nexts):
+            raise DataError("checkpoint manifest field extra.draft holds a token pair twice")
+        return cls(table)
+
+    def to_list(self) -> List[int]:
+        return [v for (a, b), nxt in self.table.items() for v in (a, b, nxt)]
+
+    def propose(self, prompt: List[int], emitted: List[int], count: int) -> List[int]:
+        """Up to `count` tokens guessed to follow `prompt` and the tokens
+        `emitted` after it: the chain of the table's successors of their
+        last two tokens, each slot read as that feature word of the
+        prompt. The chain stops at a pair the table lacks, or at a slot
+        past the prompt's features."""
+        features = prompt_features(prompt)
+        out = (prompt[-2:] + emitted)[-2:]
+        while 1 < len(out) < count + 2:             # one token alone makes no pair
+            nxt = self.table.get((out[-2], out[-1]))
+            if nxt is None or ~nxt >= len(features):
+                break
+            out.append(nxt if nxt >= 0 else features[~nxt])
+        return out[2:]
+
+
+def _prompt_matrix(prompts) -> np.ndarray:
+    """`prompts` as a (B, L) token matrix; ShapeError unless they make one."""
+    try:
+        tokens = np.array(prompts)
+    except ValueError:                  # numpy refuses a ragged matrix
+        raise ShapeError("prefill takes prompts of one length") from None
+    if tokens.ndim != 2:
+        raise ShapeError(f"prompts of shape {tokens.shape}: one prompt per row")
+    return tokens
+
+
 # --- expert decomposition and routing ---
 
 @dataclass(frozen=True)
@@ -165,19 +269,23 @@ def decompose_experts(base_experts: int, base_hidden: int, factor: int,
 class ExpertBank:
     """Shared two-layer experts stored as stacked tensors: `w1` (E, m, h),
     `b1` (E, h), `w2` (E, h, m), `b2` (E, m). `eval_count` tallies
-    (position, expert) evaluations so routing sparsity is observable."""
+    (position, expert) evaluations so routing sparsity is observable.
+    Without an `rng`, the tensors are stand-ins (:func:`~moerec.tensor._parameter`)."""
 
-    def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Rng):
+    def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Optional[Rng]):
         self.cfg = cfg
         m, h, count = model_dim, cfg.expert_hidden, cfg.expert_count
         # expert e draws w1[e] then w2[e]; normal() rounds each request up to
         # an even count, so one draw of the padded rows is the same stream
         size = m * h
-        draws = rng.normal(2 * count * (size + size % 2)).reshape(count, 2, -1)[..., :size]
-        self.w1 = Tensor(draws[:, 0].reshape(count, m, h) / math.sqrt(m), requires_grad=True)
-        self.b1 = Tensor(np.zeros((count, h)), requires_grad=True)
-        self.w2 = Tensor(draws[:, 1].reshape(count, h, m) / math.sqrt(h), requires_grad=True)
-        self.b2 = Tensor(np.zeros((count, m)), requires_grad=True)
+        draws = (None if rng is None else
+                 rng.normal(2 * count * (size + size % 2)).reshape(count, 2, -1)[..., :size])
+        self.w1 = T._parameter(rng, (count, m, h),
+                               lambda shape: draws[:, 0].reshape(shape) / math.sqrt(m))
+        self.b1 = T._parameter(rng, (count, h), np.zeros)
+        self.w2 = T._parameter(rng, (count, h, m),
+                               lambda shape: draws[:, 1].reshape(shape) / math.sqrt(h))
+        self.b2 = T._parameter(rng, (count, m), np.zeros)
         self.eval_count = 0
 
     def run(self, h: Tensor, selected: np.ndarray, router: "GateRouter", gain: Tensor,
@@ -196,12 +304,12 @@ class GateRouter:
     """One routing matrix per gate, stacked as `weights` (G, m, E); scores
     are a softmax over all experts."""
 
-    def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Rng):
+    def __init__(self, model_dim: int, cfg: MoeLayerConfig, rng: Optional[Rng]):
         self.cfg = cfg
-        self.weights = Tensor(np.stack([
-            rng.normal(model_dim * cfg.expert_count)
-            .reshape(model_dim, cfg.expert_count) / math.sqrt(model_dim)
-            for _ in range(cfg.gates)]), requires_grad=True)
+        self.weights = T._parameter(
+            rng, (cfg.gates, model_dim, cfg.expert_count), lambda shape: np.stack([
+                rng.normal(model_dim * cfg.expert_count).reshape(shape[1:]) / math.sqrt(model_dim)
+                for _ in range(cfg.gates)]))
 
     def scores(self, gates: np.ndarray, rows: np.ndarray) -> tuple:
         """(n, E) softmax scores of the (n, m) array `rows`, row i under gate
@@ -262,16 +370,20 @@ class LmConfig:
 class TransformerBlock:
     """Pre-norm causal attention followed by a pre-norm MoE feed-forward."""
 
-    def __init__(self, config: LmConfig, rng: Rng):
+    def __init__(self, config: LmConfig, rng: Optional[Rng]):
         m = config.model_dim
         self.config = config
         s = 1.0 / math.sqrt(m)
-        self.norm1_g = Tensor(np.ones(m), requires_grad=True)
-        self.wq = Tensor(rng.normal(m * m).reshape(m, m) * s, requires_grad=True)
-        self.wk = Tensor(rng.normal(m * m).reshape(m, m) * s, requires_grad=True)
-        self.wv = Tensor(rng.normal(m * m).reshape(m, m) * s, requires_grad=True)
-        self.wo = Tensor(rng.normal(m * m).reshape(m, m) * s, requires_grad=True)
-        self.norm2_g = Tensor(np.ones(m), requires_grad=True)
+
+        def weight(shape):
+            return rng.normal(m * m).reshape(shape) * s
+
+        self.norm1_g = T._parameter(rng, (m,), np.ones)
+        self.wq = T._parameter(rng, (m, m), weight)
+        self.wk = T._parameter(rng, (m, m), weight)
+        self.wv = T._parameter(rng, (m, m), weight)
+        self.wo = T._parameter(rng, (m, m), weight)
+        self.norm2_g = T._parameter(rng, (m,), np.ones)
         self.bank = ExpertBank(m, config.moe, rng)
         self.router = GateRouter(m, config.moe, rng)
 
@@ -305,7 +417,10 @@ class KVCache:
     attend over every cached key, while the prefix is not recomputed. The
     first call on a fresh cache is the prefill. Cached forwards are for
     inference only; under a recording tape they raise TapeError.
-    :meth:`keep` drops the sequences that have finished decoding.
+    :meth:`keep` drops the sequences that have finished decoding. A
+    drafted step of :meth:`LanguageModel.generate` sets `length` back to
+    the positions it keeps; the ones past it are never read, and the next
+    forward writes over them.
     """
 
     def __init__(self, blocks: int, batch: int = 1, positions: int = None):
@@ -323,20 +438,26 @@ class KVCache:
 
 
 class LanguageModel:
-    """Decoder-only transformer with cluster-gated MoE feed-forward layers."""
+    """Decoder-only transformer with cluster-gated MoE feed-forward layers.
+    Without an `rng`, every parameter is a stand-in that a checkpoint's
+    array replaces (:func:`~moerec.tensor._parameter`)."""
 
-    def __init__(self, config: LmConfig, rng: Rng):
+    def __init__(self, config: LmConfig, rng: Optional[Rng]):
         self.config = config
         m = config.model_dim
-        self.embed = Tensor(rng.normal(config.vocab_size * m).reshape(-1, m) * 0.1,
-                            requires_grad=True)
-        self.pos = Tensor(rng.normal(config.context * m).reshape(-1, m) * 0.1,
-                          requires_grad=True)
-        self.blocks = [TransformerBlock(config, rng.substream(f"block{b}"))
+
+        def normal(shape):
+            return rng.normal(shape[0] * m).reshape(shape) * 0.1
+
+        self.embed = T._parameter(rng, (config.vocab_size, m), normal)
+        self.pos = T._parameter(rng, (config.context, m), normal)
+        self.blocks = [TransformerBlock(config,
+                                        None if rng is None else rng.substream(f"block{b}"))
                        for b in range(config.blocks)]
-        self.norm_f_g = Tensor(np.ones(m), requires_grad=True)
-        self.head = Tensor(rng.normal(m * config.vocab_size).reshape(m, -1)
-                           / math.sqrt(m), requires_grad=True)
+        self.norm_f_g = T._parameter(rng, (m,), np.ones)
+        self.head = T._parameter(rng, (m, config.vocab_size),
+                                 lambda shape: rng.normal(m * shape[1]).reshape(shape)
+                                 / math.sqrt(m))
 
     def params(self) -> dict:
         out = {"lm.embed": self.embed, "lm.pos": self.pos,
@@ -420,7 +541,8 @@ class LanguageModel:
             x = T.take_rows(x, rows)
         return T.rms_norm(x, self.norm_f_g) @ self.head
 
-    def prefill(self, prompts, gates: np.ndarray, max_len: int) -> tuple:
+    def prefill(self, prompts, gates: np.ndarray, max_len: int,
+                guess: Sequence[int] = ()) -> tuple:
         """Feed a (B, L) matrix of equal-length prompts, prompt b under gate
         `gates[b]`, in one forward into a B-row :class:`KVCache`. Returns
         the cache, holding the prompts' L positions, and the (B, vocab)
@@ -431,26 +553,31 @@ class LanguageModel:
         experts run only there. A prompt that fills the context raises
         ContextLimitError, and prompts of several lengths, or not in a
         matrix, ShapeError.
+
+        A `guess`, tokens drafted to follow a lone prompt, is fed after it
+        into the cache, and the logits are then those of the prompt's last
+        position and of each guessed one's.
         """
-        try:
-            tokens = np.array(prompts)
-        except ValueError:                  # numpy refuses a ragged matrix
-            raise ShapeError("prefill takes prompts of one length") from None
-        if tokens.ndim != 2:
-            raise ShapeError(f"prompts of shape {tokens.shape}: one prompt per row")
+        tokens = _prompt_matrix(prompts)
         batch, length = tokens.shape
         context = self.config.context
         if length >= context:
             raise ContextLimitError(
                 f"prompt of {length} tokens fills context {context}; nothing can be generated")
         cache = KVCache(len(self.blocks), batch, min(context, length + max(max_len - 1, 0)))
-        logits = self.forward_rows(tokens, gates, cache,
-                                   rows=np.arange(1, batch + 1) * length - 1).data
+        rows = np.arange(1, batch + 1) * length - 1
+        if len(guess):
+            if batch != 1:
+                raise ShapeError(f"a guess follows one prompt, not {batch}")
+            tokens = np.concatenate([tokens, np.reshape(guess, (1, -1))], axis=1)
+            rows = np.arange(length - 1, tokens.shape[1])
+        logits = self.forward_rows(tokens, gates, cache, rows=rows).data
         return cache, logits
 
     def generate(self, prompts, gates: np.ndarray, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,
-                 seed: int = 0, banned: np.ndarray = None) -> List[List[int]]:
+                 seed: int = 0, banned: np.ndarray = None,
+                 draft: DraftTable = None) -> List[List[int]]:
         """One continuation per prompt of a (B, L) matrix of equal-length
         prompts, prompt b under gate `gates[b]`, decoded in lockstep
         (iteration-level batching, as in Orca, Yu et al., OSDI 2022): one
@@ -460,12 +587,22 @@ class LanguageModel:
         that emits <eos> leaves the batch and the cache
         (:meth:`KVCache.keep`).
 
-        Greedy mode is deterministic. Sampling is seeded, at a nonnegative
-        finite `temperature`, and each row draws from its own ``Rng(seed)``
-        stream, so a sampled text does not depend on its batch: every row
-        still running at step t has drawn t - 1 values, so one draw per step
-        is the next value of each one's stream. The `banned` token ids get
-        no probability in either mode.
+        Greedy mode is deterministic. With a `draft` table, a greedy step
+        that has one row left feeds its last token and up to
+        ``DRAFT_TOKENS`` tokens the table guesses to follow it
+        (speculative decoding, Leviathan et al., ICML 2023, with a
+        model-free draft): the row keeps the longest prefix of the guess
+        that its own argmax matches position by position, and the token it
+        chose after that prefix, and the cache drops the positions past
+        them. The multi-position forward rounds otherwise than one-position
+        steps do, so the texts, not the logits, equal those of no draft.
+
+        Sampling is seeded, at a nonnegative finite `temperature`, and each
+        row draws from its own ``Rng(seed)`` stream, so a sampled text does
+        not depend on its batch: every row still running at step t has
+        drawn t - 1 values, so one draw per step is the next value of each
+        one's stream. The `banned` token ids get no probability in either
+        mode.
         """
         if mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown generation mode {mode!r}")
@@ -475,17 +612,25 @@ class LanguageModel:
         if banned is not None:
             banned = T._row_ids(banned, self.config.vocab_size)
         gates = T._row_ids(gates).reshape(-1)
-        cache, logits = self.prefill(prompts, gates, max_len)
+        tokens = _prompt_matrix(prompts)
+        width = max(min(max_len, self.config.context - tokens.shape[1]), 0)
+        if mode != "greedy":
+            draft = None
+        guess = []
+        if draft is not None and len(tokens) == 1:
+            guess = draft.propose(tokens[0].tolist(), [], min(DRAFT_TOKENS, width - 1))
+        cache, logits = self.prefill(tokens, gates, max_len, guess)
         # a temperature past the logits' range divides as their largest value:
         # cast to their dtype it would read inf, and every probability NaN
         divisor = min(max(temperature, 1e-8), float(np.finfo(logits.dtype).max))
-        width = max(min(max_len, self.config.context - cache.length), 0)
         emitted = np.full((cache.batch, width), EOS)    # a row's text ends at its first <eos>
+        emitted[:, :len(guess)] = guess
         live = np.arange(cache.batch)                   # the rows still running, in order
         rng = Rng(seed)
-        for step in range(width):
-            if step:
-                logits = self.forward_rows(emitted[live, step - 1:step], gates, cache).data
+        at, drafted = 0, len(guess)     # tokens each live row has emitted; guesses fed after them
+        while at < width:
+            if at:
+                logits = self.forward_rows(emitted[live, at - 1:at + drafted], gates, cache).data
             if banned is not None:
                 logits[:, banned] = -np.inf
             if mode == "greedy":
@@ -497,13 +642,27 @@ class LanguageModel:
                 p /= np.add.reduce(p, axis=1, keepdims=True)
                 # the count of cumulative sums at or below the draw is searchsorted's right side
                 nxt = np.minimum((p.cumsum(axis=1) <= rng.uniform(1)).sum(axis=1), p.shape[1] - 1)
-            emitted[live, step] = nxt
-            going = (nxt != EOS).nonzero()[0]
+            if drafted:
+                # the guesses sit in `emitted` after the row's last token
+                agree = (nxt[:-1] == emitted[live[0], at:at + drafted]).tolist() + [False]
+                nxt = nxt[None, :agree.index(False) + 1]
+                cache.length -= drafted + 1 - nxt.size
+            nxt = nxt.reshape(live.size, -1)            # (rows, 1), or (1, kept) after a guess
+            emitted[live, at:at + nxt.shape[1]] = nxt
+            at += nxt.shape[1]
+            going = (nxt != EOS).all(axis=1).nonzero()[0]
             if going.size < live.size:
-                if not going.size or step + 1 == width:
+                if not going.size or at >= width:
                     break
                 live, gates = live[going], gates[going]
                 cache.keep(going)
+            drafted = 0
+            if draft is not None and live.size == 1:
+                row = live[0]
+                guess = draft.propose(tokens[row].tolist(), emitted[row, :at].tolist(),
+                                      min(DRAFT_TOKENS, width - at - 1))
+                emitted[row, at:at + len(guess)] = guess
+                drafted = len(guess)
         return [row[:row.index(EOS)] if EOS in row else row for row in emitted.tolist()]
 
     def batched_nll(self, sequences: List[np.ndarray], prompt_lens: List[int],

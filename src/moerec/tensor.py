@@ -186,6 +186,21 @@ class Tensor:
         return transpose(self)
 
 
+def _parameter(rng, shape: tuple, init: Callable) -> Tensor:
+    """A trainable tensor holding ``init(shape)``. Without an `rng`, `init`
+    is not called: the tensor is a stand-in of `shape` whose read-only
+    array holds no memory (every stride 0), for a model whose every
+    parameter a checkpoint's array then replaces
+    (:func:`~moerec.checkpoint.restore_params`)."""
+    if rng is not None:
+        return Tensor(init(shape), requires_grad=True)
+    out = Tensor.__new__(Tensor)
+    out.data = np.ndarray(shape, _default_dtype, bytes(8), strides=(0,) * len(shape))
+    out.grad = out.store_grad = None
+    out.requires_grad = True
+    return out
+
+
 def _lift(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
@@ -498,7 +513,10 @@ def _attention_parts(q: np.ndarray, kt: np.ndarray, vh: np.ndarray, offset: int)
     scale = 1.0 / math.sqrt(dh)
     scores = (qh @ kt) * scale
     if keys > offset + 1:                # else every query sees every key
-        scores = scores + np.triu(np.full((length, keys), -1e9, dtype=qh.dtype), k=offset + 1)
+        # 1e9 off the scores of the keys after each query's position, by
+        # ufuncs, which have no Python wrapper (np.triu and np.full have)
+        later = np.less.outer(np.arange(offset, offset + length), np.arange(keys))
+        scores = scores - np.multiply(later, 1e9, dtype=qh.dtype)
     _check_finite(scores, "attention scores")
     # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
     shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)

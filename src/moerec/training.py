@@ -40,11 +40,12 @@ from .checkpoint import load_checkpoint, restore_params, save_checkpoint
 from .config import RunConfig, StageConfig, load_config
 from .data import DatasetSplit, InteractionRecord, check_rating, index_ids, normalized_ratings
 from .errors import ConfigError, ContextLimitError, DataError, TrainingError
-from .moe import EOS, LanguageModel, LmConfig, Vocab, build_prompt, decompose_experts, tokenize
+from .moe import (EOS, DraftTable, LanguageModel, LmConfig, Vocab, build_prompt,
+                  decompose_experts, tokenize)
 from .optim import AdamW
 from .rng import Rng
 from .tensor import Tape, Tensor, default_dtype, set_default_dtype, weighted_means
-from .vae import (LOG_VAR_MAX, LOG_VAR_MIN, GmmPrior, VaeConfig, VaeGmm, elbo_loss,
+from .vae import (LOG_VAR_MAX, LOG_VAR_MIN, VaeConfig, VaeGmm, elbo_loss,
                   init_gmm_prior)
 
 
@@ -196,13 +197,15 @@ def prepare_sequence(vocab: Vocab, record: InteractionRecord, context: int) -> t
 @dataclass
 class ExplainerBundle:
     """Everything needed to explain: preference model, language model,
-    vocabulary, and the id maps that bind records to table rows."""
+    vocabulary, the id maps that bind records to table rows, and the
+    language model's draft table, if it has one."""
 
     vae: VaeGmm
     lm: Optional[LanguageModel]
     vocab: Optional[Vocab]
     user_index: Dict[str, int]
     item_index: Dict[str, int]
+    draft: Optional[DraftTable] = None
 
     @property
     def clusters(self) -> int:
@@ -212,17 +215,25 @@ class ExplainerBundle:
     def gates_count(self) -> int:
         return self.lm.config.moe.gates
 
-    def prompt_text(self, record: InteractionRecord) -> str:
-        return self.vocab.decode(build_prompt(
-            self.vocab, record.user, record.item, record.rating, record.features))
+    def prompts(self, records: Sequence[InteractionRecord]) -> List[List[int]]:
+        """Each record's prompt ids (:func:`~moerec.moe.build_prompt`);
+        DataError for a rating that is not a finite number in (0, R_MAX]."""
+        return [build_prompt(self.vocab, r.user, r.item,
+                             check_rating(r.rating, f"record {r.user}/{r.item}"), r.features)
+                for r in records]
+
+    def prompt_text(self, prompt: Sequence[int]) -> str:
+        return self.vocab.decode(prompt)
 
     def _rows(self, records: Sequence[InteractionRecord]) -> tuple:
         return (index_ids(self.user_index, [r.user for r in records]),
                 index_ids(self.item_index, [r.item for r in records]))
 
     def explain(self, records: Sequence[InteractionRecord], max_len: int = 16,
-                mode: str = "greedy", temperature: float = 1.0, seed: int = 0) -> tuple:
-        """(texts, gates, responsibilities) for a batch of records.
+                mode: str = "greedy", temperature: float = 1.0, seed: int = 0,
+                prompts: Optional[List[List[int]]] = None) -> tuple:
+        """(texts, gates, responsibilities) for a batch of records, whose
+        :meth:`prompts` a caller that has them hands over as `prompts`.
 
         One encoder pass gates the whole batch: each record's gate is the
         largest of its (B, K) responsibilities along the deterministic mean
@@ -236,9 +247,8 @@ class ExplainerBundle:
         """
         if max_len < 1:
             raise ConfigError(f"max_len must be at least 1, got {max_len}")
-        prompts = [build_prompt(self.vocab, r.user, r.item,
-                                check_rating(r.rating, f"record {r.user}/{r.item}"),
-                                r.features) for r in records]
+        if prompts is None:
+            prompts = self.prompts(records)
         gamma = self.vae.posteriors(*self._rows(records))
         gates = np.argmax(gamma, axis=1)
         by_length: Dict[int, List[int]] = {}
@@ -251,7 +261,8 @@ class ExplainerBundle:
                 chunk = group[at:at + size]
                 outs = self.lm.generate([prompts[i] for i in chunk], gates[chunk],
                                         max_len=max_len, mode=mode, temperature=temperature,
-                                        seed=seed, banned=self.vocab.prompt_only)
+                                        seed=seed, banned=self.vocab.prompt_only,
+                                        draft=self.draft)
                 for i, out in zip(chunk, outs):
                     texts[i] = self.vocab.decode(out)
         return texts, gates, gamma
@@ -299,10 +310,13 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
 
 def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig,
                        split: DatasetSplit, records, rng: Rng) -> Callable:
+    """`_fit`'s batches of `records`; the bundle's draft table is built from
+    the same prepared sequences, once, before the first step."""
     users, items = split.user_ids(records), split.item_ids(records)
     ratings = normalized_ratings(records)
-    sequences, prompt_lens = zip(*(prepare_sequence(bundle.vocab, rec, run.context)
-                                   for rec in records))
+    prepared = [prepare_sequence(bundle.vocab, rec, run.context) for rec in records]
+    bundle.draft = DraftTable.build(prepared)
+    sequences, prompt_lens = zip(*prepared)
     # one packed int32 token buffer, record i at tokens[bounds[i]:bounds[i + 1]]
     tokens = np.concatenate(sequences).astype(np.int32)
     bounds = np.cumsum([0, *map(len, sequences)])
@@ -343,42 +357,23 @@ def save_bundle(path, bundle: ExplainerBundle, run: RunConfig, manifest: dict) -
     extra = {"users": sorted(bundle.user_index), "items": sorted(bundle.item_index)}
     if bundle.lm is not None:
         extra["vocab"] = bundle.vocab.tokens
+    if bundle.draft is not None:
+        extra["draft"] = bundle.draft.to_list()
     save_checkpoint(path, bundle.params(), config=run.to_dict(), seed=run.seed,
                     stage="stage1" if bundle.lm is None else "stage2", extra=extra,
                     f64=run.precision == "float64")
-
-
-class _Unset(np.ndarray):
-    """Zeros that take no memory: a read-only array whose strides are all 0.
-    Any ufunc over one (a weight scaled at initialisation) gives another."""
-
-    def __new__(cls, shape):
-        return super().__new__(cls, shape, default_dtype(), bytes(8), strides=(0,) * len(shape))
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        return _Unset(np.broadcast_shapes(*map(np.shape, inputs)))
-
-
-class _ZeroRng(Rng):
-    """Draws zeros that take no memory, for building models whose every
-    weight a checkpoint then replaces: no draws, no weight allocations."""
-
-    def __init__(self):
-        super().__init__(0)
-
-    def substream(self, label: str) -> "Rng":
-        return self
-
-    def normal(self, n: int) -> np.ndarray:
-        return _Unset((n,))
 
 
 def load_bundle(path, stage: Optional[str] = "stage2") -> tuple:
     """(ExplainerBundle, run config, manifest) rebuilt from a checkpoint of
     `stage`, or of either stage when `stage` is None. The file's own tag
     decides what is read: a stage-1 bundle has no language model and no
-    vocabulary. Each parameter keeps its payload's dtype, the run's
-    `precision`, so a loaded model computes what the trained one did."""
+    vocabulary. The models are built with no weights (stand-ins, see
+    :func:`~moerec.tensor._parameter`) and adopt the checkpoint's arrays in
+    `restore_params`: each parameter keeps its payload's dtype, the run's
+    `precision`, so a loaded model computes what the trained one did. A
+    stage-2 manifest's ``extra.draft``, if it has one, is the language
+    model's :class:`~moerec.moe.DraftTable`; a malformed one is a DataError."""
     manifest, arrays = load_checkpoint(path)
     try:
         found = manifest["stage"]
@@ -402,19 +397,19 @@ def load_bundle(path, stage: Optional[str] = "stage2") -> tuple:
     run = load_config(overrides=config)
     user_index, item_index = ({key: i for i, key in enumerate(lists[field])}
                               for field in ("users", "items"))
-    vae = VaeGmm(vae_config_from(run, DatasetSplit([], [], [], user_index, item_index)),
-                 _ZeroRng())
-    vae.prior = GmmPrior.standard_normal(run.clusters, run.latent_dim)
+    vae = VaeGmm(vae_config_from(run, DatasetSplit([], [], [], user_index, item_index)), None)
     params = vae.params()
-    lm = vocab = None
+    lm = vocab = draft = None
     if found == "stage2":
         try:
             vocab = Vocab(lists["vocab"])
         except ConfigError as err:
             raise DataError(f"checkpoint manifest field extra.vocab: {err}") from None
-        lm = LanguageModel(lm_config_from(run, len(vocab)), _ZeroRng())
+        if "draft" in extra:
+            draft = DraftTable.from_list(extra["draft"], len(vocab), run.context)
+        lm = LanguageModel(lm_config_from(run, len(vocab)), None)
         params |= lm.params()
     restore_params(params, arrays)
     bundle = ExplainerBundle(vae=vae, lm=lm, vocab=vocab, user_index=user_index,
-                             item_index=item_index)
+                             item_index=item_index, draft=draft)
     return bundle, run, manifest

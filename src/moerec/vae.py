@@ -67,14 +67,16 @@ class EmbeddingTables:
     """User and item embedding rows; the final row of each table is the
     shared fallback for ids unknown at inference time."""
 
-    def __init__(self, config: VaeConfig, rng: Rng):
+    def __init__(self, config: VaeConfig, rng: Optional[Rng]):
         d = config.d_emb
         self.n_users = config.n_users
         self.n_items = config.n_items
-        self.user = Tensor(rng.normal((config.n_users + 1) * d).reshape(-1, d) * 0.1,
-                           requires_grad=True)
-        self.item = Tensor(rng.normal((config.n_items + 1) * d).reshape(-1, d) * 0.1,
-                           requires_grad=True)
+
+        def normal(shape):
+            return rng.normal(shape[0] * d).reshape(shape) * 0.1
+
+        self.user = T._parameter(rng, (config.n_users + 1, d), normal)
+        self.item = T._parameter(rng, (config.n_items + 1, d), normal)
 
     def lookup(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         """The (B, 2 * d_emb) rows ``[user embedding | item embedding]``."""
@@ -91,13 +93,14 @@ class TwoLayerNet:
     one fused :func:`~moerec.tensor.mlp`: the encoder maps a pair embedding
     to ``[mu | log-var]``, the decoder a latent code to a rating logit."""
 
-    def __init__(self, d_in: int, hidden: int, d_out: int, rng: Rng):
-        self.w1 = Tensor(rng.normal(d_in * hidden).reshape(d_in, hidden) / math.sqrt(d_in),
-                         requires_grad=True)
-        self.b1 = Tensor(np.zeros(hidden), requires_grad=True)
-        self.w2 = Tensor(rng.normal(hidden * d_out).reshape(hidden, d_out) / math.sqrt(hidden),
-                         requires_grad=True)
-        self.b2 = Tensor(np.zeros(d_out), requires_grad=True)
+    def __init__(self, d_in: int, hidden: int, d_out: int, rng: Optional[Rng]):
+        def weight(shape):
+            return rng.normal(shape[0] * shape[1]).reshape(shape) / math.sqrt(shape[0])
+
+        self.w1 = T._parameter(rng, (d_in, hidden), weight)
+        self.b1 = T._parameter(rng, (hidden,), np.zeros)
+        self.w2 = T._parameter(rng, (hidden, d_out), weight)
+        self.b2 = T._parameter(rng, (d_out,), np.zeros)
 
     def forward(self, x: Tensor) -> Tensor:
         return T.mlp(x, self.w1, self.b1, self.w2, self.b2)
@@ -214,16 +217,25 @@ def _in_chunks(fn: Callable, users, items) -> np.ndarray:
 
 
 class VaeGmm:
-    """Embeddings + encoder + decoder + mixture prior, as one unit."""
+    """Embeddings + encoder + decoder + mixture prior, as one unit. Without
+    an `rng`, every parameter, the prior's `clusters` components included,
+    is a stand-in that a checkpoint's array replaces
+    (:func:`~moerec.tensor._parameter`)."""
 
-    def __init__(self, config: VaeConfig, rng: Rng):
+    def __init__(self, config: VaeConfig, rng: Optional[Rng]):
         self.config = config
-        self.tables = EmbeddingTables(config, rng.substream("embeddings"))
+
+        def stream(label):
+            return None if rng is None else rng.substream(label)
+
+        self.tables = EmbeddingTables(config, stream("embeddings"))
         self.encoder = TwoLayerNet(2 * config.d_emb, config.hidden, 2 * config.latent_dim,
-                                   rng.substream("encoder"))
-        self.decoder = TwoLayerNet(config.latent_dim, config.hidden, 1, rng.substream("decoder"))
+                                   stream("encoder"))
+        self.decoder = TwoLayerNet(config.latent_dim, config.hidden, 1, stream("decoder"))
+        k, d = config.clusters, config.latent_dim
         # starts as a single standard component; replaced after warm-up
-        self.prior = GmmPrior.standard_normal(1, config.latent_dim)
+        self.prior = (GmmPrior.standard_normal(1, d) if rng is not None else GmmPrior(
+            *(T._parameter(None, shape, None) for shape in ((k,), (k, d), (k, d)))))
 
     def params(self) -> dict:
         return {

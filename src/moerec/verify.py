@@ -10,6 +10,7 @@ fused tensor ops replace live here too, with the tape ops only they use.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -948,6 +949,14 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
                                f"{'equal' if same else 'differ'}; rows end after "
                                f"{sorted(ends)} steps"))
 
+    same, fed = _drafted_texts(seed)
+    results.append(CheckResult("moe.drafted_texts_match_zero_draft",
+                               same and fed[0] < fed[1],
+                               f"greedy texts {'equal' if same else 'differ'} with and without "
+                               f"the draft table on a small trained model, each test record "
+                               f"alone and all in one batch; {fed[0]} forwards for the "
+                               f"records alone, against {fed[1]}"))
+
     gaps = [loss_rows_gap(seed + case) for case in range(4)]
     gaps += [loss_rows_gap(seed + 4, blocks, prompt=10) for blocks in (2, 1)]
     loss_gap, grad_gap = (max(g[i] for g in gaps) for i in (0, 1))
@@ -957,6 +966,43 @@ def verify_moe(random_configs: int = 5, seed: int = 55) -> List[CheckResult]:
                                f"over every parameter, 4 padded batches and a batch of "
                                f"10-token prompts on two blocks and on one"))
     return results
+
+
+def _drafted_texts(seed: int) -> tuple:
+    """(whether every greedy text is the same with the draft table that
+    stage 2 built and with none, (forwards with it, forwards without) of
+    the records decoded alone), on a two-block model trained on a small
+    planted corpus: the test records alone and in one batch, whose last
+    running row drafts."""
+    from .config import RunConfig
+    from .data import SynthSpec, generate_synthetic, split_records
+    from .training import train_stage1, train_stage2, vae_config_from
+
+    split = split_records(generate_synthetic(SynthSpec(
+        n_users=24, n_items=12, records_per_user=6, seed=seed))[0], seed)
+    run = RunConfig(d_emb=8, latent_dim=4, clusters=2, enc_hidden=12, model_dim=16,
+                    blocks=2, heads=2, context=32, base_experts=2, base_hidden=16, factor=2,
+                    s1_epochs=3, s1_warmup_epochs=2, s2_epochs=10, s2_batch=8,
+                    seed=seed).validate()
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    drafted, _ = train_stage2(split, vae, run, run.stage2())
+    plain = dataclasses.replace(drafted, draft=None)
+    forward, fed = LanguageModel.forward_rows, []
+
+    def counted(self, *args, **kwargs):
+        fed[-1] += 1
+        return forward(self, *args, **kwargs)
+
+    texts = []
+    for bundle in (drafted, plain):
+        fed.append(0)
+        LanguageModel.forward_rows = counted
+        try:
+            texts.append([bundle.generate_explanation(r) for r in split.test])
+        finally:
+            LanguageModel.forward_rows = forward
+        texts.append(bundle.explain(split.test)[0])
+    return texts[0] == texts[2] and texts[1] == texts[3], tuple(fed)
 
 
 def loss_rows_gap(seed: int, blocks: int = 2, prompt: int = None) -> tuple:

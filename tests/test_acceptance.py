@@ -507,6 +507,19 @@ def test_greedy_explanations_equal_the_unmasked_decode(planted, stage2_bundle):
         assert text == bundle.vocab.decode(*bundle.lm.generate([prompt], [gate]))
 
 
+def test_drafted_texts_equal_the_zero_draft_texts_on_the_default_split(planted, stage2_bundle):
+    """Each held-out record decoded alone, with the draft table stage 2
+    built and with none: the same greedy text."""
+    split, _ = planted
+    bundle, _, _ = stage2_bundle
+    plain = dataclasses.replace(bundle, draft=None)
+    differ = [rec for rec in split.test
+              if bundle.generate_explanation(rec) != plain.generate_explanation(rec)]
+    assert not differ, differ[:3]
+    report(f"drafted decoding PASS: {len(split.test)} of {len(split.test)} held-out texts "
+           f"equal without the draft table ({len(bundle.draft.table)} token pairs)")
+
+
 # --- criterion 8: sparsity protocol analog -----------------------------------
 
 def test_criterion_8_sparsity_buckets(planted, stage2_bundle):

@@ -348,6 +348,19 @@ BAD_BUNDLE_CONTENT = {
                               "extra.vocab"),
     "vocab longer than the embedding": (_edit_vocab(lambda v: v.append("extra")),
                                         DataError, "lm.embed"),
+    # the untrained model's vocabulary holds 16 tokens and its context 64
+    "draft not a list": (_set("draft", {"9 9": 9}), DataError, "extra.draft"),
+    "draft of a wrong length": (_set("draft", [9, 9, 9, 9]), DataError, "extra.draft"),
+    "draft holds a float": (_set("draft", [9, 9, 9.0]), DataError, "extra.draft"),
+    "draft holds a bool": (_set("draft", [9, 9, True]), DataError, "extra.draft"),
+    "draft pair outside the vocabulary": (_set("draft", [9, 16, 9]), DataError,
+                                          "extra.draft"),
+    "draft pair below the vocabulary": (_set("draft", [-1, 9, 9]), DataError, "extra.draft"),
+    "draft guess outside the vocabulary": (_set("draft", [9, 9, 16]), DataError,
+                                           "extra.draft"),
+    "draft slot past the feature count": (_set("draft", [9, 9, ~54]), DataError,
+                                          "extra.draft"),
+    "draft pair twice": (_set("draft", [9, 9, 9, 9, 9, 10]), DataError, "extra.draft"),
 }
 
 
@@ -365,6 +378,25 @@ def test_bad_bundle_content_fails_with_its_exit_code(tmp_path, kind, capsys):
     assert main(args) == error.exit_code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and fragment in err
+
+
+def test_a_well_formed_draft_loads_and_changes_no_text(tmp_path, capsys):
+    # the largest slot a 64-position context allows is 53, and a manifest
+    # without the table loads none
+    from moerec.cli import main
+    from moerec.training import load_bundle
+    path = tmp_path / "model.ckpt"
+    untrained_bundle_checkpoint(path)
+    assert load_bundle(path)[0].draft is None
+    args = ["generate", "--checkpoint", str(path), "--user", "u0", "--item", "i0",
+            "--rating", "4", "--features", "a,b", "--max-len", "6"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    table = [0, 8, 9, 8, 9, ~0, 9, 3, ~53, 15, 15, 2]
+    path.write_bytes(rewrite_manifest(path.read_bytes(), _set("draft", table)))
+    assert load_bundle(path)[0].draft.to_list() == table
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_inspect_clusters_refuses_a_manifest_without_a_stage(tmp_path, capsys):

@@ -192,7 +192,8 @@ def test_text_metrics_equal_the_public_metrics(seed):
 
 class EchoBundle:
     """Echoes each reference, gates record i to i % 3 and predicts the
-    normalized rating exactly; counts the batch calls it receives."""
+    normalized rating exactly; counts the batch calls it receives. Its
+    prompts are empty and render as the empty string."""
 
     clusters = 3
     gates_count = 3
@@ -203,7 +204,13 @@ class EchoBundle:
     def text(self, record):
         return record.explanation
 
-    def explain(self, records):
+    def prompts(self, records):
+        return [[] for _ in records]
+
+    def prompt_text(self, prompt):
+        return ""
+
+    def explain(self, records, prompts=None):
         self.calls["explain"] += 1
         gates = np.arange(len(records)) % 3
         return [self.text(r) for r in records], gates, np.eye(3)[gates]
@@ -271,12 +278,21 @@ def test_report_percent_formatting():
 
 
 def test_evaluate_rows_carry_prompt_when_available():
+    # each row renders the prompt that explain was handed, built once
     class PromptedEcho(EchoBundle):
-        def prompt_text(self, record):
-            return f"asking about {record.item}"
+        def prompts(self, records):
+            self.built = [["asking", "about", record.item] for record in records]
+            return self.built
+
+        def prompt_text(self, prompt):
+            return " ".join(prompt)
+
+        def explain(self, records, prompts=None):
+            assert prompts is self.built
+            return super().explain(records)
 
     _, rows = evaluate_model(PromptedEcho(), records_fixture(3))
-    assert rows[0]["prompt"].startswith("asking about")
+    assert [row["prompt"] for row in rows] == [f"asking about i{i}" for i in range(3)]
 
 
 def test_evaluate_scores_the_bundle_texts():

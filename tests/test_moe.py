@@ -17,9 +17,12 @@ from moerec.verify import fused_block_mismatches, loss_rows_gap, reference_exper
 from moerec.moe import (
     BOS,
     EOS,
+    MARK_EXP,
+    MARK_F,
     PAD,
     RESERVED,
     UNK,
+    DraftTable,
     ExpertBank,
     GateRouter,
     KVCache,
@@ -757,6 +760,9 @@ def test_decode_step_and_teacher_forced_batch_op_counts(monkeypatch):
     assert head.out.shape == (sum(len(s) - 3 for s in sequences), lm.config.vocab_size)
 
 
+FRAMES_OF_A_DRAFTED_STEP = 95     # moerec's frames in one cached step of five positions
+
+
 def test_decode_step_runs_no_numpy_python_wrapper():
     # the interpreter cost of one cached one-token step of a two-block
     # model, counted in Python frames, which do not depend on the hardware:
@@ -768,7 +774,8 @@ def test_decode_step_runs_no_numpy_python_wrapper():
     # __array_function__ in C, where older numpy ran a wrapper. Lockstep
     # steps of 12 and 20 rows under mixed gates take _group_parts' numpy
     # path: the routers' gate ids are unsorted, and 20 rows give each bank
-    # 40 expert ids, more than it groups in plain Python
+    # 40 expert ids, more than it groups in plain Python. A drafted step,
+    # one row fed five positions, builds its causal mask from ufuncs
     lm = tiny_lm(seed=30, gates=3)
     for rows in (1, 12, 20):
         cache = KVCache(lm.config.blocks, batch=rows)
@@ -784,6 +791,18 @@ def test_decode_step_runs_no_numpy_python_wrapper():
             sys.setprofile(None)
         assert not [m for m in modules if m.split(".")[0] != "moerec"], sorted(set(modules))
         assert len(modules) <= 99, (rows, len(modules))
+    # a drafted step: one row fed its last token and four guesses
+    cache = KVCache(lm.config.blocks)
+    lm.forward_rows(np.array([[BOS, 4, 5, 6]]), np.array([1]), cache)
+    modules = []
+    sys.setprofile(lambda frame, event, arg: event == "call"
+                   and modules.append(frame.f_globals.get("__name__", "")))
+    try:
+        lm.forward_rows(np.array([[7, 8, 9, 10, 11]]), np.array([1]), cache)
+    finally:
+        sys.setprofile(None)
+    assert not [m for m in modules if m.split(".")[0] != "moerec"], sorted(set(modules))
+    assert len(modules) <= FRAMES_OF_A_DRAFTED_STEP, len(modules)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -907,6 +926,104 @@ def test_generate_sizes_its_cache_to_the_request(monkeypatch):
     with pytest.raises(ContextLimitError, match="4 positions"):
         lm.forward_rows(np.array([[6, 7]]), np.array([0]), cache)
     assert cache.length == 3
+
+
+# --- draft-and-verify decoding ---
+
+def test_draft_table_keeps_the_commonest_successor_and_copies_feature_slots():
+    # prompt, reference, <eos>: a successor that is one of the record's own
+    # feature words (after F:, before EXP:) counts as its slot, ~slot
+    records = [([BOS, MARK_F, 20, 21, MARK_EXP], [30, 20, 31]),
+               ([BOS, MARK_F, 22, 21, MARK_EXP], [30, 22, 32]),
+               ([BOS, MARK_F, 23, 21, MARK_EXP], [30, 31, 33]),
+               ([BOS, MARK_F, 20, 21, MARK_EXP], [30, 20, 29])]
+    draft = DraftTable.build([(np.array(p + r + [EOS]), len(p)) for p, r in records])
+    assert draft.table == {(21, MARK_EXP): 30, (MARK_EXP, 30): ~0, (30, 20): 29,
+                           (20, 31): EOS, (30, 22): 32, (22, 32): EOS, (30, 31): 33,
+                           (31, 33): EOS, (20, 29): EOS}
+    assert list(draft.table) == sorted(draft.table)      # ties went to 29, below 31
+    flat = draft.to_list()
+    assert flat[:3] == [MARK_EXP, 30, ~0] and DraftTable.from_list(flat, 40, 16).table == draft.table
+    # a chain of successors, a slot read from the asking prompt's own features;
+    # it stops at a pair the table lacks, at a slot past the features, at `count`
+    assert draft.propose([BOS, MARK_F, 24, 21, MARK_EXP], [], 5) == [30, 24]
+    assert draft.propose([BOS, MARK_F, 20, 21, MARK_EXP], [], 9) == [30, 20, 29, EOS]
+    assert draft.propose([BOS, MARK_F, 20, 21, MARK_EXP], [], 2) == [30, 20]
+    assert draft.propose([BOS, MARK_F, 20, 21, MARK_EXP], [30, 20], 9) == [29, EOS]
+    assert draft.propose([BOS, 21, MARK_EXP], [], 9) == [30]
+    assert draft.propose([MARK_EXP], [], 9) == []
+
+
+def oracle_draft(lm: LanguageModel, prompts, **options) -> DraftTable:
+    """A table of the pairs of each prompt's zero-draft greedy text under
+    gate 0: its guesses are the tokens that decoding emits, so a drafted
+    step keeps its whole guess, but where a pair recurs with another
+    successor."""
+    table = {}
+    for prompt in prompts:
+        seq = list(prompt[-2:]) + generate_one(lm, prompt, 0, **options) + [EOS]
+        for a, b, nxt in zip(seq, seq[1:], seq[2:]):
+            table.setdefault((a, b), nxt)
+    return DraftTable(table)
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_drafted_steps_stay_inside_the_cache_and_keep_the_texts(dtype):
+    # a lone greedy row fed its last token and its guesses: every forward fits
+    # the cache, at max_len 1 and 2 and for prompts that reach the context's
+    # edge (16 positions), and each text is the zero-draft one, in fewer forwards
+    T.set_default_dtype(dtype)
+    try:
+        lm = tiny_lm(seed=37)
+        suppress_eos(lm)                            # texts run to max_len or the context
+        prompts = [[BOS, 4, 6], [BOS, 5] * 6 + [7], [BOS] + [9] * 13, [BOS, 8] * 7 + [4]]
+        forward, fed = lm.forward_rows, []
+
+        def checked(tokens, gates, cache=None, rows=None):
+            assert cache.length + tokens.shape[1] <= cache.positions <= lm.config.context
+            fed.append(tokens.shape[1])
+            return forward(tokens, gates, cache, rows)
+
+        for max_len in (1, 2, 5, 16):
+            draft = oracle_draft(lm, prompts, max_len=max_len)
+            for prompt in prompts:
+                want = generate_one(lm, prompt, 0, max_len=max_len)
+                lm.forward_rows, fed = checked, []
+                try:
+                    got = generate_one(lm, prompt, 0, max_len=max_len, draft=draft)
+                finally:
+                    del lm.forward_rows
+                assert got == want
+                assert len(fed) == 1 or len(fed) < len(want), (max_len, len(prompt), fed)
+        # 13 tokens: the prefill feeds 8 guesses, and a step after it guesses too
+        lm.forward_rows, fed = checked, []
+        try:
+            assert len(generate_one(lm, prompts[0], 0, max_len=16, draft=draft)) == 13
+        finally:
+            del lm.forward_rows
+        assert fed[0] == 3 + 8 and max(fed[1:]) > 1, fed
+    finally:
+        T.set_default_dtype("float64")
+
+
+def test_sampling_and_lockstep_rows_feed_no_draft():
+    # a table that guesses a token after every pair: sampled rows, and greedy
+    # rows while another runs beside them, feed one token a step
+    lm = tiny_lm(seed=38)
+    lm.head.data[:, EOS] += 1.0
+    always = DraftTable({(a, b): 5 for a in range(20) for b in range(20)})
+    prompts = Rng(38).integers(3 * 4, 16).reshape(3, 4) + 4
+    for options in (dict(mode="sample", seed=3, temperature=1.5), dict()):
+        calls = record_forward_rows(lm)
+        texts = lm.generate(prompts, [0, 1, 0], draft=always, **options)
+        del lm.forward_rows
+        assert texts == lm.generate(prompts, [0, 1, 0], **options)
+        widths = [tokens.shape[1] for tokens, _ in calls[1:]]
+        if options:
+            assert widths == [1] * len(widths)
+        else:                                       # the last running row drafts
+            live = [len(tokens) for tokens, _ in calls[1:]]
+            assert all(w == 1 for w, n in zip(widths, live) if n > 1)
 
 
 def lockstep_and_reference(lm: LanguageModel, prompts, gates, **options) -> tuple:

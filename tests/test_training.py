@@ -1,6 +1,8 @@
 """Two-stage training: accumulation equivalence, decoupling, determinism."""
 
 import contextlib
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -29,7 +31,6 @@ from moerec.tensor import Tape
 from moerec.training import (
     ExplainerBundle,
     _stage2_loss,
-    _ZeroRng,
     lm_config_from,
     load_bundle,
     prepare_sequence,
@@ -555,6 +556,9 @@ def test_a_runs_precision_is_its_payload_and_a_resave_keeps_the_bytes(tmp_path, 
         payload = {spec["dtype"] for spec in read_manifest(path)["tensors"].values()}
         assert payload == {{"float32": "f32", "float64": "f64"}[precision]}
         loaded, loaded_run, _ = load_bundle(path, None)
+        # the stage-2 manifest carries the draft table stage 2 built
+        want = bundle.draft.table if path == s2 else None
+        assert (loaded.draft.table if loaded.draft else None) == want
         save_bundle(again, loaded, loaded_run, {})
         assert again.read_bytes() == path.read_bytes()
 
@@ -599,32 +603,58 @@ def test_loaded_models_generate_like_trained_ones_without_random_draws(tmp_path,
                     == bundle.generate_explanation(rec, mode=mode, seed=seed))
 
 
-def test_zero_rng_builds_models_without_drawing(monkeypatch):
+def test_models_built_without_a_stream_draw_nothing(monkeypatch):
     def no_words(self, n):
         raise AssertionError("drew random words")
 
     split, _ = small_corpus()
     run = small_run()
     monkeypatch.setattr(Rng, "_words", no_words)
-    zeros = _ZeroRng()
-    VaeGmm(vae_config_from(run, split), zeros)
-    LanguageModel(lm_config_from(run, 40), zeros)
-    assert zeros.counter == 0
+    monkeypatch.setattr(Rng, "substream", no_words)
+    VaeGmm(vae_config_from(run, split), None)
+    LanguageModel(lm_config_from(run, 40), None)
 
 
-def test_zero_rng_models_hold_no_weight_memory():
-    """Weights built from the zero stream are stand-ins with every stride 0
-    until a checkpoint's arrays replace them; only norms, biases and the
-    stacked router own memory, far less than the weights."""
+def test_models_built_without_a_stream_hold_no_weight_memory():
+    """Without a stream, every parameter is a read-only stand-in of its
+    shape with every stride 0, until a checkpoint's arrays replace it; the
+    prior has its `clusters` components, the shapes a stage checkpoint holds."""
+    split, _ = small_corpus()
     run = small_run()
-    lm = LanguageModel(lm_config_from(run, 40), _ZeroRng())
-    params = lm.params()
-    for name in ("lm.embed", "lm.pos", "lm.head", "lm.block0.attn.wq",
-                 "lm.block0.moe.w1", "lm.block0.moe.w2"):
-        data = params[name].data
-        assert not any(data.strides) and not data.any() and data.dtype == np.float64, name
-    owned = sum(t.data.nbytes for t in params.values() if any(t.data.strides))
-    assert owned < 0.1 * sum(t.data.nbytes for t in params.values())
+    vae = VaeGmm(vae_config_from(run, split), None)
+    lm = LanguageModel(lm_config_from(run, 40), None)
+    trained = {**train_stage1(split, vae_config_from(run, split), run.stage1())[0].params(),
+               **LanguageModel(lm_config_from(run, 40), Rng(0)).params()}
+    params = {**vae.params(), **lm.params()}
+    assert params.keys() == trained.keys()
+    for name, tensor in params.items():
+        data = tensor.data
+        assert data.shape == trained[name].data.shape, name
+        assert not any(data.strides) and not data.flags.writeable, name
+        assert tensor.requires_grad and tensor.grad is None, name
+
+
+def test_a_checkpoint_without_a_draft_table_decodes_one_token_a_step(tmp_path, monkeypatch):
+    # a stage-2 checkpoint written before the table existed: its manifest has
+    # no extra.draft, and each step feeds each row its last token alone
+    split, _, run, bundle, manifest = trained_pair()
+    assert bundle.draft is not None
+    path = tmp_path / "s2.ckpt"
+    save_bundle(path, dataclasses.replace(bundle, draft=None), run, manifest)
+    assert "draft" not in read_manifest(path)["extra"]
+    loaded, _, _ = load_bundle(path)
+    assert loaded.draft is None
+    forward, widths = LanguageModel.forward_rows, []
+
+    def spied(self, tokens, gates, cache=None, rows=None):
+        widths.append(np.shape(tokens)[1] if cache.length else 0)
+        return forward(self, tokens, gates, cache, rows)
+
+    monkeypatch.setattr(LanguageModel, "forward_rows", spied)
+    texts = [loaded.generate_explanation(r) for r in split.test]
+    monkeypatch.undo()
+    assert set(widths) == {0, 1}
+    assert texts == [bundle.generate_explanation(r) for r in split.test]
 
 
 def test_loaders_reject_name_and_shape_mismatches(tmp_path):
@@ -789,15 +819,45 @@ def test_explain_refuses_a_rating_above_the_scale():
         assert err.value.exit_code == 2
 
 
+@functools.cache
+def demo_bundle(precision: str) -> tuple:
+    """(split, stage-2 bundle) of the demo-scale model of the benchmark's
+    explain workloads, trained in `precision`."""
+    records, _ = generate_synthetic(SynthSpec(n_users=90, n_items=40,
+                                              records_per_user=12, seed=7))
+    run = RunConfig(seed=7, s2_epochs=2, precision=precision).validate()
+    split = split_records(records, run.seed)
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    return split, train_stage2(split, vae, run, run.stage2())[0]
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_drafted_texts_equal_the_zero_draft_texts_on_the_demo_split(precision, monkeypatch):
+    # each of the 108 test records alone, and all in one batch, whose last
+    # running row drafts; alone, the draft table saves most forwards
+    split, bundle = demo_bundle(precision)
+    plain = dataclasses.replace(bundle, draft=None)
+    forward, fed = LanguageModel.forward_rows, []
+
+    def counted(self, tokens, *args, **kwargs):
+        fed[-1] += 1
+        return forward(self, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(LanguageModel, "forward_rows", counted)
+    texts = []
+    for b in (bundle, plain):
+        fed.append(0)
+        texts.append([b.generate_explanation(r) for r in split.test])
+    monkeypatch.undo()
+    assert len(split.test) == 108 and texts[0] == texts[1]
+    assert bundle.explain(split.test)[0] == plain.explain(split.test)[0] == texts[0]
+    assert 2 * fed[0] < fed[1], fed
+
+
 def test_sampled_explanations_hold_only_word_tokens():
     """The demo-scale model of the benchmark's explain workloads: unmasked,
     its seeded samples pick up id tokens and markers; `explain` never does."""
-    records, _ = generate_synthetic(SynthSpec(n_users=90, n_items=40,
-                                              records_per_user=12, seed=7))
-    run = RunConfig(seed=7, s2_epochs=2).validate()
-    split = split_records(records, run.seed)
-    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
-    bundle, _ = train_stage2(split, vae, run, run.stage2())
+    split, bundle = demo_bundle("float32")
     banned = set(bundle.vocab.prompt_only.tolist())
     texts, gates, _ = bundle.explain(split.test, mode="sample", seed=3)
     for text in texts:
@@ -874,10 +934,24 @@ def test_run_manifest_structure():
                for row in manifest["epochs"])
 
 
+def test_explain_decodes_the_prompts_it_is_handed():
+    # evaluate_model builds each prompt once and hands it over; a prompt
+    # handed over is the one decoded, whatever its record
+    split, _, _, bundle, _ = trained_pair()
+    records = split.test[:6]
+    prompts = bundle.prompts(records)
+    texts = bundle.explain(records)[0]
+    assert bundle.explain(records, prompts=prompts)[0] == texts
+    swapped = bundle.explain(records[:1], prompts=prompts[3:4])[0]
+    assert swapped == [bundle.vocab.decode(bundle.lm.generate(
+        prompts[3:4], bundle.vae.gates(*bundle._rows(records[:1])),
+        banned=bundle.vocab.prompt_only)[0])]
+
+
 def test_prompt_text_rendering():
     split, _, run, bundle, _ = trained_pair()
     rec = split.test[0]
-    text = bundle.prompt_text(rec)
+    text = bundle.prompt_text(bundle.prompts([rec])[0])
     assert text.startswith("<bos> U: u:") and text.endswith("EXP:")
 
 
