@@ -675,19 +675,24 @@ class LanguageModel:
         fused :func:`~moerec.tensor.weighted_nll` scores them; the logits of
         the other prompt positions and of the padding are never made, and
         the last block's query side starts at the shortest prompt's last
-        token (see :meth:`forward_rows`).
+        token (see :meth:`forward_rows`). The arrays that drive this come
+        from the concatenated sequences in whole-array ops, none per record.
         """
-        batch = len(sequences)
-        sequences = [T._row_ids(s) for s in sequences]
-        width = max(len(s) for s in sequences)
+        lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+        starts = np.array(prompt_lens, dtype=np.int64) - 1     # each prompt's last token
+        if (not lengths.size or starts.shape != lengths.shape
+                or np.minimum.reduce(np.minimum(starts, lengths - starts - 2)) < 0):
+            raise ShapeError(f"{lengths.size} sequences of lengths {lengths.tolist()} with "
+                             f"prompts {list(prompt_lens)}: each prompt needs 1 to length-1 tokens")
+        flat = T._row_ids(np.concatenate(sequences))
+        batch, width = lengths.size, int(np.maximum.reduce(lengths))
+        positions = np.arange(width)
+        # one right-padded row per sequence, and the mask of its loss rows
         tokens = np.full((batch, width), PAD, dtype=np.int64)
-        for i, s in enumerate(sequences):
-            tokens[i, : len(s)] = s
-        rows, targets, weights = [], [], []
-        for i, s in enumerate(sequences):
-            span = np.arange(prompt_lens[i] - 1, len(s) - 1)
-            rows.append(i * (width - 1) + span)
-            targets.append(s[span + 1])
-            weights.append(np.full(span.shape, 1.0 / (span.size * batch)))
-        logits = self.forward_rows(tokens[:, :-1], gates, rows=np.concatenate(rows))
-        return T.weighted_nll(logits, np.concatenate(targets), np.concatenate(weights))
+        tokens[positions < lengths[:, None]] = flat
+        loss = (positions[:-1] >= starts[:, None]) & (positions[:-1] < lengths[:, None] - 1)
+        rows, targets = loss.reshape(-1).nonzero()[0], tokens[:, 1:][loss]
+        counts = lengths - starts - 1
+        weights = (1.0 / (counts * batch)).repeat(counts)
+        logits = self.forward_rows(tokens[:, :-1], gates, rows=rows)
+        return T.weighted_nll(logits, targets, weights)

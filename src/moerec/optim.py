@@ -1,35 +1,46 @@
-"""AdamW over a flat parameter store, plus global-norm gradient clipping."""
+"""AdamW over a flat parameter store, plus global-norm gradient clipping; a
+step's one pass of squared sums serves its finiteness proof, clip and norm."""
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .errors import TrainingError
 from .tensor import Tensor
 
-CHUNK = 32768   # values per pass of the update: six such arrays fit in L2
+CHUNK_BYTES = 1 << 18   # bytes per array per pass of the update: six such arrays fit in L2
+
+
+def global_norm(grads: Sequence[np.ndarray], sums: Sequence[float] = None) -> float:
+    """The square root of the grads' squared sums ``float((g * g).sum())``
+    (or of `sums`, a caller's copy of them) added in order; when the squares
+    overflow, the grads are summed again relative to their largest magnitude."""
+    with np.errstate(over="ignore"):
+        total = math.sqrt(sum(sums if sums is not None else [float((g * g).sum()) for g in grads]))
+        if not math.isfinite(total):    # the squares overflow: sum them relative to the largest
+            big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
+            total = big * math.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads))
+    return total
 
 
 def clip_grad_norm(grads: List[np.ndarray], max_norm: float,
-                   buffers: Sequence[np.ndarray] = None) -> float:
+                   buffers: Sequence[np.ndarray] = None, norm: float = None) -> float:
     """Scale all grads in place so the global L2 norm is at most `max_norm`.
 
     Returns the scale that was applied (1.0 when no clipping was needed,
     including the all-zero case). Grads may be views of one buffer (the
     backward of ``a + b`` hands both inputs the same one): every element
     is scaled once. Given `buffers`, disjoint arrays holding exactly the
-    elements of `grads` (a store's rows), those are scaled instead.
+    elements of `grads` (a store's rows), those are scaled instead. `norm`
+    is their :func:`global_norm`, for a caller that has it. A NaN or
+    nonpositive `max_norm` is a ValueError.
     """
-    if max_norm <= 0:
+    if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
-    with np.errstate(over="ignore"):
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-        if not math.isfinite(total):    # the squares overflow: sum them relative to the largest
-            big = max(float(np.abs(g).max(initial=0.0)) for g in grads)
-            total = big * math.sqrt(sum(float(((g / big) ** 2).sum()) for g in grads))
+    total = global_norm(grads) if norm is None else norm
     if total <= max_norm or total == 0.0:
         return 1.0
     scale = max_norm / total
@@ -58,7 +69,7 @@ class AdamW:
     moments, and each ``data``, ``grad``, ``m`` and ``v`` is a view into a row
     of it (the multi-tensor layout of NVIDIA Apex and PyTorch). A step copies
     in any ``data`` or ``grad`` replaced from outside (``None`` is zeros),
-    then updates the rows in place, `CHUNK` values at a time, with two rows
+    then updates the rows in place, `CHUNK_BYTES` a row at a time, with two rows
     of scratch made once per step.
     """
 
@@ -82,6 +93,8 @@ class AdamW:
                 self._store[:, start:stop].reshape((4,) + p.data.shape)
             self._views.append((p, data, grad))
         self._grads = [grad for _, _, grad in self._views]
+        self._widest = max((g.size for g in self._grads), default=0)
+        self._grad_norm = None
         self._adopt()
 
     def _adopt(self) -> None:
@@ -99,28 +112,37 @@ class AdamW:
         for p, _, grad in self._views:
             p.grad = p.store_grad = grad
 
+    @property
+    def grad_norm(self) -> Optional[float]:
+        """The last step's global gradient norm before clipping; None before the first."""
+        return self._grad_norm
+
     def step(self, clip_norm: float | None = None) -> float:
         """One update over all parameters; returns the clip scale applied."""
         self._adopt()
-        # a finite sum proves every element finite; an overflowing one
-        # sends the check to the elements
+        # one pass squares each gradient into scratch and sums it, as
+        # global_norm does: a finite total proves every element finite (a
+        # non-finite one sends the check to the elements), and it is the norm
+        squares = np.empty(self._widest, self._store.dtype)
         with np.errstate(over="ignore"):
-            finite = math.isfinite(self._store[1].sum())
-        if not finite:
+            sums = [float(np.multiply(g, g, out=squares[:g.size].reshape(g.shape)).sum())
+                    for g in self._grads]
+        if not math.isfinite(sum(sums)):
             bad = [n for n, g in zip(self._names, self._grads) if not np.isfinite(g).all()]
             if bad:
                 raise TrainingError(f"non-finite gradient on parameter {bad[0]!r}")
-        scale = 1.0
-        if clip_norm is not None:
-            scale = clip_grad_norm(self._grads, clip_norm, [self._store[1]])
+        self._grad_norm = global_norm(self._grads, sums)
+        scale = 1.0 if clip_norm is None else clip_grad_norm(
+            self._grads, clip_norm, [self._store[1]], self._grad_norm)
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count
         lr, b1, b2, decay = self.lr, self.b1, self.b2, self.lr * self.weight_decay
         # made per step, so it holds no memory through the backward sweep
-        scratch = np.empty((2, min(CHUNK, self._store.shape[1])), self._store.dtype)
-        for start in range(0, self._store.shape[1], CHUNK):
-            p, g, m, v = self._store[:, start:start + CHUNK]
+        chunk = CHUNK_BYTES // self._store.itemsize
+        scratch = np.empty((2, min(chunk, self._store.shape[1])), self._store.dtype)
+        for start in range(0, self._store.shape[1], chunk):
+            p, g, m, v = self._store[:, start:start + chunk]
             a, b = scratch[:, :p.size]
             m *= b1
             m += np.multiply(g, 1.0 - b1, a)

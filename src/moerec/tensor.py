@@ -421,18 +421,25 @@ def _grouped_forward(x: np.ndarray, w: np.ndarray, parts: list) -> np.ndarray:
     if len(parts) == 1:                  # one group, sliced: every row
         return x @ w[parts[0][0]]
     out = np.empty((x.shape[0], w.shape[2]), dtype=np.promote_types(x.dtype, w.dtype))
-    for g, rows in parts:
-        out[rows] = x[rows] @ w[g]
+    for g, rows in parts:              # a slice of rows is a view: written in place
+        if isinstance(rows, slice):
+            np.matmul(x[rows], w[g], out=out[rows])
+        else:
+            out[rows] = x[rows] @ w[g]
     return out
 
 
 def _grouped_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray,
                       parts: list) -> tuple:
     gx = np.empty_like(x)
-    gw = np.zeros_like(w)
+    gw = np.zeros_like(w) if len(parts) < w.shape[0] else np.empty_like(w)
     for g, rows in parts:
-        gx[rows] = grad[rows] @ w[g].T
-        gw[g] = x[rows].T @ grad[rows]
+        picked = grad[rows]
+        if isinstance(rows, slice):
+            np.matmul(picked, w[g].T, out=gx[rows])
+        else:
+            gx[rows] = picked @ w[g].T
+        np.matmul(x[rows].T, picked, out=gw[g])
     return gx, gw
 
 
@@ -468,10 +475,14 @@ def _rms_parts(x: np.ndarray, gain: np.ndarray) -> tuple:
     normed = x / scale
 
     def back(g):
-        g_normed = g * gain
-        g_scale = _unbroadcast(-g_normed * x / (scale * scale), scale.shape)
-        g_square = np.broadcast_to(g_scale * 0.5 / scale / x.shape[-1], x.shape) * x
-        return _unbroadcast(g * normed, gain.shape), g_normed / scale, g_square, g_square
+        g_normed = g * gain                 # the chain's steps, in place on (n, m) arrays
+        g_scale = -g_normed
+        g_scale *= x
+        g_scale /= scale * scale
+        g_scale = np.add.reduce(g_scale, axis=-1, keepdims=True) * 0.5 / scale / x.shape[-1]
+        g_square = g_scale * x
+        g_normed /= scale
+        return _unbroadcast(g * normed, gain.shape), g_normed, g_square, g_square
 
     return normed * gain, back
 
@@ -511,24 +522,28 @@ def _attention_parts(q: np.ndarray, kt: np.ndarray, vh: np.ndarray, offset: int)
     heads, dh, keys = kt.shape[1:]
     qh = np.ascontiguousarray(q.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3))
     scale = 1.0 / math.sqrt(dh)
-    scores = (qh @ kt) * scale
+    scores = qh @ kt
+    scores *= scale
     if keys > offset + 1:                # else every query sees every key
         # 1e9 off the scores of the keys after each query's position, by
         # ufuncs, which have no Python wrapper (np.triu and np.full have)
         later = np.less.outer(np.arange(offset, offset + length), np.arange(keys))
-        scores = scores - np.multiply(later, 1e9, dtype=qh.dtype)
+        scores -= np.multiply(later, 1e9, dtype=qh.dtype)
     _check_finite(scores, "attention scores")
     # ndarray.max's and ndarray.sum's reductions, without their Python wrappers
-    shifted = scores - np.maximum.reduce(scores, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / np.add.reduce(e, axis=-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     mixed = probs @ vh
     out = np.ascontiguousarray(mixed.transpose(0, 2, 1, 3)).reshape(batch * length, m)
 
     def back(g):
         gm = g.reshape(batch, length, heads, dh).transpose(0, 2, 1, 3)
         gp = gm @ vh.swapaxes(-1, -2)
-        gs = (gp - (gp * probs).sum(axis=-1, keepdims=True)) * probs * scale
+        gs = gp * probs
+        np.subtract(gp, np.add.reduce(gs, axis=-1, keepdims=True), out=gs)
+        gs *= probs
+        gs *= scale
         gq = gs @ kt.swapaxes(-1, -2)
         gk = (qh.swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2)
         gv = probs.swapaxes(-1, -2) @ gm
@@ -571,7 +586,9 @@ def _tanh_mlp(op: str, arrays: tuple, layer: Callable, layer_back: Callable,
 
     def back(g):
         gh, gw2 = layer_back(g, hidden, w2)
-        gpre = gh * (1.0 - hidden * hidden)
+        gpre = hidden * hidden
+        np.subtract(1.0, gpre, out=gpre)
+        gpre *= gh
         gx, gw1 = layer_back(gpre, x, w1)
         return gx, gw1, bias_back(b1.shape, gpre), gw2, bias_back(b2.shape, g)
 
@@ -688,8 +705,9 @@ def moe_sublayer(h: Tensor, gain: Tensor, router: Tensor, w1: Tensor, b1: Tensor
 
     def back(g):
         g_pairs = g[row_of]
-        g_weight = _unbroadcast(g_pairs * ffn, weight.shape).reshape(-1)
-        g_rows, *g_bank = ffn_back(_unbroadcast(g_pairs * weight, ffn.shape))
+        g_weight = np.add.reduce(g_pairs * ffn, axis=1)      # to weight's (n*k, 1), flat
+        g_pairs *= weight
+        g_rows, *g_bank = ffn_back(g_pairs)
         g_normed = _fan_in_sums(g_rows, slots)
         g_routed, g_router = route_back(_index_add(scores.shape, (row_of, experts), g_weight))
         return (g, *g_bank, g_router, *norm_back(g_normed + g_routed))
@@ -712,15 +730,17 @@ def weighted_nll(logits: Tensor, targets: np.ndarray, weights: np.ndarray) -> Te
         raise ShapeError(f"weighted_nll shapes incompatible: logits {logits.shape}, "
                          f"targets {targets.shape}, weights {w.shape}")
     x = logits.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    logp = x - x.max(axis=-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
     _check_finite(logp, "weighted_nll log_softmax")
     rows = np.arange(targets.size)
     out = np.asarray(-(logp[rows, targets] * w).sum())
 
     def back(g):
         picked = (-g) * w                    # gradient of each picked log-probability
-        grad = -(np.exp(logp) * picked[:, None])
+        grad = np.exp(logp)
+        grad *= picked[:, None]
+        np.negative(grad, out=grad)
         grad[rows, targets] += picked
         return (grad,)
 
@@ -973,8 +993,7 @@ def _fan_in_sums(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
     values of each row are added in that order into float64 zeros and the
     sum is rounded once, as bincount adds them; a row of ``-0.0`` values
     sums to ``+0.0`` there too."""
-    picked = values.take(slots, axis=0)
-    out = np.zeros(picked.shape[:1] + picked.shape[2:])
-    for j in range(slots.shape[1]):
-        out += picked[:, j]
+    out = np.add(values.take(slots[:, 0], axis=0), 0.0, dtype=np.float64)
+    for j in range(1, slots.shape[1]):
+        out += values.take(slots[:, j], axis=0)
     return out.astype(values.dtype, copy=False)

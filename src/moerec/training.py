@@ -6,7 +6,8 @@ frozen there), fits the K-component mixture to the warmed-up latent means
 (k-means++ seeding), then optimizes the full ELBO jointly, prior included.
 
 Stage 2 adds the expert-routed language model. Every record's gate is its
-hard cluster assignment along the deterministic mean path; the loss is
+hard cluster assignment along the deterministic mean path, which each step
+reads off its own taped encode, the one its ELBO term uses; the loss is
 
     alpha * elbo + (1 - alpha) * mean continuation NLL
 
@@ -46,7 +47,7 @@ from .optim import AdamW
 from .rng import Rng
 from .tensor import Tape, Tensor, default_dtype, set_default_dtype, weighted_means
 from .vae import (LOG_VAR_MAX, LOG_VAR_MIN, VaeConfig, VaeGmm, elbo_loss,
-                  init_gmm_prior)
+                  gmm_posterior_batch, init_gmm_prior)
 
 
 def _epoch_batches(n: int, batch_size: int, rng: Rng) -> List[np.ndarray]:
@@ -95,9 +96,9 @@ def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
          shuffle: Callable[[int], Rng], phase: str = None) -> List[dict]:
     """Train for `epochs` epochs; returns one manifest row per epoch.
 
-    `batches(records, rng)` returns `batch(idx)`, which does the work that
-    must stay off the tape and returns the closure computing the loss of
-    the records at `idx`. `shuffle(epoch)` is the epoch's order stream.
+    `batches(records, rng)` returns `batch(idx)`, which returns the closure
+    that tapes the loss of the records at `idx`. `shuffle(epoch)` is the
+    epoch's order stream.
     """
     users, items = split.user_ids(split.train), split.item_ids(split.train)
     batch = batches(split.train, eps_rng)
@@ -310,8 +311,9 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
 
 def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig,
                        split: DatasetSplit, records, rng: Rng) -> Callable:
-    """`_fit`'s batches of `records`; the bundle's draft table is built from
-    the same prepared sequences, once, before the first step."""
+    """`_fit`'s batches of `records`, each gated by its own loss
+    (:func:`_stage2_loss`); the bundle's draft table is built from the same
+    prepared sequences, once, before the first step."""
     users, items = split.user_ids(records), split.item_ids(records)
     ratings = normalized_ratings(records)
     prepared = [prepare_sequence(bundle.vocab, rec, run.context) for rec in records]
@@ -322,27 +324,35 @@ def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig
     bounds = np.cumsum([0, *map(len, sequences)])
 
     def batch(idx):
-        # the gates come from the encoder, which must not record on the tape
-        gates = bundle.vae.gates(users[idx], items[idx])
         return partial(_stage2_loss, bundle, users[idx], items[idx], ratings[idx],
                        [(tokens[bounds[i]:bounds[i + 1]], prompt_lens[i]) for i in idx],
-                       gates, cfg, rng)
+                       cfg, rng)
     return batch
 
 
 def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
-                 gates, cfg: StageConfig, eps_rng: Rng,
+                 cfg: StageConfig, eps_rng: Rng,
                  eps_override=None, gamma_override=None) -> Tensor:
+    """``alpha * elbo + (1 - alpha) * nll`` of one micro-batch of `prepared`
+    (sequence, prompt length) pairs. One taped encode of the pairs serves the
+    ELBO and, by the argmax of mu's responsibilities, gives each record the
+    gate :meth:`VaeGmm.gates` gives, also above its chunk bound. The encoder
+    and the language model share no parameter, so every gradient is the one
+    a separate untaped encode for the gates gave. At ``alpha == 0`` the gates
+    come from :meth:`VaeGmm.gates`; at ``alpha == 1`` none are needed."""
+    vae = bundle.vae
     if cfg.alpha == 1.0:
-        return elbo_loss(bundle.vae, users, items, ratings, cfg.beta, eps_rng,
+        return elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng,
                          eps_override=eps_override, gamma_override=gamma_override)
     sequences = [seq for seq, _ in prepared]
     prompt_lens = [plen for _, plen in prepared]
-    nll = bundle.lm.batched_nll(sequences, prompt_lens, gates)
     if cfg.alpha == 0.0:
-        return nll
-    elbo = elbo_loss(bundle.vae, users, items, ratings, cfg.beta, eps_rng,
-                     eps_override=eps_override, gamma_override=gamma_override)
+        return bundle.lm.batched_nll(sequences, prompt_lens, vae.gates(users, items))
+    encoded = vae.encode(users, items)
+    gates = np.argmax(gmm_posterior_batch(vae.prior, encoded[0].data), axis=1)
+    elbo = elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng, eps_override=eps_override,
+                     gamma_override=gamma_override, encoded=encoded)
+    nll = bundle.lm.batched_nll(sequences, prompt_lens, gates)
     return weighted_means((elbo, nll), (cfg.alpha, 1.0 - cfg.alpha))
 
 

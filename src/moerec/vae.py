@@ -276,11 +276,14 @@ class VaeGmm:
 
 def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
               eps_override: Optional[np.ndarray] = None,
-              gamma_override: Optional[np.ndarray] = None) -> Tensor:
+              gamma_override: Optional[np.ndarray] = None,
+              encoded: Optional[tuple] = None) -> Tensor:
     """Mean over the batch of BCE(rating_norm, decoded) + beta * KL.
 
     This is the (negated, per-record) training objective: minimize it.
-    Ratings must already be normalized into [0, 1].
+    Ratings must already be normalized into [0, 1]. `encoded`, the taped
+    ``model.encode(users, items)`` of a caller that has run it, stands in
+    for the encode.
     """
     ratings_norm = np.asarray(ratings_norm, dtype=np.float64)
     if ratings_norm.size and (ratings_norm.min() < 0.0 or ratings_norm.max() > 1.0):
@@ -288,7 +291,7 @@ def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
     if beta < 0:
         raise ValueError("beta must be nonnegative")
 
-    mu, log_var = model.encode(users, items)
+    mu, log_var = model.encode(users, items) if encoded is None else encoded
     z, _ = reparameterize(mu, log_var, rng, eps_override=eps_override)
     bce = T.bce_with_logits(model.decoder.forward(z), ratings_norm)
     if beta == 0.0:

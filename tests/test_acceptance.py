@@ -225,7 +225,6 @@ def test_criterion_1_gradient_correctness():
         ratings = normalized_ratings(split.train)[:4]
         prepared = [prepare_sequence(bundle.vocab, r, run.context)
                     for r in split.train[:4]]
-        gates = bundle.vae.gates(users, items)
         cfg2 = run.stage2()
 
         mu0, lv0 = bundle.vae.encode(users, items)
@@ -255,7 +254,7 @@ def test_criterion_1_gradient_correctness():
                 def stage2_loss(_x):
                     frozen.replay() if frozen.trace else None
                     return _stage2_loss(bundle, users, items, ratings, prepared,
-                                        gates, cfg2, Rng(0), eps_override=eps,
+                                        cfg2, Rng(0), eps_override=eps,
                                         gamma_override=gamma)
                 err = grad_check(stage2_loss, x2, coords=coords)
             swap_in(bundle, name, original)
@@ -623,7 +622,6 @@ def test_criterion_11_loss_decoupling():
     ratings = normalized_ratings(split.train)[:4]
     prepared = [prepare_sequence(bundle.vocab, r, run.context)
                 for r in split.train[:4]]
-    gates = bundle.vae.gates(users, items)
 
     cfg = run.stage2()
     cfg.alpha = 1.0
@@ -631,7 +629,7 @@ def test_criterion_11_loss_decoupling():
         p.grad = None
     with Tape() as tape:
         tape.backward(_stage2_loss(bundle, users, items, ratings, prepared,
-                                   gates, cfg, Rng(3)))
+                                   cfg, Rng(3)))
     lm_grads = [p.grad for p in bundle.lm.params().values()]
     assert all(g is None or np.all(g == 0.0) for g in lm_grads)
 
@@ -640,7 +638,7 @@ def test_criterion_11_loss_decoupling():
         p.grad = None
     with Tape() as tape:
         tape.backward(_stage2_loss(bundle, users, items, ratings, prepared,
-                                   gates, cfg, Rng(3)))
+                                   cfg, Rng(3)))
     decoder_names = [n for n in bundle.vae.params() if n.startswith("vae.decoder")]
     for name in decoder_names:
         g = bundle.vae.params()[name].grad

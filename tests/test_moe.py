@@ -1158,6 +1158,19 @@ def test_nll_rejects_empty_reference():
         prepare_sequence(vocab, InteractionRecord("3", "7", 4.0, ["thai"], " "), 32)
 
 
+@pytest.mark.parametrize("prompt_lens", [[0, 2], [2, 5], [2, 9], [2], [2, 2, 2]])
+def test_batched_nll_refuses_prompts_that_leave_no_loss_row(prompt_lens):
+    # each prompt needs 1 to length-1 tokens, one per sequence; a prompt of 0
+    # once scored the previous record's last row, one of the whole sequence
+    # divided by zero
+    lm = tiny_lm(seed=15, gates=2)
+    seqs = [np.array([BOS, 4, 5, 6, 7, EOS]), np.array([BOS, 9, 10, 11, EOS])]
+    with pytest.raises(ShapeError, match="each prompt needs"):
+        lm.batched_nll(seqs, prompt_lens, np.array([0, 1]))
+    with pytest.raises(ShapeError, match="each prompt needs"):
+        lm.batched_nll([], [], np.array([], np.int64))
+
+
 def test_batched_nll_matches_single_records():
     lm = tiny_lm(seed=15, gates=2)
     seqs = [np.array([BOS, 4, 5, 6, 7, EOS]), np.array([BOS, 9, 10, 11, EOS])]

@@ -126,6 +126,43 @@ def test_adamw_rejects_nonfinite_gradient():
     assert "p" in str(err.value)
 
 
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0])
+def test_clip_refuses_a_nan_or_nonpositive_bound_at_both_entry_points(bad):
+    # a NaN bound once passed the check and scaled every gradient, and then
+    # every parameter, by NaN
+    grads = [np.array([3.0, 4.0]), np.array([1.0])]
+    with pytest.raises(ValueError, match="max_norm must be positive"):
+        clip_grad_norm(grads, bad)
+    assert np.array_equal(grads[0], [3.0, 4.0]) and np.array_equal(grads[1], [1.0])
+    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    opt = AdamW({"p": p}, lr=0.1)
+    p.grad = np.array([3.0, 4.0])
+    with pytest.raises(ValueError, match="max_norm must be positive"):
+        opt.step(clip_norm=bad)
+    assert np.array_equal(p.data, [1.0, 2.0]) and opt.step_count == 0
+
+
+@pytest.mark.parametrize("dtype,big", [("float64", 1e200), ("float32", 3e38)])
+def test_adamw_keeps_the_pre_clip_norm_read_only(dtype, big):
+    p = Tensor(np.zeros(2, dtype), requires_grad=True)
+    q = Tensor(np.zeros((1, 2), dtype), requires_grad=True)
+    opt = AdamW({"p": p, "q": q}, lr=0.1)
+    assert opt.grad_norm is None
+    with pytest.raises(AttributeError):
+        opt.grad_norm = 1.0
+    p.grad, q.grad = np.array([3.0, 0.0], dtype), np.array([[4.0, 0.0]], dtype)
+    opt.step(clip_norm=1.0)
+    assert opt.grad_norm == 5.0 and p.grad[0] == pytest.approx(0.6)
+    p.grad[...], q.grad[...] = 0.0, [[4.0, 0.0]]
+    opt.step()                                 # unclipped steps keep it too
+    assert opt.grad_norm == 4.0
+    p.grad[...] = [big, big]                   # squares past the dtype's range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step(clip_norm=1.0)
+    assert opt.grad_norm == pytest.approx(math.hypot(big, big, 4.0), rel=1e-6)
+
+
 def test_adamw_step_counter_and_moment_shapes():
     p = Tensor(np.zeros((2, 3)), requires_grad=True)
     opt = AdamW({"p": p}, lr=0.01)
@@ -166,6 +203,7 @@ class ReferenceAdamW:
             if p.grad is None:
                 p.grad = np.zeros_like(p.data)
             grads.append(p.grad)
+        self.norm = math.sqrt(sum(float((g * g).sum()) for g in grads))
         scale = clip_grad_norm(grads, clip_norm)
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
@@ -205,6 +243,7 @@ def test_in_place_adamw_matches_the_reference_update(dtype, weight_decay):
                 ours[k].grad, theirs[k].grad = g.copy(), g.copy()
             scales = opt.step(clip_norm=0.5), ref.step(clip_norm=0.5)
             assert scales[0] == scales[1] < 1.0    # clipping is active on every step
+            assert opt.grad_norm == ref.norm       # the pre-clip norm, name-ordered
             opt.zero_grad()
             for p in theirs.values():
                 p.grad = None

@@ -979,9 +979,8 @@ def default_losses(precision: str) -> tuple:
     stage1 = lambda: elbo_loss(vae, users, items, ratings, run.beta, Rng(9))  # noqa: E731
     users2, items2, ratings2, records = batch(run.s2_batch)
     prepared = [prepare_sequence(vocab, r, run.context) for r in records]
-    gates = vae.gates(users2, items2)
     stage2 = lambda: _stage2_loss(bundle, users2, items2, ratings2, prepared,  # noqa: E731
-                                  gates, run.stage2(), Rng(9))
+                                  run.stage2(), Rng(9))
     return bundle.params(), {"stage1": stage1, "stage2": stage2}
 
 

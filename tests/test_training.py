@@ -25,7 +25,7 @@ from moerec import tensor, training
 from moerec.checkpoint import read_manifest
 from moerec.errors import ConfigError, ContextLimitError, DataError, TrainingError
 from moerec.moe import EOS, LanguageModel, Vocab, build_prompt
-from moerec.optim import AdamW
+from moerec.optim import AdamW, clip_grad_norm
 from moerec.rng import Rng
 from moerec.tensor import Tape
 from moerec.training import (
@@ -39,7 +39,7 @@ from moerec.training import (
     train_stage2,
     vae_config_from,
 )
-from moerec.vae import GmmPrior, VaeGmm, elbo_loss
+from moerec.vae import GmmPrior, VaeGmm, elbo_loss, init_gmm_prior
 
 
 def small_corpus(seed=0, users=24, items=12, per_user=6):
@@ -191,9 +191,8 @@ def test_stage2_alpha_one_never_touches_lm():
     items = split.item_ids(split.train)[:6]
     ratings = normalized_ratings(split.train)[:6]
     prepared = [prepare_sequence(vocab, r, run.context) for r in split.train[:6]]
-    gates = vae.gates(users, items)
     with Tape() as tape:
-        loss = _stage2_loss(bundle, users, items, ratings, prepared, gates, cfg, Rng(9))
+        loss = _stage2_loss(bundle, users, items, ratings, prepared, cfg, Rng(9))
         tape.backward(loss)
     for name, p in lm.params().items():
         assert p.grad is None or np.all(p.grad == 0.0), name
@@ -233,7 +232,7 @@ def test_stage2_loss_equals_the_operator_chain_bit_for_bit(alpha, precision):
 
         params = bundle.params()
         runs = []
-        for loss_fn in (lambda: _stage2_loss(bundle, users, items, ratings, prepared, gates,
+        for loss_fn in (lambda: _stage2_loss(bundle, users, items, ratings, prepared,
                                              cfg, Rng(9)), chain):
             tensor.zero_grad(params.values())
             with Tape() as tape:
@@ -263,15 +262,225 @@ def test_stage2_alpha_zero_never_touches_rating_decoder():
     items = split.item_ids(split.train)[:6]
     ratings = normalized_ratings(split.train)[:6]
     prepared = [prepare_sequence(vocab, r, run.context) for r in split.train[:6]]
-    gates = vae.gates(users, items)
     with Tape() as tape:
-        loss = _stage2_loss(bundle, users, items, ratings, prepared, gates, cfg, Rng(9))
+        loss = _stage2_loss(bundle, users, items, ratings, prepared, cfg, Rng(9))
         tape.backward(loss)
     for name in ("vae.decoder.w1", "vae.decoder.b1", "vae.decoder.w2", "vae.decoder.b2"):
         p = vae.params()[name]
         assert p.grad is None or np.all(p.grad == 0.0), name
     assert any(p.grad is not None and np.any(p.grad != 0.0)
                for p in lm.params().values())
+
+
+# --- the stage-2 step that encodes once, against the step that encoded twice ---
+
+def two_encode_batches(bundle, run, cfg, split, records, rng):
+    """`training._explainer_batches` as it was before the step encoded once:
+    each batch takes its gates from an untaped ``VaeGmm.gates``, and its loss
+    tapes the language model's NLL, then an ELBO that encodes the pairs again."""
+    users, items = split.user_ids(records), split.item_ids(records)
+    ratings = normalized_ratings(records)
+    prepared = [prepare_sequence(bundle.vocab, rec, run.context) for rec in records]
+
+    def batch(idx):
+        gates = bundle.vae.gates(users[idx], items[idx])
+
+        def loss():
+            nll = bundle.lm.batched_nll([prepared[i][0] for i in idx],
+                                        [prepared[i][1] for i in idx], gates)
+            elbo = elbo_loss(bundle.vae, users[idx], items[idx], ratings[idx], cfg.beta, rng)
+            return tensor.weighted_means((elbo, nll), (cfg.alpha, 1.0 - cfg.alpha))
+        return loss
+    return batch
+
+
+class SummedFiniteAdamW(AdamW):
+    """`AdamW.step` as it was before one pass of squares served both of its
+    checks: a sum of the gradient row proves every gradient finite, then
+    `clip_grad_norm` squares each gradient again for the norm it clips to."""
+
+    def step(self, clip_norm=None):
+        self._adopt()
+        with np.errstate(over="ignore"):
+            finite = math.isfinite(self._store[1].sum())
+        if not finite:
+            bad = [n for n, g in zip(self._names, self._grads) if not np.isfinite(g).all()]
+            if bad:
+                raise TrainingError(f"non-finite gradient on parameter {bad[0]!r}")
+        scale = 1.0
+        if clip_norm is not None:
+            scale = clip_grad_norm(self._grads, clip_norm, [self._store[1]])
+        super().step(None)                      # the update of the clipped gradients
+        return scale
+
+
+class StepsDone(Exception):
+    pass
+
+
+def default_stage2_run(monkeypatch, precision: str, steps: int, reference: bool) -> tuple:
+    """(losses, gates of every step, final store bytes) of the first `steps`
+    stage-2 steps of the default run config on the default corpus, from an
+    untrained preference model with a three-component prior; with
+    `reference`, through the two-encode batches and the summed finiteness
+    proof. Each step's gates are checked against ``VaeGmm.gates`` of its
+    pairs, taken before the step's update."""
+    run = RunConfig(precision=precision).validate()
+    split = split_records(generate_synthetic(SynthSpec(seed=1))[0], seed=1)
+    caller = tensor.default_dtype().name
+    tensor.set_default_dtype(precision)
+    try:
+        vae = VaeGmm(vae_config_from(run, split), Rng(3))
+        rng, k, d = Rng(4), run.clusters, run.latent_dim
+        vae.prior = GmmPrior(rng.normal(k), rng.normal(k * d).reshape(k, d),
+                             rng.normal(k * d).reshape(k, d) * 0.3)
+    finally:
+        tensor.set_default_dtype(caller)
+    losses, gates, built = [], [], []
+    users, items = split.user_ids(split.train), split.item_ids(split.train)
+    real_batches, real_backward, real_nll = (training._explainer_batches, tensor.backward,
+                                             LanguageModel.batched_nll)
+
+    def batches(bundle, *args):
+        batch = (two_encode_batches if reference else real_batches)(bundle, *args)
+
+        def gated(idx):
+            gates.append(bundle.vae.gates(users[idx], items[idx]))
+            return batch(idx)
+        return gated
+
+    def nll(lm, sequences, prompt_lens, step_gates):
+        assert np.array_equal(step_gates, gates[-1]), len(gates)
+        return real_nll(lm, sequences, prompt_lens, step_gates)
+
+    class Counted(SummedFiniteAdamW if reference else AdamW):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+        def step(self, *args, **kwargs):
+            scale = super().step(*args, **kwargs)
+            if self.step_count == steps:
+                raise StepsDone
+            return scale
+
+    monkeypatch.setattr(training, "_explainer_batches", batches)
+    monkeypatch.setattr(training, "AdamW", Counted)
+    monkeypatch.setattr(tensor, "backward", lambda tape, loss: losses.append(
+        np.asarray(loss.data).tobytes()) or real_backward(tape, loss))
+    monkeypatch.setattr(LanguageModel, "batched_nll", nll)
+    try:
+        with pytest.raises(StepsDone):
+            train_stage2(split, vae, run, run.stage2())
+    finally:
+        monkeypatch.undo()
+    (opt,) = built
+    return losses, gates, opt._store.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["float32", "float64"])
+def test_a_stage2_step_that_encodes_once_equals_the_two_encode_step(monkeypatch, precision):
+    # the gates come from the step's own taped encode, the ELBO reuses it,
+    # and one pass of squares proves the gradients finite and clips them:
+    # every step's gates are VaeGmm.gates of its pairs, and the losses and
+    # the final store, values, grads and moments, are the reference's bytes
+    ours = default_stage2_run(monkeypatch, precision, 30, reference=False)
+    theirs = default_stage2_run(monkeypatch, precision, 30, reference=True)
+    assert len(ours[0]) == len(ours[1]) == 30
+    assert ours[0] == theirs[0]
+    assert all(np.array_equal(a, b) for a, b in zip(ours[1], theirs[1]))
+    assert ours[2] == theirs[2]
+
+
+def test_a_stage2_batch_above_the_chunk_bound_gates_as_vae_gates(monkeypatch):
+    # above INFERENCE_ROWS, VaeGmm.gates runs its chunked mean path; the
+    # step's one-pass encode gives the same gates
+    from moerec.vae import INFERENCE_ROWS
+    split, _ = small_corpus(users=120, per_user=6)
+    run = small_run()
+    records = split.train[:INFERENCE_ROWS + 40]
+    assert len(records) == INFERENCE_ROWS + 40
+    users, items = split.user_ids(records), split.item_ids(records)
+    vae = VaeGmm(vae_config_from(run, split), Rng(3))
+    vae.prior = init_gmm_prior(vae.latent_mu(users, items), 2, Rng(4))
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
+    bundle = ExplainerBundle(vae, LanguageModel(lm_config_from(run, len(vocab)), Rng(5)), vocab,
+                             split.user_index, split.item_index)
+    seen = []
+    nll = LanguageModel.batched_nll
+    monkeypatch.setattr(LanguageModel, "batched_nll",
+                        lambda lm, seqs, lens, gates: seen.append(gates) or nll(lm, seqs, lens, gates))
+    with Tape():
+        _stage2_loss(bundle, users, items, normalized_ratings(records),
+                     [prepare_sequence(vocab, r, run.context) for r in records],
+                     run.stage2(), Rng(9))
+    want = vae.gates(users, items)
+    assert len(set(want.tolist())) == 2 and np.array_equal(seen[0], want)
+
+
+# Python frames of one tiny stage-2 step: 646 when the gates took their own
+# encode and batched_nll built its arrays record by record (Python 3.11;
+# 3.12 inlines comprehensions, so it counts fewer)
+FRAMES_OF_A_STAGE2_STEP = 500
+
+
+def test_a_stage2_step_encodes_once_and_batches_with_whole_array_ops(monkeypatch):
+    # the machine-free cost of one stage-2 step as _fit runs it, on a tiny
+    # config: one taped encode serves the gates and the ELBO, batched_nll
+    # makes as many numpy calls for 8 records as for 4 (outside the
+    # forward), and the step's Python frames are pinned
+    split, _ = small_corpus()
+    run = small_run(s2_batch=8)
+    vae = VaeGmm(vae_config_from(run, split), Rng(3))
+    vae.prior = init_gmm_prior(vae.latent_mu(split.user_ids(split.train),
+                                             split.item_ids(split.train)), 2, Rng(4))
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
+    bundle = ExplainerBundle(vae, LanguageModel(lm_config_from(run, len(vocab)), Rng(5)), vocab,
+                             split.user_index, split.item_index)
+    cfg = run.stage2()
+    opt = AdamW(bundle.params(), lr=cfg.lr)
+    batch = training._explainer_batches(bundle, run, cfg, split, split.train, Rng(6))
+    encodes = []
+    encode = VaeGmm.encode
+    monkeypatch.setattr(VaeGmm, "encode", lambda *args: encodes.append(1) or encode(*args))
+
+    def profiled_step(idx):
+        events = []
+
+        def hook(frame, event, arg):
+            if event == "call":
+                events.append(("call", frame.f_code.co_name))
+            elif event == "c_call" and (
+                    isinstance(getattr(arg, "__self__", None), (np.ndarray, np.ufunc))
+                    or (getattr(arg, "__module__", None) or "").startswith("numpy")):
+                events.append(("c_call", arg.__name__))
+        sys.setprofile(hook)
+        try:
+            compute = batch(idx)
+            with Tape() as tape:
+                loss = compute()
+                tape.backward(loss)
+            opt.step(clip_norm=cfg.clip_norm)
+            opt.zero_grad()
+        finally:
+            sys.setprofile(None)
+        return events
+
+    def nll_numpy_calls(events):
+        # the numpy calls and the frames of batched_nll before its forward_rows
+        start = events.index(("call", "batched_nll"))
+        return events[start:events.index(("call", "forward_rows"), start)]
+
+    profiled_step(np.arange(8))                                  # warm-up
+    encodes.clear()
+    calls = {}
+    for size in (4, 8):
+        events = profiled_step(np.arange(size))
+        calls[size] = nll_numpy_calls(events)
+    assert len(encodes) == 2                                      # one a step
+    assert calls[4] == calls[8], calls
+    frames = sum(kind == "call" for kind, _ in events)
+    assert frames <= FRAMES_OF_A_STAGE2_STEP, frames
 
 
 def test_stage2_determinism_bit_identical():
