@@ -208,17 +208,6 @@ class DraftTable:
         return out[2:]
 
 
-def _prompt_matrix(prompts) -> np.ndarray:
-    """`prompts` as a (B, L) token matrix; ShapeError unless they make one."""
-    try:
-        tokens = np.array(prompts)
-    except ValueError:                  # numpy refuses a ragged matrix
-        raise ShapeError("prefill takes prompts of one length") from None
-    if tokens.ndim != 2:
-        raise ShapeError(f"prompts of shape {tokens.shape}: one prompt per row")
-    return tokens
-
-
 # --- expert decomposition and routing ---
 
 @dataclass(frozen=True)
@@ -414,13 +403,13 @@ class KVCache:
 
     Passed to :meth:`LanguageModel.forward_rows`, it makes the forward
     incremental: the new tokens sit at positions offset by `length` and
-    attend over every cached key, while the prefix is not recomputed. The
-    first call on a fresh cache is the prefill. Cached forwards are for
-    inference only; under a recording tape they raise TapeError.
-    :meth:`keep` drops the sequences that have finished decoding. A
-    drafted step of :meth:`LanguageModel.generate` sets `length` back to
-    the positions it keeps; the ones past it are never read, and the next
-    forward writes over them.
+    attend over every cached key, while the prefix is not recomputed. Each
+    step of :meth:`LanguageModel.generate`'s one loop feeds the tokens the
+    cache lacks; the first, on a fresh cache, is the prefill of the whole
+    prompts. Cached forwards are for inference only; under a recording tape
+    they raise TapeError. :meth:`keep` drops the sequences that have ended.
+    A drafted step sets `length` back to the positions it keeps; the ones
+    past it are never read, and the next forward writes over them.
     """
 
     def __init__(self, blocks: int, batch: int = 1, positions: int = None):
@@ -541,57 +530,28 @@ class LanguageModel:
             x = T.take_rows(x, rows)
         return T.rms_norm(x, self.norm_f_g) @ self.head
 
-    def prefill(self, prompts, gates: np.ndarray, max_len: int,
-                guess: Sequence[int] = ()) -> tuple:
-        """Feed a (B, L) matrix of equal-length prompts, prompt b under gate
-        `gates[b]`, in one forward into a B-row :class:`KVCache`. Returns
-        the cache, holding the prompts' L positions, and the (B, vocab)
-        logits of their last positions, where :meth:`generate` starts. The
-        cache has room for the prompts and the `max_len` - 1 tokens that
-        decoding `max_len` tokens feeds at most, up to the context. Only the
-        last positions go through the head, and the last block's queries and
-        experts run only there. A prompt that fills the context raises
-        ContextLimitError, and prompts of several lengths, or not in a
-        matrix, ShapeError.
-
-        A `guess`, tokens drafted to follow a lone prompt, is fed after it
-        into the cache, and the logits are then those of the prompt's last
-        position and of each guessed one's.
-        """
-        tokens = _prompt_matrix(prompts)
-        batch, length = tokens.shape
-        context = self.config.context
-        if length >= context:
-            raise ContextLimitError(
-                f"prompt of {length} tokens fills context {context}; nothing can be generated")
-        cache = KVCache(len(self.blocks), batch, min(context, length + max(max_len - 1, 0)))
-        rows = np.arange(1, batch + 1) * length - 1
-        if len(guess):
-            if batch != 1:
-                raise ShapeError(f"a guess follows one prompt, not {batch}")
-            tokens = np.concatenate([tokens, np.reshape(guess, (1, -1))], axis=1)
-            rows = np.arange(length - 1, tokens.shape[1])
-        logits = self.forward_rows(tokens, gates, cache, rows=rows).data
-        return cache, logits
-
     def generate(self, prompts, gates: np.ndarray, max_len: int = 16,
                  mode: str = "greedy", temperature: float = 1.0,
                  seed: int = 0, banned: np.ndarray = None,
                  draft: DraftTable = None) -> List[List[int]]:
-        """One continuation per prompt of a (B, L) matrix of equal-length
-        prompts, prompt b under gate `gates[b]`, decoded in lockstep
-        (iteration-level batching, as in Orca, Yu et al., OSDI 2022): one
-        :meth:`prefill` into a cache sized to the request, then one forward
-        per step over the rows still running, each fed only its last token.
-        A row ends at <eos>, at `max_len` tokens or at the context; a row
-        that emits <eos> leaves the batch and the cache
-        (:meth:`KVCache.keep`).
+        """One continuation of at most `max_len` (at least 1) tokens per
+        prompt of a (B, L) matrix of equal-length prompts (else ShapeError),
+        prompt b under gate `gates[b]`, decoded in lockstep (iteration-level
+        batching, Orca, Yu et al., OSDI 2022) into a :class:`KVCache` sized
+        to the request. One (B, L + width) token matrix holds each row's
+        prompt, then its text; each step is one forward over the rows still
+        running, each fed the tokens its cache lacks. The first step is the
+        prefill of the whole prompts, whose last positions alone reach the
+        last block's queries and experts and the head (a prompt that fills
+        the context raises ContextLimitError); every later step feeds each
+        row its last token. A row ends at <eos>, at `max_len` tokens or at
+        the context; one that emits <eos> leaves the batch and the cache.
 
         Greedy mode is deterministic. With a `draft` table, a greedy step
-        that has one row left feeds its last token and up to
-        ``DRAFT_TOKENS`` tokens the table guesses to follow it
-        (speculative decoding, Leviathan et al., ICML 2023, with a
-        model-free draft): the row keeps the longest prefix of the guess
+        that has one row left, the prefill of a lone prompt included, also
+        feeds up to ``DRAFT_TOKENS`` tokens the table guesses to follow its
+        last token (speculative decoding, Leviathan et al., ICML 2023, with
+        a model-free draft): the row keeps the longest prefix of the guess
         that its own argmax matches position by position, and the token it
         chose after that prefix, and the cache drops the positions past
         them. The multi-position forward rounds otherwise than one-position
@@ -604,6 +564,8 @@ class LanguageModel:
         one's stream. The `banned` token ids get no probability in either
         mode.
         """
+        if max_len < 1:
+            raise ConfigError(f"max_len must be at least 1, got {max_len}")
         if mode not in ("greedy", "sample"):
             raise ConfigError(f"unknown generation mode {mode!r}")
         if mode == "sample" and not 0.0 <= temperature < math.inf:
@@ -612,25 +574,41 @@ class LanguageModel:
         if banned is not None:
             banned = T._row_ids(banned, self.config.vocab_size)
         gates = T._row_ids(gates).reshape(-1)
-        tokens = _prompt_matrix(prompts)
-        width = max(min(max_len, self.config.context - tokens.shape[1]), 0)
-        if mode != "greedy":
-            draft = None
-        guess = []
-        if draft is not None and len(tokens) == 1:
-            guess = draft.propose(tokens[0].tolist(), [], min(DRAFT_TOKENS, width - 1))
-        cache, logits = self.prefill(tokens, gates, max_len, guess)
+        try:
+            prompts = T._row_ids(prompts)
+        except ValueError:                  # numpy refuses a ragged matrix
+            raise ShapeError("generate takes prompts of one length") from None
+        if prompts.ndim != 2:
+            raise ShapeError(f"prompts of shape {prompts.shape}: one prompt per row")
+        batch, length = prompts.shape
+        context = self.config.context
+        if length >= context:
+            raise ContextLimitError(
+                f"prompt of {length} tokens fills context {context}; nothing can be generated")
+        width = min(max_len, context - length)
+        cache = KVCache(len(self.blocks), batch, min(context, length + max_len - 1))
         # a temperature past the logits' range divides as their largest value:
         # cast to their dtype it would read inf, and every probability NaN
-        divisor = min(max(temperature, 1e-8), float(np.finfo(logits.dtype).max))
-        emitted = np.full((cache.batch, width), EOS)    # a row's text ends at its first <eos>
-        emitted[:, :len(guess)] = guess
-        live = np.arange(cache.batch)                   # the rows still running, in order
+        divisor = min(max(temperature, 1e-8), float(np.finfo(self.head.data.dtype).max))
+        tokens = np.full((batch, length + width), EOS)  # a row's text ends at its first <eos>
+        tokens[:, :length] = prompts
+        emitted = tokens[:, length:]
+        live = np.arange(batch)                         # the rows still running, in order
         rng = Rng(seed)
-        at, drafted = 0, len(guess)     # tokens each live row has emitted; guesses fed after them
+        at = 0                                          # tokens each live row has emitted
         while at < width:
-            if at:
-                logits = self.forward_rows(emitted[live, at - 1:at + drafted], gates, cache).data
+            drafted = 0                                 # guesses fed after the last token
+            if draft is not None and live.size == 1 and mode == "greedy":
+                row = live[0]
+                guess = draft.propose(prompts[row].tolist(), emitted[row, :at].tolist(),
+                                      min(DRAFT_TOKENS, width - at - 1))
+                emitted[row, at:at + len(guess)] = guess
+                drafted = len(guess)
+            fed = tokens[live, cache.length:length + at + drafted]
+            # the prefill's head reads each row's last 1 + drafted positions
+            rows = None if at else ((np.arange(1, batch + 1) * fed.shape[1])[:, None]
+                                    + np.arange(-1 - drafted, 0)).reshape(-1)
+            logits = self.forward_rows(fed, gates, cache, rows).data
             if banned is not None:
                 logits[:, banned] = -np.inf
             if mode == "greedy":
@@ -656,13 +634,6 @@ class LanguageModel:
                     break
                 live, gates = live[going], gates[going]
                 cache.keep(going)
-            drafted = 0
-            if draft is not None and live.size == 1:
-                row = live[0]
-                guess = draft.propose(tokens[row].tolist(), emitted[row, :at].tolist(),
-                                      min(DRAFT_TOKENS, width - at - 1))
-                emitted[row, at:at + len(guess)] = guess
-                drafted = len(guess)
         return [row[:row.index(EOS)] if EOS in row else row for row in emitted.tolist()]
 
     def batched_nll(self, sequences: List[np.ndarray], prompt_lens: List[int],

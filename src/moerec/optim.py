@@ -131,6 +131,12 @@ class AdamW:
             bad = [n for n, g in zip(self._names, self._grads) if not np.isfinite(g).all()]
             if bad:
                 raise TrainingError(f"non-finite gradient on parameter {bad[0]!r}")
+            with np.errstate(over="ignore"):    # unclipped, an inf v would stop its element
+                bad = [n for n, g in zip(self._names, self._grads)
+                       if clip_norm is None and np.isinf(g * (1.0 - self.b2) * g).any()]
+            if bad:
+                raise TrainingError(f"unclipped gradient on parameter {bad[0]!r} overflows "
+                                    f"its second moment")
         self._grad_norm = global_norm(self._grads, sums)
         scale = 1.0 if clip_norm is None else clip_grad_norm(
             self._grads, clip_norm, [self._store[1]], self._grad_norm)

@@ -488,10 +488,10 @@ def test_forward_lm_context_limit():
         forward_lm(lm, [1] * 17, gate=0)
 
 
-def test_prefill_refuses_prompts_of_several_lengths():
+def test_generate_refuses_prompts_of_several_lengths():
     lm = tiny_lm(seed=13)
     with pytest.raises(ShapeError, match="one length"):
-        lm.prefill([[BOS, 4, 5], [BOS, 4]], np.array([0, 1]), max_len=4)
+        lm.generate([[BOS, 4, 5], [BOS, 4]], np.array([0, 1]), max_len=4)
 
 
 def test_generate_rejects_full_context_prompt():
@@ -809,7 +809,8 @@ def test_decode_step_runs_no_numpy_python_wrapper():
 def test_a_cached_step_reads_the_cache_in_place(monkeypatch, dtype):
     # each block's attention multiplies views of its head-major cache
     # buffers, uncopied, and gets the bits that contiguous copies of them
-    # give; the prefill's logits are the uncached forward's rows bit for
+    # give; a prefill's logits (the rows of each prompt's last position, as
+    # generate's first step asks) are the uncached forward's rows bit for
     # bit. A cached step's products run on fewer rows than the uncached
     # forward's (a one-row product takes a matrix-vector kernel), so its
     # logits meet those rows within a few units in the last place
@@ -817,8 +818,9 @@ def test_a_cached_step_reads_the_cache_in_place(monkeypatch, dtype):
     try:
         lm = tiny_lm(seed=36, gates=2)                   # two blocks, two heads
         prompts, gates = np.array([[BOS, 4, 6, 9], [BOS, 11, 5, 7]]), np.array([0, 1])
-        cache, logits = lm.prefill(prompts, gates, max_len=8)
         last = np.array([1, 2]) * prompts.shape[1] - 1
+        cache = KVCache(lm.config.blocks, 2, prompts.shape[1] + 7)
+        logits = lm.forward_rows(prompts, gates, cache, rows=last).data
         assert np.array_equal(logits, lm.forward_rows(prompts, gates, rows=last).data)
         multiplied = []
         attention = T._attention_parts
@@ -1024,6 +1026,40 @@ def test_sampling_and_lockstep_rows_feed_no_draft():
         else:                                       # the last running row drafts
             live = [len(tokens) for tokens, _ in calls[1:]]
             assert all(w == 1 for w, n in zip(widths, live) if n > 1)
+
+
+@pytest.mark.parametrize("variant", CACHE_VARIANTS[1:3])
+def test_one_token_prompts_decode_as_the_reference_batched_alone_and_drafted(variant):
+    # a [BOS] prompt makes generate's first step, the prefill, one position
+    # wide, like every later step: greedy and sampled, as a batch of 3 and
+    # alone, with a table that always guesses and without one, each text is
+    # reference_generate's
+    lm = tiny_lm(**variant)
+    lm.head.data[:, EOS] += 0.5
+    gates = np.arange(3) % variant["gates"]
+    always = DraftTable({(a, b): 5 for a in range(20) for b in range(20)})
+    for options in (dict(), dict(mode="sample", temperature=1.5, seed=3)):
+        refs = [reference_generate(lm, [BOS], gate, **options)[0] for gate in gates]
+        assert min(map(len, refs)) > 1                # texts of 4 to 15 tokens
+        for draft in (None, always):
+            assert lm.generate([[BOS]] * 3, gates, draft=draft, **options) == refs
+            calls = record_forward_rows(lm)
+            alone = [generate_one(lm, [BOS], gate, draft=draft, **options) for gate in gates]
+            del lm.forward_rows
+            assert alone == refs
+            # a lone greedy row drafts once it has a pair of tokens to look up
+            drafted = max(tokens.shape[1] for tokens, _ in calls) > 1
+            assert drafted == (draft is not None and not options), (draft, options)
+
+
+def test_generate_refuses_a_max_len_below_one():
+    # with no token to emit, no step would run the prompts and gates
+    # through a forward
+    lm = tiny_lm(seed=13)
+    for max_len in (0, -3):
+        with pytest.raises(ConfigError, match="max_len must be at least 1"):
+            generate_one(lm, [BOS, 4], 0, max_len=max_len)
+    assert len(generate_one(lm, [BOS, 4], 0, max_len=1)) <= 1
 
 
 def lockstep_and_reference(lm: LanguageModel, prompts, gates, **options) -> tuple:

@@ -56,6 +56,32 @@ def test_a_clipped_step_takes_finite_grads_whose_sum_overflows():
     assert np.allclose(p.data, [-0.1, -0.1], rtol=1e-5)
 
 
+@pytest.mark.parametrize("dtype,big", [("float64", 1e200), ("float32", 1e22)])
+def test_an_unclipped_step_refuses_finite_grads_whose_second_moment_overflows(dtype, big):
+    # unclipped, (1 - b2) * g * g reads inf: that element's second moment
+    # would stay inf, and m / sqrt(inf) = 0 would never move it again
+    p, q = Tensor(np.ones(2)), Tensor(np.ones(3))
+    p.data, q.data = p.data.astype(dtype), q.data.astype(dtype)    # Tensor casts to float64
+    opt = AdamW({"p": p, "q": q}, lr=0.1)
+    p.grad, q.grad = np.array([1.0, 1.0], dtype), np.array([0.0, big, 0.0], dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="parameter 'q' overflows its second moment"):
+            opt.step()
+        assert np.array_equal(p.data, [1.0, 1.0]) and np.array_equal(q.data, [1.0, 1.0, 1.0])
+        assert opt.step_count == 0 and not opt.m["q"].any() and not opt.v["q"].any()
+        opt.step(clip_norm=1.0)                 # the clipped step takes the same gradient
+    assert np.isfinite(opt.v["q"]).all() and q.data[1] < 1.0
+    # squares whose sum alone overflows leave every second moment finite
+    r = Tensor(np.zeros(2))
+    opt = AdamW({"r": r}, lr=0.1)
+    r.grad = np.array([1e154, 1e154])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        opt.step()
+    assert np.allclose(r.data, [-0.1, -0.1]) and np.isfinite(opt.v["r"]).all()
+
+
 def test_clip_never_increases_norm():
     for seed in range(10):
         grads = [Rng(seed).normal(5), Rng(seed + 100).normal(3)]

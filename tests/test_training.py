@@ -24,7 +24,7 @@ from moerec.data import (
 from moerec import tensor, training
 from moerec.checkpoint import read_manifest
 from moerec.errors import ConfigError, ContextLimitError, DataError, TrainingError
-from moerec.moe import EOS, LanguageModel, Vocab, build_prompt
+from moerec.moe import EOS, KVCache, LanguageModel, Vocab, build_prompt
 from moerec.optim import AdamW, clip_grad_norm
 from moerec.rng import Rng
 from moerec.tensor import Tape
@@ -1000,7 +1000,10 @@ def test_rows_that_leave_a_lockstep_batch_leave_the_others_as_they_were():
     prompts = np.array([build_prompt(bundle.vocab, r.user, r.item, r.rating, ["staff", "wifi"])
                         for r in split.test[:3]])
     gates, kept = np.array([0, 2, 1]), np.array([0, 2])
-    cache, logits = lm.prefill(prompts, gates, max_len=8)
+    # a prefill, as generate's first step runs it: each prompt's last row
+    length = prompts.shape[1]
+    cache = KVCache(lm.config.blocks, 3, length + 7)
+    logits = lm.forward_rows(prompts, gates, cache, rows=np.arange(1, 4) * length - 1).data
     before = cache.blocks
     cache.keep(kept)
     assert cache.batch == 2 and cache.length == prompts.shape[1]
@@ -1012,7 +1015,9 @@ def test_rows_that_leave_a_lockstep_batch_leave_the_others_as_they_were():
         assert np.array_equal(keys[..., :cache.length], old_keys[kept, ..., :cache.length])
         assert np.array_equal(values[:, :, :cache.length], old_values[kept, :, :cache.length])
     # the kept rows decode on as the two prompts do without the row that left
-    alone, alone_logits = lm.prefill(prompts[kept], gates[kept], max_len=8)
+    alone = KVCache(lm.config.blocks, 2, length + 7)
+    alone_logits = lm.forward_rows(prompts[kept], gates[kept], alone,
+                                   rows=np.arange(1, 3) * length - 1).data
     token = alone_logits.argmax(axis=1)[:, None]
     assert np.array_equal(logits[kept].argmax(axis=1)[:, None], token)
     step = lm.forward_rows(token, gates[kept], cache).data
