@@ -17,13 +17,14 @@ honored exactly: alpha=1 never touches the language model, alpha=0 never
 touches the rating decoder.
 
 The warm-up, the joint phase and stage 2 run through one loop, `_fit`,
-which owns the optimisation policy. Each epoch shuffles the training
-records with its own labeled substream and cuts them into micro-batches.
-Each micro-batch runs on a fresh tape, backpropagates its loss and takes
-one clipped AdamW step. Every epoch adds a manifest row with the mean
-micro-batch loss and the cluster occupancy of the training pairs. Every
-source of randomness derives from the stage seed through labeled
-substreams, which makes whole runs bit-reproducible.
+which owns the optimisation policy; each caller maps its training records
+once and hands the loop the loss of the pairs at given positions. Each
+epoch shuffles the training records with its own labeled substream and
+cuts them into micro-batches. Each micro-batch runs on a fresh tape,
+backpropagates its loss and takes one clipped AdamW step. Every epoch adds
+a manifest row with the mean micro-batch loss and the cluster occupancy of
+the training pairs. Every source of randomness derives from the stage seed
+through labeled substreams, which makes whole runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import contextlib
 import ctypes
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -91,27 +91,21 @@ def _training(precision: str):
         set_default_dtype(caller)
 
 
-def _fit(opt: AdamW, cfg: StageConfig, epochs: int, split: DatasetSplit,
-         vae: VaeGmm, batches: Callable, eps_rng: Rng,
-         shuffle: Callable[[int], Rng], phase: str = None) -> List[dict]:
-    """Train for `epochs` epochs; returns one manifest row per epoch.
-
-    `batches(records, rng)` returns `batch(idx)`, which returns the closure
-    that tapes the loss of the records at `idx`. `shuffle(epoch)` is the
-    epoch's order stream.
-    """
-    users, items = split.user_ids(split.train), split.item_ids(split.train)
-    batch = batches(split.train, eps_rng)
+def _fit(opt: AdamW, cfg: StageConfig, epochs: int, vae: VaeGmm, users: np.ndarray,
+         items: np.ndarray, loss: Callable, shuffle: Callable[[int], Rng],
+         phase: str = None) -> List[dict]:
+    """Train for `epochs` epochs on the training pairs (`users`, `items`);
+    returns one manifest row per epoch. `loss(idx)` tapes the loss of the
+    pairs at `idx`; `shuffle(epoch)` is the epoch's order stream."""
     rows: List[dict] = []
     opt.zero_grad()
     for epoch in range(epochs):
         losses = []
-        for idx in _epoch_batches(len(split.train), cfg.batch_size, shuffle(epoch)):
-            compute = batch(idx)
+        for idx in _epoch_batches(len(users), cfg.batch_size, shuffle(epoch)):
             with Tape() as tape:
-                loss = compute()
-                tape.backward(loss)
-            losses.append(loss.item())
+                value = loss(idx)
+                tape.backward(value)
+            losses.append(value.item())
             opt.step(clip_norm=cfg.clip_norm)
             opt.zero_grad()
         row = {"phase": phase} if phase else {}
@@ -128,14 +122,6 @@ def _manifest(stage: str, cfg: StageConfig, config: dict, rows: List[dict],
             "epochs": rows, "wall_seconds": round(time.time() - started, 3)}
 
 
-def _elbo_batches(model: VaeGmm, beta: float, split: DatasetSplit, records,
-                  rng: Rng) -> Callable:
-    users, items = split.user_ids(records), split.item_ids(records)
-    ratings = normalized_ratings(records)
-    return lambda idx: partial(elbo_loss, model, users[idx], items[idx],
-                               ratings[idx], beta, rng)
-
-
 def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
                  cfg: StageConfig) -> tuple:
     """Returns (VaeGmm trained in ``cfg.precision``, run manifest dict)."""
@@ -146,6 +132,12 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
         model = VaeGmm(vae_config, root.substream("init.vae"))
         eps_rng = root.substream("stage1.eps")
         started = time.time()
+        users, items = split.user_ids(split.train), split.item_ids(split.train)
+        ratings = normalized_ratings(split.train)
+
+        def elbo(beta: float) -> Callable:
+            return lambda idx: elbo_loss(model, users[idx], items[idx], ratings[idx], beta,
+                                         eps_rng)
 
         # warm-up: single standard-normal component, prior frozen. The KL weight
         # here is usually zero (pure reconstruction): it lets the posterior
@@ -154,13 +146,11 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
         warm_params = {k: v for k, v in model.params().items()
                        if not k.startswith("vae.gmm.")}
         rows = _fit(AdamW(warm_params, lr=cfg.lr, weight_decay=cfg.weight_decay),
-                    cfg, cfg.warmup_epochs, split, model,
-                    partial(_elbo_batches, model, cfg.warmup_beta, split), eps_rng,
+                    cfg, cfg.warmup_epochs, model, users, items, elbo(cfg.warmup_beta),
                     lambda epoch: root.substream(f"stage1.shuffle.warm{epoch}"),
                     phase="warmup")
 
-        mu_all, log_var_all = model.encode(split.user_ids(split.train),
-                                           split.item_ids(split.train))
+        mu_all, log_var_all = model.encode(users, items)
         point_vars = np.exp(np.clip(log_var_all.data, LOG_VAR_MIN, LOG_VAR_MAX))
         model.prior = init_gmm_prior(mu_all.data, vae_config.clusters,
                                      root.substream("init.gmm"),
@@ -168,8 +158,7 @@ def train_stage1(split: DatasetSplit, vae_config: VaeConfig,
 
         rows += _fit(AdamW(model.params(), lr=cfg.effective_joint_lr(),
                            weight_decay=cfg.weight_decay),
-                     cfg, cfg.epochs, split, model,
-                     partial(_elbo_batches, model, cfg.beta, split), eps_rng,
+                     cfg, cfg.epochs, model, users, items, elbo(cfg.beta),
                      lambda epoch: root.substream(f"stage1.shuffle.{epoch}"), phase="joint")
     return model, _manifest("stage1", cfg, {"latent_dim": vae_config.latent_dim,
                                             "clusters": vae_config.clusters},
@@ -303,53 +292,51 @@ def train_stage2(split: DatasetSplit, vae: VaeGmm, run: RunConfig,
                                  item_index=split.item_index)
         opt = AdamW(bundle.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         started = time.time()
-        rows = _fit(opt, cfg, cfg.epochs, split, vae,
-                    partial(_explainer_batches, bundle, run, cfg, split),
-                    root.substream("eps"), lambda epoch: root.substream(f"shuffle.{epoch}"))
+        users, items = split.user_ids(split.train), split.item_ids(split.train)
+        ratings = normalized_ratings(split.train)
+        prepared = [prepare_sequence(vocab, rec, run.context) for rec in split.train]
+        bundle.draft = DraftTable.build(prepared)
+        loss = _explainer_loss(bundle, cfg, users, items, ratings, prepared, root.substream("eps"))
+        del prepared           # the loss keeps them packed; the list is 1.6 MB at default scale
+        rows = _fit(opt, cfg, cfg.epochs, vae, users, items, loss,
+                    lambda epoch: root.substream(f"shuffle.{epoch}"))
     return bundle, _manifest("stage2", cfg, {"clusters": run.clusters}, rows, started)
 
 
-def _explainer_batches(bundle: ExplainerBundle, run: RunConfig, cfg: StageConfig,
-                       split: DatasetSplit, records, rng: Rng) -> Callable:
-    """`_fit`'s batches of `records`, each gated by its own loss
-    (:func:`_stage2_loss`); the bundle's draft table is built from the same
-    prepared sequences, once, before the first step."""
-    users, items = split.user_ids(records), split.item_ids(records)
-    ratings = normalized_ratings(records)
-    prepared = [prepare_sequence(bundle.vocab, rec, run.context) for rec in records]
-    bundle.draft = DraftTable.build(prepared)
+def _explainer_loss(bundle: ExplainerBundle, cfg: StageConfig, users, items, ratings,
+                    prepared, rng: Rng) -> Callable:
+    """`_fit`'s loss (:func:`_stage2_loss`) of the training pairs at `idx`,
+    whose ids, normalized ratings and prepared (sequence, prompt length)
+    pairs are `users`, `items`, `ratings` and `prepared`."""
     sequences, prompt_lens = zip(*prepared)
     # one packed int32 token buffer, record i at tokens[bounds[i]:bounds[i + 1]]
     tokens = np.concatenate(sequences).astype(np.int32)
     bounds = np.cumsum([0, *map(len, sequences)])
-
-    def batch(idx):
-        return partial(_stage2_loss, bundle, users[idx], items[idx], ratings[idx],
-                       [(tokens[bounds[i]:bounds[i + 1]], prompt_lens[i]) for i in idx],
-                       cfg, rng)
-    return batch
+    return lambda idx: _stage2_loss(
+        bundle, users[idx], items[idx], ratings[idx],
+        [(tokens[bounds[i]:bounds[i + 1]], prompt_lens[i]) for i in idx], cfg, rng)
 
 
 def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
                  cfg: StageConfig, eps_rng: Rng,
                  eps_override=None, gamma_override=None) -> Tensor:
     """``alpha * elbo + (1 - alpha) * nll`` of one micro-batch of `prepared`
-    (sequence, prompt length) pairs. One taped encode of the pairs serves the
-    ELBO and, by the argmax of mu's responsibilities, gives each record the
-    gate :meth:`VaeGmm.gates` gives, also above its chunk bound. The encoder
+    (sequence, prompt length) pairs. Below ``alpha == 1``, one taped encode
+    of the pairs gives each record its gate, the argmax of mu's
+    responsibilities, which is the gate :meth:`VaeGmm.gates` gives, also
+    above its chunk bound; the ELBO, if any, reuses the encode. The encoder
     and the language model share no parameter, so every gradient is the one
-    a separate untaped encode for the gates gave. At ``alpha == 0`` the gates
-    come from :meth:`VaeGmm.gates`; at ``alpha == 1`` none are needed."""
+    a separate untaped encode for the gates gave."""
     vae = bundle.vae
     if cfg.alpha == 1.0:
         return elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng,
                          eps_override=eps_override, gamma_override=gamma_override)
     sequences = [seq for seq, _ in prepared]
     prompt_lens = [plen for _, plen in prepared]
-    if cfg.alpha == 0.0:
-        return bundle.lm.batched_nll(sequences, prompt_lens, vae.gates(users, items))
     encoded = vae.encode(users, items)
     gates = np.argmax(gmm_posterior_batch(vae.prior, encoded[0].data), axis=1)
+    if cfg.alpha == 0.0:
+        return bundle.lm.batched_nll(sequences, prompt_lens, gates)
     elbo = elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng, eps_override=eps_override,
                      gamma_override=gamma_override, encoded=encoded)
     nll = bundle.lm.batched_nll(sequences, prompt_lens, gates)

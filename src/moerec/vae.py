@@ -57,10 +57,10 @@ INFERENCE_ROWS = 512
 class VaeConfig:
     n_users: int
     n_items: int
-    d_emb: int = 32
-    latent_dim: int = 8
-    hidden: int = 64
-    clusters: int = 3
+    d_emb: int
+    latent_dim: int
+    hidden: int
+    clusters: int
 
 
 class EmbeddingTables:
@@ -80,12 +80,8 @@ class EmbeddingTables:
 
     def lookup(self, users: np.ndarray, items: np.ndarray) -> Tensor:
         """The (B, 2 * d_emb) rows ``[user embedding | item embedding]``."""
-        users, items = T._row_ids(users), T._row_ids(items)
-        for kind, ids, last in (("user", users, self.n_users), ("item", items, self.n_items)):
-            if ids.size and (ids.min() < 0 or ids.max() > last):
-                raise TableLookupError(
-                    f"{kind} index out of range [0, {last}]: {ids.min()}..{ids.max()}")
-        return T.concat_rows(self.user, users, self.item, items)
+        return T.concat_rows(self.user, T._row_ids(users, self.n_users + 1, TableLookupError),
+                             self.item, T._row_ids(items, self.n_items + 1, TableLookupError))
 
 
 class TwoLayerNet:

@@ -170,9 +170,16 @@ def test_clip_refuses_a_nan_or_nonpositive_bound_at_both_entry_points(bad):
 
 @pytest.mark.parametrize("dtype,big", [("float64", 1e200), ("float32", 3e38)])
 def test_adamw_keeps_the_pre_clip_norm_read_only(dtype, big):
-    p = Tensor(np.zeros(2, dtype), requires_grad=True)
-    q = Tensor(np.zeros((1, 2), dtype), requires_grad=True)
+    from moerec import tensor as T
+    caller = T.default_dtype().name
+    T.set_default_dtype(dtype)                 # Tensor casts to the default dtype
+    try:
+        p = Tensor(np.zeros(2), requires_grad=True)
+        q = Tensor(np.zeros((1, 2)), requires_grad=True)
+    finally:
+        T.set_default_dtype(caller)
     opt = AdamW({"p": p, "q": q}, lr=0.1)
+    assert opt._store.dtype == np.dtype(dtype)
     assert opt.grad_norm is None
     with pytest.raises(AttributeError):
         opt.grad_norm = 1.0

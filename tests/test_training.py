@@ -15,6 +15,7 @@ import pytest
 
 from moerec.config import RunConfig, StageConfig
 from moerec.data import (
+    DatasetSplit,
     InteractionRecord,
     SynthSpec,
     generate_synthetic,
@@ -274,24 +275,18 @@ def test_stage2_alpha_zero_never_touches_rating_decoder():
 
 # --- the stage-2 step that encodes once, against the step that encoded twice ---
 
-def two_encode_batches(bundle, run, cfg, split, records, rng):
-    """`training._explainer_batches` as it was before the step encoded once:
-    each batch takes its gates from an untaped ``VaeGmm.gates``, and its loss
-    tapes the language model's NLL, then an ELBO that encodes the pairs again."""
-    users, items = split.user_ids(records), split.item_ids(records)
-    ratings = normalized_ratings(records)
-    prepared = [prepare_sequence(bundle.vocab, rec, run.context) for rec in records]
-
-    def batch(idx):
+def two_encode_loss(bundle, cfg, users, items, ratings, prepared, rng):
+    """`training._explainer_loss` as it was before the step encoded once:
+    each batch takes its gates from ``VaeGmm.gates``, whose tape records reach
+    no loss, and its loss tapes the language model's NLL, then an ELBO that
+    encodes the pairs again."""
+    def loss(idx):
         gates = bundle.vae.gates(users[idx], items[idx])
-
-        def loss():
-            nll = bundle.lm.batched_nll([prepared[i][0] for i in idx],
-                                        [prepared[i][1] for i in idx], gates)
-            elbo = elbo_loss(bundle.vae, users[idx], items[idx], ratings[idx], cfg.beta, rng)
-            return tensor.weighted_means((elbo, nll), (cfg.alpha, 1.0 - cfg.alpha))
-        return loss
-    return batch
+        nll = bundle.lm.batched_nll([prepared[i][0] for i in idx],
+                                    [prepared[i][1] for i in idx], gates)
+        elbo = elbo_loss(bundle.vae, users[idx], items[idx], ratings[idx], cfg.beta, rng)
+        return tensor.weighted_means((elbo, nll), (cfg.alpha, 1.0 - cfg.alpha))
+    return loss
 
 
 class SummedFiniteAdamW(AdamW):
@@ -322,7 +317,7 @@ def default_stage2_run(monkeypatch, precision: str, steps: int, reference: bool)
     """(losses, gates of every step, final store bytes) of the first `steps`
     stage-2 steps of the default run config on the default corpus, from an
     untrained preference model with a three-component prior; with
-    `reference`, through the two-encode batches and the summed finiteness
+    `reference`, through the two-encode loss and the summed finiteness
     proof. Each step's gates are checked against ``VaeGmm.gates`` of its
     pairs, taken before the step's update."""
     run = RunConfig(precision=precision).validate()
@@ -338,15 +333,15 @@ def default_stage2_run(monkeypatch, precision: str, steps: int, reference: bool)
         tensor.set_default_dtype(caller)
     losses, gates, built = [], [], []
     users, items = split.user_ids(split.train), split.item_ids(split.train)
-    real_batches, real_backward, real_nll = (training._explainer_batches, tensor.backward,
-                                             LanguageModel.batched_nll)
+    real_loss, real_backward, real_nll = (training._explainer_loss, tensor.backward,
+                                          LanguageModel.batched_nll)
 
-    def batches(bundle, *args):
-        batch = (two_encode_batches if reference else real_batches)(bundle, *args)
+    def explainer_loss(bundle, *args):
+        loss = (two_encode_loss if reference else real_loss)(bundle, *args)
 
         def gated(idx):
             gates.append(bundle.vae.gates(users[idx], items[idx]))
-            return batch(idx)
+            return loss(idx)
         return gated
 
     def nll(lm, sequences, prompt_lens, step_gates):
@@ -364,7 +359,7 @@ def default_stage2_run(monkeypatch, precision: str, steps: int, reference: bool)
                 raise StepsDone
             return scale
 
-    monkeypatch.setattr(training, "_explainer_batches", batches)
+    monkeypatch.setattr(training, "_explainer_loss", explainer_loss)
     monkeypatch.setattr(training, "AdamW", Counted)
     monkeypatch.setattr(tensor, "backward", lambda tape, loss: losses.append(
         np.asarray(loss.data).tobytes()) or real_backward(tape, loss))
@@ -419,8 +414,9 @@ def test_a_stage2_batch_above_the_chunk_bound_gates_as_vae_gates(monkeypatch):
 
 
 # Python frames of one tiny stage-2 step: 646 when the gates took their own
-# encode and batched_nll built its arrays record by record (Python 3.11;
-# 3.12 inlines comprehensions, so it counts fewer)
+# encode and batched_nll built its arrays record by record, 475 when the
+# step's loss came from a batch factory, 471 now (Python 3.11; 3.12 inlines
+# comprehensions, so it counts fewer)
 FRAMES_OF_A_STAGE2_STEP = 500
 
 
@@ -439,7 +435,10 @@ def test_a_stage2_step_encodes_once_and_batches_with_whole_array_ops(monkeypatch
                              split.user_index, split.item_index)
     cfg = run.stage2()
     opt = AdamW(bundle.params(), lr=cfg.lr)
-    batch = training._explainer_batches(bundle, run, cfg, split, split.train, Rng(6))
+    loss = training._explainer_loss(
+        bundle, cfg, split.user_ids(split.train), split.item_ids(split.train),
+        normalized_ratings(split.train),
+        [prepare_sequence(vocab, r, run.context) for r in split.train], Rng(6))
     encodes = []
     encode = VaeGmm.encode
     monkeypatch.setattr(VaeGmm, "encode", lambda *args: encodes.append(1) or encode(*args))
@@ -456,10 +455,9 @@ def test_a_stage2_step_encodes_once_and_batches_with_whole_array_ops(monkeypatch
                 events.append(("c_call", arg.__name__))
         sys.setprofile(hook)
         try:
-            compute = batch(idx)
             with Tape() as tape:
-                loss = compute()
-                tape.backward(loss)
+                value = loss(idx)
+                tape.backward(value)
             opt.step(clip_norm=cfg.clip_norm)
             opt.zero_grad()
         finally:
@@ -500,6 +498,36 @@ def test_stage2_validates_its_run_config():
     bad = RunConfig(**(run.to_dict() | {"heads": 3}))
     with pytest.raises(ConfigError, match="heads"):
         train_stage2(split, vae, bad, bad.stage2())
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.1])
+def test_each_stage_maps_its_training_records_once(monkeypatch, alpha):
+    # one mapping of the training records to ids and normalized ratings per
+    # stage feeds both stage-1 phases, the mixture's fit and every loss
+    # (stage 1 once mapped them five times, stage 2 twice), and no stage-2
+    # step gates through VaeGmm.gates: only the per-epoch occupancy does
+    split, _ = small_corpus()
+    run = small_run(alpha=alpha, s2_epochs=2)
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append((name, args[-1] is split.train))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(DatasetSplit, "user_ids", counted("user_ids", DatasetSplit.user_ids))
+    monkeypatch.setattr(DatasetSplit, "item_ids", counted("item_ids", DatasetSplit.item_ids))
+    monkeypatch.setattr(training, "normalized_ratings", counted("ratings", normalized_ratings))
+    vae, _ = train_stage1(split, vae_config_from(run, split), run.stage1())
+    stage1 = sorted(calls)
+    calls.clear()
+    monkeypatch.setattr(VaeGmm, "gates", counted("gates", VaeGmm.gates))
+    bundle, _ = train_stage2(split, vae, run, run.stage2())
+    want = [("item_ids", True), ("ratings", True), ("user_ids", True)]
+    assert stage1 == want
+    assert sorted(calls) == [("gates", False)] * run.s2_epochs + want
+    assert bundle.draft is not None
 
 
 @pytest.mark.parametrize("warmup", [0, 1])

@@ -270,7 +270,10 @@ def chunk_model(precision: str) -> VaeGmm:
     caller = T.default_dtype().name
     T.set_default_dtype(precision)
     try:
-        model = VaeGmm(VaeConfig(n_users=300, n_items=200), Rng(3))
+        run = RunConfig()
+        model = VaeGmm(VaeConfig(n_users=300, n_items=200, d_emb=run.d_emb,
+                                 latent_dim=run.latent_dim, hidden=run.enc_hidden,
+                                 clusters=run.clusters), Rng(3))
         model.prior = random_prior(4, 3, model.config.latent_dim)
     finally:
         T.set_default_dtype(caller)
