@@ -486,9 +486,9 @@ class LanguageModel:
         norm and the head.
         """
         tokens = T._row_ids(tokens)             # their range is add_rows' to check
-        if tokens.ndim > 2:
+        if tokens.ndim != 2:
             raise ShapeError(f"token matrix of shape {tokens.shape}: one sequence per row")
-        batch, length = tokens.shape if tokens.ndim > 1 else (1, tokens.size)
+        batch, length = tokens.shape
         offset = 0 if cache is None else cache.length
         if cache is not None and (cache.batch != batch
                                   or len(cache.blocks) != len(self.blocks)):

@@ -26,26 +26,23 @@ def global_norm(grads: Sequence[np.ndarray], sums: Sequence[float] = None) -> fl
     return total
 
 
-def clip_grad_norm(grads: List[np.ndarray], max_norm: float,
-                   buffers: Sequence[np.ndarray] = None, norm: float = None) -> float:
+def clip_grad_norm(grads: List[np.ndarray], max_norm: float, norm: float = None) -> float:
     """Scale all grads in place so the global L2 norm is at most `max_norm`.
 
     Returns the scale that was applied (1.0 when no clipping was needed,
     including the all-zero case). Grads may be views of one buffer (the
     backward of ``a + b`` hands both inputs the same one): every element
-    is scaled once. Given `buffers`, disjoint arrays holding exactly the
-    elements of `grads` (a store's rows), those are scaled instead. `norm`
-    is their :func:`global_norm`, for a caller that has it. A NaN or
-    nonpositive `max_norm` is a ValueError.
+    is scaled once. `norm` is their :func:`global_norm`, for a caller that
+    has it. A NaN or nonpositive `max_norm` is a ValueError.
     """
     if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm}")
     total = global_norm(grads) if norm is None else norm
-    if total <= max_norm or total == 0.0:
+    if total <= max_norm:
         return 1.0
     scale = max_norm / total
     by_buffer: Dict[int, List[np.ndarray]] = {}
-    for g in grads if buffers is None else buffers:
+    for g in grads:
         root = g
         while isinstance(root.base, np.ndarray):
             root = root.base
@@ -139,7 +136,7 @@ class AdamW:
                                     f"its second moment")
         self._grad_norm = global_norm(self._grads, sums)
         scale = 1.0 if clip_norm is None else clip_grad_norm(
-            self._grads, clip_norm, [self._store[1]], self._grad_norm)
+            [self._store[1]], clip_norm, self._grad_norm)
         self.step_count += 1
         c1 = 1.0 - self.b1 ** self.step_count
         c2 = 1.0 - self.b2 ** self.step_count

@@ -78,11 +78,9 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 
     An isfinite pass, unlike a sum, cannot overflow, so huge finite values
     (say ``[1e308, 1e308]``) pass with no RuntimeWarning. An array of one
-    value, or a large one whose strides are all 0 and so repeats one
-    value, has that value alone checked; for a small broadcast the pass
-    costs less than the question.
+    value has that value alone checked.
     """
-    if arr.size == 1 or arr.size > 1024 and not any(arr.strides):
+    if arr.size == 1:
         finite = math.isfinite(arr.item(0))
     else:
         finite = np.logical_and.reduce(np.isfinite(arr), axis=None)
@@ -222,7 +220,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
-        self._output_ids: set[int] = set()
         self._spent = False
 
     def __enter__(self) -> "Tape":
@@ -246,9 +243,7 @@ def _make(out_data: np.ndarray, op: str, inputs: tuple, backward_fn: Callable) -
     if _TAPE_STACK:
         for t in inputs:
             if t.requires_grad:
-                tape = _TAPE_STACK[-1]
-                tape.records.append(_Record(inputs, out, backward_fn))
-                tape._output_ids.add(id(out))
+                _TAPE_STACK[-1].records.append(_Record(inputs, out, backward_fn))
                 out.requires_grad = True
                 break
     return out
@@ -271,7 +266,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise TapeError("tape already swept; build a fresh tape per backward")
     if loss.data.size != 1:
         raise TapeError(f"backward needs a scalar loss, have shape {loss.shape}")
-    if id(loss) not in tape._output_ids:
+    if not any(rec.out is loss for rec in reversed(tape.records)):
         raise TapeError("loss is not an output recorded on this tape")
     tape._spent = True
     loss.grad = np.ones_like(loss.data)

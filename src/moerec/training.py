@@ -318,8 +318,7 @@ def _explainer_loss(bundle: ExplainerBundle, cfg: StageConfig, users, items, rat
 
 
 def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
-                 cfg: StageConfig, eps_rng: Rng,
-                 eps_override=None, gamma_override=None) -> Tensor:
+                 cfg: StageConfig, eps_rng: Rng, gamma_override=None) -> Tensor:
     """``alpha * elbo + (1 - alpha) * nll`` of one micro-batch of `prepared`
     (sequence, prompt length) pairs. Below ``alpha == 1``, one taped encode
     of the pairs gives each record its gate, the argmax of mu's
@@ -330,14 +329,14 @@ def _stage2_loss(bundle: ExplainerBundle, users, items, ratings, prepared,
     vae = bundle.vae
     if cfg.alpha == 1.0:
         return elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng,
-                         eps_override=eps_override, gamma_override=gamma_override)
+                         gamma_override=gamma_override)
     sequences = [seq for seq, _ in prepared]
     prompt_lens = [plen for _, plen in prepared]
     encoded = vae.encode(users, items)
     gates = np.argmax(gmm_posterior_batch(vae.prior, encoded[0].data), axis=1)
     if cfg.alpha == 0.0:
         return bundle.lm.batched_nll(sequences, prompt_lens, gates)
-    elbo = elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng, eps_override=eps_override,
+    elbo = elbo_loss(vae, users, items, ratings, cfg.beta, eps_rng,
                      gamma_override=gamma_override, encoded=encoded)
     nll = bundle.lm.batched_nll(sequences, prompt_lens, gates)
     return weighted_means((elbo, nll), (cfg.alpha, 1.0 - cfg.alpha))

@@ -162,17 +162,13 @@ def gmm_posterior_batch(prior: GmmPrior, z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def reparameterize(mu: Tensor, log_var: Tensor, rng: Rng,
-                   eps_override: Optional[np.ndarray] = None) -> tuple:
+def reparameterize(mu: Tensor, log_var: Tensor, rng: Rng) -> tuple:
     """(z, eps): z = mu + eps * exp(clip(log_var, -10, 10) / 2) with eps ~
-    N(0, I) from the seeded stream. Gradients flow through mu and log_var
-    only, never through eps. `eps_override` is a test hook for
-    deterministic paths (e.g. eps = 0 pins z to the mean).
+    N(0, I), the one draw ``rng.normal(mu.size)``. Gradients flow through
+    mu and log_var only, never through eps. A test fixes eps by handing in
+    its own stream.
     """
-    if eps_override is None:
-        eps = rng.normal(mu.size).reshape(mu.shape)
-    else:
-        eps = np.broadcast_to(np.asarray(eps_override, dtype=np.float64), mu.shape).copy()
+    eps = rng.normal(mu.size).reshape(mu.shape)
     return T.gaussian_sample(mu, log_var, eps, LOG_VAR_MIN, LOG_VAR_MAX), eps
 
 
@@ -271,7 +267,6 @@ class VaeGmm:
 
 
 def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
-              eps_override: Optional[np.ndarray] = None,
               gamma_override: Optional[np.ndarray] = None,
               encoded: Optional[tuple] = None) -> Tensor:
     """Mean over the batch of BCE(rating_norm, decoded) + beta * KL.
@@ -288,7 +283,7 @@ def elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
         raise ValueError("beta must be nonnegative")
 
     mu, log_var = model.encode(users, items) if encoded is None else encoded
-    z, _ = reparameterize(mu, log_var, rng, eps_override=eps_override)
+    z, _ = reparameterize(mu, log_var, rng)
     bce = T.bce_with_logits(model.decoder.forward(z), ratings_norm)
     if beta == 0.0:
         return bce

@@ -565,8 +565,8 @@ def reference_kl_closed_form_batch(mu: Tensor, log_var: Tensor, gamma: np.ndarra
     return comp + cat + entropy - 0.5 * dims
 
 
-def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, rng: Rng,
-                        eps_override=None, gamma_override=None) -> Tensor:
+def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float,
+                        rng: Rng) -> Tensor:
     """:func:`moerec.vae.elbo_loss` as the op chains above, with the noise
     that :func:`moerec.vae.reparameterize` draws from `rng`; the sample and
     the KL term each clamp the raw log-variance, as the fused ops do."""
@@ -574,14 +574,13 @@ def reference_elbo_loss(model: VaeGmm, users, items, ratings_norm, beta: float, 
     pairs = reference_concat_rows(model.tables.user, users, model.tables.item, items)
     out = reference_mlp(pairs, enc.w1, enc.b1, enc.w2, enc.b2)
     mu, log_var = out[:, :latent], out[:, latent:]
-    _, eps = reparameterize(mu.detach(), log_var.detach(), rng, eps_override)
+    _, eps = reparameterize(mu.detach(), log_var.detach(), rng)
     z = reference_gaussian_sample(mu, log_var, eps, LOG_VAR_MIN, LOG_VAR_MAX)
     bce = reference_bce_with_logits(reference_mlp(z, dec.w1, dec.b1, dec.w2, dec.b2),
                                     np.asarray(ratings_norm, dtype=np.float64))
     if beta == 0.0:
         return bce
-    gamma = (gamma_override if gamma_override is not None
-             else gmm_posterior_batch(model.prior, z.data))
+    gamma = gmm_posterior_batch(model.prior, z.data)
     return bce + beta * reference_kl_closed_form_batch(mu, log_var, gamma, model.prior).mean()
 
 

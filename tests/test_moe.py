@@ -1,6 +1,7 @@
 """Expert decomposition, routing contracts, causality, and dense equivalence."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -1137,6 +1138,13 @@ def test_token_arrays_of_three_dimensions_raise_shape_error():
     for prompts in (np.full((2, 1, 3), BOS), [BOS, 4, 5]):
         with pytest.raises(ShapeError, match="one prompt per row"):
             lm.generate(prompts, [0, 1])
+
+
+def test_forward_rows_takes_a_token_matrix_only():
+    lm = tiny_lm(seed=13)
+    for tokens, shape in (([BOS, 4, 5], "(3,)"), (BOS, "()")):
+        with pytest.raises(ShapeError, match=re.escape(f"token matrix of shape {shape}")):
+            lm.forward_rows(tokens, np.array([0]))
 
 
 # --- explanation NLL ---

@@ -351,7 +351,8 @@ def test_nonfinite_element_raises_wherever_it_sits(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_zero_stride_arrays_are_checked_by_their_one_value(bad):
-    # a broadcast scalar repeats one value, which alone is checked
+    # a broadcast scalar repeats one value, and the whole pass over it
+    # raises or passes as that value does
     with pytest.raises(NumericError):
         Tensor(np.broadcast_to(bad, (300, 4)))
     with pytest.raises(NumericError):

@@ -26,7 +26,7 @@ from moerec import tensor, training
 from moerec.checkpoint import read_manifest
 from moerec.errors import ConfigError, ContextLimitError, DataError, TrainingError
 from moerec.moe import EOS, KVCache, LanguageModel, Vocab, build_prompt
-from moerec.optim import AdamW, clip_grad_norm
+from moerec.optim import AdamW, clip_grad_norm, global_norm
 from moerec.rng import Rng
 from moerec.tensor import Tape
 from moerec.training import (
@@ -41,6 +41,7 @@ from moerec.training import (
     vae_config_from,
 )
 from moerec.vae import GmmPrior, VaeGmm, elbo_loss, init_gmm_prior
+from tests.test_vae import FixedNoise
 
 
 def small_corpus(seed=0, users=24, items=12, per_user=6):
@@ -140,7 +141,7 @@ def test_beta_ablation_reconstruction_report(capsys):
         users = split.user_ids(split.train)
         items = split.item_ids(split.train)
         ratings = normalized_ratings(split.train)
-        loss = elbo_loss(vae, users, items, ratings, 0.0, Rng(1), eps_override=0.0)
+        loss = elbo_loss(vae, users, items, ratings, 0.0, FixedNoise(0.0))
         recon[beta] = loss.item()
     print(f"reconstruction-only loss: beta=0 {recon[0.0]:.5f}, "
           f"beta=0.1 {recon[0.1]:.5f}")
@@ -248,6 +249,28 @@ def test_stage2_loss_equals_the_operator_chain_bit_for_bit(alpha, precision):
     assert fused == chained
 
 
+def test_the_elbo_draws_its_noise_in_one_normal_call():
+    # the stub stream of the tests that fix eps stands in for one draw, and
+    # the stage streams' order of draws rests on it: stage 1's ELBO and a
+    # stage-2 step that mixes it in each take one normal(B * latent_dim)
+    split, _ = small_corpus()
+    run = small_run(alpha=0.1)
+    vae = VaeGmm(vae_config_from(run, split), Rng(3))
+    vocab = Vocab.build(split.train, list(split.user_index), list(split.item_index))
+    lm = LanguageModel(lm_config_from(run, len(vocab)), Rng(5))
+    bundle = ExplainerBundle(vae, lm, vocab, split.user_index, split.item_index)
+    records = split.train[:6]
+    users, items = split.user_ids(records), split.item_ids(records)
+    ratings = normalized_ratings(records)
+    prepared = [prepare_sequence(vocab, r, run.context) for r in records]
+    for loss in (lambda rng: elbo_loss(vae, users, items, ratings, run.beta, rng),
+                 lambda rng: _stage2_loss(bundle, users, items, ratings, prepared,
+                                          run.stage2(), rng)):
+        stream = FixedNoise(0.0)
+        assert np.isfinite(loss(stream).item())
+        assert stream.calls == [6 * run.latent_dim]
+
+
 def test_stage2_alpha_zero_never_touches_rating_decoder():
     split, _ = small_corpus()
     run = small_run(alpha=0.0)
@@ -304,7 +327,7 @@ class SummedFiniteAdamW(AdamW):
                 raise TrainingError(f"non-finite gradient on parameter {bad[0]!r}")
         scale = 1.0
         if clip_norm is not None:
-            scale = clip_grad_norm(self._grads, clip_norm, [self._store[1]])
+            scale = clip_grad_norm([self._store[1]], clip_norm, global_norm(self._grads))
         super().step(None)                      # the update of the clipped gradients
         return scale
 
